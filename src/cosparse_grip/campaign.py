@@ -9,17 +9,23 @@ floats, trailing `# summary:` comment block), results.jsonl (one row
 object per line) and config_echo.json (the parsed config with defaults
 materialized). wall_time is recorded on the result but never written, so
 re-runs stay byte-identical.
+
+What each experiment does lives in one private table, `_TABLE`: its
+trial function, its summary keys, whether its trials share a verify
+instance pool, and which cosparsity rules its configs must meet. Every
+value check is made in `ExperimentConfig.__post_init__`; `from_json`
+only checks the document's structure.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +42,7 @@ from .model import (
     Dictionary,
     SensingMatrix,
     SupportSet,
+    _sensing_draw,
     load_dictionary_csv,
     load_sensing_csv,
     make_dictionary,
@@ -65,17 +72,6 @@ __all__ = [
     "emit_jsonl",
     "write_outputs",
 ]
-
-EXPERIMENTS = (
-    "grip",
-    "rho",
-    "solve",
-    "verify-c1",
-    "verify-c2",
-    "verify-t1",
-    "phase",
-    "p1p2",
-)
 
 SUCCESS_TOL = 1e-5        # ||x_hat - x||_2 below this counts as exact recovery
 _CONFIG_KINDS = tuple(k for k in DICTIONARY_KINDS if k != "user-supplied")
@@ -111,6 +107,17 @@ def trial_seed(campaign_seed: int, index: int) -> int:
     return x ^ (x >> 31)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_positive_ints(obj, names: tuple[str, ...], prefix: str = "") -> None:
+    for name in names:
+        v = getattr(obj, name)
+        if not _is_int(v) or v < 1:
+            raise ConfigError(f"{prefix}{name} must be a positive integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Budget:
     """Enumeration and iteration ceilings for one campaign."""
@@ -121,23 +128,28 @@ class Budget:
     mc_trials: int = 200  # sample count when exact enumeration is over budget
 
     def __post_init__(self):
-        for name in ("max_supports", "max_pairs", "max_iters", "mc_trials"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"budget.{name} must be a positive integer, got {v!r}")
+        _check_positive_ints(self, ("max_supports", "max_pairs", "max_iters", "mc_trials"), "budget.")
 
 
-def _require_keys(doc: dict, allowed: dict, where: str) -> None:
+def _json_object(doc, where: str, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
+    """Structure of one JSON object: its type and its key set."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{where} is missing required key {key!r}")
+    return doc
 
 
-def _as_int(doc: dict, key: str, where: str) -> int:
-    v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be an integer, got {v!r}")
-    return v
+_CONFIG_KEYS = (
+    "experiment", "dims", "k", "dictionary_kind", "matrix_kind", "constraint", "trials",
+    "seed", "output_path", "budget", "instances", "m_grid", "rho_mode", "dictionary_path",
+    "matrix_path",
+)
+_REQUIRED_KEYS = ("experiment", "dims", "k", "dictionary_kind", "matrix_kind", "trials", "seed")
 
 
 @dataclass(frozen=True)
@@ -175,12 +187,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        for name in ("m", "n", "p", "k", "trials", "instances"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {v!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        entry = _TABLE[self.experiment]
+        _check_positive_ints(self, ("m", "n", "p", "k", "trials", "instances"))
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        for name in ("output_path", "dictionary_path", "matrix_path"):
+            v = getattr(self, name)
+            if v is not None and not isinstance(v, str):
+                raise ConfigError(f"{name} must be a string, got {v!r}")
+        for name, label in (("epsilon", "constraint.epsilon"), ("lam", "constraint.lambda")):
+            v = getattr(self, name)
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise ConfigError(f"{label} must be a number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if self.p < self.n:
             raise ConfigError(f"dictionary needs p >= n, got p={self.p}, n={self.n}")
         if self.experiment != "phase" and self.m >= self.n:
@@ -217,128 +236,65 @@ class ExperimentConfig:
             raise ConfigError(f"rho_mode must be one of {_RHO_MODES}")
         if not 1 <= self.k <= self.p:
             raise ConfigError(f"need 1 <= k <= p, got k={self.k}, p={self.p}")
-        if self.experiment in ("solve", "phase", "p1p2", "verify-t1") and self.k >= self.p:
+        if entry.draws_signal and self.k >= self.p:
             raise ConfigError(f"signal sampling needs k < p, got k={self.k}, p={self.p}")
-        if (
-            self.experiment in ("solve", "phase", "p1p2")
-            and self.p > self.n
-            and self.k < self.p - self.n + 1
-        ):
+        if entry.draws_signal and self.p > self.n and self.k < self.p - self.n + 1:
             # p - k generic analysis rows must leave a nontrivial null space
             raise ConfigError(
                 f"a redundant operator admits no {self.k}-analysis-sparse signal: "
                 f"need k >= p - n + 1 = {self.p - self.n + 1}"
             )
-        if self.experiment in ("rho", "verify-c1", "verify-c2", "verify-t1") and 2 * self.k > self.p:
+        if entry.needs_pairs and 2 * self.k > self.p:
             raise ConfigError(f"disjoint support pairs need 2k <= p, got k={self.k}, p={self.p}")
-        if self.experiment in ("p1p2",) and self.constraint_kind == "dantzig":
+        if self.experiment == "p1p2" and self.constraint_kind == "dantzig":
             raise ConfigError("p1p2 compares the first-order routes; dantzig is LP-only")
         if self.m_grid is not None:
             if self.experiment != "phase":
                 raise ConfigError("m_grid is only meaningful for the phase experiment")
+            if not isinstance(self.m_grid, (list, tuple)):
+                raise ConfigError("m_grid must be a list of integers")
             grid = tuple(self.m_grid)
             if not grid:
                 raise ConfigError("m_grid must be nonempty")
             for v in grid:
-                if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= self.n:
+                if not _is_int(v) or not 1 <= v <= self.n:
                     raise ConfigError(f"m_grid entries must be integers in [1, n], got {v!r}")
             object.__setattr__(self, "m_grid", grid)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse a config document. Only its structure is checked here;
+        every value is validated by the constructor."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        allowed = {
-            "experiment": None, "dims": None, "k": None, "dictionary_kind": None,
-            "matrix_kind": None, "constraint": None, "trials": None, "seed": None,
-            "output_path": None, "budget": None, "instances": None, "m_grid": None,
-            "rho_mode": None, "dictionary_path": None, "matrix_path": None,
-        }
-        _require_keys(doc, allowed, "config")
-        for req in ("experiment", "dims", "k", "dictionary_kind", "matrix_kind", "trials", "seed"):
-            if req not in doc:
-                raise ConfigError(f"config is missing required key {req!r}")
-
-        dims = doc["dims"]
-        if not isinstance(dims, dict):
-            raise ConfigError("dims must be an object with keys m, n, p")
-        _require_keys(dims, {"m": None, "n": None, "p": None}, "dims")
-        for req in ("m", "n", "p"):
-            if req not in dims:
-                raise ConfigError(f"dims is missing required key {req!r}")
-
-        constraint = doc.get("constraint", {"kind": "equality"})
-        if not isinstance(constraint, dict):
-            raise ConfigError("constraint must be an object")
-        _require_keys(constraint, {"kind": None, "epsilon": None, "lambda": None}, "constraint")
-        ckind = constraint.get("kind", "equality")
-        epsilon = constraint.get("epsilon", 0.0)
-        lam = constraint.get("lambda", 0.0)
-        for name, v in (("epsilon", epsilon), ("lambda", lam)):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ConfigError(f"constraint.{name} must be a number, got {v!r}")
-
-        budget_doc = doc.get("budget", {})
-        if not isinstance(budget_doc, dict):
-            raise ConfigError("budget must be an object")
-        _require_keys(
-            budget_doc,
-            {"max_supports": None, "max_pairs": None, "max_iters": None, "mc_trials": None},
-            "budget",
+        _json_object(doc, "config", _CONFIG_KEYS, _REQUIRED_KEYS)
+        dims = _json_object(doc["dims"], "dims", ("m", "n", "p"), ("m", "n", "p"))
+        constraint = _json_object(doc.get("constraint", {}), "constraint", ("kind", "epsilon", "lambda"))
+        budget = _json_object(
+            doc.get("budget", {}), "budget", ("max_supports", "max_pairs", "max_iters", "mc_trials")
         )
-        budget = Budget(**budget_doc)
-
-        output_path = doc.get("output_path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ConfigError(f"output_path must be a string, got {output_path!r}")
-        paths = {}
-        for key in ("dictionary_path", "matrix_path"):
-            v = doc.get(key)
-            if v is not None and not isinstance(v, str):
-                raise ConfigError(f"{key} must be a string, got {v!r}")
-            paths[key] = v
-        m_grid = doc.get("m_grid")
-        if m_grid is not None:
-            if not isinstance(m_grid, list):
-                raise ConfigError("m_grid must be a list of integers")
-            m_grid = tuple(m_grid)
-        rho_mode = doc.get("rho_mode", "exact")
-        if not isinstance(rho_mode, str):
-            raise ConfigError(f"rho_mode must be a string, got {rho_mode!r}")
-        instances = doc.get("instances", 1)
-        if not isinstance(instances, int) or isinstance(instances, bool):
-            raise ConfigError(f"instances must be an integer, got {instances!r}")
-        if not isinstance(doc["experiment"], str):
-            raise ConfigError("experiment must be a string")
-        if not isinstance(doc["dictionary_kind"], str) or not isinstance(doc["matrix_kind"], str):
-            raise ConfigError("dictionary_kind and matrix_kind must be strings")
-        if not isinstance(ckind, str):
-            raise ConfigError("constraint.kind must be a string")
-
         return cls(
             experiment=doc["experiment"],
-            m=_as_int(dims, "m", "dims"),
-            n=_as_int(dims, "n", "dims"),
-            p=_as_int(dims, "p", "dims"),
-            k=_as_int(doc, "k", "config"),
+            m=dims["m"],
+            n=dims["n"],
+            p=dims["p"],
+            k=doc["k"],
             dictionary_kind=doc["dictionary_kind"],
             matrix_kind=doc["matrix_kind"],
-            constraint_kind=ckind,
-            epsilon=float(epsilon),
-            lam=float(lam),
-            trials=_as_int(doc, "trials", "config"),
-            seed=_as_int(doc, "seed", "config"),
-            output_path=output_path,
-            budget=budget,
-            instances=instances,
-            m_grid=m_grid,
-            rho_mode=rho_mode,
-            dictionary_path=paths["dictionary_path"],
-            matrix_path=paths["matrix_path"],
+            constraint_kind=constraint.get("kind", "equality"),
+            epsilon=constraint.get("epsilon", 0.0),
+            lam=constraint.get("lambda", 0.0),
+            trials=doc["trials"],
+            seed=doc["seed"],
+            output_path=doc.get("output_path"),
+            budget=Budget(**budget),
+            instances=doc.get("instances", 1),
+            m_grid=doc.get("m_grid"),
+            rho_mode=doc.get("rho_mode", "exact"),
+            dictionary_path=doc.get("dictionary_path"),
+            matrix_path=doc.get("matrix_path"),
         )
 
     @classmethod
@@ -422,9 +378,14 @@ def _load_operators(cfg: ExperimentConfig) -> _Ops:
     return d, phi
 
 
+def _make_dictionary(cfg: ExperimentConfig, seed: int, ops: _Ops) -> Dictionary:
+    if ops[0] is not None:
+        return ops[0]
+    return make_dictionary(cfg.dictionary_kind, cfg.p, cfg.n, trial_seed(seed, 0))
+
+
 def _make_operators(cfg: ExperimentConfig, seed: int, ops: _Ops) -> tuple[Dictionary, SensingMatrix]:
-    d = ops[0] if ops[0] is not None else make_dictionary(
-        cfg.dictionary_kind, cfg.p, cfg.n, trial_seed(seed, 0))
+    d = _make_dictionary(cfg, seed, ops)
     phi = ops[1] if ops[1] is not None else make_sensing_matrix(
         cfg.matrix_kind, cfg.m, cfg.n, trial_seed(seed, 1))
     return d, phi
@@ -473,9 +434,7 @@ def _grip_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Tri
 
 
 def _rho_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Trial:
-    d = ops[0] if ops[0] is not None else make_dictionary(
-        cfg.dictionary_kind, cfg.p, cfg.n, trial_seed(seed, 0))
-    est = rho_exact(d, cfg.k, max_pairs=cfg.budget.max_pairs)
+    est = rho_exact(_make_dictionary(cfg, seed, ops), cfg.k, max_pairs=cfg.budget.max_pairs)
     return {"trial": index, "seed": seed, "rho": est.rho}, {}
 
 
@@ -500,22 +459,20 @@ def _solve_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Tr
     return row, {"converged": res.converged}
 
 
-def _phase_cells(cfg: ExperimentConfig) -> tuple[int, ...]:
-    return cfg.m_grid if cfg.m_grid is not None else tuple(range(2, cfg.n + 1))
+def _m_cells(cfg: ExperimentConfig) -> tuple[int, ...]:
+    """The m values a campaign visits, `trials` trials at each: the phase
+    sweep (2..n by default, endpoint included), else the configured m."""
+    if cfg.m_grid is not None:
+        return cfg.m_grid
+    return tuple(range(2, cfg.n + 1)) if cfg.experiment == "phase" else (cfg.m,)
 
 
 def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Trial:
-    grid = _phase_cells(cfg)
-    m = grid[index // cfg.trials]
-    d = ops[0] if ops[0] is not None else make_dictionary(
-        cfg.dictionary_kind, cfg.p, cfg.n, trial_seed(seed, 0))
-    rng_phi = np.random.default_rng(trial_seed(seed, 1))
-    if cfg.matrix_kind == "gaussian":
-        phi_entries = rng_phi.standard_normal((m, cfg.n)) / math.sqrt(m)
-    else:
-        phi_entries = rng_phi.choice([-1.0, 1.0], size=(m, cfg.n)) / math.sqrt(m)
+    m = _m_cells(cfg)[index // cfg.trials]
+    d = _make_dictionary(cfg, seed, ops)
     # m = n is a legitimate endpoint of the sweep; SensingMatrix would
     # reject it, so the sweep passes raw entries throughout
+    phi_entries = _sensing_draw(cfg.matrix_kind, m, cfg.n, trial_seed(seed, 1))
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
     constraint = ConstraintSpec("equality", phi_entries @ x)
     res = solve_analysis_l1(phi_entries, d, constraint, _solver_options(cfg))
@@ -568,7 +525,9 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
 
     delta is computed at order 2k (the order every checked bound uses) and
     rho at order k; rho_mode "printed" zeroes the cross term to reproduce
-    the rho-free printed constants.
+    the rho-free printed constants. Corollary 2 and Theorem 1 need
+    delta < 1, and Theorem 1 also needs alpha < 1; an instance that fails
+    its experiment's hypothesis is a ConfigError, raised before any trial.
     """
     pool = []
     for i in range(cfg.instances):
@@ -580,11 +539,37 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
         else:
             rho = rho_exact(d, cfg.k, max_pairs=cfg.budget.max_pairs).rho
         pool.append(_VerifyInstance(d, phi, delta, rho))
+    for i, inst in enumerate(pool):
+        if cfg.experiment != "verify-c1" and inst.delta2k >= 1.0:
+            raise ConfigError(
+                f"instance {i}: exact delta_2k = {inst.delta2k:.4f} >= 1 at "
+                f"dims (m={cfg.m}, n={cfg.n}, p={cfg.p}), k={cfg.k}; "
+                f"the {cfg.experiment} bound's hypothesis cannot hold"
+            )
+        if cfg.experiment == "verify-t1" and not bound_constants(inst.delta2k, inst.rho).admissible:
+            raise ConfigError(
+                f"instance {i}: constants inadmissible (alpha >= 1) at exact "
+                f"delta_2k = {inst.delta2k:.4f}, rho = {inst.rho:.4f}; "
+                "theorem-1 verification cannot run"
+            )
     return pool
 
 
 def _num_tol(lhs: float, rhs: float) -> float:
     return 1e-8 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def _verify_row(index: int, seed: int, rep, inst: _VerifyInstance) -> dict:
+    return {
+        "trial": index,
+        "seed": seed,
+        "lhs": rep.lhs,
+        "rhs": rep.rhs,
+        "slack": rep.slack,
+        "hypothesis_ok": rep.hypothesis_ok,
+        "delta2k": inst.delta2k,
+        "rho": inst.rho,
+    }
 
 
 def _verify_c1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Trial:
@@ -603,17 +588,7 @@ def _verify_c1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Tri
         inst.phi, d, cfg.k, (sup_i, pinv @ z_i), (sup_j, pinv @ z_j),
         delta2k=inst.delta2k, rho=inst.rho,
     )
-    row = {
-        "trial": index,
-        "seed": seed,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "hypothesis_ok": rep.hypothesis_ok,
-        "delta2k": inst.delta2k,
-        "rho": inst.rho,
-    }
-    return row, {}
+    return _verify_row(index, seed, rep, inst), {}
 
 
 def _verify_c2_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Trial:
@@ -626,17 +601,7 @@ def _verify_c2_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Tri
         inst.phi, inst.dictionary, cfg.k, h, head,
         delta2k=inst.delta2k, rho=inst.rho,
     )
-    row = {
-        "trial": index,
-        "seed": seed,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "hypothesis_ok": rep.hypothesis_ok,
-        "delta2k": inst.delta2k,
-        "rho": inst.rho,
-    }
-    return row, {}
+    return _verify_row(index, seed, rep, inst), {}
 
 
 def _compressible_signal(dictionary: Dictionary, seed: int, decay: float = 0.5) -> np.ndarray:
@@ -664,170 +629,161 @@ def _verify_t1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Tri
         inst.phi, inst.dictionary, cfg.k, x, res.x_hat,
         delta2k=inst.delta2k, rho=inst.rho,
     )
-    row = {
-        "trial": index,
-        "seed": seed,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "hypothesis_ok": rep.hypothesis_ok,
-        "delta2k": inst.delta2k,
-        "rho": inst.rho,
-        "c0": constants.c0,
-        "c1": constants.c1,
-    }
+    row = _verify_row(index, seed, rep, inst)
+    row["c0"] = constants.c0
+    row["c1"] = constants.c1
     return row, {"converged": res.converged}
 
 
-def _summarize(cfg: ExperimentConfig, rows: list[dict], metas: list[dict]) -> dict:
-    exp = cfg.experiment
-    summary: dict = {"trials": len(rows)}
-    if not rows:
-        return summary
-    unconverged = sum(1 for m in metas if m.get("converged") is False)
-    if exp == "grip":
-        deltas = [r["delta"] for r in rows]
-        summary["delta_mean"] = sum(deltas) / len(deltas)
-        summary["delta_min"] = min(deltas)
-        summary["delta_max"] = max(deltas)
-    elif exp == "rho":
-        rhos = [r["rho"] for r in rows]
-        summary["rho_mean"] = sum(rhos) / len(rhos)
-        summary["rho_min"] = min(rhos)
-        summary["rho_max"] = max(rhos)
-    elif exp in ("solve", "phase"):
-        succ = [r["success"] for r in rows]
-        summary["success_rate"] = sum(succ) / len(succ)
-        errs = [r["err_l2"] for r in rows]
-        summary["err_max"] = max(errs)
-        summary["unconverged"] = unconverged
-        if exp == "phase":
-            for m in _phase_cells(cfg):
-                cell = [r["success"] for r in rows if r["m"] == m]
-                if cell:
-                    summary[f"success_rate_m_{m}"] = sum(cell) / len(cell)
-    elif exp == "p1p2":
-        dists = [r["distance"] for r in rows]
-        summary["distance_mean"] = sum(dists) / len(dists)
-        summary["distance_max"] = max(dists)
-        summary["unconverged"] = unconverged
-    else:  # verify-*
-        slacks = [r["slack"] for r in rows]
-        summary["min_slack"] = min(slacks)
-        summary["mean_slack"] = sum(slacks) / len(slacks)
-        summary["violations"] = sum(
-            1 for r in rows
-            if r["hypothesis_ok"] and r["slack"] < -_num_tol(r["lhs"], r["rhs"])
-        )
-        summary["hypothesis_rate"] = sum(1 for r in rows if r["hypothesis_ok"]) / len(rows)
-        if exp == "verify-t1":
-            summary["unconverged"] = unconverged
+# Each summarizer maps (config, rows, unconverged trial count) to the
+# summary keys that follow "trials"; their order is part of the CSV bytes.
+
+
+def _spread_summary(key: str):
+    def summarize(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+        values = [r[key] for r in rows]
+        return {
+            f"{key}_mean": sum(values) / len(values),
+            f"{key}_min": min(values),
+            f"{key}_max": max(values),
+        }
+    return summarize
+
+
+def _solve_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+    succ = [r["success"] for r in rows]
+    return {
+        "success_rate": sum(succ) / len(succ),
+        "err_max": max(r["err_l2"] for r in rows),
+        "unconverged": unconverged,
+    }
+
+
+def _phase_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+    summary = _solve_summary(cfg, rows, unconverged)
+    for m in _m_cells(cfg):
+        cell = [r["success"] for r in rows if r["m"] == m]
+        if cell:
+            summary[f"success_rate_m_{m}"] = sum(cell) / len(cell)
     return summary
 
 
-def _worker_count(explicit: int | None) -> int:
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("COSPARSE_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"COSPARSE_WORKERS must be an integer, got {env!r}") from err
-    return 1
+def _p1p2_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+    dists = [r["distance"] for r in rows]
+    return {
+        "distance_mean": sum(dists) / len(dists),
+        "distance_max": max(dists),
+        "unconverged": unconverged,
+    }
 
 
-def run(config: ExperimentConfig, workers: int | None = None) -> CampaignResult:
+def _verify_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+    slacks = [r["slack"] for r in rows]
+    return {
+        "min_slack": min(slacks),
+        "mean_slack": sum(slacks) / len(slacks),
+        "violations": sum(
+            1 for r in rows
+            if r["hypothesis_ok"] and r["slack"] < -_num_tol(r["lhs"], r["rhs"])
+        ),
+        "hypothesis_rate": sum(1 for r in rows if r["hypothesis_ok"]) / len(rows),
+    }
+
+
+def _t1_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+    return {**_verify_summary(cfg, rows, unconverged), "unconverged": unconverged}
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """Everything the campaign layer knows about one experiment.
+
+    trial(cfg, ctx, index, seed) runs one trial; ctx is the verify
+    instance pool when `pooled`, else the loaded operator files.
+    draws_signal: samples a k-analysis-sparse signal (needs k < p and,
+    for a redundant operator, k >= p - n + 1). needs_pairs: uses disjoint
+    size-k supports (needs 2k <= p).
+    """
+
+    trial: Callable[[ExperimentConfig, object, int, int], _Trial]
+    summarize: Callable[[ExperimentConfig, list[dict], int], dict]
+    pooled: bool = False
+    draws_signal: bool = False
+    needs_pairs: bool = False
+
+
+_TABLE = {
+    "grip": _Experiment(_grip_trial, _spread_summary("delta")),
+    "rho": _Experiment(_rho_trial, _spread_summary("rho"), needs_pairs=True),
+    "solve": _Experiment(_solve_trial, _solve_summary, draws_signal=True),
+    "verify-c1": _Experiment(_verify_c1_trial, _verify_summary, pooled=True, needs_pairs=True),
+    "verify-c2": _Experiment(_verify_c2_trial, _verify_summary, pooled=True, needs_pairs=True),
+    "verify-t1": _Experiment(_verify_t1_trial, _t1_summary, pooled=True, needs_pairs=True),
+    "phase": _Experiment(_phase_trial, _phase_summary, draws_signal=True),
+    "p1p2": _Experiment(_p1p2_trial, _p1p2_summary, draws_signal=True),
+}
+
+EXPERIMENTS = tuple(_TABLE)
+
+
+def _summarize(cfg: ExperimentConfig, rows: list[dict], metas: list[dict]) -> dict:
+    summary: dict = {"trials": len(rows)}
+    if rows:
+        unconverged = sum(1 for m in metas if m.get("converged") is False)
+        summary.update(_TABLE[cfg.experiment].summarize(cfg, rows, unconverged))
+    return summary
+
+
+def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     """Execute a campaign and aggregate its rows.
 
-    Trials run in a thread pool of `workers` (default: COSPARSE_WORKERS or
-    1); rows are ordered by trial index regardless of completion order. A
-    failing trial raises CampaignTrialError carrying the completed prefix.
+    The experiment's table entry supplies the trial function; verify-*
+    experiments first build and gate their instance pool. With
+    workers > 1 trials run in a thread pool; rows are ordered by trial
+    index regardless of completion order. A failing trial raises
+    CampaignTrialError carrying the completed prefix.
     """
     t0 = time.perf_counter()
-    exp = config.experiment
+    entry = _TABLE[config.experiment]
     ops = _load_operators(config)
-
-    if exp == "verify-c2" or exp == "verify-t1":
-        # these bounds need delta < 1 (and t1 needs alpha < 1); probe the
-        # pool up front so the failure is a named config-level diagnostic
-        pool = _verify_pool(config, ops)
-        for i, inst in enumerate(pool):
-            if inst.delta2k >= 1.0:
-                raise ConfigError(
-                    f"instance {i}: exact delta_2k = {inst.delta2k:.4f} >= 1 at "
-                    f"dims (m={config.m}, n={config.n}, p={config.p}), k={config.k}; "
-                    f"the {exp} bound's hypothesis cannot hold"
-                )
-            if exp == "verify-t1" and not bound_constants(inst.delta2k, inst.rho).admissible:
-                raise ConfigError(
-                    f"instance {i}: constants inadmissible (alpha >= 1) at exact "
-                    f"delta_2k = {inst.delta2k:.4f}, rho = {inst.rho:.4f}; "
-                    "theorem-1 verification cannot run"
-                )
-    elif exp == "verify-c1":
-        pool = _verify_pool(config, ops)
-    else:
-        pool = None
-
-    if exp == "grip":
-        fn = lambda i, s: _grip_trial(config, ops, i, s)
-    elif exp == "rho":
-        fn = lambda i, s: _rho_trial(config, ops, i, s)
-    elif exp == "solve":
-        fn = lambda i, s: _solve_trial(config, ops, i, s)
-    elif exp == "phase":
-        fn = lambda i, s: _phase_trial(config, ops, i, s)
-    elif exp == "p1p2":
-        fn = lambda i, s: _p1p2_trial(config, ops, i, s)
-    elif exp == "verify-c1":
-        fn = lambda i, s: _verify_c1_trial(config, pool, i, s)
-    elif exp == "verify-c2":
-        fn = lambda i, s: _verify_c2_trial(config, pool, i, s)
-    else:
-        fn = lambda i, s: _verify_t1_trial(config, pool, i, s)
-
-    total = config.trials * len(_phase_cells(config)) if exp == "phase" else config.trials
+    ctx = _verify_pool(config, ops) if entry.pooled else ops
+    total = config.trials * len(_m_cells(config))
     seeds = [trial_seed(config.seed, i) for i in range(total)]
 
     rows: list[dict] = []
     metas: list[dict] = []
-    nworkers = _worker_count(workers)
 
     def guarded(i: int) -> _Trial:
         try:
-            return fn(i, seeds[i])
+            return entry.trial(config, ctx, i, seeds[i])
         except Exception as err:
             raise _TrialFailure(i, seeds[i], err) from err
 
-    try:
-        if nworkers == 1:
-            for i in range(total):
-                row, meta = guarded(i)
-                rows.append(row)
-                metas.append(meta)
-        else:
-            with ThreadPoolExecutor(max_workers=nworkers) as pool_exec:
-                for row, meta in pool_exec.map(guarded, range(total)):
-                    rows.append(row)
-                    metas.append(meta)
-    except _TrialFailure as fail:
-        partial = CampaignResult(
+    def result() -> CampaignResult:
+        return CampaignResult(
             config=config,
             rows=tuple(rows),
             summary=_summarize(config, rows, metas),
             wall_time=time.perf_counter() - t0,
         )
+
+    try:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool_exec:
+                for row, meta in pool_exec.map(guarded, range(total)):
+                    rows.append(row)
+                    metas.append(meta)
+        else:
+            for i in range(total):
+                row, meta = guarded(i)
+                rows.append(row)
+                metas.append(meta)
+    except _TrialFailure as fail:
         raise CampaignTrialError(
-            f"trial {fail.index} (seed {fail.seed}) failed: {fail.cause}", partial
+            f"trial {fail.index} (seed {fail.seed}) failed: {fail.cause}", result()
         ) from fail.cause
 
-    return CampaignResult(
-        config=config,
-        rows=tuple(rows),
-        summary=_summarize(config, rows, metas),
-        wall_time=time.perf_counter() - t0,
-    )
+    return result()
 
 
 class _TrialFailure(Exception):

@@ -50,8 +50,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"command asked for {args.experiment!r}"
             )
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
             config = replace(config, seed=args.seed)
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -96,9 +96,6 @@ class SupportSet:
     def size(self) -> int:
         return len(self.indices)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp)
-
     def complement(self) -> "SupportSet":
         rest = tuple(i for i in range(self.p) if i not in set(self.indices))
         return SupportSet(rest, self.p)
@@ -368,12 +365,16 @@ def make_sensing_matrix(kind: str, m: int, n: int, seed: int | None = None) -> S
         raise ValueError("user-supplied sensing matrices are constructed directly")
     if not 1 <= m < n:
         raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+    return SensingMatrix(_sensing_draw(kind, m, n, seed), kind)
+
+
+def _sensing_draw(kind: str, m: int, n: int, seed: int | None) -> np.ndarray:
+    """Entries of a seeded gaussian or bernoulli draw. No m < n check: the
+    phase sweep of the campaign layer needs its m = n endpoint."""
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
-        entries = rng.standard_normal((m, n)) / math.sqrt(m)
-    else:
-        entries = rng.choice([-1.0, 1.0], size=(m, n)) / math.sqrt(m)
-    return SensingMatrix(entries, kind)
+        return rng.standard_normal((m, n)) / math.sqrt(m)
+    return rng.choice([-1.0, 1.0], size=(m, n)) / math.sqrt(m)
 
 
 def sample_cosparse_signal(

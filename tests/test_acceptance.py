@@ -7,6 +7,7 @@ Instances are seeded; reruns are bit-for-bit repeats.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -295,12 +296,17 @@ def test_acceptance_10_byte_reproducibility(tmp_path):
         ' "dictionary_kind": "identity", "matrix_kind": "gaussian",'
         ' "trials": 6, "seed": 20}'
     )
+    # the subprocess runs in tmp_path, so a relative PYTHONPATH would not
+    # resolve there: put the package's own source root first
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cg.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outputs = []
     for name in ("a", "b"):
         proc = subprocess.run(
             [sys.executable, "-m", "cosparse_grip.cli", "verify-c2",
              "--config", str(config), "--out", str(tmp_path / name)],
-            capture_output=True, text=True, cwd=str(tmp_path),
+            capture_output=True, text=True, cwd=str(tmp_path), env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((tmp_path / name / "results.csv").read_bytes())

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 
@@ -244,6 +245,19 @@ def test_budget_validation_direct():
     assert Budget(max_iters=50).max_iters == 50
 
 
+def test_config_constructor_checks_types():
+    fields = dict(
+        experiment="verify-c2", m=9, n=10, p=10, k=1, dictionary_kind="identity",
+        matrix_kind="gaussian", constraint_kind="l2-ball", epsilon=0.1, lam=0.0,
+        trials=6, seed=20,
+    )
+    assert ExperimentConfig(**fields).epsilon == 0.1
+    with pytest.raises(ConfigError, match="number"):
+        ExperimentConfig(**dict(fields, epsilon="0.1"))
+    with pytest.raises(ConfigError, match="output_path"):
+        ExperimentConfig(**dict(fields, output_path=3))
+
+
 def test_operator_file_shape_and_existence_checks(tmp_path):
     d_path, phi_path = write_matched_instance(tmp_path)
     doc = base_doc(
@@ -471,42 +485,80 @@ def test_verify_t1_printed_mode_zeroes_rho(tmp_path):
     assert result.rows[0]["rho"] == 0.0
 
 
+EXPECTED_SUMMARY_KEYS = {
+    "grip": ["trials", "delta_mean", "delta_min", "delta_max"],
+    "rho": ["trials", "rho_mean", "rho_min", "rho_max"],
+    "solve": ["trials", "success_rate", "err_max", "unconverged"],
+    "phase": [
+        "trials", "success_rate", "err_max", "unconverged",
+        "success_rate_m_4", "success_rate_m_6",
+    ],
+    "p1p2": ["trials", "distance_mean", "distance_max", "unconverged"],
+    "verify-c1": ["trials", "min_slack", "mean_slack", "violations", "hypothesis_rate"],
+    "verify-c2": ["trials", "min_slack", "mean_slack", "violations", "hypothesis_rate"],
+    "verify-t1": [
+        "trials", "min_slack", "mean_slack", "violations", "hypothesis_rate", "unconverged",
+    ],
+}
+
+
+def small_doc(experiment, tmp_path):
+    """A two-trial config of each experiment that runs in well under a second."""
+    orthogonal = dict(dictionary_kind="orthogonal", k=1, trials=2)
+    if experiment in ("grip", "rho"):
+        return grip_doc(experiment=experiment, trials=2)
+    if experiment == "phase":
+        return base_doc(experiment="phase", dims={"m": 5, "n": 6, "p": 6}, m_grid=[4, 6],
+                        seed=3, **orthogonal)
+    if experiment in ("solve", "p1p2"):
+        return base_doc(experiment=experiment, dims={"m": 6, "n": 8, "p": 8}, seed=7, **orthogonal)
+    if experiment == "verify-t1":
+        d_path, phi_path = write_matched_instance(tmp_path)
+        return base_doc(
+            experiment="verify-t1", k=2, trials=2, seed=5,
+            dictionary_kind="user-supplied", dictionary_path=d_path,
+            matrix_kind="user-supplied", matrix_path=phi_path,
+        )
+    return base_doc(experiment=experiment, trials=2)
+
+
+@pytest.mark.parametrize("experiment", cam.EXPERIMENTS)
+def test_summary_key_order(experiment, tmp_path, monkeypatch):
+    # summary key order is part of the results.csv bytes
+    cfg = config_from(small_doc(experiment, tmp_path))
+    assert list(run(cfg).summary) == EXPECTED_SUMMARY_KEYS[experiment]
+    sabotage(monkeypatch, experiment, 0)
+    with pytest.raises(CampaignTrialError, match="trial 0") as exc_info:
+        run(cfg)
+    assert exc_info.value.partial.summary == {"trials": 0}
+
+
 # ---------------------------------------------------------------------------
 # determinism, parallelism, failure handling
 
 
-def test_rows_invariant_under_worker_count(monkeypatch):
+def test_rows_invariant_under_worker_count():
     cfg = config_from(base_doc(experiment="verify-c1", trials=8))
     serial = run(cfg, workers=1)
     threaded = run(cfg, workers=4)
     assert serial.rows == threaded.rows
     assert serial.summary == threaded.summary
-    monkeypatch.setenv("COSPARSE_WORKERS", "3")
-    from_env = run(cfg)
-    assert from_env.rows == serial.rows
 
 
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv("COSPARSE_WORKERS", raising=False)
-    assert cam._worker_count(None) == 1
-    assert cam._worker_count(0) == 1
-    assert cam._worker_count(6) == 6
-    monkeypatch.setenv("COSPARSE_WORKERS", "4")
-    assert cam._worker_count(None) == 4
-    monkeypatch.setenv("COSPARSE_WORKERS", "lots")
-    with pytest.raises(ConfigError, match="COSPARSE_WORKERS"):
-        cam._worker_count(None)
+def sabotage(monkeypatch, experiment, failing_index):
+    """Make the experiment's table entry raise at one trial index."""
+    entry = cam._TABLE[experiment]
+
+    def sabotaged(cfg, ctx, index, seed):
+        if index == failing_index:
+            raise RuntimeError("synthetic fault")
+        return entry.trial(cfg, ctx, index, seed)
+
+    monkeypatch.setitem(cam._TABLE, experiment, dataclasses.replace(entry, trial=sabotaged))
 
 
 def test_failed_trial_carries_completed_prefix(monkeypatch):
-    real = cam._grip_trial
-
-    def sabotaged(cfg, ops, index, seed):
-        if index == 2:
-            raise RuntimeError("synthetic fault")
-        return real(cfg, ops, index, seed)
-
-    monkeypatch.setattr(cam, "_grip_trial", sabotaged)
+    sabotage(monkeypatch, "grip", 2)
     with pytest.raises(CampaignTrialError, match="trial 2") as exc_info:
         run(config_from(grip_doc(trials=4)))
     partial = exc_info.value.partial
