@@ -52,6 +52,7 @@ DEFAULT_MAX_PAIRS = 60000     # disjoint-pair budget for rho_exact
 
 _PD_TOL = 1e-12        # metric Gram must be positive definite past this
 _TRIVIAL_TOL = 1e-10   # relative sv cutoff for chunk-subspace bases
+_CHUNK = 256           # supports per stacked linalg call; rho_exact takes 4x as many pairs
 
 
 class BudgetExceededError(RuntimeError):
@@ -64,7 +65,9 @@ class GripReport:
 
     method is "exact" or "monte-carlo"; trials is 0 for exact and the
     number of supports actually evaluated otherwise. worst_support attains
-    delta (colexicographically smallest on ties). eigen_range is
+    delta; ties go to the first support scanned, which is the
+    colexicographically smallest one for an exhaustive scan and the first
+    one drawn for a sampled Monte-Carlo scan. eigen_range is
     (lower-side minimum, upper-side maximum) across evaluated supports,
     i.e. delta = max(eigen_range[1] - 1, 1 - eigen_range[0]).
     """
@@ -149,94 +152,122 @@ class BoundConstants:
         )
 
 
-def _orth(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the column space, relative cutoff _TRIVIAL_TOL."""
-    if cols.size == 0:
-        return np.zeros((cols.shape[0], 0))
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((cols.shape[0], 0))
-    rank = int(np.sum(sv > _TRIVIAL_TOL * sv[0]))
-    return u[:, :rank]
+def _mT(stack: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(stack, -1, -2)
 
 
-def _support_extremes(
-    support: tuple[int, ...],
-    a_cols: np.ndarray,
-    pinv: np.ndarray,
-    phi: np.ndarray,
-    d: np.ndarray,
-) -> tuple[float, float]:
-    """(lower, upper) eigenvalue extremes for one support.
+def _gather(cols: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """(S, rows, k) stack of the column blocks cols[:, s] for each support s.
 
-    lower: lambda_min of (A_Lambda)^T A_Lambda with A = Phi D^+.
-    upper: lambda_max of the pencil (B^T Phi^T Phi B, B^T D^T D B) with
-    B an orthonormal basis of D^+[:, Lambda], solved by Cholesky whitening
-    of the metric Gram.
+    Each block is C-contiguous, laid out as cols[:, list(s)] would be, so
+    the stacked matmuls hand BLAS the same operands as a per-support scan
+    and agree with it bit for bit."""
+    return np.ascontiguousarray(cols[:, supports].transpose(1, 0, 2))
+
+
+def _orth_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of a stack of column blocks.
+
+    Returns (u, rank): the basis of block s is u[s, :, :rank[s]], with
+    singular values below _TRIVIAL_TOL times the largest dropped (rank 0
+    when the block is zero).
     """
-    idx = list(support)
-    asub = a_cols[:, idx]
-    lower = float(np.linalg.eigvalsh(asub.T @ asub)[0])
+    u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
+    rank = np.sum(sv > _TRIVIAL_TOL * sv[:, :1], axis=1)
+    return u, rank
 
-    basis = _orth(pinv[:, idx])
-    if basis.shape[1] == 0:
-        # degenerate support (zero pseudoinverse columns); the mask side
-        # still contributes, the image side is vacuous
-        return lower, lower
+
+def _pencil_top(phi: np.ndarray, d: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """lambda_max of the pencil (B^T Phi^T Phi B, B^T D^T D B) for each
+    orthonormal basis B of an (S, n, r) stack, solved by Cholesky whitening
+    of the metric Gram."""
     pb = phi @ basis
     db = d @ basis
-    metric = db.T @ db
-    if np.linalg.eigvalsh(metric)[0] <= _PD_TOL:
+    metric = _mT(db) @ db
+    if np.any(np.linalg.eigvalsh(metric)[:, 0] <= _PD_TOL):
         raise np.linalg.LinAlgError(
             "chunk-subspace metric lost positive definiteness; the analysis "
             "operator is numerically rank deficient on this support"
         )
     chol = np.linalg.cholesky(metric)
-    w = np.linalg.solve(chol, pb.T @ pb)
-    w = np.linalg.solve(chol, w.T)
-    upper = float(np.linalg.eigvalsh(w)[-1])
+    w = np.linalg.solve(chol, _mT(pb) @ pb)
+    w = np.linalg.solve(chol, _mT(w))
+    return np.linalg.eigvalsh(w)[:, -1]
+
+
+def _chunk_extremes(
+    supports: np.ndarray,
+    a_cols: np.ndarray,
+    pinv: np.ndarray,
+    phi: np.ndarray,
+    d: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) eigenvalue extremes for each row of a (S, k) support
+    array.
+
+    lower: lambda_min of (A_Lambda)^T A_Lambda with A = Phi D^+.
+    upper: lambda_max of the pencil on an orthonormal basis of
+    D^+[:, Lambda]. Bases of equal rank share one stacked call, so each
+    rank below the full width that occurs costs one more call.
+    """
+    asub = _gather(a_cols, supports)
+    lower = np.linalg.eigvalsh(_mT(asub) @ asub)[:, 0]
+    u, rank = _orth_stack(_gather(pinv, supports))
+    # a degenerate support (zero pseudoinverse columns) keeps upper = lower:
+    # the mask side still contributes, the image side is vacuous
+    upper = lower.copy()
+    for r in np.unique(rank[rank > 0]):
+        sel = rank == r
+        upper[sel] = _pencil_top(phi, d, u[sel, :, :r])
     return lower, upper
 
 
-def _colex_supports(p: int, k: int):
-    """All size-k supports in colexicographic order (last index varies
-    slowest). Deterministic witness ordering depends on this."""
-    return sorted(combinations(range(p), k), key=lambda s: s[::-1])
+def _colex_supports(p: int, k: int) -> np.ndarray:
+    """All size-k supports as a (C(p, k), k) index array in colexicographic
+    order (last index varies slowest). Deterministic witness ordering
+    depends on this."""
+    order = sorted(combinations(range(p), k), key=lambda s: s[::-1])
+    return np.array(order, dtype=np.intp).reshape(-1, k)
 
 
 def _scan_supports(
-    supports,
+    supports: np.ndarray,
     phi_e: np.ndarray,
     dictionary: Dictionary,
     k: int,
     method: str,
     trials: int,
 ) -> GripReport:
+    """delta over the rows of a (S, k) support array, _CHUNK rows per
+    stacked call."""
     pinv = dictionary.pinv()
     a_cols = phi_e @ pinv
     d_e = dictionary.entries
 
     best_delta = -math.inf
-    best_support: tuple[int, ...] | None = None
+    best_support: np.ndarray | None = None
     lo_min = math.inf
     hi_max = -math.inf
-    for sup in supports:
-        lower, upper = _support_extremes(sup, a_cols, pinv, phi_e, d_e)
-        lo_min = min(lo_min, lower)
-        hi_max = max(hi_max, upper)
-        delta = max(upper - 1.0, 1.0 - lower)
-        if delta > best_delta:  # strict: first attaining support wins ties
-            best_delta = delta
-            best_support = sup
+    for start in range(0, len(supports), _CHUNK):
+        chunk = supports[start : start + _CHUNK]
+        lower, upper = _chunk_extremes(chunk, a_cols, pinv, phi_e, d_e)
+        lo_min = min(lo_min, float(lower.min()))
+        hi_max = max(hi_max, float(upper.max()))
+        delta = np.maximum(upper - 1.0, 1.0 - lower)
+        top = int(np.argmax(delta))  # first attaining support in the chunk
+        if delta[top] > best_delta:  # strict: earlier chunks win ties
+            best_delta = float(delta[top])
+            best_support = chunk[top]
     if best_support is None:
         raise ValueError("no supports evaluated")
     return GripReport(
         k=k,
-        delta=float(best_delta),
+        delta=best_delta,
         method=method,
         trials=trials,
         worst_support=SupportSet(best_support, dictionary.p),
-        eigen_range=(float(lo_min), float(hi_max)),
+        eigen_range=(lo_min, hi_max),
     )
 
 
@@ -294,11 +325,27 @@ def delta_monte_carlo(
         supports = _colex_supports(p, k)
         return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", count)
     rng = np.random.default_rng(seed)
-    supports = [
-        tuple(int(i) for i in np.sort(rng.choice(p, size=k, replace=False)))
-        for _ in range(trials)
-    ]
+    supports = np.array(
+        [np.sort(rng.choice(p, size=k, replace=False)) for _ in range(trials)]
+    )
     return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", trials)
+
+
+def _disjoint_pairs(supports: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) of the disjoint pairs i < j among the rows of a
+    (S, k) support array, i ascending and then j ascending. Overlaps come
+    from a 0/1 membership product, _CHUNK rows at a time, so memory stays
+    O(_CHUNK * S) however many pairs overlap."""
+    member = np.zeros((len(supports), p), dtype=np.float32)
+    np.put_along_axis(member, supports, 1.0, axis=1)
+    firsts, seconds = [], []
+    for start in range(0, len(supports), _CHUNK):
+        i, j = np.nonzero(member[start : start + _CHUNK] @ member.T == 0)
+        i += start
+        keep = j > i
+        firsts.append(i[keep])
+        seconds.append(j[keep])
+    return np.concatenate(firsts), np.concatenate(seconds)
 
 
 def rho_exact(
@@ -322,39 +369,35 @@ def rho_exact(
     if 2 * k > dictionary.p:
         raise ValueError(f"disjoint pairs need 2k <= p, got k={k}, p={dictionary.p}")
     p = dictionary.p
-    supports = _colex_supports(p, k)
-    n_pairs = sum(
-        1
-        for i, si in enumerate(supports)
-        for sj in supports[i + 1 :]
-        if not set(si) & set(sj)
-    )
+    n_pairs = math.comb(p, k) * math.comb(p - k, k) // 2
     if n_pairs > max_pairs:
         raise BudgetExceededError(
             f"{n_pairs} disjoint pairs exceed budget {max_pairs}"
         )
 
+    supports = _colex_supports(p, k)
     proj = dictionary.entries @ dictionary.pinv()
-    bases = [_orth(proj[:, list(s)]) for s in supports]
+    bases, rank = _orth_stack(_gather(proj, supports))
+    first, second = _disjoint_pairs(supports, p)
 
     best = -1.0
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    for i, si in enumerate(supports):
-        bi = bases[i]
-        if bi.shape[1] == 0:
-            continue
-        for j in range(i + 1, len(supports)):
-            sj = supports[j]
-            if set(si) & set(sj):
-                continue
-            bj = bases[j]
-            if bj.shape[1] == 0:
-                continue
-            s = np.linalg.svd(bi.T @ bj, compute_uv=False)
-            top = float(s[0]) if s.size else 0.0
-            if top > best:
-                best = top
-                witness = (si, sj)
+    witness: tuple[np.ndarray, np.ndarray] | None = None
+    for start in range(0, len(first), 4 * _CHUNK):
+        i = first[start : start + 4 * _CHUNK]
+        j = second[start : start + 4 * _CHUNK]
+        # one stacked svd per (rank_i, rank_j), a single one unless some
+        # basis is rank deficient; pairs with a trivial subspace stay out
+        key = rank[i] * (k + 1) + rank[j]
+        top = np.full(len(i), -math.inf)
+        for kv in np.unique(key[(rank[i] > 0) & (rank[j] > 0)]):
+            ri, rj = divmod(int(kv), k + 1)
+            sel = key == kv
+            cross = _mT(bases[i[sel], :, :ri]) @ bases[j[sel], :, :rj]
+            top[sel] = np.linalg.svd(cross, compute_uv=False)[:, 0]
+        t = int(np.argmax(top))  # first attaining pair in the chunk
+        if top[t] > best:  # strict: earlier chunks win ties
+            best = float(top[t])
+            witness = (supports[i[t]], supports[j[t]])
     if witness is None:
         raise ValueError("no admissible disjoint pair (all chunk subspaces trivial)")
     best = min(max(best, 0.0), 1.0)  # clip cosine roundoff

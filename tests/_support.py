@@ -105,3 +105,87 @@ def brute_delta(phi_entries: np.ndarray, d_entries: np.ndarray, k: int) -> float
         ev2 = scipy.linalg.eigh(lhs, rhs, eigvals_only=True)
         worst = max(worst, ev2[-1] - 1.0)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# per-support reference scans: the loops the batched grip scans replaced,
+# kept here so tests can demand bit-for-bit agreement with them
+
+
+def _loop_orth(cols: np.ndarray) -> np.ndarray:
+    if cols.size == 0:
+        return np.zeros((cols.shape[0], 0))
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return np.zeros((cols.shape[0], 0))
+    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    return u[:, :rank]
+
+
+def _loop_extremes(support, a_cols, pinv, phi, d):
+    idx = list(support)
+    asub = a_cols[:, idx]
+    lower = float(np.linalg.eigvalsh(asub.T @ asub)[0])
+    basis = _loop_orth(pinv[:, idx])
+    if basis.shape[1] == 0:
+        return lower, lower
+    pb = phi @ basis
+    db = d @ basis
+    metric = db.T @ db
+    if np.linalg.eigvalsh(metric)[0] <= 1e-12:
+        raise np.linalg.LinAlgError("metric lost positive definiteness")
+    chol = np.linalg.cholesky(metric)
+    w = np.linalg.solve(chol, pb.T @ pb)
+    w = np.linalg.solve(chol, w.T)
+    return lower, float(np.linalg.eigvalsh(w)[-1])
+
+
+def colex_supports(p: int, k: int) -> list[tuple[int, ...]]:
+    """All size-k supports, colexicographic order (last index slowest)."""
+    return sorted(combinations(range(p), k), key=lambda s: s[::-1])
+
+
+def sampled_supports(p: int, k: int, trials: int, seed) -> list[tuple[int, ...]]:
+    """The supports delta_monte_carlo draws when trials < C(p, k)."""
+    rng = np.random.default_rng(seed)
+    return [
+        tuple(int(i) for i in np.sort(rng.choice(p, size=k, replace=False)))
+        for _ in range(trials)
+    ]
+
+
+def loop_delta(phi_entries: np.ndarray, d: cg.Dictionary, supports):
+    """Per-support scan: (delta, worst support, eigen_range), the first
+    attaining support winning ties."""
+    pinv = d.pinv()
+    a_cols = phi_entries @ pinv
+    best, witness = -np.inf, None
+    lo_min, hi_max = np.inf, -np.inf
+    for sup in supports:
+        lower, upper = _loop_extremes(sup, a_cols, pinv, phi_entries, d.entries)
+        lo_min = min(lo_min, lower)
+        hi_max = max(hi_max, upper)
+        delta = max(upper - 1.0, 1.0 - lower)
+        if delta > best:
+            best, witness = delta, sup
+    return float(best), witness, (float(lo_min), float(hi_max))
+
+
+def loop_rho(d: cg.Dictionary, k: int):
+    """Per-pair scan over disjoint colex pairs: (rho, witness pair), rank-0
+    subspaces skipped, the first attaining pair winning ties."""
+    supports = colex_supports(d.p, k)
+    proj = d.entries @ d.pinv()
+    bases = [_loop_orth(proj[:, list(s)]) for s in supports]
+    best, witness = -1.0, None
+    for i, si in enumerate(supports):
+        if bases[i].shape[1] == 0:
+            continue
+        for j in range(i + 1, len(supports)):
+            sj = supports[j]
+            if set(si) & set(sj) or bases[j].shape[1] == 0:
+                continue
+            top = float(np.linalg.svd(bases[i].T @ bases[j], compute_uv=False)[0])
+            if top > best:
+                best, witness = top, (si, sj)
+    return min(max(best, 0.0), 1.0), witness

@@ -7,7 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
-from _support import brute_delta, classical_delta, brute_rho, haar, matched_delta, matched_instance
+from _support import (
+    brute_delta,
+    brute_rho,
+    classical_delta,
+    colex_supports,
+    haar,
+    loop_delta,
+    loop_rho,
+    matched_delta,
+    matched_instance,
+    sampled_supports,
+)
+from cosparse_grip import grip
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +209,127 @@ def test_rho_estimate_serializes():
     assert doc["k"] == 1 and doc["method"] == "exact"
     assert 0.0 <= doc["rho"] <= 1.0
     assert len(doc["witness"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# batched scans against the per-support reference loops
+
+
+@st.composite
+def grip_instances(draw):
+    kind = draw(st.sampled_from(["identity", "tight-frame", "gaussian-random"]))
+    n = draw(st.integers(3, 7))
+    p = n if kind == "identity" else draw(st.integers(n, 9))
+    m = draw(st.integers(1, n - 1))
+    seed = draw(st.integers(0, 2**16))
+    d = cg.make_dictionary(kind, p, n, None if kind == "identity" else seed)
+    phi = cg.make_sensing_matrix("gaussian", m, n, seed + 1)
+    return d, phi, draw(st.integers(1, p)), seed
+
+
+def _report(rep):
+    return rep.delta, rep.worst_support.indices, rep.eigen_range
+
+
+def _estimate(est):
+    return est.rho, tuple(s.indices for s in est.witness)
+
+
+@given(grip_instances(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_batched_scans_equal_reference_loops(instance, data):
+    d, phi, k, seed = instance
+    supports = colex_supports(d.p, k)
+    assert _report(cg.delta_exact(phi, d, k)) == loop_delta(phi.entries, d, supports)
+    if len(supports) > 1:
+        trials = data.draw(st.integers(1, len(supports) - 1))
+        mc = cg.delta_monte_carlo(phi, d, k, trials, seed)
+        drawn = sampled_supports(d.p, k, trials, seed)
+        assert _report(mc) == loop_delta(phi.entries, d, drawn)
+    if 2 * k <= d.p:
+        assert _estimate(cg.rho_exact(d, k)) == loop_rho(d, k)
+
+
+def test_scaled_identity_ties_survive_chunk_boundaries():
+    # every support and every disjoint pair ties bit for bit; 495 supports
+    # and 17325 pairs span several chunks, and the colex-first one must win
+    p, k = 12, 4
+    assert math.comb(p, k) > grip._CHUNK
+    phi_raw = math.sqrt(1.2) * np.eye(p)
+    d = cg.make_dictionary("identity", p, p, None)
+    rep = cg.delta_exact(phi_raw, d, k)
+    assert rep.worst_support.indices == (0, 1, 2, 3)
+    assert _report(rep) == loop_delta(phi_raw, d, colex_supports(p, k))
+    est = cg.rho_exact(d, k)
+    assert _estimate(est) == ((0.0, ((0, 1, 2, 3), (4, 5, 6, 7))))
+    assert _estimate(est) == loop_rho(d, k)
+
+
+def _min_rank(cols, supports):
+    return int(grip._orth_stack(grip._gather(cols, np.array(supports)))[1].min())
+
+
+@pytest.mark.parametrize("defect", ["zero-row", "duplicated-rows"])
+def test_rank_deficient_bases_equal_reference_loops(defect):
+    entries = cg.make_dictionary("tight-frame", 9, 6, 3).entries.copy()
+    if defect == "zero-row":
+        entries[4] = 0.0
+    else:
+        entries[7] = entries[2]
+    d = cg.Dictionary(entries, "user-supplied")
+    phi = cg.make_sensing_matrix("gaussian", 4, 6, 5)
+    proj = d.entries @ d.pinv()
+    for k in (2, 3):
+        supports = colex_supports(d.p, k)
+        assert _min_rank(d.pinv(), supports) < k
+        assert _min_rank(proj, supports) < k
+        assert _report(cg.delta_exact(phi, d, k)) == loop_delta(phi.entries, d, supports)
+        assert _estimate(cg.rho_exact(d, k)) == loop_rho(d, k)
+
+
+def test_zero_rank_bases_keep_degenerate_rule_and_rho_skip():
+    # a zero row of an orthogonal D gives an exactly zero pseudoinverse
+    # column: support {4} has a rank-0 basis, {i, 4} a rank-1 basis
+    d = cg.Dictionary(np.vstack([haar(4, 6).T, np.zeros((1, 4))]), "user-supplied")
+    phi = cg.make_sensing_matrix("gaussian", 3, 4, 2)
+    pinv = d.pinv()
+    assert not pinv[:, 4].any()
+    sup = grip._colex_supports(d.p, 1)
+    lower, upper = grip._chunk_extremes(sup, phi.entries @ pinv, pinv, phi.entries, d.entries)
+    assert upper[4] == lower[4] == 0.0
+    for k in (1, 2):
+        supports = colex_supports(d.p, k)
+        assert _report(cg.delta_exact(phi, d, k)) == loop_delta(phi.entries, d, supports)
+        est = cg.rho_exact(d, k)
+        assert _estimate(est) == loop_rho(d, k)
+    est = cg.rho_exact(d, 1)
+    assert all(s.indices != (4,) for s in est.witness)
+
+
+def test_disjoint_pair_count_closed_form():
+    for p in range(2, 11):
+        d = cg.make_dictionary("identity", p, p, None)
+        for k in range(1, p // 2 + 1):
+            supports = colex_supports(p, k)
+            brute = [
+                (i, j)
+                for i, si in enumerate(supports)
+                for j, sj in enumerate(supports)
+                if i < j and not set(si) & set(sj)
+            ]
+            assert math.comb(p, k) * math.comb(p - k, k) // 2 == len(brute)
+            with pytest.raises(cg.BudgetExceededError, match=f"^{len(brute)} disjoint pairs"):
+                cg.rho_exact(d, k, max_pairs=len(brute) - 1)
+            first, second = grip._disjoint_pairs(np.array(supports), p)
+            assert list(zip(first.tolist(), second.tolist())) == brute
+
+
+def test_rho_budget_refuses_before_enumerating():
+    # C(40, 8) * C(32, 8) / 2 ~ 4.0e15 pairs; counting them one by one, or
+    # building the 76.9M supports, would never finish
+    d = cg.make_dictionary("tight-frame", 40, 12, 0)
+    with pytest.raises(cg.BudgetExceededError, match="disjoint pairs exceed budget 60000"):
+        cg.rho_exact(d, 8)
 
 
 # ---------------------------------------------------------------------------
