@@ -7,6 +7,9 @@ experiment disagrees with the command); 3 bound-violation finding (some
 verified inequality came out below -num_tol); 4 solver non-convergence.
 When both 3 and 4 apply, 4 wins: an unconverged solve makes the recorded
 slacks unreliable, so non-convergence is the more fundamental finding.
+After the summary the campaign's wall_time (seconds) is printed; on exit 4
+the index and seed of the first unconverged row follow the finding, when
+the rows carry a converged column, so that trial can be replayed.
 A crashed trial flushes the completed rows and exits 1. Outputs land in
 --out (falling back to the config's output_path, then the working
 directory) as results.csv, results.jsonl and config_echo.json.
@@ -73,9 +76,14 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{config.experiment}: {len(result.rows)} rows -> {paths['csv']}")
     for key, val in result.summary.items():
         print(f"  {key} = {val}")
+    print(f"wall_time = {result.wall_time:.3f}")
 
     if result.summary.get("unconverged", 0) > 0:
         print("finding: solver failed to converge on at least one trial", file=sys.stderr)
+        first = next((row for row in result.rows if row.get("converged") is False), None)
+        if first is not None:
+            print(f"first unconverged trial: index {first['trial']}, seed {first['seed']}",
+                  file=sys.stderr)
         return 4
     if result.summary.get("violations", 0) > 0:
         print("finding: bound violated beyond numerical tolerance", file=sys.stderr)

@@ -7,7 +7,8 @@ Three constraint sets on the measurements:
 
 solve_analysis_l1 minimizes ||D z||_1, solve_synthesis_l1 minimizes
 ||alpha||_1 over x = S alpha. Both run the same first-order primal-dual
-iteration (Chambolle-Pock with steps tau sigma ||K||^2 <= 1) on the stacked
+iteration (Chambolle-Pock with steps tau sigma ||K||^2 <= 1, restarted
+adaptively and rebalanced by a primal weight as in PDLP) on the stacked
 operator K = [D; M], where M is Phi for equality/ball and Phi^T Phi for
 dantzig. The l1 dual block projects onto the unit box; the constraint dual
 block is the conjugate prox of the indicator of B(y).
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +81,20 @@ class SolverOptions:
     tol: float = 1e-9            # residual stop, relative to max(1e-12, ||y||)
     max_iters: int = 200000
     power_iters: int = 100       # for estimating ||K||
-    step_ratio: float = 1.0      # tau = ratio / L, sigma = 1 / (ratio L)
+    step_ratio: float = 1.0      # initial primal/dual step ratio: tau = ratio / L, sigma = 1 / (ratio L)
     certify: bool = False        # cross-check objective against the LP route
     feas_tol: float = 1e-7
     cert_tol: float = 1e-6
+
+    def __post_init__(self):
+        for name in ("tol", "feas_tol", "cert_tol", "step_ratio"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+        for name in ("max_iters", "power_iters"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -119,6 +131,10 @@ class RecoveryResult:
         return json.dumps(doc)
 
 
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(float(v @ v))
+
+
 def _operator_norm(k_mat: np.ndarray, iters: int) -> float:
     """Power iteration on K^T K; deterministic start vector."""
     n = k_mat.shape[1]
@@ -126,11 +142,11 @@ def _operator_norm(k_mat: np.ndarray, iters: int) -> float:
     kt = np.ascontiguousarray(k_mat.T)
     for _ in range(iters):
         w = kt @ (k_mat @ v)
-        nrm = np.linalg.norm(w)
+        nrm = _norm(w)
         if nrm == 0.0:
             return 0.0
         v = w / nrm
-    return math.sqrt(float(np.linalg.norm(kt @ (k_mat @ v))))
+    return math.sqrt(_norm(kt @ (k_mat @ v)))
 
 
 def _feasible_start(phi: np.ndarray, constraint: ConstraintSpec, feas_tol: float) -> np.ndarray:
@@ -151,54 +167,88 @@ def _feasible_start(phi: np.ndarray, constraint: ConstraintSpec, feas_tol: float
     return z0
 
 
+# Adaptive restarts of the averaged iterate, after Applegate, Hinder, Lu &
+# Lubin (Math. Prog. 2023) and PDLP (Applegate et al., NeurIPS 2021). Every
+# _RESTART_EVERY iterations the KKT error of the current iterate and of the
+# average since the last restart are compared; the lower one is the
+# candidate. The run restarts there on sufficient decay, on necessary decay
+# without further progress, or when the average has grown to
+# _ARTIFICIAL_RESTART of all iterations run.
+_RESTART_EVERY = 64
+_SUFFICIENT_DECAY = 0.2
+_NECESSARY_DECAY = 0.8
+_ARTIFICIAL_RESTART = 0.36
+_MIN_MOVE = 1e-10  # primal or dual move below which the weight is kept
+
+
 def _pdhg(
     d_block: np.ndarray,
     phi: np.ndarray,
     constraint: ConstraintSpec,
     opts: SolverOptions,
 ) -> tuple[np.ndarray, int, float, float, bool]:
-    """Primal-dual iteration for min ||d_block z||_1 s.t. z in B(y),
-    where B(y) is the equality set or the l2 ball.
+    """Restarted primal-dual iteration for min ||d_block z||_1 s.t.
+    z in B(y), where B(y) is the equality set or the l2 ball.
 
     Returns (z, iterations, primal_residual, dual_residual, converged).
     Residuals are the fixed-point gaps of the extrapolated scheme; both
-    are compared against tol * max(1e-12, ||y||).
+    are compared against tol * max(1e-12, ||y||). At each restart the
+    primal weight omega becomes the geometric mean of itself and the ratio
+    of the dual to the primal move since the previous restart, and the
+    steps become tau = ratio / (L omega), sigma = omega / (ratio L).
     """
     p = d_block.shape[0]
     kind = constraint.kind
     y = constraint.y
+    eps = constraint.epsilon if kind == "l2-ball" else 0.0
 
     k_mat = np.vstack([d_block, phi])
     kt = np.ascontiguousarray(k_mat.T)
     lnorm = _operator_norm(k_mat, opts.power_iters)
     if lnorm == 0.0:
         raise ValueError("zero operator; nothing to solve")
+
+    def kkt_error(z: np.ndarray, u: np.ndarray) -> float:
+        # primal infeasibility, dual infeasibility ||K^T u|| and the
+        # duality gap ||D z||_1 + y^T w + eps ||w|| with w = u[p:]
+        kz = k_mat @ z
+        infeas = max(0.0, _norm(kz[p:] - y) - eps)
+        w = u[p:]
+        gap = float(np.abs(kz[:p]).sum()) + float(y @ w) + eps * _norm(w)
+        g = kt @ u
+        return math.sqrt(infeas * infeas + float(g @ g) + gap * gap)
+
+    omega = 1.0
     tau = opts.step_ratio / lnorm
     sigma = 1.0 / (opts.step_ratio * lnorm)
+    sigma_y = sigma * y
 
     z = _feasible_start(phi, constraint, opts.feas_tol)
     u = np.zeros(k_mat.shape[0])
     kz = k_mat @ z
-    kz_prev = kz.copy()
-    stop = opts.tol * max(float(np.linalg.norm(y)), 1e-12)
+    kz_prev = kz
+    stop = opts.tol * max(_norm(y), 1e-12)
 
-    eps = constraint.epsilon
+    z_last, u_last, err_last = z, u, kkt_error(z, u)  # the last restart point
+    err_prev = math.inf  # candidate error at the previous check
+    z_sum = np.zeros_like(z)
+    u_sum = np.zeros_like(u)
+    n_avg = 0
     iters = 0
     r_p = r_d = math.inf
     while iters < opts.max_iters:
-        kzbar = 2.0 * kz - kz_prev
-        v = u + sigma * kzbar
+        v = u + sigma * (2.0 * kz - kz_prev)
 
         u_new = np.empty_like(u)
         np.clip(v[:p], -1.0, 1.0, out=u_new[:p])
         vc = v[p:]
         if kind == "equality":
-            u_new[p:] = vc - sigma * y
+            u_new[p:] = vc - sigma_y
         else:
             # Moreau: subtract sigma times the projection of vc/sigma onto the ball
             w = vc / sigma
             dev = w - y
-            nrm = float(np.linalg.norm(dev))
+            nrm = _norm(dev)
             proj = y + dev * (eps / nrm) if nrm > eps else w
             u_new[p:] = vc - sigma * proj
 
@@ -206,16 +256,50 @@ def _pdhg(
         z_new = z - tau * g
         kz_new = k_mat @ z_new
 
-        r_d = float(np.linalg.norm(g))
-        r_p = float(np.linalg.norm((u - u_new) / sigma + kzbar - kz_new))
+        r_d = _norm(g)
+        r_p = _norm((v - u_new) / sigma - kz_new)
 
         u = u_new
         kz_prev = kz
         kz = kz_new
         z = z_new
+        z_sum += z
+        u_sum += u
+        n_avg += 1
         iters += 1
         if max(r_p, r_d) <= stop:
             return z, iters, r_p, r_d, True
+        if iters % _RESTART_EVERY:
+            continue
+
+        z_avg = z_sum / n_avg
+        u_avg = u_sum / n_avg
+        err_avg = kkt_error(z_avg, u_avg)
+        err_cur = kkt_error(z, u)
+        z_c, u_c, err_c = (z_avg, u_avg, err_avg) if err_avg < err_cur else (z, u, err_cur)
+        restart = (
+            err_c <= _SUFFICIENT_DECAY * err_last
+            or (err_c <= _NECESSARY_DECAY * err_last and err_c > err_prev)
+            or n_avg >= _ARTIFICIAL_RESTART * iters
+        )
+        err_prev = err_c
+        if not restart:
+            continue
+        dz = _norm(z_c - z_last)
+        du = _norm(u_c - u_last)
+        if dz > _MIN_MOVE and du > _MIN_MOVE:
+            omega = math.sqrt(omega * du / dz)  # halfway to du/dz in log scale
+            tau = opts.step_ratio / (lnorm * omega)
+            sigma = omega / (opts.step_ratio * lnorm)
+            sigma_y = sigma * y
+        z, u = z_c, u_c
+        kz = k_mat @ z
+        kz_prev = kz
+        z_last, u_last, err_last = z, u, err_c
+        err_prev = math.inf
+        z_sum = np.zeros_like(z)
+        u_sum = np.zeros_like(u)
+        n_avg = 0
     return z, iters, r_p, r_d, False
 
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from cosparse_grip import cli
-from cosparse_grip.campaign import CampaignResult
+from cosparse_grip.campaign import CampaignResult, trial_seed
 
 from test_campaign import base_doc, config_from, write_matched_instance
 
@@ -22,8 +22,11 @@ def test_cli_success_run(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "verify-c2: 6 rows" in captured.out
     assert "violations = 0" in captured.out
+    wall = [line for line in captured.out.splitlines() if line.startswith("wall_time = ")]
+    assert len(wall) == 1 and float(wall[0].split("=")[1]) >= 0.0
     for name in ("results.csv", "results.jsonl", "config_echo.json"):
         assert (out_dir / name).exists()
+    assert "wall_time" not in (out_dir / "results.csv").read_text()
 
 
 def test_cli_out_falls_back_to_config_output_path(tmp_path):
@@ -70,7 +73,10 @@ def test_cli_unconverged_solver_exits_4(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code = cli.main(["solve", "--config", cfg_path, "--out", str(out_dir)])
     assert code == 4
-    assert "converge" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "converge" in err
+    # the failing trial can be replayed from its printed seed
+    assert f"first unconverged trial: index 0, seed {trial_seed(3, 0)}" in err
     # rows are still written for postmortems
     assert (out_dir / "results.csv").exists()
 
@@ -93,9 +99,9 @@ def test_cli_crashed_trial_exits_1_with_partial_flush(tmp_path, capsys):
     assert (out_dir / "results.csv").read_text().startswith("# summary:")
 
 
-def _rigged_result(summary):
+def _rigged_result(summary, rows=()):
     return CampaignResult(
-        config=config_from(base_doc()), rows=(), summary=summary, wall_time=0.0
+        config=config_from(base_doc()), rows=rows, summary=summary, wall_time=0.0
     )
 
 
@@ -111,6 +117,23 @@ def test_cli_nonconvergence_outranks_violation(tmp_path, monkeypatch, capsys):
     )
     assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 3
     capsys.readouterr()
+
+
+def test_cli_names_first_unconverged_row(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, base_doc())
+    rows = (
+        {"trial": 0, "seed": 5, "converged": True},
+        {"trial": 1, "seed": 9, "converged": False},
+        {"trial": 2, "seed": 11, "converged": False},
+    )
+    monkeypatch.setattr(cli, "run", lambda config: _rigged_result({"unconverged": 2}, rows))
+    assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 4
+    assert "first unconverged trial: index 1, seed 9" in capsys.readouterr().err
+    # rows without a converged column (phase) name no trial
+    rows = ({"trial": 0, "seed": 5, "m": 3},)
+    monkeypatch.setattr(cli, "run", lambda config: _rigged_result({"unconverged": 1}, rows))
+    assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 4
+    assert "first unconverged" not in capsys.readouterr().err
 
 
 def test_cli_usage_errors(tmp_path):

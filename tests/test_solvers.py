@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from cosparse_grip.solvers import MAX_LP_VARIABLES
-from _support import matched_instance
+from _support import haar, matched_instance
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +157,90 @@ def test_solver_options_respected(reference_instance):
     )
     full = cg.solve_analysis_l1(phi, d, cg.ConstraintSpec("equality", y))
     assert loose.iterations < full.iterations
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tol", 0.0), ("tol", -1e-9), ("tol", math.nan), ("tol", math.inf), ("tol", "1e-9"),
+    ("feas_tol", 0.0), ("feas_tol", math.inf),
+    ("cert_tol", -1e-6), ("cert_tol", math.nan),
+    ("step_ratio", 0.0), ("step_ratio", -4.0), ("step_ratio", math.inf), ("step_ratio", True),
+    ("max_iters", 0), ("max_iters", -5), ("max_iters", 10.0), ("max_iters", True),
+    ("power_iters", 0), ("power_iters", "100"),
+])
+def test_solver_options_rejects_invalid(field, value):
+    with pytest.raises(ValueError, match=field):
+        cg.SolverOptions(**{field: value})
+
+
+def test_solver_options_accepts_smallest_valid():
+    cg.SolverOptions(tol=1e-300, max_iters=1, power_iters=1, step_ratio=1e-3,
+                     feas_tol=1e-12, cert_tol=1e-12)
+    cg.SolverOptions(max_iters=np.int64(7), step_ratio=np.float64(2.0))
+
+
+def _reference_campaign_trial(campaign_seed: int, index: int):
+    """Operators, signal and equality constraint of one trial of a solve
+    campaign (tight frame 14x10, gaussian m = 6, k = 5), drawn the way
+    the campaign's solve trial draws them."""
+    seed = cg.trial_seed(campaign_seed, index)
+    d = cg.make_dictionary("tight-frame", 14, 10, cg.trial_seed(seed, 0))
+    phi = cg.make_sensing_matrix("gaussian", 6, 10, cg.trial_seed(seed, 1))
+    x = cg.sample_cosparse_signal(d, 5, cg.trial_seed(seed, 2))
+    return phi, d, cg.ConstraintSpec("equality", phi.entries @ x)
+
+
+def test_former_max_iters_trial_converges_to_lp_objective():
+    # trial 4 of the seed-11 solve campaign stopped unconverged at
+    # max_iters = 200000 without restarts
+    phi, d, spec = _reference_campaign_trial(11, 4)
+    res = cg.solve_analysis_l1(phi, d, spec)
+    assert res.converged
+    assert res.iterations < 20000
+    lp = cg.solve_lp_certified(phi, d, spec)
+    assert abs(res.objective - lp.objective) <= cg.SolverOptions().cert_tol
+
+
+def test_step_ratio_robustness_on_orthogonal_family():
+    # without restarts this family took up to 23700 iterations at
+    # step_ratio = 4; the primal weight rebalances a poor initial ratio
+    for s in range(8):
+        d = cg.make_dictionary("orthogonal", 20, 20, cg.trial_seed(s, 0))
+        phi = cg.make_sensing_matrix("gaussian", 12, 20, cg.trial_seed(s, 1))
+        x = cg.sample_cosparse_signal(d, 3, cg.trial_seed(s, 2))
+        spec = cg.ConstraintSpec("equality", phi.entries @ x)
+        objectives = []
+        for ratio in (1.0, 4.0):
+            res = cg.solve_analysis_l1(phi, d, spec, cg.SolverOptions(step_ratio=ratio))
+            assert res.converged, (s, ratio)
+            assert res.iterations < 10000, (s, ratio, res.iterations)
+            objectives.append(res.objective)
+        assert abs(objectives[0] - objectives[1]) <= 1e-6, s
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["equality", "l2-ball"]),
+)
+@settings(max_examples=15, deadline=None)
+def test_solve_is_gauge_invariant(instance_seed, gauge_seed, kind):
+    # D -> D Q^T, Phi -> R Phi Q^T, y -> R y rotates every iterate
+    # (z -> Q z, constraint dual -> R w) and keeps every norm the restart
+    # rule reads; iteration counts may differ by rounding
+    phi, d, spec = _reference_campaign_trial(instance_seed, 0)
+    if kind == "l2-ball":
+        spec = cg.ConstraintSpec("l2-ball", spec.y, epsilon=0.1)
+    q = haar(10, gauge_seed)
+    r = haar(6, gauge_seed + 1)
+    base = cg.solve_analysis_l1(phi, d, spec)
+    rotated = cg.solve_analysis_l1(
+        r @ phi.entries @ q.T,
+        cg.Dictionary(d.entries @ q.T, d.kind),
+        cg.ConstraintSpec(kind, r @ spec.y, epsilon=spec.epsilon),
+    )
+    assert rotated.converged == base.converged
+    assert rotated.objective == pytest.approx(base.objective, rel=1e-8)
+    assert np.max(np.abs(q.T @ rotated.x_hat - base.x_hat)) <= 1e-7
 
 
 # ---------------------------------------------------------------------------
