@@ -34,7 +34,6 @@ from .model import (
     DICTIONARY_KINDS,
     SENSING_KINDS,
     ChunkDecomposition,
-    CosparseInstance,
     Dictionary,
     DictionaryRankError,
     InfeasibleCosparsityError,
@@ -74,7 +73,6 @@ __all__ = [
     "DictionaryRankError",
     "SensingMatrix",
     "SupportSet",
-    "CosparseInstance",
     "ChunkDecomposition",
     "InfeasibleCosparsityError",
     "make_dictionary",

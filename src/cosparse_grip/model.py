@@ -15,12 +15,11 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SUPPORT_TOL",
     "RANK_TOL",
     "DICTIONARY_KINDS",
     "SENSING_KINDS",
@@ -29,7 +28,6 @@ __all__ = [
     "SupportSet",
     "Dictionary",
     "SensingMatrix",
-    "CosparseInstance",
     "ChunkDecomposition",
     "sensing_entries",
     "make_dictionary",
@@ -43,7 +41,6 @@ __all__ = [
     "load_sensing_csv",
 ]
 
-SUPPORT_TOL = 1e-10   # |(Dx)_i| below this counts as zero
 RANK_TOL = 1e-10      # relative sigma_min threshold for full column rank
 
 DICTIONARY_KINDS = (
@@ -96,22 +93,8 @@ class SupportSet:
     def size(self) -> int:
         return len(self.indices)
 
-    def complement(self) -> "SupportSet":
-        rest = tuple(i for i in range(self.p) if i not in set(self.indices))
-        return SupportSet(rest, self.p)
-
-    def union(self, other: "SupportSet") -> "SupportSet":
-        if self.p != other.p:
-            raise ValueError("union of supports over different p")
-        return SupportSet(tuple(set(self.indices) | set(other.indices)), self.p)
-
     def disjoint_from(self, other: "SupportSet") -> bool:
         return not set(self.indices) & set(other.indices)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.p, dtype=bool)
-        m[list(self.indices)] = True
-        return m
 
 
 def _check_matrix(entries: np.ndarray, what: str) -> None:
@@ -214,58 +197,6 @@ class SensingMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class CosparseInstance:
-    """A ground-truth tuple (D, Phi, x, y) with certified cosparsity.
-
-    cosupport is the index set where Dx vanishes (its complement carries
-    the at most k nonzero analysis coefficients, so k targets
-    p - |cosupport|). noise_level is the radius of the measurement ball:
-    y is within noise_level of Phi x in l2 (exactly equal when 0).
-    """
-
-    dictionary: Dictionary
-    phi: SensingMatrix
-    x: np.ndarray
-    cosupport: SupportSet
-    k: int
-    y: np.ndarray
-    noise_level: float = 0.0
-
-    def __post_init__(self):
-        x = _as_readonly(self.x)
-        y = _as_readonly(self.y)
-        if self.dictionary.n != self.phi.n:
-            raise ValueError("dictionary and sensing matrix disagree on n")
-        if x.shape != (self.dictionary.n,):
-            raise ValueError(f"x must have shape ({self.dictionary.n},)")
-        if y.shape != (self.phi.m,):
-            raise ValueError(f"y must have shape ({self.phi.m},)")
-        if self.cosupport.p != self.dictionary.p:
-            raise ValueError("cosupport indexes the wrong number of rows")
-        if not 0 <= self.k <= self.dictionary.p:
-            raise ValueError(f"k out of range: {self.k}")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
-        dx = self.dictionary.entries @ x
-        support = np.flatnonzero(np.abs(dx) > SUPPORT_TOL)
-        if support.size > self.k:
-            raise ValueError(
-                f"x is not {self.k}-cosparse: |supp(Dx)| = {support.size}"
-            )
-        on_cosupport = np.abs(dx[list(self.cosupport.indices)]) if self.cosupport.size else np.zeros(0)
-        if on_cosupport.size and float(np.max(on_cosupport)) > SUPPORT_TOL:
-            raise ValueError("Dx does not vanish on the declared cosupport")
-        resid = float(np.linalg.norm(self.phi.entries @ x - y))
-        slack = self.noise_level + 1e-12 * max(1.0, float(np.linalg.norm(y)))
-        if resid > slack:
-            raise ValueError(
-                f"y is not within noise_level of Phi x: residual {resid:.3e}"
-            )
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,20 @@ Three constraint sets on the measurements:
   * l2-ball    { z : ||Phi z - y||_2 <= epsilon }
   * dantzig    { z : ||Phi^T (Phi z - y)||_inf <= lam }
 
-solve_analysis_l1 minimizes ||D z||_1, solve_synthesis_l1 minimizes
-||alpha||_1 over x = S alpha. Both run the same first-order primal-dual
-iteration (Chambolle-Pock with steps tau sigma ||K||^2 <= 1, restarted
+Both routes solve one program, min ||B z||_1 s.t. A z in B(y):
+solve_analysis_l1 with (B, A) = (D, Phi), solve_synthesis_l1 with
+(I, Phi S), mapping the coefficients back to x = S alpha. One first-order
+path serves both: a primal-dual iteration (Chambolle-Pock with steps
+tau sigma ||K||^2 <= 1, ||K|| the exact largest singular value, restarted
 adaptively and rebalanced by a primal weight as in PDLP) on the stacked
-operator K = [D; M], where M is Phi for equality/ball and Phi^T Phi for
-dantzig. The l1 dual block projects onto the unit box; the constraint dual
-block is the conjugate prox of the indicator of B(y).
+operator K = [B; A], for equality and l2-ball. The l1 dual block projects
+onto the unit box; the constraint dual block is the conjugate prox of the
+indicator of B(y).
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
-exact vertex certificate; the first-order result can be certified against
-it via options.certify.
+exact vertex. options.certify compares a first-order objective with
+||B z||_1 at the vertex of the same LP, built by the same helper.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dictionary, sensing_entries
+from .model import Dictionary, _check_matrix, sensing_entries
 from .simplex import LpInfeasibleError, solve_standard_lp
 
 __all__ = [
@@ -80,7 +82,6 @@ class ConstraintSpec:
 class SolverOptions:
     tol: float = 1e-9            # residual stop, relative to max(1e-12, ||y||)
     max_iters: int = 200000
-    power_iters: int = 100       # for estimating ||K||
     step_ratio: float = 1.0      # initial primal/dual step ratio: tau = ratio / L, sigma = 1 / (ratio L)
     certify: bool = False        # cross-check objective against the LP route
     feas_tol: float = 1e-7
@@ -91,10 +92,9 @@ class SolverOptions:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
-        for name in ("max_iters", "power_iters"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        v = self.max_iters
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -133,20 +133,6 @@ class RecoveryResult:
 
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
-
-
-def _operator_norm(k_mat: np.ndarray, iters: int) -> float:
-    """Power iteration on K^T K; deterministic start vector."""
-    n = k_mat.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    kt = np.ascontiguousarray(k_mat.T)
-    for _ in range(iters):
-        w = kt @ (k_mat @ v)
-        nrm = _norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-    return math.sqrt(_norm(kt @ (k_mat @ v)))
 
 
 def _feasible_start(phi: np.ndarray, constraint: ConstraintSpec, feas_tol: float) -> np.ndarray:
@@ -204,7 +190,7 @@ def _pdhg(
 
     k_mat = np.vstack([d_block, phi])
     kt = np.ascontiguousarray(k_mat.T)
-    lnorm = _operator_norm(k_mat, opts.power_iters)
+    lnorm = float(np.linalg.norm(k_mat, 2))  # largest singular value
     if lnorm == 0.0:
         raise ValueError("zero operator; nothing to solve")
 
@@ -312,51 +298,40 @@ def _constraint_violation(phi: np.ndarray, z: np.ndarray, constraint: Constraint
     return max(0.0, float(np.max(np.abs(phi.T @ r))) - constraint.lam)
 
 
-def _certification_gap(objective: float, lp_objective: float) -> float:
-    return abs(objective - lp_objective) / max(1.0, abs(lp_objective))
-
-
-def solve_analysis_l1(
-    phi,
-    dictionary: Dictionary,
+def _solve_first_order(
+    d_block: np.ndarray,
+    sensing: np.ndarray,
     constraint: ConstraintSpec,
-    options: SolverOptions | None = None,
+    opts: SolverOptions,
 ) -> RecoveryResult:
-    """min ||D z||_1 over z in B(y) (the analysis route).
+    """min ||d_block z||_1 over sensing z in B(y), shared by both routes.
 
-    The first-order path handles equality and l2-ball; the dantzig set has
-    no closed-form projection and lives on the LP path only
-    (solve_lp_certified). With options.certify the equality solution is
-    re-solved by the exact simplex and the objectives compared; l2-ball
-    cannot be certified this way and raises ValueError.
+    Runs _pdhg, downgrades converged when the returned point misses B(y)
+    by more than feas_tol, and with opts.certify compares the objective
+    against ||d_block z_lp||_1 at the exact LP vertex.
     """
-    opts = options or SolverOptions()
-    phi_e = sensing_entries(phi)
     if constraint.kind == "dantzig":
         raise ValueError(
             "the first-order path handles equality and l2-ball; "
-            "use solve_lp_certified for dantzig"
+            "use the LP route for dantzig"
         )
-    if phi_e.shape[1] != dictionary.n:
-        raise ValueError("sensing matrix and dictionary disagree on n")
-    if constraint.y.shape != (phi_e.shape[0],):
-        raise ValueError(f"y must have shape ({phi_e.shape[0]},)")
+    if constraint.y.shape != (sensing.shape[0],):
+        raise ValueError(f"y must have shape ({sensing.shape[0]},)")
+    if opts.certify and constraint.kind == "l2-ball":
+        raise ValueError("certification requires a polyhedral constraint (equality or dantzig)")
 
-    z, iters, r_p, r_d, converged = _pdhg(
-        dictionary.entries, phi_e, constraint, opts
-    )
-    viol = _constraint_violation(phi_e, z, constraint)
+    z, iters, r_p, r_d, converged = _pdhg(d_block, sensing, constraint, opts)
+    viol = _constraint_violation(sensing, z, constraint)
     if viol > opts.feas_tol * max(1.0, float(np.linalg.norm(constraint.y))):
         converged = False
-    objective = float(np.sum(np.abs(dictionary.entries @ z)))
+    objective = float(np.sum(np.abs(d_block @ z)))
 
     certified = False
     gap = None
     if opts.certify:
-        if constraint.kind == "l2-ball":
-            raise ValueError("certification requires a polyhedral constraint (equality or dantzig)")
-        ref = solve_lp_certified(phi_e, dictionary, constraint)
-        gap = _certification_gap(objective, ref.objective)
+        z_lp, _ = _lp_vertex(d_block, sensing, constraint)
+        lp_objective = float(np.sum(np.abs(d_block @ z_lp)))
+        gap = abs(objective - lp_objective) / max(1.0, abs(lp_objective))
         certified = converged and gap <= opts.cert_tol
 
     z.setflags(write=False)
@@ -372,6 +347,26 @@ def solve_analysis_l1(
     )
 
 
+def solve_analysis_l1(
+    phi,
+    dictionary: Dictionary,
+    constraint: ConstraintSpec,
+    options: SolverOptions | None = None,
+) -> RecoveryResult:
+    """min ||D z||_1 over z in B(y) (the analysis route).
+
+    The first-order path handles equality and l2-ball; the dantzig set has
+    no closed-form projection and lives on the LP path only
+    (solve_lp_certified). With options.certify the equality solution is
+    compared with the exact simplex vertex; l2-ball cannot be certified
+    this way and raises ValueError before solving.
+    """
+    phi_e = sensing_entries(phi)
+    if phi_e.shape[1] != dictionary.n:
+        raise ValueError("sensing matrix and dictionary disagree on n")
+    return _solve_first_order(dictionary.entries, phi_e, constraint, options or SolverOptions())
+
+
 def solve_synthesis_l1(
     phi,
     synthesis: Dictionary | np.ndarray,
@@ -382,55 +377,25 @@ def solve_synthesis_l1(
 
     synthesis is either an explicit n x q atom matrix or a Dictionary,
     whose transpose supplies the atoms (exact inverse when orthogonal).
-    Returns x_hat = S alpha with the coefficient l1 norm as objective.
+    This is the analysis program with (I_q, Phi S) in place of (D, Phi);
+    it returns x_hat = S alpha with the coefficient l1 norm as objective.
     Equality and l2-ball only, like solve_analysis_l1.
     """
-    opts = options or SolverOptions()
     phi_e = sensing_entries(phi)
-    if constraint.kind == "dantzig":
-        raise ValueError(
-            "the first-order path handles equality and l2-ball; "
-            "use the LP route for dantzig"
-        )
     if isinstance(synthesis, Dictionary):
         atoms = synthesis.entries.T
     else:
         atoms = np.asarray(synthesis, dtype=np.float64)
-        if atoms.ndim != 2:
-            raise ValueError("synthesis atoms must be a 2-d array")
+        _check_matrix(atoms, "synthesis atom matrix")
     if atoms.shape[0] != phi_e.shape[1]:
         raise ValueError("synthesis atoms live in the wrong dimension")
-    q = atoms.shape[1]
 
-    eff = phi_e @ atoms  # effective sensing of the coefficients
-    alpha, iters, r_p, r_d, converged = _pdhg(np.eye(q), eff, constraint, opts)
-    viol_scale = max(1.0, float(np.linalg.norm(constraint.y)))
-    if _constraint_violation(eff, alpha, constraint) > opts.feas_tol * viol_scale:
-        converged = False
-    objective = float(np.sum(np.abs(alpha)))
-
-    certified = False
-    gap = None
-    if opts.certify:
-        if constraint.kind == "l2-ball":
-            raise ValueError("certification requires a polyhedral constraint (equality or dantzig)")
-        c, a_eq, b_eq = _build_lp(np.eye(q), eff, constraint)
-        sol = _run_lp(c, a_eq, b_eq)
-        gap = _certification_gap(objective, sol.objective)
-        certified = converged and gap <= opts.cert_tol
-
-    x_hat = atoms @ alpha
-    x_hat.setflags(write=False)
-    return RecoveryResult(
-        x_hat=x_hat,
-        objective=objective,
-        iterations=iters,
-        primal_residual=r_p,
-        dual_residual=r_d,
-        converged=converged,
-        certified=certified,
-        certification_gap=gap,
+    res = _solve_first_order(
+        np.eye(atoms.shape[1]), phi_e @ atoms, constraint, options or SolverOptions()
     )
+    x_hat = atoms @ res.x_hat
+    x_hat.setflags(write=False)
+    return replace(res, x_hat=x_hat)
 
 
 def _build_lp(
@@ -499,11 +464,18 @@ def _build_lp(
     return c, a, rhs
 
 
-def _run_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _lp_vertex(
+    d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec
+) -> tuple[np.ndarray, int]:
+    """Optimal vertex z = z+ - z- of the standard-form LP, and the
+    simplex pivot count."""
+    c, a, b = _build_lp(d_block, phi, constraint)
     try:
-        return solve_standard_lp(c, a, b)
+        sol = solve_standard_lp(c, a, b)
     except LpInfeasibleError as err:
         raise InfeasibleConstraintError(str(err)) from err
+    n = d_block.shape[1]
+    return sol.x[:n] - sol.x[n : 2 * n], sol.pivots
 
 
 def solve_lp_certified(
@@ -522,16 +494,13 @@ def solve_lp_certified(
         raise ValueError("sensing matrix and dictionary disagree on n")
     if constraint.y.shape != (phi_e.shape[0],):
         raise ValueError(f"y must have shape ({phi_e.shape[0]},)")
-    c, a, b = _build_lp(dictionary.entries, phi_e, constraint)
-    sol = _run_lp(c, a, b)
-    n = dictionary.n
-    z = sol.x[:n] - sol.x[n : 2 * n]
+    z, pivots = _lp_vertex(dictionary.entries, phi_e, constraint)
     viol = _constraint_violation(phi_e, z, constraint)
     z.setflags(write=False)
     return RecoveryResult(
         x_hat=z,
         objective=float(np.sum(np.abs(dictionary.entries @ z))),
-        iterations=sol.pivots,
+        iterations=pivots,
         primal_residual=viol,
         dual_residual=0.0,
         converged=True,

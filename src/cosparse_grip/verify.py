@@ -37,14 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grip import (
-    DEFAULT_MAX_PAIRS,
-    DEFAULT_MAX_SUPPORTS,
-    BoundConstants,
-    bound_constants,
-    delta_exact,
-    rho_exact,
-)
+from .grip import BoundConstants, bound_constants, delta_exact, rho_exact
 from .model import Dictionary, SupportSet, chunk_decompose, sensing_entries, sigma_k, top_k_support
 
 __all__ = [
@@ -94,15 +87,13 @@ def _resolve_constants(
     k: int,
     delta2k: float | None,
     rho: float | None,
-    max_supports: int,
-    max_pairs: int,
 ) -> tuple[float, float]:
-    """Fill in exact delta_{2k} and rho_k when the caller did not supply
-    certified values of their own."""
+    """Fill in exact delta_{2k} and rho_k, within grip's default budgets,
+    when the caller did not supply certified values of their own."""
     if delta2k is None:
-        delta2k = delta_exact(phi, dictionary, 2 * k, max_supports=max_supports).delta
+        delta2k = delta_exact(phi, dictionary, 2 * k).delta
     if rho is None:
-        rho = rho_exact(dictionary, k, max_pairs=max_pairs).rho
+        rho = rho_exact(dictionary, k).rho
     if not delta2k >= 0.0:
         raise ValueError(f"delta2k must be >= 0, got {delta2k}")
     if not 0.0 <= rho <= 1.0:
@@ -119,8 +110,6 @@ def check_corollary1(
     *,
     delta2k: float | None = None,
     rho: float | None = None,
-    max_supports: int = DEFAULT_MAX_SUPPORTS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> BoundReport:
     """Cross-chunk correlation bound on two disjoint-support chunks.
 
@@ -144,9 +133,7 @@ def check_corollary1(
     h_i = np.asarray(h_i, dtype=np.float64)
     h_j = np.asarray(h_j, dtype=np.float64)
 
-    delta2k, rho = _resolve_constants(
-        phi, dictionary, k, delta2k, rho, max_supports, max_pairs
-    )
+    delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
     d = dictionary.entries
     f = sensing_entries(phi)
     lhs = abs(float((f @ h_i) @ (f @ h_j)))
@@ -206,8 +193,6 @@ def check_corollary2(
     *,
     delta2k: float | None = None,
     rho: float | None = None,
-    max_supports: int = DEFAULT_MAX_SUPPORTS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> BoundReport:
     """Masked-image lower bound for an arbitrary direction h.
 
@@ -222,9 +207,7 @@ def check_corollary2(
     if float(np.linalg.norm(h)) <= _ZERO_TOL:
         raise ValueError("h is zero; the bound is vacuous")
 
-    delta2k, rho = _resolve_constants(
-        phi, dictionary, k, delta2k, rho, max_supports, max_pairs
-    )
+    delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
     if delta2k >= 1.0:
         raise ValueError(
             f"delta2k = {delta2k:.6f} >= 1: the bound's constants are undefined"
@@ -287,8 +270,6 @@ def check_theorem1(
     *,
     delta2k: float | None = None,
     rho: float | None = None,
-    max_supports: int = DEFAULT_MAX_SUPPORTS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> BoundReport:
     """Recovery-error bound for a candidate minimizer x_hat against truth x.
 
@@ -311,9 +292,7 @@ def check_theorem1(
     if not 1 <= k <= dictionary.p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
 
-    delta2k, rho = _resolve_constants(
-        phi, dictionary, k, delta2k, rho, max_supports, max_pairs
-    )
+    delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
     if delta2k >= 1.0:
         raise ValueError(
             f"delta2k = {delta2k:.6f} >= 1: the bound's constants are undefined"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
+from cosparse_grip import solvers
 from cosparse_grip.solvers import MAX_LP_VARIABLES
 from _support import haar, matched_instance
 
@@ -165,15 +167,20 @@ def test_solver_options_respected(reference_instance):
     ("cert_tol", -1e-6), ("cert_tol", math.nan),
     ("step_ratio", 0.0), ("step_ratio", -4.0), ("step_ratio", math.inf), ("step_ratio", True),
     ("max_iters", 0), ("max_iters", -5), ("max_iters", 10.0), ("max_iters", True),
-    ("power_iters", 0), ("power_iters", "100"),
 ])
 def test_solver_options_rejects_invalid(field, value):
     with pytest.raises(ValueError, match=field):
         cg.SolverOptions(**{field: value})
 
 
+def test_solver_options_fields():
+    assert [f.name for f in dataclasses.fields(cg.SolverOptions)] == [
+        "tol", "max_iters", "step_ratio", "certify", "feas_tol", "cert_tol",
+    ]
+
+
 def test_solver_options_accepts_smallest_valid():
-    cg.SolverOptions(tol=1e-300, max_iters=1, power_iters=1, step_ratio=1e-3,
+    cg.SolverOptions(tol=1e-300, max_iters=1, step_ratio=1e-3,
                      feas_tol=1e-12, cert_tol=1e-12)
     cg.SolverOptions(max_iters=np.int64(7), step_ratio=np.float64(2.0))
 
@@ -276,6 +283,25 @@ def test_synthesis_accepts_raw_atoms(reference_instance):
         cg.solve_synthesis_l1(phi, np.ones((9, 4)), cg.ConstraintSpec("equality", y))
 
 
+def test_synthesis_rejects_bad_inputs_before_solving(reference_instance):
+    phi, d, x, y = reference_instance
+    with pytest.raises(ValueError, match=r"y must have shape \(6,\)"):
+        cg.solve_synthesis_l1(phi, d, cg.ConstraintSpec("equality", y[:5]))
+    atoms = np.array(d.entries.T)
+    atoms[3, 7] = np.nan
+    with pytest.raises(ValueError, match="synthesis atom matrix has non-finite entries"):
+        cg.solve_synthesis_l1(phi, atoms, cg.ConstraintSpec("equality", y))
+
+
+def test_synthesis_certification_against_lp(reference_instance):
+    phi, d, x, y = reference_instance
+    res = cg.solve_synthesis_l1(
+        phi, d, cg.ConstraintSpec("equality", y), cg.SolverOptions(certify=True)
+    )
+    assert res.certified
+    assert res.certification_gap is not None and res.certification_gap <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # LP route
 
@@ -336,13 +362,18 @@ def test_pdhg_certification_against_lp(reference_instance):
     )
     assert res.certified
     assert res.certification_gap is not None and res.certification_gap <= 1e-6
-    with pytest.raises(ValueError):
-        cg.solve_analysis_l1(
-            phi,
-            d,
-            cg.ConstraintSpec("l2-ball", y, epsilon=0.1),
-            cg.SolverOptions(certify=True),
-        )
+
+
+@pytest.mark.parametrize("route", [cg.solve_analysis_l1, cg.solve_synthesis_l1])
+def test_ball_certification_refused_before_solving(reference_instance, monkeypatch, route):
+    phi, d, x, y = reference_instance
+
+    def no_solve(*args):
+        raise AssertionError("the first-order solver ran")
+
+    monkeypatch.setattr(solvers, "_pdhg", no_solve)
+    with pytest.raises(ValueError, match="polyhedral"):
+        route(phi, d, cg.ConstraintSpec("l2-ball", y, epsilon=0.1), cg.SolverOptions(certify=True))
 
 
 def test_lp_variable_budget_enforced():
