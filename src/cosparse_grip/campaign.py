@@ -50,6 +50,7 @@ from .model import (
     sample_cosparse_signal,
 )
 from .solvers import (
+    CONSTRAINT_KINDS,
     ConstraintSpec,
     SolverOptions,
     solve_analysis_l1,
@@ -226,7 +227,7 @@ class ExperimentConfig:
             )
         if (self.dictionary_path or self.matrix_path) and self.instances != 1:
             raise ConfigError("operator files fix the instance; instances must be 1")
-        if self.constraint_kind not in ("equality", "l2-ball", "dantzig"):
+        if self.constraint_kind not in CONSTRAINT_KINDS:
             raise ConfigError(f"unknown constraint kind {self.constraint_kind!r}")
         if self.constraint_kind == "l2-ball" and not self.epsilon > 0:
             raise ConfigError("l2-ball constraint requires epsilon > 0")
@@ -248,6 +249,8 @@ class ExperimentConfig:
             raise ConfigError(f"disjoint support pairs need 2k <= p, got k={self.k}, p={self.p}")
         if self.experiment == "p1p2" and self.constraint_kind == "dantzig":
             raise ConfigError("p1p2 compares the first-order routes; dantzig is LP-only")
+        if self.experiment == "phase" and self.constraint_kind != "equality":
+            raise ConfigError("phase measures exact recovery; its constraint must be equality")
         if self.m_grid is not None:
             if self.experiment != "phase":
                 raise ConfigError("m_grid is only meaningful for the phase experiment")

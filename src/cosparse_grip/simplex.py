@@ -1,9 +1,15 @@
 """Dense two-phase simplex with Bland's rule.
 
-Solves min c x subject to A x = b, x >= 0 to optimality on a full tableau.
-Sized for the certification LPs this package builds (a few hundred
-variables); nothing here is sparse or revised. Bland's rule (always the
-smallest eligible index, both entering and leaving) guarantees finite
+Solves min c x subject to A x = b, x >= 0 to optimality. Sized for the
+certification LPs this package builds (a few hundred variables); nothing
+here is sparse. The basis index array is the only state kept between
+pivots: every pivot inverts the basis matrix afresh from the original
+(sign-flipped) rows, prices all columns against it and runs the ratio
+test on max(B^-1 b, 0), so roundoff cannot accumulate from one pivot to
+the next (refactorization as in Bixby, Oper. Res. 2002). Tolerances are
+relative: to the multipliers for entering, to the entering column for
+the pivot. Bland's rule (always the smallest eligible index, both
+entering and leaving; Bland, Math. Oper. Res. 1977) guarantees finite
 termination at the cost of speed, which is the right trade for a
 certificate generator.
 """
@@ -21,8 +27,8 @@ __all__ = [
     "solve_standard_lp",
 ]
 
-_COST_TOL = 1e-9    # reduced cost must beat this to enter
-_PIVOT_TOL = 1e-11  # column entry must exceed this to be a pivot
+_COST_TOL = 1e-9    # reduced cost must beat this times max(1, multiplier max)
+_PIVOT_TOL = 1e-9   # pivot entry must exceed this times max(1, column max)
 _FEAS_TOL = 1e-8    # phase-1 objective above this means infeasible
 _MAX_PIVOTS = 200000
 
@@ -42,52 +48,39 @@ class LpSolution:
     pivots: int
 
 
-def _pivot(t: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    t[row] /= t[row, col]
-    piv = t[row]
-    for i in range(t.shape[0]):
-        if i != row and t[i, col] != 0.0:
-            t[i] -= t[i, col] * piv
-    basis[row] = col
-
-
 def _bland_iterate(
-    t: np.ndarray, basis: list[int], ncols: int, pivots: int
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray, pivots: int
 ) -> int:
-    """Run Bland pivots on tableau t until optimal. The cost row is t[-1]
-    (reduced costs negated convention: we minimize, entering needs
-    t[-1, j] < -_COST_TOL). Returns the updated pivot count."""
-    m = t.shape[0] - 1
+    """Run Bland pivots on basis (updated in place) until no reduced cost
+    is below -_COST_TOL max(1, ||c_B B^-1||_inf). Returns the updated
+    pivot count.
+
+    The roundoff in a reduced cost grows with the simplex multipliers
+    c_B B^-1; with an absolute threshold, a near-singular basis lets a
+    reduced cost of pure roundoff enter, and its column then has no
+    positive entry, which reads as a false LpUnboundedError."""
     while True:
-        enter = -1
-        for j in range(ncols):
-            if t[-1, j] < -_COST_TOL:
-                enter = j
-                break
-        if enter < 0:
+        binv = np.linalg.inv(a[:, basis])
+        y = c[basis] @ binv
+        reduced = c - y @ a
+        reduced[basis] = 0.0
+        eligible = np.flatnonzero(reduced < -_COST_TOL * np.abs(y).max(initial=1.0))
+        if eligible.size == 0:
             return pivots
-        leave = -1
-        best_ratio = np.inf
-        for i in range(m):
-            a = t[i, enter]
-            if a > _PIVOT_TOL:
-                ratio = t[i, -1] / a
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
+        col = binv @ a[:, eligible[0]]
+        rows = np.flatnonzero(col > _PIVOT_TOL * np.abs(col).max(initial=1.0))
+        if rows.size == 0:
             raise LpUnboundedError("objective unbounded along entering column")
-        _pivot(t, basis, leave, enter)
+        ratios = np.maximum(binv @ b, 0.0)[rows] / col[rows]
+        ties = rows[ratios <= ratios.min() + 1e-12]  # ties leave by smallest index
+        basis[ties[np.argmin(basis[ties])]] = eligible[0]
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError(f"simplex exceeded {_MAX_PIVOTS} pivots")
 
 
 def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
-    """min c x s.t. a x = b, x >= 0, by two-phase tableau simplex.
+    """min c x s.t. a x = b, x >= 0, by two-phase simplex.
 
     Raises LpInfeasibleError / LpUnboundedError; returns an optimal basic
     solution otherwise. Rows found dependent in phase 1 are dropped.
@@ -104,53 +97,33 @@ def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    # phase 1: [A I | b] with artificial basis, cost = sum of artificials
-    t = np.zeros((m + 1, n + m + 1))
-    t[:m, :n] = a
-    t[:m, n : n + m] = np.eye(m)
-    t[:m, -1] = b
-    t[-1, :n] = -a.sum(axis=0)
-    t[-1, -1] = -b.sum()
-    basis = list(range(n, n + m))
-
-    pivots = _bland_iterate(t, basis, n + m, 0)
-    if -t[-1, -1] > _FEAS_TOL * max(1.0, float(np.abs(b).sum())):
-        raise LpInfeasibleError(
-            f"phase-1 objective {-t[-1, -1]:.3e} is nonzero"
-        )
+    # phase 1: [A I] from the artificial basis, cost = sum of artificials
+    a1 = np.hstack([a, np.eye(m)])
+    c1 = np.concatenate([np.zeros(n), np.ones(m)])
+    basis = np.arange(n, n + m)
+    pivots = _bland_iterate(c1, a1, b, basis, 0)
+    infeas = float(c1[basis] @ np.linalg.solve(a1[:, basis], b))
+    if infeas > _FEAS_TOL * max(1.0, float(b.sum())):
+        raise LpInfeasibleError(f"phase-1 objective {infeas:.3e} is nonzero")
 
     # drive remaining artificials out of the basis or drop their rows
-    keep_rows = []
-    for i in range(m):
-        if basis[i] < n:
-            keep_rows.append(i)
-            continue
-        col = -1
-        for j in range(n):
-            if abs(t[i, j]) > _PIVOT_TOL:
-                col = j
-                break
-        if col >= 0:
-            _pivot(t, basis, i, col)
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(basis >= n):
+        row = np.linalg.inv(a1[:, basis])[i] @ a
+        row[basis[basis < n]] = 0.0
+        cols = np.flatnonzero(np.abs(row) > _PIVOT_TOL * np.abs(row).max(initial=1.0))
+        if cols.size:
+            basis[i] = cols[0]
             pivots += 1
-            keep_rows.append(i)
-        # else: dependent row, drop silently
+        else:
+            keep[basis[i] - n] = False  # original row dependent on the kept ones
 
-    rows = keep_rows
-    t2 = np.zeros((len(rows) + 1, n + 1))
-    t2[: len(rows), :n] = t[rows, :n]
-    t2[: len(rows), -1] = t[rows, -1]
-    basis2 = [basis[i] for i in rows]
-
-    # phase 2 cost row: c reduced against the current basis
-    t2[-1, :n] = c
-    for i, bi in enumerate(basis2):
-        if t2[-1, bi] != 0.0:
-            t2[-1] -= t2[-1, bi] * t2[i]
-
-    pivots = _bland_iterate(t2, basis2, n, pivots)
+    # phase 2 on the kept rows; the artificials left in the basis hold the
+    # dropped rows, so the rest of the basis is square on the kept rows
+    basis = basis[basis < n]
+    a, b = a[keep], b[keep]
+    pivots = _bland_iterate(c, a, b, basis, pivots)
 
     x = np.zeros(n)
-    for i, bi in enumerate(basis2):
-        x[bi] = t2[i, -1]
+    x[basis] = np.maximum(np.linalg.solve(a[:, basis], b), 0.0)
     return LpSolution(x=x, objective=float(c @ x), pivots=pivots)

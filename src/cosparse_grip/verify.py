@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grip import BoundConstants, bound_constants, delta_exact, rho_exact
-from .model import Dictionary, SupportSet, chunk_decompose, sensing_entries, sigma_k, top_k_support
+from .model import Dictionary, SupportSet, sensing_entries, sigma_k, top_k_support
 
 __all__ = [
     "BoundReport",
@@ -163,6 +163,14 @@ def check_corollary1(
     )
 
 
+def _next_block(u: np.ndarray, head: SupportSet, k: int) -> list[int]:
+    """The k largest |u| outside head (the lower index wins ties), sorted:
+    the second chunk of chunk_decompose, without building the tiling."""
+    head_set = set(head.indices)
+    rest = [int(i) for i in np.argsort(-np.abs(u), kind="stable") if int(i) not in head_set]
+    return sorted(rest[:k])
+
+
 def _masked_inner_term(
     f: np.ndarray,
     pinv: np.ndarray,
@@ -219,11 +227,7 @@ def check_corollary2(
     pinv = dictionary.pinv()
     u = d @ h
 
-    decomp = chunk_decompose(h, dictionary, k, head)
-    if len(decomp.chunks) > 1:
-        lam1_idx = list(decomp.chunks[1][0].indices)
-    else:
-        lam1_idx = []
+    lam1_idx = _next_block(u, head, k)
     mask_idx = list(head.indices) + lam1_idx
 
     lhs_z = np.zeros(dictionary.p)
@@ -235,10 +239,9 @@ def check_corollary2(
     inner, mask_norm, degenerate = _masked_inner_term(f, pinv, u, mask_idx, h)
     rhs = constants.alpha * tail / math.sqrt(k) + constants.beta * inner
 
-    hypothesis_ok = (
-        not degenerate
-        and decomp.residual_norm <= _DECOMP_TOL * max(1.0, float(np.linalg.norm(h)))
-    )
+    # the chunks of Dh reassemble to D^+ D h, which is h only if D is injective
+    residual = float(np.linalg.norm(pinv @ u - h))
+    hypothesis_ok = not degenerate and residual <= _DECOMP_TOL * max(1.0, float(np.linalg.norm(h)))
     witness = {
         "k": k,
         "head": list(head.indices),
@@ -327,11 +330,7 @@ def check_theorem1(
         pinv = dictionary.pinv()
         u = d @ h
         head = top_k_support(dx, k)
-        decomp = chunk_decompose(h, dictionary, k, head)
-        if len(decomp.chunks) > 1:
-            lam1_idx = list(decomp.chunks[1][0].indices)
-        else:
-            lam1_idx = []
+        lam1_idx = _next_block(u, head, k)
         mask_idx = list(head.indices) + lam1_idx
         lhs = float(np.linalg.norm(u))
         inner, mask_norm, degenerate = _masked_inner_term(f, pinv, u, mask_idx, h)

@@ -139,6 +139,11 @@ def test_config_rejects_malformed_documents():
         lambda d: d.update(constraint={"kind": "l2-ball", "epsilon": True}),
         "number",
     )
+    case(
+        "phase with a non-equality constraint",
+        lambda d: d.update(experiment="phase", constraint={"kind": "l2-ball", "epsilon": 0.1}),
+        "phase .* equality",
+    )
     case("bad rho_mode", lambda d: d.update(rho_mode="auto"), "rho_mode")
     case("k zero", lambda d: d.update(k=0), "positive")
     case("k over p", lambda d: d.update(k=11), "k <= p")

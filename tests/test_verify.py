@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from cosparse_grip.verify import _masked_inner_term
@@ -186,6 +188,45 @@ def test_corollary2_rejects_degenerate_inputs(frame_instance):
         cg.check_corollary2(phi, d, 2, np.ones(d.n), head, delta2k=1.0, rho=0.0)
     with pytest.raises(ValueError):  # head too large
         cg.check_corollary2(phi, d, 1, np.ones(d.n), head)
+
+
+@given(
+    st.sampled_from(["identity", "tight-frame", "gaussian-random"]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_next_block_matches_chunk_decompose(kind, k, seed):
+    rng = np.random.default_rng(seed)
+    n = 6
+    p = n if kind == "identity" else 9
+    d = cg.make_dictionary(kind, p, n, seed)
+    phi = cg.make_sensing_matrix("gaussian", 4, n, seed)
+
+    def draw():
+        # small integers on the identity make ties in |Dh| common
+        if kind == "identity":
+            return rng.integers(-2, 3, n).astype(np.float64)
+        return rng.standard_normal(n)
+
+    x, x_hat = draw(), draw()
+    h = x_hat - x
+    assume(np.any(h))
+
+    def second_chunk(head):
+        dec = cg.chunk_decompose(h, d, k, head)
+        return (list(dec.chunks[1][0].indices) if len(dec.chunks) > 1 else []), dec
+
+    head = cg.SupportSet(tuple(rng.choice(p, int(rng.integers(0, k + 1)), replace=False)), p)
+    want, dec = second_chunk(head)
+    rep = cg.check_corollary2(phi, d, k, h, head, delta2k=0.1, rho=0.0)
+    assert rep.witness["next_block"] == want
+    old_guard = dec.residual_norm <= 1e-8 * max(1.0, float(np.linalg.norm(h)))
+    assert rep.hypothesis_ok == (old_guard and not rep.witness["degenerate"])
+
+    rep = cg.check_theorem1(phi, d, k, x, x_hat, delta2k=0.1, rho=0.0)
+    want, _ = second_chunk(cg.top_k_support(d.entries @ x, k))
+    assert rep.witness["next_block"] == want
 
 
 def test_masked_inner_term_flags_unstable_ratio():
