@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -200,6 +201,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
                 raise ConfigError(f"{label} must be a number, got {v!r}")
+            if not -sys.float_info.max <= v <= sys.float_info.max:  # exact for huge ints too
+                raise ConfigError(f"{label} must be finite, got {v!r}")
             object.__setattr__(self, name, float(v))
         if self.p < self.n:
             raise ConfigError(f"dictionary needs p >= n, got p={self.p}, n={self.n}")
@@ -523,14 +526,33 @@ class _VerifyInstance:
     rho: float
 
 
+def _delta_below_one(cfg: ExperimentConfig, i: int, inst: _VerifyInstance) -> None:
+    if inst.delta2k >= 1.0:
+        raise ConfigError(
+            f"instance {i}: exact delta_2k = {inst.delta2k:.4f} >= 1 at "
+            f"dims (m={cfg.m}, n={cfg.n}, p={cfg.p}), k={cfg.k}; "
+            f"the {cfg.experiment} bound's hypothesis cannot hold"
+        )
+
+
+def _admissible(cfg: ExperimentConfig, i: int, inst: _VerifyInstance) -> None:
+    if not bound_constants(inst.delta2k, inst.rho).admissible:
+        raise ConfigError(
+            f"instance {i}: constants inadmissible (alpha >= 1) at exact "
+            f"delta_2k = {inst.delta2k:.4f}, rho = {inst.rho:.4f}; "
+            "theorem-1 verification cannot run"
+        )
+
+
 def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
     """Instance pool with exact constants, shared across trials.
 
     delta is computed at order 2k (the order every checked bound uses) and
     rho at order k; rho_mode "printed" zeroes the cross term to reproduce
-    the rho-free printed constants. Corollary 2 and Theorem 1 need
-    delta < 1, and Theorem 1 also needs alpha < 1; an instance that fails
-    its experiment's hypothesis is a ConfigError, raised before any trial.
+    the rho-free printed constants. Each instance must pass its
+    experiment's `hypotheses` (Corollary 2 and Theorem 1 need delta < 1,
+    Theorem 1 also alpha < 1); a failure is a ConfigError, raised before
+    any trial.
     """
     pool = []
     for i in range(cfg.instances):
@@ -543,18 +565,8 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
             rho = rho_exact(d, cfg.k, max_pairs=cfg.budget.max_pairs).rho
         pool.append(_VerifyInstance(d, phi, delta, rho))
     for i, inst in enumerate(pool):
-        if cfg.experiment != "verify-c1" and inst.delta2k >= 1.0:
-            raise ConfigError(
-                f"instance {i}: exact delta_2k = {inst.delta2k:.4f} >= 1 at "
-                f"dims (m={cfg.m}, n={cfg.n}, p={cfg.p}), k={cfg.k}; "
-                f"the {cfg.experiment} bound's hypothesis cannot hold"
-            )
-        if cfg.experiment == "verify-t1" and not bound_constants(inst.delta2k, inst.rho).admissible:
-            raise ConfigError(
-                f"instance {i}: constants inadmissible (alpha >= 1) at exact "
-                f"delta_2k = {inst.delta2k:.4f}, rho = {inst.rho:.4f}; "
-                "theorem-1 verification cannot run"
-            )
+        for hypothesis in _TABLE[cfg.experiment].hypotheses:
+            hypothesis(cfg, i, inst)
     return pool
 
 
@@ -705,7 +717,8 @@ class _Experiment:
     instance pool when `pooled`, else the loaded operator files.
     draws_signal: samples a k-analysis-sparse signal (needs k < p and,
     for a redundant operator, k >= p - n + 1). needs_pairs: uses disjoint
-    size-k supports (needs 2k <= p).
+    size-k supports (needs 2k <= p). hypotheses: checks, in order, that
+    every pooled instance must pass before any trial runs.
     """
 
     trial: Callable[[ExperimentConfig, object, int, int], _Trial]
@@ -713,6 +726,7 @@ class _Experiment:
     pooled: bool = False
     draws_signal: bool = False
     needs_pairs: bool = False
+    hypotheses: tuple[Callable[[ExperimentConfig, int, _VerifyInstance], None], ...] = ()
 
 
 _TABLE = {
@@ -720,8 +734,14 @@ _TABLE = {
     "rho": _Experiment(_rho_trial, _spread_summary("rho"), needs_pairs=True),
     "solve": _Experiment(_solve_trial, _solve_summary, draws_signal=True),
     "verify-c1": _Experiment(_verify_c1_trial, _verify_summary, pooled=True, needs_pairs=True),
-    "verify-c2": _Experiment(_verify_c2_trial, _verify_summary, pooled=True, needs_pairs=True),
-    "verify-t1": _Experiment(_verify_t1_trial, _t1_summary, pooled=True, needs_pairs=True),
+    "verify-c2": _Experiment(
+        _verify_c2_trial, _verify_summary, pooled=True, needs_pairs=True,
+        hypotheses=(_delta_below_one,),
+    ),
+    "verify-t1": _Experiment(
+        _verify_t1_trial, _t1_summary, pooled=True, needs_pairs=True,
+        hypotheses=(_delta_below_one, _admissible),
+    ),
     "phase": _Experiment(_phase_trial, _phase_summary, draws_signal=True),
     "p1p2": _Experiment(_p1p2_trial, _p1p2_summary, draws_signal=True),
 }

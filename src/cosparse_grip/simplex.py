@@ -43,9 +43,14 @@ class LpUnboundedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpSolution:
+    """An optimal basic solution. multipliers are c_B B^-1 on the final
+    basis, one per row of the caller's a (a dual solution of
+    max b^T pi s.t. a^T pi <= c), 0 on rows dropped as dependent."""
+
     x: np.ndarray
     objective: float
     pivots: int
+    multipliers: np.ndarray
 
 
 def _bland_iterate(
@@ -126,4 +131,7 @@ def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution
 
     x = np.zeros(n)
     x[basis] = np.maximum(np.linalg.solve(a[:, basis], b), 0.0)
-    return LpSolution(x=x, objective=float(c @ x), pivots=pivots)
+    multipliers = np.zeros(m)
+    multipliers[keep] = np.linalg.solve(a[:, basis].T, c[basis])
+    multipliers[neg] *= -1.0  # undo the b < 0 row flips
+    return LpSolution(x=x, objective=float(c @ x), pivots=pivots, multipliers=multipliers)

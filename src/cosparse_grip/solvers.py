@@ -17,8 +17,16 @@ indicator of B(y).
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
-exact vertex. options.certify compares a first-order objective with
-||B z||_1 at the vertex of the same LP, built by the same helper.
+exact vertex.
+
+Every result carries a checked certificate, one checker for both paths:
+_kkt measures primal infeasibility, dual infeasibility and the duality
+gap of a primal point z and a dual pair (v, w) of
+  max -b^T w - s(w)  s.t.  B^T v + A^T w = 0,  ||v||_inf <= 1,
+the KKT error of PDLP, which also drives the restarts. The LP path reads
+(v, w) off the simplex multipliers of its optimal basis; the first-order
+path repairs the PDHG dual into exact dual feasibility and moves its
+point onto B(y) before the check.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ __all__ = [
 
 CONSTRAINT_KINDS = ("equality", "l2-ball", "dantzig")
 
-MAX_LP_VARIABLES = 400  # hard budget for the certification LP
+MAX_LP_VARIABLES = 400  # hard budget for the LP route
 
 
 class InfeasibleConstraintError(ValueError):
@@ -57,7 +65,8 @@ class InfeasibleConstraintError(ValueError):
 class ConstraintSpec:
     """Measurement constraint B(y). epsilon is the l2-ball radius
     (required > 0 for l2-ball), lam the correlation cap (required >= 0
-    for dantzig); each is ignored by the other kinds."""
+    for dantzig); each is ignored by the other kinds, and both must be
+    finite."""
 
     kind: str
     y: np.ndarray
@@ -71,6 +80,9 @@ class ConstraintSpec:
         if not np.all(np.isfinite(y)):
             raise ValueError("y has non-finite entries")
         y.setflags(write=False)
+        for name in ("epsilon", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.kind == "l2-ball" and not self.epsilon > 0.0:
             raise ValueError("l2-ball requires epsilon > 0")
         if self.kind == "dantzig" and not self.lam >= 0.0:
@@ -83,9 +95,8 @@ class SolverOptions:
     tol: float = 1e-9            # residual stop, relative to max(1e-12, ||y||)
     max_iters: int = 200000
     step_ratio: float = 1.0      # initial primal/dual step ratio: tau = ratio / L, sigma = 1 / (ratio L)
-    certify: bool = False        # cross-check objective against the LP route
-    feas_tol: float = 1e-7
-    cert_tol: float = 1e-6
+    feas_tol: float = 1e-7       # primal (relative to max(1, ||y||)) and dual infeasibility
+    cert_tol: float = 1e-6       # relative duality gap
 
     def __post_init__(self):
         for name in ("tol", "feas_tol", "cert_tol", "step_ratio"):
@@ -101,10 +112,13 @@ class SolverOptions:
 class RecoveryResult:
     """Outcome of one recovery solve.
 
-    certified means an exact LP vertex agreed with this objective to
-    within cert_tol (always True for the LP route itself);
-    certification_gap is the normalized objective difference, None when
-    no certificate was requested or available.
+    certified means a certificate was checked: x_hat misses B(y) by at
+    most feas_tol max(1, ||y||), the dual pair is feasible to within
+    feas_tol, and |certification_gap| <= cert_tol. certification_gap is
+    the signed duality gap relative to max(1, primal objective); both
+    solver paths always set it. On the LP path dual_residual is the
+    checked dual infeasibility, on the first-order path the PDHG's own
+    fixed-point residual.
     """
 
     x_hat: np.ndarray
@@ -153,6 +167,64 @@ def _feasible_start(phi: np.ndarray, constraint: ConstraintSpec, feas_tol: float
     return z0
 
 
+def _constraint_violation(phi: np.ndarray, z: np.ndarray, constraint: ConstraintSpec) -> float:
+    r = phi @ z - constraint.y
+    if constraint.kind == "equality":
+        return float(np.linalg.norm(r))
+    if constraint.kind == "l2-ball":
+        return max(0.0, float(np.linalg.norm(r)) - constraint.epsilon)
+    return max(0.0, float(np.max(np.abs(phi.T @ r))) - constraint.lam)
+
+
+def _kkt(
+    d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
+    z: np.ndarray, v: np.ndarray, w: np.ndarray,
+) -> tuple[float, float, float]:
+    """(primal infeasibility, dual infeasibility, duality gap) of z and
+    the dual pair (v, w) for min ||d_block z||_1 over z in B(y).
+
+    The dual is max -b^T w - s(w) s.t. d_block^T v + A^T w = 0,
+    ||v||_inf <= 1, with (A, b, s) = (Phi, y, 0) for equality,
+    (Phi, y, epsilon ||w||_2) for l2-ball and (Phi^T Phi, Phi^T y,
+    lam ||w||_1) for dantzig. Dual infeasibility combines
+    ||d_block^T v + A^T w||_2 with the excess of ||v||_inf over 1; the
+    gap ||d_block z||_1 + b^T w + s(w) is primal minus dual value.
+    """
+    kind = constraint.kind
+    y = constraint.y
+    if kind == "dantzig":
+        a, b = sensing.T @ sensing, sensing.T @ y
+        s = constraint.lam * float(np.abs(w).sum())
+    else:
+        a, b = sensing, y
+        s = constraint.epsilon * _norm(w) if kind == "l2-ball" else 0.0
+    primal = _constraint_violation(sensing, z, constraint)
+    dual = math.hypot(_norm(d_block.T @ v + a.T @ w), max(0.0, float(np.abs(v).max()) - 1.0))
+    gap = float(np.abs(d_block @ z).sum()) + float(b @ w) + s
+    return primal, dual, gap
+
+
+def _certify(
+    d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
+    z: np.ndarray, v: np.ndarray, w: np.ndarray, violation: float, opts: SolverOptions,
+) -> tuple[bool, float, float]:
+    """Decide certified for either solver path.
+
+    violation is the returned point's own distance from B(y); z is the
+    point the gap is measured at (the returned point on the LP path, its
+    move onto B(y) on the first-order path). Returns (certified,
+    relative gap, dual infeasibility).
+    """
+    _, dual, gap = _kkt(d_block, sensing, constraint, z, v, w)
+    rel_gap = gap / max(1.0, float(np.abs(d_block @ z).sum()))
+    certified = (
+        violation <= opts.feas_tol * max(1.0, _norm(constraint.y))
+        and dual <= opts.feas_tol
+        and abs(rel_gap) <= opts.cert_tol
+    )
+    return certified, rel_gap, dual
+
+
 # Adaptive restarts of the averaged iterate, after Applegate, Hinder, Lu &
 # Lubin (Math. Prog. 2023) and PDLP (Applegate et al., NeurIPS 2021). Every
 # _RESTART_EVERY iterations the KKT error of the current iterate and of the
@@ -172,11 +244,12 @@ def _pdhg(
     phi: np.ndarray,
     constraint: ConstraintSpec,
     opts: SolverOptions,
-) -> tuple[np.ndarray, int, float, float, bool]:
+) -> tuple[np.ndarray, np.ndarray, int, float, float, bool]:
     """Restarted primal-dual iteration for min ||d_block z||_1 s.t.
     z in B(y), where B(y) is the equality set or the l2 ball.
 
-    Returns (z, iterations, primal_residual, dual_residual, converged).
+    Returns (z, u, iterations, primal_residual, dual_residual, converged)
+    with u = (v, w) the dual iterate paired with z.
     Residuals are the fixed-point gaps of the extrapolated scheme; both
     are compared against tol * max(1e-12, ||y||). At each restart the
     primal weight omega becomes the geometric mean of itself and the ratio
@@ -186,7 +259,7 @@ def _pdhg(
     p = d_block.shape[0]
     kind = constraint.kind
     y = constraint.y
-    eps = constraint.epsilon if kind == "l2-ball" else 0.0
+    eps = constraint.epsilon
 
     k_mat = np.vstack([d_block, phi])
     kt = np.ascontiguousarray(k_mat.T)
@@ -195,14 +268,8 @@ def _pdhg(
         raise ValueError("zero operator; nothing to solve")
 
     def kkt_error(z: np.ndarray, u: np.ndarray) -> float:
-        # primal infeasibility, dual infeasibility ||K^T u|| and the
-        # duality gap ||D z||_1 + y^T w + eps ||w|| with w = u[p:]
-        kz = k_mat @ z
-        infeas = max(0.0, _norm(kz[p:] - y) - eps)
-        w = u[p:]
-        gap = float(np.abs(kz[:p]).sum()) + float(y @ w) + eps * _norm(w)
-        g = kt @ u
-        return math.sqrt(infeas * infeas + float(g @ g) + gap * gap)
+        primal, dual, gap = _kkt(d_block, phi, constraint, z, u[:p], u[p:])
+        return math.sqrt(primal * primal + dual * dual + gap * gap)
 
     omega = 1.0
     tau = opts.step_ratio / lnorm
@@ -254,7 +321,7 @@ def _pdhg(
         n_avg += 1
         iters += 1
         if max(r_p, r_d) <= stop:
-            return z, iters, r_p, r_d, True
+            return z, u, iters, r_p, r_d, True
         if iters % _RESTART_EVERY:
             continue
 
@@ -286,16 +353,33 @@ def _pdhg(
         z_sum = np.zeros_like(z)
         u_sum = np.zeros_like(u)
         n_avg = 0
-    return z, iters, r_p, r_d, False
+    return z, u, iters, r_p, r_d, False
 
 
-def _constraint_violation(phi: np.ndarray, z: np.ndarray, constraint: ConstraintSpec) -> float:
-    r = phi @ z - constraint.y
-    if constraint.kind == "equality":
-        return float(np.linalg.norm(r))
+def _repair(
+    d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec, z: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z', v', w) for _certify from the PDHG point z and l1 dual v.
+
+    v is clipped to the unit box, loses the least-norm part that leaves
+    d_block^T v outside range(sensing^T) (the rows of null span
+    null(sensing)) and is rescaled into the box; w solves
+    sensing^T w = -d_block^T v by least squares. z' is z moved onto B(y)
+    along sensing^+.
+    """
+    _, sv, vt = np.linalg.svd(sensing)
+    null = vt[int(np.sum(sv > sv[0] * max(sensing.shape) * np.finfo(np.float64).eps)) :]
+    v = np.clip(v, -1.0, 1.0)
+    leak = null @ d_block.T
+    v = v - np.linalg.lstsq(leak, leak @ v, rcond=None)[0]
+    v = v / max(1.0, float(np.abs(v).max()))
+    w = -np.linalg.lstsq(sensing.T, d_block.T @ v, rcond=None)[0]
+
+    r = sensing @ z - constraint.y
     if constraint.kind == "l2-ball":
-        return max(0.0, float(np.linalg.norm(r)) - constraint.epsilon)
-    return max(0.0, float(np.max(np.abs(phi.T @ r))) - constraint.lam)
+        nrm = _norm(r)
+        r = r * (1.0 - constraint.epsilon / nrm) if nrm > constraint.epsilon else np.zeros_like(r)
+    return z - np.linalg.lstsq(sensing, r, rcond=None)[0], v, w
 
 
 def _solve_first_order(
@@ -307,8 +391,8 @@ def _solve_first_order(
     """min ||d_block z||_1 over sensing z in B(y), shared by both routes.
 
     Runs _pdhg, downgrades converged when the returned point misses B(y)
-    by more than feas_tol, and with opts.certify compares the objective
-    against ||d_block z_lp||_1 at the exact LP vertex.
+    by more than feas_tol, and certifies the returned point with the
+    repaired PDHG dual.
     """
     if constraint.kind == "dantzig":
         raise ValueError(
@@ -317,22 +401,14 @@ def _solve_first_order(
         )
     if constraint.y.shape != (sensing.shape[0],):
         raise ValueError(f"y must have shape ({sensing.shape[0]},)")
-    if opts.certify and constraint.kind == "l2-ball":
-        raise ValueError("certification requires a polyhedral constraint (equality or dantzig)")
 
-    z, iters, r_p, r_d, converged = _pdhg(d_block, sensing, constraint, opts)
+    z, u, iters, r_p, r_d, converged = _pdhg(d_block, sensing, constraint, opts)
     viol = _constraint_violation(sensing, z, constraint)
     if viol > opts.feas_tol * max(1.0, float(np.linalg.norm(constraint.y))):
         converged = False
     objective = float(np.sum(np.abs(d_block @ z)))
-
-    certified = False
-    gap = None
-    if opts.certify:
-        z_lp, _ = _lp_vertex(d_block, sensing, constraint)
-        lp_objective = float(np.sum(np.abs(d_block @ z_lp)))
-        gap = abs(objective - lp_objective) / max(1.0, abs(lp_objective))
-        certified = converged and gap <= opts.cert_tol
+    z_fit, v, w = _repair(d_block, sensing, constraint, z, u[: d_block.shape[0]])
+    certified, gap, _ = _certify(d_block, sensing, constraint, z_fit, v, w, viol, opts)
 
     z.setflags(write=False)
     return RecoveryResult(
@@ -357,9 +433,8 @@ def solve_analysis_l1(
 
     The first-order path handles equality and l2-ball; the dantzig set has
     no closed-form projection and lives on the LP path only
-    (solve_lp_certified). With options.certify the equality solution is
-    compared with the exact simplex vertex; l2-ball cannot be certified
-    this way and raises ValueError before solving.
+    (solve_lp_certified). Both kinds come back with a checked
+    certificate: certified and certification_gap (see RecoveryResult).
     """
     phi_e = sensing_entries(phi)
     if phi_e.shape[1] != dictionary.n:
@@ -464,20 +539,6 @@ def _build_lp(
     return c, a, rhs
 
 
-def _lp_vertex(
-    d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec
-) -> tuple[np.ndarray, int]:
-    """Optimal vertex z = z+ - z- of the standard-form LP, and the
-    simplex pivot count."""
-    c, a, b = _build_lp(d_block, phi, constraint)
-    try:
-        sol = solve_standard_lp(c, a, b)
-    except LpInfeasibleError as err:
-        raise InfeasibleConstraintError(str(err)) from err
-    n = d_block.shape[1]
-    return sol.x[:n] - sol.x[n : 2 * n], sol.pivots
-
-
 def solve_lp_certified(
     phi,
     dictionary: Dictionary,
@@ -487,23 +548,40 @@ def solve_lp_certified(
 
     Only the polyhedral kinds (equality, dantzig) are expressible;
     iterations reports pivot count. The returned point is an optimal
-    vertex, so certified is True with zero gap by construction.
+    vertex z = z+ - z-; the dual pair is read off the simplex multipliers
+    pi of its basis, v = pi[p:2p] - pi[:p] from the absolute-value rows
+    and w from the measurement rows, and checked with the default
+    SolverOptions tolerances.
     """
     phi_e = sensing_entries(phi)
     if phi_e.shape[1] != dictionary.n:
         raise ValueError("sensing matrix and dictionary disagree on n")
     if constraint.y.shape != (phi_e.shape[0],):
         raise ValueError(f"y must have shape ({phi_e.shape[0]},)")
-    z, pivots = _lp_vertex(dictionary.entries, phi_e, constraint)
+    d_block = dictionary.entries
+    c, a, b = _build_lp(d_block, phi_e, constraint)
+    try:
+        sol = solve_standard_lp(c, a, b)
+    except LpInfeasibleError as err:
+        raise InfeasibleConstraintError(str(err)) from err
+    p, n = d_block.shape
+    z = sol.x[:n] - sol.x[n : 2 * n]
+    pi = sol.multipliers
+    v = pi[p : 2 * p] - pi[:p]
+    if constraint.kind == "equality":
+        w = -pi[2 * p :]
+    else:
+        w = pi[2 * p + n :] - pi[2 * p : 2 * p + n]
     viol = _constraint_violation(phi_e, z, constraint)
+    certified, gap, dual = _certify(d_block, phi_e, constraint, z, v, w, viol, SolverOptions())
     z.setflags(write=False)
     return RecoveryResult(
         x_hat=z,
-        objective=float(np.sum(np.abs(dictionary.entries @ z))),
-        iterations=pivots,
+        objective=float(np.sum(np.abs(d_block @ z))),
+        iterations=sol.pivots,
         primal_residual=viol,
-        dual_residual=0.0,
+        dual_residual=dual,
         converged=True,
-        certified=True,
-        certification_gap=0.0,
+        certified=certified,
+        certification_gap=gap,
     )

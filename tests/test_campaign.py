@@ -135,6 +135,21 @@ def test_config_rejects_malformed_documents():
         "lambda >= 0",
     )
     case(
+        "infinite epsilon",
+        lambda d: d.update(constraint={"kind": "l2-ball", "epsilon": math.inf}),
+        "constraint.epsilon must be finite",
+    )
+    case(
+        "infinite lambda",
+        lambda d: d.update(constraint={"kind": "dantzig", "lambda": math.inf}),
+        "constraint.lambda must be finite",
+    )
+    case(
+        "epsilon too large for a float",
+        lambda d: d.update(constraint={"kind": "l2-ball", "epsilon": 10**400}),
+        "constraint.epsilon must be finite",
+    )
+    case(
         "boolean epsilon",
         lambda d: d.update(constraint={"kind": "l2-ball", "epsilon": True}),
         "number",

@@ -80,7 +80,8 @@ def test_matches_scipy_on_random_instances():
 
 
 def assert_optimal_answer(d, phi, x, constraint):
-    """solve_lp_certified returns a feasible point no worse than x."""
+    """solve_lp_certified returns a feasible point no worse than x; the
+    result is returned for further checks."""
     res = cg.solve_lp_certified(phi, d, constraint)
     y = constraint.y
     r = phi.entries @ res.x_hat - y
@@ -92,11 +93,14 @@ def assert_optimal_answer(d, phi, x, constraint):
     l1_truth = float(np.sum(np.abs(d.entries @ x)))
     l1_hat = float(np.sum(np.abs(d.entries @ res.x_hat)))
     assert l1_hat <= l1_truth + 1e-8 * max(1.0, l1_truth)
+    return res
 
 
 @pytest.mark.parametrize("family_seed, j", _DRIFT_CASES)
 def test_formerly_drifting_lps_are_solved(family_seed, j):
-    assert_optimal_answer(*family_instance(family_seed, j))
+    res = assert_optimal_answer(*family_instance(family_seed, j))
+    assert res.certified
+    assert abs(res.certification_gap) <= 1e-9
 
 
 def test_pricing_tolerance_scales_with_multipliers():

@@ -39,6 +39,10 @@ def test_constraint_spec_validation():
         cg.ConstraintSpec("box", y)
     with pytest.raises(ValueError):
         cg.ConstraintSpec("equality", np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        cg.ConstraintSpec("l2-ball", y, epsilon=math.inf)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        cg.ConstraintSpec("dantzig", y, lam=math.inf)
     spec = cg.ConstraintSpec("equality", y)
     with pytest.raises(ValueError):
         spec.y[0] = 2.0
@@ -175,7 +179,7 @@ def test_solver_options_rejects_invalid(field, value):
 
 def test_solver_options_fields():
     assert [f.name for f in dataclasses.fields(cg.SolverOptions)] == [
-        "tol", "max_iters", "step_ratio", "certify", "feas_tol", "cert_tol",
+        "tol", "max_iters", "step_ratio", "feas_tol", "cert_tol",
     ]
 
 
@@ -294,12 +298,18 @@ def test_synthesis_rejects_bad_inputs_before_solving(reference_instance):
 
 
 def test_synthesis_certification_against_lp(reference_instance):
+    # the synthesis program with a Dictionary is the analysis LP with
+    # (I, Phi D^T); its own certificate and the LP's agree on the value
     phi, d, x, y = reference_instance
-    res = cg.solve_synthesis_l1(
-        phi, d, cg.ConstraintSpec("equality", y), cg.SolverOptions(certify=True)
-    )
+    spec = cg.ConstraintSpec("equality", y)
+    res = cg.solve_synthesis_l1(phi, d, spec)
     assert res.certified
-    assert res.certification_gap is not None and res.certification_gap <= 1e-6
+    assert 0.0 <= res.certification_gap <= 1e-6
+    lp = cg.solve_lp_certified(
+        phi.entries @ d.entries.T, cg.Dictionary(np.eye(d.p), "identity"), spec
+    )
+    assert lp.certified
+    assert res.objective == pytest.approx(lp.objective, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +320,8 @@ def test_lp_equality_certificate(reference_instance):
     phi, d, x, y = reference_instance
     res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", y))
     assert res.certified
-    assert res.certification_gap == 0.0
+    assert abs(res.certification_gap) <= 1e-12
+    assert res.dual_residual <= 1e-12
     assert res.converged
     assert res.objective == pytest.approx(1.800759346685715, abs=1e-9)
     assert np.linalg.norm(phi.entries @ res.x_hat - y) <= 1e-8
@@ -357,23 +368,71 @@ def test_dantzig_large_cap_returns_zero(reference_instance):
 
 def test_pdhg_certification_against_lp(reference_instance):
     phi, d, x, y = reference_instance
-    res = cg.solve_analysis_l1(
-        phi, d, cg.ConstraintSpec("equality", y), cg.SolverOptions(certify=True)
-    )
+    spec = cg.ConstraintSpec("equality", y)
+    res = cg.solve_analysis_l1(phi, d, spec)
     assert res.certified
-    assert res.certification_gap is not None and res.certification_gap <= 1e-6
+    assert 0.0 <= res.certification_gap <= 1e-6
+    assert res.objective == pytest.approx(cg.solve_lp_certified(phi, d, spec).objective, abs=1e-6)
 
 
-@pytest.mark.parametrize("route", [cg.solve_analysis_l1, cg.solve_synthesis_l1])
-def test_ball_certification_refused_before_solving(reference_instance, monkeypatch, route):
+def test_first_order_path_never_calls_the_simplex(reference_instance, monkeypatch):
     phi, d, x, y = reference_instance
 
-    def no_solve(*args):
-        raise AssertionError("the first-order solver ran")
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
 
-    monkeypatch.setattr(solvers, "_pdhg", no_solve)
-    with pytest.raises(ValueError, match="polyhedral"):
-        route(phi, d, cg.ConstraintSpec("l2-ball", y, epsilon=0.1), cg.SolverOptions(certify=True))
+    monkeypatch.setattr(solvers, "solve_standard_lp", no_simplex)
+    for spec in (cg.ConstraintSpec("equality", y), cg.ConstraintSpec("l2-ball", y, epsilon=0.1)):
+        assert cg.solve_analysis_l1(phi, d, spec).certified
+        assert cg.solve_synthesis_l1(phi, d, spec).certified
+
+
+@pytest.mark.parametrize("kind", ["equality", "l2-ball"])
+def test_wrong_answer_is_not_certified(reference_instance, monkeypatch, kind):
+    # the least-squares start is feasible but not optimal; with a zero
+    # dual the gap is the whole objective
+    phi, d, x, y = reference_instance
+
+    def least_squares(d_block, sensing, constraint, opts):
+        z = np.linalg.lstsq(sensing, constraint.y, rcond=None)[0]
+        return z, np.zeros(d_block.shape[0] + sensing.shape[0]), 1, 0.0, 0.0, True
+
+    monkeypatch.setattr(solvers, "_pdhg", least_squares)
+    spec = cg.ConstraintSpec(kind, y, epsilon=0.1 if kind == "l2-ball" else 0.0)
+    res = cg.solve_analysis_l1(phi, d, spec)
+    assert res.converged
+    assert not res.certified
+    assert res.certification_gap > 1e-2
+
+
+def _certificate_instance(kind: str, dict_kind: str, seed: int):
+    """A 5-cosparse signal under a tight-frame (14x10) or gaussian-random
+    (12x8) D, with Phi of n - 4 rows and a feasible constraint of kind."""
+    p, n = (14, 10) if dict_kind == "tight-frame" else (12, 8)
+    d = cg.make_dictionary(dict_kind, p, n, cg.trial_seed(seed, 0))
+    phi = cg.make_sensing_matrix("gaussian", n - 4, n, cg.trial_seed(seed, 1))
+    x = cg.sample_cosparse_signal(d, 5, cg.trial_seed(seed, 2))
+    y = phi.entries @ x
+    if kind == "l2-ball":
+        noise = np.random.default_rng(seed).standard_normal(y.shape[0])
+        return d, phi, cg.ConstraintSpec(kind, y + 0.05 * noise / np.linalg.norm(noise), epsilon=0.1)
+    return d, phi, cg.ConstraintSpec(kind, y, lam=0.1 if kind == "dantzig" else 0.0)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["tight-frame", "gaussian-random"]))
+@settings(max_examples=8, deadline=None)
+def test_every_route_returns_a_checked_certificate(seed, dict_kind):
+    solves = []
+    for kind in ("equality", "l2-ball"):
+        d, phi, spec = _certificate_instance(kind, dict_kind, seed)
+        solves.append(cg.solve_analysis_l1(phi, d, spec))
+        solves.append(cg.solve_synthesis_l1(phi, d, spec))
+    for kind in ("equality", "dantzig"):
+        d, phi, spec = _certificate_instance(kind, dict_kind, seed)
+        solves.append(cg.solve_lp_certified(phi, d, spec))
+    for res in solves:
+        assert res.certified
+        assert res.certification_gap >= -1e-12
 
 
 def test_lp_variable_budget_enforced():
