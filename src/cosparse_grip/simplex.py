@@ -1,4 +1,5 @@
-"""Dense two-phase simplex with Bland's rule.
+"""Dense two-phase simplex: slack crash basis, largest-coefficient pricing
+with a Bland fallback.
 
 Solves min c x subject to A x = b, x >= 0 to optimality. Sized for the
 certification LPs this package builds (a few hundred variables); nothing
@@ -8,10 +9,16 @@ pivots: every pivot inverts the basis matrix afresh from the original
 test on max(B^-1 b, 0), so roundoff cannot accumulate from one pivot to
 the next (refactorization as in Bixby, Oper. Res. 2002). Tolerances are
 relative: to the multipliers for entering, to the entering column for
-the pivot. Bland's rule (always the smallest eligible index, both
-entering and leaving; Bland, Math. Oper. Res. 1977) guarantees finite
-termination at the cost of speed, which is the right trade for a
-certificate generator.
+the pivot.
+
+Phase 1 starts from a crash basis: each row takes the first column that
+is exactly e_i with zero cost (the slacks the LP builders emit), and
+only rows without one get an artificial; with none, phase 1 is skipped.
+The most negative reduced cost enters. A run of degenerate pivots as
+long as the basis has rows switches entering to Bland's rule (smallest
+eligible index; Bland, Math. Oper. Res. 1977) until a pivot makes a
+positive step, which keeps termination finite. The leaving row is always
+the smallest basis index among the ratio-test ties.
 """
 
 from __future__ import annotations
@@ -53,17 +60,27 @@ class LpSolution:
     multipliers: np.ndarray
 
 
-def _bland_iterate(
+def _pivot_to_optimum(
     c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray, pivots: int
 ) -> int:
-    """Run Bland pivots on basis (updated in place) until no reduced cost
-    is below -_COST_TOL max(1, ||c_B B^-1||_inf). Returns the updated
-    pivot count.
+    """Pivot basis (updated in place) until no reduced cost is below
+    -_COST_TOL max(1, ||c_B B^-1||_inf). Returns the updated pivot count.
+
+    The most negative reduced cost enters, ties to the smallest index.
+    After as many consecutive degenerate pivots (minimum ratio <= 1e-12)
+    as the basis has rows, the smallest eligible index enters instead,
+    until a pivot makes a positive step. This terminates: with the
+    smallest-index leaving rule already in force, Bland's rule cannot
+    cycle from any starting basis, so each Bland run ends or makes a
+    positive step within finitely many pivots; a positive step strictly
+    lowers the objective, so no basis met before it recurs after it, and
+    there are finitely many bases.
 
     The roundoff in a reduced cost grows with the simplex multipliers
     c_B B^-1; with an absolute threshold, a near-singular basis lets a
     reduced cost of pure roundoff enter, and its column then has no
     positive entry, which reads as a false LpUnboundedError."""
+    degenerate = 0
     while True:
         binv = np.linalg.inv(a[:, basis])
         y = c[basis] @ binv
@@ -72,13 +89,19 @@ def _bland_iterate(
         eligible = np.flatnonzero(reduced < -_COST_TOL * np.abs(y).max(initial=1.0))
         if eligible.size == 0:
             return pivots
-        col = binv @ a[:, eligible[0]]
+        if degenerate < basis.size:
+            enter = eligible[np.argmin(reduced[eligible])]
+        else:
+            enter = eligible[0]
+        col = binv @ a[:, enter]
         rows = np.flatnonzero(col > _PIVOT_TOL * np.abs(col).max(initial=1.0))
         if rows.size == 0:
             raise LpUnboundedError("objective unbounded along entering column")
         ratios = np.maximum(binv @ b, 0.0)[rows] / col[rows]
-        ties = rows[ratios <= ratios.min() + 1e-12]  # ties leave by smallest index
-        basis[ties[np.argmin(basis[ties])]] = eligible[0]
+        step = ratios.min()
+        ties = rows[ratios <= step + 1e-12]  # ties leave by smallest index
+        basis[ties[np.argmin(basis[ties])]] = enter
+        degenerate = degenerate + 1 if step <= 1e-12 else 0
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError(f"simplex exceeded {_MAX_PIVOTS} pivots")
@@ -102,32 +125,42 @@ def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    # phase 1: [A I] from the artificial basis, cost = sum of artificials
-    a1 = np.hstack([a, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = np.arange(n, n + m)
-    pivots = _bland_iterate(c1, a1, b, basis, 0)
-    infeas = float(c1[basis] @ np.linalg.solve(a1[:, basis], b))
-    if infeas > _FEAS_TOL * max(1.0, float(b.sum())):
-        raise LpInfeasibleError(f"phase-1 objective {infeas:.3e} is nonzero")
+    # crash: each row takes the first zero-cost column that is exactly e_i
+    basis = np.full(m, -1)
+    unit = np.flatnonzero((c == 0) & (np.count_nonzero(a, axis=0) == 1) & (a.sum(axis=0) == 1.0))
+    row_of, j = np.nonzero(a[:, unit])  # row-major: by row, then column
+    rows, first = np.unique(row_of, return_index=True)
+    basis[rows] = unit[j[first]]
+    art = np.flatnonzero(basis < 0)  # artificial n + j stands for row art[j]
 
-    # drive remaining artificials out of the basis or drop their rows
     keep = np.ones(m, dtype=bool)
-    for i in np.flatnonzero(basis >= n):
-        row = np.linalg.inv(a1[:, basis])[i] @ a
-        row[basis[basis < n]] = 0.0
-        cols = np.flatnonzero(np.abs(row) > _PIVOT_TOL * np.abs(row).max(initial=1.0))
-        if cols.size:
-            basis[i] = cols[0]
-            pivots += 1
-        else:
-            keep[basis[i] - n] = False  # original row dependent on the kept ones
+    pivots = 0
+    if art.size:
+        # phase 1: [A I_art] from the crash basis, cost = sum of artificials
+        a1 = np.hstack([a, np.eye(m)[:, art]])
+        c1 = np.concatenate([np.zeros(n), np.ones(art.size)])
+        basis[art] = n + np.arange(art.size)
+        pivots = _pivot_to_optimum(c1, a1, b, basis, 0)
+        infeas = float(c1[basis] @ np.linalg.solve(a1[:, basis], b))
+        if infeas > _FEAS_TOL * max(1.0, float(b.sum())):
+            raise LpInfeasibleError(f"phase-1 objective {infeas:.3e} is nonzero")
+
+        # drive remaining artificials out of the basis or drop their rows
+        for i in np.flatnonzero(basis >= n):
+            row = np.linalg.inv(a1[:, basis])[i] @ a
+            row[basis[basis < n]] = 0.0
+            cols = np.flatnonzero(np.abs(row) > _PIVOT_TOL * np.abs(row).max(initial=1.0))
+            if cols.size:
+                basis[i] = cols[0]
+                pivots += 1
+            else:
+                keep[art[basis[i] - n]] = False  # its row depends on the kept ones
 
     # phase 2 on the kept rows; the artificials left in the basis hold the
     # dropped rows, so the rest of the basis is square on the kept rows
     basis = basis[basis < n]
     a, b = a[keep], b[keep]
-    pivots = _bland_iterate(c, a, b, basis, pivots)
+    pivots = _pivot_to_optimum(c, a, b, basis, pivots)
 
     x = np.zeros(n)
     x[basis] = np.maximum(np.linalg.solve(a[:, basis], b), 0.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from cosparse_grip.simplex import (
@@ -147,8 +149,9 @@ def test_redundant_rows_are_dropped():
 
 
 def test_beale_cycling_example_terminates():
-    # the classic degenerate instance that cycles under naive pivoting;
-    # Bland's rule must terminate at objective -1/20
+    # the classic degenerate instance on which largest-coefficient pricing
+    # cycles; this guards the Bland fallback, which must break the cycle
+    # and terminate at objective -1/20
     c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
     a = np.array(
         [
@@ -160,6 +163,90 @@ def test_beale_cycling_example_terminates():
     b = np.array([0.0, 0.0, 1.0])
     sol = solve_standard_lp(c, a, b)
     assert sol.objective == pytest.approx(-0.05, abs=1e-12)
+
+
+def test_equality_lp_at_the_variable_budget():
+    # a 225x400 equality LP (100x50 tight frame, m=25, k=60) at
+    # MAX_LP_VARIABLES, on which smallest-index pricing from an all-
+    # artificial basis stalled for 107,211 pivots; 5.004983055861394 is
+    # the HiGHS optimum of the same LP
+    d = cg.make_dictionary("tight-frame", 100, 50, 1)
+    phi = cg.make_sensing_matrix("gaussian", 25, 50, 2)
+    x = cg.sample_cosparse_signal(d, 60, 3)
+    res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
+    assert res.certified
+    assert res.objective == pytest.approx(5.004983055861394, abs=1e-8)
+    assert res.iterations <= 5000
+
+
+@st.composite
+def crash_lps(draw):
+    """A small feasible-or-not LP with integer data built to exercise the
+    crash and the drive-out: unit columns with zero and nonzero cost
+    shuffled among dense ones, zero and negative right-hand sides (a
+    negative one flips its row, so a +1 slack there becomes -1), and
+    optionally a multiple of one row inserted anywhere. Returns
+    (c, a, b, dependent pair of row indices or None)."""
+    m = draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    signed = draw(st.booleans())  # else every cost is >= 0
+    columns, costs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        columns.append(np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float))
+        costs.append(draw(st.integers(-2 if signed else 0, 3)))
+    for i in range(m):
+        for _ in range(draw(st.integers(0, 2))):
+            col = np.zeros(m)
+            col[i] = draw(st.sampled_from([1.0, -1.0]))
+            columns.append(col)
+            costs.append(draw(st.sampled_from([0, 0, 1, 2, -1 if signed else 0])))
+    order = draw(st.permutations(range(len(columns))))
+    a = np.column_stack([columns[k] for k in order])
+    c = np.array([costs[k] for k in order], dtype=float)
+    pair = None
+    if draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        r = draw(st.integers(0, m))
+        a = np.insert(a, r, draw(st.sampled_from([1.0, 2.0, -1.0])) * a[i], axis=0)
+        pair = (i + (r <= i), r)
+    x0 = np.array(draw(st.lists(st.integers(0, 2), min_size=a.shape[1], max_size=a.shape[1])))
+    b = a @ x0
+    if draw(st.integers(0, 4)) == 0:  # sometimes off the cone of a: infeasible
+        b[draw(st.integers(0, b.size - 1))] += draw(st.sampled_from([1.0, -1.0]))
+    return c, a, b, pair
+
+
+@given(crash_lps())
+@settings(max_examples=200, deadline=None)
+def test_crash_and_drive_out_match_highs(lp):
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    c, a, b, pair = lp
+    ref = scipy_opt.linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * c.size, method="highs")
+    if ref.status == 2:
+        with pytest.raises(LpInfeasibleError):
+            solve_standard_lp(c, a, b)
+        return
+    if ref.status == 3:
+        with pytest.raises(LpUnboundedError):
+            solve_standard_lp(c, a, b)
+        return
+    assert ref.status == 0
+    sol = solve_standard_lp(c, a, b)
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
+    assert sol.x.min() >= 0.0
+    assert np.abs(a @ sol.x - b).max(initial=0.0) <= 1e-9
+    pi = sol.multipliers
+    assert (a.T @ pi <= c + 1e-9).all()
+    assert float(b @ pi) == pytest.approx(sol.objective, abs=1e-9)
+    if pair is not None and np.linalg.matrix_rank(a) == a.shape[0] - 1:
+        # exactly one row is dropped, and it is one of the pair
+        assert pi[pair[0]] == 0.0 or pi[pair[1]] == 0.0
+    # zero-cost slacks on every (sign-flipped) row and costs >= 0: the
+    # crash basis is optimal as it stands
+    flipped = a * np.where(b < 0, -1.0, 1.0)[:, None]
+    unit = (c == 0) & (np.count_nonzero(flipped, axis=0) == 1) & (flipped.sum(axis=0) == 1.0)
+    if (c >= 0).all() and np.count_nonzero(flipped[:, unit], axis=1).all():
+        assert sol.pivots == 0
 
 
 def test_zero_rhs_solves_trivially():
