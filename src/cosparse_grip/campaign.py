@@ -33,6 +33,7 @@ import numpy as np
 from .grip import (
     DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_SUPPORTS,
+    BudgetExceededError,
     bound_constants,
     delta_exact,
     delta_monte_carlo,
@@ -552,17 +553,23 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
     the rho-free printed constants. Each instance must pass its
     experiment's `hypotheses` (Corollary 2 and Theorem 1 need delta < 1,
     Theorem 1 also alpha < 1); a failure is a ConfigError, raised before
-    any trial.
+    any trial. So is an exact constant over its budget.
     """
     pool = []
     for i in range(cfg.instances):
         s = trial_seed(cfg.seed, _INSTANCE_TAG + i)
         d, phi = _make_operators(cfg, s, ops)
-        delta = delta_exact(phi, d, 2 * cfg.k, max_supports=cfg.budget.max_supports).delta
+        try:
+            delta = delta_exact(phi, d, 2 * cfg.k, max_supports=cfg.budget.max_supports).delta
+        except BudgetExceededError as err:
+            raise _over_budget(i, "max_supports", err) from err
         if cfg.rho_mode == "printed":
             rho = 0.0
         else:
-            rho = rho_exact(d, cfg.k, max_pairs=cfg.budget.max_pairs).rho
+            try:
+                rho = rho_exact(d, cfg.k, max_pairs=cfg.budget.max_pairs).rho
+            except BudgetExceededError as err:
+                raise _over_budget(i, "max_pairs", err) from err
         pool.append(_VerifyInstance(d, phi, delta, rho))
     for i, inst in enumerate(pool):
         for hypothesis in _TABLE[cfg.experiment].hypotheses:
@@ -570,8 +577,20 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
     return pool
 
 
+def _over_budget(i: int, key: str, err: BudgetExceededError) -> ConfigError:
+    return ConfigError(
+        f"instance {i}: {err} (budget.{key}); the instance pool needs exact constants"
+    )
+
+
 def _num_tol(lhs: float, rhs: float) -> float:
     return 1e-8 * max(abs(lhs), abs(rhs), 1.0)
+
+
+def _violates(row: dict) -> bool:
+    """A verify row whose hypothesis held but whose bound failed beyond
+    the numerical tolerance: a finding, and exit code 3 on the CLI."""
+    return row["hypothesis_ok"] and row["slack"] < -_num_tol(row["lhs"], row["rhs"])
 
 
 def _verify_row(index: int, seed: int, rep, inst: _VerifyInstance) -> dict:
@@ -697,10 +716,7 @@ def _verify_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -
     return {
         "min_slack": min(slacks),
         "mean_slack": sum(slacks) / len(slacks),
-        "violations": sum(
-            1 for r in rows
-            if r["hypothesis_ok"] and r["slack"] < -_num_tol(r["lhs"], r["rhs"])
-        ),
+        "violations": sum(1 for r in rows if _violates(r)),
         "hypothesis_rate": sum(1 for r in rows if r["hypothesis_ok"]) / len(rows),
     }
 

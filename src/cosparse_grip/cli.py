@@ -3,13 +3,16 @@
     cosparse-grip <experiment> --config <path> [--seed N] [--out <dir>]
 
 Exit codes: 0 success; 2 config error (including a config whose named
-experiment disagrees with the command); 3 bound-violation finding (some
-verified inequality came out below -num_tol); 4 solver non-convergence.
+experiment disagrees with the command, and an instance pool whose exact
+constants exceed their budget); 3 bound-violation finding (some verified
+inequality whose hypothesis held came out below -1e-8 max(|lhs|, |rhs|, 1));
+4 solver non-convergence.
 When both 3 and 4 apply, 4 wins: an unconverged solve makes the recorded
 slacks unreliable, so non-convergence is the more fundamental finding.
-After the summary the campaign's wall_time (seconds) is printed; on exit 4
-the index and seed of the first unconverged row follow the finding, when
-the rows carry a converged column, so that trial can be replayed.
+After the summary the campaign's wall_time (seconds) is printed. On
+exit 3 the index and seed of the first violating row follow the finding;
+on exit 4 those of the first unconverged row, when the rows carry a
+converged column. Either trial can then be replayed.
 A crashed trial flushes the completed rows and exits 1. Outputs land in
 --out (falling back to the config's output_path, then the working
 directory) as results.csv, results.jsonl and config_echo.json.
@@ -26,6 +29,7 @@ from .campaign import (
     CampaignTrialError,
     ConfigError,
     ExperimentConfig,
+    _violates,
     run,
     write_outputs,
 )
@@ -87,6 +91,10 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     if result.summary.get("violations", 0) > 0:
         print("finding: bound violated beyond numerical tolerance", file=sys.stderr)
+        first = next((row for row in result.rows if _violates(row)), None)
+        if first is not None:
+            print(f"first violating trial: index {first['trial']}, seed {first['seed']}",
+                  file=sys.stderr)
         return 3
     return 0
 

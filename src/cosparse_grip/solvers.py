@@ -26,7 +26,10 @@ gap of a primal point z and a dual pair (v, w) of
 the KKT error of PDLP, which also drives the restarts. The LP path reads
 (v, w) off the simplex multipliers of its optimal basis; the first-order
 path repairs the PDHG dual into exact dual feasibility and moves its
-point onto B(y) before the check.
+point onto B(y) before the check. The tolerances are fixed module
+constants, the same on both paths: _FEAS_TOL for primal and dual
+infeasibility, _CERT_TOL for the relative duality gap, and _TOL for the
+PDHG stopping residual. SolverOptions sets only the iteration budget.
 """
 
 from __future__ import annotations
@@ -55,6 +58,10 @@ __all__ = [
 CONSTRAINT_KINDS = ("equality", "l2-ball", "dantzig")
 
 MAX_LP_VARIABLES = 400  # hard budget for the LP route
+
+_TOL = 1e-9        # PDHG residual stop, relative to max(1e-12, ||y||)
+_FEAS_TOL = 1e-7   # primal (relative to max(1, ||y||)) and dual infeasibility
+_CERT_TOL = 1e-6   # relative duality gap
 
 
 class InfeasibleConstraintError(ValueError):
@@ -92,17 +99,11 @@ class ConstraintSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-9            # residual stop, relative to max(1e-12, ||y||)
+    """Iteration budget of the first-order path."""
+
     max_iters: int = 200000
-    step_ratio: float = 1.0      # initial primal/dual step ratio: tau = ratio / L, sigma = 1 / (ratio L)
-    feas_tol: float = 1e-7       # primal (relative to max(1, ||y||)) and dual infeasibility
-    cert_tol: float = 1e-6       # relative duality gap
 
     def __post_init__(self):
-        for name in ("tol", "feas_tol", "cert_tol", "step_ratio"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
         v = self.max_iters
         if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {v!r}")
@@ -112,11 +113,12 @@ class SolverOptions:
 class RecoveryResult:
     """Outcome of one recovery solve.
 
-    certified means a certificate was checked: x_hat misses B(y) by at
-    most feas_tol max(1, ||y||), the dual pair is feasible to within
-    feas_tol, and |certification_gap| <= cert_tol. certification_gap is
-    the signed duality gap relative to max(1, primal objective); both
-    solver paths always set it. On the LP path dual_residual is the
+    certified means a certificate was checked against fixed tolerances,
+    the same on both solver paths: x_hat misses B(y) by at most
+    1e-7 max(1, ||y||), the dual pair is feasible to within 1e-7
+    (_FEAS_TOL), and |certification_gap| <= 1e-6 (_CERT_TOL).
+    certification_gap is the signed duality gap relative to max(1,
+    primal objective); both solver paths always set it. On the LP path dual_residual is the
     checked dual infeasibility, on the first-order path the PDHG's own
     fixed-point residual.
     """
@@ -149,17 +151,17 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
 
 
-def _feasible_start(phi: np.ndarray, constraint: ConstraintSpec, feas_tol: float) -> np.ndarray:
+def _feasible_start(phi: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     """Least-squares point; doubles as the feasibility pre-check."""
     y = constraint.y
     z0, _, _, _ = np.linalg.lstsq(phi, y, rcond=None)
     resid = float(np.linalg.norm(phi @ z0 - y))
     scale = max(1.0, float(np.linalg.norm(y)))
-    if constraint.kind == "equality" and resid > feas_tol * scale:
+    if constraint.kind == "equality" and resid > _FEAS_TOL * scale:
         raise InfeasibleConstraintError(
             f"y is outside range(Phi): distance {resid:.3e}"
         )
-    if constraint.kind == "l2-ball" and resid > constraint.epsilon + feas_tol * scale:
+    if constraint.kind == "l2-ball" and resid > constraint.epsilon + _FEAS_TOL * scale:
         raise InfeasibleConstraintError(
             f"ball of radius {constraint.epsilon:g} misses range(Phi) by {resid:.3e}"
         )
@@ -206,7 +208,7 @@ def _kkt(
 
 def _certify(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
-    z: np.ndarray, v: np.ndarray, w: np.ndarray, violation: float, opts: SolverOptions,
+    z: np.ndarray, v: np.ndarray, w: np.ndarray, violation: float,
 ) -> tuple[bool, float, float]:
     """Decide certified for either solver path.
 
@@ -218,9 +220,9 @@ def _certify(
     _, dual, gap = _kkt(d_block, sensing, constraint, z, v, w)
     rel_gap = gap / max(1.0, float(np.abs(d_block @ z).sum()))
     certified = (
-        violation <= opts.feas_tol * max(1.0, _norm(constraint.y))
-        and dual <= opts.feas_tol
-        and abs(rel_gap) <= opts.cert_tol
+        violation <= _FEAS_TOL * max(1.0, _norm(constraint.y))
+        and dual <= _FEAS_TOL
+        and abs(rel_gap) <= _CERT_TOL
     )
     return certified, rel_gap, dual
 
@@ -251,10 +253,10 @@ def _pdhg(
     Returns (z, u, iterations, primal_residual, dual_residual, converged)
     with u = (v, w) the dual iterate paired with z.
     Residuals are the fixed-point gaps of the extrapolated scheme; both
-    are compared against tol * max(1e-12, ||y||). At each restart the
+    are compared against _TOL * max(1e-12, ||y||). At each restart the
     primal weight omega becomes the geometric mean of itself and the ratio
     of the dual to the primal move since the previous restart, and the
-    steps become tau = ratio / (L omega), sigma = omega / (ratio L).
+    steps become tau = 1 / (L omega), sigma = omega / L.
     """
     p = d_block.shape[0]
     kind = constraint.kind
@@ -272,15 +274,15 @@ def _pdhg(
         return math.sqrt(primal * primal + dual * dual + gap * gap)
 
     omega = 1.0
-    tau = opts.step_ratio / lnorm
-    sigma = 1.0 / (opts.step_ratio * lnorm)
+    tau = 1.0 / lnorm
+    sigma = 1.0 / lnorm
     sigma_y = sigma * y
 
-    z = _feasible_start(phi, constraint, opts.feas_tol)
+    z = _feasible_start(phi, constraint)
     u = np.zeros(k_mat.shape[0])
     kz = k_mat @ z
     kz_prev = kz
-    stop = opts.tol * max(_norm(y), 1e-12)
+    stop = _TOL * max(_norm(y), 1e-12)
 
     z_last, u_last, err_last = z, u, kkt_error(z, u)  # the last restart point
     err_prev = math.inf  # candidate error at the previous check
@@ -342,8 +344,8 @@ def _pdhg(
         du = _norm(u_c - u_last)
         if dz > _MIN_MOVE and du > _MIN_MOVE:
             omega = math.sqrt(omega * du / dz)  # halfway to du/dz in log scale
-            tau = opts.step_ratio / (lnorm * omega)
-            sigma = omega / (opts.step_ratio * lnorm)
+            tau = 1.0 / (lnorm * omega)
+            sigma = omega / lnorm
             sigma_y = sigma * y
         z, u = z_c, u_c
         kz = k_mat @ z
@@ -391,7 +393,7 @@ def _solve_first_order(
     """min ||d_block z||_1 over sensing z in B(y), shared by both routes.
 
     Runs _pdhg, downgrades converged when the returned point misses B(y)
-    by more than feas_tol, and certifies the returned point with the
+    by more than _FEAS_TOL, and certifies the returned point with the
     repaired PDHG dual.
     """
     if constraint.kind == "dantzig":
@@ -404,11 +406,11 @@ def _solve_first_order(
 
     z, u, iters, r_p, r_d, converged = _pdhg(d_block, sensing, constraint, opts)
     viol = _constraint_violation(sensing, z, constraint)
-    if viol > opts.feas_tol * max(1.0, float(np.linalg.norm(constraint.y))):
+    if viol > _FEAS_TOL * max(1.0, float(np.linalg.norm(constraint.y))):
         converged = False
     objective = float(np.sum(np.abs(d_block @ z)))
     z_fit, v, w = _repair(d_block, sensing, constraint, z, u[: d_block.shape[0]])
-    certified, gap, _ = _certify(d_block, sensing, constraint, z_fit, v, w, viol, opts)
+    certified, gap, _ = _certify(d_block, sensing, constraint, z_fit, v, w, viol)
 
     z.setflags(write=False)
     return RecoveryResult(
@@ -550,8 +552,8 @@ def solve_lp_certified(
     iterations reports pivot count. The returned point is an optimal
     vertex z = z+ - z-; the dual pair is read off the simplex multipliers
     pi of its basis, v = pi[p:2p] - pi[:p] from the absolute-value rows
-    and w from the measurement rows, and checked with the default
-    SolverOptions tolerances.
+    and w from the measurement rows, and checked against the same fixed
+    tolerances as the first-order path.
     """
     phi_e = sensing_entries(phi)
     if phi_e.shape[1] != dictionary.n:
@@ -573,7 +575,7 @@ def solve_lp_certified(
     else:
         w = pi[2 * p + n :] - pi[2 * p : 2 * p + n]
     viol = _constraint_violation(phi_e, z, constraint)
-    certified, gap, dual = _certify(d_block, phi_e, constraint, z, v, w, viol, SolverOptions())
+    certified, gap, dual = _certify(d_block, phi_e, constraint, z, v, w, viol)
     z.setflags(write=False)
     return RecoveryResult(
         x_hat=z,

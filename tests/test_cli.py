@@ -67,6 +67,26 @@ def test_cli_pool_diagnostics_exit_2(tmp_path, capsys):
     assert "delta_2k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, key", [
+    # C(30, 8) = 5852925 supports for the exact delta_2k
+    (base_doc(dims={"m": 20, "n": 24, "p": 30}, k=4, dictionary_kind="tight-frame"),
+     "budget.max_supports"),
+    # 630 disjoint pairs for the exact rho
+    (base_doc(experiment="verify-c1", dims={"m": 8, "n": 10, "p": 10}, k=2,
+              dictionary_kind="orthogonal", budget={"max_pairs": 10}),
+     "budget.max_pairs"),
+])
+def test_cli_pool_over_budget_exits_2(tmp_path, capsys, doc, key):
+    cfg_path = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    assert cli.main([doc["experiment"], "--config", cfg_path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance 0: ")
+    assert "exceed" in err and key in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_cli_unconverged_solver_exits_4(tmp_path, capsys):
     doc = base_doc(experiment="solve", trials=1, seed=3, budget={"max_iters": 5})
     cfg_path = write_config(tmp_path, doc)
@@ -117,6 +137,24 @@ def test_cli_nonconvergence_outranks_violation(tmp_path, monkeypatch, capsys):
     )
     assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 3
     capsys.readouterr()
+
+
+def test_cli_names_first_violating_row(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, base_doc())
+    row = {"lhs": 2.0, "rhs": 1.0, "slack": -1.0, "hypothesis_ok": True}
+    rows = (
+        dict(row, trial=0, seed=5, hypothesis_ok=False),  # hypothesis failed: no finding
+        dict(row, trial=1, seed=9, slack=-1e-9),  # within the numerical tolerance
+        dict(row, trial=2, seed=11),
+        dict(row, trial=3, seed=13),
+    )
+    monkeypatch.setattr(
+        cli, "run", lambda config: _rigged_result({"unconverged": 0, "violations": 2}, rows)
+    )
+    assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "bound violated" in err
+    assert "first violating trial: index 2, seed 11" in err
 
 
 def test_cli_names_first_unconverged_row(tmp_path, monkeypatch, capsys):

@@ -158,18 +158,9 @@ def test_solver_options_respected(reference_instance):
     )
     assert not starved.converged
     assert starved.iterations == 5
-    loose = cg.solve_analysis_l1(
-        phi, d, cg.ConstraintSpec("equality", y), cg.SolverOptions(tol=1e-4)
-    )
-    full = cg.solve_analysis_l1(phi, d, cg.ConstraintSpec("equality", y))
-    assert loose.iterations < full.iterations
 
 
 @pytest.mark.parametrize("field, value", [
-    ("tol", 0.0), ("tol", -1e-9), ("tol", math.nan), ("tol", math.inf), ("tol", "1e-9"),
-    ("feas_tol", 0.0), ("feas_tol", math.inf),
-    ("cert_tol", -1e-6), ("cert_tol", math.nan),
-    ("step_ratio", 0.0), ("step_ratio", -4.0), ("step_ratio", math.inf), ("step_ratio", True),
     ("max_iters", 0), ("max_iters", -5), ("max_iters", 10.0), ("max_iters", True),
 ])
 def test_solver_options_rejects_invalid(field, value):
@@ -178,15 +169,12 @@ def test_solver_options_rejects_invalid(field, value):
 
 
 def test_solver_options_fields():
-    assert [f.name for f in dataclasses.fields(cg.SolverOptions)] == [
-        "tol", "max_iters", "step_ratio", "feas_tol", "cert_tol",
-    ]
+    assert [f.name for f in dataclasses.fields(cg.SolverOptions)] == ["max_iters"]
 
 
 def test_solver_options_accepts_smallest_valid():
-    cg.SolverOptions(tol=1e-300, max_iters=1, step_ratio=1e-3,
-                     feas_tol=1e-12, cert_tol=1e-12)
-    cg.SolverOptions(max_iters=np.int64(7), step_ratio=np.float64(2.0))
+    cg.SolverOptions(max_iters=1)
+    cg.SolverOptions(max_iters=np.int64(7))
 
 
 def _reference_campaign_trial(campaign_seed: int, index: int):
@@ -208,24 +196,20 @@ def test_former_max_iters_trial_converges_to_lp_objective():
     assert res.converged
     assert res.iterations < 20000
     lp = cg.solve_lp_certified(phi, d, spec)
-    assert abs(res.objective - lp.objective) <= cg.SolverOptions().cert_tol
+    assert abs(res.objective - lp.objective) <= 1e-6
 
 
 def test_step_ratio_robustness_on_orthogonal_family():
-    # without restarts this family took up to 23700 iterations at
-    # step_ratio = 4; the primal weight rebalances a poor initial ratio
+    # the steps start at tau = sigma = 1 / ||K||; the primal weight then
+    # sets the primal/dual step ratio at each restart
     for s in range(8):
         d = cg.make_dictionary("orthogonal", 20, 20, cg.trial_seed(s, 0))
         phi = cg.make_sensing_matrix("gaussian", 12, 20, cg.trial_seed(s, 1))
         x = cg.sample_cosparse_signal(d, 3, cg.trial_seed(s, 2))
-        spec = cg.ConstraintSpec("equality", phi.entries @ x)
-        objectives = []
-        for ratio in (1.0, 4.0):
-            res = cg.solve_analysis_l1(phi, d, spec, cg.SolverOptions(step_ratio=ratio))
-            assert res.converged, (s, ratio)
-            assert res.iterations < 10000, (s, ratio, res.iterations)
-            objectives.append(res.objective)
-        assert abs(objectives[0] - objectives[1]) <= 1e-6, s
+        res = cg.solve_analysis_l1(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
+        assert res.converged, s
+        assert res.iterations < 10000, (s, res.iterations)
+        assert res.certified, s
 
 
 @given(
