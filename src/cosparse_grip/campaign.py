@@ -34,6 +34,8 @@ from .grip import (
     DEFAULT_MAX_PAIRS,
     DEFAULT_MAX_SUPPORTS,
     BudgetExceededError,
+    _refuse_pairs,
+    _refuse_supports,
     bound_constants,
     delta_exact,
     delta_monte_carlo,
@@ -251,6 +253,12 @@ class ExperimentConfig:
             )
         if entry.needs_pairs and 2 * self.k > self.p:
             raise ConfigError(f"disjoint support pairs need 2k <= p, got k={self.k}, p={self.p}")
+        if self.experiment == "rho":
+            # every trial would refuse alike: the pair count depends on (p, k) only
+            try:
+                _refuse_pairs(self.p, self.k, self.budget.max_pairs)
+            except BudgetExceededError as err:
+                raise ConfigError(f"{err} (budget.max_pairs); every rho trial needs the exact rho_k") from err
         if self.experiment == "p1p2" and self.constraint_kind == "dantzig":
             raise ConfigError("p1p2 compares the first-order routes; dantzig is LP-only")
         if self.experiment == "phase" and self.constraint_kind != "equality":
@@ -553,23 +561,28 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
     the rho-free printed constants. Each instance must pass its
     experiment's `hypotheses` (Corollary 2 and Theorem 1 need delta < 1,
     Theorem 1 also alpha < 1); a failure is a ConfigError, raised before
-    any trial. So is an exact constant over its budget.
+    any trial. So is an exact constant over its budget: the support and
+    pair counts depend on (p, k) only, so that refusal comes before the
+    first instance is built.
     """
+    try:
+        _refuse_supports(cfg.p, 2 * cfg.k, cfg.budget.max_supports)
+    except BudgetExceededError as err:
+        raise _over_budget("max_supports", err) from err
+    if cfg.rho_mode == "exact":
+        try:
+            _refuse_pairs(cfg.p, cfg.k, cfg.budget.max_pairs)
+        except BudgetExceededError as err:
+            raise _over_budget("max_pairs", err) from err
     pool = []
     for i in range(cfg.instances):
         s = trial_seed(cfg.seed, _INSTANCE_TAG + i)
         d, phi = _make_operators(cfg, s, ops)
-        try:
-            delta = delta_exact(phi, d, 2 * cfg.k, max_supports=cfg.budget.max_supports).delta
-        except BudgetExceededError as err:
-            raise _over_budget(i, "max_supports", err) from err
+        delta = delta_exact(phi, d, 2 * cfg.k, max_supports=cfg.budget.max_supports).delta
         if cfg.rho_mode == "printed":
             rho = 0.0
         else:
-            try:
-                rho = rho_exact(d, cfg.k, max_pairs=cfg.budget.max_pairs).rho
-            except BudgetExceededError as err:
-                raise _over_budget(i, "max_pairs", err) from err
+            rho = rho_exact(d, cfg.k, max_pairs=cfg.budget.max_pairs).rho
         pool.append(_VerifyInstance(d, phi, delta, rho))
     for i, inst in enumerate(pool):
         for hypothesis in _TABLE[cfg.experiment].hypotheses:
@@ -577,9 +590,10 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
     return pool
 
 
-def _over_budget(i: int, key: str, err: BudgetExceededError) -> ConfigError:
+def _over_budget(key: str, err: BudgetExceededError) -> ConfigError:
+    # every instance shares (p, k), so the first one is the one refused
     return ConfigError(
-        f"instance {i}: {err} (budget.{key}); the instance pool needs exact constants"
+        f"instance 0: {err} (budget.{key}); the instance pool needs exact constants"
     )
 
 

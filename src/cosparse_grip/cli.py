@@ -3,10 +3,10 @@
     cosparse-grip <experiment> --config <path> [--seed N] [--out <dir>]
 
 Exit codes: 0 success; 2 config error (including a config whose named
-experiment disagrees with the command, and an instance pool whose exact
-constants exceed their budget); 3 bound-violation finding (some verified
-inequality whose hypothesis held came out below -1e-8 max(|lhs|, |rhs|, 1));
-4 solver non-convergence.
+experiment disagrees with the command, and a rho campaign or an instance
+pool whose exact constants exceed their budget); 3 bound-violation
+finding (some verified inequality whose hypothesis held came out below
+-1e-8 max(|lhs|, |rhs|, 1)); 4 solver non-convergence.
 When both 3 and 4 apply, 4 wins: an unconverged solve makes the recorded
 slacks unreliable, so non-convergence is the more fundamental finding.
 After the summary the campaign's wall_time (seconds) is printed. On

@@ -25,6 +25,7 @@ every bound downstream, never a guarantee of this module.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -271,6 +272,25 @@ def _scan_supports(
     )
 
 
+def _refuse_supports(p: int, k: int, max_supports: int) -> None:
+    """The budget guard of delta_exact: C(p, k) supports, in closed form."""
+    count = math.comb(p, k)
+    if count > max_supports:
+        raise BudgetExceededError(
+            f"C({p}, {k}) = {count} supports exceeds budget {max_supports}"
+        )
+
+
+def _refuse_pairs(p: int, k: int, max_pairs: int) -> None:
+    """The budget guard of rho_exact: the C(p, k) C(p - k, k) / 2 unordered
+    disjoint pairs of size-k supports, in closed form (needs 2k <= p)."""
+    n_pairs = math.comb(p, k) * math.comb(p - k, k) // 2
+    if n_pairs > max_pairs:
+        raise BudgetExceededError(
+            f"{n_pairs} disjoint pairs exceed budget {max_pairs}"
+        )
+
+
 def _check_delta_args(phi_e: np.ndarray, dictionary: Dictionary, k: int) -> None:
     if phi_e.shape[1] != dictionary.n:
         raise ValueError("sensing matrix and dictionary disagree on n")
@@ -292,11 +312,7 @@ def delta_exact(
     """
     phi_e = sensing_entries(phi)
     _check_delta_args(phi_e, dictionary, k)
-    count = math.comb(dictionary.p, k)
-    if count > max_supports:
-        raise BudgetExceededError(
-            f"C({dictionary.p}, {k}) = {count} supports exceeds budget {max_supports}"
-        )
+    _refuse_supports(dictionary.p, k, max_supports)
     return _scan_supports(
         _colex_supports(dictionary.p, k), phi_e, dictionary, k, "exact", 0
     )
@@ -369,11 +385,7 @@ def rho_exact(
     if 2 * k > dictionary.p:
         raise ValueError(f"disjoint pairs need 2k <= p, got k={k}, p={dictionary.p}")
     p = dictionary.p
-    n_pairs = math.comb(p, k) * math.comb(p - k, k) // 2
-    if n_pairs > max_pairs:
-        raise BudgetExceededError(
-            f"{n_pairs} disjoint pairs exceed budget {max_pairs}"
-        )
+    _refuse_pairs(p, k, max_pairs)
 
     supports = _colex_supports(p, k)
     proj = dictionary.entries @ dictionary.pinv()
@@ -416,7 +428,21 @@ def bound_constants(delta2k: float, rho: float = 0.0) -> BoundConstants:
     not outputs). Evaluation runs in numpy longdouble: the proof-form and
     printed-form expressions for c0 agree exactly there after the cast,
     while float64 evaluation splits them by up to ~3e-12.
+
+    Memoised on its two arguments, since a verify campaign asks for the
+    same pair on every trial: a repeated call returns the object the
+    first one built, equal field for field and bit for bit to a fresh
+    evaluation. Two threads may race to fill an entry; both compute the
+    same bits, so it does not matter which one is kept.
     """
+    # -0.0 == 0.0 and both hash alike, so the signs go into the key
+    return _bound_constants(
+        delta2k, rho, math.copysign(1.0, delta2k), math.copysign(1.0, rho)
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _bound_constants(delta2k, rho, _sign_delta2k, _sign_rho) -> BoundConstants:
     if not 0.0 <= delta2k < 1.0:
         raise ValueError(f"delta2k must lie in [0, 1), got {delta2k}")
     if not rho >= 0.0:

@@ -168,9 +168,23 @@ class Dictionary:
         return self.entries.shape[1]
 
     def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudoinverse, n x p. Not cached; callers that
-        loop over supports should hoist this."""
-        return np.linalg.pinv(self.entries)
+        """Moore-Penrose pseudoinverse, n x p, read-only.
+
+        Computed on the first call and returned as the same array on every
+        later one: the entries are frozen, so it is what a fresh
+        np.linalg.pinv would return. Two threads may race to fill it; both
+        compute the same bits, so it does not matter which one is kept."""
+        cached = self.__dict__.get("_pinv")
+        if cached is None:
+            cached = np.linalg.pinv(self.entries)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_pinv", cached)
+        return cached
+
+    def __reduce__(self):
+        # copies and unpickled instances go through __init__ again: their
+        # entries stay read-only, so their own cached pinv cannot go stale
+        return (type(self), (self.entries, self.kind))
 
 
 @dataclass(frozen=True)

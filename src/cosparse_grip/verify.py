@@ -39,6 +39,7 @@ import numpy as np
 
 from .grip import BoundConstants, bound_constants, delta_exact, rho_exact
 from .model import Dictionary, SupportSet, sensing_entries, sigma_k, top_k_support
+from .solvers import _norm
 
 __all__ = [
     "BoundReport",
@@ -137,8 +138,8 @@ def check_corollary1(
     d = dictionary.entries
     f = sensing_entries(phi)
     lhs = abs(float((f @ h_i) @ (f @ h_j)))
-    norm_i = float(np.linalg.norm(d @ h_i))
-    norm_j = float(np.linalg.norm(d @ h_j))
+    norm_i = _norm(d @ h_i)
+    norm_j = _norm(d @ h_j)
     rhs = (delta2k + rho) * norm_i * norm_j
 
     hypothesis_ok = delta2k < 1.0
@@ -182,10 +183,10 @@ def _masked_inner_term(
     |<Phi h_Lambda, Phi h>| / ||(Dh)_Lambda||_2."""
     z = np.zeros(u.shape[0])
     z[mask_idx] = u[mask_idx]
-    mask_norm = float(np.linalg.norm(z))
+    mask_norm = _norm(z)
     h_mask = pinv @ z
     raw = abs(float((f @ h_mask) @ (f @ h)))
-    if mask_norm <= _ZERO_TOL * max(1.0, float(np.linalg.norm(u))):
+    if mask_norm <= _ZERO_TOL * max(1.0, _norm(u)):
         # 0/0: the masked image vanished; the term is 0 unless the
         # correlation somehow did not, which we flag instead of dividing
         return (0.0, mask_norm, raw > _ZERO_TOL)
@@ -212,7 +213,10 @@ def check_corollary2(
     if head.size > k:
         raise ValueError(f"head support must have size <= k = {k}")
     h = np.asarray(h, dtype=np.float64)
-    if float(np.linalg.norm(h)) <= _ZERO_TOL:
+    # np.linalg.norm copies a strided view before its dot, and a strided
+    # dot rounds differently; _norm is kept for the vectors made here
+    h_norm = float(np.linalg.norm(h))
+    if h_norm <= _ZERO_TOL:
         raise ValueError("h is zero; the bound is vacuous")
 
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
@@ -232,7 +236,7 @@ def check_corollary2(
 
     lhs_z = np.zeros(dictionary.p)
     lhs_z[mask_idx] = u[mask_idx]
-    lhs = float(np.linalg.norm(lhs_z))
+    lhs = _norm(lhs_z)
 
     head_set = set(head.indices)
     tail = float(sum(abs(u[i]) for i in range(dictionary.p) if i not in head_set))
@@ -240,8 +244,8 @@ def check_corollary2(
     rhs = constants.alpha * tail / math.sqrt(k) + constants.beta * inner
 
     # the chunks of Dh reassemble to D^+ D h, which is h only if D is injective
-    residual = float(np.linalg.norm(pinv @ u - h))
-    hypothesis_ok = not degenerate and residual <= _DECOMP_TOL * max(1.0, float(np.linalg.norm(h)))
+    residual = _norm(pinv @ u - h)
+    hypothesis_ok = not degenerate and residual <= _DECOMP_TOL * max(1.0, h_norm)
     witness = {
         "k": k,
         "head": list(head.indices),
@@ -317,7 +321,8 @@ def check_theorem1(
 
     tail = sigma_k(x, dictionary, k)
     h = x_hat - x
-    trivial = float(np.linalg.norm(h)) <= _ZERO_TOL * max(1.0, float(np.linalg.norm(x)))
+    error_l2 = _norm(h)
+    trivial = error_l2 <= _ZERO_TOL * max(1.0, float(np.linalg.norm(x)))  # x may be strided
 
     if trivial:
         lhs = 0.0
@@ -332,7 +337,7 @@ def check_theorem1(
         head = top_k_support(dx, k)
         lam1_idx = _next_block(u, head, k)
         mask_idx = list(head.indices) + lam1_idx
-        lhs = float(np.linalg.norm(u))
+        lhs = _norm(u)
         inner, mask_norm, degenerate = _masked_inner_term(f, pinv, u, mask_idx, h)
 
     rhs = constants.c0 * tail / math.sqrt(k) + constants.c1 * inner
@@ -348,7 +353,7 @@ def check_theorem1(
         "l1_candidate": l1_hat,
         "inner_term": inner,
         "mask_norm": mask_norm,
-        "error_l2": float(np.linalg.norm(h)),
+        "error_l2": error_l2,
         "trivial": trivial,
         "degenerate": degenerate,
     }

@@ -452,6 +452,41 @@ def test_verify_c2_campaign_green_seed():
     assert result.summary["violations"] == 0
 
 
+def test_rho_campaign_over_budget_is_a_config_error():
+    # 630 disjoint pairs at (p, k) = (10, 2): refused as the config is built
+    doc = grip_doc(experiment="rho", dims={"m": 8, "n": 10, "p": 10}, k=2,
+                   dictionary_kind="orthogonal", trials=3, budget={"max_pairs": 10})
+    with pytest.raises(ConfigError, match=r"^630 disjoint pairs exceed budget 10 \(budget.max_pairs\)"):
+        config_from(doc)
+    assert run(config_from(dict(doc, budget={"max_pairs": 630}))).summary["trials"] == 3
+
+
+@pytest.mark.parametrize("budget, rho_mode, key", [
+    ({"max_supports": 3059}, "exact", "max_supports"),
+    ({"max_pairs": 10}, "exact", "max_pairs"),
+    ({"max_pairs": 10}, "printed", None),  # no exact rho, so no pair budget
+])
+def test_pool_budget_refused_before_any_scan(monkeypatch, budget, rho_mode, key):
+    # C(18, 4) = 3060 supports for delta_4 and 9180 disjoint pairs for rho_2
+    doc = base_doc(experiment="verify-c1", dims={"m": 8, "n": 12, "p": 18}, k=2,
+                   dictionary_kind="tight-frame", trials=1, budget=budget, rho_mode=rho_mode)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return cg.delta_exact(*args, **kwargs)
+
+    monkeypatch.setattr(cam, "delta_exact", counted)
+    monkeypatch.setattr(cam, "rho_exact", lambda *a, **kw: pytest.fail("rho_exact called"))
+    if key is None:
+        assert run(config_from(doc)).rows[0]["rho"] == 0.0
+        assert len(calls) == 1
+        return
+    with pytest.raises(ConfigError, match=rf"^instance 0: .* exceeds? budget .*\(budget\.{key}\)"):
+        run(config_from(doc))
+    assert calls == []
+
+
 def test_verify_c2_rejects_wide_delta_instances():
     # seed 0 draws an instance whose exact delta_2 exceeds 1
     with pytest.raises(ConfigError, match="delta_2k = 1"):

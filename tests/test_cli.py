@@ -87,6 +87,18 @@ def test_cli_pool_over_budget_exits_2(tmp_path, capsys, doc, key):
     assert not out_dir.exists()
 
 
+def test_cli_rho_over_budget_exits_2(tmp_path, capsys):
+    # 630 disjoint pairs for the exact rho of every trial
+    doc = base_doc(experiment="rho", dims={"m": 8, "n": 10, "p": 10}, k=2,
+                   dictionary_kind="orthogonal", budget={"max_pairs": 10})
+    cfg_path = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    assert cli.main(["rho", "--config", cfg_path, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 630 disjoint pairs exceed budget 10 (budget.max_pairs)")
+    assert not out_dir.exists()
+
+
 def test_cli_unconverged_solver_exits_4(tmp_path, capsys):
     doc = base_doc(experiment="solve", trials=1, seed=3, budget={"max_iters": 5})
     cfg_path = write_config(tmp_path, doc)

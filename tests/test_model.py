@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -67,6 +69,19 @@ def test_dictionary_entries_read_only_and_pinv():
     with pytest.raises(ValueError):
         d.entries[0, 0] = 1.0
     assert np.allclose(d.pinv() @ d.entries, np.eye(4), atol=1e-12)
+    # computed once, kept read-only, and what a fresh pinv returns
+    pinv = d.pinv()
+    assert d.pinv() is pinv
+    with pytest.raises(ValueError):
+        pinv[0, 0] = 1.0
+    assert np.array_equal(pinv, np.linalg.pinv(d.entries))
+    # a copy is rebuilt, so its entries stay read-only under its own cache
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert twin.kind == d.kind and np.array_equal(twin.entries, d.entries)
+        for array in (twin.entries, twin.pinv()):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        assert np.array_equal(twin.pinv(), pinv)
 
 
 def test_sensing_matrix_shape_contract():

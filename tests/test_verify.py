@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
+from cosparse_grip.solvers import _norm
 from cosparse_grip.verify import _masked_inner_term
 from _support import haar, matched_instance, random_chunk
 
@@ -227,6 +229,55 @@ def test_next_block_matches_chunk_decompose(kind, k, seed):
     rep = cg.check_theorem1(phi, d, k, x, x_hat, delta2k=0.1, rho=0.0)
     want, _ = second_chunk(cg.top_k_support(d.entries @ x, k))
     assert rep.witness["next_block"] == want
+
+
+@given(
+    st.sampled_from(["identity", "tight-frame", "gaussian-random"]),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_checks_agree_on_a_warm_and_a_fresh_dictionary(kind, k, seed):
+    # one Dictionary reused, its pinv already cached, against one rebuilt
+    # from the same entries for every call: the reports must match exactly
+    rng = np.random.default_rng(seed)
+    n = 5
+    p = n if kind == "identity" else 7
+    warm = cg.make_dictionary(kind, p, n, seed)
+    phi = cg.make_sensing_matrix("gaussian", 3, n, seed)
+    pinv = warm.pinv()
+
+    def fresh():
+        return cg.Dictionary(warm.entries, warm.kind)
+
+    picks = rng.choice(p, 2 * k, replace=False)
+    chunks = []
+    for part in (picks[:k], picks[k:]):
+        sup = cg.SupportSet(tuple(int(i) for i in part), p)
+        z = np.zeros(p)
+        z[list(sup.indices)] = rng.standard_normal(k)
+        chunks.append((sup, pinv @ z))
+    h = rng.standard_normal(n)
+    head = cg.SupportSet(tuple(int(i) for i in rng.choice(p, k, replace=False)), p)
+    x, x_hat = rng.standard_normal(n), rng.standard_normal(n)
+
+    def reports(dictionary):
+        return (
+            cg.check_corollary1(phi, dictionary(), k, *chunks),  # exact constants
+            cg.check_corollary2(phi, dictionary(), k, h, head, delta2k=0.1, rho=0.05),
+            cg.check_theorem1(phi, dictionary(), k, x, x_hat, delta2k=0.1, rho=0.05),
+        )
+
+    for reused, rebuilt in zip(reports(lambda: warm), reports(fresh)):
+        assert reused == rebuilt
+        assert reused.to_json() == rebuilt.to_json()  # float reprs: bit for bit
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=0, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_dot_norm_equals_numpy_norm(values):
+    v = np.array(values, dtype=np.float64)
+    assert struct.pack("<d", _norm(v)) == struct.pack("<d", float(np.linalg.norm(v)))
 
 
 def test_masked_inner_term_flags_unstable_ratio():
