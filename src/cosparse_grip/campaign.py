@@ -10,21 +10,28 @@ object per line) and config_echo.json (the parsed config with defaults
 materialized). wall_time is recorded on the result but never written, so
 re-runs stay byte-identical.
 
+The config document is declared once: the fields of `ExperimentConfig`
+and `Budget`, with `_NESTED` grouping some under the `dims` and
+`constraint` objects. The accepted and required keys, `from_json` and
+`to_json_dict` derive from it; a key is required exactly when its field
+has no default.
+
 What each experiment does lives in one private table, `_TABLE`: its
 trial function, its summary keys, whether its trials share a verify
 instance pool, and which cosparsity rules its configs must meet. Every
-value check is made in `ExperimentConfig.__post_init__`; `from_json`
-only checks the document's structure.
+value check is made in `ExperimentConfig.__post_init__`, and so is every
+refusal the dimensions alone decide (exact constants over their
+`budget`, a dantzig LP over `MAX_LP_VARIABLES`); `from_json` only checks
+the document's structure.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -57,6 +64,7 @@ from .solvers import (
     CONSTRAINT_KINDS,
     ConstraintSpec,
     SolverOptions,
+    _refuse_lp,
     solve_analysis_l1,
     solve_lp_certified,
     solve_synthesis_l1,
@@ -82,6 +90,8 @@ SUCCESS_TOL = 1e-5        # ||x_hat - x||_2 below this counts as exact recovery
 _CONFIG_KINDS = tuple(k for k in DICTIONARY_KINDS if k != "user-supplied")
 _MATRIX_KINDS = ("gaussian", "bernoulli")
 _RHO_MODES = ("exact", "printed")
+
+_DECAY = 0.5              # ratio of verify-t1's compressible signal profile
 
 _MASK64 = (1 << 64) - 1
 _INSTANCE_TAG = 1 << 40   # keeps instance seed stream clear of trial indices
@@ -133,7 +143,7 @@ class Budget:
     mc_trials: int = 200  # sample count when exact enumeration is over budget
 
     def __post_init__(self):
-        _check_positive_ints(self, ("max_supports", "max_pairs", "max_iters", "mc_trials"), "budget.")
+        _check_positive_ints(self, tuple(f.name for f in fields(self)), "budget.")
 
 
 def _json_object(doc, where: str, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
@@ -149,12 +159,13 @@ def _json_object(doc, where: str, allowed: tuple[str, ...], required: tuple[str,
     return doc
 
 
-_CONFIG_KEYS = (
-    "experiment", "dims", "k", "dictionary_kind", "matrix_kind", "constraint", "trials",
-    "seed", "output_path", "budget", "instances", "m_grid", "rho_mode", "dictionary_path",
-    "matrix_path",
-)
-_REQUIRED_KEYS = ("experiment", "dims", "k", "dictionary_kind", "matrix_kind", "trials", "seed")
+# The nested objects of the config document: each maps its keys to
+# ExperimentConfig fields. Every other field is a top-level key of its own
+# name, `budget` holding the Budget fields under theirs.
+_NESTED = {
+    "dims": {"m": "m", "n": "n", "p": "p"},
+    "constraint": {"kind": "constraint_kind", "epsilon": "epsilon", "lambda": "lam"},
+}
 
 
 @dataclass(frozen=True)
@@ -176,11 +187,11 @@ class ExperimentConfig:
     k: int
     dictionary_kind: str
     matrix_kind: str
-    constraint_kind: str
-    epsilon: float
-    lam: float
     trials: int
     seed: int
+    constraint_kind: str = "equality"
+    epsilon: float = 0.0
+    lam: float = 0.0
     output_path: str | None = None
     budget: Budget = field(default_factory=Budget)
     instances: int = 1
@@ -253,12 +264,6 @@ class ExperimentConfig:
             )
         if entry.needs_pairs and 2 * self.k > self.p:
             raise ConfigError(f"disjoint support pairs need 2k <= p, got k={self.k}, p={self.p}")
-        if self.experiment == "rho":
-            # every trial would refuse alike: the pair count depends on (p, k) only
-            try:
-                _refuse_pairs(self.p, self.k, self.budget.max_pairs)
-            except BudgetExceededError as err:
-                raise ConfigError(f"{err} (budget.max_pairs); every rho trial needs the exact rho_k") from err
         if self.experiment == "p1p2" and self.constraint_kind == "dantzig":
             raise ConfigError("p1p2 compares the first-order routes; dantzig is LP-only")
         if self.experiment == "phase" and self.constraint_kind != "equality":
@@ -275,6 +280,25 @@ class ExperimentConfig:
                 if not _is_int(v) or not 1 <= v <= self.n:
                     raise ConfigError(f"m_grid entries must be integers in [1, n], got {v!r}")
             object.__setattr__(self, "m_grid", grid)
+        # exact constants every trial (or the instance pool) needs: delta_2k
+        # over supports, rho_k over disjoint pairs, counted from (p, k) alone
+        exact = []
+        if entry.pooled:
+            exact.append(("max_supports", _refuse_supports, 2 * self.k))
+        if self.experiment == "rho" or (entry.pooled and self.rho_mode == "exact"):
+            exact.append(("max_pairs", _refuse_pairs, self.k))
+        for key, refuse, order in exact:
+            try:
+                refuse(self.p, order, getattr(self.budget, key))
+            except BudgetExceededError as err:
+                raise ConfigError(f"{err} (budget.{key}); {self.experiment} needs exact constants") from err
+        if self.constraint_kind == "dantzig" and self.experiment in ("solve", "verify-t1"):
+            try:
+                _refuse_lp(self.n, self.p, self.constraint_kind)
+            except ValueError as err:
+                raise ConfigError(
+                    f"{err}; dantzig puts every {self.experiment} trial on the LP route"
+                ) from err
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -285,32 +309,20 @@ class ExperimentConfig:
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
         _json_object(doc, "config", _CONFIG_KEYS, _REQUIRED_KEYS)
-        dims = _json_object(doc["dims"], "dims", ("m", "n", "p"), ("m", "n", "p"))
-        constraint = _json_object(doc.get("constraint", {}), "constraint", ("kind", "epsilon", "lambda"))
-        budget = _json_object(
-            doc.get("budget", {}), "budget", ("max_supports", "max_pairs", "max_iters", "mc_trials")
-        )
-        return cls(
-            experiment=doc["experiment"],
-            m=dims["m"],
-            n=dims["n"],
-            p=dims["p"],
-            k=doc["k"],
-            dictionary_kind=doc["dictionary_kind"],
-            matrix_kind=doc["matrix_kind"],
-            constraint_kind=constraint.get("kind", "equality"),
-            epsilon=constraint.get("epsilon", 0.0),
-            lam=constraint.get("lambda", 0.0),
-            trials=doc["trials"],
-            seed=doc["seed"],
-            output_path=doc.get("output_path"),
-            budget=Budget(**budget),
-            instances=doc.get("instances", 1),
-            m_grid=doc.get("m_grid"),
-            rho_mode=doc.get("rho_mode", "exact"),
-            dictionary_path=doc.get("dictionary_path"),
-            matrix_path=doc.get("matrix_path"),
-        )
+        values = {}
+        for key in _CONFIG_KEYS:  # field order: dims before constraint before budget
+            if key not in doc:
+                continue
+            if key in _NESTED:
+                sub = _NESTED[key]
+                required = tuple(k for k, name in sub.items() if name in _REQUIRED_FIELDS)
+                obj = _json_object(doc[key], key, tuple(sub), required)
+                values.update((sub[k], v) for k, v in obj.items())
+            elif key == "budget":
+                values[key] = Budget(**_json_object(doc[key], key, tuple(f.name for f in fields(Budget))))
+            else:
+                values[key] = doc[key]
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -318,33 +330,22 @@ class ExperimentConfig:
             return cls.from_json(fh.read())
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "experiment": self.experiment,
-            "dims": {"m": self.m, "n": self.n, "p": self.p},
-            "k": self.k,
-            "dictionary_kind": self.dictionary_kind,
-            "matrix_kind": self.matrix_kind,
-            "constraint": {
-                "kind": self.constraint_kind,
-                "epsilon": self.epsilon,
-                "lambda": self.lam,
-            },
-            "trials": self.trials,
-            "seed": self.seed,
-            "output_path": self.output_path,
-            "budget": {
-                "max_supports": self.budget.max_supports,
-                "max_pairs": self.budget.max_pairs,
-                "max_iters": self.budget.max_iters,
-                "mc_trials": self.budget.mc_trials,
-            },
-            "instances": self.instances,
-            "m_grid": list(self.m_grid) if self.m_grid is not None else None,
-            "rho_mode": self.rho_mode,
-            "dictionary_path": self.dictionary_path,
-            "matrix_path": self.matrix_path,
-        }
-        return doc
+        """The config as a document with every default materialized."""
+        values = asdict(self)
+        if self.m_grid is not None:
+            values["m_grid"] = list(self.m_grid)
+        nested = {key: {k: values.pop(name) for k, name in sub.items()} for key, sub in _NESTED.items()}
+        return {**values, **nested}
+
+
+# The document's keys, in field order. A key is required exactly when its
+# field has no default, and a nested object when one of its keys is.
+_OWNER = {name: key for key, sub in _NESTED.items() for name in sub.values()}
+_REQUIRED_FIELDS = tuple(
+    f.name for f in fields(ExperimentConfig) if f.default is MISSING and f.default_factory is MISSING
+)
+_CONFIG_KEYS = tuple(dict.fromkeys(_OWNER.get(f.name, f.name) for f in fields(ExperimentConfig)))
+_REQUIRED_KEYS = tuple(dict.fromkeys(_OWNER.get(name, name) for name in _REQUIRED_FIELDS))
 
 
 @dataclass(frozen=True)
@@ -432,10 +433,9 @@ _Trial = tuple[dict, dict]  # (emitted row, non-emitted stats e.g. convergence)
 
 def _grip_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Trial:
     d, phi = _make_operators(cfg, seed, ops)
-    count = math.comb(cfg.p, cfg.k)
-    if count <= cfg.budget.max_supports:
+    try:
         rep = delta_exact(phi, d, cfg.k, max_supports=cfg.budget.max_supports)
-    else:
+    except BudgetExceededError:
         rep = delta_monte_carlo(phi, d, cfg.k, cfg.budget.mc_trials, trial_seed(seed, 2))
     row = {
         "trial": index,
@@ -561,19 +561,8 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
     the rho-free printed constants. Each instance must pass its
     experiment's `hypotheses` (Corollary 2 and Theorem 1 need delta < 1,
     Theorem 1 also alpha < 1); a failure is a ConfigError, raised before
-    any trial. So is an exact constant over its budget: the support and
-    pair counts depend on (p, k) only, so that refusal comes before the
-    first instance is built.
+    any trial. The config has already refused constants over their budget.
     """
-    try:
-        _refuse_supports(cfg.p, 2 * cfg.k, cfg.budget.max_supports)
-    except BudgetExceededError as err:
-        raise _over_budget("max_supports", err) from err
-    if cfg.rho_mode == "exact":
-        try:
-            _refuse_pairs(cfg.p, cfg.k, cfg.budget.max_pairs)
-        except BudgetExceededError as err:
-            raise _over_budget("max_pairs", err) from err
     pool = []
     for i in range(cfg.instances):
         s = trial_seed(cfg.seed, _INSTANCE_TAG + i)
@@ -588,13 +577,6 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
         for hypothesis in _TABLE[cfg.experiment].hypotheses:
             hypothesis(cfg, i, inst)
     return pool
-
-
-def _over_budget(key: str, err: BudgetExceededError) -> ConfigError:
-    # every instance shares (p, k), so the first one is the one refused
-    return ConfigError(
-        f"instance 0: {err} (budget.{key}); the instance pool needs exact constants"
-    )
 
 
 def _num_tol(lhs: float, rhs: float) -> float:
@@ -652,12 +634,13 @@ def _verify_c2_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Tri
     return _verify_row(index, seed, rep, inst), {}
 
 
-def _compressible_signal(dictionary: Dictionary, seed: int, decay: float = 0.5) -> np.ndarray:
+def _compressible_signal(dictionary: Dictionary, seed: int) -> np.ndarray:
     """Unit-norm x whose analysis image has (approximately) geometrically
-    decaying sorted magnitudes; exact geometric decay when D is orthogonal."""
+    decaying sorted magnitudes, ratio _DECAY; exact geometric decay when D
+    is orthogonal."""
     rng = np.random.default_rng(seed)
     p = dictionary.p
-    profile = decay ** np.arange(p) * rng.choice([-1.0, 1.0], size=p)
+    profile = _DECAY ** np.arange(p) * rng.choice([-1.0, 1.0], size=p)
     v = rng.permutation(profile)
     x = dictionary.pinv() @ v
     nrm = float(np.linalg.norm(x))

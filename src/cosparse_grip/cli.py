@@ -3,8 +3,11 @@
     cosparse-grip <experiment> --config <path> [--seed N] [--out <dir>]
 
 Exit codes: 0 success; 2 config error (including a config whose named
-experiment disagrees with the command, and a rho campaign or an instance
-pool whose exact constants exceed their budget); 3 bound-violation
+experiment disagrees with the command, a rho campaign or an instance pool
+whose exact constants exceed their budget, and a dantzig campaign whose
+LP exceeds the LP route's variable budget: these are refused when the
+config is read, before any instance is drawn; and an instance pool whose
+hypotheses fail); 3 bound-violation
 finding (some verified inequality whose hypothesis held came out below
 -1e-8 max(|lhs|, |rhs|, 1)); 4 solver non-convergence.
 When both 3 and 4 apply, 4 wins: an unconverged solve makes the recorded

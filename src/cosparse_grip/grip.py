@@ -26,14 +26,13 @@ every bound downstream, never a guarantee of this module.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .model import Dictionary, SupportSet, sensing_entries
+from .model import Dictionary, SupportSet, _to_json, sensing_entries
 
 __all__ = [
     "DEFAULT_MAX_SUPPORTS",
@@ -81,16 +80,7 @@ class GripReport:
     eigen_range: tuple[float, float]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "delta": self.delta,
-                "method": self.method,
-                "trials": self.trials,
-                "worst_support": list(self.worst_support.indices),
-                "eigen_range": list(self.eigen_range),
-            }
-        )
+        return _to_json(self)
 
 
 @dataclass(frozen=True)
@@ -104,14 +94,7 @@ class RhoEstimate:
     witness: tuple[SupportSet, SupportSet]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "k": self.k,
-                "rho": self.rho,
-                "method": self.method,
-                "witness": [list(s.indices) for s in self.witness],
-            }
-        )
+        return _to_json(self)
 
 
 @dataclass(frozen=True)
@@ -138,19 +121,7 @@ class BoundConstants:
     c1_printed: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta2k": self.delta2k,
-                "rho": self.rho,
-                "alpha": self.alpha,
-                "beta": self.beta,
-                "admissible": self.admissible,
-                "c0": self.c0,
-                "c1": self.c1,
-                "c0_printed": self.c0_printed,
-                "c1_printed": self.c1_printed,
-            }
-        )
+        return _to_json(self)
 
 
 def _mT(stack: np.ndarray) -> np.ndarray:

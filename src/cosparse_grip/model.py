@@ -14,8 +14,9 @@ Conventions:
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -429,6 +430,25 @@ def chunk_decompose(
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _to_json(result) -> str:
+    """JSON of a frozen result: its fields in declaration order, a
+    SupportSet as its index list, arrays and tuples as lists, nested
+    dataclasses as objects."""
+    return json.dumps(_jsonable(result))
+
+
+def _jsonable(v):
+    if isinstance(v, SupportSet):
+        return list(v.indices)
+    if is_dataclass(v):
+        return {f.name: _jsonable(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    if isinstance(v, tuple):
+        return [_jsonable(item) for item in v]
+    return v
 
 
 def save_matrix_csv(path, obj: Dictionary | SensingMatrix) -> None:

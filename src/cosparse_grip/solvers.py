@@ -34,14 +34,13 @@ PDHG stopping residual. SolverOptions sets only the iteration budget.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dictionary, _check_matrix, sensing_entries
+from .model import Dictionary, _check_matrix, _to_json, sensing_entries
 from .simplex import LpInfeasibleError, solve_standard_lp
 
 __all__ = [
@@ -118,9 +117,9 @@ class RecoveryResult:
     1e-7 max(1, ||y||), the dual pair is feasible to within 1e-7
     (_FEAS_TOL), and |certification_gap| <= 1e-6 (_CERT_TOL).
     certification_gap is the signed duality gap relative to max(1,
-    primal objective); both solver paths always set it. On the LP path dual_residual is the
-    checked dual infeasibility, on the first-order path the PDHG's own
-    fixed-point residual.
+    primal objective). On the LP path dual_residual is the checked dual
+    infeasibility, on the first-order path the PDHG's own fixed-point
+    residual.
     """
 
     x_hat: np.ndarray
@@ -129,22 +128,11 @@ class RecoveryResult:
     primal_residual: float
     dual_residual: float
     converged: bool
-    certified: bool = False
-    certification_gap: float | None = None
+    certified: bool
+    certification_gap: float
 
     def to_json(self) -> str:
-        doc = {
-            "objective": self.objective,
-            "iterations": self.iterations,
-            "primal_residual": self.primal_residual,
-            "dual_residual": self.dual_residual,
-            "certified": self.certified,
-            "x_hat": [float(v) for v in self.x_hat],
-            "converged": self.converged,
-        }
-        if self.certification_gap is not None:
-            doc["certification_gap"] = self.certification_gap
-        return json.dumps(doc)
+        return _to_json(self)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -475,6 +463,19 @@ def solve_synthesis_l1(
     return replace(res, x_hat=x_hat)
 
 
+def _refuse_lp(n: int, p: int, kind: str) -> int:
+    """The budget guard of the LP route: its variable count in closed
+    form, [z+ (n), z- (n), t (p)] plus 2p absolute-value slacks and, for
+    dantzig, 2n correlation slacks. Returns the count when within
+    MAX_LP_VARIABLES."""
+    nvar = 2 * n + 3 * p + (2 * n if kind == "dantzig" else 0)
+    if nvar > MAX_LP_VARIABLES:
+        raise ValueError(
+            f"certification LP needs {nvar} variables, budget is {MAX_LP_VARIABLES}"
+        )
+    return nvar
+
+
 def _build_lp(
     d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -490,21 +491,14 @@ def _build_lp(
     y = constraint.y
 
     if kind == "equality":
-        n_slack = 2 * p
         rows = 2 * p + m
     elif kind == "dantzig":
         gram = phi.T @ phi
         b = phi.T @ y
-        n_slack = 2 * p + 2 * n
         rows = 2 * p + 2 * n
     else:
         raise ValueError("LP route supports equality and dantzig only")
-
-    nvar = 2 * n + p + n_slack
-    if nvar > MAX_LP_VARIABLES:
-        raise ValueError(
-            f"certification LP needs {nvar} variables, budget is {MAX_LP_VARIABLES}"
-        )
+    nvar = _refuse_lp(n, p, kind)
 
     a = np.zeros((rows, nvar))
     rhs = np.zeros(rows)

@@ -31,14 +31,13 @@ orthogonal instances, so it is not what gets checked.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grip import BoundConstants, bound_constants, delta_exact, rho_exact
-from .model import Dictionary, SupportSet, sensing_entries, sigma_k, top_k_support
+from .model import Dictionary, SupportSet, _to_json, sensing_entries, sigma_k, top_k_support
 from .solvers import _norm
 
 __all__ = [
@@ -66,20 +65,7 @@ class BoundReport:
     witness: dict
 
     def to_json(self) -> str:
-        const = None
-        if self.constants_used is not None:
-            const = json.loads(self.constants_used.to_json())
-        return json.dumps(
-            {
-                "which": self.which,
-                "lhs": self.lhs,
-                "rhs": self.rhs,
-                "slack": self.slack,
-                "hypothesis_ok": self.hypothesis_ok,
-                "constants_used": const,
-                "witness": self.witness,
-            }
-        )
+        return _to_json(self)
 
 
 def _resolve_constants(

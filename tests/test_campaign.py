@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from cosparse_grip import campaign as cam
@@ -299,6 +301,95 @@ def test_operator_file_shape_and_existence_checks(tmp_path):
         run(config_from(wrong_dims))
 
 
+# every key the config document accepts, top level and in each object
+ACCEPTED_KEYS = {
+    "config": {
+        "experiment", "dims", "k", "dictionary_kind", "matrix_kind", "constraint", "trials",
+        "seed", "output_path", "budget", "instances", "m_grid", "rho_mode", "dictionary_path",
+        "matrix_path",
+    },
+    "dims": {"m", "n", "p"},
+    "constraint": {"kind", "epsilon", "lambda"},
+    "budget": {"max_supports", "max_pairs", "max_iters", "mc_trials"},
+}
+
+# per experiment: a valid core (dims, k, dictionary kind) and the
+# constraint kinds it admits
+_CORES = {
+    "grip": ({"m": 5, "n": 8, "p": 10}, 2, "tight-frame", ("equality", "l2-ball", "dantzig")),
+    "rho": ({"m": 5, "n": 8, "p": 10}, 2, "tight-frame", ("equality", "l2-ball", "dantzig")),
+    "solve": ({"m": 6, "n": 10, "p": 14}, 5, "tight-frame", ("equality", "l2-ball", "dantzig")),
+    "phase": ({"m": 4, "n": 8, "p": 8}, 3, "orthogonal", ("equality",)),
+    "p1p2": ({"m": 5, "n": 8, "p": 8}, 3, "orthogonal", ("equality", "l2-ball")),
+    "verify-c1": ({"m": 9, "n": 10, "p": 10}, 1, "identity", ("equality", "l2-ball", "dantzig")),
+    "verify-c2": ({"m": 9, "n": 10, "p": 10}, 1, "identity", ("equality", "l2-ball", "dantzig")),
+    "verify-t1": ({"m": 9, "n": 10, "p": 10}, 1, "identity", ("equality", "l2-ball", "dantzig")),
+}
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _constraint_docs(kind):
+    required = {"kind": st.just(kind)}
+    optional = {"epsilon": _finite, "lambda": _finite}
+    if kind == "equality":
+        required, optional["kind"] = {}, st.just(kind)
+    elif kind == "l2-ball":
+        required["epsilon"] = optional.pop("epsilon").filter(lambda v: v > 0)
+    else:
+        required["lambda"] = optional.pop("lambda").filter(lambda v: v >= 0)
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+@st.composite
+def valid_documents(draw):
+    experiment = draw(st.sampled_from(cam.EXPERIMENTS))
+    dims, k, dictionary_kind, kinds = _CORES[experiment]
+    optional = {
+        "constraint": st.sampled_from(kinds).flatmap(_constraint_docs),
+        "output_path": st.none() | st.text(max_size=8),
+        "budget": st.fixed_dictionaries({}, optional={
+            "max_supports": st.integers(3060, 10**9),
+            "max_pairs": st.integers(60000, 10**9),
+            "max_iters": st.integers(1, 10**9),
+            "mc_trials": st.integers(1, 10**6),
+        }),
+        "rho_mode": st.sampled_from(("exact", "printed")),
+        "m_grid": st.none(),
+    }
+    if experiment == "phase":
+        optional["m_grid"] |= st.lists(st.integers(1, dims["n"]), min_size=1, max_size=4)
+    files = draw(st.booleans())
+    if not files:
+        optional["instances"] = st.integers(1, 3)
+    doc = draw(st.fixed_dictionaries({}, optional=optional))
+    doc.update(
+        experiment=experiment, dims=dict(dims), k=k, dictionary_kind=dictionary_kind,
+        matrix_kind="gaussian", trials=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64)),
+    )
+    if files:
+        doc.update(dictionary_kind="user-supplied", dictionary_path="d.csv")
+        if experiment != "phase":
+            doc.update(matrix_kind="user-supplied", matrix_path="phi.csv")
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_documents())
+def test_config_document_round_trips(doc):
+    cfg = config_from(doc)
+    echo = cfg.to_json_dict()
+    assert ExperimentConfig.from_json(json.dumps(echo)) == cfg
+    # the echo materializes every accepted key, and the parser accepts no other
+    assert set(echo) == ACCEPTED_KEYS["config"]
+    for key in ("dims", "constraint", "budget"):
+        assert set(echo[key]) == ACCEPTED_KEYS[key]
+    assert set(cam._CONFIG_KEYS) == ACCEPTED_KEYS["config"]
+    assert {key: set(sub) for key, sub in cam._NESTED.items()} == {
+        key: ACCEPTED_KEYS[key] for key in ("dims", "constraint")
+    }
+
+
 # ---------------------------------------------------------------------------
 # campaign execution and row schemas
 
@@ -482,8 +573,13 @@ def test_pool_budget_refused_before_any_scan(monkeypatch, budget, rho_mode, key)
         assert run(config_from(doc)).rows[0]["rho"] == 0.0
         assert len(calls) == 1
         return
-    with pytest.raises(ConfigError, match=rf"^instance 0: .* exceeds? budget .*\(budget\.{key}\)"):
-        run(config_from(doc))
+    count = {
+        "max_supports": r"C\(18, 4\) = 3060 supports exceeds budget 3059",
+        "max_pairs": "9180 disjoint pairs exceed budget 10",
+    }[key]
+    # refused as the config is built: no run, so no instance is drawn
+    with pytest.raises(ConfigError, match=rf"^{count} \(budget\.{key}\); verify-c1 needs exact constants$"):
+        config_from(doc)
     assert calls == []
 
 
@@ -621,7 +717,8 @@ def test_failed_trial_carries_completed_prefix(monkeypatch):
     assert partial.summary["trials"] == 2
 
 
-def test_lp_budget_failure_surfaces_as_trial_error():
+def test_lp_budget_refused_as_config_error():
+    # the dantzig LP has 2n + 3p + 2n variables: 490 at (n, p) = (40, 110)
     doc = base_doc(
         experiment="solve",
         dims={"m": 20, "n": 40, "p": 110},
@@ -631,8 +728,18 @@ def test_lp_budget_failure_surfaces_as_trial_error():
         seed=0,
         constraint={"kind": "dantzig", "lambda": 0.1},
     )
-    with pytest.raises(CampaignTrialError, match="trial 0"):
-        run(config_from(doc))
+    with pytest.raises(ConfigError, match=(
+        r"^certification LP needs 490 variables, budget is 400; "
+        r"dantzig puts every solve trial on the LP route$"
+    )):
+        config_from(doc)
+    # 406 at (n, p) = (58, 58), where the verify pool itself is in budget
+    with pytest.raises(ConfigError, match=r"^certification LP needs 406 variables, budget is 400; .* verify-t1 "):
+        config_from(base_doc(experiment="verify-t1", dims={"m": 20, "n": 58, "p": 58},
+                             constraint={"kind": "dantzig", "lambda": 0.1}))
+    # equality solves take the first-order path, and grip solves nothing
+    assert config_from(dict(doc, constraint={"kind": "equality"})).constraint_kind == "equality"
+    assert config_from(dict(doc, experiment="grip")).constraint_kind == "dantzig"
 
 
 # ---------------------------------------------------------------------------

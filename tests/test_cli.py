@@ -1,11 +1,12 @@
 import json
+import re
 
 import pytest
 
 from cosparse_grip import cli
 from cosparse_grip.campaign import CampaignResult, trial_seed
 
-from test_campaign import base_doc, config_from, write_matched_instance
+from test_campaign import base_doc, config_from, sabotage, write_matched_instance
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -81,9 +82,12 @@ def test_cli_pool_over_budget_exits_2(tmp_path, capsys, doc, key):
     out_dir = tmp_path / "out"
     assert cli.main([doc["experiment"], "--config", cfg_path, "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: instance 0: ")
-    assert "exceed" in err and key in err
-    assert "Traceback" not in err
+    count = {
+        "budget.max_supports": r"C\(30, 8\) = 5852925 supports exceeds budget 3060",
+        "budget.max_pairs": "630 disjoint pairs exceed budget 10",
+    }[key]
+    expected = rf"error: {count} \({re.escape(key)}\); {doc['experiment']} needs exact constants\n"
+    assert re.fullmatch(expected, err)
     assert not out_dir.exists()
 
 
@@ -113,22 +117,29 @@ def test_cli_unconverged_solver_exits_4(tmp_path, capsys):
     assert (out_dir / "results.csv").exists()
 
 
-def test_cli_crashed_trial_exits_1_with_partial_flush(tmp_path, capsys):
-    doc = base_doc(
-        experiment="solve",
-        dims={"m": 20, "n": 40, "p": 110},
-        dictionary_kind="tight-frame",
-        k=71,
-        trials=1,
-        seed=0,
-        constraint={"kind": "dantzig", "lambda": 0.1},
-    )
-    cfg_path = write_config(tmp_path, doc)
+def test_cli_crashed_trial_exits_1_with_partial_flush(tmp_path, capsys, monkeypatch):
+    sabotage(monkeypatch, "grip", 0)
+    cfg_path = write_config(tmp_path, base_doc(experiment="grip", k=2, trials=1))
     out_dir = tmp_path / "out"
-    code = cli.main(["solve", "--config", cfg_path, "--out", str(out_dir)])
+    code = cli.main(["grip", "--config", cfg_path, "--out", str(out_dir)])
     assert code == 1
     assert "partial results" in capsys.readouterr().err
     assert (out_dir / "results.csv").read_text().startswith("# summary:")
+
+
+def test_cli_lp_over_budget_exits_2(tmp_path, capsys):
+    # 2n + 3p + 2n = 480 variables in every trial's dantzig LP
+    doc = base_doc(experiment="solve", dims={"m": 30, "n": 60, "p": 80}, k=25,
+                   dictionary_kind="tight-frame", trials=1, seed=0,
+                   constraint={"kind": "dantzig", "lambda": 0.1})
+    cfg_path = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", "--config", cfg_path, "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "error: certification LP needs 480 variables, budget is 400; "
+        "dantzig puts every solve trial on the LP route\n"
+    )
+    assert not out_dir.exists()
 
 
 def _rigged_result(summary, rows=()):

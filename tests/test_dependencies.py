@@ -1,5 +1,7 @@
-"""numpy is the package's only runtime dependency."""
+"""numpy is the package's only runtime dependency, and each module uses
+what it imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -37,3 +39,35 @@ def test_import_loads_no_third_party_module_but_numpy():
     assert Path(report["package"]).resolve().is_relative_to(ROOT / "src")
     assert report["third_party"] == ["numpy"]
     assert report["oracles"] == []
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by a module's top-level imports that its code never
+    reads and its __all__ does not re-export."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in bound.items()
+                  if name not in used and name not in exported)
+
+
+def test_unused_import_guard_sees_a_leftover():
+    assert _unused_imports("import json\nimport math\n\nx = math.pi\n") == ["json (line 1)"]
+    assert _unused_imports("from .a import f\n__all__ = ['f']\n") == []
+
+
+def test_modules_use_every_import():
+    for path in sorted((ROOT / "src" / "cosparse_grip").glob("*.py")):
+        assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import json
 import math
 import pickle
 
@@ -311,3 +313,27 @@ def test_csv_round_trip_random_matrices(tmp_path_factory, seed):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     cg.save_matrix_csv(path, phi)
     assert np.array_equal(cg.load_sensing_csv(path).entries, entries)
+
+
+def test_report_json_keys_follow_field_order():
+    phi = cg.make_sensing_matrix("gaussian", 5, 8, 1)
+    d = cg.make_dictionary("tight-frame", 10, 8, 1)
+    x = cg.sample_cosparse_signal(d, 3, 2)
+    pinv = d.pinv()
+    reports = [
+        cg.delta_exact(phi, d, 2),
+        cg.rho_exact(d, 2),
+        cg.bound_constants(0.25, 0.05),
+        cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x)),
+        cg.check_corollary1(phi, d, 2, (cg.SupportSet((0, 1), 10), pinv[:, 0]),
+                            (cg.SupportSet((2, 3), 10), pinv[:, 2]), delta2k=0.5, rho=0.1),
+    ]
+    for rep in reports:
+        doc = json.loads(rep.to_json())
+        assert list(doc) == [f.name for f in dataclasses.fields(rep)], type(rep).__name__
+    grip, rho, constants, recovery, bound = (json.loads(r.to_json()) for r in reports)
+    assert grip["worst_support"] == list(reports[0].worst_support.indices)
+    assert rho["witness"] == [list(s.indices) for s in reports[1].witness]
+    assert recovery["x_hat"] == reports[3].x_hat.tolist()
+    assert bound["constants_used"] == json.loads(cg.bound_constants(0.5, 0.1).to_json())
+    assert list(constants) == list(bound["constants_used"])
