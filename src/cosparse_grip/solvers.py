@@ -13,7 +13,14 @@ tau sigma ||K||^2 <= 1, ||K|| the exact largest singular value, restarted
 adaptively and rebalanced by a primal weight as in PDLP) on the stacked
 operator K = [B; A], for equality and l2-ball. The l1 dual block projects
 onto the unit box; the constraint dual block is the conjugate prox of the
-indicator of B(y).
+indicator of B(y). On the equality set every restart check also tries a
+polish, after PDLP's feasibility polishing and crossover to a vertex
+(Megiddo 1991): the restart candidate names the dim null(A) entries of
+B z nearest zero, one linear solve puts z on the feasible point where
+they vanish, and that point is returned as soon as its checked
+certificate passes. A failed attempt leaves the iteration untouched.
+The l2 ball is not polished: its optimal face includes the curved
+boundary of the ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
@@ -26,10 +33,11 @@ gap of a primal point z and a dual pair (v, w) of
 the KKT error of PDLP, which also drives the restarts. The LP path reads
 (v, w) off the simplex multipliers of its optimal basis; the first-order
 path repairs the PDHG dual into exact dual feasibility and moves its
-point onto B(y) before the check. The tolerances are fixed module
-constants, the same on both paths: _FEAS_TOL for primal and dual
-infeasibility, _CERT_TOL for the relative duality gap, and _TOL for the
-PDHG stopping residual. SolverOptions sets only the iteration budget.
+point onto B(y) before the check, and a polished point passes the same
+check before it is returned. The tolerances are fixed module constants,
+the same on both paths: _FEAS_TOL for primal and dual infeasibility,
+_CERT_TOL for the relative duality gap, and _TOL for the PDHG stopping
+residual. SolverOptions sets only the iteration budget.
 """
 
 from __future__ import annotations
@@ -117,9 +125,12 @@ class RecoveryResult:
     1e-7 max(1, ||y||), the dual pair is feasible to within 1e-7
     (_FEAS_TOL), and |certification_gap| <= 1e-6 (_CERT_TOL).
     certification_gap is the signed duality gap relative to max(1,
-    primal objective). On the LP path dual_residual is the checked dual
-    infeasibility, on the first-order path the PDHG's own fixed-point
-    residual.
+    primal objective). On the LP path primal_residual and dual_residual
+    are the checked violation and the checked dual infeasibility. On the
+    first-order path they are the same checked values when a polish
+    ended the solve (equality only; iterations then counts up to the
+    restart check that accepted it), and otherwise the PDHG's own
+    fixed-point residuals.
     """
 
     x_hat: np.ndarray
@@ -229,14 +240,38 @@ _ARTIFICIAL_RESTART = 0.36
 _MIN_MOVE = 1e-10  # primal or dual move below which the weight is kept
 
 
+def _face_point(
+    z0: np.ndarray, null: np.ndarray, dz0: np.ndarray, dn: np.ndarray, dz: np.ndarray
+) -> np.ndarray | None:
+    """The point z0 + null^T c of the equality set on which d_block z
+    vanishes at the free = len(null) indices where |dz| is smallest
+    (stable order), from dz0 = d_block z0 and dn = d_block null^T.
+
+    None when that free x free system is singular; free <= p, as
+    p >= n on the analysis route and p = q on the synthesis route. With
+    free == 0, z0 is the only feasible point.
+    """
+    free = null.shape[0]
+    if free == 0:
+        return z0
+    face = np.argsort(np.abs(dz), kind="stable")[:free]
+    try:
+        c = np.linalg.solve(dn[face], -dz0[face])
+    except np.linalg.LinAlgError:
+        return None
+    return z0 + null.T @ c
+
+
 def _pdhg(
     d_block: np.ndarray,
     phi: np.ndarray,
     constraint: ConstraintSpec,
     opts: SolverOptions,
+    null: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, int, float, float, bool]:
     """Restarted primal-dual iteration for min ||d_block z||_1 s.t.
-    z in B(y), where B(y) is the equality set or the l2 ball.
+    z in B(y), where B(y) is the equality set or the l2 ball; null is
+    _null_basis(phi).
 
     Returns (z, u, iterations, primal_residual, dual_residual, converged)
     with u = (v, w) the dual iterate paired with z.
@@ -245,6 +280,15 @@ def _pdhg(
     primal weight omega becomes the geometric mean of itself and the ratio
     of the dual to the primal move since the previous restart, and the
     steps become tau = 1 / (L omega), sigma = omega / L.
+
+    Polish (equality only): at every restart check the candidate (z_c,
+    u_c) names a face, the dim null(phi) entries of d_block z_c nearest
+    0. _face_point solves for the feasible point on which they vanish,
+    and that point is returned when _check_first_order certifies it with
+    u_c's l1 block; iterations then counts up to that check, and the
+    residuals are the checked violation and dual infeasibility. A failed
+    attempt changes nothing in the iteration. The l2 ball's face has a
+    curved part, so it is not polished.
     """
     p = d_block.shape[0]
     kind = constraint.kind
@@ -267,6 +311,9 @@ def _pdhg(
     sigma_y = sigma * y
 
     z = _feasible_start(phi, constraint)
+    polish = kind == "equality"
+    if polish:
+        z0, dz0, dn = z, d_block @ z, d_block @ null.T
     u = np.zeros(k_mat.shape[0])
     kz = k_mat @ z
     kz_prev = kz
@@ -320,6 +367,12 @@ def _pdhg(
         err_avg = kkt_error(z_avg, u_avg)
         err_cur = kkt_error(z, u)
         z_c, u_c, err_c = (z_avg, u_avg, err_avg) if err_avg < err_cur else (z, u, err_cur)
+        if polish:
+            z_p = _face_point(z0, null, dz0, dn, d_block @ z_c)
+            if z_p is not None:
+                certified, _, dual, viol = _check_first_order(d_block, phi, constraint, z_p, u_c[:p], null)
+                if certified:
+                    return z_p, u_c, iters, viol, dual, True
         restart = (
             err_c <= _SUFFICIENT_DECAY * err_last
             or (err_c <= _NECESSARY_DECAY * err_last and err_c > err_prev)
@@ -346,19 +399,26 @@ def _pdhg(
     return z, u, iters, r_p, r_d, False
 
 
+def _null_basis(sensing: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning null(sensing): the right singular
+    vectors past its numerical rank, the count of singular values above
+    sv[0] max(shape) eps."""
+    _, sv, vt = np.linalg.svd(sensing)
+    return vt[int(np.sum(sv > sv[0] * max(sensing.shape) * np.finfo(np.float64).eps)) :]
+
+
 def _repair(
-    d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec, z: np.ndarray, v: np.ndarray
+    d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
+    z: np.ndarray, v: np.ndarray, null: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z', v', w) for _certify from the PDHG point z and l1 dual v.
 
     v is clipped to the unit box, loses the least-norm part that leaves
-    d_block^T v outside range(sensing^T) (the rows of null span
-    null(sensing)) and is rescaled into the box; w solves
-    sensing^T w = -d_block^T v by least squares. z' is z moved onto B(y)
-    along sensing^+.
+    d_block^T v outside range(sensing^T) (the rows of null, from
+    _null_basis, span null(sensing)) and is rescaled into the box; w
+    solves sensing^T w = -d_block^T v by least squares. z' is z moved
+    onto B(y) along sensing^+.
     """
-    _, sv, vt = np.linalg.svd(sensing)
-    null = vt[int(np.sum(sv > sv[0] * max(sensing.shape) * np.finfo(np.float64).eps)) :]
     v = np.clip(v, -1.0, 1.0)
     leak = null @ d_block.T
     v = v - np.linalg.lstsq(leak, leak @ v, rcond=None)[0]
@@ -372,6 +432,18 @@ def _repair(
     return z - np.linalg.lstsq(sensing, r, rcond=None)[0], v, w
 
 
+def _check_first_order(
+    d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
+    z: np.ndarray, v: np.ndarray, null: np.ndarray,
+) -> tuple[bool, float, float, float]:
+    """_certify's verdict on a first-order point z with the l1 dual v
+    after _repair: (certified, relative gap, dual infeasibility, z's
+    distance from B(y))."""
+    viol = _constraint_violation(sensing, z, constraint)
+    z_fit, v, w = _repair(d_block, sensing, constraint, z, v, null)
+    return (*_certify(d_block, sensing, constraint, z_fit, v, w, viol), viol)
+
+
 def _solve_first_order(
     d_block: np.ndarray,
     sensing: np.ndarray,
@@ -380,9 +452,10 @@ def _solve_first_order(
 ) -> RecoveryResult:
     """min ||d_block z||_1 over sensing z in B(y), shared by both routes.
 
-    Runs _pdhg, downgrades converged when the returned point misses B(y)
-    by more than _FEAS_TOL, and certifies the returned point with the
-    repaired PDHG dual.
+    Factors sensing once (_null_basis) for _pdhg's polish and the final
+    repair, runs _pdhg, downgrades converged when the returned point
+    misses B(y) by more than _FEAS_TOL, and certifies the returned point
+    with the repaired PDHG dual.
     """
     if constraint.kind == "dantzig":
         raise ValueError(
@@ -392,13 +465,12 @@ def _solve_first_order(
     if constraint.y.shape != (sensing.shape[0],):
         raise ValueError(f"y must have shape ({sensing.shape[0]},)")
 
-    z, u, iters, r_p, r_d, converged = _pdhg(d_block, sensing, constraint, opts)
-    viol = _constraint_violation(sensing, z, constraint)
+    null = _null_basis(sensing)
+    z, u, iters, r_p, r_d, converged = _pdhg(d_block, sensing, constraint, opts, null)
+    certified, gap, _, viol = _check_first_order(d_block, sensing, constraint, z, u[: d_block.shape[0]], null)
     if viol > _FEAS_TOL * max(1.0, float(np.linalg.norm(constraint.y))):
         converged = False
     objective = float(np.sum(np.abs(d_block @ z)))
-    z_fit, v, w = _repair(d_block, sensing, constraint, z, u[: d_block.shape[0]])
-    certified, gap, _ = _certify(d_block, sensing, constraint, z_fit, v, w, viol)
 
     z.setflags(write=False)
     return RecoveryResult(

@@ -377,7 +377,7 @@ def test_wrong_answer_is_not_certified(reference_instance, monkeypatch, kind):
     # dual the gap is the whole objective
     phi, d, x, y = reference_instance
 
-    def least_squares(d_block, sensing, constraint, opts):
+    def least_squares(d_block, sensing, constraint, opts, null):
         z = np.linalg.lstsq(sensing, constraint.y, rcond=None)[0]
         return z, np.zeros(d_block.shape[0] + sensing.shape[0]), 1, 0.0, 0.0, True
 
@@ -436,3 +436,109 @@ def test_recovery_result_serializes(reference_instance):
         assert key in doc
     assert doc["certified"] is True
     assert len(doc["x_hat"]) == 10
+
+
+# ---------------------------------------------------------------------------
+# polish of the equality face
+
+
+def _count_polish_attempts(monkeypatch) -> list:
+    calls = []
+    face_point = solvers._face_point
+
+    def counting(*args):
+        calls.append(1)
+        return face_point(*args)
+
+    monkeypatch.setattr(solvers, "_face_point", counting)
+    return calls
+
+
+@given(st.integers(0, 23), st.floats(1e-4, 1.0))
+@settings(max_examples=6, deadline=None)
+def test_polished_point_is_never_returned_uncertified(index, scale):
+    # every polish attempt proposes a point off the equality set; the
+    # check refuses each one, and the solve ends at the PDHG stop with
+    # the bits of a run that never polishes
+    phi, d, spec = _reference_campaign_trial(11, index)
+    off = phi.entries[0] / np.linalg.norm(phi.entries[0])
+    face_point = solvers._face_point
+    proposals = []
+
+    def perturbed(*args):
+        z = face_point(*args)
+        if z is None:
+            return None
+        proposals.append(z + scale * off)
+        return proposals[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_face_point", lambda *args: None)
+        plain = cg.solve_analysis_l1(phi, d, spec)
+        mp.setattr(solvers, "_face_point", perturbed)
+        res = cg.solve_analysis_l1(phi, d, spec)
+    assert proposals
+    assert res.certified and res.converged
+    assert np.array_equal(res.x_hat, plain.x_hat)
+    assert (res.iterations, res.primal_residual, res.dual_residual) == (
+        plain.iterations, plain.primal_residual, plain.dual_residual
+    )
+    assert max(res.primal_residual, res.dual_residual) <= 1e-9 * np.linalg.norm(spec.y)
+
+
+def test_polish_on_recovery_reference_family(monkeypatch):
+    # the 24 trials of the seed-11 solve campaign; without the polish they
+    # take 33,289 iterations and stop up to 3.6e-9 above the LP objective
+    attempts = _count_polish_attempts(monkeypatch)
+    total = 0
+    for i in range(24):
+        phi, d, spec = _reference_campaign_trial(11, i)
+        res = cg.solve_analysis_l1(phi, d, spec)
+        lp = cg.solve_lp_certified(phi, d, spec)
+        assert res.certified and res.converged, i
+        assert abs(res.objective - lp.objective) <= 1e-12 * max(1.0, res.objective), i
+        total += res.iterations
+    assert total <= 25000
+    assert attempts
+
+
+def _square_sensing():
+    # m = n: z0 is the only feasible point and the face has no free entries
+    return np.random.default_rng(42).standard_normal((10, 10))
+
+
+def _repeated_row_sensing():
+    # rank 6 with 7 rows: null(Phi) has dimension 4, not n - m = 3
+    phi = cg.make_sensing_matrix("gaussian", 6, 10, 42).entries
+    return np.vstack([phi, phi[2]])
+
+
+@pytest.mark.parametrize("route, sensing", [
+    ("analysis", _square_sensing),
+    ("analysis", _repeated_row_sensing),
+    ("synthesis", lambda: cg.make_sensing_matrix("gaussian", 6, 10, 42).entries),
+])
+def test_polish_edge_cases(route, sensing):
+    phi = sensing()
+    d = cg.make_dictionary("tight-frame", 14, 10, 3)
+    spec = cg.ConstraintSpec("equality", phi @ cg.sample_cosparse_signal(d, 5, 5))
+    if route == "analysis":
+        res = cg.solve_analysis_l1(phi, d, spec)
+        lp = cg.solve_lp_certified(phi, d, spec)
+    else:
+        res = cg.solve_synthesis_l1(phi, d, spec)
+        lp = cg.solve_lp_certified(phi @ d.entries.T, cg.Dictionary(np.eye(d.p), "identity"), spec)
+    assert res.certified and res.converged
+    assert res.iterations % 64 == 0  # a polish ends a solve only at a restart check
+    assert abs(res.objective - lp.objective) <= 1e-12 * max(1.0, res.objective)
+    if phi.shape[0] == phi.shape[1]:
+        assert np.array_equal(res.x_hat, np.linalg.lstsq(phi, spec.y, rcond=None)[0])
+
+
+def test_l2_ball_never_polishes(reference_instance, monkeypatch):
+    phi, d, x, y = reference_instance
+    attempts = _count_polish_attempts(monkeypatch)
+    spec = cg.ConstraintSpec("l2-ball", y, epsilon=0.1)
+    assert cg.solve_analysis_l1(phi, d, spec).certified
+    assert cg.solve_synthesis_l1(phi, d, spec).certified
+    assert not attempts
