@@ -3,13 +3,17 @@ with a Bland fallback.
 
 Solves min c x subject to A x = b, x >= 0 to optimality. Sized for the
 certification LPs this package builds (a few hundred variables); nothing
-here is sparse. The basis index array is the only state kept between
-pivots: every pivot inverts the basis matrix afresh from the original
-(sign-flipped) rows, prices all columns against it and runs the ratio
-test on max(B^-1 b, 0), so roundoff cannot accumulate from one pivot to
-the next (refactorization as in Bixby, Oper. Res. 2002). Tolerances are
-relative: to the multipliers for entering, to the entering column for
-the pivot.
+here is sparse. Between pivots the simplex keeps the basis index array
+and the basis inverse B^-1. Each pivot applies the product-form
+rank-one step to B^-1 in O(m^2), and every _REFACTOR_EVERY updates it is
+inverted afresh from the original (sign-flipped) rows (Dantzig &
+Orchard-Hays, Math. Tables Aids Comput. 1954; refactorization as in
+Bixby, Oper. Res. 2002). Every terminal decision, optimal or unbounded, is taken on a
+fresh inverse: when an updated B^-1 finds no entering column or no
+positive pivot entry, it is inverted afresh and the pivot is priced
+again, so roundoff carried through the updates cannot decide the
+outcome. Tolerances are relative: to the multipliers for entering, to
+the entering column for the pivot.
 
 Phase 1 starts from a crash basis: each row takes the first column that
 is exactly e_i with zero cost (the slacks the LP builders emit), and
@@ -38,6 +42,7 @@ _COST_TOL = 1e-9    # reduced cost must beat this times max(1, multiplier max)
 _PIVOT_TOL = 1e-9   # pivot entry must exceed this times max(1, column max)
 _FEAS_TOL = 1e-8    # phase-1 objective above this means infeasible
 _MAX_PIVOTS = 200000
+_REFACTOR_EVERY = 32  # rank-one updates of B^-1 between fresh inverses
 
 
 class LpInfeasibleError(RuntimeError):
@@ -76,18 +81,31 @@ def _pivot_to_optimum(
     lowers the objective, so no basis met before it recurs after it, and
     there are finitely many bases.
 
+    B^-1 is inverted from a[:, basis] on entry and carried between
+    pivots: with col = B^-1 a_enter and r the leaving row, row r becomes
+    B^-1[r] / col[r] and every other row i loses col[i] times that row.
+    After _REFACTOR_EVERY such updates it is inverted afresh. A terminal
+    decision is taken only on a fresh inverse: when pricing finds no
+    eligible column, or the entering column no positive entry, on an
+    updated B^-1, the basis is inverted afresh and priced again.
+
     The roundoff in a reduced cost grows with the simplex multipliers
     c_B B^-1; with an absolute threshold, a near-singular basis lets a
     reduced cost of pure roundoff enter, and its column then has no
     positive entry, which reads as a false LpUnboundedError."""
     degenerate = 0
+    binv = None  # None: invert a[:, basis] afresh before pricing
     while True:
-        binv = np.linalg.inv(a[:, basis])
+        if binv is None:
+            binv, updates = np.linalg.inv(a[:, basis]), 0
         y = c[basis] @ binv
         reduced = c - y @ a
         reduced[basis] = 0.0
         eligible = np.flatnonzero(reduced < -_COST_TOL * np.abs(y).max(initial=1.0))
         if eligible.size == 0:
+            if updates:
+                binv = None
+                continue
             return pivots
         if degenerate < basis.size:
             enter = eligible[np.argmin(reduced[eligible])]
@@ -96,15 +114,26 @@ def _pivot_to_optimum(
         col = binv @ a[:, enter]
         rows = np.flatnonzero(col > _PIVOT_TOL * np.abs(col).max(initial=1.0))
         if rows.size == 0:
+            if updates:
+                binv = None
+                continue
             raise LpUnboundedError("objective unbounded along entering column")
         ratios = np.maximum(binv @ b, 0.0)[rows] / col[rows]
         step = ratios.min()
         ties = rows[ratios <= step + 1e-12]  # ties leave by smallest index
-        basis[ties[np.argmin(basis[ties])]] = enter
+        r = ties[np.argmin(basis[ties])]
+        basis[r] = enter
         degenerate = degenerate + 1 if step <= 1e-12 else 0
         pivots += 1
         if pivots > _MAX_PIVOTS:
             raise RuntimeError(f"simplex exceeded {_MAX_PIVOTS} pivots")
+        updates += 1
+        if updates >= _REFACTOR_EVERY:
+            binv = None
+        else:
+            prow = binv[r] / col[r]
+            binv -= np.outer(col, prow)
+            binv[r] = prow
 
 
 def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:

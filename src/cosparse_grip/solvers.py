@@ -282,13 +282,15 @@ def _pdhg(
     steps become tau = 1 / (L omega), sigma = omega / L.
 
     Polish (equality only): at every restart check the candidate (z_c,
-    u_c) names a face, the dim null(phi) entries of d_block z_c nearest
-    0. _face_point solves for the feasible point on which they vanish,
-    and that point is returned when _check_first_order certifies it with
-    u_c's l1 block; iterations then counts up to that check, and the
+    u_c), and at the residual stop the last iterate, names a face: the
+    dim null(phi) entries of its d_block image nearest 0. _face_point
+    solves for the feasible point on which they vanish, and that point
+    is returned when _check_first_order certifies it with the pair's l1
+    dual block; iterations then counts up to that check, and the
     residuals are the checked violation and dual infeasibility. A failed
-    attempt changes nothing in the iteration. The l2 ball's face has a
-    curved part, so it is not polished.
+    attempt changes nothing in the iteration; at the stop, the iterate
+    is returned as it is. The l2 ball's face has a curved part, so it is
+    not polished.
     """
     p = d_block.shape[0]
     kind = constraint.kind
@@ -304,6 +306,16 @@ def _pdhg(
     def kkt_error(z: np.ndarray, u: np.ndarray) -> float:
         primal, dual, gap = _kkt(d_block, phi, constraint, z, u[:p], u[p:])
         return math.sqrt(primal * primal + dual * dual + gap * gap)
+
+    def polished(z_c: np.ndarray, u_c: np.ndarray) -> tuple | None:
+        """The return for z_c's certified face point, else None."""
+        if not polish:
+            return None
+        z_p = _face_point(z0, null, dz0, dn, d_block @ z_c)
+        if z_p is None:
+            return None
+        certified, _, dual, viol = _check_first_order(d_block, phi, constraint, z_p, u_c[:p], null)
+        return (z_p, u_c, iters, viol, dual, True) if certified else None
 
     omega = 1.0
     tau = 1.0 / lnorm
@@ -358,7 +370,7 @@ def _pdhg(
         n_avg += 1
         iters += 1
         if max(r_p, r_d) <= stop:
-            return z, u, iters, r_p, r_d, True
+            return polished(z, u) or (z, u, iters, r_p, r_d, True)
         if iters % _RESTART_EVERY:
             continue
 
@@ -367,12 +379,9 @@ def _pdhg(
         err_avg = kkt_error(z_avg, u_avg)
         err_cur = kkt_error(z, u)
         z_c, u_c, err_c = (z_avg, u_avg, err_avg) if err_avg < err_cur else (z, u, err_cur)
-        if polish:
-            z_p = _face_point(z0, null, dz0, dn, d_block @ z_c)
-            if z_p is not None:
-                certified, _, dual, viol = _check_first_order(d_block, phi, constraint, z_p, u_c[:p], null)
-                if certified:
-                    return z_p, u_c, iters, viol, dual, True
+        done = polished(z_c, u_c)
+        if done:
+            return done
         restart = (
             err_c <= _SUFFICIENT_DECAY * err_last
             or (err_c <= _NECESSARY_DECAY * err_last and err_c > err_prev)

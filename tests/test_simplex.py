@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
+from cosparse_grip import simplex
 from cosparse_grip.simplex import (
     LpInfeasibleError,
     LpUnboundedError,
@@ -173,10 +174,17 @@ def test_equality_lp_at_the_variable_budget():
     d = cg.make_dictionary("tight-frame", 100, 50, 1)
     phi = cg.make_sensing_matrix("gaussian", 25, 50, 2)
     x = cg.sample_cosparse_signal(d, 60, 3)
-    res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
+    inverses = []
+    inv = np.linalg.inv
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "inv", lambda m: inverses.append(m.shape) or inv(m))
+        res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
     assert res.certified
     assert res.objective == pytest.approx(5.004983055861394, abs=1e-8)
     assert res.iterations <= 5000
+    # B^-1 is carried between pivots by rank-one updates: about one fresh
+    # inverse per _REFACTOR_EVERY pivots, not one per pivot (661 pivots)
+    assert len(inverses) <= 40
 
 
 @st.composite
@@ -264,3 +272,98 @@ def test_input_validation():
         solve_standard_lp(np.array([1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
     with pytest.raises(ValueError):
         solve_standard_lp(np.array([1.0, 2.0]), np.array([[1.0, 2.0]]), np.array([1.0, 2.0]))
+
+
+# ---------------------------------------------------------------------------
+# B^-1 carried by rank-one updates: _REFACTOR_EVERY = 1 inverts afresh at
+# every pivot, the reference the default interval must reproduce
+
+
+def _solve_or_raise(c, a, b):
+    try:
+        return solve_standard_lp(c, a, b)
+    except (LpInfeasibleError, LpUnboundedError) as err:
+        return type(err)
+
+
+@given(crash_lps())
+@example(  # exact tie: fresh inverses price -0.9999999999999998 vs -1.0
+    lp=(
+        np.zeros(5),
+        np.array(
+            [[0.0, 0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0],
+             [0.0, 1.0, 1.0, 0.0, -2.0], [0.0, 2.0, -1.0, 1.0, -3.0]]
+        ),
+        np.array([2.0, 0.0, -2.0, -3.0]),
+        None,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_updated_inverse_matches_fresh_inverses(lp):
+    # the same verdict and optimum; the bits match unless two reduced
+    # costs or ratios tie exactly, as integer data can make them, and
+    # roundoff in one inverse or the other breaks the tie (2 of 3000
+    # examples), so the bits are pinned on the certification family below
+    c, a, b, _ = lp
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_REFACTOR_EVERY", 1)
+        ref = _solve_or_raise(c, a, b)
+    got = _solve_or_raise(c, a, b)
+    if isinstance(ref, type):
+        assert got is ref
+        return
+    assert got.objective == pytest.approx(ref.objective, abs=1e-9)
+    assert np.abs(a @ got.x - b).max(initial=0.0) <= 1e-9
+    assert (a.T @ got.multipliers <= c + 1e-9).all()
+
+
+def test_updated_inverse_matches_fresh_inverses_on_certification_family(monkeypatch):
+    instances = [family_instance(fs, j) for fs in (1, 2, 3) for j in range(100)]
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 1)
+    ref = [cg.solve_lp_certified(phi, d, con) for d, phi, _, con in instances]
+    monkeypatch.undo()
+    for (d, phi, _, con), r in zip(instances, ref):
+        res = cg.solve_lp_certified(phi, d, con)
+        assert res.x_hat.tobytes() == r.x_hat.tobytes()
+        assert res.iterations == r.iterations
+
+
+def test_drift_cases_solve_with_updates_alone(monkeypatch):
+    # with the periodic refactor pushed out of reach, B^-1 is inverted
+    # afresh only on entry and before each verdict, and carried by
+    # updates everywhere else
+    monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 10**9)
+    for family_seed, j in _DRIFT_CASES:
+        res = assert_optimal_answer(*family_instance(family_seed, j))
+        assert res.certified, (family_seed, j)
+        assert abs(res.certification_gap) <= 1e-9, (family_seed, j)
+
+
+def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
+    # the last change to B^-1 before _pivot_to_optimum returns optimal or
+    # raises LpUnboundedError is a fresh inverse, never a rank-one update
+    events = []
+    inv, outer, pivot = np.linalg.inv, np.outer, simplex._pivot_to_optimum
+
+    def logged(*args):
+        try:
+            return pivot(*args)
+        finally:
+            events.append("verdict")
+
+    monkeypatch.setattr(np.linalg, "inv", lambda m: events.append("inv") or inv(m))
+    monkeypatch.setattr(np, "outer", lambda u, v: events.append("update") or outer(u, v))
+    monkeypatch.setattr(simplex, "_pivot_to_optimum", logged)
+    for j in range(10):
+        d, phi, _, con = family_instance(11, j)
+        cg.solve_lp_certified(phi, d, con)
+    # x2 = x4 grows without bound, found after x1 enters at a positive step
+    with pytest.raises(LpUnboundedError):
+        solve_standard_lp(
+            np.array([-1.0, -1.0, 0.0, 0.0]),
+            np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]),
+            np.array([1.0, 0.0]),
+        )
+    assert "update" in events
+    for i in (i for i, e in enumerate(events) if e == "verdict"):
+        assert next(e for e in reversed(events[:i]) if e != "verdict") == "inv"

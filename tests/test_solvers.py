@@ -502,6 +502,20 @@ def test_polish_on_recovery_reference_family(monkeypatch):
     assert attempts
 
 
+@pytest.mark.parametrize("s", [7, 25])
+def test_polish_at_the_residual_stop(s):
+    # criterion 9's matched-operator instances that meet the residual stop
+    # between two restart checks (124 and 127 iterations); unpolished, they
+    # stop 1.2e-9 and 1.5e-9 above the LP objective
+    d, phi = matched_instance(10, 9, s)
+    spec = cg.ConstraintSpec("equality", phi.entries @ cg.sample_cosparse_signal(d, 2, 600 + s))
+    res = cg.solve_analysis_l1(phi, d, spec)
+    lp = cg.solve_lp_certified(phi, d, spec)
+    assert res.certified and res.converged
+    assert res.iterations % 64
+    assert abs(res.objective - lp.objective) <= 1e-12 * max(1.0, lp.objective)
+
+
 def _square_sensing():
     # m = n: z0 is the only feasible point and the face has no free entries
     return np.random.default_rng(42).standard_normal((10, 10))
@@ -529,7 +543,7 @@ def test_polish_edge_cases(route, sensing):
         res = cg.solve_synthesis_l1(phi, d, spec)
         lp = cg.solve_lp_certified(phi @ d.entries.T, cg.Dictionary(np.eye(d.p), "identity"), spec)
     assert res.certified and res.converged
-    assert res.iterations % 64 == 0  # a polish ends a solve only at a restart check
+    assert res.iterations % 64 == 0  # each of these polishes at a restart check
     assert abs(res.objective - lp.objective) <= 1e-12 * max(1.0, res.objective)
     if phi.shape[0] == phi.shape[1]:
         assert np.array_equal(res.x_hat, np.linalg.lstsq(phi, spec.y, rcond=None)[0])
