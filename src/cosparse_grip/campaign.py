@@ -428,10 +428,7 @@ def _solve_for(cfg: ExperimentConfig, phi, dictionary: Dictionary, constraint: C
     return solve_analysis_l1(phi, dictionary, constraint, _solver_options(cfg))
 
 
-_Trial = tuple[dict, dict]  # (emitted row, non-emitted stats e.g. convergence)
-
-
-def _grip_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Trial:
+def _grip_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     d, phi = _make_operators(cfg, seed, ops)
     try:
         rep = delta_exact(phi, d, cfg.k, max_supports=cfg.budget.max_supports)
@@ -445,15 +442,15 @@ def _grip_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Tri
         "eig_lo": rep.eigen_range[0],
         "eig_hi": rep.eigen_range[1],
     }
-    return row, {}
+    return row
 
 
-def _rho_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Trial:
+def _rho_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     est = rho_exact(_make_dictionary(cfg, seed, ops), cfg.k, max_pairs=cfg.budget.max_pairs)
-    return {"trial": index, "seed": seed, "rho": est.rho}, {}
+    return {"trial": index, "seed": seed, "rho": est.rho}
 
 
-def _solve_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Trial:
+def _solve_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     d, phi = _make_operators(cfg, seed, ops)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
     rng = np.random.default_rng(trial_seed(seed, 3))
@@ -471,7 +468,7 @@ def _solve_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Tr
         "err_l2": err,
         "success": err <= SUCCESS_TOL,
     }
-    return row, {"converged": res.converged}
+    return row
 
 
 def _m_cells(cfg: ExperimentConfig) -> tuple[int, ...]:
@@ -482,7 +479,7 @@ def _m_cells(cfg: ExperimentConfig) -> tuple[int, ...]:
     return tuple(range(2, cfg.n + 1)) if cfg.experiment == "phase" else (cfg.m,)
 
 
-def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Trial:
+def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     m = _m_cells(cfg)[index // cfg.trials]
     d = _make_dictionary(cfg, seed, ops)
     # m = n is a legitimate endpoint of the sweep; SensingMatrix would
@@ -500,11 +497,12 @@ def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Tr
         "err_l2": err,
         "objective": res.objective,
         "iterations": res.iterations,
+        "converged": res.converged,
     }
-    return row, {"converged": res.converged}
+    return row
 
 
-def _p1p2_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Trial:
+def _p1p2_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     d, phi = _make_operators(cfg, seed, ops)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
     rng = np.random.default_rng(trial_seed(seed, 3))
@@ -513,7 +511,6 @@ def _p1p2_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Tri
     res_analysis = solve_analysis_l1(phi, d, constraint, opts)
     res_synthesis = solve_synthesis_l1(phi, d, constraint, opts)
     dist = float(np.linalg.norm(res_analysis.x_hat - res_synthesis.x_hat))
-    converged = res_analysis.converged and res_synthesis.converged
     row = {
         "trial": index,
         "seed": seed,
@@ -522,9 +519,9 @@ def _p1p2_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> _Tri
         "objective_p2": res_analysis.objective,
         "iterations_p1": res_synthesis.iterations,
         "iterations_p2": res_analysis.iterations,
-        "converged": converged,
+        "converged": res_analysis.converged and res_synthesis.converged,
     }
-    return row, {"converged": converged}
+    return row
 
 
 @dataclass(frozen=True)
@@ -602,7 +599,7 @@ def _verify_row(index: int, seed: int, rep, inst: _VerifyInstance) -> dict:
     }
 
 
-def _verify_c1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Trial:
+def _verify_c1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
     inst = pool[index % len(pool)]
     d = inst.dictionary
     rng = np.random.default_rng(seed)
@@ -618,10 +615,10 @@ def _verify_c1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Tri
         inst.phi, d, cfg.k, (sup_i, pinv @ z_i), (sup_j, pinv @ z_j),
         delta2k=inst.delta2k, rho=inst.rho,
     )
-    return _verify_row(index, seed, rep, inst), {}
+    return _verify_row(index, seed, rep, inst)
 
 
-def _verify_c2_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Trial:
+def _verify_c2_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
     inst = pool[index % len(pool)]
     rng = np.random.default_rng(seed)
     h = rng.standard_normal(cfg.n)
@@ -631,7 +628,7 @@ def _verify_c2_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Tri
         inst.phi, inst.dictionary, cfg.k, h, head,
         delta2k=inst.delta2k, rho=inst.rho,
     )
-    return _verify_row(index, seed, rep, inst), {}
+    return _verify_row(index, seed, rep, inst)
 
 
 def _compressible_signal(dictionary: Dictionary, seed: int) -> np.ndarray:
@@ -649,9 +646,8 @@ def _compressible_signal(dictionary: Dictionary, seed: int) -> np.ndarray:
     return x / nrm
 
 
-def _verify_t1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Trial:
+def _verify_t1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
     inst = pool[index % len(pool)]
-    constants = bound_constants(inst.delta2k, inst.rho)
     x = _compressible_signal(inst.dictionary, trial_seed(seed, 2))
     rng = np.random.default_rng(trial_seed(seed, 3))
     constraint = _constraint_for(cfg, inst.phi.entries, x, rng)
@@ -661,17 +657,18 @@ def _verify_t1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> _Tri
         delta2k=inst.delta2k, rho=inst.rho,
     )
     row = _verify_row(index, seed, rep, inst)
-    row["c0"] = constants.c0
-    row["c1"] = constants.c1
-    return row, {"converged": res.converged}
+    row["c0"] = rep.constants_used.c0
+    row["c1"] = rep.constants_used.c1
+    row["converged"] = res.converged
+    return row
 
 
-# Each summarizer maps (config, rows, unconverged trial count) to the
-# summary keys that follow "trials"; their order is part of the CSV bytes.
+# Each summarizer maps (config, rows) to the summary keys that follow
+# "trials"; their order is part of the CSV bytes.
 
 
 def _spread_summary(key: str):
-    def summarize(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+    def summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
         values = [r[key] for r in rows]
         return {
             f"{key}_mean": sum(values) / len(values),
@@ -681,17 +678,21 @@ def _spread_summary(key: str):
     return summarize
 
 
-def _solve_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+def _unconverged(rows: list[dict]) -> int:
+    return sum(1 for r in rows if not r["converged"])
+
+
+def _solve_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     succ = [r["success"] for r in rows]
     return {
         "success_rate": sum(succ) / len(succ),
         "err_max": max(r["err_l2"] for r in rows),
-        "unconverged": unconverged,
+        "unconverged": _unconverged(rows),
     }
 
 
-def _phase_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
-    summary = _solve_summary(cfg, rows, unconverged)
+def _phase_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
+    summary = _solve_summary(cfg, rows)
     for m in _m_cells(cfg):
         cell = [r["success"] for r in rows if r["m"] == m]
         if cell:
@@ -699,16 +700,16 @@ def _phase_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) ->
     return summary
 
 
-def _p1p2_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+def _p1p2_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     dists = [r["distance"] for r in rows]
     return {
         "distance_mean": sum(dists) / len(dists),
         "distance_max": max(dists),
-        "unconverged": unconverged,
+        "unconverged": _unconverged(rows),
     }
 
 
-def _verify_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
+def _verify_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     slacks = [r["slack"] for r in rows]
     return {
         "min_slack": min(slacks),
@@ -718,24 +719,26 @@ def _verify_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -
     }
 
 
-def _t1_summary(cfg: ExperimentConfig, rows: list[dict], unconverged: int) -> dict:
-    return {**_verify_summary(cfg, rows, unconverged), "unconverged": unconverged}
+def _t1_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
+    return {**_verify_summary(cfg, rows), "unconverged": _unconverged(rows)}
 
 
 @dataclass(frozen=True)
 class _Experiment:
     """Everything the campaign layer knows about one experiment.
 
-    trial(cfg, ctx, index, seed) runs one trial; ctx is the verify
-    instance pool when `pooled`, else the loaded operator files.
+    trial(cfg, ctx, index, seed) runs one trial and returns its row; ctx
+    is the verify instance pool when `pooled`, else the loaded operator
+    files. The rows of the experiments that solve carry `converged`, which
+    the summary counts and the CLI's exit 4 reads.
     draws_signal: samples a k-analysis-sparse signal (needs k < p and,
     for a redundant operator, k >= p - n + 1). needs_pairs: uses disjoint
     size-k supports (needs 2k <= p). hypotheses: checks, in order, that
     every pooled instance must pass before any trial runs.
     """
 
-    trial: Callable[[ExperimentConfig, object, int, int], _Trial]
-    summarize: Callable[[ExperimentConfig, list[dict], int], dict]
+    trial: Callable[[ExperimentConfig, object, int, int], dict]
+    summarize: Callable[[ExperimentConfig, list[dict]], dict]
     pooled: bool = False
     draws_signal: bool = False
     needs_pairs: bool = False
@@ -762,11 +765,10 @@ _TABLE = {
 EXPERIMENTS = tuple(_TABLE)
 
 
-def _summarize(cfg: ExperimentConfig, rows: list[dict], metas: list[dict]) -> dict:
+def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     summary: dict = {"trials": len(rows)}
     if rows:
-        unconverged = sum(1 for m in metas if m.get("converged") is False)
-        summary.update(_TABLE[cfg.experiment].summarize(cfg, rows, unconverged))
+        summary.update(_TABLE[cfg.experiment].summarize(cfg, rows))
     return summary
 
 
@@ -787,9 +789,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     seeds = [trial_seed(config.seed, i) for i in range(total)]
 
     rows: list[dict] = []
-    metas: list[dict] = []
 
-    def guarded(i: int) -> _Trial:
+    def guarded(i: int) -> dict:
         try:
             return entry.trial(config, ctx, i, seeds[i])
         except Exception as err:
@@ -799,21 +800,18 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
         return CampaignResult(
             config=config,
             rows=tuple(rows),
-            summary=_summarize(config, rows, metas),
+            summary=_summarize(config, rows),
             wall_time=time.perf_counter() - t0,
         )
 
     try:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-                for row, meta in pool_exec.map(guarded, range(total)):
+                for row in pool_exec.map(guarded, range(total)):
                     rows.append(row)
-                    metas.append(meta)
         else:
             for i in range(total):
-                row, meta = guarded(i)
-                rows.append(row)
-                metas.append(meta)
+                rows.append(guarded(i))
     except _TrialFailure as fail:
         raise CampaignTrialError(
             f"trial {fail.index} (seed {fail.seed}) failed: {fail.cause}", result()

@@ -14,8 +14,8 @@ When both 3 and 4 apply, 4 wins: an unconverged solve makes the recorded
 slacks unreliable, so non-convergence is the more fundamental finding.
 After the summary the campaign's wall_time (seconds) is printed. On
 exit 3 the index and seed of the first violating row follow the finding;
-on exit 4 those of the first unconverged row, when the rows carry a
-converged column. Either trial can then be replayed.
+on exit 4 those of the first unconverged row. Either trial can then be
+replayed.
 A crashed trial flushes the completed rows and exits 1. Outputs land in
 --out (falling back to the config's output_path, then the working
 directory) as results.csv, results.jsonl and config_echo.json.

@@ -125,12 +125,10 @@ class RecoveryResult:
     1e-7 max(1, ||y||), the dual pair is feasible to within 1e-7
     (_FEAS_TOL), and |certification_gap| <= 1e-6 (_CERT_TOL).
     certification_gap is the signed duality gap relative to max(1,
-    primal objective). On the LP path primal_residual and dual_residual
-    are the checked violation and the checked dual infeasibility. On the
-    first-order path they are the same checked values when a polish
-    ended the solve (equality only; iterations then counts up to the
-    restart check that accepted it), and otherwise the PDHG's own
-    fixed-point residuals.
+    primal objective). On both paths primal_residual and dual_residual
+    are the returned point's checked distance from B(y) and the checked
+    dual infeasibility. When a polish ended a first-order solve (equality
+    only), iterations counts up to the check that accepted it.
     """
 
     x_hat: np.ndarray
@@ -268,26 +266,24 @@ def _pdhg(
     constraint: ConstraintSpec,
     opts: SolverOptions,
     null: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, float, float, bool]:
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Restarted primal-dual iteration for min ||d_block z||_1 s.t.
     z in B(y), where B(y) is the equality set or the l2 ball; null is
     _null_basis(phi).
 
-    Returns (z, u, iterations, primal_residual, dual_residual, converged)
-    with u = (v, w) the dual iterate paired with z.
-    Residuals are the fixed-point gaps of the extrapolated scheme; both
-    are compared against _TOL * max(1e-12, ||y||). At each restart the
-    primal weight omega becomes the geometric mean of itself and the ratio
-    of the dual to the primal move since the previous restart, and the
-    steps become tau = 1 / (L omega), sigma = omega / L.
+    Returns (z, u, iterations, converged) with u = (v, w) the dual iterate
+    paired with z. The iteration stops when both fixed-point gaps of the
+    extrapolated scheme are within _TOL * max(1e-12, ||y||). At each
+    restart the primal weight omega becomes the geometric mean of itself
+    and the ratio of the dual to the primal move since the previous
+    restart, and the steps become tau = 1 / (L omega), sigma = omega / L.
 
     Polish (equality only): at every restart check the candidate (z_c,
     u_c), and at the residual stop the last iterate, names a face: the
     dim null(phi) entries of its d_block image nearest 0. _face_point
     solves for the feasible point on which they vanish, and that point
     is returned when _check_first_order certifies it with the pair's l1
-    dual block; iterations then counts up to that check, and the
-    residuals are the checked violation and dual infeasibility. A failed
+    dual block; iterations then counts up to that check. A failed
     attempt changes nothing in the iteration; at the stop, the iterate
     is returned as it is. The l2 ball's face has a curved part, so it is
     not polished.
@@ -314,8 +310,8 @@ def _pdhg(
         z_p = _face_point(z0, null, dz0, dn, d_block @ z_c)
         if z_p is None:
             return None
-        certified, _, dual, viol = _check_first_order(d_block, phi, constraint, z_p, u_c[:p], null)
-        return (z_p, u_c, iters, viol, dual, True) if certified else None
+        certified = _check_first_order(d_block, phi, constraint, z_p, u_c[:p], null)[0]
+        return (z_p, u_c, iters, True) if certified else None
 
     omega = 1.0
     tau = 1.0 / lnorm
@@ -337,7 +333,6 @@ def _pdhg(
     u_sum = np.zeros_like(u)
     n_avg = 0
     iters = 0
-    r_p = r_d = math.inf
     while iters < opts.max_iters:
         v = u + sigma * (2.0 * kz - kz_prev)
 
@@ -370,7 +365,7 @@ def _pdhg(
         n_avg += 1
         iters += 1
         if max(r_p, r_d) <= stop:
-            return polished(z, u) or (z, u, iters, r_p, r_d, True)
+            return polished(z, u) or (z, u, iters, True)
         if iters % _RESTART_EVERY:
             continue
 
@@ -405,7 +400,7 @@ def _pdhg(
         z_sum = np.zeros_like(z)
         u_sum = np.zeros_like(u)
         n_avg = 0
-    return z, u, iters, r_p, r_d, False
+    return z, u, iters, False
 
 
 def _null_basis(sensing: np.ndarray) -> np.ndarray:
@@ -464,7 +459,7 @@ def _solve_first_order(
     Factors sensing once (_null_basis) for _pdhg's polish and the final
     repair, runs _pdhg, downgrades converged when the returned point
     misses B(y) by more than _FEAS_TOL, and certifies the returned point
-    with the repaired PDHG dual.
+    with the repaired PDHG dual; that one check also gives the residuals.
     """
     if constraint.kind == "dantzig":
         raise ValueError(
@@ -475,8 +470,8 @@ def _solve_first_order(
         raise ValueError(f"y must have shape ({sensing.shape[0]},)")
 
     null = _null_basis(sensing)
-    z, u, iters, r_p, r_d, converged = _pdhg(d_block, sensing, constraint, opts, null)
-    certified, gap, _, viol = _check_first_order(d_block, sensing, constraint, z, u[: d_block.shape[0]], null)
+    z, u, iters, converged = _pdhg(d_block, sensing, constraint, opts, null)
+    certified, gap, dual, viol = _check_first_order(d_block, sensing, constraint, z, u[: d_block.shape[0]], null)
     if viol > _FEAS_TOL * max(1.0, float(np.linalg.norm(constraint.y))):
         converged = False
     objective = float(np.sum(np.abs(d_block @ z)))
@@ -486,8 +481,8 @@ def _solve_first_order(
         x_hat=z,
         objective=objective,
         iterations=iters,
-        primal_residual=r_p,
-        dual_residual=r_d,
+        primal_residual=viol,
+        dual_residual=dual,
         converged=converged,
         certified=certified,
         certification_gap=gap,

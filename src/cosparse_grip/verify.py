@@ -158,15 +158,20 @@ def _next_block(u: np.ndarray, head: SupportSet, k: int) -> list[int]:
     return sorted(rest[:k])
 
 
-def _masked_inner_term(
+def _masked_term(
     f: np.ndarray,
     pinv: np.ndarray,
     u: np.ndarray,
-    mask_idx: list[int],
     h: np.ndarray,
-) -> tuple[float, float, bool]:
-    """(inner term, mask norm, degenerate flag) for the shared rhs term
-    |<Phi h_Lambda, Phi h>| / ||(Dh)_Lambda||_2."""
+    head: SupportSet,
+    k: int,
+) -> tuple[list[int], float, float, bool]:
+    """(next block, mask norm, inner term, degenerate flag) of u = D h:
+    Lambda is head plus its next block, the mask norm is ||(Dh)_Lambda||_2
+    and the inner term |<Phi h_Lambda, Phi h>| / ||(Dh)_Lambda||_2, the rhs
+    term that Corollary 2 and Theorem 1 share."""
+    lam1_idx = _next_block(u, head, k)
+    mask_idx = list(head.indices) + lam1_idx
     z = np.zeros(u.shape[0])
     z[mask_idx] = u[mask_idx]
     mask_norm = _norm(z)
@@ -175,8 +180,18 @@ def _masked_inner_term(
     if mask_norm <= _ZERO_TOL * max(1.0, _norm(u)):
         # 0/0: the masked image vanished; the term is 0 unless the
         # correlation somehow did not, which we flag instead of dividing
-        return (0.0, mask_norm, raw > _ZERO_TOL)
-    return (raw / mask_norm, mask_norm, False)
+        return (lam1_idx, mask_norm, 0.0, raw > _ZERO_TOL)
+    return (lam1_idx, mask_norm, raw / mask_norm, False)
+
+
+def _constants_below_one(delta2k: float, rho: float) -> BoundConstants:
+    """bound_constants(delta2k, rho); raises on delta2k >= 1, where beta
+    is undefined and no report is possible."""
+    if delta2k >= 1.0:
+        raise ValueError(
+            f"delta2k = {delta2k:.6f} >= 1: the bound's constants are undefined"
+        )
+    return bound_constants(delta2k, rho)
 
 
 def check_corollary2(
@@ -206,27 +221,16 @@ def check_corollary2(
         raise ValueError("h is zero; the bound is vacuous")
 
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
-    if delta2k >= 1.0:
-        raise ValueError(
-            f"delta2k = {delta2k:.6f} >= 1: the bound's constants are undefined"
-        )
-    constants = bound_constants(delta2k, rho)
+    constants = _constants_below_one(delta2k, rho)
 
     d = dictionary.entries
     f = sensing_entries(phi)
     pinv = dictionary.pinv()
     u = d @ h
 
-    lam1_idx = _next_block(u, head, k)
-    mask_idx = list(head.indices) + lam1_idx
-
-    lhs_z = np.zeros(dictionary.p)
-    lhs_z[mask_idx] = u[mask_idx]
-    lhs = _norm(lhs_z)
-
+    lam1_idx, lhs, inner, degenerate = _masked_term(f, pinv, u, h, head, k)
     head_set = set(head.indices)
     tail = float(sum(abs(u[i]) for i in range(dictionary.p) if i not in head_set))
-    inner, mask_norm, degenerate = _masked_inner_term(f, pinv, u, mask_idx, h)
     rhs = constants.alpha * tail / math.sqrt(k) + constants.beta * inner
 
     # the chunks of Dh reassemble to D^+ D h, which is h only if D is injective
@@ -240,7 +244,7 @@ def check_corollary2(
         "rho": rho,
         "tail_l1": tail,
         "inner_term": inner,
-        "mask_norm": mask_norm,
+        "mask_norm": lhs,
         "degenerate": degenerate,
     }
     return BoundReport(
@@ -276,7 +280,9 @@ def check_theorem1(
     sound whenever the dictionary's disjoint chunk subspaces are
     orthogonal (rho_k = 0, e.g. any orthogonal dictionary).
 
-    x_hat == x is reported as trivially satisfied (lhs = 0, inner term 0).
+    The inner term is Corollary 2's at h = x_hat - x, with head the k
+    largest |D x| (_masked_term serves both checkers). x_hat == x is
+    reported as trivially satisfied (lhs = 0, inner term 0).
     """
     x = np.asarray(x, dtype=np.float64)
     x_hat = np.asarray(x_hat, dtype=np.float64)
@@ -286,11 +292,7 @@ def check_theorem1(
         raise ValueError(f"need 1 <= k <= p, got k={k}")
 
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
-    if delta2k >= 1.0:
-        raise ValueError(
-            f"delta2k = {delta2k:.6f} >= 1: the bound's constants are undefined"
-        )
-    constants = bound_constants(delta2k, rho)
+    constants = _constants_below_one(delta2k, rho)
     if not constants.admissible:
         raise ValueError(
             f"constants not admissible at delta2k={delta2k:.6f}, rho={rho:.6f} "
@@ -310,21 +312,15 @@ def check_theorem1(
     error_l2 = _norm(h)
     trivial = error_l2 <= _ZERO_TOL * max(1.0, float(np.linalg.norm(x)))  # x may be strided
 
+    head = top_k_support(dx, k)
     if trivial:
-        lhs = 0.0
-        inner = 0.0
-        mask_norm = 0.0
-        degenerate = False
-        head = top_k_support(dx, k)
+        lhs = inner = mask_norm = 0.0
         lam1_idx: list[int] = []
+        degenerate = False
     else:
-        pinv = dictionary.pinv()
         u = d @ h
-        head = top_k_support(dx, k)
-        lam1_idx = _next_block(u, head, k)
-        mask_idx = list(head.indices) + lam1_idx
+        lam1_idx, mask_norm, inner, degenerate = _masked_term(f, dictionary.pinv(), u, h, head, k)
         lhs = _norm(u)
-        inner, mask_norm, degenerate = _masked_inner_term(f, pinv, u, mask_idx, h)
 
     rhs = constants.c0 * tail / math.sqrt(k) + constants.c1 * inner
     hypothesis_ok = l1_hypothesis and not degenerate

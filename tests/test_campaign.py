@@ -401,7 +401,7 @@ EXPECTED_COLUMNS = {
         "trial", "seed", "objective", "iterations", "primal_residual",
         "dual_residual", "converged", "err_l2", "success",
     ],
-    "phase": ["trial", "seed", "m", "success", "err_l2", "objective", "iterations"],
+    "phase": ["trial", "seed", "m", "success", "err_l2", "objective", "iterations", "converged"],
     "p1p2": [
         "trial", "seed", "distance", "objective_p1", "objective_p2",
         "iterations_p1", "iterations_p2", "converged",
@@ -410,7 +410,7 @@ EXPECTED_COLUMNS = {
     "verify-c2": ["trial", "seed", "lhs", "rhs", "slack", "hypothesis_ok", "delta2k", "rho"],
     "verify-t1": [
         "trial", "seed", "lhs", "rhs", "slack", "hypothesis_ok",
-        "delta2k", "rho", "c0", "c1",
+        "delta2k", "rho", "c0", "c1", "converged",
     ],
 }
 

@@ -6,7 +6,7 @@ import pytest
 from cosparse_grip import cli
 from cosparse_grip.campaign import CampaignResult, trial_seed
 
-from test_campaign import base_doc, config_from, sabotage, write_matched_instance
+from test_campaign import base_doc, config_from, sabotage, small_doc, write_matched_instance
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -117,6 +117,20 @@ def test_cli_unconverged_solver_exits_4(tmp_path, capsys):
     assert (out_dir / "results.csv").exists()
 
 
+@pytest.mark.parametrize("experiment", ["phase", "verify-t1"])
+def test_cli_names_first_unconverged_trial_of_every_solving_experiment(tmp_path, capsys, experiment):
+    doc = dict(small_doc(experiment, tmp_path), budget={"max_iters": 5})
+    if experiment == "phase":
+        doc["m_grid"] = [4]
+    cfg_path = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    assert cli.main([experiment, "--config", cfg_path, "--out", str(out_dir)]) == 4
+    err = capsys.readouterr().err
+    assert f"first unconverged trial: index 0, seed {trial_seed(doc['seed'], 0)}" in err
+    header = (out_dir / "results.csv").read_text().splitlines()[0]
+    assert header.endswith(",converged")
+
+
 def test_cli_crashed_trial_exits_1_with_partial_flush(tmp_path, capsys, monkeypatch):
     sabotage(monkeypatch, "grip", 0)
     cfg_path = write_config(tmp_path, base_doc(experiment="grip", k=2, trials=1))
@@ -190,7 +204,8 @@ def test_cli_names_first_unconverged_row(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run", lambda config: _rigged_result({"unconverged": 2}, rows))
     assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 4
     assert "first unconverged trial: index 1, seed 9" in capsys.readouterr().err
-    # rows without a converged column (phase) name no trial
+    # every solving experiment's rows carry a converged column; rows
+    # without one (this rigged result) name no trial
     rows = ({"trial": 0, "seed": 5, "m": 3},)
     monkeypatch.setattr(cli, "run", lambda config: _rigged_result({"unconverged": 1}, rows))
     assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 4
@@ -223,5 +238,5 @@ def test_cli_matched_files_end_to_end(tmp_path, capsys):
     code = cli.main(["verify-t1", "--config", cfg_path, "--out", str(out_dir)])
     assert code == 0
     header = (out_dir / "results.csv").read_text().splitlines()[0]
-    assert header == "trial,seed,lhs,rhs,slack,hypothesis_ok,delta2k,rho,c0,c1"
+    assert header == "trial,seed,lhs,rhs,slack,hypothesis_ok,delta2k,rho,c0,c1,converged"
     capsys.readouterr()

@@ -71,3 +71,64 @@ def test_unused_import_guard_sees_a_leftover():
 def test_modules_use_every_import():
     for path in sorted((ROOT / "src" / "cosparse_grip").glob("*.py")):
         assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+
+def _own_names(node: ast.stmt) -> set[str]:
+    """The private names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {node.name}
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    else:
+        names = set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _named_in(node: ast.AST) -> set[str]:
+    """Every name a statement reads, as a variable, an attribute or an
+    imported name."""
+    named = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            named.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            named.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            named.update(alias.name for alias in sub.names)
+    return named
+
+
+def _unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions, classes and constants that no code
+    of the package names outside their own definition: leftovers."""
+    defined, named = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            own = _own_names(node)
+            defined.update(((module, name), node.lineno) for name in own)
+            named |= _named_in(node) - own
+    return sorted(f"{module}.{name} (line {line})" for (module, name), line in defined.items()
+                  if name not in named)
+
+
+def test_unreferenced_private_guard_sees_a_leftover():
+    a = (
+        "_USED = 1\n"
+        "_SPARE = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else _USED\n"
+        "class _Left:\n    pass\n"
+        "def _kept():\n    return 0\n"
+        "__all__ = ['f']\n"
+    )
+    b = "from .a import _kept\n"
+    assert _unreferenced_privates({"a": a, "b": b}) == [
+        "a._Left (line 5)", "a._SPARE (line 2)", "a._recursive (line 3)",
+    ]
+
+
+def test_modules_name_every_private_definition():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "cosparse_grip").glob("*.py"))}
+    assert _unreferenced_privates(sources) == []

@@ -379,7 +379,7 @@ def test_wrong_answer_is_not_certified(reference_instance, monkeypatch, kind):
 
     def least_squares(d_block, sensing, constraint, opts, null):
         z = np.linalg.lstsq(sensing, constraint.y, rcond=None)[0]
-        return z, np.zeros(d_block.shape[0] + sensing.shape[0]), 1, 0.0, 0.0, True
+        return z, np.zeros(d_block.shape[0] + sensing.shape[0]), 1, True
 
     monkeypatch.setattr(solvers, "_pdhg", least_squares)
     spec = cg.ConstraintSpec(kind, y, epsilon=0.1 if kind == "l2-ball" else 0.0)

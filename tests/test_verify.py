@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from cosparse_grip.solvers import _norm
-from cosparse_grip.verify import _masked_inner_term
+from cosparse_grip.verify import _masked_term
 from _support import haar, matched_instance, random_chunk
 
 
@@ -233,6 +233,35 @@ def test_next_block_matches_chunk_decompose(kind, k, seed):
 
 @given(
     st.sampled_from(["identity", "tight-frame", "gaussian-random"]),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_theorem1_is_corollary2_at_the_error(kind, k, seed):
+    # Theorem 1 applies Corollary 2 to h = x_hat - x with the head taken
+    # as the k largest |D x|: the shared witness must match bit for bit
+    rng = np.random.default_rng(seed)
+    n = 6
+    p = n if kind == "identity" else 9
+    d = cg.make_dictionary(kind, p, n, seed)
+    phi = cg.make_sensing_matrix("gaussian", 4, n, seed)
+    if kind == "identity":  # small integers make ties in |Dx| and |Dh| common
+        x, x_hat = (rng.integers(-2, 3, n).astype(np.float64) for _ in range(2))
+    else:
+        x, x_hat = rng.standard_normal(n), rng.standard_normal(n)
+    t1 = cg.check_theorem1(phi, d, k, x, x_hat, delta2k=0.1, rho=0.05)
+    assume(not t1.witness["trivial"])
+    c2 = cg.check_corollary2(
+        phi, d, k, x_hat - x, cg.top_k_support(d.entries @ x, k), delta2k=0.1, rho=0.05
+    )
+    assert c2.constants_used == t1.constants_used
+    for key in ("head", "next_block", "inner_term", "mask_norm", "degenerate"):
+        assert json.dumps(t1.witness[key]) == json.dumps(c2.witness[key]), key
+    assert json.dumps(c2.lhs) == json.dumps(c2.witness["mask_norm"])
+
+
+@given(
+    st.sampled_from(["identity", "tight-frame", "gaussian-random"]),
     st.integers(1, 2),
     st.integers(0, 2**32 - 1),
 )
@@ -280,14 +309,16 @@ def test_dot_norm_equals_numpy_norm(values):
     assert struct.pack("<d", _norm(v)) == struct.pack("<d", float(np.linalg.norm(v)))
 
 
-def test_masked_inner_term_flags_unstable_ratio():
+def test_masked_term_flags_unstable_ratio():
     # huge pseudoinverse turns a vanishing mask into a live correlation,
     # which must be flagged rather than divided through
     pinv = np.diag([1e20, 1.0])
     u = np.array([1e-20, 1e-20])
-    inner, mask_norm, degenerate = _masked_inner_term(
-        np.eye(2), pinv, u, [0], np.array([1.0, 0.0])
+    # an empty head and k = 1 mask index 0 alone (the lower index wins the tie)
+    next_block, mask_norm, inner, degenerate = _masked_term(
+        np.eye(2), pinv, u, np.array([1.0, 0.0]), cg.SupportSet((), 2), 1
     )
+    assert next_block == [0]
     assert degenerate
     assert inner == 0.0
     assert mask_norm <= 1e-19
