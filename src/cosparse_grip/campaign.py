@@ -407,14 +407,15 @@ def _make_operators(cfg: ExperimentConfig, seed: int, ops: _Ops) -> tuple[Dictio
     return d, phi
 
 
-def _constraint_for(cfg: ExperimentConfig, phi_entries: np.ndarray, x: np.ndarray, rng: np.random.Generator) -> ConstraintSpec:
+def _constraint_for(cfg: ExperimentConfig, phi_entries: np.ndarray, x: np.ndarray, seed: int) -> ConstraintSpec:
     """Build B(y) so that the ground truth x is feasible: exact data for
-    equality/dantzig, half-radius perturbed data for the ball."""
+    equality/dantzig, half-radius perturbed data for the ball, its noise
+    drawn from the trial's stream trial_seed(seed, 3)."""
     y = phi_entries @ x
     if cfg.constraint_kind == "equality":
         return ConstraintSpec("equality", y)
     if cfg.constraint_kind == "l2-ball":
-        noise = rng.standard_normal(y.shape[0])
+        noise = np.random.default_rng(trial_seed(seed, 3)).standard_normal(y.shape[0])
         nrm = float(np.linalg.norm(noise))
         if nrm > 0:
             y = y + noise * (0.5 * cfg.epsilon / nrm)
@@ -453,8 +454,7 @@ def _rho_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
 def _solve_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     d, phi = _make_operators(cfg, seed, ops)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
-    rng = np.random.default_rng(trial_seed(seed, 3))
-    constraint = _constraint_for(cfg, phi.entries, x, rng)
+    constraint = _constraint_for(cfg, phi.entries, x, seed)
     res = _solve_for(cfg, phi, d, constraint)
     err = float(np.linalg.norm(res.x_hat - x))
     row = {
@@ -486,8 +486,7 @@ def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dic
     # reject it, so the sweep passes raw entries throughout
     phi_entries = _sensing_draw(cfg.matrix_kind, m, cfg.n, trial_seed(seed, 1))
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
-    constraint = ConstraintSpec("equality", phi_entries @ x)
-    res = solve_analysis_l1(phi_entries, d, constraint, _solver_options(cfg))
+    res = _solve_for(cfg, phi_entries, d, _constraint_for(cfg, phi_entries, x, seed))
     err = float(np.linalg.norm(res.x_hat - x))
     row = {
         "trial": index,
@@ -505,8 +504,7 @@ def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dic
 def _p1p2_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     d, phi = _make_operators(cfg, seed, ops)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
-    rng = np.random.default_rng(trial_seed(seed, 3))
-    constraint = _constraint_for(cfg, phi.entries, x, rng)
+    constraint = _constraint_for(cfg, phi.entries, x, seed)
     opts = _solver_options(cfg)
     res_analysis = solve_analysis_l1(phi, d, constraint, opts)
     res_synthesis = solve_synthesis_l1(phi, d, constraint, opts)
@@ -649,8 +647,7 @@ def _compressible_signal(dictionary: Dictionary, seed: int) -> np.ndarray:
 def _verify_t1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
     inst = pool[index % len(pool)]
     x = _compressible_signal(inst.dictionary, trial_seed(seed, 2))
-    rng = np.random.default_rng(trial_seed(seed, 3))
-    constraint = _constraint_for(cfg, inst.phi.entries, x, rng)
+    constraint = _constraint_for(cfg, inst.phi.entries, x, seed)
     res = _solve_for(cfg, inst.phi, inst.dictionary, constraint)
     rep = check_theorem1(
         inst.phi, inst.dictionary, cfg.k, x, res.x_hat,

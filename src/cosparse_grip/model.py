@@ -71,6 +71,10 @@ def _as_readonly(a) -> np.ndarray:
     return out
 
 
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(float(v @ v))
+
+
 @dataclass(frozen=True)
 class SupportSet:
     """A sorted duplicate-free set of row indices into a p-row operator."""

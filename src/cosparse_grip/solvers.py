@@ -26,9 +26,10 @@ solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
 exact vertex.
 
-Every result carries a checked certificate, one checker for both paths:
-_kkt measures primal infeasibility, dual infeasibility and the duality
-gap of a primal point z and a dual pair (v, w) of
+Every result carries a checked certificate, and one builder, _result,
+sets its fields on both paths: _kkt measures primal infeasibility, dual
+infeasibility and the duality gap of a primal point z and a dual pair
+(v, w) of
   max -b^T w - s(w)  s.t.  B^T v + A^T w = 0,  ||v||_inf <= 1,
 the KKT error of PDLP, which also drives the restarts. The LP path reads
 (v, w) off the simplex multipliers of its optimal basis; the first-order
@@ -48,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Dictionary, _check_matrix, _to_json, sensing_entries
+from .model import Dictionary, _check_matrix, _norm, _to_json, sensing_entries
 from .simplex import LpInfeasibleError, solve_standard_lp
 
 __all__ = [
@@ -127,8 +128,11 @@ class RecoveryResult:
     certification_gap is the signed duality gap relative to max(1,
     primal objective). On both paths primal_residual and dual_residual
     are the returned point's checked distance from B(y) and the checked
-    dual infeasibility. When a polish ended a first-order solve (equality
-    only), iterations counts up to the check that accepted it.
+    dual infeasibility. converged means the solver finished (the PDHG
+    residual stop or a certified polish within max_iters; every simplex
+    answer) and, on both paths, x_hat misses B(y) by at most
+    1e-7 max(1, ||y||). When a polish ended a first-order solve
+    (equality only), iterations counts up to the check that accepted it.
     """
 
     x_hat: np.ndarray
@@ -144,25 +148,14 @@ class RecoveryResult:
         return _to_json(self)
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(v @ v))
-
-
 def _feasible_start(phi: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
-    """Least-squares point; doubles as the feasibility pre-check."""
-    y = constraint.y
-    z0, _, _, _ = np.linalg.lstsq(phi, y, rcond=None)
-    resid = float(np.linalg.norm(phi @ z0 - y))
-    scale = max(1.0, float(np.linalg.norm(y)))
-    if constraint.kind == "equality" and resid > _FEAS_TOL * scale:
-        raise InfeasibleConstraintError(
-            f"y is outside range(Phi): distance {resid:.3e}"
-        )
-    if constraint.kind == "l2-ball" and resid > constraint.epsilon + _FEAS_TOL * scale:
-        raise InfeasibleConstraintError(
-            f"ball of radius {constraint.epsilon:g} misses range(Phi) by {resid:.3e}"
-        )
-    # dantzig is always feasible: the least-squares point zeroes Phi^T(Phi z - y)
+    """Least-squares point; doubles as the feasibility pre-check, since no
+    point of range(Phi) is nearer to y. (dantzig is always feasible: the
+    least-squares point zeroes Phi^T(Phi z - y).)"""
+    z0 = np.linalg.lstsq(phi, constraint.y, rcond=None)[0]
+    miss = _constraint_violation(phi, z0, constraint)
+    if miss > _FEAS_TOL * max(1.0, _norm(constraint.y)):
+        raise InfeasibleConstraintError(f"B(y) misses range(Phi) by {miss:.3e}")
     return z0
 
 
@@ -203,25 +196,34 @@ def _kkt(
     return primal, dual, gap
 
 
-def _certify(
+def _result(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
-    z: np.ndarray, v: np.ndarray, w: np.ndarray, violation: float,
-) -> tuple[bool, float, float]:
-    """Decide certified for either solver path.
+    z: np.ndarray, z_gap: np.ndarray, v: np.ndarray, w: np.ndarray,
+    iterations: int, converged: bool,
+) -> RecoveryResult:
+    """The RecoveryResult of either solver path for the returned point z.
 
-    violation is the returned point's own distance from B(y); z is the
-    point the gap is measured at (the returned point on the LP path, its
-    move onto B(y) on the first-order path). Returns (certified,
-    relative gap, dual infeasibility).
+    primal_residual is z's own distance from B(y); the dual
+    infeasibility and relative gap of (v, w) are measured at z_gap (z
+    itself on the LP path, its move onto B(y) on the first-order path).
+    A z off B(y) by more than _FEAS_TOL max(1, ||y||) is neither
+    converged nor certified.
     """
-    _, dual, gap = _kkt(d_block, sensing, constraint, z, v, w)
-    rel_gap = gap / max(1.0, float(np.abs(d_block @ z).sum()))
-    certified = (
-        violation <= _FEAS_TOL * max(1.0, _norm(constraint.y))
-        and dual <= _FEAS_TOL
-        and abs(rel_gap) <= _CERT_TOL
+    viol = _constraint_violation(sensing, z, constraint)
+    _, dual, gap = _kkt(d_block, sensing, constraint, z_gap, v, w)
+    rel_gap = gap / max(1.0, float(np.abs(d_block @ z_gap).sum()))
+    feasible = viol <= _FEAS_TOL * max(1.0, _norm(constraint.y))
+    z.setflags(write=False)
+    return RecoveryResult(
+        x_hat=z,
+        objective=float(np.sum(np.abs(d_block @ z))),
+        iterations=iterations,
+        primal_residual=viol,
+        dual_residual=dual,
+        converged=converged and feasible,
+        certified=feasible and dual <= _FEAS_TOL and abs(rel_gap) <= _CERT_TOL,
+        certification_gap=rel_gap,
     )
-    return certified, rel_gap, dual
 
 
 # Adaptive restarts of the averaged iterate, after Applegate, Hinder, Lu &
@@ -282,7 +284,7 @@ def _pdhg(
     u_c), and at the residual stop the last iterate, names a face: the
     dim null(phi) entries of its d_block image nearest 0. _face_point
     solves for the feasible point on which they vanish, and that point
-    is returned when _check_first_order certifies it with the pair's l1
+    is returned when _first_order_result certifies it with the pair's l1
     dual block; iterations then counts up to that check. A failed
     attempt changes nothing in the iteration; at the stop, the iterate
     is returned as it is. The l2 ball's face has a curved part, so it is
@@ -310,7 +312,7 @@ def _pdhg(
         z_p = _face_point(z0, null, dz0, dn, d_block @ z_c)
         if z_p is None:
             return None
-        certified = _check_first_order(d_block, phi, constraint, z_p, u_c[:p], null)[0]
+        certified = _first_order_result(d_block, phi, constraint, z_p, u_c[:p], null, iters, True).certified
         return (z_p, u_c, iters, True) if certified else None
 
     omega = 1.0
@@ -415,7 +417,7 @@ def _repair(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
     z: np.ndarray, v: np.ndarray, null: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z', v', w) for _certify from the PDHG point z and l1 dual v.
+    """(z', v', w) for _result from the PDHG point z and l1 dual v.
 
     v is clipped to the unit box, loses the least-norm part that leaves
     d_block^T v outside range(sensing^T) (the rows of null, from
@@ -436,16 +438,13 @@ def _repair(
     return z - np.linalg.lstsq(sensing, r, rcond=None)[0], v, w
 
 
-def _check_first_order(
+def _first_order_result(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
-    z: np.ndarray, v: np.ndarray, null: np.ndarray,
-) -> tuple[bool, float, float, float]:
-    """_certify's verdict on a first-order point z with the l1 dual v
-    after _repair: (certified, relative gap, dual infeasibility, z's
-    distance from B(y))."""
-    viol = _constraint_violation(sensing, z, constraint)
+    z: np.ndarray, v: np.ndarray, null: np.ndarray, iterations: int, converged: bool,
+) -> RecoveryResult:
+    """_result for a first-order point z and l1 dual v, after _repair."""
     z_fit, v, w = _repair(d_block, sensing, constraint, z, v, null)
-    return (*_certify(d_block, sensing, constraint, z_fit, v, w, viol), viol)
+    return _result(d_block, sensing, constraint, z, z_fit, v, w, iterations, converged)
 
 
 def _solve_first_order(
@@ -456,10 +455,9 @@ def _solve_first_order(
 ) -> RecoveryResult:
     """min ||d_block z||_1 over sensing z in B(y), shared by both routes.
 
-    Factors sensing once (_null_basis) for _pdhg's polish and the final
-    repair, runs _pdhg, downgrades converged when the returned point
-    misses B(y) by more than _FEAS_TOL, and certifies the returned point
-    with the repaired PDHG dual; that one check also gives the residuals.
+    Takes sensing's null basis once (_null_basis) for _pdhg's polish and
+    _repair's leak projection, runs _pdhg, and builds the result of the
+    returned point with the repaired PDHG dual (_first_order_result).
     """
     if constraint.kind == "dantzig":
         raise ValueError(
@@ -471,22 +469,7 @@ def _solve_first_order(
 
     null = _null_basis(sensing)
     z, u, iters, converged = _pdhg(d_block, sensing, constraint, opts, null)
-    certified, gap, dual, viol = _check_first_order(d_block, sensing, constraint, z, u[: d_block.shape[0]], null)
-    if viol > _FEAS_TOL * max(1.0, float(np.linalg.norm(constraint.y))):
-        converged = False
-    objective = float(np.sum(np.abs(d_block @ z)))
-
-    z.setflags(write=False)
-    return RecoveryResult(
-        x_hat=z,
-        objective=objective,
-        iterations=iters,
-        primal_residual=viol,
-        dual_residual=dual,
-        converged=converged,
-        certified=certified,
-        certification_gap=gap,
-    )
+    return _first_order_result(d_block, sensing, constraint, z, u[: d_block.shape[0]], null, iters, converged)
 
 
 def solve_analysis_l1(
@@ -644,16 +627,4 @@ def solve_lp_certified(
         w = -pi[2 * p :]
     else:
         w = pi[2 * p + n :] - pi[2 * p : 2 * p + n]
-    viol = _constraint_violation(phi_e, z, constraint)
-    certified, gap, dual = _certify(d_block, phi_e, constraint, z, v, w, viol)
-    z.setflags(write=False)
-    return RecoveryResult(
-        x_hat=z,
-        objective=float(np.sum(np.abs(d_block @ z))),
-        iterations=sol.pivots,
-        primal_residual=viol,
-        dual_residual=dual,
-        converged=True,
-        certified=certified,
-        certification_gap=gap,
-    )
+    return _result(d_block, phi_e, constraint, z, z, v, w, sol.pivots, True)

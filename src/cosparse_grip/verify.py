@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grip import BoundConstants, bound_constants, delta_exact, rho_exact
-from .model import Dictionary, SupportSet, _to_json, sensing_entries, sigma_k, top_k_support
-from .solvers import _norm
+from .model import Dictionary, SupportSet, _norm, _to_json, sensing_entries, sigma_k, top_k_support
 
 __all__ = [
     "BoundReport",

@@ -507,6 +507,17 @@ def test_phase_campaign_grid_mapping():
     assert result.summary["success_rate_m_6"] == 1.0
 
 
+def test_phase_cell_is_a_solve_campaign_at_its_m():
+    common = dict(dictionary_kind="tight-frame", dims={"m": 6, "n": 10, "p": 14}, k=5, trials=3, seed=11)
+    phase = run(config_from(base_doc(experiment="phase", m_grid=[6], **common)))
+    solve = run(config_from(base_doc(experiment="solve", **common)))
+    keys = ("trial", "seed", "objective", "iterations", "converged", "err_l2", "success")
+    # json.dumps writes floats by repr, so equal strings are equal bits
+    assert [[json.dumps(r[key]) for key in keys] for r in phase.rows] == [
+        [json.dumps(r[key]) for key in keys] for r in solve.rows
+    ]
+
+
 def test_p1p2_campaign_orthogonal_routes_agree():
     doc = base_doc(
         experiment="p1p2",

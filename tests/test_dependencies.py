@@ -73,6 +73,27 @@ def test_modules_use_every_import():
         assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name
 
 
+def _package_imports(source: str) -> set[str]:
+    """The package modules a module names in `from .x import` statements."""
+    return {node.module for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_package_import_graph():
+    graph = {path.stem: _package_imports(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "cosparse_grip").glob("*.py"))
+             if path.stem != "__init__"}
+    assert graph == {
+        "model": set(),
+        "simplex": set(),
+        "grip": {"model"},
+        "solvers": {"model", "simplex"},
+        "verify": {"grip", "model"},
+        "campaign": {"grip", "model", "solvers", "verify"},
+        "cli": {"campaign"},
+    }
+
+
 
 def _own_names(node: ast.stmt) -> set[str]:
     """The private names a module-level statement defines."""

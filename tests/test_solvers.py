@@ -389,6 +389,26 @@ def test_wrong_answer_is_not_certified(reference_instance, monkeypatch, kind):
     assert res.certification_gap > 1e-2
 
 
+def test_lp_answer_off_the_constraint_set_is_not_converged(reference_instance, monkeypatch):
+    # x[0] is z+_0, so the returned point moves by e_0 and misses the
+    # equality set by ||Phi e_0||
+    phi, d, x, y = reference_instance
+    solve = solvers.solve_standard_lp
+
+    def moved(c, a, b):
+        sol = solve(c, a, b)
+        z = sol.x.copy()
+        z[0] += 1.0
+        return dataclasses.replace(sol, x=z)
+
+    monkeypatch.setattr(solvers, "solve_standard_lp", moved)
+    res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", y))
+    assert not res.converged
+    assert not res.certified
+    assert res.primal_residual == pytest.approx(float(np.linalg.norm(phi.entries[:, 0])))
+    assert res.primal_residual == pytest.approx(1.01, abs=1e-3)
+
+
 def _certificate_instance(kind: str, dict_kind: str, seed: int):
     """A 5-cosparse signal under a tight-frame (14x10) or gaussian-random
     (12x8) D, with Phi of n - 4 rows and a feasible constraint of kind."""

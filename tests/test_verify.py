@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
-from cosparse_grip.solvers import _norm
+from cosparse_grip.model import _norm
 from cosparse_grip.verify import _masked_term
 from _support import haar, matched_instance, random_chunk
 
