@@ -139,7 +139,7 @@ class Budget:
 
     max_supports: int = DEFAULT_MAX_SUPPORTS
     max_pairs: int = DEFAULT_MAX_PAIRS
-    max_iters: int = 200000
+    max_iters: int = SolverOptions.max_iters
     mc_trials: int = 200  # sample count when exact enumeration is over budget
 
     def __post_init__(self):
@@ -660,6 +660,15 @@ def _verify_t1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict
     return row
 
 
+def _mean(values: list[float]) -> float:
+    """Mean by a plain left fold. Builtin sum compensates float sums from
+    Python 3.12 on, so it would move the CSV's last bits across versions."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 # Each summarizer maps (config, rows) to the summary keys that follow
 # "trials"; their order is part of the CSV bytes.
 
@@ -668,7 +677,7 @@ def _spread_summary(key: str):
     def summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
         values = [r[key] for r in rows]
         return {
-            f"{key}_mean": sum(values) / len(values),
+            f"{key}_mean": _mean(values),
             f"{key}_min": min(values),
             f"{key}_max": max(values),
         }
@@ -700,7 +709,7 @@ def _phase_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
 def _p1p2_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     dists = [r["distance"] for r in rows]
     return {
-        "distance_mean": sum(dists) / len(dists),
+        "distance_mean": _mean(dists),
         "distance_max": max(dists),
         "unconverged": _unconverged(rows),
     }
@@ -710,7 +719,7 @@ def _verify_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     slacks = [r["slack"] for r in rows]
     return {
         "min_slack": min(slacks),
-        "mean_slack": sum(slacks) / len(slacks),
+        "mean_slack": _mean(slacks),
         "violations": sum(1 for r in rows if _violates(r)),
         "hypothesis_rate": sum(1 for r in rows if r["hypothesis_ok"]) / len(rows),
     }

@@ -13,14 +13,14 @@ tau sigma ||K||^2 <= 1, ||K|| the exact largest singular value, restarted
 adaptively and rebalanced by a primal weight as in PDLP) on the stacked
 operator K = [B; A], for equality and l2-ball. The l1 dual block projects
 onto the unit box; the constraint dual block is the conjugate prox of the
-indicator of B(y). On the equality set every restart check also tries a
-polish, after PDLP's feasibility polishing and crossover to a vertex
-(Megiddo 1991): the restart candidate names the dim null(A) entries of
-B z nearest zero, one linear solve puts z on the feasible point where
-they vanish, and that point is returned as soon as its checked
-certificate passes. A failed attempt leaves the iteration untouched.
-The l2 ball is not polished: its optimal face includes the curved
-boundary of the ball.
+indicator of B(y). Each solve takes one SVD of A, which gives A^+ and a
+basis N of null(A), and forms B N^T once. On the equality set every
+restart check also tries a polish, after PDLP's feasibility polishing and
+crossover to a vertex (Megiddo 1991): the restart candidate names the
+dim null(A) entries of B z nearest zero, one small linear solve puts z
+on the feasible point where they vanish, and that point is returned as
+soon as its checked certificate passes. The l2 ball is not polished: its
+optimal face includes the curved boundary of the ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
@@ -32,13 +32,13 @@ infeasibility and the duality gap of a primal point z and a dual pair
 (v, w) of
   max -b^T w - s(w)  s.t.  B^T v + A^T w = 0,  ||v||_inf <= 1,
 the KKT error of PDLP, which also drives the restarts. The LP path reads
-(v, w) off the simplex multipliers of its optimal basis; the first-order
-path repairs the PDHG dual into exact dual feasibility and moves its
-point onto B(y) before the check, and a polished point passes the same
-check before it is returned. The tolerances are fixed module constants,
-the same on both paths: _FEAS_TOL for primal and dual infeasibility,
-_CERT_TOL for the relative duality gap, and _TOL for the PDHG stopping
-residual. SolverOptions sets only the iteration budget.
+(v, w) off the simplex multipliers of its optimal basis. On the
+first-order path, matvecs with A^+ repair the PDHG dual into exact dual
+feasibility and move its point onto B(y) before the check, and _pdhg
+returns that checked result, once per point. The tolerances are fixed
+module constants, the same on both paths: _FEAS_TOL for primal and dual
+infeasibility, _CERT_TOL for the relative duality gap, and _TOL for the
+PDHG stopping residual. SolverOptions sets only the iteration budget.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -148,11 +149,34 @@ class RecoveryResult:
         return _to_json(self)
 
 
-def _feasible_start(phi: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
-    """Least-squares point; doubles as the feasibility pre-check, since no
-    point of range(Phi) is nearer to y. (dantzig is always feasible: the
-    least-squares point zeroes Phi^T(Phi z - y).)"""
-    z0 = np.linalg.lstsq(phi, constraint.y, rcond=None)[0]
+class _Factors(NamedTuple):
+    """What a first-order solve factors once (_factor)."""
+
+    pinv: np.ndarray       # sensing^+
+    null: np.ndarray       # rows spanning null(sensing)
+    dn: np.ndarray         # d_block null^T, whose transpose is _repair's leak
+    leak_pinv: np.ndarray  # (dn^T)^+
+
+
+def _pinv_null(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a^+, rows spanning null(a)) from one SVD of a; its rank counts the
+    singular values above sv[0] max(shape) eps (none when a has no rows)."""
+    u, sv, vt = np.linalg.svd(a)
+    r = int(np.sum(sv > sv[:1] * max(a.shape) * np.finfo(np.float64).eps))
+    return (vt[:r].T / sv[:r]) @ u[:, :r].T, vt[r:]
+
+
+def _factor(d_block: np.ndarray, sensing: np.ndarray) -> _Factors:
+    pinv, null = _pinv_null(sensing)
+    dn = d_block @ null.T
+    return _Factors(pinv, null, dn, _pinv_null(dn.T)[0])
+
+
+def _feasible_start(phi: np.ndarray, pinv: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
+    """The least-squares point Phi^+ y; doubles as the feasibility
+    pre-check, since no point of range(Phi) is nearer to y. (dantzig is
+    always feasible: the least-squares point zeroes Phi^T(Phi z - y).)"""
+    z0 = pinv @ constraint.y
     miss = _constraint_violation(phi, z0, constraint)
     if miss > _FEAS_TOL * max(1.0, _norm(constraint.y)):
         raise InfeasibleConstraintError(f"B(y) misses range(Phi) by {miss:.3e}")
@@ -263,32 +287,27 @@ def _face_point(
 
 
 def _pdhg(
-    d_block: np.ndarray,
-    phi: np.ndarray,
-    constraint: ConstraintSpec,
-    opts: SolverOptions,
-    null: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec, opts: SolverOptions, fac: _Factors
+) -> RecoveryResult:
     """Restarted primal-dual iteration for min ||d_block z||_1 s.t.
-    z in B(y), where B(y) is the equality set or the l2 ball; null is
-    _null_basis(phi).
+    z in B(y), B(y) the equality set or the l2 ball, from the
+    least-squares point; fac is _factor(d_block, phi). Returns the
+    checked result (_first_order_result) of the point it ends at, with
+    the l1 block of its dual u = (v, w), unconverged if max_iters runs out.
 
-    Returns (z, u, iterations, converged) with u = (v, w) the dual iterate
-    paired with z. The iteration stops when both fixed-point gaps of the
-    extrapolated scheme are within _TOL * max(1e-12, ||y||). At each
-    restart the primal weight omega becomes the geometric mean of itself
-    and the ratio of the dual to the primal move since the previous
-    restart, and the steps become tau = 1 / (L omega), sigma = omega / L.
+    It stops when both fixed-point gaps of the extrapolated scheme are
+    within _TOL * max(1e-12, ||y||). At each restart the primal weight
+    omega becomes the geometric mean of itself and the ratio of the dual
+    to the primal move since the previous restart, and the steps become
+    tau = 1 / (L omega), sigma = omega / L.
 
     Polish (equality only): at every restart check the candidate (z_c,
     u_c), and at the residual stop the last iterate, names a face: the
     dim null(phi) entries of its d_block image nearest 0. _face_point
-    solves for the feasible point on which they vanish, and that point
-    is returned when _first_order_result certifies it with the pair's l1
-    dual block; iterations then counts up to that check. A failed
-    attempt changes nothing in the iteration; at the stop, the iterate
-    is returned as it is. The l2 ball's face has a curved part, so it is
-    not polished.
+    gives the feasible point on which they vanish; its result is
+    returned as soon as it is certified with the pair's l1 dual, and
+    iterations counts up to that check. A failed attempt changes
+    nothing. The l2 ball's face has a curved part, so it is not polished.
     """
     p = d_block.shape[0]
     kind = constraint.kind
@@ -305,25 +324,24 @@ def _pdhg(
         primal, dual, gap = _kkt(d_block, phi, constraint, z, u[:p], u[p:])
         return math.sqrt(primal * primal + dual * dual + gap * gap)
 
-    def polished(z_c: np.ndarray, u_c: np.ndarray) -> tuple | None:
-        """The return for z_c's certified face point, else None."""
-        if not polish:
-            return None
-        z_p = _face_point(z0, null, dz0, dn, d_block @ z_c)
+    def result(z: np.ndarray, u: np.ndarray, converged: bool) -> RecoveryResult:
+        return _first_order_result(d_block, phi, constraint, z, u[:p], fac, iters, converged)
+
+    def polished(z_c: np.ndarray, u_c: np.ndarray) -> RecoveryResult | None:
+        """The result of z_c's face point when it is certified, else None."""
+        z_p = _face_point(z0, fac.null, dz0, fac.dn, d_block @ z_c) if kind == "equality" else None
         if z_p is None:
             return None
-        certified = _first_order_result(d_block, phi, constraint, z_p, u_c[:p], null, iters, True).certified
-        return (z_p, u_c, iters, True) if certified else None
+        res = result(z_p, u_c, True)
+        return res if res.certified else None
 
     omega = 1.0
     tau = 1.0 / lnorm
     sigma = 1.0 / lnorm
     sigma_y = sigma * y
 
-    z = _feasible_start(phi, constraint)
-    polish = kind == "equality"
-    if polish:
-        z0, dz0, dn = z, d_block @ z, d_block @ null.T
+    z = _feasible_start(phi, fac.pinv, constraint)
+    z0, dz0 = z, d_block @ z  # the polish's base point
     u = np.zeros(k_mat.shape[0])
     kz = k_mat @ z
     kz_prev = kz
@@ -367,7 +385,7 @@ def _pdhg(
         n_avg += 1
         iters += 1
         if max(r_p, r_d) <= stop:
-            return polished(z, u) or (z, u, iters, True)
+            return polished(z, u) or result(z, u, True)
         if iters % _RESTART_EVERY:
             continue
 
@@ -402,62 +420,47 @@ def _pdhg(
         z_sum = np.zeros_like(z)
         u_sum = np.zeros_like(u)
         n_avg = 0
-    return z, u, iters, False
-
-
-def _null_basis(sensing: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning null(sensing): the right singular
-    vectors past its numerical rank, the count of singular values above
-    sv[0] max(shape) eps."""
-    _, sv, vt = np.linalg.svd(sensing)
-    return vt[int(np.sum(sv > sv[0] * max(sensing.shape) * np.finfo(np.float64).eps)) :]
+    return result(z, u, False)
 
 
 def _repair(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
-    z: np.ndarray, v: np.ndarray, null: np.ndarray,
+    z: np.ndarray, v: np.ndarray, fac: _Factors,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z', v', w) for _result from the PDHG point z and l1 dual v.
-
-    v is clipped to the unit box, loses the least-norm part that leaves
-    d_block^T v outside range(sensing^T) (the rows of null, from
-    _null_basis, span null(sensing)) and is rescaled into the box; w
-    solves sensing^T w = -d_block^T v by least squares. z' is z moved
-    onto B(y) along sensing^+.
-    """
+    """(z', v', w) for _result from the PDHG point z and l1 dual v, by
+    matvecs with the solve's factors: v is clipped to the unit box, loses
+    the least-norm part that leaves d_block^T v outside range(sensing^T)
+    (its leak dn^T v) and is rescaled into the box; w = -(sensing^+)^T
+    d_block^T v solves sensing^T w = -d_block^T v by least squares; z' is
+    z moved onto B(y) along sensing^+."""
     v = np.clip(v, -1.0, 1.0)
-    leak = null @ d_block.T
-    v = v - np.linalg.lstsq(leak, leak @ v, rcond=None)[0]
+    v = v - fac.leak_pinv @ (fac.dn.T @ v)
     v = v / max(1.0, float(np.abs(v).max()))
-    w = -np.linalg.lstsq(sensing.T, d_block.T @ v, rcond=None)[0]
+    w = -fac.pinv.T @ (d_block.T @ v)
 
     r = sensing @ z - constraint.y
     if constraint.kind == "l2-ball":
         nrm = _norm(r)
         r = r * (1.0 - constraint.epsilon / nrm) if nrm > constraint.epsilon else np.zeros_like(r)
-    return z - np.linalg.lstsq(sensing, r, rcond=None)[0], v, w
+    return z - fac.pinv @ r, v, w
 
 
 def _first_order_result(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
-    z: np.ndarray, v: np.ndarray, null: np.ndarray, iterations: int, converged: bool,
+    z: np.ndarray, v: np.ndarray, fac: _Factors, iterations: int, converged: bool,
 ) -> RecoveryResult:
     """_result for a first-order point z and l1 dual v, after _repair."""
-    z_fit, v, w = _repair(d_block, sensing, constraint, z, v, null)
+    z_fit, v, w = _repair(d_block, sensing, constraint, z, v, fac)
     return _result(d_block, sensing, constraint, z, z_fit, v, w, iterations, converged)
 
 
 def _solve_first_order(
-    d_block: np.ndarray,
-    sensing: np.ndarray,
-    constraint: ConstraintSpec,
-    opts: SolverOptions,
+    d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec, opts: SolverOptions
 ) -> RecoveryResult:
     """min ||d_block z||_1 over sensing z in B(y), shared by both routes.
 
-    Takes sensing's null basis once (_null_basis) for _pdhg's polish and
-    _repair's leak projection, runs _pdhg, and builds the result of the
-    returned point with the repaired PDHG dual (_first_order_result).
+    Checks the input, factors once (_factor: one SVD of sensing gives
+    sensing^+ and the null basis) and returns _pdhg's certified result.
     """
     if constraint.kind == "dantzig":
         raise ValueError(
@@ -466,10 +469,7 @@ def _solve_first_order(
         )
     if constraint.y.shape != (sensing.shape[0],):
         raise ValueError(f"y must have shape ({sensing.shape[0]},)")
-
-    null = _null_basis(sensing)
-    z, u, iters, converged = _pdhg(d_block, sensing, constraint, opts, null)
-    return _first_order_result(d_block, sensing, constraint, z, u[: d_block.shape[0]], null, iters, converged)
+    return _pdhg(d_block, sensing, constraint, opts, _factor(d_block, sensing))
 
 
 def solve_analysis_l1(

@@ -695,6 +695,21 @@ def test_summary_key_order(experiment, tmp_path, monkeypatch):
     assert exc_info.value.partial.summary == {"trials": 0}
 
 
+@pytest.mark.parametrize("experiment, column, key", [
+    ("grip", "delta", "delta_mean"),
+    ("p1p2", "distance", "distance_mean"),
+    ("verify-c2", "slack", "mean_slack"),
+])
+def test_summary_means_are_left_folds(experiment, column, key):
+    # a left fold loses 0.1 to 1e16 and gives 0.2 / 4; a compensated sum
+    # (builtin sum from Python 3.12 on) would give 0.3 / 4
+    rows = [
+        {column: value, "converged": True, "hypothesis_ok": False, "lhs": 0.0, "rhs": 0.0}
+        for value in (0.1, 1e16, -1e16, 0.2)
+    ]
+    assert cam._TABLE[experiment].summarize(None, rows)[key] == 0.05
+
+
 # ---------------------------------------------------------------------------
 # determinism, parallelism, failure handling
 

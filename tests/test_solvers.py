@@ -372,18 +372,13 @@ def test_first_order_path_never_calls_the_simplex(reference_instance, monkeypatc
 
 
 @pytest.mark.parametrize("kind", ["equality", "l2-ball"])
-def test_wrong_answer_is_not_certified(reference_instance, monkeypatch, kind):
+def test_wrong_answer_is_not_certified(reference_instance, kind):
     # the least-squares start is feasible but not optimal; with a zero
     # dual the gap is the whole objective
     phi, d, x, y = reference_instance
-
-    def least_squares(d_block, sensing, constraint, opts, null):
-        z = np.linalg.lstsq(sensing, constraint.y, rcond=None)[0]
-        return z, np.zeros(d_block.shape[0] + sensing.shape[0]), 1, True
-
-    monkeypatch.setattr(solvers, "_pdhg", least_squares)
     spec = cg.ConstraintSpec(kind, y, epsilon=0.1 if kind == "l2-ball" else 0.0)
-    res = cg.solve_analysis_l1(phi, d, spec)
+    fac = solvers._factor(d.entries, phi.entries)
+    res = solvers._first_order_result(d.entries, phi.entries, spec, fac.pinv @ y, np.zeros(d.p), fac, 1, True)
     assert res.converged
     assert not res.certified
     assert res.certification_gap > 1e-2
@@ -566,7 +561,41 @@ def test_polish_edge_cases(route, sensing):
     assert res.iterations % 64 == 0  # each of these polishes at a restart check
     assert abs(res.objective - lp.objective) <= 1e-12 * max(1.0, res.objective)
     if phi.shape[0] == phi.shape[1]:
-        assert np.array_equal(res.x_hat, np.linalg.lstsq(phi, spec.y, rcond=None)[0])
+        assert np.array_equal(res.x_hat, solvers._factor(d.entries, phi).pinv @ spec.y)
+
+
+@pytest.mark.parametrize("kind", ["equality", "l2-ball"])
+@pytest.mark.parametrize("route", [cg.solve_analysis_l1, cg.solve_synthesis_l1])
+def test_each_solve_factors_once_and_certifies_once(reference_instance, monkeypatch, route, kind):
+    # one SVD gives Phi^+, so no least-squares solve runs; _repair runs
+    # once per proposed face point, and once more only when no polish
+    # ends the solve (always on the l2 ball, never on this equality set)
+    phi, d, x, y = reference_instance
+    proposals, repairs = [], []
+    face_point, repair = solvers._face_point, solvers._repair
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq ran")
+
+    def proposing(*args):
+        z = face_point(*args)
+        if z is not None:
+            proposals.append(z)
+        return z
+
+    def counting(*args):
+        repairs.append(1)
+        return repair(*args)
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(solvers, "_face_point", proposing)
+    monkeypatch.setattr(solvers, "_repair", counting)
+    spec = cg.ConstraintSpec(kind, y, epsilon=0.1 if kind == "l2-ball" else 0.0)
+    assert route(phi, d, spec).certified
+    if kind == "equality":
+        assert proposals and len(repairs) == len(proposals)
+    else:
+        assert not proposals and len(repairs) == 1
 
 
 def test_l2_ball_never_polishes(reference_instance, monkeypatch):
