@@ -15,9 +15,10 @@ again, so roundoff carried through the updates cannot decide the
 outcome. Tolerances are relative: to the multipliers for entering, to
 the entering column for the pivot.
 
-Phase 1 starts from a crash basis: each row takes the first column that
-is exactly e_i with zero cost (the slacks the LP builders emit), and
-only rows without one get an artificial; with none, phase 1 is skipped.
+Phase 1 starts from a crash basis (Bixby, Oper. Res. 2002): each row
+takes its first column that is exactly e_i, zero-cost ones first; phase
+1 ignores costs, so one with a cost is a feasible start too. Only rows
+without one get an artificial; with none, phase 1 is skipped.
 The most negative reduced cost enters. A run of degenerate pivots as
 long as the basis has rows switches entering to Bland's rule (smallest
 eligible index; Bland, Math. Oper. Res. 1977) until a pivot makes a
@@ -154,9 +155,10 @@ def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution
     a[neg] *= -1.0
     b[neg] *= -1.0
 
-    # crash: each row takes the first zero-cost column that is exactly e_i
+    # crash: each row takes its first column that is exactly e_i, zero-cost first
     basis = np.full(m, -1)
-    unit = np.flatnonzero((c == 0) & (np.count_nonzero(a, axis=0) == 1) & (a.sum(axis=0) == 1.0))
+    unit = np.flatnonzero((np.count_nonzero(a, axis=0) == 1) & (a.sum(axis=0) == 1.0))
+    unit = unit[np.argsort(c[unit] != 0, kind="stable")]
     row_of, j = np.nonzero(a[:, unit])  # row-major: by row, then column
     rows, first = np.unique(row_of, return_index=True)
     basis[rows] = unit[j[first]]

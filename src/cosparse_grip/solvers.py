@@ -524,10 +524,9 @@ def solve_synthesis_l1(
 
 def _refuse_lp(n: int, p: int, kind: str) -> int:
     """The budget guard of the LP route: its variable count in closed
-    form, [z+ (n), z- (n), t (p)] plus 2p absolute-value slacks and, for
-    dantzig, 2n correlation slacks. Returns the count when within
-    MAX_LP_VARIABLES."""
-    nvar = 2 * n + 3 * p + (2 * n if kind == "dantzig" else 0)
+    form, [z+ (n), z- (n), s+ (p), s- (p)] plus, for dantzig, 2n
+    correlation slacks. Returns the count when within MAX_LP_VARIABLES."""
+    nvar = 2 * n + 2 * p + (2 * n if kind == "dantzig" else 0)
     if nvar > MAX_LP_VARIABLES:
         raise ValueError(
             f"certification LP needs {nvar} variables, budget is {MAX_LP_VARIABLES}"
@@ -540,21 +539,20 @@ def _build_lp(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Standard-form LP for min ||d_block z||_1 over the polyhedral sets.
 
-    Variables: [z+ (n), z- (n), t (p), slacks]. The two absolute-value
-    rows per analysis coordinate get slacks; equality measurement rows do
-    not; dantzig correlation rows get slacks on both sides.
+    Variables: [z+ (n), z- (n), s+ (p), s- (p), slacks], the split form of
+    basis pursuit: one row d_block (z+ - z-) - s+ + s- = 0 per analysis
+    coordinate, cost 1 on s+ and s-. The equality measurement rows follow
+    without slacks; the dantzig correlation rows follow with one slack
+    each, 2n in all.
     """
     p, n = d_block.shape
-    m = phi.shape[0]
     kind = constraint.kind
-    y = constraint.y
-
     if kind == "equality":
-        rows = 2 * p + m
+        rows = p + phi.shape[0]
     elif kind == "dantzig":
         gram = phi.T @ phi
-        b = phi.T @ y
-        rows = 2 * p + 2 * n
+        b = phi.T @ constraint.y
+        rows = p + 2 * n
     else:
         raise ValueError("LP route supports equality and dantzig only")
     nvar = _refuse_lp(n, p, kind)
@@ -562,35 +560,28 @@ def _build_lp(
     a = np.zeros((rows, nvar))
     rhs = np.zeros(rows)
     c = np.zeros(nvar)
-    c[2 * n : 2 * n + p] = 1.0  # minimize sum t = ||d_block z||_1
+    c[2 * n : 2 * n + 2 * p] = 1.0  # minimize sum (s+ + s-) = ||d_block z||_1
 
-    # |(d_block z)_i| <= t_i as two slack rows each
+    # d_block z = s+ - s-, one row per analysis coordinate
     a[:p, :n] = d_block
     a[:p, n : 2 * n] = -d_block
     a[:p, 2 * n : 2 * n + p] = -np.eye(p)
     a[:p, 2 * n + p : 2 * n + 2 * p] = np.eye(p)
 
-    a[p : 2 * p, :n] = -d_block
-    a[p : 2 * p, n : 2 * n] = d_block
-    a[p : 2 * p, 2 * n : 2 * n + p] = -np.eye(p)
-    a[p : 2 * p, 2 * n + 2 * p : 2 * n + 3 * p] = np.eye(p)
-
     if kind == "equality":
-        a[2 * p :, :n] = phi
-        a[2 * p :, n : 2 * n] = -phi
-        rhs[2 * p :] = y
+        a[p:, :n] = phi
+        a[p:, n : 2 * n] = -phi
+        rhs[p:] = constraint.y
     else:
         lam = constraint.lam
-        r0 = 2 * p
-        a[r0 : r0 + n, :n] = gram
-        a[r0 : r0 + n, n : 2 * n] = -gram
-        a[r0 : r0 + n, 2 * n + 3 * p : 2 * n + 3 * p + n] = np.eye(n)
-        rhs[r0 : r0 + n] = b + lam
-        r1 = r0 + n
-        a[r1 : r1 + n, :n] = -gram
-        a[r1 : r1 + n, n : 2 * n] = gram
-        a[r1 : r1 + n, 2 * n + 3 * p + n :] = np.eye(n)
-        rhs[r1 : r1 + n] = lam - b
+        a[p : p + n, :n] = gram
+        a[p : p + n, n : 2 * n] = -gram
+        a[p : p + n, 2 * n + 2 * p : 2 * n + 2 * p + n] = np.eye(n)
+        rhs[p : p + n] = b + lam
+        a[p + n :, :n] = -gram
+        a[p + n :, n : 2 * n] = gram
+        a[p + n :, 2 * n + 2 * p + n :] = np.eye(n)
+        rhs[p + n :] = lam - b
     return c, a, rhs
 
 
@@ -604,9 +595,10 @@ def solve_lp_certified(
     Only the polyhedral kinds (equality, dantzig) are expressible;
     iterations reports pivot count. The returned point is an optimal
     vertex z = z+ - z-; the dual pair is read off the simplex multipliers
-    pi of its basis, v = pi[p:2p] - pi[:p] from the absolute-value rows
-    and w from the measurement rows, and checked against the same fixed
-    tolerances as the first-order path.
+    pi of its basis, v = -pi[:p] from the analysis rows and w from the
+    measurement rows (w = -pi[p:] for equality, pi[p+n:] - pi[p:p+n] for
+    dantzig), and checked against the same fixed tolerances as the
+    first-order path.
     """
     phi_e = sensing_entries(phi)
     if phi_e.shape[1] != dictionary.n:
@@ -622,9 +614,9 @@ def solve_lp_certified(
     p, n = d_block.shape
     z = sol.x[:n] - sol.x[n : 2 * n]
     pi = sol.multipliers
-    v = pi[p : 2 * p] - pi[:p]
+    v = -pi[:p]
     if constraint.kind == "equality":
-        w = -pi[2 * p :]
+        w = -pi[p:]
     else:
-        w = pi[2 * p + n :] - pi[2 * p : 2 * p + n]
+        w = pi[p + n :] - pi[p : p + n]
     return _result(d_block, phi_e, constraint, z, z, v, w, sol.pivots, True)

@@ -744,24 +744,28 @@ def test_failed_trial_carries_completed_prefix(monkeypatch):
 
 
 def test_lp_budget_refused_as_config_error():
-    # the dantzig LP has 2n + 3p + 2n variables: 490 at (n, p) = (40, 110)
+    # the dantzig LP has 2n + 2p + 2n variables: 420 at (n, p) = (40, 130)
     doc = base_doc(
         experiment="solve",
-        dims={"m": 20, "n": 40, "p": 110},
+        dims={"m": 20, "n": 40, "p": 130},
         dictionary_kind="tight-frame",
-        k=71,
+        k=91,
         trials=1,
         seed=0,
         constraint={"kind": "dantzig", "lambda": 0.1},
     )
     with pytest.raises(ConfigError, match=(
-        r"^certification LP needs 490 variables, budget is 400; "
+        r"^certification LP needs 420 variables, budget is 400; "
         r"dantzig puts every solve trial on the LP route$"
     )):
         config_from(doc)
-    # 406 at (n, p) = (58, 58), where the verify pool itself is in budget
-    with pytest.raises(ConfigError, match=r"^certification LP needs 406 variables, budget is 400; .* verify-t1 "):
-        config_from(base_doc(experiment="verify-t1", dims={"m": 20, "n": 58, "p": 58},
+    # the boundary: 400 at (40, 120) is admitted, 402 at (40, 121) is not
+    assert config_from(dict(doc, dims={"m": 20, "n": 40, "p": 120})).p == 120
+    with pytest.raises(ConfigError, match=r"^certification LP needs 402 variables, budget is 400; "):
+        config_from(dict(doc, dims={"m": 20, "n": 40, "p": 121}))
+    # 402 at (n, p) = (67, 67), where the verify pool itself is in budget
+    with pytest.raises(ConfigError, match=r"^certification LP needs 402 variables, budget is 400; .* verify-t1 "):
+        config_from(base_doc(experiment="verify-t1", dims={"m": 20, "n": 67, "p": 67},
                              constraint={"kind": "dantzig", "lambda": 0.1}))
     # equality solves take the first-order path, and grip solves nothing
     assert config_from(dict(doc, constraint={"kind": "equality"})).constraint_kind == "equality"

@@ -142,15 +142,15 @@ def test_cli_crashed_trial_exits_1_with_partial_flush(tmp_path, capsys, monkeypa
 
 
 def test_cli_lp_over_budget_exits_2(tmp_path, capsys):
-    # 2n + 3p + 2n = 480 variables in every trial's dantzig LP
-    doc = base_doc(experiment="solve", dims={"m": 30, "n": 60, "p": 80}, k=25,
+    # 2n + 2p + 2n = 408 variables in every trial's dantzig LP
+    doc = base_doc(experiment="solve", dims={"m": 30, "n": 60, "p": 84}, k=25,
                    dictionary_kind="tight-frame", trials=1, seed=0,
                    constraint={"kind": "dantzig", "lambda": 0.1})
     cfg_path = write_config(tmp_path, doc)
     out_dir = tmp_path / "out"
     assert cli.main(["solve", "--config", cfg_path, "--out", str(out_dir)]) == 2
     assert capsys.readouterr().err == (
-        "error: certification LP needs 480 variables, budget is 400; "
+        "error: certification LP needs 408 variables, budget is 400; "
         "dantzig puts every solve trial on the LP route\n"
     )
     assert not out_dir.exists()

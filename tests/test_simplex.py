@@ -166,25 +166,58 @@ def test_beale_cycling_example_terminates():
     assert sol.objective == pytest.approx(-0.05, abs=1e-12)
 
 
-def test_equality_lp_at_the_variable_budget():
-    # a 225x400 equality LP (100x50 tight frame, m=25, k=60) at
-    # MAX_LP_VARIABLES, on which smallest-index pricing from an all-
-    # artificial basis stalled for 107,211 pivots; 5.004983055861394 is
-    # the HiGHS optimum of the same LP
-    d = cg.make_dictionary("tight-frame", 100, 50, 1)
+@pytest.mark.parametrize("p, k, optimum", [
+    # a 125x300 equality LP (100x50 tight frame, m=25, k=60), 225x400 and
+    # at MAX_LP_VARIABLES in the form with two slack rows per coordinate,
+    # on which smallest-index pricing from an all-artificial basis stalled
+    # for 107,211 pivots
+    (100, 60, 5.004983055861394),
+    # 175x400 (150x50 tight frame, m=25, k=110) at MAX_LP_VARIABLES; with
+    # only zero-cost unit columns in the crash, every analysis row starts
+    # on an artificial and this took 42,796 pivots
+    (150, 110, 6.12441549886439),
+], ids=["125x300", "175x400"])
+def test_equality_lp_at_the_variable_budget(p, k, optimum):
+    # optimum is the HiGHS optimum of the same LP
+    d = cg.make_dictionary("tight-frame", p, 50, 1)
     phi = cg.make_sensing_matrix("gaussian", 25, 50, 2)
-    x = cg.sample_cosparse_signal(d, 60, 3)
+    x = cg.sample_cosparse_signal(d, k, 3)
     inverses = []
     inv = np.linalg.inv
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.linalg, "inv", lambda m: inverses.append(m.shape) or inv(m))
         res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
     assert res.certified
-    assert res.objective == pytest.approx(5.004983055861394, abs=1e-8)
+    assert res.objective == pytest.approx(optimum, abs=1e-8)
     assert res.iterations <= 5000
     # B^-1 is carried between pivots by rank-one updates: about one fresh
-    # inverse per _REFACTOR_EVERY pivots, not one per pivot (661 pivots)
+    # inverse per _REFACTOR_EVERY pivots, not one per pivot (371 and 601
+    # pivots)
     assert len(inverses) <= 40
+
+
+def test_crash_takes_unit_columns_that_carry_a_cost(monkeypatch):
+    # every row's only unit column costs 1, as s- does on an analysis row:
+    # the crash takes them all, so phase 1 is skipped and _pivot_to_optimum
+    # runs once, for phase 2
+    calls = []
+    pivot = simplex._pivot_to_optimum
+    monkeypatch.setattr(simplex, "_pivot_to_optimum", lambda *args: calls.append(1) or pivot(*args))
+    c = np.array([0.0, 0.0, 1.0, 1.0])
+    a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
+    sol = solve_standard_lp(c, a, np.array([4.0, 2.0]))
+    assert len(calls) == 1
+    assert sol.objective == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(sol.x, [3.0, 1.0, 0.0, 0.0], atol=1e-12)
+
+
+def test_lp_has_one_row_per_analysis_coordinate():
+    # equality: (p + m) x (2n + 2p); dantzig: (p + 2n) x (4n + 2p)
+    for j, shape in ((0, (14 + 6, 2 * 10 + 2 * 14)), (1, (14 + 2 * 10, 4 * 10 + 2 * 14))):
+        d, phi, _, con = family_instance(11, j)
+        c, a, b = _build_lp(d.entries, phi.entries, con)
+        assert a.shape == shape and c.shape == (shape[1],) and b.shape == (shape[0],)
+        assert c.sum() == 2 * 14
 
 
 @st.composite

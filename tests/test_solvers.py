@@ -435,10 +435,10 @@ def test_every_route_returns_a_checked_certificate(seed, dict_kind):
 
 
 def test_lp_variable_budget_enforced():
-    d = cg.make_dictionary("tight-frame", 110, 40, 0)
+    d = cg.make_dictionary("tight-frame", 170, 40, 0)
     phi = cg.make_sensing_matrix("gaussian", 20, 40, 0)
     y = np.zeros(20)
-    assert 2 * 40 + 3 * 110 > MAX_LP_VARIABLES
+    assert 2 * 40 + 2 * 170 > MAX_LP_VARIABLES
     with pytest.raises(ValueError):
         cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", y))
 
