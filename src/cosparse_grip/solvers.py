@@ -18,9 +18,13 @@ basis N of null(A), and forms B N^T once. On the equality set every
 restart check also tries a polish, after PDLP's feasibility polishing and
 crossover to a vertex (Megiddo 1991): the restart candidate names the
 dim null(A) entries of B z nearest zero, one small linear solve puts z
-on the feasible point where they vanish, and that point is returned as
-soon as its checked certificate passes. The l2 ball is not polished: its
-optimal face includes the curved boundary of the ball.
+on the feasible point z_p where they vanish, and z_p is certified with
+the dual of its own zero set: sign(B z_p) off the zero set, and on it the
+PDHG dual moved by the least-norm step that makes the pair dual feasible
+(the cosupport certificate of Vaiter, Peyre, Dossal & Fadili 2013).
+z_p is returned as soon as that checked certificate passes. The l2 ball
+is not polished: its optimal face includes the curved boundary of the
+ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
@@ -33,12 +37,13 @@ infeasibility and the duality gap of a primal point z and a dual pair
   max -b^T w - s(w)  s.t.  B^T v + A^T w = 0,  ||v||_inf <= 1,
 the KKT error of PDLP, which also drives the restarts. The LP path reads
 (v, w) off the simplex multipliers of its optimal basis. On the
-first-order path, matvecs with A^+ repair the PDHG dual into exact dual
-feasibility and move its point onto B(y) before the check, and _pdhg
-returns that checked result, once per point. The tolerances are fixed
-module constants, the same on both paths: _FEAS_TOL for primal and dual
-infeasibility, _CERT_TOL for the relative duality gap, and _TOL for the
-PDHG stopping residual. SolverOptions sets only the iteration budget.
+first-order path, matvecs with A^+ repair the dual (PDHG's, or the
+polish's zero-set dual) into exact dual feasibility and move its point
+onto B(y) before the check, and _pdhg returns that checked result, once
+per point. The tolerances are fixed module constants, the same on both
+paths: _FEAS_TOL for primal and dual infeasibility, _CERT_TOL for the
+relative duality gap, and _TOL for the PDHG stopping residual.
+SolverOptions sets only the iteration budget.
 """
 
 from __future__ import annotations
@@ -263,6 +268,12 @@ _NECESSARY_DECAY = 0.8
 _ARTIFICIAL_RESTART = 0.36
 _MIN_MOVE = 1e-10  # primal or dual move below which the weight is kept
 
+# Roundoff allowance of the polish's dual: entries of d_block z within
+# _ZERO_TOL max(1, ||d_block z||_inf) are zero, and a dual within _ZERO_TOL
+# of the unit box is in it (a non-unique minimizer's dual has entries of
+# modulus exactly 1 on the zero set).
+_ZERO_TOL = 1e-9
+
 
 def _face_point(
     z0: np.ndarray, null: np.ndarray, dz0: np.ndarray, dn: np.ndarray, dz: np.ndarray
@@ -286,6 +297,30 @@ def _face_point(
     return z0 + null.T @ c
 
 
+def _zero_set_dual(dz: np.ndarray, v: np.ndarray, dn: np.ndarray) -> np.ndarray | None:
+    """The l1 dual that certifies a feasible point z with dz = d_block z,
+    from the PDHG dual v (Vaiter, Peyre, Dossal & Fadili 2013).
+
+    Off the zero set L = {|dz| <= _ZERO_TOL max(1, ||dz||_inf)} it is
+    sign(dz); on L it is clip(v, -1, 1) moved by the least-norm step onto
+    dn[L]^T v_L = -dn[~L]^T sign(dz)[~L], so that null d_block^T v = 0
+    (dn = d_block null^T). None when that step leaves the unit box by
+    more than _ZERO_TOL. An empty L needs no step.
+    """
+    zero = np.abs(dz) <= _ZERO_TOL * max(1.0, float(np.abs(dz).max()))
+    out = np.sign(dz)
+    if not zero.any():
+        return out
+    out[zero] = 0.0
+    v_l = np.clip(v[zero], -1.0, 1.0)
+    a = dn[zero].T
+    v_l -= _pinv_null(a)[0] @ (a @ v_l + dn.T @ out)
+    if np.abs(v_l).max() > 1.0 + _ZERO_TOL:
+        return None
+    out[zero] = v_l
+    return out
+
+
 def _pdhg(
     d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec, opts: SolverOptions, fac: _Factors
 ) -> RecoveryResult:
@@ -293,7 +328,8 @@ def _pdhg(
     z in B(y), B(y) the equality set or the l2 ball, from the
     least-squares point; fac is _factor(d_block, phi). Returns the
     checked result (_first_order_result) of the point it ends at, with
-    the l1 block of its dual u = (v, w), unconverged if max_iters runs out.
+    the l1 block of its dual u = (v, w) (a polished point: the dual of its
+    zero set), unconverged if max_iters runs out.
 
     It stops when both fixed-point gaps of the extrapolated scheme are
     within _TOL * max(1e-12, ||y||). At each restart the primal weight
@@ -304,8 +340,10 @@ def _pdhg(
     Polish (equality only): at every restart check the candidate (z_c,
     u_c), and at the residual stop the last iterate, names a face: the
     dim null(phi) entries of its d_block image nearest 0. _face_point
-    gives the feasible point on which they vanish; its result is
-    returned as soon as it is certified with the pair's l1 dual, and
+    gives the feasible point z_p on which they vanish, and _zero_set_dual
+    the l1 dual of z_p's own zero set, built from the pair's l1 dual;
+    a dual outside the unit box refuses z_p unchecked. The result of
+    z_p is returned as soon as it is certified with that dual, and
     iterations counts up to that check. A failed attempt changes
     nothing. The l2 ball's face has a curved part, so it is not polished.
     """
@@ -332,7 +370,10 @@ def _pdhg(
         z_p = _face_point(z0, fac.null, dz0, fac.dn, d_block @ z_c) if kind == "equality" else None
         if z_p is None:
             return None
-        res = result(z_p, u_c, True)
+        v = _zero_set_dual(d_block @ z_p, u_c[:p], fac.dn)
+        if v is None:
+            return None
+        res = _first_order_result(d_block, phi, constraint, z_p, v, fac, iters, True)
         return res if res.certified else None
 
     omega = 1.0
@@ -427,7 +468,7 @@ def _repair(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
     z: np.ndarray, v: np.ndarray, fac: _Factors,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z', v', w) for _result from the PDHG point z and l1 dual v, by
+    """(z', v', w) for _result from a first-order point z and l1 dual v, by
     matvecs with the solve's factors: v is clipped to the unit box, loses
     the least-norm part that leaves d_block^T v outside range(sensing^T)
     (its leak dn^T v) and is rescaled into the box; w = -(sensing^+)^T

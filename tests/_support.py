@@ -44,6 +44,36 @@ def matched_delta(n: int, m: int, order: int) -> float:
     return max(hi, lo)
 
 
+def campaign_trial(campaign_seed: int, index: int):
+    """Operators, signal and equality constraint of one trial of a solve
+    campaign (tight frame 14x10, gaussian m = 6, k = 5), drawn the way
+    the campaign's solve trial draws them."""
+    seed = cg.trial_seed(campaign_seed, index)
+    d = cg.make_dictionary("tight-frame", 14, 10, cg.trial_seed(seed, 0))
+    phi = cg.make_sensing_matrix("gaussian", 6, 10, cg.trial_seed(seed, 1))
+    x = cg.sample_cosparse_signal(d, 5, cg.trial_seed(seed, 2))
+    return phi, d, cg.ConstraintSpec("equality", phi.entries @ x)
+
+
+def solve_recovery_family(campaign_seeds) -> int:
+    """Solve the 24 trials of each seed's solve campaign (seed 11 is the
+    `recovery` benchmark's family, ungauged); each must be certified,
+    converged and within 1e-12 relative of solve_lp_certified. Returns
+    the total PDHG iterations."""
+    total = 0
+    for campaign_seed in campaign_seeds:
+        for i in range(24):
+            phi, d, spec = campaign_trial(campaign_seed, i)
+            res = cg.solve_analysis_l1(phi, d, spec)
+            lp = cg.solve_lp_certified(phi, d, spec)
+            assert res.certified and res.converged, (campaign_seed, i)
+            assert abs(res.objective - lp.objective) <= 1e-12 * max(1.0, res.objective), (
+                campaign_seed, i
+            )
+            total += res.iterations
+    return total
+
+
 def classical_delta(phi_entries: np.ndarray, k: int) -> float:
     """Brute-force classical restricted-isometry constant of order k."""
     n = phi_entries.shape[1]
