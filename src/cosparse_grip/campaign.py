@@ -327,7 +327,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as err:
+                raise ConfigError(f"config is not UTF-8 text: {err}") from err
+        return cls.from_json(text)
 
     def to_json_dict(self) -> dict:
         """The config as a document with every default materialized."""

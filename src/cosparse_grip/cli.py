@@ -2,11 +2,13 @@
 
     cosparse-grip <experiment> --config <path> [--seed N] [--out <dir>]
 
-Exit codes: 0 success; 2 config error (including a config whose named
-experiment disagrees with the command, a rho campaign or an instance pool
-whose exact constants exceed their budget, and a dantzig campaign whose
-LP exceeds the LP route's variable budget: these are refused when the
-config is read, before any instance is drawn; and an instance pool whose
+Exit codes: 0 success; 2 config error (including a config file that is
+not UTF-8 JSON, a config whose named experiment disagrees with the
+command, an output directory (--out or output_path) with a file at it or
+at one of its ancestors, a rho campaign or an instance pool whose exact
+constants exceed their budget, and a dantzig campaign whose LP exceeds
+the LP route's variable budget: these are refused when the config is
+read, before any instance is drawn; and an instance pool whose
 hypotheses fail); 3 bound-violation
 finding (some verified inequality whose hypothesis held came out below
 -1e-8 max(|lhs|, |rhs|, 1)); 4 solver non-convergence.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .campaign import (
     EXPERIMENTS,
@@ -61,11 +64,15 @@ def main(argv: list[str] | None = None) -> int:
             )
         if args.seed is not None:
             config = replace(config, seed=args.seed)
+        out_dir = Path(args.out or config.output_path or ".")
+        # refused now, not by mkdir once the campaign has run: the nearest
+        # existing ancestor of the output directory must be a directory
+        nearest = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"output directory {out_dir}: {nearest} is not a directory")
     except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-
-    out_dir = args.out or config.output_path or "."
 
     try:
         result = run(config)

@@ -6,8 +6,10 @@ analysis image concentrates on k coordinates. Each size-k support Lambda
 contributes the larger of two one-sided extremes over the chunk subspace
 W_Lambda = { D^+ z : supp(z) in Lambda }:
 
-  * upper: max ||Phi x||^2 / ||D x||^2 over x in W_Lambda, minus 1
-    (a generalized eigenvalue problem for the pencil restricted to W_Lambda);
+  * upper: max ||Phi x||^2 / ||D x||^2 over x in W_Lambda, minus 1. With
+    A = Phi D^+ and Q rho_exact's orthonormal basis of P[:, Lambda],
+    P = D D^+, x = D^+ Q c has ||D x|| = ||c|| and ||Phi x|| = ||A Q c||:
+    a Rayleigh quotient, the largest eigenvalue of Q^T A^T A Q;
   * lower: 1 minus min ||Phi D^+ z||^2 / ||z||^2 over supp(z) in Lambda
     (smallest eigenvalue of a k x k Gram matrix).
 
@@ -50,7 +52,6 @@ __all__ = [
 DEFAULT_MAX_SUPPORTS = 3060   # enumeration budget: C(18, 4), i.e. p <= 18 at k <= 4
 DEFAULT_MAX_PAIRS = 60000     # disjoint-pair budget for rho_exact
 
-_PD_TOL = 1e-12        # metric Gram must be positive definite past this
 _TRIVIAL_TOL = 1e-10   # relative sv cutoff for chunk-subspace bases
 _CHUNK = 256           # supports per stacked linalg call; rho_exact takes 4x as many pairs
 
@@ -150,48 +151,30 @@ def _orth_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, rank
 
 
-def _pencil_top(phi: np.ndarray, d: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """lambda_max of the pencil (B^T Phi^T Phi B, B^T D^T D B) for each
-    orthonormal basis B of an (S, n, r) stack, solved by Cholesky whitening
-    of the metric Gram."""
-    pb = phi @ basis
-    db = d @ basis
-    metric = _mT(db) @ db
-    if np.any(np.linalg.eigvalsh(metric)[:, 0] <= _PD_TOL):
-        raise np.linalg.LinAlgError(
-            "chunk-subspace metric lost positive definiteness; the analysis "
-            "operator is numerically rank deficient on this support"
-        )
-    chol = np.linalg.cholesky(metric)
-    w = np.linalg.solve(chol, _mT(pb) @ pb)
-    w = np.linalg.solve(chol, _mT(w))
-    return np.linalg.eigvalsh(w)[:, -1]
-
-
 def _chunk_extremes(
     supports: np.ndarray,
     a_cols: np.ndarray,
-    pinv: np.ndarray,
-    phi: np.ndarray,
-    d: np.ndarray,
+    gram: np.ndarray,
+    proj: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) eigenvalue extremes for each row of a (S, k) support
-    array.
+    array, given A = Phi D^+, its Gram A^T A and P = D D^+.
 
-    lower: lambda_min of (A_Lambda)^T A_Lambda with A = Phi D^+.
-    upper: lambda_max of the pencil on an orthonormal basis of
-    D^+[:, Lambda]. Bases of equal rank share one stacked call, so each
-    rank below the full width that occurs costs one more call.
+    lower: lambda_min of (A_Lambda)^T A_Lambda.
+    upper: lambda_max of Q^T (A^T A) Q for an orthonormal basis Q of
+    P[:, Lambda]. Bases of equal rank share one stacked call, so each rank
+    below the full width that occurs costs one more call.
     """
     asub = _gather(a_cols, supports)
     lower = np.linalg.eigvalsh(_mT(asub) @ asub)[:, 0]
-    u, rank = _orth_stack(_gather(pinv, supports))
-    # a degenerate support (zero pseudoinverse columns) keeps upper = lower:
+    q, rank = _orth_stack(_gather(proj, supports))
+    # a degenerate support (zero projected columns) keeps upper = lower:
     # the mask side still contributes, the image side is vacuous
     upper = lower.copy()
     for r in np.unique(rank[rank > 0]):
         sel = rank == r
-        upper[sel] = _pencil_top(phi, d, u[sel, :, :r])
+        basis = q[sel, :, :r]
+        upper[sel] = np.linalg.eigvalsh(_mT(basis) @ (gram @ basis))[:, -1]
     return lower, upper
 
 
@@ -215,7 +198,8 @@ def _scan_supports(
     stacked call."""
     pinv = dictionary.pinv()
     a_cols = phi_e @ pinv
-    d_e = dictionary.entries
+    gram = a_cols.T @ a_cols
+    proj = dictionary.entries @ pinv
 
     best_delta = -math.inf
     best_support: np.ndarray | None = None
@@ -223,7 +207,7 @@ def _scan_supports(
     hi_max = -math.inf
     for start in range(0, len(supports), _CHUNK):
         chunk = supports[start : start + _CHUNK]
-        lower, upper = _chunk_extremes(chunk, a_cols, pinv, phi_e, d_e)
+        lower, upper = _chunk_extremes(chunk, a_cols, gram, proj)
         lo_min = min(lo_min, float(lower.min()))
         hi_max = max(hi_max, float(upper.max()))
         delta = np.maximum(upper - 1.0, 1.0 - lower)

@@ -152,22 +152,14 @@ def _loop_orth(cols: np.ndarray) -> np.ndarray:
     return u[:, :rank]
 
 
-def _loop_extremes(support, a_cols, pinv, phi, d):
+def _loop_extremes(support, a_cols, gram, proj):
     idx = list(support)
     asub = a_cols[:, idx]
     lower = float(np.linalg.eigvalsh(asub.T @ asub)[0])
-    basis = _loop_orth(pinv[:, idx])
+    basis = _loop_orth(proj[:, idx])
     if basis.shape[1] == 0:
         return lower, lower
-    pb = phi @ basis
-    db = d @ basis
-    metric = db.T @ db
-    if np.linalg.eigvalsh(metric)[0] <= 1e-12:
-        raise np.linalg.LinAlgError("metric lost positive definiteness")
-    chol = np.linalg.cholesky(metric)
-    w = np.linalg.solve(chol, pb.T @ pb)
-    w = np.linalg.solve(chol, w.T)
-    return lower, float(np.linalg.eigvalsh(w)[-1])
+    return lower, float(np.linalg.eigvalsh(basis.T @ (gram @ basis))[-1])
 
 
 def colex_supports(p: int, k: int) -> list[tuple[int, ...]]:
@@ -189,10 +181,12 @@ def loop_delta(phi_entries: np.ndarray, d: cg.Dictionary, supports):
     attaining support winning ties."""
     pinv = d.pinv()
     a_cols = phi_entries @ pinv
+    gram = a_cols.T @ a_cols
+    proj = d.entries @ pinv
     best, witness = -np.inf, None
     lo_min, hi_max = np.inf, -np.inf
     for sup in supports:
-        lower, upper = _loop_extremes(sup, a_cols, pinv, phi_entries, d.entries)
+        lower, upper = _loop_extremes(sup, a_cols, gram, proj)
         lo_min = min(lo_min, lower)
         hi_max = max(hi_max, upper)
         delta = max(upper - 1.0, 1.0 - lower)

@@ -62,6 +62,35 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["verify-c2", "--config", cfg_path, "--seed", "-3"]) == 2
 
 
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(b"\xff\xfe" + json.dumps(base_doc()).encode())
+    out_dir = tmp_path / "out"
+    assert cli.main(["verify-c2", "--config", str(cfg_path), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not UTF-8 text") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("where", ["--out", "output_path", "ancestor"])
+def test_cli_out_on_an_existing_file_exits_2_before_running(tmp_path, capsys, monkeypatch, where):
+    def refuse(config):
+        raise AssertionError("the campaign ran")
+
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    target = taken / "sub" if where == "ancestor" else taken
+    doc = base_doc(output_path=str(target)) if where == "output_path" else base_doc()
+    argv = ["verify-c2", "--config", write_config(tmp_path, doc)]
+    if where != "output_path":
+        argv += ["--out", str(target)]
+    monkeypatch.setattr(cli, "run", refuse)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {target}: {taken} is not a directory\n"
+    assert taken.read_text() == "keep\n"
+
+
 def test_cli_pool_diagnostics_exit_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_doc(seed=0))
     assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 2

@@ -74,11 +74,35 @@ def test_exact_ties_keep_colex_smallest_witness():
 
 
 def test_redundant_dictionary_against_independent_pencil_oracle():
+    # the second D is valid but has sigma_min / sigma_max ~ 1e-7: its delta,
+    # about 1e13, is a result and not an error, so it is compared relatively
+    ill = cg.make_dictionary("tight-frame", 9, 6, 3).entries.copy()
+    ill[:, 0] *= 1e-7
+    cases = [
+        (cg.make_sensing_matrix("gaussian", 6, 8, 42), cg.make_dictionary("tight-frame", 10, 8, 7),
+         {"abs": 1e-9}),
+        (cg.make_sensing_matrix("gaussian", 4, 6, 5), cg.Dictionary(ill, "user-supplied"),
+         {"rel": 1e-12}),
+    ]
+    for phi, d, tol in cases:
+        for k in (1, 2):
+            rep = cg.delta_exact(phi, d, k)
+            assert rep.delta == pytest.approx(brute_delta(phi.entries, d.entries, k), **tol)
+
+
+def test_delta_scans_run_no_cholesky_or_solve(monkeypatch):
+    # the upper side is an ordinary Rayleigh quotient on an orthonormal
+    # basis, so no metric is factored or inverted
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky or np.linalg.solve ran")
+
     phi = cg.make_sensing_matrix("gaussian", 6, 8, 42)
     d = cg.make_dictionary("tight-frame", 10, 8, 7)
-    for k in (1, 2):
-        rep = cg.delta_exact(phi, d, k)
-        assert rep.delta == pytest.approx(brute_delta(phi.entries, d.entries, k), abs=1e-9)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    for k in (1, 2, 3):
+        cg.delta_exact(phi, d, k)
+        cg.delta_monte_carlo(phi, d, k, 20, 0)
 
 
 def test_matched_family_closed_form():
@@ -252,6 +276,15 @@ def test_batched_scans_equal_reference_loops(instance, data):
         assert _estimate(cg.rho_exact(d, k)) == loop_rho(d, k)
 
 
+def test_single_row_sensing_equals_reference_loop():
+    # m = 1 with a rank-3 chunk basis: the shape at which a stacked A Q
+    # product parted from the per-support one in the last bit
+    d = cg.make_dictionary("tight-frame", 4, 3, 1)
+    phi = cg.make_sensing_matrix("gaussian", 1, 3, 2)
+    supports = colex_supports(d.p, 4)
+    assert _report(cg.delta_exact(phi, d, 4)) == loop_delta(phi.entries, d, supports)
+
+
 def test_scaled_identity_ties_survive_chunk_boundaries():
     # every support and every disjoint pair ties bit for bit; 495 supports
     # and 17325 pairs span several chunks, and the colex-first one must win
@@ -297,7 +330,8 @@ def test_zero_rank_bases_keep_degenerate_rule_and_rho_skip():
     pinv = d.pinv()
     assert not pinv[:, 4].any()
     sup = grip._colex_supports(d.p, 1)
-    lower, upper = grip._chunk_extremes(sup, phi.entries @ pinv, pinv, phi.entries, d.entries)
+    a_cols = phi.entries @ pinv
+    lower, upper = grip._chunk_extremes(sup, a_cols, a_cols.T @ a_cols, d.entries @ pinv)
     assert upper[4] == lower[4] == 0.0
     for k in (1, 2):
         supports = colex_supports(d.p, k)
