@@ -69,7 +69,7 @@ from .solvers import (
     solve_lp_certified,
     solve_synthesis_l1,
 )
-from .verify import check_corollary1, check_corollary2, check_theorem1
+from .verify import _corollary2_stack, check_corollary1, check_theorem1
 
 __all__ = [
     "EXPERIMENTS",
@@ -92,6 +92,8 @@ _MATRIX_KINDS = ("gaussian", "bernoulli")
 _RHO_MODES = ("exact", "printed")
 
 _DECAY = 0.5              # ratio of verify-t1's compressible signal profile
+
+_BLOCK = 256              # trials per call of an experiment that evaluates blocks
 
 _MASK64 = (1 << 64) - 1
 _INSTANCE_TAG = 1 << 40   # keeps instance seed stream clear of trial indices
@@ -588,14 +590,14 @@ def _violates(row: dict) -> bool:
     return row["hypothesis_ok"] and row["slack"] < -_num_tol(row["lhs"], row["rhs"])
 
 
-def _verify_row(index: int, seed: int, rep, inst: _VerifyInstance) -> dict:
+def _verify_row(index: int, seed: int, inst: _VerifyInstance, lhs, rhs, slack, hypothesis_ok) -> dict:
     return {
         "trial": index,
         "seed": seed,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "hypothesis_ok": rep.hypothesis_ok,
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": slack,
+        "hypothesis_ok": hypothesis_ok,
         "delta2k": inst.delta2k,
         "rho": inst.rho,
     }
@@ -617,20 +619,40 @@ def _verify_c1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict
         inst.phi, d, cfg.k, (sup_i, pinv @ z_i), (sup_j, pinv @ z_j),
         delta2k=inst.delta2k, rho=inst.rho,
     )
-    return _verify_row(index, seed, rep, inst)
+    return _verify_row(index, seed, inst, rep.lhs, rep.rhs, rep.slack, rep.hypothesis_ok)
+
+
+def _verify_c2_block(cfg: ExperimentConfig, pool, start: int, seeds: list[int]) -> list[dict]:
+    """Rows of the consecutive trials start, start + 1, ... (one per seed).
+    Each trial draws its direction and head from its own stream, as it
+    would alone; the checks then run as one stacked call per pool
+    instance, whose rows have the bits of one check per trial."""
+    h = np.empty((len(seeds), cfg.n))
+    heads = np.empty((len(seeds), cfg.k), dtype=np.intp)
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(cfg.n)
+        h[j] = v / float(np.linalg.norm(v))
+        heads[j] = rng.choice(cfg.p, size=cfg.k, replace=False)
+    rows = [None] * len(seeds)
+    for i, inst in enumerate(pool):
+        # trial start + j checks against pool[(start + j) % len(pool)]
+        mine = slice((i - start) % len(pool), None, len(pool))
+        positions = range(len(seeds))[mine]
+        if not positions:
+            continue
+        _, cols = _corollary2_stack(
+            inst.phi, inst.dictionary, cfg.k, h[mine], heads[mine], inst.delta2k, inst.rho
+        )
+        for j, lhs, rhs, slack, ok in zip(
+            positions, *(cols[key].tolist() for key in ("lhs", "rhs", "slack", "hypothesis_ok"))
+        ):
+            rows[j] = _verify_row(start + j, seeds[j], inst, lhs, rhs, slack, ok)
+    return rows
 
 
 def _verify_c2_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
-    inst = pool[index % len(pool)]
-    rng = np.random.default_rng(seed)
-    h = rng.standard_normal(cfg.n)
-    h /= float(np.linalg.norm(h))
-    head = SupportSet(tuple(int(v) for v in rng.choice(cfg.p, size=cfg.k, replace=False)), cfg.p)
-    rep = check_corollary2(
-        inst.phi, inst.dictionary, cfg.k, h, head,
-        delta2k=inst.delta2k, rho=inst.rho,
-    )
-    return _verify_row(index, seed, rep, inst)
+    return _verify_c2_block(cfg, pool, index, [seed])[0]
 
 
 def _compressible_signal(dictionary: Dictionary, seed: int) -> np.ndarray:
@@ -657,7 +679,7 @@ def _verify_t1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict
         inst.phi, inst.dictionary, cfg.k, x, res.x_hat,
         delta2k=inst.delta2k, rho=inst.rho,
     )
-    row = _verify_row(index, seed, rep, inst)
+    row = _verify_row(index, seed, inst, rep.lhs, rep.rhs, rep.slack, rep.hypothesis_ok)
     row["c0"] = rep.constants_used.c0
     row["c1"] = rep.constants_used.c1
     row["converged"] = res.converged
@@ -739,8 +761,10 @@ class _Experiment:
 
     trial(cfg, ctx, index, seed) runs one trial and returns its row; ctx
     is the verify instance pool when `pooled`, else the loaded operator
-    files. The rows of the experiments that solve carry `converged`, which
-    the summary counts and the CLI's exit 4 reads.
+    files. block(cfg, ctx, start, seeds), where given, runs the trials
+    start, start + 1, ... at once (one per seed, up to _BLOCK of them) and
+    returns the rows `trial` would. The rows of the experiments that solve
+    carry `converged`, which the summary counts and the CLI's exit 4 reads.
     draws_signal: samples a k-analysis-sparse signal (needs k < p and,
     for a redundant operator, k >= p - n + 1). needs_pairs: uses disjoint
     size-k supports (needs 2k <= p). hypotheses: checks, in order, that
@@ -749,6 +773,7 @@ class _Experiment:
 
     trial: Callable[[ExperimentConfig, object, int, int], dict]
     summarize: Callable[[ExperimentConfig, list[dict]], dict]
+    block: Callable[[ExperimentConfig, object, int, list[int]], list[dict]] | None = None
     pooled: bool = False
     draws_signal: bool = False
     needs_pairs: bool = False
@@ -761,8 +786,8 @@ _TABLE = {
     "solve": _Experiment(_solve_trial, _solve_summary, draws_signal=True),
     "verify-c1": _Experiment(_verify_c1_trial, _verify_summary, pooled=True, needs_pairs=True),
     "verify-c2": _Experiment(
-        _verify_c2_trial, _verify_summary, pooled=True, needs_pairs=True,
-        hypotheses=(_delta_below_one,),
+        _verify_c2_trial, _verify_summary, block=_verify_c2_block, pooled=True,
+        needs_pairs=True, hypotheses=(_delta_below_one,),
     ),
     "verify-t1": _Experiment(
         _verify_t1_trial, _t1_summary, pooled=True, needs_pairs=True,
@@ -786,9 +811,12 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     """Execute a campaign and aggregate its rows.
 
     The experiment's table entry supplies the trial function; verify-*
-    experiments first build and gate their instance pool. With
-    workers > 1 trials run in a thread pool; rows are ordered by trial
-    index regardless of completion order. A failing trial raises
+    experiments first build and gate their instance pool. Trials run in
+    consecutive blocks: _BLOCK trials per call of an experiment that
+    evaluates blocks, else one. A block that raises is run again one trial
+    at a time. With workers > 1 blocks run in a thread pool; rows are
+    ordered by trial index regardless of completion order, and are the
+    same for any worker count and block size. A failing trial raises
     CampaignTrialError carrying the completed prefix.
     """
     t0 = time.perf_counter()
@@ -797,14 +825,24 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     ctx = _verify_pool(config, ops) if entry.pooled else ops
     total = config.trials * len(_m_cells(config))
     seeds = [trial_seed(config.seed, i) for i in range(total)]
+    step = 1 if entry.block is None else _BLOCK
 
     rows: list[dict] = []
 
-    def guarded(i: int) -> dict:
-        try:
-            return entry.trial(config, ctx, i, seeds[i])
-        except Exception as err:
-            raise _TrialFailure(i, seeds[i], err) from err
+    def guarded(start: int) -> list[dict]:
+        stop = min(start + step, total)
+        if entry.block is not None:
+            try:
+                return entry.block(config, ctx, start, seeds[start:stop])
+            except Exception:
+                pass  # run again trial by trial below, to name the one that fails
+        done: list[dict] = []
+        for i in range(start, stop):
+            try:
+                done.append(entry.trial(config, ctx, i, seeds[i]))
+            except Exception as err:
+                raise _TrialFailure(i, seeds[i], err, done) from err
+        return done
 
     def result() -> CampaignResult:
         return CampaignResult(
@@ -817,12 +855,13 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     try:
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-                for row in pool_exec.map(guarded, range(total)):
-                    rows.append(row)
+                for done in pool_exec.map(guarded, range(0, total, step)):
+                    rows.extend(done)
         else:
-            for i in range(total):
-                rows.append(guarded(i))
+            for start in range(0, total, step):
+                rows.extend(guarded(start))
     except _TrialFailure as fail:
+        rows.extend(fail.done)
         raise CampaignTrialError(
             f"trial {fail.index} (seed {fail.seed}) failed: {fail.cause}", result()
         ) from fail.cause
@@ -831,11 +870,12 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
 
 
 class _TrialFailure(Exception):
-    def __init__(self, index: int, seed: int, cause: Exception):
+    def __init__(self, index: int, seed: int, cause: Exception, done: list[dict]):
         super().__init__(str(cause))
         self.index = index
         self.seed = seed
         self.cause = cause
+        self.done = done  # rows of the failing block's earlier trials
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ finding (some verified inequality whose hypothesis held came out below
 -1e-8 max(|lhs|, |rhs|, 1)); 4 solver non-convergence.
 When both 3 and 4 apply, 4 wins: an unconverged solve makes the recorded
 slacks unreliable, so non-convergence is the more fundamental finding.
-After the summary the campaign's wall_time (seconds) is printed. On
-exit 3 the index and seed of the first violating row follow the finding;
-on exit 4 those of the first unconverged row. Either trial can then be
-replayed.
+After the summary the campaign's wall_time (seconds) is printed, and for
+the verify-* experiments the index, seed and slack of the worst trial,
+the row of least slack (the first one on ties). On exit 3 the index and
+seed of the first violating row follow the finding; on exit 4 those of
+the first unconverged row. Any of these trials can then be replayed.
 A crashed trial flushes the completed rows and exits 1. Outputs land in
 --out (falling back to the config's output_path, then the working
 directory) as results.csv, results.jsonl and config_echo.json.
@@ -91,6 +92,9 @@ def main(argv: list[str] | None = None) -> int:
     for key, val in result.summary.items():
         print(f"  {key} = {val}")
     print(f"wall_time = {result.wall_time:.3f}")
+    if result.rows and "slack" in result.rows[0]:
+        worst = min(result.rows, key=lambda row: row["slack"])  # the first on ties
+        print(f"worst trial: index {worst['trial']}, seed {worst['seed']}, slack {worst['slack']}")
 
     if result.summary.get("unconverged", 0) > 0:
         print("finding: solver failed to converge on at least one trial", file=sys.stderr)

@@ -27,6 +27,13 @@ The three facts checked:
 The head-complement l1 tail in corollary 2 follows the derivation that
 yields it; the tighter head-only variant is falsified by random
 orthogonal instances, so it is not what gets checked.
+
+The arithmetic of corollary 2 and of theorem 1's inner term runs on
+stacks of directions, one row per check (_masked_term,
+_corollary2_stack): a verify-c2 campaign checks a block of trials in one
+call, and the public checkers are stacks of one. Every stacked product is
+a per-row gemv or dot and the l1 tail a left fold in column order, so
+each row has the bits of its own one-vector evaluation.
 """
 
 from __future__ import annotations
@@ -112,6 +119,8 @@ def check_corollary1(
     sup_j, h_j = chunk_j
     if sup_i.p != dictionary.p or sup_j.p != dictionary.p:
         raise ValueError("chunk supports index the wrong number of rows")
+    if not 1 <= k <= dictionary.p:
+        raise ValueError(f"need 1 <= k <= p, got k={k}")
     if sup_i.size > k or sup_j.size > k:
         raise ValueError(f"chunk supports must have size <= k = {k}")
     if not sup_i.disjoint_from(sup_j):
@@ -149,12 +158,17 @@ def check_corollary1(
     )
 
 
-def _next_block(u: np.ndarray, head: SupportSet, k: int) -> list[int]:
-    """The k largest |u| outside head (the lower index wins ties), sorted:
-    the second chunk of chunk_decompose, without building the tiling."""
-    head_set = set(head.indices)
-    rest = [int(i) for i in np.argsort(-np.abs(u), kind="stable") if int(i) not in head_set]
-    return sorted(rest[:k])
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a_i . b_i of two (N, m) stacks: matmul of 1 x m by m x 1
+    per row, which rounds as the 1-D dot of each row does (einsum does
+    not)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _gemvs(a: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Rows a @ x_i of an (N, n) stack, one gemv per row as the 1-D product
+    takes (xs @ a.T is one gemm, which parts from it in the last bit)."""
+    return (a @ xs[:, :, None])[:, :, 0]
 
 
 def _masked_term(
@@ -162,25 +176,36 @@ def _masked_term(
     pinv: np.ndarray,
     u: np.ndarray,
     h: np.ndarray,
-    head: SupportSet,
+    heads: np.ndarray,
     k: int,
-) -> tuple[list[int], float, float, bool]:
-    """(next block, mask norm, inner term, degenerate flag) of u = D h:
-    Lambda is head plus its next block, the mask norm is ||(Dh)_Lambda||_2
-    and the inner term |<Phi h_Lambda, Phi h>| / ||(Dh)_Lambda||_2, the rhs
-    term that Corollary 2 and Theorem 1 share."""
-    lam1_idx = _next_block(u, head, k)
-    mask_idx = list(head.indices) + lam1_idx
-    z = np.zeros(u.shape[0])
-    z[mask_idx] = u[mask_idx]
-    mask_norm = _norm(z)
-    h_mask = pinv @ z
-    raw = abs(float((f @ h_mask) @ (f @ h)))
-    if mask_norm <= _ZERO_TOL * max(1.0, _norm(u)):
-        # 0/0: the masked image vanished; the term is 0 unless the
-        # correlation somehow did not, which we flag instead of dividing
-        return (lam1_idx, mask_norm, 0.0, raw > _ZERO_TOL)
-    return (lam1_idx, mask_norm, raw / mask_norm, False)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(next blocks, mask norms, inner terms, degenerate flags) of the rows
+    u_i = D h_i of an (N, p) stack, h the (N, n) stack of directions and
+    heads an (N, s) stack of head indices, s <= k. Row i's next block is
+    the k largest |u_i| outside its head (the lower index wins ties),
+    sorted; Lambda_i is the head plus that block, the mask norm
+    ||(Dh_i)_Lambda_i||_2 and the inner term
+    |<Phi h_Lambda, Phi h_i>| / ||(Dh_i)_Lambda_i||_2, the rhs term that
+    Corollary 2 and Theorem 1 share. A single check is a stack of one;
+    every row's bits are those of its own 1-D evaluation."""
+    n_rows, p = u.shape
+    rows = np.arange(n_rows)[:, None]
+    in_head = np.zeros((n_rows, p), dtype=bool)
+    in_head[rows, heads] = True
+    order = np.argsort(-np.abs(u), axis=1, kind="stable")
+    # stable on the head flags: the first entries of `order` outside the head
+    outside = np.argsort(in_head[rows, order], axis=1, kind="stable")[:, : min(k, p - heads.shape[1])]
+    next_blocks = np.sort(np.take_along_axis(order, outside, axis=1), axis=1)
+    in_mask = in_head.copy()
+    in_mask[rows, next_blocks] = True
+    z = np.where(in_mask, u, 0.0)
+    mask_norm = np.sqrt(_dots(z, z))
+    raw = np.abs(_dots(_gemvs(f, _gemvs(pinv, z)), _gemvs(f, h)))
+    # 0/0: the masked image vanished; the term is 0 unless the correlation
+    # somehow did not, which is flagged instead of divided through
+    vanished = mask_norm <= _ZERO_TOL * np.fmax(1.0, np.sqrt(_dots(u, u)))
+    inner = np.divide(raw, mask_norm, out=np.zeros(n_rows), where=~vanished)
+    return next_blocks, mask_norm, inner, vanished & (raw > _ZERO_TOL)
 
 
 def _constants_below_one(delta2k: float, rho: float) -> BoundConstants:
@@ -191,6 +216,56 @@ def _constants_below_one(delta2k: float, rho: float) -> BoundConstants:
             f"delta2k = {delta2k:.6f} >= 1: the bound's constants are undefined"
         )
     return bound_constants(delta2k, rho)
+
+
+def _corollary2_stack(
+    phi,
+    dictionary: Dictionary,
+    k: int,
+    h: np.ndarray,
+    heads: np.ndarray,
+    delta2k: float | None,
+    rho: float | None,
+) -> tuple[BoundConstants, dict[str, np.ndarray]]:
+    """Corollary 2 on each row of an (N, n) stack of directions h with its
+    row of an (N, s) stack of heads, s <= k: the constants and one column
+    per report field ("lhs", "rhs", "slack", "hypothesis_ok") and witness
+    array ("next_block", "tail_l1", "inner_term", "degenerate"). Raises if
+    any h is zero; every row has the bits of its own check."""
+    h = np.ascontiguousarray(h, dtype=np.float64)
+    h_norm = np.sqrt(_dots(h, h))
+    if np.any(h_norm <= _ZERO_TOL):
+        raise ValueError("h is zero; the bound is vacuous")
+
+    delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
+    constants = _constants_below_one(delta2k, rho)
+
+    pinv = dictionary.pinv()
+    u = _gemvs(dictionary.entries, h)
+    next_blocks, lhs, inner, degenerate = _masked_term(sensing_entries(phi), pinv, u, h, heads, k)
+    # the head-complement l1 tail as a left fold in column order, the head
+    # adding 0.0: the bits of the 1-D builtin sum over the complement
+    mags = np.abs(u)
+    mags[np.arange(h.shape[0])[:, None], heads] = 0.0
+    tail = np.zeros(h.shape[0])
+    for col in mags.T:
+        tail = tail + col
+    rhs = constants.alpha * tail / math.sqrt(k) + constants.beta * inner
+
+    # the chunks of Dh reassemble to D^+ D h, which is h only if D is injective
+    r = _gemvs(pinv, u) - h
+    residual = np.sqrt(_dots(r, r))
+    hypothesis_ok = ~degenerate & (residual <= _DECOMP_TOL * np.fmax(1.0, h_norm))
+    return constants, {
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": rhs - lhs,
+        "hypothesis_ok": hypothesis_ok,
+        "next_block": next_blocks,
+        "tail_l1": tail,
+        "inner_term": inner,
+        "degenerate": degenerate,
+    }
 
 
 def check_corollary2(
@@ -205,53 +280,37 @@ def check_corollary2(
 ) -> BoundReport:
     """Masked-image lower bound for an arbitrary direction h.
 
-    Raises on zero h and on delta_2k >= 1 (beta is undefined there, so no
-    informational report is possible).
+    Raises on k outside [1, p], on zero h and on delta_2k >= 1 (beta is
+    undefined there, so no informational report is possible).
     """
     if head.p != dictionary.p:
         raise ValueError("head support indexes the wrong number of rows")
+    if not 1 <= k <= dictionary.p:
+        raise ValueError(f"need 1 <= k <= p, got k={k}")
     if head.size > k:
         raise ValueError(f"head support must have size <= k = {k}")
-    h = np.asarray(h, dtype=np.float64)
-    # np.linalg.norm copies a strided view before its dot, and a strided
-    # dot rounds differently; _norm is kept for the vectors made here
-    h_norm = float(np.linalg.norm(h))
-    if h_norm <= _ZERO_TOL:
-        raise ValueError("h is zero; the bound is vacuous")
-
-    delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
-    constants = _constants_below_one(delta2k, rho)
-
-    d = dictionary.entries
-    f = sensing_entries(phi)
-    pinv = dictionary.pinv()
-    u = d @ h
-
-    lam1_idx, lhs, inner, degenerate = _masked_term(f, pinv, u, h, head, k)
-    head_set = set(head.indices)
-    tail = float(sum(abs(u[i]) for i in range(dictionary.p) if i not in head_set))
-    rhs = constants.alpha * tail / math.sqrt(k) + constants.beta * inner
-
-    # the chunks of Dh reassemble to D^+ D h, which is h only if D is injective
-    residual = _norm(pinv @ u - h)
-    hypothesis_ok = not degenerate and residual <= _DECOMP_TOL * max(1.0, h_norm)
+    heads = np.array([head.indices], dtype=np.intp)
+    constants, cols = _corollary2_stack(
+        phi, dictionary, k, np.asarray(h, dtype=np.float64)[None, :], heads, delta2k, rho
+    )
+    row = {key: col[0].tolist() for key, col in cols.items()}
     witness = {
         "k": k,
         "head": list(head.indices),
-        "next_block": lam1_idx,
-        "delta2k": delta2k,
-        "rho": rho,
-        "tail_l1": tail,
-        "inner_term": inner,
-        "mask_norm": lhs,
-        "degenerate": degenerate,
+        "next_block": row["next_block"],
+        "delta2k": constants.delta2k,
+        "rho": constants.rho,
+        "tail_l1": row["tail_l1"],
+        "inner_term": row["inner_term"],
+        "mask_norm": row["lhs"],
+        "degenerate": row["degenerate"],
     }
     return BoundReport(
         which="corollary2",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        hypothesis_ok=hypothesis_ok,
+        lhs=row["lhs"],
+        rhs=row["rhs"],
+        slack=row["slack"],
+        hypothesis_ok=row["hypothesis_ok"],
         constants_used=constants,
         witness=witness,
     )
@@ -318,7 +377,9 @@ def check_theorem1(
         degenerate = False
     else:
         u = d @ h
-        lam1_idx, mask_norm, inner, degenerate = _masked_term(f, dictionary.pinv(), u, h, head, k)
+        heads = np.array([head.indices], dtype=np.intp)
+        cols = _masked_term(f, dictionary.pinv(), u[None, :], h[None, :], heads, k)
+        lam1_idx, mask_norm, inner, degenerate = (col[0].tolist() for col in cols)
         lhs = _norm(u)
 
     rhs = constants.c0 * tail / math.sqrt(k) + constants.c1 * inner

@@ -5,6 +5,7 @@ enumeration, closed forms, direct RNG draws) so the tests cross-check the
 package instead of echoing it.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -213,3 +214,44 @@ def loop_rho(d: cg.Dictionary, k: int):
             if top > best:
                 best, witness = top, (si, sj)
     return min(max(best, 0.0), 1.0), witness
+
+
+# ---------------------------------------------------------------------------
+# per-direction reference check: the Corollary 2 arithmetic the stacked
+# verify kernel replaced, kept so tests can demand bit-for-bit agreement
+
+
+def _loop_next_block(u: np.ndarray, head, k: int) -> list[int]:
+    head_set = set(head.indices)
+    rest = [int(i) for i in np.argsort(-np.abs(u), kind="stable") if int(i) not in head_set]
+    return sorted(rest[:k])
+
+
+def _loop_norm(v: np.ndarray) -> float:
+    return math.sqrt(float(v @ v))
+
+
+def loop_corollary2(phi_entries: np.ndarray, d: cg.Dictionary, k: int, h, head, delta2k: float, rho: float):
+    """One direction's Corollary 2 check, one vector at a time: (lhs, rhs,
+    slack, next block, degenerate, hypothesis_ok)."""
+    constants = cg.bound_constants(delta2k, rho)
+    h = np.asarray(h, dtype=np.float64)
+    h_norm = float(np.linalg.norm(h))
+    pinv = d.pinv()
+    u = d.entries @ h
+    lam1_idx = _loop_next_block(u, head, k)
+    mask_idx = list(head.indices) + lam1_idx
+    z = np.zeros(u.shape[0])
+    z[mask_idx] = u[mask_idx]
+    mask_norm = _loop_norm(z)
+    raw = abs(float((phi_entries @ (pinv @ z)) @ (phi_entries @ h)))
+    if mask_norm <= 1e-14 * max(1.0, _loop_norm(u)):
+        inner, degenerate = 0.0, raw > 1e-14
+    else:
+        inner, degenerate = raw / mask_norm, False
+    head_set = set(head.indices)
+    tail = float(sum(abs(u[i]) for i in range(d.p) if i not in head_set))
+    rhs = constants.alpha * tail / math.sqrt(k) + constants.beta * inner
+    residual = _loop_norm(pinv @ u - h)
+    hypothesis_ok = not degenerate and residual <= 1e-8 * max(1.0, h_norm)
+    return mask_norm, rhs, rhs - mask_norm, lam1_idx, degenerate, hypothesis_ok

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -723,7 +724,8 @@ def test_rows_invariant_under_worker_count():
 
 
 def sabotage(monkeypatch, experiment, failing_index):
-    """Make the experiment's table entry raise at one trial index."""
+    """Make the experiment's table entry raise at one trial index, in its
+    block function too where it has one."""
     entry = cam._TABLE[experiment]
 
     def sabotaged(cfg, ctx, index, seed):
@@ -731,7 +733,13 @@ def sabotage(monkeypatch, experiment, failing_index):
             raise RuntimeError("synthetic fault")
         return entry.trial(cfg, ctx, index, seed)
 
-    monkeypatch.setitem(cam._TABLE, experiment, dataclasses.replace(entry, trial=sabotaged))
+    def sabotaged_block(cfg, ctx, start, seeds):
+        if start <= failing_index < start + len(seeds):
+            raise RuntimeError("synthetic fault")
+        return entry.block(cfg, ctx, start, seeds)
+
+    block = None if entry.block is None else sabotaged_block
+    monkeypatch.setitem(cam._TABLE, experiment, dataclasses.replace(entry, trial=sabotaged, block=block))
 
 
 def test_failed_trial_carries_completed_prefix(monkeypatch):
@@ -741,6 +749,40 @@ def test_failed_trial_carries_completed_prefix(monkeypatch):
     partial = exc_info.value.partial
     assert [r["trial"] for r in partial.rows] == [0, 1]
     assert partial.summary["trials"] == 2
+
+
+@pytest.mark.parametrize("block, workers", [(1, 1), (7, 1), (7, 3), (1000, 1)])
+def test_verify_c2_rows_invariant_under_block_size(monkeypatch, block, workers):
+    # a two-instance pool interleaves its instances within every block
+    cfg = config_from(base_doc(trials=40, instances=2, seed=11))
+    want = run(cfg)
+    monkeypatch.setattr(cam, "_BLOCK", block)
+    got = run(cfg, workers=workers)
+    assert json.dumps(got.rows) == json.dumps(want.rows)  # float reprs: bit for bit
+    assert got.summary == want.summary
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, workers):
+    cfg = config_from(base_doc(trials=2 * cam._BLOCK + 5))
+    clean = run(cfg)
+    failing = cam._BLOCK + cam._BLOCK // 2  # the middle of the second block
+    bad_seed = trial_seed(cfg.seed, failing)
+    draw = np.random.default_rng
+
+    def failing_draw(seed=None):
+        if seed == bad_seed:
+            raise RuntimeError("synthetic fault")
+        return draw(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", failing_draw)
+    with pytest.raises(
+        CampaignTrialError, match=rf"^trial {failing} \(seed {bad_seed}\) failed: synthetic fault$"
+    ) as exc_info:
+        run(cfg, workers=workers)
+    partial = exc_info.value.partial
+    assert partial.rows == clean.rows[:failing]
+    assert partial.summary == cam._summarize(cfg, list(clean.rows[:failing]))
 
 
 def test_lp_budget_refused_as_config_error():

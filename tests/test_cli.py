@@ -30,6 +30,37 @@ def test_cli_success_run(tmp_path, capsys):
     assert "wall_time" not in (out_dir / "results.csv").read_text()
 
 
+@pytest.mark.parametrize("experiment", ["verify-c1", "verify-c2", "verify-t1"])
+def test_cli_names_the_worst_trial(tmp_path, capsys, experiment):
+    cfg_path = write_config(tmp_path, small_doc(experiment, tmp_path))
+    out_dir = tmp_path / "out"
+    assert cli.main([experiment, "--config", cfg_path, "--out", str(out_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [json.loads(line) for line in (out_dir / "results.jsonl").read_text().splitlines()]
+    worst = min(rows, key=lambda row: row["slack"])
+    assert lines[-1] == f"worst trial: index {worst['trial']}, seed {worst['seed']}, slack {worst['slack']!r}"
+    assert lines[-2].startswith("wall_time = ")
+    assert "worst" not in (out_dir / "results.csv").read_text()
+
+
+def test_cli_worst_trial_is_the_first_of_tied_rows(tmp_path, monkeypatch, capsys):
+    cfg_path = write_config(tmp_path, base_doc())
+    row = {"lhs": 1.0, "rhs": 2.0, "hypothesis_ok": True}
+    rows = (
+        dict(row, trial=0, seed=5, slack=0.5),
+        dict(row, trial=1, seed=9, slack=0.25),
+        dict(row, trial=2, seed=11, slack=0.25),
+    )
+    monkeypatch.setattr(cli, "run", lambda config: _rigged_result({"violations": 0}, rows))
+    assert cli.main(["verify-c2", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "worst trial: index 1, seed 9, slack 0.25"
+    # experiments without slacks name no worst trial
+    monkeypatch.undo()
+    cfg_path = write_config(tmp_path, small_doc("grip", tmp_path), "grip.json")
+    assert cli.main(["grip", "--config", cfg_path, "--out", str(tmp_path / "grip")]) == 0
+    assert "worst trial" not in capsys.readouterr().out
+
+
 def test_cli_out_falls_back_to_config_output_path(tmp_path):
     target = tmp_path / "from_config"
     cfg_path = write_config(tmp_path, base_doc(output_path=str(target), trials=1))

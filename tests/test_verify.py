@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from cosparse_grip.model import _norm
-from cosparse_grip.verify import _masked_term
-from _support import haar, matched_instance, random_chunk
+from cosparse_grip.verify import _corollary2_stack, _masked_term
+from _support import haar, loop_corollary2, matched_instance, random_chunk
 
 
 def _num_tol(report):
@@ -137,6 +137,13 @@ def test_corollary1_rejects_bad_chunks(frame_instance):
         cg.check_corollary1(phi, d, 2, chunk, (wrong, np.zeros(10)))
 
 
+def test_corollary1_refuses_k_outside_one_to_p(frame_instance):
+    phi, d = frame_instance
+    empty = (cg.SupportSet((), p=d.p), np.zeros(d.n))
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= p, got k=0$"):
+        cg.check_corollary1(phi, d, 0, empty, empty, delta2k=0.1, rho=0.0)
+
+
 # ---------------------------------------------------------------------------
 # masked-image lower bound
 
@@ -190,6 +197,67 @@ def test_corollary2_rejects_degenerate_inputs(frame_instance):
         cg.check_corollary2(phi, d, 2, np.ones(d.n), head, delta2k=1.0, rho=0.0)
     with pytest.raises(ValueError):  # head too large
         cg.check_corollary2(phi, d, 1, np.ones(d.n), head)
+
+
+@pytest.mark.parametrize("k", [0, -1, 15])
+def test_corollary2_refuses_k_outside_one_to_p(frame_instance, k):
+    # k = 0 used to end in ZeroDivisionError, and k > p in a report
+    phi, d = frame_instance
+    with pytest.raises(ValueError, match=rf"^need 1 <= k <= p, got k={k}$"):
+        cg.check_corollary2(phi, d, k, np.ones(d.n), cg.SupportSet((), p=d.p), delta2k=0.1, rho=0.0)
+
+
+def _bits(values) -> bytes:
+    return b"".join(struct.pack("<d", v) for v in values)
+
+
+@given(
+    st.sampled_from(["identity", "tight-frame", "gaussian-random"]),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 5, 17]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_corollary2_equals_the_loop_bit_for_bit(kind, k, block, seed):
+    rng = np.random.default_rng(seed)
+    n = 6
+    p = n if kind == "identity" else 9
+    d = cg.make_dictionary(kind, p, n, seed)
+    phi = cg.make_sensing_matrix("gaussian", 4, n, seed)
+    if kind == "identity":  # small integers make ties in |Dh| common
+        h = rng.integers(-2, 3, (block, n)).astype(np.float64)
+        h[~h.any(axis=1), int(rng.integers(n))] = 1.0
+    else:
+        h = rng.standard_normal((block, n))
+    size = int(rng.integers(0, k + 1))
+    heads = np.array([rng.choice(p, size, replace=False) for _ in range(block)], dtype=np.intp)
+    heads = heads.reshape(block, size)
+    delta2k, rho = 0.4, float(rng.uniform(0.0, 0.5))
+
+    constants, cols = _corollary2_stack(phi, d, k, h, heads, delta2k, rho)
+    assert constants == cg.bound_constants(delta2k, rho)
+    for i in range(block):
+        head = cg.SupportSet(tuple(heads[i]), p)
+        lhs, rhs, slack, next_block, degenerate, ok = loop_corollary2(
+            phi.entries, d, k, h[i], head, delta2k, rho
+        )
+        got = [cols[key][i] for key in ("lhs", "rhs", "slack")]
+        assert _bits(got) == _bits([lhs, rhs, slack])
+        flags = [cols["next_block"][i].tolist(), cols["degenerate"][i].tolist(), cols["hypothesis_ok"][i].tolist()]
+        assert json.dumps(flags) == json.dumps([next_block, degenerate, ok])
+        rep = cg.check_corollary2(phi, d, k, h[i], head, delta2k=delta2k, rho=rho)
+        assert _bits([rep.lhs, rep.rhs, rep.slack]) == _bits([lhs, rhs, slack])
+        assert json.dumps([rep.witness["next_block"], rep.witness["degenerate"], rep.hypothesis_ok]) == json.dumps(
+            [next_block, degenerate, ok]
+        )
+
+
+def test_stacked_corollary2_refuses_a_zero_row(frame_instance):
+    phi, d = frame_instance
+    h = np.ones((3, d.n))
+    h[1] = 0.0
+    with pytest.raises(ValueError, match="h is zero"):
+        _corollary2_stack(phi, d, 2, h, np.zeros((3, 0), dtype=np.intp), 0.1, 0.0)
 
 
 @given(
@@ -316,12 +384,12 @@ def test_masked_term_flags_unstable_ratio():
     u = np.array([1e-20, 1e-20])
     # an empty head and k = 1 mask index 0 alone (the lower index wins the tie)
     next_block, mask_norm, inner, degenerate = _masked_term(
-        np.eye(2), pinv, u, np.array([1.0, 0.0]), cg.SupportSet((), 2), 1
+        np.eye(2), pinv, u[None, :], np.array([[1.0, 0.0]]), np.zeros((1, 0), dtype=np.intp), 1
     )
-    assert next_block == [0]
-    assert degenerate
-    assert inner == 0.0
-    assert mask_norm <= 1e-19
+    assert next_block.tolist() == [[0]]
+    assert degenerate.tolist() == [True]
+    assert inner.tolist() == [0.0]
+    assert mask_norm[0] <= 1e-19
 
 
 # ---------------------------------------------------------------------------
