@@ -4,11 +4,13 @@ A campaign is a JSON config naming one experiment plus its dimensions,
 operator kinds, constraint, trial count and seed. Per-trial seeds are the
 splitmix64 finalizer applied to (campaign seed, trial index), so trials
 are order-independent and the whole run is reproducible to the byte from
-(config, seed) alone. Emitted artifacts: results.csv (17-significant-digit
-floats, trailing `# summary:` comment block), results.jsonl (one row
-object per line) and config_echo.json (the parsed config with defaults
-materialized). wall_time is recorded on the result but never written, so
-re-runs stay byte-identical.
+(config, seed) alone. verify-c2 draws its trials a stream block of
+_STREAM trials at a time instead (see `run`); its rows still carry the
+per-trial seed, as the trial's identifier. Emitted artifacts:
+results.csv (17-significant-digit floats, trailing `# summary:` comment
+block), results.jsonl (one row object per line) and config_echo.json
+(the parsed config with defaults materialized). wall_time is recorded on
+the result but never written, so re-runs stay byte-identical.
 
 The config document is declared once: the fields of `ExperimentConfig`
 and `Budget`, with `_NESTED` grouping some under the `dims` and
@@ -53,6 +55,7 @@ from .model import (
     Dictionary,
     SensingMatrix,
     SupportSet,
+    _random_subsets,
     _sensing_draw,
     load_dictionary_csv,
     load_sensing_csv,
@@ -69,7 +72,7 @@ from .solvers import (
     solve_lp_certified,
     solve_synthesis_l1,
 )
-from .verify import _corollary2_stack, check_corollary1, check_theorem1
+from .verify import _corollary2_stack, _dots, check_corollary1, check_theorem1
 
 __all__ = [
     "EXPERIMENTS",
@@ -94,9 +97,11 @@ _RHO_MODES = ("exact", "printed")
 _DECAY = 0.5              # ratio of verify-t1's compressible signal profile
 
 _BLOCK = 256              # trials per call of an experiment that evaluates blocks
+_STREAM = 256             # verify-c2 trials per stream block: part of the draws' definition
 
 _MASK64 = (1 << 64) - 1
 _INSTANCE_TAG = 1 << 40   # keeps instance seed stream clear of trial indices
+_STREAM_TAG = 2 << 40     # keeps verify-c2 stream-block seeds clear of both
 
 
 class ConfigError(ValueError):
@@ -622,18 +627,28 @@ def _verify_c1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict
     return _verify_row(index, seed, inst, rep.lhs, rep.rhs, rep.slack, rep.hypothesis_ok)
 
 
+def _c2_stream_block(cfg: ExperimentConfig, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw draws of verify-c2 stream block b, the trials b * _STREAM to
+    (b + 1) * _STREAM - 1, one row each: a generator keyed by (campaign
+    seed, b) draws the (_STREAM, n) ziggurat normals, then the
+    (_STREAM, k) heads by `_random_subsets`."""
+    rng = np.random.default_rng(trial_seed(cfg.seed, _STREAM_TAG + b))
+    v = rng.standard_normal((_STREAM, cfg.n))
+    return v, _random_subsets(rng, _STREAM, cfg.p, cfg.k)
+
+
 def _verify_c2_block(cfg: ExperimentConfig, pool, start: int, seeds: list[int]) -> list[dict]:
-    """Rows of the consecutive trials start, start + 1, ... (one per seed).
-    Each trial draws its direction and head from its own stream, as it
-    would alone; the checks then run as one stacked call per pool
-    instance, whose rows have the bits of one check per trial."""
-    h = np.empty((len(seeds), cfg.n))
-    heads = np.empty((len(seeds), cfg.k), dtype=np.intp)
-    for j, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(cfg.n)
-        h[j] = v / float(np.linalg.norm(v))
-        heads[j] = rng.choice(cfg.p, size=cfg.k, replace=False)
+    """Rows of the consecutive trials start, start + 1, ... (one per seed,
+    which the row carries as the trial's identifier). A trial's direction
+    h = v / ||v|| and head are its row of the stream blocks that cover the
+    trials, whatever the block size; the checks then run as one stacked
+    call per pool instance, whose rows have the bits of one check per
+    trial."""
+    last = (start + len(seeds) - 1) // _STREAM
+    drawn = [_c2_stream_block(cfg, b) for b in range(start // _STREAM, last + 1)]
+    offset = start % _STREAM
+    v, heads = (np.concatenate(parts)[offset : offset + len(seeds)] for parts in zip(*drawn))
+    h = v / np.sqrt(_dots(v, v))[:, None]
     rows = [None] * len(seeds)
     for i, inst in enumerate(pool):
         # trial start + j checks against pool[(start + j) % len(pool)]
@@ -763,8 +778,10 @@ class _Experiment:
     is the verify instance pool when `pooled`, else the loaded operator
     files. block(cfg, ctx, start, seeds), where given, runs the trials
     start, start + 1, ... at once (one per seed, up to _BLOCK of them) and
-    returns the rows `trial` would. The rows of the experiments that solve
-    carry `converged`, which the summary counts and the CLI's exit 4 reads.
+    returns the rows `trial` would. Each row carries its trial's seed; a
+    verify-c2 trial draws from its stream block, not from that seed. The
+    rows of the experiments that solve carry `converged`, which the
+    summary counts and the CLI's exit 4 reads.
     draws_signal: samples a k-analysis-sparse signal (needs k < p and,
     for a redundant operator, k >= p - n + 1). needs_pairs: uses disjoint
     size-k supports (needs 2k <= p). hypotheses: checks, in order, that
@@ -818,6 +835,15 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     ordered by trial index regardless of completion order, and are the
     same for any worker count and block size. A failing trial raises
     CampaignTrialError carrying the completed prefix.
+
+    A verify-c2 trial i draws from stream block b = i // _STREAM (256
+    trials): default_rng(trial_seed(seed, _STREAM_TAG + b)) draws
+    standard_normal((256, n)), then random((256, p)). Row i % 256 of the
+    normals, scaled to unit norm, is the trial's direction h; the first k
+    entries of a stable argsort of its uniform row are its head. The row's
+    `seed` column, trial_seed(seed, i), names the trial. Any campaign with
+    the same config and seed and more than i trials has the same row i,
+    and `_verify_c2_trial` replays it alone.
     """
     t0 = time.perf_counter()
     entry = _TABLE[config.experiment]

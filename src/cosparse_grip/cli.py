@@ -18,7 +18,10 @@ After the summary the campaign's wall_time (seconds) is printed, and for
 the verify-* experiments the index, seed and slack of the worst trial,
 the row of least slack (the first one on ties). On exit 3 the index and
 seed of the first violating row follow the finding; on exit 4 those of
-the first unconverged row. Any of these trials can then be replayed.
+the first unconverged row. Any of these trials can then be replayed:
+every campaign with the same config and seed and more than i trials has
+the same row i. The seed names the trial; a verify-c2 trial draws from
+its stream block of 256 trials (see campaign.run), not from that seed.
 A crashed trial flushes the completed rows and exits 1. Outputs land in
 --out (falling back to the config's output_path, then the working
 directory) as results.csv, results.jsonl and config_echo.json.

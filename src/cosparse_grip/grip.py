@@ -34,7 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import Dictionary, SupportSet, _to_json, sensing_entries
+from .model import Dictionary, SupportSet, _random_subsets, _to_json, sensing_entries
 
 __all__ = [
     "DEFAULT_MAX_SUPPORTS",
@@ -280,7 +280,8 @@ def delta_monte_carlo(
     trials: int,
     seed: int | None = None,
 ) -> GripReport:
-    """Sampled lower estimate of delta_k over `trials` uniform supports.
+    """Sampled lower estimate of delta_k over `trials` uniform supports,
+    drawn together by one `_random_subsets` call on default_rng(seed).
 
     Always <= the exact value since it scans a subset of the same support
     family. When trials >= C(p, k) the scan switches to full enumeration
@@ -295,10 +296,7 @@ def delta_monte_carlo(
     if trials >= count:
         supports = _colex_supports(p, k)
         return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", count)
-    rng = np.random.default_rng(seed)
-    supports = np.array(
-        [np.sort(rng.choice(p, size=k, replace=False)) for _ in range(trials)]
-    )
+    supports = np.sort(_random_subsets(np.random.default_rng(seed), trials, p, k), axis=1)
     return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", trials)
 
 

@@ -327,6 +327,13 @@ def _sensing_draw(kind: str, m: int, n: int, seed: int | None) -> np.ndarray:
     return rng.choice([-1.0, 1.0], size=(m, n)) / math.sqrt(m)
 
 
+def _random_subsets(rng: np.random.Generator, count: int, p: int, k: int) -> np.ndarray:
+    """(count, k) stack of uniform size-k subsets of range(p), one per row,
+    from one rng.random((count, p)) call: row i is the first k entries of
+    a stable argsort of its p uniforms, in that order."""
+    return np.argsort(rng.random((count, p)), axis=1, kind="stable")[:, :k]
+
+
 def sample_cosparse_signal(
     dictionary: Dictionary, k: int, seed: int | None = None
 ) -> np.ndarray:

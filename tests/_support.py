@@ -169,11 +169,12 @@ def colex_supports(p: int, k: int) -> list[tuple[int, ...]]:
 
 
 def sampled_supports(p: int, k: int, trials: int, seed) -> list[tuple[int, ...]]:
-    """The supports delta_monte_carlo draws when trials < C(p, k)."""
-    rng = np.random.default_rng(seed)
+    """The supports delta_monte_carlo draws when trials < C(p, k): per row
+    of trials x p uniforms, the sorted first k of its stable argsort."""
+    uniforms = np.random.default_rng(seed).random((trials, p))
     return [
-        tuple(int(i) for i in np.sort(rng.choice(p, size=k, replace=False)))
-        for _ in range(trials)
+        tuple(int(i) for i in np.sort(np.argsort(row, kind="stable")[:k]))
+        for row in uniforms
     ]
 
 

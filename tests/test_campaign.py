@@ -1,11 +1,12 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
@@ -751,7 +752,7 @@ def test_failed_trial_carries_completed_prefix(monkeypatch):
     assert partial.summary["trials"] == 2
 
 
-@pytest.mark.parametrize("block, workers", [(1, 1), (7, 1), (7, 3), (1000, 1)])
+@pytest.mark.parametrize("block, workers", [(1, 1), (7, 1), (7, 3), (100, 1), (1000, 1)])
 def test_verify_c2_rows_invariant_under_block_size(monkeypatch, block, workers):
     # a two-instance pool interleaves its instances within every block
     cfg = config_from(base_doc(trials=40, instances=2, seed=11))
@@ -762,20 +763,102 @@ def test_verify_c2_rows_invariant_under_block_size(monkeypatch, block, workers):
     assert got.summary == want.summary
 
 
+@pytest.mark.parametrize("block, workers", [(7, 2), (100, 1), (100, 3)])
+def test_verify_c2_rows_invariant_across_stream_blocks(monkeypatch, block, workers):
+    # blocks that straddle the stream blocks' edges at 256 and 512
+    cfg = config_from(base_doc(trials=2 * cam._STREAM + 90, instances=2, seed=11))
+    assert cam._BLOCK % block and cam._STREAM % block
+    want = run(cfg)
+    monkeypatch.setattr(cam, "_BLOCK", block)
+    got = run(cfg, workers=workers)
+    assert row_reprs(got.rows) == row_reprs(want.rows)
+    assert got.summary == want.summary
+
+
+def row_reprs(rows) -> list[str]:
+    """Rows as JSON, one string each: float reprs compare bit for bit, and
+    a mismatch is reported by its row."""
+    return [json.dumps(row) for row in rows]
+
+
+def bernoulli_c2_config(instances: int, seed: int, trials: int) -> ExperimentConfig:
+    """A verify-c2 campaign on bernoulli 9x10 instances, whose unit-norm
+    columns keep delta_2 below 1 for most seeds."""
+    return config_from(base_doc(matrix_kind="bernoulli", instances=instances, seed=seed, trials=trials))
+
+
+def admissible_pool(cfg: ExperimentConfig):
+    try:
+        return cam._verify_pool(cfg, cam._load_operators(cfg))
+    except ConfigError:
+        assume(False)  # an instance with delta_2 >= 1: no campaign to replay
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+    st.integers(1, 2 * cam._STREAM + 40),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_verify_c2_trial_replayed_alone_equals_its_row(instances, seed, trials, data):
+    cfg = bernoulli_c2_config(instances, seed, trials)
+    pool = admissible_pool(cfg)
+    rows = run(cfg).rows
+    edges = [i for b in (1, 2) for i in (b * cam._STREAM - 1, b * cam._STREAM) if i < trials]
+    for i in edges + [trials - 1, data.draw(st.integers(0, trials - 1))]:
+        alone = cam._verify_c2_trial(cfg, pool, i, trial_seed(seed, i))
+        assert row_reprs([alone]) == row_reprs([rows[i]])
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(0, 2**32),
+    st.integers(1, 2 * cam._STREAM + 40),
+    st.integers(1, cam._STREAM + 40),
+)
+@settings(max_examples=30, deadline=None)
+def test_verify_c2_rows_are_prefix_stable(instances, seed, short, extra):
+    long = short + extra
+    admissible_pool(bernoulli_c2_config(instances, seed, short))
+    prefix = run(bernoulli_c2_config(instances, seed, short)).rows
+    whole = run(bernoulli_c2_config(instances, seed, long)).rows
+    assert row_reprs(prefix) == row_reprs(whole[:short])
+
+
+def test_verify_c2_stream_definition_is_pinned():
+    # Stream block 1 of campaign seed 20 at (n, p, k) = (10, 10, 3): raw
+    # RNG output, no arithmetic. A change here moves every verify-c2 CSV
+    # and must be recorded as a re-baseline.
+    v, heads = cam._c2_stream_block(config_from(base_doc(k=3)), 1)
+    assert v.shape == (256, 10) and heads.shape == (256, 3)
+    assert v[0, :3].tolist() == [-0.5745277070957034, -0.3048634837573174, 0.13740584399264344]
+    assert hashlib.sha256(v.astype("<f8").tobytes()).hexdigest() == (
+        "ef4dff73072ccd5cc7284d26c481ba066cc7e13f29ea459ad7fff0e93d7934c0"
+    )
+    assert heads[:4].tolist() == [[2, 1, 9], [9, 0, 4], [2, 0, 3], [1, 2, 6]]
+    assert hashlib.sha256(heads.astype("<i8").tobytes()).hexdigest() == (
+        "3903332138593471a6d9bcf528fbf8b53b1555d527f65b90e02e7836efc4609a"
+    )
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, workers):
     cfg = config_from(base_doc(trials=2 * cam._BLOCK + 5))
     clean = run(cfg)
     failing = cam._BLOCK + cam._BLOCK // 2  # the middle of the second block
     bad_seed = trial_seed(cfg.seed, failing)
-    draw = np.random.default_rng
+    v, _ = cam._c2_stream_block(cfg, failing // cam._STREAM)
+    bad = v[failing % cam._STREAM] / np.linalg.norm(v[failing % cam._STREAM])
+    check = cam._corollary2_stack
 
-    def failing_draw(seed=None):
-        if seed == bad_seed:
+    def failing_check(phi, dictionary, k, h, *rest):
+        # the failing trial's direction: parallel to its drawn normals
+        if np.any(h @ bad > 1 - 1e-12):
             raise RuntimeError("synthetic fault")
-        return draw(seed)
+        return check(phi, dictionary, k, h, *rest)
 
-    monkeypatch.setattr(np.random, "default_rng", failing_draw)
+    monkeypatch.setattr(cam, "_corollary2_stack", failing_check)
     with pytest.raises(
         CampaignTrialError, match=rf"^trial {failing} \(seed {bad_seed}\) failed: synthetic fault$"
     ) as exc_info:
