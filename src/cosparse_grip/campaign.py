@@ -8,8 +8,11 @@ are order-independent and the whole run is reproducible to the byte from
 _STREAM trials at a time instead (see `run`); its rows still carry the
 per-trial seed, as the trial's identifier. Emitted artifacts:
 results.csv (17-significant-digit floats, trailing `# summary:` comment
-block), results.jsonl (one row object per line) and config_echo.json
-(the parsed config with defaults materialized). wall_time is recorded on
+block), results.jsonl (one row object per line, floats as `repr` writes
+them) and config_echo.json (the parsed config with defaults
+materialized). Both row files are formatted a column at a time over
+chunks of _CHUNK rows, each chunk written as soon as it is formatted,
+with the bytes of formatting them cell by cell. wall_time is recorded on
 the result but never written, so re-runs stay byte-identical.
 
 The config document is declared once: the fields of `ExperimentConfig`
@@ -30,10 +33,13 @@ the document's structure.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -127,6 +133,17 @@ def trial_seed(campaign_seed: int, index: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _trial_seeds(campaign_seed: int, total: int) -> list[int]:
+    """[trial_seed(campaign_seed, i) for i in range(total)] in one pass
+    over a uint64 array, whose arithmetic wraps mod 2**64 without a
+    warning (numpy's scalar uint64 arithmetic warns on overflow)."""
+    x = np.uint64(campaign_seed & _MASK64) + np.uint64(0x9E3779B97F4A7C15) * np.arange(
+        1, total + 1, dtype=np.uint64)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (x ^ (x >> np.uint64(31))).tolist()
 
 
 def _is_int(v) -> bool:
@@ -850,7 +867,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     ops = _load_operators(config)
     ctx = _verify_pool(config, ops) if entry.pooled else ops
     total = config.trials * len(_m_cells(config))
-    seeds = [trial_seed(config.seed, i) for i in range(total)]
+    seeds = _trial_seeds(config.seed, total)
     step = 1 if entry.block is None else _BLOCK
 
     rows: list[dict] = []
@@ -918,26 +935,128 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def emit_csv(result: CampaignResult, path) -> None:
-    """Rows as CSV plus a trailing `# summary:` comment block; floats at
-    17 significant digits; byte-deterministic for fixed (config, seed)."""
-    lines = []
+_CHUNK = 1024             # rows formatted, then written, at a time
+_BOOL_TEXT = ("false", "true")
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
+
+
+def _chunks(rows: tuple[dict, ...]):
+    for start in range(0, len(rows), _CHUNK):
+        yield rows[start : start + _CHUNK]
+
+
+def _typed_columns(chunk: tuple[dict, ...], cols: tuple) -> list[tuple[type, list]] | None:
+    """The chunk's columns, each read by key and paired with the one type
+    of its values, or None when the chunk must be written cell by cell:
+    no columns, or a column that is not all bool, all int, all float or
+    all str (exact types). A row that lacks a key raises KeyError, as
+    `row[key]` does."""
+    if not cols:
+        return None
+    columns = []
+    for c in cols:
+        col = list(map(itemgetter(c), chunk))
+        kinds = set(map(type, col))
+        kind = kinds.pop()
+        if kinds or kind not in (bool, int, float, str):
+            return None
+        columns.append((kind, col))
+    return columns
+
+
+def _float_text(fmt: Callable[[float], str], col: list[float]) -> list[str]:
+    """fmt of each value. When most values repeat, each distinct value is
+    formatted once; a memo over mostly distinct values costs more than it
+    saves. 0.0 and -0.0 are equal dict keys with different text, so a
+    column holding a zero is formatted value by value."""
+    memo = dict.fromkeys(col)
+    if 0.0 in memo or 2 * len(memo) > len(col):
+        return list(map(fmt, col))
+    return list(map({v: fmt(v) for v in memo}.__getitem__, col))
+
+
+def _csv_column(kind: type, col: list) -> list[str]:
+    """_fmt_cell of each value of a column of one type."""
+    if kind is bool:
+        return list(map(_BOOL_TEXT.__getitem__, col))
+    if kind is float:
+        return _float_text("{:.17g}".format, col)
+    return col if kind is str else list(map(int.__repr__, col))
+
+
+def _json_column(kind: type, col: list) -> list[str]:
+    """json.dumps of each value of a column of one type."""
+    if kind is bool:
+        return list(map(_BOOL_TEXT.__getitem__, col))
+    if kind is float:
+        text = _float_text(float.__repr__, col)
+        if not all(map(math.isfinite, col)):
+            text = [_JSON_NONFINITE.get(t, t) for t in text]
+        return text
+    return list(map(json.dumps, col)) if kind is str else list(map(int.__repr__, col))
+
+
+def _csv_parts(result: CampaignResult):
+    """The text of results.csv in pieces: the header, each chunk's lines,
+    the summary block."""
+    cols = tuple(result.rows[0]) if result.rows else ()
     if result.rows:
-        cols = list(result.rows[0].keys())
-        lines.append(",".join(cols))
-        for row in result.rows:
-            lines.append(",".join(_fmt_cell(row[c]) for c in cols))
-    lines.append("# summary:")
-    for key, val in result.summary.items():
-        lines.append(f"# {key}={_fmt_cell(val)}")
+        yield ",".join(cols) + "\n"
+    for chunk in _chunks(result.rows):
+        columns = _typed_columns(chunk, cols)
+        if columns is None:
+            lines = [",".join(_fmt_cell(row[c]) for c in cols) for row in chunk]
+        else:
+            lines = map(",".join, zip(*(_csv_column(kind, col) for kind, col in columns)))
+        yield "\n".join(lines) + "\n"
+    yield "".join(["# summary:\n", *(f"# {key}={_fmt_cell(val)}\n" for key, val in result.summary.items())])
+
+
+def emit_csv(result: CampaignResult, path) -> None:
+    """Rows as CSV under the first row's keys, plus a trailing
+    `# summary:` comment block; floats at 17 significant digits;
+    byte-deterministic for fixed (config, seed).
+
+    Rows are formatted a column at a time, _CHUNK rows at a time, and each
+    chunk is written once it is formatted. Columns are read by key, so a
+    row's own key order does not matter. A chunk that `_typed_columns`
+    refuses is formatted cell by cell by `_fmt_cell`, with the same bytes.
+    Text that is not ASCII raises UnicodeEncodeError only after the rest
+    is formatted, so a formatting error anywhere is raised first, as when
+    the file was built whole before it was written."""
+    parts = _csv_parts(result)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for text in parts:
+            try:
+                fh.write(text)
+            except UnicodeEncodeError:
+                deque(parts, maxlen=0)
+                raise
 
 
 def emit_jsonl(result: CampaignResult, path) -> None:
+    """One row per line as `json.dumps(row)` writes it: floats by `repr`
+    (the shortest text that round-trips), non-finite ones as NaN, Infinity
+    and -Infinity.
+
+    Rows are formatted a column at a time, _CHUNK rows at a time, each
+    line filling one template whose keys are JSON-encoded once, and each
+    chunk is written once it is formatted. `json.dumps` writes a chunk row
+    by row instead when a row's keys are not the first row's in the same
+    order, when a key is not a str, or when `_typed_columns` refuses it."""
+    cols = tuple(result.rows[0]) if result.rows else ()
+    template = None
+    if all(type(c) is str for c in cols):
+        template = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in cols) + "}"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in result.rows:
-            fh.write(json.dumps(row) + "\n")
+        for chunk in _chunks(result.rows):
+            keyed = template is not None and not any(map(cols.__ne__, map(tuple, chunk)))
+            columns = _typed_columns(chunk, cols) if keyed else None
+            if columns is None:
+                lines = map(json.dumps, chunk)
+            else:
+                lines = map(template.__mod__, zip(*(_json_column(kind, col) for kind, col in columns)))
+            fh.write("\n".join(lines) + "\n")
 
 
 def write_outputs(result: CampaignResult, out_dir) -> dict:

@@ -5,6 +5,7 @@ enumeration, closed forms, direct RNG draws) so the tests cross-check the
 package instead of echoing it.
 """
 
+import json
 import math
 from itertools import combinations
 
@@ -256,3 +257,37 @@ def loop_corollary2(phi_entries: np.ndarray, d: cg.Dictionary, k: int, h, head, 
     residual = _loop_norm(pinv @ u - h)
     hypothesis_ok = not degenerate and residual <= 1e-8 * max(1.0, h_norm)
     return mask_norm, rhs, rhs - mask_norm, lam1_idx, degenerate, hypothesis_ok
+
+
+def _cell_text(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if v is None:
+        return ""
+    return str(v)
+
+
+def cell_emit_csv(result, path) -> None:
+    """results.csv cell by cell, built whole and then written: the writer
+    the chunked, column-at-a-time `emit_csv` must match byte for byte."""
+    lines = []
+    if result.rows:
+        cols = list(result.rows[0].keys())
+        lines.append(",".join(cols))
+        for row in result.rows:
+            lines.append(",".join(_cell_text(row[c]) for c in cols))
+    lines.append("# summary:")
+    for key, val in result.summary.items():
+        lines.append(f"# {key}={_cell_text(val)}")
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def row_emit_jsonl(result, path) -> None:
+    """results.jsonl by one `json.dumps` per row: the writer `emit_jsonl`
+    must match byte for byte."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        for row in result.rows:
+            fh.write(json.dumps(row) + "\n")

@@ -3,10 +3,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
@@ -18,11 +20,12 @@ from cosparse_grip.campaign import (
     ConfigError,
     ExperimentConfig,
     emit_csv,
+    emit_jsonl,
     run,
     trial_seed,
     write_outputs,
 )
-from _support import matched_instance
+from _support import cell_emit_csv, matched_instance, row_emit_jsonl
 
 
 def base_doc(**overrides):
@@ -68,6 +71,19 @@ def test_trial_seed_is_pure_and_spread():
     assert len(seen) == 10000
     assert all(0 <= s < 2**64 for s in seen)
     assert trial_seed(123, 0) != trial_seed(124, 0)
+
+
+@given(st.integers(0, 2**70), st.sampled_from([0, 1, 257, 6000]))
+@example(0, 6000)
+@example(1, 257)
+@example(2**64 - 1, 6000)
+@example(2**64 - 1, 0)
+@example(0, 1)
+@settings(max_examples=30, deadline=None)
+def test_trial_seeds_equal_trial_seed(seed, total):
+    seeds = cam._trial_seeds(seed, total)
+    assert seeds == [trial_seed(seed, i) for i in range(total)]
+    assert all(type(s) is int for s in seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -938,3 +954,94 @@ def test_written_artifacts_agree(tmp_path):
     assert csv_lines[0] == ",".join(EXPECTED_COLUMNS["verify-c2"])
     assert len([ln for ln in csv_lines if not ln.startswith("#")]) == 4
     assert "# summary:" in csv_lines
+
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1, 1e300]
+_ASCII = st.text(st.characters(max_codepoint=127), max_size=6)
+_POOLS = {
+    "bool": st.booleans(),
+    "int": st.integers(-(2**63), 2**64 - 1),
+    "float": st.floats() | st.sampled_from(_EDGE_FLOATS),
+    "str": _ASCII,
+    "text": st.text(max_size=6),
+    "none": st.none(),
+}
+_POOLS["mixed"] = st.one_of(*_POOLS.values())
+_COMMON = ["bool", "int", "float", "float", "float", "str"]  # the kinds campaign rows hold
+
+
+@st.composite
+def writer_column(draw, n: int, rng):
+    """n values of one column: drawn again and again from a small pool
+    (a float pool often holds both 0.0 and -0.0), or, for floats, mostly
+    distinct values of every magnitude with pool values strewn among
+    them."""
+    kind = draw(st.sampled_from(_COMMON * 3 + sorted(_POOLS)))
+    pool = draw(st.lists(_POOLS[kind], min_size=1, max_size=5))
+    if kind == "float" and draw(st.booleans()):
+        pool += [0.0, -0.0]
+    if kind == "float" and draw(st.booleans()):
+        spread = rng.standard_normal(n) * 10.0 ** rng.integers(-315, 300, n)
+        strewn = rng.integers(0, 4 * len(pool), n)
+        return [pool[j] if j < len(pool) else v for j, v in zip(strewn.tolist(), spread.tolist())]
+    return [pool[j] for j in rng.integers(0, len(pool), n).tolist()]
+
+
+@st.composite
+def writer_results(draw):
+    """Rows of 1-5 columns at row counts either side of a chunk. Most
+    columns hold one of the types campaign rows hold, and most keys are
+    ASCII text; a key may be any text or an int, some rows may reorder
+    their keys, lose one or gain one, and a column may hold None, any
+    text or mixed types."""
+    n = draw(st.sampled_from([0, 1, 2, 7, cam._CHUNK - 1, cam._CHUNK, cam._CHUNK + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    key = draw(st.sampled_from([_ASCII] * 4 + [st.text(max_size=4), st.integers(0, 2)]))
+    keys = draw(st.lists(_ASCII | key, min_size=1, max_size=5, unique=True))
+    columns = [draw(writer_column(n, rng)) for _ in keys]
+    rows = [dict(zip(keys, cells)) for cells in zip(*columns)]
+    edit = draw(st.sampled_from(["none"] * 3 + ["reorder", "drop", "extra"]))
+    if edit != "none" and rows:
+        for i in rng.integers(0, n, draw(st.integers(1, 3))).tolist():
+            items = list(rows[i].items())
+            rows[i] = dict({"reorder": items[::-1], "drop": items[1:], "extra": items + [("~", 1.5)]}[edit])
+    summary = draw(st.dictionaries(_ASCII, _POOLS["mixed"], max_size=3))
+    return CampaignResult(config=config_from(base_doc()), rows=tuple(rows), summary=summary, wall_time=0.0)
+
+
+def _written(emit, result, path: Path):
+    """The bytes emit writes, or the type of what it raises."""
+    try:
+        emit(result, path)
+    except Exception as err:
+        return type(err)
+    return path.read_bytes()
+
+
+def _assert_writers_agree(result):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for emit, oracle in ((emit_csv, cell_emit_csv), (emit_jsonl, row_emit_jsonl)):
+            assert _written(emit, result, out / "new") == _written(oracle, result, out / "oracle"), emit.__name__
+
+
+@given(writer_results())
+@settings(max_examples=150, deadline=None)
+def test_writers_equal_cell_by_cell_oracle(result):
+    _assert_writers_agree(result)
+
+
+def test_writers_keep_signed_zeros_apart():
+    # 0.0 == -0.0 with equal hashes, yet they print "0" / "-0" and "0.0" / "-0.0"
+    zeros = [0.0, -0.0, 0.0, 0.0, -0.0, 1.5, 1.5, 1.5] * 200
+    rows = tuple({"z": z, "nz": -z, "t": i} for i, z in enumerate(zeros))
+    result = CampaignResult(config=config_from(base_doc()), rows=rows, summary={}, wall_time=0.0)
+    _assert_writers_agree(result)
+
+
+def test_emit_csv_raises_a_missing_key_before_text_it_cannot_encode(tmp_path):
+    # the oracle formats every row before it writes; so must the chunked writer
+    rows = [{"a": "\u00e9", "b": 1}] + [{"a": "x", "b": 2}] * cam._CHUNK + [{"a": "y"}]
+    result = CampaignResult(config=config_from(base_doc()), rows=tuple(rows), summary={}, wall_time=0.0)
+    assert _written(emit_csv, result, tmp_path / "new") is KeyError
+    assert _written(cell_emit_csv, result, tmp_path / "oracle") is KeyError

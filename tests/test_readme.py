@@ -1,5 +1,6 @@
 """The README's code blocks run as written against the package in src."""
 
+import hashlib
 import os
 import re
 import shlex
@@ -16,6 +17,13 @@ README = (ROOT / "README.md").read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.M | re.S)
 CAMPAIGN_COMMAND = re.search(r"^```sh\n(cosparse-grip .*)\n```", README, re.M).group(1)
 CAMPAIGN_CONFIG = re.search(r"^```json\n(.*?)^```", README, re.M | re.S).group(1)
+# sha256 of the README campaign's files. They fix the writers' bytes on
+# every Python version; they also fix the campaign's numbers, so a moved
+# digest is either a writer fault or a change of numerics to record.
+CAMPAIGN_DIGESTS = {
+    "results.csv": "6c09763f8f673d89800283bbff46af39b10c8985c5f59a8b8e0dc2019168b2eb",
+    "results.jsonl": "d643425c2dd7a51013d15b6aac44fd58928b9a5a557e47ce18eaddac4591a1c4",
+}
 
 
 def test_readme_has_python_blocks():
@@ -43,4 +51,6 @@ def test_readme_campaign_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert f"{argv[0]}: " in out
     assert "  violations = 0\n" in out
-    assert (tmp_path / argv[argv.index("--out") + 1] / "results.csv").exists()
+    out_dir = tmp_path / argv[argv.index("--out") + 1]
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest() for name in CAMPAIGN_DIGESTS}
+    assert digests == CAMPAIGN_DIGESTS
