@@ -14,8 +14,6 @@ from .campaign import (
     CampaignTrialError,
     ConfigError,
     ExperimentConfig,
-    emit_csv,
-    emit_jsonl,
     run,
     trial_seed,
     write_outputs,
@@ -120,7 +118,5 @@ __all__ = [
     "ConfigError",
     "trial_seed",
     "run",
-    "emit_csv",
-    "emit_jsonl",
     "write_outputs",
 ]

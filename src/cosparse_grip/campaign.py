@@ -6,14 +6,18 @@ splitmix64 finalizer applied to (campaign seed, trial index), so trials
 are order-independent and the whole run is reproducible to the byte from
 (config, seed) alone. verify-c2 draws its trials a stream block of
 _STREAM trials at a time instead (see `run`); its rows still carry the
-per-trial seed, as the trial's identifier. Emitted artifacts:
-results.csv (17-significant-digit floats, trailing `# summary:` comment
-block), results.jsonl (one row object per line, floats as `repr` writes
-them) and config_echo.json (the parsed config with defaults
-materialized). Both row files are formatted a column at a time over
-chunks of _CHUNK rows, each chunk written as soon as it is formatted,
-with the bytes of formatting them cell by cell. wall_time is recorded on
-the result but never written, so re-runs stay byte-identical.
+per-trial seed, as the trial's identifier.
+
+`write_outputs` is the one writer of the artifacts: results.csv
+(17-significant-digit floats, trailing `# summary:` comment block),
+results.jsonl (one row object per line, floats as `repr` writes them)
+and config_echo.json (the parsed config with defaults materialized). It
+reads and types the rows' columns once per chunk of _CHUNK rows and
+formats both row files from them. Every experiment's rows share one key
+order, and each column holds one type among bool, int, float and ASCII
+str; a result that breaks this raises ValueError naming the key.
+wall_time is recorded on the result but never written, so re-runs stay
+byte-identical.
 
 The config document is declared once: the fields of `ExperimentConfig`
 and `Budget`, with `_NESTED` grouping some under the `dims` and
@@ -36,7 +40,6 @@ import json
 import math
 import sys
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from operator import itemgetter
@@ -90,8 +93,6 @@ __all__ = [
     "CampaignResult",
     "trial_seed",
     "run",
-    "emit_csv",
-    "emit_jsonl",
     "write_outputs",
 ]
 
@@ -925,41 +926,43 @@ class _TrialFailure(Exception):
 # persistence
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    if v is None:
-        return ""
-    return str(v)
-
-
-_CHUNK = 1024             # rows formatted, then written, at a time
+_CHUNK = 1024             # rows typed, formatted and written at a time
+_KINDS = {bool, int, float, str}
 _BOOL_TEXT = ("false", "true")
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # as json writes them
 
 
-def _chunks(rows: tuple[dict, ...]):
-    for start in range(0, len(rows), _CHUNK):
-        yield rows[start : start + _CHUNK]
+def _check_key(key) -> None:
+    if type(key) is not str or not key.isascii():
+        raise ValueError(f"key {key!r} is not ASCII text")
 
 
-def _typed_columns(chunk: tuple[dict, ...], cols: tuple) -> list[tuple[type, list]] | None:
-    """The chunk's columns, each read by key and paired with the one type
-    of its values, or None when the chunk must be written cell by cell:
-    no columns, or a column that is not all bool, all int, all float or
-    all str (exact types). A row that lacks a key raises KeyError, as
-    `row[key]` does."""
-    if not cols:
-        return None
+def _key_error(cols: tuple, row: dict, index: int) -> ValueError:
+    """The departure of row `index` from the header `cols`, naming the key."""
+    missing = [c for c in cols if c not in row]
+    if missing:
+        return ValueError(f"row {index} lacks key {missing[0]!r}")
+    extra = [k for k in row if k not in cols]
+    if extra:
+        return ValueError(f"row {index} has extra key {extra[0]!r}")
+    moved = next(k for k, c in zip(row, cols) if k != c)
+    return ValueError(f"row {index} lists key {moved!r} out of header order")
+
+
+def _typed_columns(chunk: tuple[dict, ...], kinds: dict) -> list[tuple[type, list]]:
+    """The chunk's columns, read by key, each with its type in kinds (the
+    first row's). A column not all of that one type among bool, int,
+    float and str (exact types), or holding text that is not ASCII,
+    raises ValueError naming its key."""
     columns = []
-    for c in cols:
+    for c, kind in kinds.items():
         col = list(map(itemgetter(c), chunk))
-        kinds = set(map(type, col))
-        kind = kinds.pop()
-        if kinds or kind not in (bool, int, float, str):
-            return None
+        found = set(map(type, col))
+        if found != {kind} or kind not in _KINDS:
+            names = ", ".join(sorted(t.__name__ for t in found | {kind}))
+            raise ValueError(f"column {c!r} holds {names}, not one of bool, int, float, str")
+        if kind is str and not "".join(col).isascii():
+            raise ValueError(f"column {c!r} holds text that is not ASCII")
         columns.append((kind, col))
     return columns
 
@@ -975,92 +978,41 @@ def _float_text(fmt: Callable[[float], str], col: list[float]) -> list[str]:
     return list(map({v: fmt(v) for v in memo}.__getitem__, col))
 
 
-def _csv_column(kind: type, col: list) -> list[str]:
-    """_fmt_cell of each value of a column of one type."""
-    if kind is bool:
-        return list(map(_BOOL_TEXT.__getitem__, col))
-    if kind is float:
-        return _float_text("{:.17g}".format, col)
-    return col if kind is str else list(map(int.__repr__, col))
-
-
-def _json_column(kind: type, col: list) -> list[str]:
-    """json.dumps of each value of a column of one type."""
-    if kind is bool:
-        return list(map(_BOOL_TEXT.__getitem__, col))
+def _column_text(kind: type, col: list) -> tuple[list[str], list[str]]:
+    """The CSV text and the JSON text of each value of a column of one type."""
     if kind is float:
         text = _float_text(float.__repr__, col)
         if not all(map(math.isfinite, col)):
             text = [_JSON_NONFINITE.get(t, t) for t in text]
-        return text
-    return list(map(json.dumps, col)) if kind is str else list(map(int.__repr__, col))
+        return _float_text("{:.17g}".format, col), text
+    if kind is str:
+        return col, list(map(json.dumps, col))
+    text = list(map(_BOOL_TEXT.__getitem__ if kind is bool else int.__repr__, col))
+    return text, text
 
 
-def _csv_parts(result: CampaignResult):
-    """The text of results.csv in pieces: the header, each chunk's lines,
-    the summary block."""
-    cols = tuple(result.rows[0]) if result.rows else ()
-    if result.rows:
-        yield ",".join(cols) + "\n"
-    for chunk in _chunks(result.rows):
-        columns = _typed_columns(chunk, cols)
-        if columns is None:
-            lines = [",".join(_fmt_cell(row[c]) for c in cols) for row in chunk]
-        else:
-            lines = map(",".join, zip(*(_csv_column(kind, col) for kind, col in columns)))
-        yield "\n".join(lines) + "\n"
-    yield "".join(["# summary:\n", *(f"# {key}={_fmt_cell(val)}\n" for key, val in result.summary.items())])
-
-
-def emit_csv(result: CampaignResult, path) -> None:
-    """Rows as CSV under the first row's keys, plus a trailing
-    `# summary:` comment block; floats at 17 significant digits;
-    byte-deterministic for fixed (config, seed).
-
-    Rows are formatted a column at a time, _CHUNK rows at a time, and each
-    chunk is written once it is formatted. Columns are read by key, so a
-    row's own key order does not matter. A chunk that `_typed_columns`
-    refuses is formatted cell by cell by `_fmt_cell`, with the same bytes.
-    Text that is not ASCII raises UnicodeEncodeError only after the rest
-    is formatted, so a formatting error anywhere is raised first, as when
-    the file was built whole before it was written."""
-    parts = _csv_parts(result)
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for text in parts:
-            try:
-                fh.write(text)
-            except UnicodeEncodeError:
-                deque(parts, maxlen=0)
-                raise
-
-
-def emit_jsonl(result: CampaignResult, path) -> None:
-    """One row per line as `json.dumps(row)` writes it: floats by `repr`
-    (the shortest text that round-trips), non-finite ones as NaN, Infinity
-    and -Infinity.
-
-    Rows are formatted a column at a time, _CHUNK rows at a time, each
-    line filling one template whose keys are JSON-encoded once, and each
-    chunk is written once it is formatted. `json.dumps` writes a chunk row
-    by row instead when a row's keys are not the first row's in the same
-    order, when a key is not a str, or when `_typed_columns` refuses it."""
-    cols = tuple(result.rows[0]) if result.rows else ()
-    template = None
-    if all(type(c) is str for c in cols):
-        template = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in cols) + "}"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for chunk in _chunks(result.rows):
-            keyed = template is not None and not any(map(cols.__ne__, map(tuple, chunk)))
-            columns = _typed_columns(chunk, cols) if keyed else None
-            if columns is None:
-                lines = map(json.dumps, chunk)
-            else:
-                lines = map(template.__mod__, zip(*(_json_column(kind, col) for kind, col in columns)))
-            fh.write("\n".join(lines) + "\n")
+def _summary_text(key, val) -> str:
+    _check_key(key)
+    if type(val) is int:
+        return int.__repr__(val)
+    if type(val) is float:
+        return format(val, ".17g")
+    raise ValueError(f"summary {key!r} is {type(val).__name__}, not int or float")
 
 
 def write_outputs(result: CampaignResult, out_dir) -> dict:
-    """results.csv + results.jsonl + config_echo.json under out_dir."""
+    """results.csv + results.jsonl + config_echo.json under out_dir.
+
+    The row contract: every row lists the first row's keys, ASCII text,
+    in the same order; each column holds one exact type among bool, int,
+    float and ASCII str; each summary value is an int or a float. A result
+    that breaks it raises ValueError naming the key. results.csv is a
+    header, one line per row with floats at 17 significant digits, and a
+    `# summary:` comment block; results.jsonl is one object per row, keys
+    in header order, as `json.dumps` writes it. Rows are taken _CHUNK at a
+    time: a chunk's columns are read and typed once, formatted for both
+    files and written, so a refused chunk leaves the earlier ones written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -1068,8 +1020,30 @@ def write_outputs(result: CampaignResult, out_dir) -> dict:
         "jsonl": out / "results.jsonl",
         "config": out / "config_echo.json",
     }
-    emit_csv(result, paths["csv"])
-    emit_jsonl(result, paths["jsonl"])
+    rows = result.rows
+    kinds = {c: type(v) for c, v in rows[0].items()} if rows else {}
+    cols = tuple(kinds)
+    for c in cols:
+        _check_key(c)
+    if rows and not cols:
+        raise ValueError("rows have no keys")
+    summary = "".join(f"# {key}={_summary_text(key, val)}\n" for key, val in result.summary.items())
+    template = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in cols) + "}"
+    with (
+        open(paths["csv"], "w", encoding="ascii", newline="\n") as csv_fh,
+        open(paths["jsonl"], "w", encoding="ascii", newline="\n") as jsonl_fh,
+    ):
+        if rows:
+            csv_fh.write(",".join(cols) + "\n")
+        for start in range(0, len(rows), _CHUNK):
+            chunk = rows[start : start + _CHUNK]
+            if any(map(cols.__ne__, map(tuple, chunk))):
+                j = next(j for j, row in enumerate(chunk) if tuple(row) != cols)
+                raise _key_error(cols, chunk[j], start + j)
+            csv_cols, jsonl_cols = zip(*(_column_text(*c) for c in _typed_columns(chunk, kinds)))
+            csv_fh.write("\n".join(map(",".join, zip(*csv_cols))) + "\n")
+            jsonl_fh.write("\n".join(map(template.__mod__, zip(*jsonl_cols))) + "\n")
+        csv_fh.write("# summary:\n" + summary)
     with open(paths["config"], "w", encoding="ascii", newline="\n") as fh:
         fh.write(json.dumps(result.config.to_json_dict(), indent=2, sort_keys=True) + "\n")
     return paths

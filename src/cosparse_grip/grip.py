@@ -27,7 +27,6 @@ every bound downstream, never a guarantee of this module.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -381,21 +380,7 @@ def bound_constants(delta2k: float, rho: float = 0.0) -> BoundConstants:
     not outputs). Evaluation runs in numpy longdouble: the proof-form and
     printed-form expressions for c0 agree exactly there after the cast,
     while float64 evaluation splits them by up to ~3e-12.
-
-    Memoised on its two arguments, since a verify campaign asks for the
-    same pair on every trial: a repeated call returns the object the
-    first one built, equal field for field and bit for bit to a fresh
-    evaluation. Two threads may race to fill an entry; both compute the
-    same bits, so it does not matter which one is kept.
     """
-    # -0.0 == 0.0 and both hash alike, so the signs go into the key
-    return _bound_constants(
-        delta2k, rho, math.copysign(1.0, delta2k), math.copysign(1.0, rho)
-    )
-
-
-@functools.lru_cache(maxsize=1024)
-def _bound_constants(delta2k, rho, _sign_delta2k, _sign_rho) -> BoundConstants:
     if not 0.0 <= delta2k < 1.0:
         raise ValueError(f"delta2k must lie in [0, 1), got {delta2k}")
     if not rho >= 0.0:

@@ -271,7 +271,7 @@ def _cell_text(v) -> str:
 
 def cell_emit_csv(result, path) -> None:
     """results.csv cell by cell, built whole and then written: the writer
-    the chunked, column-at-a-time `emit_csv` must match byte for byte."""
+    the chunked, column-at-a-time `write_outputs` must match byte for byte."""
     lines = []
     if result.rows:
         cols = list(result.rows[0].keys())
@@ -286,8 +286,8 @@ def cell_emit_csv(result, path) -> None:
 
 
 def row_emit_jsonl(result, path) -> None:
-    """results.jsonl by one `json.dumps` per row: the writer `emit_jsonl`
-    must match byte for byte."""
+    """results.jsonl by one `json.dumps` per row: the writer
+    `write_outputs` must match byte for byte."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         for row in result.rows:
             fh.write(json.dumps(row) + "\n")

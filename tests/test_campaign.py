@@ -19,8 +19,6 @@ from cosparse_grip.campaign import (
     CampaignTrialError,
     ConfigError,
     ExperimentConfig,
-    emit_csv,
-    emit_jsonl,
     run,
     trial_seed,
     write_outputs,
@@ -920,19 +918,19 @@ def test_lp_budget_refused_as_config_error():
 def test_emit_csv_exact_bytes(tmp_path):
     result = CampaignResult(
         config=config_from(grip_doc()),
-        rows=({"trial": 0, "seed": 5, "x": 0.1, "flag": True, "note": None},),
+        rows=({"trial": 0, "seed": 5, "x": 0.1, "flag": True, "note": "ok"},),
         summary={"trials": 1, "x_mean": 0.1},
         wall_time=1.0,
     )
-    path = tmp_path / "out.csv"
-    emit_csv(result, path)
-    assert path.read_text() == (
+    paths = write_outputs(result, tmp_path)
+    assert paths["csv"].read_text() == (
         "trial,seed,x,flag,note\n"
-        "0,5,0.10000000000000001,true,\n"
+        "0,5,0.10000000000000001,true,ok\n"
         "# summary:\n"
         "# trials=1\n"
         "# x_mean=0.10000000000000001\n"
     )
+    assert paths["jsonl"].read_text() == '{"trial": 0, "seed": 5, "x": 0.1, "flag": true, "note": "ok"}\n'
 
 
 def test_outputs_are_byte_deterministic(tmp_path):
@@ -960,14 +958,16 @@ _EDGE_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310, 0.1
 _ASCII = st.text(st.characters(max_codepoint=127), max_size=6)
 _POOLS = {
     "bool": st.booleans(),
-    "int": st.integers(-(2**63), 2**64 - 1),
+    "int": st.integers(-(2**63), 2**64 - 1) | st.sampled_from([-(2**63), 2**64 - 1]),
     "float": st.floats() | st.sampled_from(_EDGE_FLOATS),
     "str": _ASCII,
     "text": st.text(max_size=6),
     "none": st.none(),
+    "float64": st.floats().map(np.float64),
 }
 _POOLS["mixed"] = st.one_of(*_POOLS.values())
 _COMMON = ["bool", "int", "float", "float", "float", "str"]  # the kinds campaign rows hold
+_KEYS = _ASCII | st.sampled_from(["%", "a%sb", "%(x)s", '"', 'say "hi"'])
 
 
 @st.composite
@@ -990,45 +990,66 @@ def writer_column(draw, n: int, rng):
 @st.composite
 def writer_results(draw):
     """Rows of 1-5 columns at row counts either side of a chunk. Most
-    columns hold one of the types campaign rows hold, and most keys are
-    ASCII text; a key may be any text or an int, some rows may reorder
-    their keys, lose one or gain one, and a column may hold None, any
-    text or mixed types."""
+    columns hold one of the types campaign rows hold, most keys are ASCII
+    text (some with % or "), and most summaries hold ints and floats. A
+    key may be any text or an int, some rows may reorder their keys, lose
+    one or gain one, a column may hold None, np.float64, any text or mixed
+    types, and a summary value may be of any of those types."""
     n = draw(st.sampled_from([0, 1, 2, 7, cam._CHUNK - 1, cam._CHUNK, cam._CHUNK + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    key = draw(st.sampled_from([_ASCII] * 4 + [st.text(max_size=4), st.integers(0, 2)]))
-    keys = draw(st.lists(_ASCII | key, min_size=1, max_size=5, unique=True))
+    key = draw(st.sampled_from([_KEYS] * 4 + [st.text(max_size=4), st.integers(0, 2)]))
+    keys = draw(st.lists(_KEYS | key, min_size=1, max_size=5, unique=True))
     columns = [draw(writer_column(n, rng)) for _ in keys]
     rows = [dict(zip(keys, cells)) for cells in zip(*columns)]
-    edit = draw(st.sampled_from(["none"] * 3 + ["reorder", "drop", "extra"]))
+    edit = draw(st.sampled_from(["none"] * 6 + ["reorder", "drop", "extra"]))
     if edit != "none" and rows:
         for i in rng.integers(0, n, draw(st.integers(1, 3))).tolist():
             items = list(rows[i].items())
             rows[i] = dict({"reorder": items[::-1], "drop": items[1:], "extra": items + [("~", 1.5)]}[edit])
-    summary = draw(st.dictionaries(_ASCII, _POOLS["mixed"], max_size=3))
+    value = draw(st.sampled_from([_POOLS["int"] | _POOLS["float"]] * 3 + [_POOLS["mixed"]]))
+    summary = draw(st.dictionaries(_KEYS, value, max_size=3))
     return CampaignResult(config=config_from(base_doc()), rows=tuple(rows), summary=summary, wall_time=0.0)
 
 
-def _written(emit, result, path: Path):
-    """The bytes emit writes, or the type of what it raises."""
-    try:
-        emit(result, path)
-    except Exception as err:
-        return type(err)
-    return path.read_bytes()
+def _keeps_contract(result) -> bool:
+    """The row contract of `write_outputs`, checked whole: every row has
+    the first row's keys in order, every key is ASCII text, every column
+    holds one exact type among bool, int, float and ASCII str, and every
+    summary value is an int or a float."""
+    rows = result.rows
+    cols = tuple(rows[0]) if rows else ()
+    if (rows and not cols) or any(tuple(row) != cols for row in rows):
+        return False
+    if not all(type(k) is str and k.isascii() for k in cols + tuple(result.summary)):
+        return False
+    for c in cols:
+        kinds = {type(row[c]) for row in rows}
+        if len(kinds) != 1 or not kinds <= {bool, int, float, str}:
+            return False
+        if kinds == {str} and not all(row[c].isascii() for row in rows):
+            return False
+    return all(type(v) in (int, float) for v in result.summary.values())
 
 
 def _assert_writers_agree(result):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for emit, oracle in ((emit_csv, cell_emit_csv), (emit_jsonl, row_emit_jsonl)):
-            assert _written(emit, result, out / "new") == _written(oracle, result, out / "oracle"), emit.__name__
+        paths = write_outputs(result, out / "new")
+        cell_emit_csv(result, out / "oracle.csv")
+        row_emit_jsonl(result, out / "oracle.jsonl")
+        assert paths["csv"].read_bytes() == (out / "oracle.csv").read_bytes()
+        assert paths["jsonl"].read_bytes() == (out / "oracle.jsonl").read_bytes()
 
 
 @given(writer_results())
 @settings(max_examples=150, deadline=None)
 def test_writers_equal_cell_by_cell_oracle(result):
-    _assert_writers_agree(result)
+    if _keeps_contract(result):
+        _assert_writers_agree(result)
+    else:
+        with tempfile.TemporaryDirectory() as tmp, pytest.raises(ValueError) as err:
+            write_outputs(result, tmp)
+        assert type(err.value) is ValueError
 
 
 def test_writers_keep_signed_zeros_apart():
@@ -1039,9 +1060,53 @@ def test_writers_keep_signed_zeros_apart():
     _assert_writers_agree(result)
 
 
-def test_emit_csv_raises_a_missing_key_before_text_it_cannot_encode(tmp_path):
-    # the oracle formats every row before it writes; so must the chunked writer
-    rows = [{"a": "\u00e9", "b": 1}] + [{"a": "x", "b": 2}] * cam._CHUNK + [{"a": "y"}]
-    result = CampaignResult(config=config_from(base_doc()), rows=tuple(rows), summary={}, wall_time=0.0)
-    assert _written(emit_csv, result, tmp_path / "new") is KeyError
-    assert _written(cell_emit_csv, result, tmp_path / "oracle") is KeyError
+_WRITER_EXPERIMENTS = [(e, {}) for e in cam.EXPERIMENTS] + [
+    ("grip", {"budget": {"max_supports": 10, "mc_trials": 8}}),
+    ("solve", {"constraint": {"kind": "l2-ball", "epsilon": 0.1}}),
+    ("solve", {"constraint": {"kind": "dantzig", "lambda": 0.1}}),
+]
+
+
+@pytest.mark.parametrize("experiment, overrides", _WRITER_EXPERIMENTS, ids=[
+    e + "".join(f"-{v.get('kind', 'monte-carlo')}" for v in o.values()) for e, o in _WRITER_EXPERIMENTS
+])
+def test_write_outputs_bytes_per_experiment(experiment, overrides, tmp_path):
+    # every experiment's rows keep the writer's contract, so it writes the
+    # oracles' bytes; a trial that returned, say, np.float64 would fail here
+    result = run(config_from({**small_doc(experiment, tmp_path), **overrides}))
+    assert result.rows
+    if "budget" in overrides:
+        assert {row["method"] for row in result.rows} == {"monte-carlo"}
+    if experiment == "grip" and not overrides:
+        assert {row["method"] for row in result.rows} == {"exact"}
+    _assert_writers_agree(result)
+
+
+@pytest.mark.parametrize("rows, summary, named", [
+    ([{"a": 1, "b": 2.0}, {"a": 1}], {}, "row 1 lacks key 'b'"),
+    ([{"a": 1}, {"a": 1, "z": 2}], {}, "row 1 has extra key 'z'"),
+    ([{"a": 1, "b": 2}, {"b": 2, "a": 1}], {}, "row 1 lists key 'b' out of header order"),
+    ([{"a": 1, "note": None}], {}, "column 'note' holds NoneType"),
+    ([{"x": 1}, {"x": 1.5}], {}, "column 'x' holds float, int"),
+    ([{"x": 0.5}, {"x": np.float64(0.5)}], {}, "column 'x' holds float, float64"),
+    ([{0: 1.0}], {}, "key 0 is not ASCII text"),
+    ([{"s": "ok"}, {"s": "\u00e9"}], {}, "column 's' holds text that is not ASCII"),
+    ([{"a": 1}], {"ok": True}, "summary 'ok' is bool, not int or float"),
+], ids=["missing-key", "extra-key", "reordered-keys", "none-cell", "int-float-column",
+        "float64-cell", "non-str-key", "non-ascii-text", "bool-summary"])
+def test_write_outputs_refuses_rows_that_break_the_contract(rows, summary, named, tmp_path):
+    result = CampaignResult(config=config_from(base_doc()), rows=tuple(rows), summary=summary, wall_time=0.0)
+    with pytest.raises(ValueError) as err:
+        write_outputs(result, tmp_path)
+    assert type(err.value) is ValueError
+    assert str(err.value).startswith(named)
+
+
+def test_a_refused_chunk_leaves_the_earlier_chunks_written(tmp_path):
+    # the column's type is the first row's, checked chunk by chunk
+    rows = tuple({"x": 1, "t": "a"} for _ in range(cam._CHUNK)) + ({"x": 1.5, "t": "a"},)
+    result = CampaignResult(config=config_from(base_doc()), rows=rows, summary={}, wall_time=0.0)
+    with pytest.raises(ValueError, match=r"^column 'x' holds float, int"):
+        write_outputs(result, tmp_path)
+    assert (tmp_path / "results.csv").read_text() == "x,t\n" + "1,a\n" * cam._CHUNK
+    assert (tmp_path / "results.jsonl").read_text() == '{"x": 1, "t": "a"}\n' * cam._CHUNK
