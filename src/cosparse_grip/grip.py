@@ -23,13 +23,25 @@ serve both.
 
 delta_k is monotone in k (supports nest) and delta < 1 is a hypothesis of
 every bound downstream, never a guarantee of this module.
+
+The exact scan prunes upper sides, after the branch-and-bound over
+supports of Tillmann & Pfetsch (IEEE T-IT 2014) and Gally & Pfetsch
+(2016). The upper side is monotone: for Lambda in U, span P[:, Lambda] lies
+in span P[:, U], so by Courant-Fischer one Rayleigh maximum on a
+(k+2)-set U bounds all C(k+2, k) of its subsets. Once the family spans
+more than one chunk, a cached greedy cover of the colex k-sets by
+(k+2)-sets gives each support a bound, and supports are evaluated in
+descending order of bound until no bound can reach the largest upper side
+found. Every lower side is still computed, so delta, its colex-first
+witness and eigen_range keep the bits of the plain scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -53,6 +65,8 @@ DEFAULT_MAX_PAIRS = 60000     # disjoint-pair budget for rho_exact
 
 _TRIVIAL_TOL = 1e-10   # relative sv cutoff for chunk-subspace bases
 _CHUNK = 256           # supports per stacked linalg call; rho_exact takes 4x as many pairs
+_PRUNE_FLOOR = 1e-6    # min sv ratio of a superset block whose bound may prune
+_PRUNE_MARGIN = 1e-9   # pruning slack, relative to trace(A^T A)
 
 
 class BudgetExceededError(RuntimeError):
@@ -138,92 +152,251 @@ def _gather(cols: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols[:, supports].transpose(1, 0, 2))
 
 
-def _orth_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orth_stack(blocks: np.ndarray, tol: float = _TRIVIAL_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of a stack of column blocks.
 
     Returns (u, rank): the basis of block s is u[s, :, :rank[s]], with
-    singular values below _TRIVIAL_TOL times the largest dropped (rank 0
-    when the block is zero).
+    singular values below tol times the largest dropped (rank 0 when the
+    block is zero).
     """
     u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
-    rank = np.sum(sv > _TRIVIAL_TOL * sv[:, :1], axis=1)
+    rank = np.sum(sv > tol * sv[:, :1], axis=1)
     return u, rank
 
 
-def _chunk_extremes(
+def _top_eig(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """lambda_max of Q^T G Q for each orthonormal basis Q of a stack."""
+    return np.linalg.eigvalsh(_mT(basis) @ (gram @ basis))[:, -1]
+
+
+def _lower_sides(supports: np.ndarray, a_cols: np.ndarray) -> np.ndarray:
+    """lambda_min of (A_Lambda)^T A_Lambda for each row of a (S, k)
+    support array."""
+    asub = _gather(a_cols, supports)
+    return np.linalg.eigvalsh(_mT(asub) @ asub)[:, 0]
+
+
+def _upper_sides(
     supports: np.ndarray,
-    a_cols: np.ndarray,
     gram: np.ndarray,
     proj: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) eigenvalue extremes for each row of a (S, k) support
-    array, given A = Phi D^+, its Gram A^T A and P = D D^+.
-
-    lower: lambda_min of (A_Lambda)^T A_Lambda.
-    upper: lambda_max of Q^T (A^T A) Q for an orthonormal basis Q of
-    P[:, Lambda]. Bases of equal rank share one stacked call, so each rank
-    below the full width that occurs costs one more call.
+    lower: np.ndarray,
+) -> np.ndarray:
+    """lambda_max of Q^T (A^T A) Q for an orthonormal basis Q of
+    P[:, Lambda], for each row of a (S, k) support array with lower
+    sides `lower`. Bases of equal rank share one stacked call, so each
+    rank below the full width that occurs costs one more call.
     """
-    asub = _gather(a_cols, supports)
-    lower = np.linalg.eigvalsh(_mT(asub) @ asub)[:, 0]
     q, rank = _orth_stack(_gather(proj, supports))
     # a degenerate support (zero projected columns) keeps upper = lower:
     # the mask side still contributes, the image side is vacuous
     upper = lower.copy()
     for r in np.unique(rank[rank > 0]):
         sel = rank == r
-        basis = q[sel, :, :r]
-        upper[sel] = np.linalg.eigvalsh(_mT(basis) @ (gram @ basis))[:, -1]
-    return lower, upper
+        upper[sel] = _top_eig(q[sel, :, :r], gram)
+    return upper
 
 
 def _colex_supports(p: int, k: int) -> np.ndarray:
     """All size-k supports as a (C(p, k), k) index array in colexicographic
     order (last index varies slowest). Deterministic witness ordering
-    depends on this."""
-    order = sorted(combinations(range(p), k), key=lambda s: s[::-1])
-    return np.array(order, dtype=np.intp).reshape(-1, k)
+    depends on this.
+
+    Colex order is lex order reversed once every index x becomes
+    p - 1 - x, so the rows come straight from `combinations`."""
+    count = math.comb(p, k)
+    lex = np.fromiter(
+        chain.from_iterable(combinations(range(p), k)), dtype=np.intp, count=count * k
+    ).reshape(count, k)
+    return p - 1 - lex[::-1, ::-1]
+
+
+@lru_cache(maxsize=16)
+def _superset_cover(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """A greedy cover of the colex k-sets of range(p) by (k+2)-sets.
+
+    Returns (supersets, owner): row g of the (G, k+2) array `supersets`
+    is sorted, and owner[i] is the row that covered colex k-set i first.
+    Each step takes the first uncovered k-set T and adds the pair {e, f}
+    whose superset covers the most uncovered k-sets, ties going to the
+    smallest e and then the smallest f. A k-set's colex rank is
+    sum_j C(c_j, j + 1) over its sorted entries c_0 < ... < c_{k-1}, so
+    the ranks of all k-subsets of every candidate superset come from one
+    0/1 matrix product. Both arrays are read-only; they depend on (p, k)
+    alone and are built once per process.
+    """
+    sets = _colex_supports(p, k)
+    count, h = len(sets), k + 2
+    # entry c at position j of a sorted (k+2)-set sits at position j - s
+    # of a k-subset that drops s smaller entries: row s*h + j of `weight`
+    # holds its colex weight C(c, j + 1 - s) (0 where the entry is dropped)
+    weight = np.array(
+        [
+            [math.comb(c, j + 1 - s) if 1 <= j + 1 - s <= k else 0 for c in range(p)]
+            for s in range(3)
+            for j in range(h)
+        ],
+        dtype=np.float64,  # ranks below 2**53 add exactly
+    ).ravel()
+    offset = (np.arange(3 * h) * p)[:, None]
+    position = np.tile(np.arange(h), 3)
+    drops = list(combinations(range(h), 2))  # dropped positions a < b
+    mix = np.zeros((len(drops), 3 * h))
+    for row, (a, b) in enumerate(drops):
+        mix[row, :a] = 1.0
+        mix[row, h + a + 1 : h + b] = 1.0
+        mix[row, 2 * h + b + 1 :] = 1.0
+
+    outside = np.ones((count, p), dtype=bool)
+    np.put_along_axis(outside, sets, False, axis=1)
+    rest = np.nonzero(outside)[1].reshape(count, p - k)
+    e, f = np.triu_indices(p - k, 1)
+    cand = np.empty((h, len(e)), dtype=np.intp)
+    uncovered = np.ones(count)  # 1.0 / 0.0: float sums are faster than bool
+    owner = np.empty(count, dtype=np.intp)
+    supersets = []
+    first = 0
+    while True:
+        while first < count and not uncovered[first]:
+            first += 1
+        if first == count:
+            break
+        cand[:k] = sets[first][:, None]
+        cand[k] = rest[first][e]
+        cand[k + 1] = rest[first][f]
+        grown = np.sort(cand, axis=0)
+        ranks = (mix @ weight[grown[position] + offset]).astype(np.intp)
+        best = int(np.argmax(uncovered[ranks].sum(axis=0)))
+        fresh = ranks[:, best][uncovered[ranks[:, best]] > 0]
+        uncovered[fresh] = 0.0
+        owner[fresh] = len(supersets)
+        supersets.append(grown[:, best])
+    cover = np.array(supersets)
+    cover.flags.writeable = False
+    owner.flags.writeable = False
+    return cover, owner
+
+
+def _superset_bounds(
+    supersets: np.ndarray, gram: np.ndarray, proj: np.ndarray
+) -> np.ndarray:
+    """An upper-side bound for every k-subset of each row of a (G, k+2)
+    array: lambda_max of Q^T (A^T A) Q on span P[:, U], which contains
+    span P[:, Lambda] for every Lambda in U (Courant-Fischer).
+
+    A row prunes only when every singular value of P[:, U] is above
+    _PRUNE_FLOOR times the largest. By interlacing each subset's block
+    then keeps a ratio above _PRUNE_FLOOR, far above _TRIVIAL_TOL, so the
+    rank rule keeps its whole span and both sides are computed on well
+    conditioned bases. Other rows bound at +inf and are always evaluated.
+    """
+    bounds = np.full(len(supersets), math.inf)
+    for start in range(0, len(supersets), _CHUNK):
+        q, rank = _orth_stack(
+            _gather(proj, supersets[start : start + _CHUNK]), _PRUNE_FLOOR
+        )
+        full = np.flatnonzero(rank == supersets.shape[1])
+        bounds[start + full] = _top_eig(q[full], gram)
+    return bounds
+
+
+def _pruned_uppers(
+    supports: np.ndarray,
+    gram: np.ndarray,
+    proj: np.ndarray,
+    lower: np.ndarray,
+    p: int,
+    k: int,
+) -> np.ndarray:
+    """Upper sides of the colex supports, best-first by superset bound.
+
+    Supports are taken in descending order of their covering superset's
+    bound, in blocks that double from _CHUNK // 8 to _CHUNK rows (the
+    incumbent usually settles within the first), until the next bound
+    plus _PRUNE_MARGIN times trace(A^T A) (which no upper side exceeds)
+    falls below the largest upper side found so far. The rest stay at
+    -inf: their upper side is below that incumbent, so it can reach
+    neither delta nor eigen_range's upper end.
+    """
+    supersets, owner = _superset_cover(p, k)
+    bound = _superset_bounds(supersets, gram, proj)[owner]
+    queue = np.argsort(-bound, kind="stable")
+    # the most a queued support's upper side can be, plus the margin;
+    # nonincreasing along the queue
+    reach = bound[queue] + _PRUNE_MARGIN * float(np.trace(gram))
+    upper = np.full(len(supports), -math.inf)
+    best = -math.inf
+    done, size = 0, _CHUNK // 8
+    while True:
+        # the first queued support whose reach is below the incumbent
+        stop = min(int(np.searchsorted(-reach, -best, side="right")), done + size)
+        if stop <= done:
+            return upper
+        block = queue[done:stop]
+        upper[block] = _upper_sides(supports[block], gram, proj, lower[block])
+        best = max(best, float(upper[block].max()))
+        done, size = stop, min(2 * size, _CHUNK)
+
+
+def _report(
+    supports: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    p: int,
+    k: int,
+    method: str,
+    trials: int,
+) -> GripReport:
+    """delta, its first attaining support and eigen_range, from the lower
+    and upper sides of every row of a (S, k) support array."""
+    delta = np.maximum(upper - 1.0, 1.0 - lower)
+    top = int(np.argmax(delta))  # first attaining support
+    return GripReport(
+        k=k,
+        delta=float(delta[top]),
+        method=method,
+        trials=trials,
+        worst_support=SupportSet(supports[top], p),
+        eigen_range=(float(lower.min()), float(upper.max())),
+    )
 
 
 def _scan_supports(
-    supports: np.ndarray,
+    supports: np.ndarray | None,
     phi_e: np.ndarray,
     dictionary: Dictionary,
     k: int,
     method: str,
     trials: int,
 ) -> GripReport:
-    """delta over the rows of a (S, k) support array, _CHUNK rows per
-    stacked call."""
+    """delta over the rows of a (S, k) support array, or over the whole
+    colex family when supports is None, _CHUNK rows per stacked call.
+
+    Every lower side is computed. Over the whole family, once it spans
+    more than one chunk and a (k+2)-set can be full rank (k + 2 <= n),
+    upper sides that cannot matter are skipped (_pruned_uppers).
+    """
+    p = dictionary.p
+    family = supports is None
+    if family:
+        supports = _colex_supports(p, k)
     pinv = dictionary.pinv()
     a_cols = phi_e @ pinv
     gram = a_cols.T @ a_cols
     proj = dictionary.entries @ pinv
 
-    best_delta = -math.inf
-    best_support: np.ndarray | None = None
-    lo_min = math.inf
-    hi_max = -math.inf
-    for start in range(0, len(supports), _CHUNK):
-        chunk = supports[start : start + _CHUNK]
-        lower, upper = _chunk_extremes(chunk, a_cols, gram, proj)
-        lo_min = min(lo_min, float(lower.min()))
-        hi_max = max(hi_max, float(upper.max()))
-        delta = np.maximum(upper - 1.0, 1.0 - lower)
-        top = int(np.argmax(delta))  # first attaining support in the chunk
-        if delta[top] > best_delta:  # strict: earlier chunks win ties
-            best_delta = float(delta[top])
-            best_support = chunk[top]
-    if best_support is None:
-        raise ValueError("no supports evaluated")
-    return GripReport(
-        k=k,
-        delta=best_delta,
-        method=method,
-        trials=trials,
-        worst_support=SupportSet(best_support, dictionary.p),
-        eigen_range=(lo_min, hi_max),
-    )
+    starts = range(0, len(supports), _CHUNK)
+    lower = np.concatenate([_lower_sides(supports[s : s + _CHUNK], a_cols) for s in starts])
+    if family and len(supports) > _CHUNK and k + 2 <= dictionary.n:
+        upper = _pruned_uppers(supports, gram, proj, lower, p, k)
+    else:
+        upper = np.concatenate(
+            [
+                _upper_sides(supports[s : s + _CHUNK], gram, proj, lower[s : s + _CHUNK])
+                for s in starts
+            ]
+        )
+    return _report(supports, lower, upper, p, k, method, trials)
 
 
 def _refuse_supports(p: int, k: int, max_supports: int) -> None:
@@ -259,7 +432,22 @@ def delta_exact(
     *,
     max_supports: int = DEFAULT_MAX_SUPPORTS,
 ) -> GripReport:
-    """Exact delta_k by exhaustive support enumeration.
+    """Exact delta_k over all C(p, k) supports.
+
+    Every support's lower side is evaluated. Past one chunk of supports
+    (and when k + 2 <= n) the upper side is evaluated only where it can
+    matter: each support is covered by a (k+2)-set whose Rayleigh maximum
+    bounds the upper sides of all its k-subsets, and supports are taken
+    best-first by that bound until the next bound, plus a margin of
+    _PRUNE_MARGIN times trace(A^T A), is below the largest upper side
+    found. A skipped support's upper side is strictly below that
+    incumbent, so it reaches neither delta nor eigen_range[1]; its delta
+    term is its lower side's, which is exact. So delta, the colex-first
+    witness and eigen_range equal those of evaluating every support. A
+    bound prunes only when its (k+2)-set's block of P = D D^+ has
+    sigma_min / sigma_max above _PRUNE_FLOOR; by interlacing its subsets
+    are then full rank under the rank rule, so rank-deficient supports
+    are always evaluated.
 
     Raises BudgetExceededError when C(p, k) > max_supports rather than
     silently degrading to sampling; callers choose the fallback.
@@ -267,9 +455,7 @@ def delta_exact(
     phi_e = sensing_entries(phi)
     _check_delta_args(phi_e, dictionary, k)
     _refuse_supports(dictionary.p, k, max_supports)
-    return _scan_supports(
-        _colex_supports(dictionary.p, k), phi_e, dictionary, k, "exact", 0
-    )
+    return _scan_supports(None, phi_e, dictionary, k, "exact", 0)
 
 
 def delta_monte_carlo(
@@ -283,8 +469,9 @@ def delta_monte_carlo(
     drawn together by one `_random_subsets` call on default_rng(seed).
 
     Always <= the exact value since it scans a subset of the same support
-    family. When trials >= C(p, k) the scan switches to full enumeration
-    and the estimate equals the exact constant.
+    family. When trials >= C(p, k) the scan switches to delta_exact's
+    full-family scan, pruning included, and the estimate equals the exact
+    constant.
     """
     phi_e = sensing_entries(phi)
     _check_delta_args(phi_e, dictionary, k)
@@ -293,8 +480,7 @@ def delta_monte_carlo(
     p = dictionary.p
     count = math.comb(p, k)
     if trials >= count:
-        supports = _colex_supports(p, k)
-        return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", count)
+        return _scan_supports(None, phi_e, dictionary, k, "monte-carlo", count)
     supports = np.sort(_random_subsets(np.random.default_rng(seed), trials, p, k), axis=1)
     return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", trials)
 

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 
@@ -329,7 +331,8 @@ def test_zero_rank_bases_keep_degenerate_rule_and_rho_skip():
     assert not pinv[:, 4].any()
     sup = grip._colex_supports(d.p, 1)
     a_cols = phi.entries @ pinv
-    lower, upper = grip._chunk_extremes(sup, a_cols, a_cols.T @ a_cols, d.entries @ pinv)
+    lower = grip._lower_sides(sup, a_cols)
+    upper = grip._upper_sides(sup, a_cols.T @ a_cols, d.entries @ pinv, lower)
     assert upper[4] == lower[4] == 0.0
     for k in (1, 2):
         supports = colex_supports(d.p, k)
@@ -364,6 +367,164 @@ def test_rho_budget_refuses_before_enumerating():
     d = cg.make_dictionary("tight-frame", 40, 12, 0)
     with pytest.raises(cg.BudgetExceededError, match="disjoint pairs exceed budget 60000"):
         cg.rho_exact(d, 8)
+
+
+# ---------------------------------------------------------------------------
+# exact delta with superset pruning
+
+
+def test_colex_supports_equal_sorted_reference():
+    for p in range(1, 11):
+        for k in range(1, p + 1):
+            got = grip._colex_supports(p, k)
+            assert got.dtype == np.intp and got.shape == (math.comb(p, k), k)
+            assert got.tolist() == [list(s) for s in colex_supports(p, k)]
+    assert grip._colex_supports(18, 4).tolist() == [list(s) for s in colex_supports(18, 4)]
+
+
+@pytest.mark.parametrize("p, k", [(6, 1), (8, 2), (12, 4), (13, 3), (14, 5), (18, 4)])
+def test_superset_cover_covers_every_support_and_rebuilds_equal(p, k):
+    supersets, owner = grip._superset_cover(p, k)
+    assert supersets.shape[1] == k + 2 and not supersets.flags.writeable
+    assert (np.diff(supersets, axis=1) > 0).all()
+    assert supersets.min() >= 0 and supersets.max() < p
+    # every k-set lies in the superset that owns it, and every superset
+    # owns at least the k-set it was grown from
+    member = np.zeros((len(supersets), p), dtype=bool)
+    np.put_along_axis(member, supersets, True, axis=1)
+    sets = grip._colex_supports(p, k)
+    assert member[owner[:, None], sets].all()
+    assert set(owner.tolist()) == set(range(len(supersets)))
+    again = grip._superset_cover.__wrapped__(p, k)
+    assert np.array_equal(again[0], supersets) and np.array_equal(again[1], owner)
+    assert grip._superset_cover(p, k)[0] is supersets  # built once per process
+
+
+def test_superset_bounds_refuse_ill_conditioned_blocks():
+    # rows 0/1 repeat exactly, rows 2/3 differ by 1e-9, row 4 is zero: a
+    # superset holding either pair or row 4 is below the conditioning
+    # floor, bounds at +inf and so never prunes
+    entries = cg.make_dictionary("tight-frame", 12, 8, 2).entries.copy()
+    entries[1] = entries[0]
+    entries[3] = entries[2] + 1e-9 * entries[5]
+    entries[4] = 0.0
+    d = cg.Dictionary(entries, "user-supplied")
+    phi = cg.make_sensing_matrix("gaussian", 5, 8, 3)
+    a_cols = phi.entries @ d.pinv()
+    proj = d.entries @ d.pinv()
+    sets = np.array([[0, 1, 6, 7], [2, 3, 6, 7], [4, 6, 7, 8], [5, 6, 7, 8]])
+    bounds = grip._superset_bounds(sets, a_cols.T @ a_cols, proj)
+    assert np.isinf(bounds[:3]).all() and np.isfinite(bounds[3])
+    # a finite bound holds for every subset it covers
+    subsets = np.array([list(s) for s in itertools.combinations(sets[3], 2)])
+    lower = grip._lower_sides(subsets, a_cols)
+    assert grip._upper_sides(subsets, a_cols.T @ a_cols, proj, lower).max() <= bounds[3]
+
+
+def _count_uppers(monkeypatch):
+    seen = []
+    upper_sides = grip._upper_sides
+
+    def counted(supports, *args):
+        seen.append(len(supports))
+        return upper_sides(supports, *args)
+
+    monkeypatch.setattr(grip, "_upper_sides", counted)
+    return seen
+
+
+def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
+    d = cg.make_dictionary("tight-frame", 18, 12, 4)
+    phi = cg.make_sensing_matrix("gaussian", 8, 12, 5)
+    seen = _count_uppers(monkeypatch)
+    rep = cg.delta_exact(phi, d, 4)
+    assert 0 < sum(seen) < math.comb(18, 4) // 4
+    assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
+
+
+def test_one_chunk_families_evaluate_every_upper_side(monkeypatch):
+    d = cg.make_dictionary("tight-frame", 12, 8, 4)
+    phi = cg.make_sensing_matrix("gaussian", 5, 8, 5)
+    seen = _count_uppers(monkeypatch)
+    cg.delta_exact(phi, d, 3)
+    assert sum(seen) == math.comb(12, 3) <= grip._CHUNK
+
+
+@st.composite
+def pruned_instances(draw):
+    """Instances whose colex family spans more than one chunk and whose
+    (k+2)-sets can be full rank, so the pruned scan runs."""
+    kind = draw(st.sampled_from(["identity", "tight-frame", "gaussian-random"]))
+    k = draw(st.sampled_from([3, 4]))
+    smallest = 13 if k == 3 else 12  # C(p, k) > 256
+    seed = draw(st.integers(0, 2**16))
+    if kind == "identity":
+        p = n = draw(st.integers(smallest, 13))
+        entries = np.eye(n)
+    else:
+        p = draw(st.integers(smallest, 14))
+        n = draw(st.integers(k + 2, min(p - 2, 10)))
+        entries = cg.make_dictionary(kind, p, n, seed).entries.copy()
+        if draw(st.booleans()):
+            # rank-deficient chunk bases: a repeated row and a zero row
+            entries[draw(st.integers(1, p - 1))] = entries[0]
+            entries[draw(st.integers(1, p - 1))] = 0.0
+    d = cg.Dictionary(entries, "user-supplied")
+    m = draw(st.integers(1, n - 1))
+    # a small scale lets the lower side set delta
+    scale = draw(st.sampled_from([1.0, 0.5, 0.2]))
+    phi = scale * cg.make_sensing_matrix("gaussian", m, n, seed + 1).entries
+    return d, phi, k
+
+
+@given(pruned_instances())
+@settings(max_examples=30, deadline=None)
+def test_pruned_scan_equals_reference_loop(instance):
+    d, phi, k = instance
+    assert math.comb(d.p, k) > grip._CHUNK and k + 2 <= d.n
+    assert _report(cg.delta_exact(phi, d, k)) == loop_delta(phi, d, colex_supports(d.p, k))
+
+
+def test_pruned_scan_when_the_lower_side_sets_delta():
+    d = cg.make_dictionary("tight-frame", 14, 9, 8)
+    phi = 0.3 * cg.make_sensing_matrix("gaussian", 3, 9, 9).entries
+    rep = cg.delta_exact(phi, d, 4)
+    assert rep.delta == 1.0 - rep.eigen_range[0] > rep.eigen_range[1] - 1.0
+    assert _report(rep) == loop_delta(phi, d, colex_supports(14, 4))
+
+
+@pytest.mark.parametrize("m, seed", [(9, 1), (9, 2), (9, 3), (11, 2)])
+def test_pruned_scan_keeps_exact_ties(m, seed):
+    # every size-4 support has upper side n/m in exact arithmetic, so the
+    # 495 upper sides and superset bounds differ only by roundoff; the
+    # strict margin must keep eigen_range's upper end to the bit. At
+    # m = 11 the lower sides tie as well and set delta
+    d, phi = matched_instance(12, m, seed)
+    rep = cg.delta_exact(phi, d, 4)
+    assert rep.eigen_range[1] == pytest.approx(12 / m, abs=1e-12)
+    assert _report(rep) == loop_delta(phi.entries, d, colex_supports(12, 4))
+
+
+@pytest.mark.parametrize("seed", [4, 5, 6])
+def test_pruned_scan_keeps_roundoff_ties_of_the_upper_side(seed):
+    # a scaled isometry seen through a rotated D: every support has both
+    # sides 1.2 up to roundoff, and the upper side sets delta, so the
+    # witness is the colex-first support whose upper side has the top bits
+    d = cg.Dictionary(haar(12, seed).T, "user-supplied")
+    phi_raw = math.sqrt(1.2) * np.eye(12)
+    rep = cg.delta_exact(phi_raw, d, 4)
+    assert rep.delta == pytest.approx(0.2, abs=1e-12)
+    assert _report(rep) == loop_delta(phi_raw, d, colex_supports(12, 4))
+
+
+def test_monte_carlo_full_family_equals_delta_exact():
+    d = cg.make_dictionary("tight-frame", 14, 9, 6)
+    phi = cg.make_sensing_matrix("gaussian", 5, 9, 7)
+    count = math.comb(14, 4)
+    exact = cg.delta_exact(phi, d, 4)
+    full = cg.delta_monte_carlo(phi, d, 4, count + 3, seed=0)
+    assert (full.method, full.trials) == ("monte-carlo", count)
+    assert dataclasses.replace(full, method="exact", trials=0) == exact
 
 
 # ---------------------------------------------------------------------------
