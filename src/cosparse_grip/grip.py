@@ -24,21 +24,23 @@ serve both.
 delta_k is monotone in k (supports nest) and delta < 1 is a hypothesis of
 every bound downstream, never a guarantee of this module.
 
-The exact scan prunes upper sides, after the branch-and-bound over
+Every scan, exact or sampled, computes all lower sides and sends its
+upper sides through one best-first queue, after the branch-and-bound over
 supports of Tillmann & Pfetsch (IEEE T-IT 2014) and Gally & Pfetsch
 (2016). The upper side is monotone: for Lambda in U, span P[:, Lambda] lies
 in span P[:, U], so by Courant-Fischer one Rayleigh maximum on a
-(k+2)-set U bounds all C(k+2, k) of its subsets. Once the family spans
-more than one chunk, a cached greedy cover of the colex k-sets by
+(k+2)-set U bounds all C(k+2, k) of its subsets. Once the full family
+spans more than one chunk, a cached greedy cover of the colex k-sets by
 (k+2)-sets gives each support a bound, and supports are evaluated in
 descending order of bound until no bound can reach the largest upper side
-found. Every lower side is still computed, so delta, its colex-first
-witness and eigen_range keep the bits of the plain scan.
+found. Other scans bound no row, so every row is evaluated. Either way
+delta, its witness and eigen_range keep the bits of a per-support scan.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
@@ -305,30 +307,28 @@ def _pruned_uppers(
     gram: np.ndarray,
     proj: np.ndarray,
     lower: np.ndarray,
-    p: int,
-    k: int,
+    bound: np.ndarray,
 ) -> np.ndarray:
-    """Upper sides of the colex supports, best-first by superset bound.
+    """Upper sides of the rows of a (S, k) support array, best-first by
+    `bound`, an upper bound on each row's upper side (+inf: none).
 
-    Supports are taken in descending order of their covering superset's
-    bound, in blocks that double from _CHUNK // 8 to _CHUNK rows (the
-    incumbent usually settles within the first), until the next bound
-    plus _PRUNE_MARGIN times trace(A^T A) (which no upper side exceeds)
-    falls below the largest upper side found so far. The rest stay at
-    -inf: their upper side is below that incumbent, so it can reach
-    neither delta nor eigen_range's upper end.
+    Rows are taken in descending order of bound (ties, and all-+inf
+    bounds, in row order), in blocks that double from _CHUNK // 8 to
+    _CHUNK rows, until the next bound plus _PRUNE_MARGIN times
+    trace(A^T A) (which no upper side exceeds) falls below the largest
+    upper side found so far. The rest stay at -inf: their upper side is
+    below that incumbent, so it can reach neither delta nor eigen_range's
+    upper end.
     """
-    supersets, owner = _superset_cover(p, k)
-    bound = _superset_bounds(supersets, gram, proj)[owner]
     queue = np.argsort(-bound, kind="stable")
-    # the most a queued support's upper side can be, plus the margin;
+    # the most a queued row's upper side can be, plus the margin;
     # nonincreasing along the queue
     reach = bound[queue] + _PRUNE_MARGIN * float(np.trace(gram))
     upper = np.full(len(supports), -math.inf)
     best = -math.inf
     done, size = 0, _CHUNK // 8
     while True:
-        # the first queued support whose reach is below the incumbent
+        # the first queued row whose reach is below the incumbent
         stop = min(int(np.searchsorted(-reach, -best, side="right")), done + size)
         if stop <= done:
             return upper
@@ -370,11 +370,13 @@ def _scan_supports(
     trials: int,
 ) -> GripReport:
     """delta over the rows of a (S, k) support array, or over the whole
-    colex family when supports is None, _CHUNK rows per stacked call.
+    colex family when supports is None.
 
-    Every lower side is computed. Over the whole family, once it spans
-    more than one chunk and a (k+2)-set can be full rank (k + 2 <= n),
-    upper sides that cannot matter are skipped (_pruned_uppers).
+    Every lower side is computed, _CHUNK rows per stacked call. Upper
+    sides go through the best-first queue (_pruned_uppers). Over the whole
+    family, once it spans more than one chunk and a (k+2)-set can be full
+    rank (k + 2 <= n), each support is bounded by its covering superset;
+    otherwise no row is bounded and the queue evaluates every one.
     """
     p = dictionary.p
     family = supports is None
@@ -388,14 +390,11 @@ def _scan_supports(
     starts = range(0, len(supports), _CHUNK)
     lower = np.concatenate([_lower_sides(supports[s : s + _CHUNK], a_cols) for s in starts])
     if family and len(supports) > _CHUNK and k + 2 <= dictionary.n:
-        upper = _pruned_uppers(supports, gram, proj, lower, p, k)
+        supersets, owner = _superset_cover(p, k)
+        bound = _superset_bounds(supersets, gram, proj)[owner]
     else:
-        upper = np.concatenate(
-            [
-                _upper_sides(supports[s : s + _CHUNK], gram, proj, lower[s : s + _CHUNK])
-                for s in starts
-            ]
-        )
+        bound = np.full(len(supports), math.inf)
+    upper = _pruned_uppers(supports, gram, proj, lower, bound)
     return _report(supports, lower, upper, p, k, method, trials)
 
 
@@ -434,10 +433,11 @@ def delta_exact(
 ) -> GripReport:
     """Exact delta_k over all C(p, k) supports.
 
-    Every support's lower side is evaluated. Past one chunk of supports
-    (and when k + 2 <= n) the upper side is evaluated only where it can
-    matter: each support is covered by a (k+2)-set whose Rayleigh maximum
-    bounds the upper sides of all its k-subsets, and supports are taken
+    Every support's lower side is evaluated. Upper sides go through one
+    best-first queue. Past one chunk of supports (and when k + 2 <= n) it
+    evaluates them only where they can matter, and otherwise everywhere:
+    each support is covered by a (k+2)-set whose Rayleigh maximum bounds
+    the upper sides of all its k-subsets, and supports are taken
     best-first by that bound until the next bound, plus a margin of
     _PRUNE_MARGIN times trace(A^T A), is below the largest upper side
     found. A skipped support's upper side is strictly below that
@@ -469,20 +469,21 @@ def delta_monte_carlo(
     drawn together by one `_random_subsets` call on default_rng(seed).
 
     Always <= the exact value since it scans a subset of the same support
-    family. When trials >= C(p, k) the scan switches to delta_exact's
-    full-family scan, pruning included, and the estimate equals the exact
-    constant.
+    family. Its rows go through the upper-side queue unbounded, so every
+    one is evaluated. When trials >= C(p, k) the scan switches to
+    delta_exact's full-family scan, pruning included, and the estimate
+    equals the exact constant.
     """
     phi_e = sensing_entries(phi)
     _check_delta_args(phi_e, dictionary, k)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     p = dictionary.p
     count = math.comb(p, k)
     if trials >= count:
         return _scan_supports(None, phi_e, dictionary, k, "monte-carlo", count)
     supports = np.sort(_random_subsets(np.random.default_rng(seed), trials, p, k), axis=1)
-    return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", trials)
+    return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", int(trials))
 
 
 def _disjoint_pairs(supports: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -516,7 +517,7 @@ def rho_exact(
     largest singular value of Q_i^T Q_j over all disjoint pairs, i.e. the
     cosine of the smallest principal angle. Zero for orthogonal D; always
     in [0, 1]. Requires 2k <= p so a disjoint pair exists. Ties report the
-    colexicographically smallest pair.
+    colexicographically smallest pair: the first maximum over all pairs.
     """
     if not 1 <= k <= dictionary.p:
         raise ValueError(f"need 1 <= k <= p, got k={k}, p={dictionary.p}")
@@ -530,32 +531,27 @@ def rho_exact(
     bases, rank = _orth_stack(_gather(proj, supports))
     first, second = _disjoint_pairs(supports, p)
 
-    best = -1.0
-    witness: tuple[np.ndarray, np.ndarray] | None = None
+    top = np.full(len(first), -math.inf)
     for start in range(0, len(first), 4 * _CHUNK):
         i = first[start : start + 4 * _CHUNK]
         j = second[start : start + 4 * _CHUNK]
+        chunk = top[start : start + 4 * _CHUNK]
         # one stacked svd per (rank_i, rank_j), a single one unless some
         # basis is rank deficient; pairs with a trivial subspace stay out
         key = rank[i] * (k + 1) + rank[j]
-        top = np.full(len(i), -math.inf)
         for kv in np.unique(key[(rank[i] > 0) & (rank[j] > 0)]):
             ri, rj = divmod(int(kv), k + 1)
             sel = key == kv
             cross = _mT(bases[i[sel], :, :ri]) @ bases[j[sel], :, :rj]
-            top[sel] = np.linalg.svd(cross, compute_uv=False)[:, 0]
-        t = int(np.argmax(top))  # first attaining pair in the chunk
-        if top[t] > best:  # strict: earlier chunks win ties
-            best = float(top[t])
-            witness = (supports[i[t]], supports[j[t]])
-    if witness is None:
+            chunk[sel] = np.linalg.svd(cross, compute_uv=False)[:, 0]
+    t = int(np.argmax(top))  # first attaining pair
+    if top[t] == -math.inf:
         raise ValueError("no admissible disjoint pair (all chunk subspaces trivial)")
-    best = min(max(best, 0.0), 1.0)  # clip cosine roundoff
     return RhoEstimate(
         k=k,
-        rho=best,
+        rho=min(max(float(top[t]), 0.0), 1.0),  # clip cosine roundoff
         method="exact",
-        witness=(SupportSet(witness[0], p), SupportSet(witness[1], p)),
+        witness=(SupportSet(supports[first[t]], p), SupportSet(supports[second[t]], p)),
     )
 
 

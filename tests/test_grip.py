@@ -168,8 +168,17 @@ def test_monte_carlo_deterministic_in_seed():
     phi = cg.make_sensing_matrix("gaussian", 5, 8, 3)
     d = cg.make_dictionary("tight-frame", 10, 8, 3)
     a = cg.delta_monte_carlo(phi, d, 2, trials=9, seed=11)
-    b = cg.delta_monte_carlo(phi, d, 2, trials=9, seed=11)
-    assert a.delta == b.delta and a.worst_support == b.worst_support
+    # a numpy integer counts as one, and the report keeps a plain int
+    b = cg.delta_monte_carlo(phi, d, 2, trials=np.int64(9), seed=11)
+    assert a == b and json.loads(b.to_json())["trials"] == 9
+
+
+@pytest.mark.parametrize("trials", [2.5, True, False, np.float64(9.0), "9", None, 0, -1])
+def test_monte_carlo_trials_must_be_an_integer(trials):
+    phi = cg.make_sensing_matrix("gaussian", 5, 8, 3)
+    d = cg.make_dictionary("tight-frame", 10, 8, 3)
+    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+        cg.delta_monte_carlo(phi, d, 2, trials, seed=11)
 
 
 def test_grip_report_serializes():
@@ -442,12 +451,36 @@ def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
     assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
 
 
-def test_one_chunk_families_evaluate_every_upper_side(monkeypatch):
-    d = cg.make_dictionary("tight-frame", 12, 8, 4)
-    phi = cg.make_sensing_matrix("gaussian", 5, 8, 5)
+@pytest.mark.parametrize(
+    "kind, p, n, k, trials, zero_row",
+    [
+        ("tight-frame", 12, 8, 3, None, False),
+        ("tight-frame", 14, 9, 4, 600, False),
+        ("tight-frame", 14, 5, 4, None, False),
+        ("gaussian-random", 14, 5, 4, None, False),
+        ("gaussian-random", 14, 5, 4, None, True),
+    ],
+    ids=["one-chunk", "sampled", "tight-frame-wide", "gaussian-random-wide", "zero-row-wide"],
+)
+def test_unbounded_scans_evaluate_every_upper_side(monkeypatch, kind, p, n, k, trials, zero_row):
+    # no row of a one-chunk family, a sampled scan or a family with
+    # k + 2 > n has a superset bound, so the queue evaluates every upper
+    # side; the 600 sampled and 1001 wide rows run past the 256-row block
+    entries = cg.make_dictionary(kind, p, n, 4).entries.copy()
+    if zero_row:
+        entries[6] = 0.0
+    d = cg.Dictionary(entries, "user-supplied")
+    phi = cg.make_sensing_matrix("gaussian", n - 3, n, 5)
     seen = _count_uppers(monkeypatch)
-    cg.delta_exact(phi, d, 3)
-    assert sum(seen) == math.comb(12, 3) <= grip._CHUNK
+    if trials is None:
+        rep = cg.delta_exact(phi, d, k)
+        supports = colex_supports(p, k)
+    else:
+        rep = cg.delta_monte_carlo(phi, d, k, trials, seed=7)
+        supports = sampled_supports(p, k, trials, 7)
+    assert sum(seen) == len(supports) and max(seen) <= grip._CHUNK
+    assert (len(supports) > grip._CHUNK) == (trials is not None or k + 2 > n)
+    assert _report(rep) == loop_delta(phi.entries, d, supports)
 
 
 @st.composite
