@@ -31,13 +31,11 @@ from .grip import (
 from .model import (
     DICTIONARY_KINDS,
     SENSING_KINDS,
-    ChunkDecomposition,
     Dictionary,
     DictionaryRankError,
     InfeasibleCosparsityError,
     SensingMatrix,
     SupportSet,
-    chunk_decompose,
     load_dictionary_csv,
     load_sensing_csv,
     make_dictionary,
@@ -71,12 +69,10 @@ __all__ = [
     "DictionaryRankError",
     "SensingMatrix",
     "SupportSet",
-    "ChunkDecomposition",
     "InfeasibleCosparsityError",
     "make_dictionary",
     "make_sensing_matrix",
     "sample_cosparse_signal",
-    "chunk_decompose",
     "top_k_support",
     "sigma_k",
     "save_matrix_csv",

@@ -312,15 +312,16 @@ def _pruned_uppers(
     """Upper sides of the rows of a (S, k) support array, best-first by
     `bound`, an upper bound on each row's upper side (+inf: none).
 
-    Rows are taken in descending order of bound (ties, and all-+inf
-    bounds, in row order), in blocks that double from _CHUNK // 8 to
-    _CHUNK rows, until the next bound plus _PRUNE_MARGIN times
-    trace(A^T A) (which no upper side exceeds) falls below the largest
-    upper side found so far. The rest stay at -inf: their upper side is
-    below that incumbent, so it can reach neither delta nor eigen_range's
-    upper end.
+    Rows are taken in descending order of bound (ties in row order). The
+    +inf rows come first and are all evaluated, _CHUNK at a time. The
+    rest follow in blocks that double from _CHUNK // 8 to _CHUNK rows,
+    until the next bound plus _PRUNE_MARGIN times trace(A^T A) (which no
+    upper side exceeds) falls below the largest upper side found so far.
+    Rows not reached stay at -inf: their upper side is below that
+    incumbent, so it can reach neither delta nor eigen_range's upper end.
     """
     queue = np.argsort(-bound, kind="stable")
+    unbounded = int(np.count_nonzero(bound == math.inf))
     # the most a queued row's upper side can be, plus the margin;
     # nonincreasing along the queue
     reach = bound[queue] + _PRUNE_MARGIN * float(np.trace(gram))
@@ -328,14 +329,17 @@ def _pruned_uppers(
     best = -math.inf
     done, size = 0, _CHUNK // 8
     while True:
-        # the first queued row whose reach is below the incumbent
-        stop = min(int(np.searchsorted(-reach, -best, side="right")), done + size)
+        if done < unbounded:  # every unbounded row is reached, _CHUNK at a time
+            stop = min(done + _CHUNK, unbounded)
+        else:  # up to the first queued row whose reach is below the incumbent
+            stop = min(int(np.searchsorted(-reach, -best, side="right")), done + size)
+            size = min(2 * size, _CHUNK)
         if stop <= done:
             return upper
         block = queue[done:stop]
         upper[block] = _upper_sides(supports[block], gram, proj, lower[block])
         best = max(best, float(upper[block].max()))
-        done, size = stop, min(2 * size, _CHUNK)
+        done = stop
 
 
 def _report(
@@ -564,7 +568,7 @@ def bound_constants(delta2k: float, rho: float = 0.0) -> BoundConstants:
     while float64 evaluation splits them by up to ~3e-12.
     """
     if not 0.0 <= delta2k < 1.0:
-        raise ValueError(f"delta2k must lie in [0, 1), got {delta2k}")
+        raise ValueError(f"delta2k must lie in [0, 1), got {delta2k}: the constants are undefined")
     if not rho >= 0.0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     one = np.longdouble(1)

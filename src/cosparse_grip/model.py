@@ -4,7 +4,7 @@ Signals live in R^n. An analysis operator D maps them to R^p with p >= n,
 and sparsity is measured on the image: x is k-cosparse when Dx has at most
 k nonzero entries. Everything downstream (isometry constants, recovery
 bounds, solvers) is expressed against the two operator types defined here
-plus a handful of support/decomposition helpers.
+plus a handful of support helpers.
 
 Conventions:
   * all arrays are float64, C-order, read-only once wrapped in a type;
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -29,14 +30,12 @@ __all__ = [
     "SupportSet",
     "Dictionary",
     "SensingMatrix",
-    "ChunkDecomposition",
     "sensing_entries",
     "make_dictionary",
     "make_sensing_matrix",
     "sample_cosparse_signal",
     "top_k_support",
     "sigma_k",
-    "chunk_decompose",
     "save_matrix_csv",
     "load_dictionary_csv",
     "load_sensing_csv",
@@ -77,22 +76,25 @@ def _norm(v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class SupportSet:
-    """A sorted duplicate-free set of row indices into a p-row operator."""
+    """A sorted duplicate-free set of integer row indices into a p-row
+    operator. Float and bool indices or p are refused, not truncated."""
 
     indices: tuple[int, ...]
     p: int
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if self.p <= 0:
-            raise ValueError(f"p must be positive, got {self.p}")
-        if any(i < 0 or i >= self.p for i in idx):
-            raise ValueError(f"indices out of range [0, {self.p}): {idx}")
+        values = (*self.indices, self.p)
+        if any(isinstance(v, (bool, np.bool_)) for v in values):
+            raise TypeError(f"indices and p must be integers, got {values}")
+        *idx, p = (operator.index(v) for v in values)
+        if p <= 0:
+            raise ValueError(f"p must be positive, got {p}")
+        if any(i < 0 or i >= p for i in idx):
+            raise ValueError(f"indices out of range [0, {p}): {tuple(idx)}")
         if len(set(idx)) != len(idx):
-            raise ValueError(f"duplicate indices: {idx}")
-        if tuple(sorted(idx)) != idx:
-            idx = tuple(sorted(idx))
-        object.__setattr__(self, "indices", idx)
+            raise ValueError(f"duplicate indices: {tuple(idx)}")
+        object.__setattr__(self, "indices", tuple(sorted(idx)))
+        object.__setattr__(self, "p", p)
 
     @property
     def size(self) -> int:
@@ -216,23 +218,6 @@ class SensingMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class ChunkDecomposition:
-    """h split into pseudoinverse chunks of its analysis image.
-
-    chunks[j] = (support_j, h_j) with h_j = D^+ applied to Dh masked on
-    support_j. chunks[0] carries the caller's head support; later chunks
-    tile the remaining coordinates k at a time by descending magnitude.
-    The h_j sum to the projection of h onto row space of D, which equals
-    h itself for full-column-rank D, so residual_norm is a pure
-    floating-point diagnostic.
-    """
-
-    chunks: tuple[tuple[SupportSet, np.ndarray], ...]
-    residual_norm: float
-    source_h: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -393,50 +378,6 @@ def sigma_k(x: np.ndarray, dictionary: Dictionary, k: int) -> float:
     dx = dictionary.entries @ np.asarray(x, dtype=np.float64)
     mags = np.sort(np.abs(dx))[::-1]
     return float(np.sum(mags[k:]))
-
-
-def chunk_decompose(
-    h: np.ndarray, dictionary: Dictionary, k: int, head: SupportSet
-) -> ChunkDecomposition:
-    """Split h into D^+ chunks of Dh: the head support first, then the
-    remaining coordinates greedily k at a time by descending magnitude.
-
-    Magnitude ordering is taken once on the full Dh (stable, lower index
-    wins ties), so the tiling is deterministic. The final chunk may be
-    smaller than k.
-    """
-    if k < 1:
-        raise ValueError("chunk size k must be >= 1")
-    if head.p != dictionary.p:
-        raise ValueError("head support indexes the wrong number of rows")
-    if head.size > k:
-        raise ValueError(f"head support must have size <= k = {k}")
-    h = np.asarray(h, dtype=np.float64)
-    if not np.any(h):
-        raise ValueError("h is zero; nothing to decompose")
-    dh = dictionary.entries @ h
-    pinv = dictionary.pinv()
-
-    head_set = set(head.indices)
-    rest = [i for i in np.argsort(-np.abs(dh), kind="stable") if int(i) not in head_set]
-    groups: list[tuple[int, ...]] = [head.indices]
-    for start in range(0, len(rest), k):
-        groups.append(tuple(int(i) for i in rest[start : start + k]))
-
-    chunks = []
-    acc = np.zeros_like(h)
-    for g in groups:
-        sup = SupportSet(g, dictionary.p)
-        z = np.zeros(dictionary.p)
-        if g:
-            z[list(g)] = dh[list(g)]
-        hj = pinv @ z
-        acc += hj
-        hj.setflags(write=False)
-        chunks.append((sup, hj))
-    residual = float(np.linalg.norm(acc - h))
-    out_h = _as_readonly(h)
-    return ChunkDecomposition(tuple(chunks), residual, out_h)
 
 
 # ---------------------------------------------------------------------------

@@ -106,11 +106,10 @@ def check_corollary1(
 ) -> BoundReport:
     """Cross-chunk correlation bound on two disjoint-support chunks.
 
-    chunk_i / chunk_j are (support, vector) pairs with vectors in the
-    pseudoinverse-chunk subspace of their support (as produced by
-    chunk_decompose). Norms on the rhs are true analysis-image norms
-    ||D h||_2, which for a chunk h = D^+ z equals the norm of the
-    projection of z onto range(D), not ||z||_2.
+    chunk_i / chunk_j are (support, vector) pairs, each vector a chunk
+    D^+ z with supp(z) in its support. Norms on the rhs are true
+    analysis-image norms ||D h||_2, which for a chunk h = D^+ z equals
+    the norm of the projection of z onto range(D), not ||z||_2.
 
     delta >= 1 is reported (hypothesis_ok=False, constants_used=None)
     rather than raised: the two sides stay well defined.
@@ -208,16 +207,6 @@ def _masked_term(
     return next_blocks, mask_norm, inner, vanished & (raw > _ZERO_TOL)
 
 
-def _constants_below_one(delta2k: float, rho: float) -> BoundConstants:
-    """bound_constants(delta2k, rho); raises on delta2k >= 1, where beta
-    is undefined and no report is possible."""
-    if delta2k >= 1.0:
-        raise ValueError(
-            f"delta2k = {delta2k:.6f} >= 1: the bound's constants are undefined"
-        )
-    return bound_constants(delta2k, rho)
-
-
 def _corollary2_stack(
     phi,
     dictionary: Dictionary,
@@ -238,7 +227,7 @@ def _corollary2_stack(
         raise ValueError("h is zero; the bound is vacuous")
 
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
-    constants = _constants_below_one(delta2k, rho)
+    constants = bound_constants(delta2k, rho)
 
     pinv = dictionary.pinv()
     u = _gemvs(dictionary.entries, h)
@@ -350,7 +339,7 @@ def check_theorem1(
         raise ValueError(f"need 1 <= k <= p, got k={k}")
 
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
-    constants = _constants_below_one(delta2k, rho)
+    constants = bound_constants(delta2k, rho)
     if not constants.admissible:
         raise ValueError(
             f"constants not admissible at delta2k={delta2k:.6f}, rho={rho:.6f} "

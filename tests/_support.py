@@ -169,6 +169,34 @@ def colex_supports(p: int, k: int) -> list[tuple[int, ...]]:
     return sorted(combinations(range(p), k), key=lambda s: s[::-1])
 
 
+def greedy_cover(p: int, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The greedy cover of the colex k-sets by (k+2)-sets, one set at a
+    time: (supersets, owner). Each step takes the first uncovered k-set T
+    and adds the pair {e, f} outside T whose superset covers the most
+    uncovered k-sets, ties going to the smallest e and then the smallest
+    f; owner[i] is the superset that covered k-set i first."""
+    sets = colex_supports(p, k)
+    rank = {s: i for i, s in enumerate(sets)}
+    uncovered = set(sets)
+    owner = [-1] * len(sets)
+    supersets = []
+    for t in sets:
+        if t not in uncovered:
+            continue
+        best, best_new = None, -1
+        for e, f in combinations([c for c in range(p) if c not in t], 2):
+            grown = tuple(sorted(t + (e, f)))
+            new = sum(s in uncovered for s in combinations(grown, k))
+            if new > best_new:
+                best, best_new = grown, new
+        for s in combinations(best, k):
+            if s in uncovered:
+                uncovered.discard(s)
+                owner[rank[s]] = len(supersets)
+        supersets.append(best)
+    return supersets, owner
+
+
 def sampled_supports(p: int, k: int, trials: int, seed) -> list[tuple[int, ...]]:
     """The supports delta_monte_carlo draws when trials < C(p, k): per row
     of trials x p uniforms, the sorted first k of its stable argsort."""

@@ -14,6 +14,7 @@ from _support import (
     brute_rho,
     classical_delta,
     colex_supports,
+    greedy_cover,
     haar,
     loop_delta,
     loop_rho,
@@ -409,6 +410,15 @@ def test_superset_cover_covers_every_support_and_rebuilds_equal(p, k):
     assert grip._superset_cover(p, k)[0] is supersets  # built once per process
 
 
+def test_superset_cover_follows_the_greedy_rule():
+    cases = [(p, k) for p in range(3, 12) for k in range(1, p - 1)] + [(18, 4)]
+    for p, k in cases:
+        supersets, owner = grip._superset_cover(p, k)
+        want_supersets, want_owner = greedy_cover(p, k)
+        assert supersets.tolist() == [list(s) for s in want_supersets], (p, k)
+        assert owner.tolist() == want_owner, (p, k)
+
+
 def test_superset_bounds_refuse_ill_conditioned_blocks():
     # rows 0/1 repeat exactly, rows 2/3 differ by 1e-9, row 4 is zero: a
     # superset holding either pair or row 4 is below the conditioning
@@ -442,13 +452,35 @@ def _count_uppers(monkeypatch):
     return seen
 
 
+def _unbounded_blocks(count):
+    """The stacked calls of `count` rows without a bound: _CHUNK at a time."""
+    whole, part = divmod(count, grip._CHUNK)
+    return [grip._CHUNK] * whole + [part] * (part > 0)
+
+
 def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
-    d = cg.make_dictionary("tight-frame", 18, 12, 4)
+    # a repeated row leaves every superset holding both copies without a
+    # bound: those rows go first, _CHUNK at a time, and the bounded rows
+    # follow in blocks doubling from _CHUNK // 8
     phi = cg.make_sensing_matrix("gaussian", 8, 12, 5)
+    supersets, owner = grip._superset_cover(18, 4)
     seen = _count_uppers(monkeypatch)
-    rep = cg.delta_exact(phi, d, 4)
-    assert 0 < sum(seen) < math.comb(18, 4) // 4
-    assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
+    for repeat_row in (False, True):
+        entries = cg.make_dictionary("tight-frame", 18, 12, 4).entries.copy()
+        if repeat_row:
+            entries[1] = entries[0]
+        d = cg.Dictionary(entries, "user-supplied")
+        seen.clear()
+        rep = cg.delta_exact(phi, d, 4)
+        assert 0 < sum(seen) < math.comb(18, 4) // 4
+        assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
+        a_cols = phi.entries @ d.pinv()
+        bounds = grip._superset_bounds(supersets, a_cols.T @ a_cols, d.entries @ d.pinv())
+        first = _unbounded_blocks(int(np.isinf(bounds[owner]).sum()))
+        assert (len(first) > 0) == repeat_row and seen[: len(first)] == first
+        bounded = seen[len(first) :]
+        doubling = [min((grip._CHUNK // 8) << i, grip._CHUNK) for i in range(len(bounded))]
+        assert bounded[:-1] == doubling[:-1] and 0 < bounded[-1] <= doubling[-1]
 
 
 @pytest.mark.parametrize(
@@ -459,13 +491,18 @@ def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
         ("tight-frame", 14, 5, 4, None, False),
         ("gaussian-random", 14, 5, 4, None, False),
         ("gaussian-random", 14, 5, 4, None, True),
+        ("identity", 10, 10, 2, None, False),
+        ("tight-frame", 16, 10, 5, 300, False),
     ],
-    ids=["one-chunk", "sampled", "tight-frame-wide", "gaussian-random-wide", "zero-row-wide"],
+    ids=[
+        "one-chunk", "sampled", "tight-frame-wide", "gaussian-random-wide", "zero-row-wide",
+        "identity-one-chunk", "sampled-300",
+    ],
 )
 def test_unbounded_scans_evaluate_every_upper_side(monkeypatch, kind, p, n, k, trials, zero_row):
     # no row of a one-chunk family, a sampled scan or a family with
     # k + 2 > n has a superset bound, so the queue evaluates every upper
-    # side; the 600 sampled and 1001 wide rows run past the 256-row block
+    # side, _CHUNK rows per call: 45 rows in one call, 300 in 256 + 44
     entries = cg.make_dictionary(kind, p, n, 4).entries.copy()
     if zero_row:
         entries[6] = 0.0
@@ -478,7 +515,7 @@ def test_unbounded_scans_evaluate_every_upper_side(monkeypatch, kind, p, n, k, t
     else:
         rep = cg.delta_monte_carlo(phi, d, k, trials, seed=7)
         supports = sampled_supports(p, k, trials, 7)
-    assert sum(seen) == len(supports) and max(seen) <= grip._CHUNK
+    assert seen == _unbounded_blocks(len(supports))
     assert (len(supports) > grip._CHUNK) == (trials is not None or k + 2 > n)
     assert _report(rep) == loop_delta(phi.entries, d, supports)
 

@@ -28,6 +28,28 @@ def test_support_set_normalizes_and_validates():
         cg.SupportSet((5,), 5)  # out of range
     with pytest.raises(ValueError):
         cg.SupportSet((-1,), 5)
+    # numpy integers are taken, as plain ints: witnesses come from intp rows
+    s = cg.SupportSet(np.array([4, 0], dtype=np.intp), np.int64(6))
+    assert s == cg.SupportSet((0, 4), 6)
+    assert all(type(i) is int for i in (*s.indices, s.p))
+
+
+@pytest.mark.parametrize(
+    "indices, p",
+    [
+        ((1.7, 2), 4),  # was truncated to (1, 2)
+        ((np.float64(1.0),), 4),
+        ((True, 2), 4),  # was read as index 1
+        ((np.True_,), 4),
+        ((1, 2), 4.5),  # was accepted
+        ((1,), 4.0),
+        ((1,), True),
+        (("1",), 4),
+    ],
+)
+def test_support_set_refuses_non_integers(indices, p):
+    with pytest.raises(TypeError):
+        cg.SupportSet(indices, p)
 
 
 def test_support_set_operations():
@@ -235,49 +257,6 @@ def test_sigma_k_monotone_in_k(k):
     d = cg.make_dictionary("tight-frame", 8, 5, 3)
     x = np.random.default_rng(4).standard_normal(5)
     assert cg.sigma_k(x, d, k) >= cg.sigma_k(x, d, k + 1) - 1e-15
-
-
-def test_chunk_decompose_identity_hand_case():
-    d = cg.Dictionary(np.eye(4), "identity")
-    h = np.array([4.0, 3.0, 2.0, 1.0])
-    dec = cg.chunk_decompose(h, d, 2, cg.SupportSet((0, 1), 4))
-    assert [c[0].indices for c in dec.chunks] == [(0, 1), (2, 3)]
-    assert np.allclose(dec.chunks[0][1], [4, 3, 0, 0])
-    assert np.allclose(dec.chunks[1][1], [0, 0, 2, 1])
-    assert dec.residual_norm <= 1e-14
-
-
-def test_chunk_decompose_orders_tail_by_magnitude():
-    d = cg.Dictionary(np.eye(5), "identity")
-    h = np.array([0.5, 5.0, -4.0, 0.1, 3.0])
-    dec = cg.chunk_decompose(h, d, 2, cg.SupportSet((0,), 5))
-    assert [c[0].indices for c in dec.chunks] == [(0,), (1, 2), (3, 4)]
-    # chunks tile all coordinates and sum back to h
-    total = sum(c[1] for c in dec.chunks)
-    assert np.allclose(total, h, atol=1e-12)
-
-
-def test_chunk_decompose_redundant_sums_to_h():
-    d = cg.make_dictionary("tight-frame", 9, 6, 2)
-    h = np.random.default_rng(7).standard_normal(6)
-    dec = cg.chunk_decompose(h, d, 3, cg.top_k_support(d.entries @ h, 3))
-    total = sum(c[1] for c in dec.chunks)
-    assert np.linalg.norm(total - h) <= 1e-10
-    assert dec.residual_norm <= 1e-10
-    sups = [set(c[0].indices) for c in dec.chunks]
-    assert not any(sups[i] & sups[j] for i in range(len(sups)) for j in range(i + 1, len(sups)))
-
-
-def test_chunk_decompose_errors():
-    d = cg.Dictionary(np.eye(4), "identity")
-    with pytest.raises(ValueError):
-        cg.chunk_decompose(np.zeros(4), d, 2, cg.SupportSet((0,), 4))
-    with pytest.raises(ValueError):
-        cg.chunk_decompose(np.ones(4), d, 0, cg.SupportSet((), 4))
-    with pytest.raises(ValueError):
-        cg.chunk_decompose(np.ones(4), d, 1, cg.SupportSet((0, 1), 4))
-    with pytest.raises(ValueError):
-        cg.chunk_decompose(np.ones(4), d, 2, cg.SupportSet((0,), 5))
 
 
 # ---------------------------------------------------------------------------
