@@ -9,7 +9,6 @@ wanted), and checks the implied inequalities on randomized instances.
 
 from .campaign import (
     EXPERIMENTS,
-    Budget,
     CampaignResult,
     CampaignTrialError,
     ConfigError,
@@ -107,7 +106,6 @@ __all__ = [
     "check_theorem1",
     # campaigns
     "EXPERIMENTS",
-    "Budget",
     "ExperimentConfig",
     "CampaignResult",
     "CampaignTrialError",

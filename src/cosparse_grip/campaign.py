@@ -19,11 +19,10 @@ str; a result that breaks this raises ValueError naming the key.
 wall_time is recorded on the result but never written, so re-runs stay
 byte-identical.
 
-The config document is declared once: the fields of `ExperimentConfig`
-and `Budget`, with `_NESTED` grouping some under the `dims` and
-`constraint` objects. The accepted and required keys, `from_json` and
-`to_json_dict` derive from it; a key is required exactly when its field
-has no default.
+The config document is declared once: the fields of `ExperimentConfig`,
+with `_NESTED` grouping some under the `dims`, `constraint` and `budget`
+objects. The accepted and required keys, `from_json` and `to_json_dict`
+derive from it; a key is required exactly when its field has no default.
 
 What each experiment does lives in one private table, `_TABLE`: its
 trial function, its summary keys, whether its trials share a verify
@@ -41,7 +40,8 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from contextlib import nullcontext
+from dataclasses import MISSING, asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -88,7 +88,6 @@ __all__ = [
     "SUCCESS_TOL",
     "ConfigError",
     "CampaignTrialError",
-    "Budget",
     "ExperimentConfig",
     "CampaignResult",
     "trial_seed",
@@ -116,8 +115,8 @@ class ConfigError(ValueError):
 
 
 class CampaignTrialError(RuntimeError):
-    """A trial failed. Carries the completed prefix of rows so callers
-    can flush partial results before aborting."""
+    """A trial, or a block of trials, failed. Carries the rows before it so
+    callers can flush partial results before aborting."""
 
     def __init__(self, message: str, partial: "CampaignResult"):
         super().__init__(message)
@@ -158,19 +157,6 @@ def _check_positive_ints(obj, names: tuple[str, ...], prefix: str = "") -> None:
             raise ConfigError(f"{prefix}{name} must be a positive integer, got {v!r}")
 
 
-@dataclass(frozen=True)
-class Budget:
-    """Enumeration and iteration ceilings for one campaign."""
-
-    max_supports: int = DEFAULT_MAX_SUPPORTS
-    max_pairs: int = DEFAULT_MAX_PAIRS
-    max_iters: int = SolverOptions.max_iters
-    mc_trials: int = 200  # sample count when exact enumeration is over budget
-
-    def __post_init__(self):
-        _check_positive_ints(self, tuple(f.name for f in fields(self)), "budget.")
-
-
 def _json_object(doc, where: str, allowed: tuple[str, ...], required: tuple[str, ...] = ()) -> dict:
     """Structure of one JSON object: its type and its key set."""
     if not isinstance(doc, dict):
@@ -185,11 +171,11 @@ def _json_object(doc, where: str, allowed: tuple[str, ...], required: tuple[str,
 
 
 # The nested objects of the config document: each maps its keys to
-# ExperimentConfig fields. Every other field is a top-level key of its own
-# name, `budget` holding the Budget fields under theirs.
+# ExperimentConfig fields; each other field is a top-level key of its name.
 _NESTED = {
     "dims": {"m": "m", "n": "n", "p": "p"},
     "constraint": {"kind": "constraint_kind", "epsilon": "epsilon", "lambda": "lam"},
+    "budget": {name: name for name in ("max_supports", "max_pairs", "max_iters", "mc_trials")},
 }
 
 
@@ -218,7 +204,11 @@ class ExperimentConfig:
     epsilon: float = 0.0
     lam: float = 0.0
     output_path: str | None = None
-    budget: Budget = field(default_factory=Budget)
+    # the budget: enumeration and iteration ceilings
+    max_supports: int = DEFAULT_MAX_SUPPORTS
+    max_pairs: int = DEFAULT_MAX_PAIRS
+    max_iters: int = SolverOptions.max_iters
+    mc_trials: int = 200  # sample count when exact enumeration is over budget
     instances: int = 1
     m_grid: tuple[int, ...] | None = None
     rho_mode: str = "exact"
@@ -226,6 +216,7 @@ class ExperimentConfig:
     matrix_path: str | None = None
 
     def __post_init__(self):
+        _check_positive_ints(self, tuple(_NESTED["budget"].values()), "budget.")
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         entry = _TABLE[self.experiment]
@@ -314,7 +305,7 @@ class ExperimentConfig:
             exact.append(("max_pairs", _refuse_pairs, self.k))
         for key, refuse, order in exact:
             try:
-                refuse(self.p, order, getattr(self.budget, key))
+                refuse(self.p, order, getattr(self, key))
             except BudgetExceededError as err:
                 raise ConfigError(f"{err} (budget.{key}); {self.experiment} needs exact constants") from err
         if self.constraint_kind == "dantzig" and self.experiment in ("solve", "verify-t1"):
@@ -343,8 +334,6 @@ class ExperimentConfig:
                 required = tuple(k for k, name in sub.items() if name in _REQUIRED_FIELDS)
                 obj = _json_object(doc[key], key, tuple(sub), required)
                 values.update((sub[k], v) for k, v in obj.items())
-            elif key == "budget":
-                values[key] = Budget(**_json_object(doc[key], key, tuple(f.name for f in fields(Budget))))
             else:
                 values[key] = doc[key]
         return cls(**values)
@@ -370,9 +359,7 @@ class ExperimentConfig:
 # The document's keys, in field order. A key is required exactly when its
 # field has no default, and a nested object when one of its keys is.
 _OWNER = {name: key for key, sub in _NESTED.items() for name in sub.values()}
-_REQUIRED_FIELDS = tuple(
-    f.name for f in fields(ExperimentConfig) if f.default is MISSING and f.default_factory is MISSING
-)
+_REQUIRED_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 _CONFIG_KEYS = tuple(dict.fromkeys(_OWNER.get(f.name, f.name) for f in fields(ExperimentConfig)))
 _REQUIRED_KEYS = tuple(dict.fromkeys(_OWNER.get(name, name) for name in _REQUIRED_FIELDS))
 
@@ -387,10 +374,6 @@ class CampaignResult:
 
 # ---------------------------------------------------------------------------
 # per-experiment machinery
-
-
-def _solver_options(cfg: ExperimentConfig) -> SolverOptions:
-    return SolverOptions(max_iters=cfg.budget.max_iters)
 
 
 _Ops = tuple[Dictionary | None, SensingMatrix | None]
@@ -455,15 +438,15 @@ def _constraint_for(cfg: ExperimentConfig, phi_entries: np.ndarray, x: np.ndarra
 def _solve_for(cfg: ExperimentConfig, phi, dictionary: Dictionary, constraint: ConstraintSpec):
     if constraint.kind == "dantzig":
         return solve_lp_certified(phi, dictionary, constraint)
-    return solve_analysis_l1(phi, dictionary, constraint, _solver_options(cfg))
+    return solve_analysis_l1(phi, dictionary, constraint, SolverOptions(max_iters=cfg.max_iters))
 
 
 def _grip_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     d, phi = _make_operators(cfg, seed, ops)
     try:
-        rep = delta_exact(phi, d, cfg.k, max_supports=cfg.budget.max_supports)
+        rep = delta_exact(phi, d, cfg.k, max_supports=cfg.max_supports)
     except BudgetExceededError:
-        rep = delta_monte_carlo(phi, d, cfg.k, cfg.budget.mc_trials, trial_seed(seed, 2))
+        rep = delta_monte_carlo(phi, d, cfg.k, cfg.mc_trials, trial_seed(seed, 2))
     row = {
         "trial": index,
         "seed": seed,
@@ -476,7 +459,7 @@ def _grip_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict
 
 
 def _rho_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
-    est = rho_exact(_make_dictionary(cfg, seed, ops), cfg.k, max_pairs=cfg.budget.max_pairs)
+    est = rho_exact(_make_dictionary(cfg, seed, ops), cfg.k, max_pairs=cfg.max_pairs)
     return {"trial": index, "seed": seed, "rho": est.rho}
 
 
@@ -534,7 +517,7 @@ def _p1p2_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict
     d, phi = _make_operators(cfg, seed, ops)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
     constraint = _constraint_for(cfg, phi.entries, x, seed)
-    opts = _solver_options(cfg)
+    opts = SolverOptions(max_iters=cfg.max_iters)
     res_analysis = solve_analysis_l1(phi, d, constraint, opts)
     res_synthesis = solve_synthesis_l1(phi, d, constraint, opts)
     dist = float(np.linalg.norm(res_analysis.x_hat - res_synthesis.x_hat))
@@ -591,11 +574,11 @@ def _verify_pool(cfg: ExperimentConfig, ops: _Ops) -> list[_VerifyInstance]:
     for i in range(cfg.instances):
         s = trial_seed(cfg.seed, _INSTANCE_TAG + i)
         d, phi = _make_operators(cfg, s, ops)
-        delta = delta_exact(phi, d, 2 * cfg.k, max_supports=cfg.budget.max_supports).delta
+        delta = delta_exact(phi, d, 2 * cfg.k, max_supports=cfg.max_supports).delta
         if cfg.rho_mode == "printed":
             rho = 0.0
         else:
-            rho = rho_exact(d, cfg.k, max_pairs=cfg.budget.max_pairs).rho
+            rho = rho_exact(d, cfg.k, max_pairs=cfg.max_pairs).rho
         pool.append(_VerifyInstance(d, phi, delta, rho))
     for i, inst in enumerate(pool):
         for hypothesis in _TABLE[cfg.experiment].hypotheses:
@@ -849,10 +832,12 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     experiments first build and gate their instance pool. Trials run in
     consecutive blocks: _BLOCK trials per call of an experiment that
     evaluates blocks, else one. A block that raises is run again one trial
-    at a time. With workers > 1 blocks run in a thread pool; rows are
-    ordered by trial index regardless of completion order, and are the
-    same for any worker count and block size. A failing trial raises
-    CampaignTrialError carrying the completed prefix.
+    at a time to name the first that fails; if each passes alone, the
+    block's own error is the failure, named by its trial range. Serial
+    runs stay on the calling thread; with workers > 1 blocks run in a
+    thread pool. Rows are ordered by trial index, and are the same for any
+    worker count and block size. A failure raises CampaignTrialError
+    carrying the rows before it.
 
     A verify-c2 trial i draws from stream block b = i // _STREAM (256
     trials): default_rng(trial_seed(seed, _STREAM_TAG + b)) draws
@@ -871,55 +856,37 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     seeds = _trial_seeds(config.seed, total)
     step = 1 if entry.block is None else _BLOCK
 
-    rows: list[dict] = []
-
-    def guarded(start: int) -> list[dict]:
+    def guarded(start: int) -> tuple[list[dict], tuple[str, Exception] | None]:
+        """The block's rows from trial start, and (message, error) if it fails."""
         stop = min(start + step, total)
         if entry.block is not None:
             try:
-                return entry.block(config, ctx, start, seeds[start:stop])
-            except Exception:
-                pass  # run again trial by trial below, to name the one that fails
+                return entry.block(config, ctx, start, seeds[start:stop]), None
+            except Exception as err:
+                block_err = err  # run again trial by trial below, to name the one that fails
         done: list[dict] = []
         for i in range(start, stop):
             try:
                 done.append(entry.trial(config, ctx, i, seeds[i]))
             except Exception as err:
-                raise _TrialFailure(i, seeds[i], err, done) from err
-        return done
+                return done, (f"trial {i} (seed {seeds[i]}) failed: {err}", err)
+        if entry.block is not None:  # the block failed, and each of its trials passed alone
+            return [], (f"trials {start} to {stop - 1} failed as a block: {block_err}", block_err)
+        return done, None
 
-    def result() -> CampaignResult:
-        return CampaignResult(
-            config=config,
-            rows=tuple(rows),
-            summary=_summarize(config, rows),
-            wall_time=time.perf_counter() - t0,
-        )
-
-    try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-                for done in pool_exec.map(guarded, range(0, total, step)):
-                    rows.extend(done)
-        else:
-            for start in range(0, total, step):
-                rows.extend(guarded(start))
-    except _TrialFailure as fail:
-        rows.extend(fail.done)
-        raise CampaignTrialError(
-            f"trial {fail.index} (seed {fail.seed}) failed: {fail.cause}", result()
-        ) from fail.cause
-
-    return result()
-
-
-class _TrialFailure(Exception):
-    def __init__(self, index: int, seed: int, cause: Exception, done: list[dict]):
-        super().__init__(str(cause))
-        self.index = index
-        self.seed = seed
-        self.cause = cause
-        self.done = done  # rows of the failing block's earlier trials
+    rows: list[dict] = []
+    failure = None
+    # a break closes map's iterator, which cancels the blocks not yet started
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as threads:
+        for done, failure in (threads.map if threads else map)(guarded, range(0, total, step)):
+            rows.extend(done)
+            if failure is not None:
+                break
+    result = CampaignResult(config, tuple(rows), _summarize(config, rows), time.perf_counter() - t0)
+    if failure is not None:
+        message, cause = failure
+        raise CampaignTrialError(message, result) from cause
+    return result
 
 
 # ---------------------------------------------------------------------------

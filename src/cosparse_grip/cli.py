@@ -22,9 +22,9 @@ the first unconverged row. Any of these trials can then be replayed:
 every campaign with the same config and seed and more than i trials has
 the same row i. The seed names the trial; a verify-c2 trial draws from
 its stream block of 256 trials (see campaign.run), not from that seed.
-A crashed trial flushes the completed rows and exits 1. Outputs land in
---out (falling back to the config's output_path, then the working
-directory) as results.csv, results.jsonl and config_echo.json.
+A crashed trial, or a block failing only as a block, flushes the rows
+before it and exits 1. Outputs go to --out (else output_path, else the
+working directory): results.csv, results.jsonl and config_echo.json.
 """
 
 from __future__ import annotations

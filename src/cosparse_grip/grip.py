@@ -47,7 +47,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .model import Dictionary, SupportSet, _random_subsets, _to_json, sensing_entries
+from .model import Dictionary, SupportSet, _integer, _random_subsets, _to_json, sensing_entries
 
 __all__ = [
     "DEFAULT_MAX_SUPPORTS",
@@ -421,11 +421,12 @@ def _refuse_pairs(p: int, k: int, max_pairs: int) -> None:
         )
 
 
-def _check_delta_args(phi_e: np.ndarray, dictionary: Dictionary, k: int) -> None:
+def _check_delta_args(phi_e: np.ndarray, dictionary: Dictionary, k: int) -> int:
     if phi_e.shape[1] != dictionary.n:
         raise ValueError("sensing matrix and dictionary disagree on n")
-    if not 1 <= k <= dictionary.p:
+    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
         raise ValueError(f"need 1 <= k <= p, got k={k}, p={dictionary.p}")
+    return k
 
 
 def delta_exact(
@@ -457,8 +458,8 @@ def delta_exact(
     silently degrading to sampling; callers choose the fallback.
     """
     phi_e = sensing_entries(phi)
-    _check_delta_args(phi_e, dictionary, k)
-    _refuse_supports(dictionary.p, k, max_supports)
+    k = _check_delta_args(phi_e, dictionary, k)
+    _refuse_supports(dictionary.p, k, _integer("max_supports", max_supports))
     return _scan_supports(None, phi_e, dictionary, k, "exact", 0)
 
 
@@ -479,7 +480,7 @@ def delta_monte_carlo(
     equals the exact constant.
     """
     phi_e = sensing_entries(phi)
-    _check_delta_args(phi_e, dictionary, k)
+    k = _check_delta_args(phi_e, dictionary, k)
     if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     p = dictionary.p
@@ -523,12 +524,12 @@ def rho_exact(
     in [0, 1]. Requires 2k <= p so a disjoint pair exists. Ties report the
     colexicographically smallest pair: the first maximum over all pairs.
     """
-    if not 1 <= k <= dictionary.p:
+    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
         raise ValueError(f"need 1 <= k <= p, got k={k}, p={dictionary.p}")
     if 2 * k > dictionary.p:
         raise ValueError(f"disjoint pairs need 2k <= p, got k={k}, p={dictionary.p}")
     p = dictionary.p
-    _refuse_pairs(p, k, max_pairs)
+    _refuse_pairs(p, k, _integer("max_pairs", max_pairs))
 
     supports = _colex_supports(p, k)
     proj = dictionary.entries @ dictionary.pinv()

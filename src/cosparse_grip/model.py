@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -72,6 +73,14 @@ def _as_readonly(a) -> np.ndarray:
 
 def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a bool (Python or numpy) or a non-integer is refused, as by SupportSet."""
+    with suppress(TypeError):
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -332,7 +341,7 @@ def sample_cosparse_signal(
     (e.g. a square invertible D with k = 0 would force x = 0, hence the
     precondition 1 <= k < p).
     """
-    if not 1 <= k < dictionary.p:
+    if not 1 <= (k := _integer("k", k)) < dictionary.p:
         raise ValueError(f"need 1 <= k < p, got k={k}, p={dictionary.p}")
     rng = np.random.default_rng(seed)
     p, n = dictionary.p, dictionary.n
@@ -362,7 +371,7 @@ def sample_cosparse_signal(
 def top_k_support(values: np.ndarray, k: int) -> SupportSet:
     """Indices of the k largest-magnitude entries; ties go to lower index."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    if not 0 <= k <= v.size:
+    if not 0 <= (k := _integer("k", k)) <= v.size:
         raise ValueError(f"k out of range: {k}")
     order = np.argsort(-np.abs(v), kind="stable")
     return SupportSet(tuple(int(i) for i in order[:k]), v.size)
@@ -373,7 +382,7 @@ def sigma_k(x: np.ndarray, dictionary: Dictionary, k: int) -> float:
 
     Zero exactly when the thresholded support of Dx fits in k entries;
     zero for every k >= p."""
-    if k < 0:
+    if (k := _integer("k", k)) < 0:
         raise ValueError(f"k must be >= 0, got {k}")
     dx = dictionary.entries @ np.asarray(x, dtype=np.float64)
     mags = np.sort(np.abs(dx))[::-1]

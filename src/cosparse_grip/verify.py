@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grip import BoundConstants, bound_constants, delta_exact, rho_exact
-from .model import Dictionary, SupportSet, _norm, _to_json, sensing_entries, sigma_k, top_k_support
+from .model import Dictionary, SupportSet, _integer, _norm, _to_json, sensing_entries, sigma_k, top_k_support
 
 __all__ = [
     "BoundReport",
@@ -118,7 +118,7 @@ def check_corollary1(
     sup_j, h_j = chunk_j
     if sup_i.p != dictionary.p or sup_j.p != dictionary.p:
         raise ValueError("chunk supports index the wrong number of rows")
-    if not 1 <= k <= dictionary.p:
+    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
     if sup_i.size > k or sup_j.size > k:
         raise ValueError(f"chunk supports must have size <= k = {k}")
@@ -274,7 +274,7 @@ def check_corollary2(
     """
     if head.p != dictionary.p:
         raise ValueError("head support indexes the wrong number of rows")
-    if not 1 <= k <= dictionary.p:
+    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
     if head.size > k:
         raise ValueError(f"head support must have size <= k = {k}")
@@ -335,7 +335,7 @@ def check_theorem1(
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != (dictionary.n,) or x_hat.shape != (dictionary.n,):
         raise ValueError(f"x and x_hat must have shape ({dictionary.n},)")
-    if not 1 <= k <= dictionary.p:
+    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
 
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)

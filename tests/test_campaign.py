@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import cosparse_grip as cg
 from cosparse_grip import campaign as cam
 from cosparse_grip.campaign import (
-    Budget,
     CampaignResult,
     CampaignTrialError,
     ConfigError,
@@ -95,7 +94,7 @@ def test_config_defaults_materialized():
     assert cfg.instances == 1
     assert cfg.rho_mode == "exact"
     assert cfg.m_grid is None
-    assert cfg.budget == Budget()
+    assert (cfg.max_supports, cfg.max_pairs, cfg.max_iters, cfg.mc_trials) == (3060, 60000, 200000, 200)
     assert cfg.output_path is None
     echo = cfg.to_json_dict()
     assert echo["dims"] == {"m": 9, "n": 10, "p": 10}
@@ -276,11 +275,11 @@ def test_config_p1p2_rejects_dantzig():
 
 
 def test_budget_validation_direct():
-    with pytest.raises(ConfigError):
-        Budget(max_supports=0)
-    with pytest.raises(ConfigError):
-        Budget(mc_trials=True)
-    assert Budget(max_iters=50).max_iters == 50
+    with pytest.raises(ConfigError, match=r"^budget\.max_supports must be a positive integer, got 0$"):
+        config_from(base_doc(budget={"max_supports": 0}))
+    with pytest.raises(ConfigError, match=r"^budget\.mc_trials must be a positive integer, got True$"):
+        config_from(base_doc(budget={"mc_trials": True}))
+    assert config_from(base_doc(budget={"max_iters": 50})).max_iters == 50
 
 
 def test_config_constructor_checks_types():
@@ -402,7 +401,7 @@ def test_config_document_round_trips(doc):
         assert set(echo[key]) == ACCEPTED_KEYS[key]
     assert set(cam._CONFIG_KEYS) == ACCEPTED_KEYS["config"]
     assert {key: set(sub) for key, sub in cam._NESTED.items()} == {
-        key: ACCEPTED_KEYS[key] for key in ("dims", "constraint")
+        key: ACCEPTED_KEYS[key] for key in ("dims", "constraint", "budget")
     }
 
 
@@ -766,6 +765,25 @@ def test_failed_trial_carries_completed_prefix(monkeypatch):
     assert partial.summary["trials"] == 2
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("failing", [0, 3, 6])
+def test_failed_trial_stops_the_campaign_at_any_worker_count(monkeypatch, failing, workers):
+    cfg = config_from(grip_doc(trials=7))
+    clean = run(cfg)
+    sabotage(monkeypatch, "grip", failing)
+    if workers == 1:  # a serial run starts no thread pool
+        monkeypatch.setattr(cam, "ThreadPoolExecutor", lambda **kw: pytest.fail("thread pool started"))
+    seed = trial_seed(cfg.seed, failing)
+    with pytest.raises(
+        CampaignTrialError, match=rf"^trial {failing} \(seed {seed}\) failed: synthetic fault$"
+    ) as exc_info:
+        run(cfg, workers=workers)
+    partial = exc_info.value.partial
+    assert [r["trial"] for r in partial.rows] == list(range(failing))
+    assert partial.rows == clean.rows[:failing]
+    assert partial.summary == cam._summarize(cfg, list(clean.rows[:failing]))
+
+
 @pytest.mark.parametrize("block, workers", [(1, 1), (7, 1), (7, 3), (100, 1), (1000, 1)])
 def test_verify_c2_rows_invariant_under_block_size(monkeypatch, block, workers):
     # a two-instance pool interleaves its instances within every block
@@ -880,6 +898,29 @@ def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, workers):
     partial = exc_info.value.partial
     assert partial.rows == clean.rows[:failing]
     assert partial.summary == cam._summarize(cfg, list(clean.rows[:failing]))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_block_that_fails_only_as_a_block_is_a_failure(monkeypatch, workers):
+    # the second block raises as a block, and each of its trials passes alone
+    cfg = config_from(base_doc(trials=2 * cam._BLOCK + 5))
+    clean = run(cfg)
+    entry = cam._TABLE["verify-c2"]
+
+    def broken_block(cfg, ctx, start, seeds):
+        if start >= cam._BLOCK and len(seeds) > 1:
+            raise RuntimeError("block fault")
+        return entry.block(cfg, ctx, start, seeds)
+
+    monkeypatch.setitem(cam._TABLE, "verify-c2", dataclasses.replace(entry, block=broken_block))
+    with pytest.raises(
+        CampaignTrialError, match=rf"^trials {cam._BLOCK} to {2 * cam._BLOCK - 1} failed as a block: block fault$"
+    ) as exc_info:
+        run(cfg, workers=workers)
+    assert str(exc_info.value.__cause__) == "block fault"
+    partial = exc_info.value.partial
+    assert partial.rows == clean.rows[: cam._BLOCK]
+    assert partial.summary == cam._summarize(cfg, list(clean.rows[: cam._BLOCK]))
 
 
 def test_lp_budget_refused_as_config_error():

@@ -182,6 +182,42 @@ def test_monte_carlo_trials_must_be_an_integer(trials):
         cg.delta_monte_carlo(phi, d, 2, trials, seed=11)
 
 
+def integer_arguments():
+    """(argument name, a call of the one argument, a valid value) for every
+    entry point that takes k or an enumeration budget."""
+    phi = cg.make_sensing_matrix("gaussian", 5, 8, 3)
+    d = cg.make_dictionary("tight-frame", 10, 8, 3)
+    x = np.linspace(-1.0, 1.0, 8)
+    head = cg.SupportSet((0,), 10)
+    chunks = [(cg.SupportSet((i,), 10), d.pinv()[:, i]) for i in (0, 1)]
+    known = dict(delta2k=0.1, rho=0.0)
+    return {
+        "delta_exact": ("k", lambda k: cg.delta_exact(phi, d, k), 1),
+        "delta_monte_carlo": ("k", lambda k: cg.delta_monte_carlo(phi, d, k, 5, seed=0), 1),
+        "rho_exact": ("k", lambda k: cg.rho_exact(d, k), 1),
+        "sample_cosparse_signal": ("k", lambda k: cg.sample_cosparse_signal(d, k, 0), 3),
+        "top_k_support": ("k", lambda k: cg.top_k_support(x, k), 1),
+        "sigma_k": ("k", lambda k: cg.sigma_k(x, d, k), 1),
+        "check_corollary1": ("k", lambda k: cg.check_corollary1(phi, d, k, *chunks, **known), 1),
+        "check_corollary2": ("k", lambda k: cg.check_corollary2(phi, d, k, x, head, **known), 1),
+        "check_theorem1": ("k", lambda k: cg.check_theorem1(phi, d, k, x, x, **known), 1),
+        "delta_exact max_supports": ("max_supports", lambda v: cg.delta_exact(phi, d, 1, max_supports=v), 10),
+        "rho_exact max_pairs": ("max_pairs", lambda v: cg.rho_exact(d, 1, max_pairs=v), 45),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(integer_arguments()))
+def test_k_and_budgets_must_be_integers(entry):
+    name, call, valid = integer_arguments()[entry]
+    for value in (True, False, np.True_, 1.0, 2.5, np.float64(1.0), "1", None):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            call(value)
+    call(valid)
+    got = call(np.int64(valid))  # numpy integers stay accepted, and reports hold a plain int
+    if hasattr(got, "to_json"):
+        got.to_json()
+
+
 def test_grip_report_serializes():
     phi = cg.make_sensing_matrix("gaussian", 4, 6, 0)
     d = cg.make_dictionary("identity", 6, 6, None)
