@@ -40,14 +40,13 @@ delta, its witness and eigen_range keep the bits of a per-support scan.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
 
-from .model import Dictionary, SupportSet, _integer, _random_subsets, _to_json, sensing_entries
+from .model import Dictionary, SupportSet, _integer, _order, _random_subsets, _sensing_for, _to_json
 
 __all__ = [
     "DEFAULT_MAX_SUPPORTS",
@@ -421,14 +420,6 @@ def _refuse_pairs(p: int, k: int, max_pairs: int) -> None:
         )
 
 
-def _check_delta_args(phi_e: np.ndarray, dictionary: Dictionary, k: int) -> int:
-    if phi_e.shape[1] != dictionary.n:
-        raise ValueError("sensing matrix and dictionary disagree on n")
-    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
-        raise ValueError(f"need 1 <= k <= p, got k={k}, p={dictionary.p}")
-    return k
-
-
 def delta_exact(
     phi,
     dictionary: Dictionary,
@@ -457,8 +448,8 @@ def delta_exact(
     Raises BudgetExceededError when C(p, k) > max_supports rather than
     silently degrading to sampling; callers choose the fallback.
     """
-    phi_e = sensing_entries(phi)
-    k = _check_delta_args(phi_e, dictionary, k)
+    phi_e = _sensing_for(phi, dictionary)
+    k = _order(k, dictionary.p)
     _refuse_supports(dictionary.p, k, _integer("max_supports", max_supports))
     return _scan_supports(None, phi_e, dictionary, k, "exact", 0)
 
@@ -479,16 +470,16 @@ def delta_monte_carlo(
     delta_exact's full-family scan, pruning included, and the estimate
     equals the exact constant.
     """
-    phi_e = sensing_entries(phi)
-    k = _check_delta_args(phi_e, dictionary, k)
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
-        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    phi_e = _sensing_for(phi, dictionary)
+    k = _order(k, dictionary.p)
+    if (trials := _integer("trials", trials)) < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     p = dictionary.p
     count = math.comb(p, k)
     if trials >= count:
         return _scan_supports(None, phi_e, dictionary, k, "monte-carlo", count)
     supports = np.sort(_random_subsets(np.random.default_rng(seed), trials, p, k), axis=1)
-    return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", int(trials))
+    return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", trials)
 
 
 def _disjoint_pairs(supports: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -524,8 +515,7 @@ def rho_exact(
     in [0, 1]. Requires 2k <= p so a disjoint pair exists. Ties report the
     colexicographically smallest pair: the first maximum over all pairs.
     """
-    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
-        raise ValueError(f"need 1 <= k <= p, got k={k}, p={dictionary.p}")
+    k = _order(k, dictionary.p)
     if 2 * k > dictionary.p:
         raise ValueError(f"disjoint pairs need 2k <= p, got k={k}, p={dictionary.p}")
     p = dictionary.p

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -76,11 +75,28 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _integer(name: str, value) -> int:
-    """value as an int; a bool (Python or numpy) or a non-integer is refused, as by SupportSet."""
-    with suppress(TypeError):
-        if not isinstance(value, (bool, np.bool_)):
+    """value as an int; a bool (Python or numpy) or a non-integer is refused."""
+    if type(value) is int or not isinstance(value, (bool, np.bool_)):  # plain ints skip the bool test
+        try:
             return operator.index(value)
+        except TypeError:
+            pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _order(k, p: int) -> int:
+    """k as an int, refused unless 1 <= k <= p (delta, rho, the checkers)."""
+    if not 1 <= (k := _integer("k", k)) <= p:
+        raise ValueError(f"need 1 <= k <= p, got k={k}, p={p}")
+    return k
+
+
+def _vector(name: str, value, n: int | None = None) -> np.ndarray:
+    """value as a float64 array of shape (n,), or any 1-d one when n is None."""
+    v = np.asarray(value, dtype=np.float64)
+    if v.ndim != 1 or n is not None and len(v) != n:
+        raise ValueError(f"{name} must have shape ({'n' if n is None else n},)")
+    return v
 
 
 @dataclass(frozen=True)
@@ -92,10 +108,8 @@ class SupportSet:
     p: int
 
     def __post_init__(self):
-        values = (*self.indices, self.p)
-        if any(isinstance(v, (bool, np.bool_)) for v in values):
-            raise TypeError(f"indices and p must be integers, got {values}")
-        *idx, p = (operator.index(v) for v in values)
+        idx = [_integer("index", i) for i in self.indices]
+        p = _integer("p", self.p)
         if p <= 0:
             raise ValueError(f"p must be positive, got {p}")
         if any(i < 0 or i >= p for i in idx):
@@ -131,6 +145,14 @@ def sensing_entries(phi) -> np.ndarray:
     a = np.asarray(phi, dtype=np.float64)
     _check_matrix(a, "phi")
     return a
+
+
+def _sensing_for(phi, dictionary: Dictionary) -> np.ndarray:
+    """sensing_entries(phi), refused unless Phi acts on the dictionary's R^n."""
+    entries = sensing_entries(phi)
+    if entries.shape[1] != dictionary.n:
+        raise ValueError("sensing matrix and dictionary disagree on n")
+    return entries
 
 
 @dataclass(frozen=True)
@@ -370,7 +392,7 @@ def sample_cosparse_signal(
 
 def top_k_support(values: np.ndarray, k: int) -> SupportSet:
     """Indices of the k largest-magnitude entries; ties go to lower index."""
-    v = np.asarray(values, dtype=np.float64).ravel()
+    v = _vector("values", values)
     if not 0 <= (k := _integer("k", k)) <= v.size:
         raise ValueError(f"k out of range: {k}")
     order = np.argsort(-np.abs(v), kind="stable")
@@ -384,7 +406,7 @@ def sigma_k(x: np.ndarray, dictionary: Dictionary, k: int) -> float:
     zero for every k >= p."""
     if (k := _integer("k", k)) < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    dx = dictionary.entries @ np.asarray(x, dtype=np.float64)
+    dx = dictionary.entries @ _vector("x", x, dictionary.n)
     mags = np.sort(np.abs(dx))[::-1]
     return float(np.sum(mags[k:]))
 

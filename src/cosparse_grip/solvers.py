@@ -49,13 +49,12 @@ SolverOptions sets only the iteration budget.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import Dictionary, _check_matrix, _norm, _to_json, sensing_entries
+from .model import Dictionary, _check_matrix, _integer, _norm, _sensing_for, _to_json, _vector, sensing_entries
 from .simplex import LpInfeasibleError, solve_standard_lp
 
 __all__ = [
@@ -118,9 +117,9 @@ class SolverOptions:
     max_iters: int = 200000
 
     def __post_init__(self):
-        v = self.max_iters
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {v!r}")
+        if (v := _integer("max_iters", self.max_iters)) < 1:
+            raise ValueError(f"max_iters must be >= 1, got {v}")
+        object.__setattr__(self, "max_iters", v)
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,7 @@ def _factor(d_block: np.ndarray, sensing: np.ndarray) -> _Factors:
 
 def _feasible_start(phi: np.ndarray, pinv: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
     """The least-squares point Phi^+ y; doubles as the feasibility
-    pre-check, since no point of range(Phi) is nearer to y. (dantzig is
-    always feasible: the least-squares point zeroes Phi^T(Phi z - y).)"""
+    pre-check, since no point of range(Phi) is nearer to y."""
     z0 = pinv @ constraint.y
     miss = _constraint_violation(phi, z0, constraint)
     if miss > _FEAS_TOL * max(1.0, _norm(constraint.y)):
@@ -508,8 +506,7 @@ def _solve_first_order(
             "the first-order path handles equality and l2-ball; "
             "use the LP route for dantzig"
         )
-    if constraint.y.shape != (sensing.shape[0],):
-        raise ValueError(f"y must have shape ({sensing.shape[0]},)")
+    _vector("y", constraint.y, sensing.shape[0])
     return _pdhg(d_block, sensing, constraint, opts, _factor(d_block, sensing))
 
 
@@ -526,9 +523,7 @@ def solve_analysis_l1(
     (solve_lp_certified). Both kinds come back with a checked
     certificate: certified and certification_gap (see RecoveryResult).
     """
-    phi_e = sensing_entries(phi)
-    if phi_e.shape[1] != dictionary.n:
-        raise ValueError("sensing matrix and dictionary disagree on n")
+    phi_e = _sensing_for(phi, dictionary)
     return _solve_first_order(dictionary.entries, phi_e, constraint, options or SolverOptions())
 
 
@@ -641,11 +636,8 @@ def solve_lp_certified(
     dantzig), and checked against the same fixed tolerances as the
     first-order path.
     """
-    phi_e = sensing_entries(phi)
-    if phi_e.shape[1] != dictionary.n:
-        raise ValueError("sensing matrix and dictionary disagree on n")
-    if constraint.y.shape != (phi_e.shape[0],):
-        raise ValueError(f"y must have shape ({phi_e.shape[0]},)")
+    phi_e = _sensing_for(phi, dictionary)
+    _vector("y", constraint.y, phi_e.shape[0])
     d_block = dictionary.entries
     c, a, b = _build_lp(d_block, phi_e, constraint)
     try:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grip import BoundConstants, bound_constants, delta_exact, rho_exact
-from .model import Dictionary, SupportSet, _integer, _norm, _to_json, sensing_entries, sigma_k, top_k_support
+from .model import Dictionary, SupportSet, _norm, _order, _sensing_for, _to_json, _vector, sigma_k, top_k_support
 
 __all__ = [
     "BoundReport",
@@ -118,18 +118,16 @@ def check_corollary1(
     sup_j, h_j = chunk_j
     if sup_i.p != dictionary.p or sup_j.p != dictionary.p:
         raise ValueError("chunk supports index the wrong number of rows")
-    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
-        raise ValueError(f"need 1 <= k <= p, got k={k}")
+    k = _order(k, dictionary.p)
     if sup_i.size > k or sup_j.size > k:
         raise ValueError(f"chunk supports must have size <= k = {k}")
     if not sup_i.disjoint_from(sup_j):
         raise ValueError(f"chunk supports overlap: {sup_i.indices} vs {sup_j.indices}")
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-
+    h_i = _vector("h_i", h_i, dictionary.n)
+    h_j = _vector("h_j", h_j, dictionary.n)
+    f = _sensing_for(phi, dictionary)
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
     d = dictionary.entries
-    f = sensing_entries(phi)
     lhs = abs(float((f @ h_i) @ (f @ h_j)))
     norm_i = _norm(d @ h_i)
     norm_j = _norm(d @ h_j)
@@ -221,6 +219,7 @@ def _corollary2_stack(
     per report field ("lhs", "rhs", "slack", "hypothesis_ok") and witness
     array ("next_block", "tail_l1", "inner_term", "degenerate"). Raises if
     any h is zero; every row has the bits of its own check."""
+    f = _sensing_for(phi, dictionary)
     h = np.ascontiguousarray(h, dtype=np.float64)
     h_norm = np.sqrt(_dots(h, h))
     if np.any(h_norm <= _ZERO_TOL):
@@ -231,7 +230,7 @@ def _corollary2_stack(
 
     pinv = dictionary.pinv()
     u = _gemvs(dictionary.entries, h)
-    next_blocks, lhs, inner, degenerate = _masked_term(sensing_entries(phi), pinv, u, h, heads, k)
+    next_blocks, lhs, inner, degenerate = _masked_term(f, pinv, u, h, heads, k)
     # the head-complement l1 tail as a left fold in column order, the head
     # adding 0.0: the bits of the 1-D builtin sum over the complement
     mags = np.abs(u)
@@ -274,13 +273,12 @@ def check_corollary2(
     """
     if head.p != dictionary.p:
         raise ValueError("head support indexes the wrong number of rows")
-    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
-        raise ValueError(f"need 1 <= k <= p, got k={k}")
+    k = _order(k, dictionary.p)
     if head.size > k:
         raise ValueError(f"head support must have size <= k = {k}")
     heads = np.array([head.indices], dtype=np.intp)
     constants, cols = _corollary2_stack(
-        phi, dictionary, k, np.asarray(h, dtype=np.float64)[None, :], heads, delta2k, rho
+        phi, dictionary, k, _vector("h", h, dictionary.n)[None, :], heads, delta2k, rho
     )
     row = {key: col[0].tolist() for key, col in cols.items()}
     witness = {
@@ -331,12 +329,10 @@ def check_theorem1(
     largest |D x| (_masked_term serves both checkers). x_hat == x is
     reported as trivially satisfied (lhs = 0, inner term 0).
     """
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x.shape != (dictionary.n,) or x_hat.shape != (dictionary.n,):
-        raise ValueError(f"x and x_hat must have shape ({dictionary.n},)")
-    if not 1 <= (k := _integer("k", k)) <= dictionary.p:
-        raise ValueError(f"need 1 <= k <= p, got k={k}")
+    x = _vector("x", x, dictionary.n)
+    x_hat = _vector("x_hat", x_hat, dictionary.n)
+    k = _order(k, dictionary.p)
+    f = _sensing_for(phi, dictionary)
 
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
     constants = bound_constants(delta2k, rho)
@@ -347,7 +343,6 @@ def check_theorem1(
         )
 
     d = dictionary.entries
-    f = sensing_entries(phi)
     dx = d @ x
     l1_x = float(np.sum(np.abs(dx)))
     l1_hat = float(np.sum(np.abs(d @ x_hat)))

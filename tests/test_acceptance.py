@@ -294,7 +294,8 @@ def test_acceptance_10_byte_reproducibility(tmp_path):
     config.write_text(
         '{"experiment": "verify-c2", "dims": {"m": 9, "n": 10, "p": 10}, "k": 1,'
         ' "dictionary_kind": "identity", "matrix_kind": "gaussian",'
-        ' "trials": 6, "seed": 20}'
+        ' "trials": 6, "seed": 20}',
+        encoding="utf-8",
     )
     # the subprocess runs in tmp_path, so a relative PYTHONPATH would not
     # resolve there: put the package's own source root first
@@ -306,7 +307,7 @@ def test_acceptance_10_byte_reproducibility(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "cosparse_grip.cli", "verify-c2",
              "--config", str(config), "--out", str(tmp_path / name)],
-            capture_output=True, text=True, cwd=str(tmp_path), env=env,
+            capture_output=True, encoding="utf-8", cwd=str(tmp_path), env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append((tmp_path / name / "results.csv").read_bytes())

@@ -964,14 +964,14 @@ def test_emit_csv_exact_bytes(tmp_path):
         wall_time=1.0,
     )
     paths = write_outputs(result, tmp_path)
-    assert paths["csv"].read_text() == (
+    assert paths["csv"].read_text(encoding="utf-8") == (
         "trial,seed,x,flag,note\n"
         "0,5,0.10000000000000001,true,ok\n"
         "# summary:\n"
         "# trials=1\n"
         "# x_mean=0.10000000000000001\n"
     )
-    assert paths["jsonl"].read_text() == '{"trial": 0, "seed": 5, "x": 0.1, "flag": true, "note": "ok"}\n'
+    assert paths["jsonl"].read_text(encoding="utf-8") == '{"trial": 0, "seed": 5, "x": 0.1, "flag": true, "note": "ok"}\n'
 
 
 def test_outputs_are_byte_deterministic(tmp_path):
@@ -985,11 +985,11 @@ def test_outputs_are_byte_deterministic(tmp_path):
 def test_written_artifacts_agree(tmp_path):
     result = run(config_from(base_doc(trials=3)))
     paths = write_outputs(result, tmp_path)
-    lines = paths["jsonl"].read_text().splitlines()
+    lines = paths["jsonl"].read_text(encoding="utf-8").splitlines()
     assert [json.loads(ln) for ln in lines] == [dict(r) for r in result.rows]
-    echo = json.loads(paths["config"].read_text())
+    echo = json.loads(paths["config"].read_text(encoding="utf-8"))
     assert echo == result.config.to_json_dict()
-    csv_lines = paths["csv"].read_text().splitlines()
+    csv_lines = paths["csv"].read_text(encoding="utf-8").splitlines()
     assert csv_lines[0] == ",".join(EXPECTED_COLUMNS["verify-c2"])
     assert len([ln for ln in csv_lines if not ln.startswith("#")]) == 4
     assert "# summary:" in csv_lines
@@ -1149,5 +1149,5 @@ def test_a_refused_chunk_leaves_the_earlier_chunks_written(tmp_path):
     result = CampaignResult(config=config_from(base_doc()), rows=rows, summary={}, wall_time=0.0)
     with pytest.raises(ValueError, match=r"^column 'x' holds float, int"):
         write_outputs(result, tmp_path)
-    assert (tmp_path / "results.csv").read_text() == "x,t\n" + "1,a\n" * cam._CHUNK
-    assert (tmp_path / "results.jsonl").read_text() == '{"x": 1, "t": "a"}\n' * cam._CHUNK
+    assert (tmp_path / "results.csv").read_text(encoding="utf-8") == "x,t\n" + "1,a\n" * cam._CHUNK
+    assert (tmp_path / "results.jsonl").read_text(encoding="utf-8") == '{"x": 1, "t": "a"}\n' * cam._CHUNK

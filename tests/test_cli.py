@@ -11,7 +11,7 @@ from test_campaign import base_doc, config_from, sabotage, small_doc, write_matc
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -27,7 +27,7 @@ def test_cli_success_run(tmp_path, capsys):
     assert len(wall) == 1 and float(wall[0].split("=")[1]) >= 0.0
     for name in ("results.csv", "results.jsonl", "config_echo.json"):
         assert (out_dir / name).exists()
-    assert "wall_time" not in (out_dir / "results.csv").read_text()
+    assert "wall_time" not in (out_dir / "results.csv").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("experiment", ["verify-c1", "verify-c2", "verify-t1"])
@@ -36,11 +36,11 @@ def test_cli_names_the_worst_trial(tmp_path, capsys, experiment):
     out_dir = tmp_path / "out"
     assert cli.main([experiment, "--config", cfg_path, "--out", str(out_dir)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    rows = [json.loads(line) for line in (out_dir / "results.jsonl").read_text().splitlines()]
+    rows = [json.loads(line) for line in (out_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()]
     worst = min(rows, key=lambda row: row["slack"])
     assert lines[-1] == f"worst trial: index {worst['trial']}, seed {worst['seed']}, slack {worst['slack']!r}"
     assert lines[-2].startswith("wall_time = ")
-    assert "worst" not in (out_dir / "results.csv").read_text()
+    assert "worst" not in (out_dir / "results.csv").read_text(encoding="utf-8")
 
 
 def test_cli_worst_trial_is_the_first_of_tied_rows(tmp_path, monkeypatch, capsys):
@@ -75,7 +75,7 @@ def test_cli_seed_override_recorded(tmp_path):
     out_dir = tmp_path / "out"
     code = cli.main(["grip", "--config", cfg_path, "--seed", "77", "--out", str(out_dir)])
     assert code == 0
-    echo = json.loads((out_dir / "config_echo.json").read_text())
+    echo = json.loads((out_dir / "config_echo.json").read_text(encoding="utf-8"))
     assert echo["seed"] == 77
 
 
@@ -109,7 +109,7 @@ def test_cli_out_on_an_existing_file_exits_2_before_running(tmp_path, capsys, mo
         raise AssertionError("the campaign ran")
 
     taken = tmp_path / "taken"
-    taken.write_text("keep\n")
+    taken.write_text("keep\n", encoding="utf-8")
     target = taken / "sub" if where == "ancestor" else taken
     doc = base_doc(output_path=str(target)) if where == "output_path" else base_doc()
     argv = ["verify-c2", "--config", write_config(tmp_path, doc)]
@@ -119,7 +119,7 @@ def test_cli_out_on_an_existing_file_exits_2_before_running(tmp_path, capsys, mo
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: output directory {target}: {taken} is not a directory\n"
-    assert taken.read_text() == "keep\n"
+    assert taken.read_text(encoding="utf-8") == "keep\n"
 
 
 def test_cli_pool_diagnostics_exit_2(tmp_path, capsys):
@@ -187,7 +187,7 @@ def test_cli_names_first_unconverged_trial_of_every_solving_experiment(tmp_path,
     assert cli.main([experiment, "--config", cfg_path, "--out", str(out_dir)]) == 4
     err = capsys.readouterr().err
     assert f"first unconverged trial: index 0, seed {trial_seed(doc['seed'], 0)}" in err
-    header = (out_dir / "results.csv").read_text().splitlines()[0]
+    header = (out_dir / "results.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header.endswith(",converged")
 
 
@@ -198,7 +198,7 @@ def test_cli_crashed_trial_exits_1_with_partial_flush(tmp_path, capsys, monkeypa
     code = cli.main(["grip", "--config", cfg_path, "--out", str(out_dir)])
     assert code == 1
     assert "partial results" in capsys.readouterr().err
-    assert (out_dir / "results.csv").read_text().startswith("# summary:")
+    assert (out_dir / "results.csv").read_text(encoding="utf-8").startswith("# summary:")
 
 
 def test_cli_lp_over_budget_exits_2(tmp_path, capsys):
@@ -297,6 +297,6 @@ def test_cli_matched_files_end_to_end(tmp_path, capsys):
     out_dir = tmp_path / "out"
     code = cli.main(["verify-t1", "--config", cfg_path, "--out", str(out_dir)])
     assert code == 0
-    header = (out_dir / "results.csv").read_text().splitlines()[0]
+    header = (out_dir / "results.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "trial,seed,lhs,rhs,slack,hypothesis_ok,delta2k,rho,c0,c1,converged"
     capsys.readouterr()

@@ -32,7 +32,7 @@ def test_import_loads_no_third_party_module_but_numpy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, encoding="utf-8", timeout=120,
     )
     assert done.returncode == 0, done.stderr
     report = json.loads(done.stdout)

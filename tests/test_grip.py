@@ -178,13 +178,14 @@ def test_monte_carlo_deterministic_in_seed():
 def test_monte_carlo_trials_must_be_an_integer(trials):
     phi = cg.make_sensing_matrix("gaussian", 5, 8, 3)
     d = cg.make_dictionary("tight-frame", 10, 8, 3)
-    with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+    with pytest.raises(ValueError, match=r"^trials must be (an integer|>= 1), got "):
         cg.delta_monte_carlo(phi, d, 2, trials, seed=11)
 
 
 def integer_arguments():
     """(argument name, a call of the one argument, a valid value) for every
-    entry point that takes k or an enumeration budget."""
+    integer argument: k, the enumeration budgets, the Monte-Carlo trials,
+    SolverOptions.max_iters and SupportSet's indices and p."""
     phi = cg.make_sensing_matrix("gaussian", 5, 8, 3)
     d = cg.make_dictionary("tight-frame", 10, 8, 3)
     x = np.linspace(-1.0, 1.0, 8)
@@ -203,6 +204,10 @@ def integer_arguments():
         "check_theorem1": ("k", lambda k: cg.check_theorem1(phi, d, k, x, x, **known), 1),
         "delta_exact max_supports": ("max_supports", lambda v: cg.delta_exact(phi, d, 1, max_supports=v), 10),
         "rho_exact max_pairs": ("max_pairs", lambda v: cg.rho_exact(d, 1, max_pairs=v), 45),
+        "delta_monte_carlo trials": ("trials", lambda v: cg.delta_monte_carlo(phi, d, 1, v, seed=0), 5),
+        "SolverOptions max_iters": ("max_iters", lambda v: cg.SolverOptions(max_iters=v), 5),
+        "SupportSet index": ("index", lambda v: cg.SupportSet((v,), 10), 1),
+        "SupportSet p": ("p", lambda v: cg.SupportSet((0,), v), 10),
     }
 
 
@@ -213,9 +218,9 @@ def test_k_and_budgets_must_be_integers(entry):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
             call(value)
     call(valid)
-    got = call(np.int64(valid))  # numpy integers stay accepted, and reports hold a plain int
-    if hasattr(got, "to_json"):
-        got.to_json()
+    got = call(np.int64(valid))  # numpy integers stay accepted, and results hold a plain int
+    if dataclasses.is_dataclass(got):
+        json.dumps(dataclasses.asdict(got))
 
 
 def test_grip_report_serializes():

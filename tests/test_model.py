@@ -48,7 +48,7 @@ def test_support_set_normalizes_and_validates():
     ],
 )
 def test_support_set_refuses_non_integers(indices, p):
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=r"^(index|p) must be an integer, got "):
         cg.SupportSet(indices, p)
 
 
@@ -267,7 +267,7 @@ def test_matrix_csv_round_trip(tmp_path):
     d = cg.make_dictionary("gaussian-random", 7, 5, 11)
     path = tmp_path / "d.csv"
     cg.save_matrix_csv(path, d)
-    header = path.read_text().splitlines()[0]
+    header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "# rows=7 cols=5 kind=gaussian-random"
     loaded = cg.load_dictionary_csv(path)
     assert loaded.kind == "gaussian-random"

@@ -140,7 +140,7 @@ def test_corollary1_rejects_bad_chunks(frame_instance):
 def test_corollary1_refuses_k_outside_one_to_p(frame_instance):
     phi, d = frame_instance
     empty = (cg.SupportSet((), p=d.p), np.zeros(d.n))
-    with pytest.raises(ValueError, match=r"^need 1 <= k <= p, got k=0$"):
+    with pytest.raises(ValueError, match=r"^need 1 <= k <= p, got k=0, p=14$"):
         cg.check_corollary1(phi, d, 0, empty, empty, delta2k=0.1, rho=0.0)
 
 
@@ -203,7 +203,7 @@ def test_corollary2_rejects_degenerate_inputs(frame_instance):
 def test_corollary2_refuses_k_outside_one_to_p(frame_instance, k):
     # k = 0 used to end in ZeroDivisionError, and k > p in a report
     phi, d = frame_instance
-    with pytest.raises(ValueError, match=rf"^need 1 <= k <= p, got k={k}$"):
+    with pytest.raises(ValueError, match=rf"^need 1 <= k <= p, got k={k}, p=14$"):
         cg.check_corollary2(phi, d, k, np.ones(d.n), cg.SupportSet((), p=d.p), delta2k=0.1, rho=0.0)
 
 
@@ -459,3 +459,74 @@ def test_report_serialization_roundtrip():
     assert doc["slack"] == pytest.approx(doc["rhs"] - doc["lhs"])
     assert set(doc["witness"]) >= {"k", "head", "delta2k", "rho"}
     assert doc["constants_used"]["admissible"] in (True, False)
+
+
+# ---------------------------------------------------------------------------
+# argument rules shared by every entry point
+
+KNOWN = dict(delta2k=0.1, rho=0.0)
+
+
+def _chunks(d, h_i, h_j):
+    return (cg.SupportSet((0,), d.p), h_i), (cg.SupportSet((1,), d.p), h_j)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("x", lambda phi, d, v: cg.sigma_k(v[:, None], d, 3)),
+        ("values", lambda phi, d, v: cg.top_k_support(np.arange(9.0).reshape(3, 3), 2)),
+        ("h_i", lambda phi, d, v: cg.check_corollary1(phi, d, 1, *_chunks(d, v[:-1], v), **KNOWN)),
+        ("h_j", lambda phi, d, v: cg.check_corollary1(phi, d, 1, *_chunks(d, v, v[None, :]), **KNOWN)),
+        ("h", lambda phi, d, v: cg.check_corollary2(phi, d, 1, v[:-1], cg.SupportSet((0,), d.p), **KNOWN)),
+        ("h", lambda phi, d, v: cg.check_corollary2(phi, d, 1, v[:, None], cg.SupportSet((0,), d.p), **KNOWN)),
+        ("x", lambda phi, d, v: cg.check_theorem1(phi, d, 1, np.append(v, 0.0), v, **KNOWN)),
+        ("x_hat", lambda phi, d, v: cg.check_theorem1(phi, d, 1, v, v[None, :], **KNOWN)),
+    ],
+    ids=[
+        "sigma_k column", "top_k_support matrix", "corollary1 short h_i", "corollary1 row h_j",
+        "corollary2 short h", "corollary2 column h", "theorem1 long x", "theorem1 row x_hat",
+    ],
+)
+def test_vector_arguments_must_have_shape_n(frame_instance, name, call):
+    # sigma_k of a column used to give a wrong tail, top_k_support raveled
+    # a matrix into a support of p = 9, and the checkers failed in numpy
+    phi, d = frame_instance
+    shape = "n" if name == "values" else str(d.n)
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \({shape},\)$"):
+        call(phi, d, np.linspace(-1.0, 1.0, d.n))
+
+
+MISMATCHED = {
+    "delta_exact": lambda phi, d, known: cg.delta_exact(phi, d, 2),
+    "delta_monte_carlo": lambda phi, d, known: cg.delta_monte_carlo(phi, d, 2, 5, seed=0),
+    "solve_analysis_l1": lambda phi, d, known: cg.solve_analysis_l1(
+        phi, d, cg.ConstraintSpec("equality", np.ones(phi.m))
+    ),
+    "solve_lp_certified": lambda phi, d, known: cg.solve_lp_certified(
+        phi, d, cg.ConstraintSpec("equality", np.ones(phi.m))
+    ),
+    "check_corollary1": lambda phi, d, known: cg.check_corollary1(
+        phi, d, 1, *_chunks(d, d.pinv()[:, 0], d.pinv()[:, 1]), **known
+    ),
+    "check_corollary2": lambda phi, d, known: cg.check_corollary2(
+        phi, d, 1, np.ones(d.n), cg.SupportSet((0,), d.p), **known
+    ),
+    "check_theorem1": lambda phi, d, known: cg.check_theorem1(
+        phi, d, 1, np.ones(d.n), np.ones(d.n), **known
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, known",
+    [(entry, {}) for entry in MISMATCHED]
+    + [(entry, KNOWN) for entry in MISMATCHED if entry.startswith("check_")],
+    ids=[*MISMATCHED, *(f"{entry} supplied" for entry in MISMATCHED if entry.startswith("check_"))],
+)
+def test_sensing_matrix_of_the_wrong_width_is_refused(frame_instance, entry, known):
+    # with delta and rho supplied the checkers used to fail inside numpy
+    _, d = frame_instance
+    phi = cg.make_sensing_matrix("gaussian", 6, d.n + 1, 42)
+    with pytest.raises(ValueError, match=r"^sensing matrix and dictionary disagree on n$"):
+        MISMATCHED[entry](phi, d, known)
