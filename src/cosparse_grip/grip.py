@@ -35,6 +35,13 @@ spans more than one chunk, a cached greedy cover of the colex k-sets by
 descending order of bound until no bound can reach the largest upper side
 found. Other scans bound no row, so every row is evaluated. Either way
 delta, its witness and eigen_range keep the bits of a per-support scan.
+
+rho_k has its own bounded scan over disjoint pairs: sigma_max(Q_i^T Q_j)
+is at most ||Q_i^T Q_j||_F (Bjorck & Golub, Math. Comp. 1973), and every
+pair's Frobenius norm comes from one Gram of the stacked bases. The pair
+with the largest bound sets an incumbent, and only the pairs whose bound
+can reach it are decomposed, so rho and its witness keep the bits of a
+per-pair scan.
 """
 
 from __future__ import annotations
@@ -67,7 +74,7 @@ DEFAULT_MAX_PAIRS = 60000     # disjoint-pair budget for rho_exact
 _TRIVIAL_TOL = 1e-10   # relative sv cutoff for chunk-subspace bases
 _CHUNK = 256           # supports per stacked linalg call; rho_exact takes 4x as many pairs
 _PRUNE_FLOOR = 1e-6    # min sv ratio of a superset block whose bound may prune
-_PRUNE_MARGIN = 1e-9   # pruning slack, relative to trace(A^T A)
+_PRUNE_MARGIN = 1e-9   # pruning slack: relative to trace(A^T A) for delta, absolute for rho
 
 
 class BudgetExceededError(RuntimeError):
@@ -482,21 +489,62 @@ def delta_monte_carlo(
     return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", trials)
 
 
-def _disjoint_pairs(supports: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) of the disjoint pairs i < j among the rows of a
-    (S, k) support array, i ascending and then j ascending. Overlaps come
-    from a 0/1 membership product, _CHUNK rows at a time, so memory stays
-    O(_CHUNK * S) however many pairs overlap."""
-    member = np.zeros((len(supports), p), dtype=np.float32)
+def _pair_bounds(
+    supports: np.ndarray, bases: np.ndarray, rank: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The disjoint pairs i < j among the rows of a (S, k) support array,
+    as index arrays (first, second), i ascending and then j ascending,
+    with a bound on each pair's cosine: ||Q_i^T Q_j||_F >= sigma_max
+    (Bjorck & Golub, Math. Comp. 1973), -inf where a side has rank 0.
+
+    bases is the (S, p, k) stack of the supports' bases and rank their
+    ranks. The mask and the bound come from the same rows of an S x S
+    block, _CHUNK // k supports at a time: overlaps from a 0/1 membership
+    product, and ||Q_i^T Q_j||_F^2 as the k^2 strided sums of the squared
+    Gram of the bases side by side, their columns past each rank zeroed.
+    The Gram is taken only against the supports disjoint from some row, so
+    it has at most _CHUNK rows and S * k columns, however many pairs
+    overlap."""
+    s, p, k = bases.shape
+    flat = np.where(np.arange(k) < rank[:, None, None], bases, 0.0).transpose(1, 0, 2)
+    flat = np.ascontiguousarray(flat)  # (p, S, k): column a of basis i is flat[:, i, a]
+    member = np.zeros((s, p), dtype=np.float32)
     np.put_along_axis(member, supports, 1.0, axis=1)
-    firsts, seconds = [], []
-    for start in range(0, len(supports), _CHUNK):
-        i, j = np.nonzero(member[start : start + _CHUNK] @ member.T == 0)
-        i += start
-        keep = j > i
-        firsts.append(i[keep])
-        seconds.append(j[keep])
-    return np.concatenate(firsts), np.concatenate(seconds)
+    firsts, seconds, squares = [], [], []
+    step = max(_CHUNK // k, 1)
+    for start in range(0, s, step):
+        stop = min(start + step, s)
+        rows = np.arange(start, stop)
+        free = (member[start:stop] @ member.T == 0) & (np.arange(s) > rows[:, None])
+        cols = np.flatnonzero(free.any(axis=0))
+        gram = flat[:, start:stop].reshape(p, -1).T @ flat[:, cols].reshape(p, -1)
+        gram *= gram
+        frob = sum(gram[a::k, b::k] for a in range(k) for b in range(k))
+        i, j = np.nonzero(free[:, cols])
+        firsts.append(rows[i])
+        seconds.append(cols[j])
+        squares.append(frob[i, j])
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    bound = np.sqrt(np.concatenate(squares))
+    bound[(rank[first] == 0) | (rank[second] == 0)] = -math.inf
+    return first, second, bound
+
+
+def _cosines(
+    bases: np.ndarray, rank: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """sigma_max of Q_i^T Q_j for each pair (first[t], second[t]), both
+    bases of rank > 0: one stacked svd per (rank_i, rank_j), a single one
+    unless some basis is rank deficient."""
+    k = bases.shape[2]
+    cos = np.empty(len(first))
+    key = rank[first] * (k + 1) + rank[second]
+    for kv in np.unique(key):
+        ri, rj = divmod(int(kv), k + 1)
+        sel = key == kv
+        cross = _mT(bases[first[sel], :, :ri]) @ bases[second[sel], :, :rj]
+        cos[sel] = np.linalg.svd(cross, compute_uv=False)[:, 0]
+    return cos
 
 
 def rho_exact(
@@ -514,6 +562,18 @@ def rho_exact(
     cosine of the smallest principal angle. Zero for orthogonal D; always
     in [0, 1]. Requires 2k <= p so a disjoint pair exists. Ties report the
     colexicographically smallest pair: the first maximum over all pairs.
+
+    Pairs with a rank-0 basis (a trivial subspace) are skipped. Every
+    other pair is bounded by ||Q_i^T Q_j||_F >= sigma_max, all bounds
+    coming from one Gram of the stacked bases. The pair with the largest
+    bound is evaluated first, and its cosine is the incumbent. Then every
+    pair whose bound plus _PRUNE_MARGIN (an absolute margin, as no cosine
+    exceeds 1) reaches the incumbent is evaluated, in pair order, 4 *
+    _CHUNK pairs per stacked call, and the first maximum among them is the
+    witness. A skipped pair's cosine is below the incumbent, so it can
+    neither attain nor tie rho: value and witness equal those of
+    evaluating every pair, and an evaluated cosine has the bits of its own
+    svd whatever else shares the call.
     """
     k = _order(k, dictionary.p)
     if 2 * k > dictionary.p:
@@ -524,44 +584,46 @@ def rho_exact(
     supports = _colex_supports(p, k)
     proj = dictionary.entries @ dictionary.pinv()
     bases, rank = _orth_stack(_gather(proj, supports))
-    first, second = _disjoint_pairs(supports, p)
-
-    top = np.full(len(first), -math.inf)
-    for start in range(0, len(first), 4 * _CHUNK):
-        i = first[start : start + 4 * _CHUNK]
-        j = second[start : start + 4 * _CHUNK]
-        chunk = top[start : start + 4 * _CHUNK]
-        # one stacked svd per (rank_i, rank_j), a single one unless some
-        # basis is rank deficient; pairs with a trivial subspace stay out
-        key = rank[i] * (k + 1) + rank[j]
-        for kv in np.unique(key[(rank[i] > 0) & (rank[j] > 0)]):
-            ri, rj = divmod(int(kv), k + 1)
-            sel = key == kv
-            cross = _mT(bases[i[sel], :, :ri]) @ bases[j[sel], :, :rj]
-            chunk[sel] = np.linalg.svd(cross, compute_uv=False)[:, 0]
-    t = int(np.argmax(top))  # first attaining pair
-    if top[t] == -math.inf:
+    first, second, bound = _pair_bounds(supports, bases, rank)
+    top = int(np.argmax(bound))
+    if bound[top] == -math.inf:
         raise ValueError("no admissible disjoint pair (all chunk subspaces trivial)")
+    incumbent = _cosines(bases, rank, first[top : top + 1], second[top : top + 1])[0]
+    keep = np.flatnonzero(bound + _PRUNE_MARGIN >= incumbent)
+    cos = np.concatenate([
+        _cosines(bases, rank, first[block], second[block])
+        for block in np.split(keep, range(4 * _CHUNK, len(keep), 4 * _CHUNK))
+    ])
+    best = int(np.argmax(cos))  # first attaining pair
+    t = keep[best]
     return RhoEstimate(
         k=k,
-        rho=min(max(float(top[t]), 0.0), 1.0),  # clip cosine roundoff
+        rho=min(max(float(cos[best]), 0.0), 1.0),  # clip cosine roundoff
         method="exact",
         witness=(SupportSet(supports[first[t]], p), SupportSet(supports[second[t]], p)),
     )
 
 
+def _constants_in_range(delta2k: float, rho: float) -> None:
+    """The refusals of a (delta2k, rho) pair shared by bound_constants and
+    the checkers: delta2k >= 0 and rho in [0, 1], NaN refused."""
+    if not delta2k >= 0.0:
+        raise ValueError(f"delta2k must be >= 0, got {delta2k}")
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+
+
 def bound_constants(delta2k: float, rho: float = 0.0) -> BoundConstants:
     """Recovery-bound constants at a given (delta2k, rho).
 
-    Requires 0 <= delta2k < 1 and rho >= 0 (the bounds are hypotheses,
-    not outputs). Evaluation runs in numpy longdouble: the proof-form and
-    printed-form expressions for c0 agree exactly there after the cast,
-    while float64 evaluation splits them by up to ~3e-12.
+    Requires 0 <= delta2k < 1 and 0 <= rho <= 1 (the bounds are
+    hypotheses, not outputs). Evaluation runs in numpy longdouble: the
+    proof-form and printed-form expressions for c0 agree exactly there
+    after the cast, while float64 evaluation splits them by up to ~3e-12.
     """
-    if not 0.0 <= delta2k < 1.0:
+    _constants_in_range(delta2k, rho)
+    if not delta2k < 1.0:
         raise ValueError(f"delta2k must lie in [0, 1), got {delta2k}: the constants are undefined")
-    if not rho >= 0.0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
     one = np.longdouble(1)
     two = np.longdouble(2)
     sqrt2 = np.sqrt(two)

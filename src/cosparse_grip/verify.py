@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grip import BoundConstants, bound_constants, delta_exact, rho_exact
+from .grip import BoundConstants, _constants_in_range, bound_constants, delta_exact, rho_exact
 from .model import Dictionary, SupportSet, _norm, _order, _sensing_for, _to_json, _vector, sigma_k, top_k_support
 
 __all__ = [
@@ -87,10 +87,7 @@ def _resolve_constants(
         delta2k = delta_exact(phi, dictionary, 2 * k).delta
     if rho is None:
         rho = rho_exact(dictionary, k).rho
-    if not delta2k >= 0.0:
-        raise ValueError(f"delta2k must be >= 0, got {delta2k}")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    _constants_in_range(delta2k, rho)
     return float(delta2k), float(rho)
 
 

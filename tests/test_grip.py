@@ -408,8 +408,73 @@ def test_disjoint_pair_count_closed_form():
             assert math.comb(p, k) * math.comb(p - k, k) // 2 == len(brute)
             with pytest.raises(cg.BudgetExceededError, match=f"^{len(brute)} disjoint pairs"):
                 cg.rho_exact(d, k, max_pairs=len(brute) - 1)
-            first, second = grip._disjoint_pairs(np.array(supports), p)
+            sets = np.array(supports)
+            bases, rank = grip._orth_stack(grip._gather(np.eye(p), sets))
+            first, second, _ = grip._pair_bounds(sets, bases, rank)
             assert list(zip(first.tolist(), second.tolist())) == brute
+
+
+def enumerate_frames():
+    """The four 18x12 tight frames of the `enumerate` benchmark: the pool
+    of a verify-c1 campaign at seed 11."""
+    return [
+        cg.make_dictionary("tight-frame", 18, 12, cg.trial_seed(cg.trial_seed(11, 2**40 + i), 0))
+        for i in range(4)
+    ]
+
+
+def _count_cosines(monkeypatch):
+    seen = []
+    cosines = grip._cosines
+
+    def counted(bases, rank, first, second):
+        seen.append(len(first))
+        return cosines(bases, rank, first, second)
+
+    monkeypatch.setattr(grip, "_cosines", counted)
+    return seen
+
+
+def test_pruned_rho_equals_reference_loop_on_enumerate_frames():
+    # 9180 disjoint pairs each, several pair chunks of 4 * _CHUNK
+    assert math.comb(18, 2) * math.comb(16, 2) // 2 > 4 * grip._CHUNK
+    for d in enumerate_frames():
+        assert _estimate(cg.rho_exact(d, 2)) == loop_rho(d, 2)
+
+
+def test_pruned_rho_with_tied_bounds_and_rank_deficient_bases():
+    # a repeated row ties the bounds of every pair that swaps the copies,
+    # and the repeated row and the zero row leave rank-1 bases on the
+    # supports holding them, in pairs before and past the first 4 * _CHUNK
+    entries = cg.make_dictionary("tight-frame", 18, 12, 7).entries.copy()
+    entries[1] = entries[0]
+    entries[17] = 0.0
+    d = cg.Dictionary(entries, "user-supplied")
+    supports = grip._colex_supports(18, 2)
+    bases, rank = grip._orth_stack(grip._gather(d.entries @ d.pinv(), supports))
+    first, second, bound = grip._pair_bounds(supports, bases, rank)
+    deficient = np.flatnonzero((np.minimum(rank[first], rank[second]) < 2) & (bound > -math.inf))
+    assert deficient.min() < 4 * grip._CHUNK < deficient.max()
+    assert len(np.unique(bound)) < len(bound)
+    # the bound holds for every pair it may skip
+    cos = grip._cosines(bases, rank, first[deficient], second[deficient])
+    assert (cos <= bound[deficient] + grip._PRUNE_MARGIN).all()
+    assert _estimate(cg.rho_exact(d, 2)) == loop_rho(d, 2)
+
+
+def test_pruned_rho_decomposes_few_pairs(monkeypatch):
+    seen = _count_cosines(monkeypatch)
+    for d in enumerate_frames():
+        seen.clear()
+        cg.rho_exact(d, 2)
+        assert seen[0] == 1 and sum(seen) <= 64  # the incumbent, then the survivors
+    # identity D: every bound ties at 0 (rho = 0), so after the incumbent
+    # every pair is evaluated, 4 * _CHUNK per call
+    p, k = 12, 4
+    pairs = math.comb(p, k) * math.comb(p - k, k) // 2
+    seen.clear()
+    cg.rho_exact(cg.make_dictionary("identity", p, p, None), k)
+    assert seen == [1] + [4 * grip._CHUNK] * (pairs // (4 * grip._CHUNK)) + [pairs % (4 * grip._CHUNK)]
 
 
 def test_rho_budget_refuses_before_enumerating():
@@ -684,6 +749,26 @@ def test_bound_constants_validation():
         cg.bound_constants(-0.1, 0.0)
     with pytest.raises(ValueError):
         cg.bound_constants(0.2, -0.5)
+
+
+@pytest.mark.parametrize(
+    "delta2k, rho, message",
+    [
+        (-0.1, 0.0, r"^delta2k must be >= 0, got -0\.1$"),
+        (math.nan, 0.0, r"^delta2k must be >= 0, got nan$"),
+        (0.1, -0.1, r"^rho must lie in \[0, 1\], got -0\.1$"),
+        (0.1, 1.5, r"^rho must lie in \[0, 1\], got 1\.5$"),
+        (0.1, math.nan, r"^rho must lie in \[0, 1\], got nan$"),
+    ],
+)
+def test_constants_refused_alike_by_bound_constants_and_checkers(delta2k, rho, message):
+    phi = cg.make_sensing_matrix("gaussian", 5, 8, 3)
+    d = cg.make_dictionary("tight-frame", 10, 8, 3)
+    h = np.linspace(-1.0, 1.0, 8)
+    with pytest.raises(ValueError, match=message):
+        cg.bound_constants(delta2k, rho)
+    with pytest.raises(ValueError, match=message):
+        cg.check_corollary2(phi, d, 1, h, cg.SupportSet((0,), 10), delta2k=delta2k, rho=rho)
 
 
 @given(st.floats(0.0, 0.41), st.floats(0.0, 0.2))
