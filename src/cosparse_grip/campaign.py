@@ -221,8 +221,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         entry = _TABLE[self.experiment]
         _check_positive_ints(self, ("m", "n", "p", "k", "trials", "instances"))
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed <= _MASK64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         for name in ("output_path", "dictionary_path", "matrix_path"):
             v = getattr(self, name)
             if v is not None and not isinstance(v, str):

@@ -2,6 +2,9 @@
 
     cosparse-grip <experiment> --config <path> [--seed N] [--out <dir>]
 
+The campaign seed, from the config or --seed, is an integer in [0, 2**64);
+any other seed is a config error.
+
 Exit codes: 0 success; 2 config error (including a config file that is
 not UTF-8 JSON, a config whose named experiment disagrees with the
 command, an output directory (--out or output_path) with a file at it or

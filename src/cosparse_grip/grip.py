@@ -24,24 +24,24 @@ serve both.
 delta_k is monotone in k (supports nest) and delta < 1 is a hypothesis of
 every bound downstream, never a guarantee of this module.
 
-Every scan, exact or sampled, computes all lower sides and sends its
-upper sides through one best-first queue, after the branch-and-bound over
+Both constants are maxima over a finite family of rows, supports for
+delta and disjoint pairs for rho, and both scans send their rows through
+one best-first queue (_best_first), after the branch-and-bound over
 supports of Tillmann & Pfetsch (IEEE T-IT 2014) and Gally & Pfetsch
-(2016). The upper side is monotone: for Lambda in U, span P[:, Lambda] lies
-in span P[:, U], so by Courant-Fischer one Rayleigh maximum on a
-(k+2)-set U bounds all C(k+2, k) of its subsets. Once the full family
-spans more than one chunk, a cached greedy cover of the colex k-sets by
-(k+2)-sets gives each support a bound, and supports are evaluated in
-descending order of bound until no bound can reach the largest upper side
-found. Other scans bound no row, so every row is evaluated. Either way
-delta, its witness and eigen_range keep the bits of a per-support scan.
+(2016): rows are evaluated in descending order of an upper bound on
+their value until no bound can reach the largest value found, so the
+maximum, its first witness and delta's eigen_range keep the bits of a
+per-row scan.
 
-rho_k has its own bounded scan over disjoint pairs: sigma_max(Q_i^T Q_j)
-is at most ||Q_i^T Q_j||_F (Bjorck & Golub, Math. Comp. 1973), and every
-pair's Frobenius norm comes from one Gram of the stacked bases. The pair
-with the largest bound sets an incumbent, and only the pairs whose bound
-can reach it are decomposed, so rho and its witness keep the bits of a
-per-pair scan.
+delta's scans compute every lower side and queue the upper sides. The
+upper side is monotone: for Lambda in U, span P[:, Lambda] lies in span
+P[:, U], so by Courant-Fischer one Rayleigh maximum on a (k+2)-set U
+bounds all C(k+2, k) of its subsets. Once the full family spans more
+than one chunk, a cached greedy cover of the colex k-sets by (k+2)-sets
+bounds each support by the least bound of the supersets that hold it.
+Other scans bound no row, so every row is evaluated. rho bounds each
+pair by ||Q_i^T Q_j||_F >= sigma_max(Q_i^T Q_j) (Bjorck & Golub, Math.
+Comp. 1973), all from one Gram of the stacked bases.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ DEFAULT_MAX_SUPPORTS = 3060   # enumeration budget: C(18, 4), i.e. p <= 18 at k 
 DEFAULT_MAX_PAIRS = 60000     # disjoint-pair budget for rho_exact
 
 _TRIVIAL_TOL = 1e-10   # relative sv cutoff for chunk-subspace bases
-_CHUNK = 256           # supports per stacked linalg call; rho_exact takes 4x as many pairs
+_CHUNK = 256           # rows (supports or pairs) per stacked linalg call
 _PRUNE_FLOOR = 1e-6    # min sv ratio of a superset block whose bound may prune
 _PRUNE_MARGIN = 1e-9   # pruning slack: relative to trace(A^T A) for delta, absolute for rho
 
@@ -223,15 +223,17 @@ def _colex_supports(p: int, k: int) -> np.ndarray:
 def _superset_cover(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """A greedy cover of the colex k-sets of range(p) by (k+2)-sets.
 
-    Returns (supersets, owner): row g of the (G, k+2) array `supersets`
-    is sorted, and owner[i] is the row that covered colex k-set i first.
-    Each step takes the first uncovered k-set T and adds the pair {e, f}
-    whose superset covers the most uncovered k-sets, ties going to the
-    smallest e and then the smallest f. A k-set's colex rank is
-    sum_j C(c_j, j + 1) over its sorted entries c_0 < ... < c_{k-1}, so
-    the ranks of all k-subsets of every candidate superset come from one
-    0/1 matrix product. Both arrays are read-only; they depend on (p, k)
-    alone and are built once per process.
+    Returns (supersets, members): row g of the (G, k+2) array `supersets`
+    is sorted, and row g of the (G, C(k+2, 2)) array `members` holds the
+    colex ranks of all k-subsets of superset g, so every k-set appears in
+    the row of each superset that holds it. Each step takes the first
+    uncovered k-set T and adds the pair {e, f} whose superset covers the
+    most uncovered k-sets, ties going to the smallest e and then the
+    smallest f. A k-set's colex rank is sum_j C(c_j, j + 1) over its
+    sorted entries c_0 < ... < c_{k-1}, so the ranks of all k-subsets of
+    every candidate superset come from one 0/1 matrix product. Both
+    arrays are read-only; they depend on (p, k) alone and are built once
+    per process.
     """
     sets = _colex_supports(p, k)
     count, h = len(sets), k + 2
@@ -261,8 +263,7 @@ def _superset_cover(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     e, f = np.triu_indices(p - k, 1)
     cand = np.empty((h, len(e)), dtype=np.intp)
     uncovered = np.ones(count)  # 1.0 / 0.0: float sums are faster than bool
-    owner = np.empty(count, dtype=np.intp)
-    supersets = []
+    supersets, members = [], []
     first = 0
     while True:
         while first < count and not uncovered[first]:
@@ -275,14 +276,13 @@ def _superset_cover(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         grown = np.sort(cand, axis=0)
         ranks = (mix @ weight[grown[position] + offset]).astype(np.intp)
         best = int(np.argmax(uncovered[ranks].sum(axis=0)))
-        fresh = ranks[:, best][uncovered[ranks[:, best]] > 0]
-        uncovered[fresh] = 0.0
-        owner[fresh] = len(supersets)
+        uncovered[ranks[:, best]] = 0.0
         supersets.append(grown[:, best])
-    cover = np.array(supersets)
+        members.append(ranks[:, best].copy())  # a view would keep all of `ranks` alive
+    cover, members = np.array(supersets), np.array(members)
     cover.flags.writeable = False
-    owner.flags.writeable = False
-    return cover, owner
+    members.flags.writeable = False
+    return cover, members
 
 
 def _superset_bounds(
@@ -308,30 +308,25 @@ def _superset_bounds(
     return bounds
 
 
-def _pruned_uppers(
-    supports: np.ndarray,
-    gram: np.ndarray,
-    proj: np.ndarray,
-    lower: np.ndarray,
-    bound: np.ndarray,
-) -> np.ndarray:
-    """Upper sides of the rows of a (S, k) support array, best-first by
-    `bound`, an upper bound on each row's upper side (+inf: none).
+def _best_first(bound: np.ndarray, evaluate, margin: float) -> np.ndarray:
+    """Values of the rows of a family, best-first by `bound`, an upper
+    bound on each row's value (+inf: none); rows not reached stay -inf.
 
-    Rows are taken in descending order of bound (ties in row order). The
-    +inf rows come first and are all evaluated, _CHUNK at a time. The
-    rest follow in blocks that double from _CHUNK // 8 to _CHUNK rows,
-    until the next bound plus _PRUNE_MARGIN times trace(A^T A) (which no
-    upper side exceeds) falls below the largest upper side found so far.
-    Rows not reached stay at -inf: their upper side is below that
-    incumbent, so it can reach neither delta nor eigen_range's upper end.
+    evaluate(rows) returns the values of an index array of rows. Rows are
+    taken in descending order of bound, ties in any order. The +inf rows
+    come first and are all evaluated, _CHUNK at a time. The rest follow
+    in blocks that double from _CHUNK // 8 to _CHUNK rows, until the next
+    bound plus `margin` falls below the largest value found so far. A row
+    not reached has its value strictly below that incumbent, so it can
+    neither attain nor tie the maximum, and the first argmax over all
+    rows is that of evaluating every row.
     """
-    queue = np.argsort(-bound, kind="stable")
+    queue = np.argsort(-bound)
     unbounded = int(np.count_nonzero(bound == math.inf))
-    # the most a queued row's upper side can be, plus the margin;
-    # nonincreasing along the queue
-    reach = bound[queue] + _PRUNE_MARGIN * float(np.trace(gram))
-    upper = np.full(len(supports), -math.inf)
+    # the most a queued row's value can be, plus the margin; nonincreasing
+    # along the queue
+    reach = bound[queue] + margin
+    value = np.full(len(bound), -math.inf)
     best = -math.inf
     done, size = 0, _CHUNK // 8
     while True:
@@ -341,10 +336,10 @@ def _pruned_uppers(
             stop = min(int(np.searchsorted(-reach, -best, side="right")), done + size)
             size = min(2 * size, _CHUNK)
         if stop <= done:
-            return upper
+            return value
         block = queue[done:stop]
-        upper[block] = _upper_sides(supports[block], gram, proj, lower[block])
-        best = max(best, float(upper[block].max()))
+        value[block] = evaluate(block)
+        best = max(best, float(value[block].max()))
         done = stop
 
 
@@ -383,10 +378,12 @@ def _scan_supports(
     colex family when supports is None.
 
     Every lower side is computed, _CHUNK rows per stacked call. Upper
-    sides go through the best-first queue (_pruned_uppers). Over the whole
-    family, once it spans more than one chunk and a (k+2)-set can be full
-    rank (k + 2 <= n), each support is bounded by its covering superset;
-    otherwise no row is bounded and the queue evaluates every one.
+    sides go through the best-first queue (_best_first) with a margin of
+    _PRUNE_MARGIN times trace(A^T A), which no upper side exceeds. Over
+    the whole family, once it spans more than one chunk and a (k+2)-set
+    can be full rank (k + 2 <= n), each support is bounded by the least
+    bound of the cover's supersets that hold it; otherwise no row is
+    bounded and the queue evaluates every one.
     """
     p = dictionary.p
     family = supports is None
@@ -399,12 +396,15 @@ def _scan_supports(
 
     starts = range(0, len(supports), _CHUNK)
     lower = np.concatenate([_lower_sides(supports[s : s + _CHUNK], a_cols) for s in starts])
+    bound = np.full(len(supports), math.inf)
     if family and len(supports) > _CHUNK and k + 2 <= dictionary.n:
-        supersets, owner = _superset_cover(p, k)
-        bound = _superset_bounds(supersets, gram, proj)[owner]
-    else:
-        bound = np.full(len(supports), math.inf)
-    upper = _pruned_uppers(supports, gram, proj, lower, bound)
+        supersets, members = _superset_cover(p, k)
+        np.minimum.at(bound, members, _superset_bounds(supersets, gram, proj)[:, None])
+    upper = _best_first(
+        bound,
+        lambda rows: _upper_sides(supports[rows], gram, proj, lower[rows]),
+        _PRUNE_MARGIN * float(np.trace(gram)),
+    )
     return _report(supports, lower, upper, p, k, method, trials)
 
 
@@ -439,18 +439,17 @@ def delta_exact(
     Every support's lower side is evaluated. Upper sides go through one
     best-first queue. Past one chunk of supports (and when k + 2 <= n) it
     evaluates them only where they can matter, and otherwise everywhere:
-    each support is covered by a (k+2)-set whose Rayleigh maximum bounds
-    the upper sides of all its k-subsets, and supports are taken
-    best-first by that bound until the next bound, plus a margin of
-    _PRUNE_MARGIN times trace(A^T A), is below the largest upper side
-    found. A skipped support's upper side is strictly below that
-    incumbent, so it reaches neither delta nor eigen_range[1]; its delta
-    term is its lower side's, which is exact. So delta, the colex-first
-    witness and eigen_range equal those of evaluating every support. A
-    bound prunes only when its (k+2)-set's block of P = D D^+ has
-    sigma_min / sigma_max above _PRUNE_FLOOR; by interlacing its subsets
-    are then full rank under the rank rule, so rank-deficient supports
-    are always evaluated.
+    each support is bounded by the least Rayleigh maximum among the
+    cover's (k+2)-sets that hold it, and supports are taken best-first by
+    that bound until the next bound, plus a margin of _PRUNE_MARGIN times
+    trace(A^T A), is below the largest upper side found. A skipped
+    support's upper side is strictly below that incumbent, so it reaches
+    neither delta nor eigen_range[1]; its delta term is its lower side's,
+    which is exact. So delta, the colex-first witness and eigen_range
+    equal those of evaluating every support. A bound prunes only when its
+    (k+2)-set's block of P = D D^+ has sigma_min / sigma_max above
+    _PRUNE_FLOOR; by interlacing its subsets are then full rank under the
+    rank rule, so rank-deficient supports are always evaluated.
 
     Raises BudgetExceededError when C(p, k) > max_supports rather than
     silently degrading to sampling; callers choose the fallback.
@@ -492,10 +491,10 @@ def delta_monte_carlo(
 def _pair_bounds(
     supports: np.ndarray, bases: np.ndarray, rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The disjoint pairs i < j among the rows of a (S, k) support array,
-    as index arrays (first, second), i ascending and then j ascending,
-    with a bound on each pair's cosine: ||Q_i^T Q_j||_F >= sigma_max
-    (Bjorck & Golub, Math. Comp. 1973), -inf where a side has rank 0.
+    """The disjoint pairs i < j among the rows of a (S, k) support array
+    whose bases both have rank > 0, as index arrays (first, second), i
+    ascending and then j ascending, with a bound on each pair's cosine:
+    ||Q_i^T Q_j||_F >= sigma_max (Bjorck & Golub, Math. Comp. 1973).
 
     bases is the (S, p, k) stack of the supports' bases and rank their
     ranks. The mask and the bound come from the same rows of an S x S
@@ -516,6 +515,7 @@ def _pair_bounds(
         stop = min(start + step, s)
         rows = np.arange(start, stop)
         free = (member[start:stop] @ member.T == 0) & (np.arange(s) > rows[:, None])
+        free &= (rank[rows, None] > 0) & (rank > 0)  # a trivial subspace pairs with none
         cols = np.flatnonzero(free.any(axis=0))
         gram = flat[:, start:stop].reshape(p, -1).T @ flat[:, cols].reshape(p, -1)
         gram *= gram
@@ -525,9 +525,7 @@ def _pair_bounds(
         seconds.append(cols[j])
         squares.append(frob[i, j])
     first, second = np.concatenate(firsts), np.concatenate(seconds)
-    bound = np.sqrt(np.concatenate(squares))
-    bound[(rank[first] == 0) | (rank[second] == 0)] = -math.inf
-    return first, second, bound
+    return first, second, np.sqrt(np.concatenate(squares))
 
 
 def _cosines(
@@ -565,15 +563,13 @@ def rho_exact(
 
     Pairs with a rank-0 basis (a trivial subspace) are skipped. Every
     other pair is bounded by ||Q_i^T Q_j||_F >= sigma_max, all bounds
-    coming from one Gram of the stacked bases. The pair with the largest
-    bound is evaluated first, and its cosine is the incumbent. Then every
-    pair whose bound plus _PRUNE_MARGIN (an absolute margin, as no cosine
-    exceeds 1) reaches the incumbent is evaluated, in pair order, 4 *
-    _CHUNK pairs per stacked call, and the first maximum among them is the
-    witness. A skipped pair's cosine is below the incumbent, so it can
-    neither attain nor tie rho: value and witness equal those of
-    evaluating every pair, and an evaluated cosine has the bits of its own
-    svd whatever else shares the call.
+    coming from one Gram of the stacked bases, and the pairs go through
+    delta's best-first queue (_best_first) with an absolute margin of
+    _PRUNE_MARGIN, as no cosine exceeds 1. A pair not decomposed has its
+    cosine below the largest one found, so it can neither attain nor tie
+    rho: value and witness equal those of evaluating every pair, and an
+    evaluated cosine has the bits of its own svd whatever else shares the
+    call.
     """
     k = _order(k, dictionary.p)
     if 2 * k > dictionary.p:
@@ -585,20 +581,15 @@ def rho_exact(
     proj = dictionary.entries @ dictionary.pinv()
     bases, rank = _orth_stack(_gather(proj, supports))
     first, second, bound = _pair_bounds(supports, bases, rank)
-    top = int(np.argmax(bound))
-    if bound[top] == -math.inf:
+    if not len(bound):
         raise ValueError("no admissible disjoint pair (all chunk subspaces trivial)")
-    incumbent = _cosines(bases, rank, first[top : top + 1], second[top : top + 1])[0]
-    keep = np.flatnonzero(bound + _PRUNE_MARGIN >= incumbent)
-    cos = np.concatenate([
-        _cosines(bases, rank, first[block], second[block])
-        for block in np.split(keep, range(4 * _CHUNK, len(keep), 4 * _CHUNK))
-    ])
-    best = int(np.argmax(cos))  # first attaining pair
-    t = keep[best]
+    cos = _best_first(
+        bound, lambda rows: _cosines(bases, rank, first[rows], second[rows]), _PRUNE_MARGIN
+    )
+    t = int(np.argmax(cos))  # first attaining pair
     return RhoEstimate(
         k=k,
-        rho=min(max(float(cos[best]), 0.0), 1.0),  # clip cosine roundoff
+        rho=min(max(float(cos[t]), 0.0), 1.0),  # clip cosine roundoff
         method="exact",
         witness=(SupportSet(supports[first[t]], p), SupportSet(supports[second[t]], p)),
     )

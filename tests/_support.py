@@ -169,17 +169,17 @@ def colex_supports(p: int, k: int) -> list[tuple[int, ...]]:
     return sorted(combinations(range(p), k), key=lambda s: s[::-1])
 
 
-def greedy_cover(p: int, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
+def greedy_cover(p: int, k: int) -> tuple[list[tuple[int, ...]], list[list[int]]]:
     """The greedy cover of the colex k-sets by (k+2)-sets, one set at a
-    time: (supersets, owner). Each step takes the first uncovered k-set T
-    and adds the pair {e, f} outside T whose superset covers the most
+    time: (supersets, members). Each step takes the first uncovered k-set
+    T and adds the pair {e, f} outside T whose superset covers the most
     uncovered k-sets, ties going to the smallest e and then the smallest
-    f; owner[i] is the superset that covered k-set i first."""
+    f; members[g] lists the colex ranks of all k-subsets of superset g,
+    ascending."""
     sets = colex_supports(p, k)
     rank = {s: i for i, s in enumerate(sets)}
     uncovered = set(sets)
-    owner = [-1] * len(sets)
-    supersets = []
+    supersets, members = [], []
     for t in sets:
         if t not in uncovered:
             continue
@@ -189,12 +189,10 @@ def greedy_cover(p: int, k: int) -> tuple[list[tuple[int, ...]], list[int]]:
             new = sum(s in uncovered for s in combinations(grown, k))
             if new > best_new:
                 best, best_new = grown, new
-        for s in combinations(best, k):
-            if s in uncovered:
-                uncovered.discard(s)
-                owner[rank[s]] = len(supersets)
+        uncovered.difference_update(combinations(best, k))
         supersets.append(best)
-    return supersets, owner
+        members.append(sorted(rank[s] for s in combinations(best, k)))
+    return supersets, members
 
 
 def sampled_supports(p: int, k: int, trials: int, seed) -> list[tuple[int, ...]]:

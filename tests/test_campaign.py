@@ -118,7 +118,8 @@ def test_config_rejects_malformed_documents():
     case("missing dims.p", lambda d: d["dims"].pop("p"), "missing required")
     case("float k", lambda d: d.update(k=1.5), "integer")
     case("bool seed", lambda d: d.update(seed=True), "integer")
-    case("negative seed", lambda d: d.update(seed=-1), "nonnegative")
+    case("negative seed", lambda d: d.update(seed=-1), r"in \[0, 2\*\*64\)")
+    case("seed past 64 bits", lambda d: d.update(seed=2**64), r"in \[0, 2\*\*64\), got 18446744073709551616")
     case("zero trials", lambda d: d.update(trials=0), "positive")
     case("unknown experiment", lambda d: d.update(experiment="fft"), "unknown experiment")
     case("m >= n", lambda d: d["dims"].update(m=10), "m < n")
@@ -380,7 +381,7 @@ def valid_documents(draw):
     doc = draw(st.fixed_dictionaries({}, optional=optional))
     doc.update(
         experiment=experiment, dims=dict(dims), k=k, dictionary_kind=dictionary_kind,
-        matrix_kind="gaussian", trials=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64)),
+        matrix_kind="gaussian", trials=draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64 - 1)),
     )
     if files:
         doc.update(dictionary_kind="user-supplied", dictionary_path="d.csv")

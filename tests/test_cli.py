@@ -91,6 +91,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert cli.main(["verify-c2", "--config", str(tmp_path / "absent.json")]) == 2
 
     assert cli.main(["verify-c2", "--config", cfg_path, "--seed", "-3"]) == 2
+    # a seed past 64 bits would alias seed mod 2**64
+    capsys.readouterr()
+    assert cli.main(["verify-c2", "--config", cfg_path, "--seed", str(2**64)]) == 2
+    assert "seed must be an integer in [0, 2**64)" in capsys.readouterr().err
 
 
 def test_cli_non_utf8_config_exits_2(tmp_path, capsys):

@@ -392,6 +392,11 @@ def test_zero_rank_bases_keep_degenerate_rule_and_rho_skip():
         assert _estimate(est) == loop_rho(d, k)
     est = cg.rho_exact(d, 1)
     assert all(s.indices != (4,) for s in est.witness)
+    # the pair scan leaves out every pair with a rank-0 side
+    sets = grip._colex_supports(d.p, 1)
+    bases, rank = grip._orth_stack(grip._gather(d.entries @ pinv, sets))
+    first, second, _ = grip._pair_bounds(sets, bases, rank)
+    assert list(zip(first.tolist(), second.tolist())) == list(itertools.combinations(range(4), 2))
 
 
 def test_disjoint_pair_count_closed_form():
@@ -414,12 +419,16 @@ def test_disjoint_pair_count_closed_form():
             assert list(zip(first.tolist(), second.tolist())) == brute
 
 
-def enumerate_frames():
-    """The four 18x12 tight frames of the `enumerate` benchmark: the pool
-    of a verify-c1 campaign at seed 11."""
+def enumerate_instances():
+    """The four (18x12 tight frame, 8x12 gaussian) instances of the
+    `enumerate` benchmark: the pool of a verify-c1 campaign at seed 11."""
+    seeds = [cg.trial_seed(11, 2**40 + i) for i in range(4)]
     return [
-        cg.make_dictionary("tight-frame", 18, 12, cg.trial_seed(cg.trial_seed(11, 2**40 + i), 0))
-        for i in range(4)
+        (
+            cg.make_dictionary("tight-frame", 18, 12, cg.trial_seed(s, 0)),
+            cg.make_sensing_matrix("gaussian", 8, 12, cg.trial_seed(s, 1)),
+        )
+        for s in seeds
     ]
 
 
@@ -436,16 +445,16 @@ def _count_cosines(monkeypatch):
 
 
 def test_pruned_rho_equals_reference_loop_on_enumerate_frames():
-    # 9180 disjoint pairs each, several pair chunks of 4 * _CHUNK
+    # 9180 disjoint pairs each, many times the largest queue block
     assert math.comb(18, 2) * math.comb(16, 2) // 2 > 4 * grip._CHUNK
-    for d in enumerate_frames():
+    for d, _ in enumerate_instances():
         assert _estimate(cg.rho_exact(d, 2)) == loop_rho(d, 2)
 
 
 def test_pruned_rho_with_tied_bounds_and_rank_deficient_bases():
     # a repeated row ties the bounds of every pair that swaps the copies,
     # and the repeated row and the zero row leave rank-1 bases on the
-    # supports holding them, in pairs before and past the first 4 * _CHUNK
+    # supports holding them, in pairs early and late in pair order
     entries = cg.make_dictionary("tight-frame", 18, 12, 7).entries.copy()
     entries[1] = entries[0]
     entries[17] = 0.0
@@ -453,8 +462,8 @@ def test_pruned_rho_with_tied_bounds_and_rank_deficient_bases():
     supports = grip._colex_supports(18, 2)
     bases, rank = grip._orth_stack(grip._gather(d.entries @ d.pinv(), supports))
     first, second, bound = grip._pair_bounds(supports, bases, rank)
-    deficient = np.flatnonzero((np.minimum(rank[first], rank[second]) < 2) & (bound > -math.inf))
-    assert deficient.min() < 4 * grip._CHUNK < deficient.max()
+    deficient = np.flatnonzero(np.minimum(rank[first], rank[second]) < 2)
+    assert deficient.min() < grip._CHUNK and deficient.max() > len(first) - grip._CHUNK
     assert len(np.unique(bound)) < len(bound)
     # the bound holds for every pair it may skip
     cos = grip._cosines(bases, rank, first[deficient], second[deficient])
@@ -462,19 +471,28 @@ def test_pruned_rho_with_tied_bounds_and_rank_deficient_bases():
     assert _estimate(cg.rho_exact(d, 2)) == loop_rho(d, 2)
 
 
+def _queue_blocks(count):
+    """The stacked calls of `count` bounded rows that are all reached:
+    blocks doubling from _CHUNK // 8 to _CHUNK rows, the last one cut."""
+    blocks = []
+    while sum(blocks) < count:
+        blocks.append(min((grip._CHUNK // 8) << len(blocks), grip._CHUNK, count - sum(blocks)))
+    return blocks
+
+
 def test_pruned_rho_decomposes_few_pairs(monkeypatch):
     seen = _count_cosines(monkeypatch)
-    for d in enumerate_frames():
+    for d, _ in enumerate_instances():
         seen.clear()
         cg.rho_exact(d, 2)
-        assert seen[0] == 1 and sum(seen) <= 64  # the incumbent, then the survivors
-    # identity D: every bound ties at 0 (rho = 0), so after the incumbent
-    # every pair is evaluated, 4 * _CHUNK per call
+        assert 0 < sum(seen) <= 64 and max(seen) <= grip._CHUNK
+    # identity D: every bound ties at 0 (rho = 0), so no bound falls below
+    # the incumbent and the queue evaluates every pair, in doubling blocks
     p, k = 12, 4
     pairs = math.comb(p, k) * math.comb(p - k, k) // 2
     seen.clear()
     cg.rho_exact(cg.make_dictionary("identity", p, p, None), k)
-    assert seen == [1] + [4 * grip._CHUNK] * (pairs // (4 * grip._CHUNK)) + [pairs % (4 * grip._CHUNK)]
+    assert seen == _queue_blocks(pairs)
 
 
 def test_rho_budget_refuses_before_enumerating():
@@ -500,29 +518,36 @@ def test_colex_supports_equal_sorted_reference():
 
 @pytest.mark.parametrize("p, k", [(6, 1), (8, 2), (12, 4), (13, 3), (14, 5), (18, 4)])
 def test_superset_cover_covers_every_support_and_rebuilds_equal(p, k):
-    supersets, owner = grip._superset_cover(p, k)
+    supersets, members = grip._superset_cover(p, k)
+    count = len(supersets)
     assert supersets.shape[1] == k + 2 and not supersets.flags.writeable
+    assert members.shape == (count, math.comb(k + 2, 2)) and not members.flags.writeable
     assert (np.diff(supersets, axis=1) > 0).all()
     assert supersets.min() >= 0 and supersets.max() < p
-    # every k-set lies in the superset that owns it, and every superset
-    # owns at least the k-set it was grown from
-    member = np.zeros((len(supersets), p), dtype=bool)
+    # each row of members is C(k+2, 2) distinct k-sets inside its
+    # superset, so all of its k-subsets
+    member = np.zeros((count, p), dtype=bool)
     np.put_along_axis(member, supersets, True, axis=1)
     sets = grip._colex_supports(p, k)
-    assert member[owner[:, None], sets].all()
-    assert set(owner.tolist()) == set(range(len(supersets)))
+    assert np.take_along_axis(member, sets[members].reshape(count, -1), axis=1).all()
+    assert (np.diff(np.sort(members, axis=1), axis=1) > 0).all()
+    # every k-set lies in some superset, and every superset is the first
+    # to hold at least the k-set it was grown from
+    first = np.full(len(sets), count)
+    np.minimum.at(first, members, np.arange(count)[:, None])
+    assert set(first.tolist()) == set(range(count))
     again = grip._superset_cover.__wrapped__(p, k)
-    assert np.array_equal(again[0], supersets) and np.array_equal(again[1], owner)
+    assert np.array_equal(again[0], supersets) and np.array_equal(again[1], members)
     assert grip._superset_cover(p, k)[0] is supersets  # built once per process
 
 
 def test_superset_cover_follows_the_greedy_rule():
     cases = [(p, k) for p in range(3, 12) for k in range(1, p - 1)] + [(18, 4)]
     for p, k in cases:
-        supersets, owner = grip._superset_cover(p, k)
-        want_supersets, want_owner = greedy_cover(p, k)
+        supersets, members = grip._superset_cover(p, k)
+        want_supersets, want_members = greedy_cover(p, k)
         assert supersets.tolist() == [list(s) for s in want_supersets], (p, k)
-        assert owner.tolist() == want_owner, (p, k)
+        assert np.sort(members, axis=1).tolist() == want_members, (p, k)
 
 
 def test_superset_bounds_refuse_ill_conditioned_blocks():
@@ -566,27 +591,80 @@ def _unbounded_blocks(count):
 
 def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
     # a repeated row leaves every superset holding both copies without a
-    # bound: those rows go first, _CHUNK at a time, and the bounded rows
-    # follow in blocks doubling from _CHUNK // 8
+    # bound; a support takes the least bound of the supersets that hold
+    # it, so only the C(16, 2) = 120 supports holding both copies need stay
+    # unbounded. Those rows go first, _CHUNK at a time, and the bounded
+    # rows follow in blocks doubling from _CHUNK // 8
     phi = cg.make_sensing_matrix("gaussian", 8, 12, 5)
-    supersets, owner = grip._superset_cover(18, 4)
+    supersets, members = grip._superset_cover(18, 4)
+    sets = grip._colex_supports(18, 4)
+    both = np.isin(sets, [0, 1]).sum(axis=1) == 2
     seen = _count_uppers(monkeypatch)
-    for repeat_row in (False, True):
+    for repeat_row, unbounded, most in ((False, 0, 32), (True, 236, 268)):
         entries = cg.make_dictionary("tight-frame", 18, 12, 4).entries.copy()
         if repeat_row:
             entries[1] = entries[0]
         d = cg.Dictionary(entries, "user-supplied")
         seen.clear()
         rep = cg.delta_exact(phi, d, 4)
-        assert 0 < sum(seen) < math.comb(18, 4) // 4
+        assert 0 < sum(seen) <= most
         assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
         a_cols = phi.entries @ d.pinv()
+        bound = np.full(len(sets), math.inf)
         bounds = grip._superset_bounds(supersets, a_cols.T @ a_cols, d.entries @ d.pinv())
-        first = _unbounded_blocks(int(np.isinf(bounds[owner]).sum()))
-        assert (len(first) > 0) == repeat_row and seen[: len(first)] == first
+        np.minimum.at(bound, members, bounds[:, None])
+        assert np.count_nonzero(np.isinf(bound)) == unbounded
+        assert np.isinf(bound[both]).all() == repeat_row
+        first = _unbounded_blocks(unbounded)
+        assert seen[: len(first)] == first
         bounded = seen[len(first) :]
-        doubling = [min((grip._CHUNK // 8) << i, grip._CHUNK) for i in range(len(bounded))]
-        assert bounded[:-1] == doubling[:-1] and 0 < bounded[-1] <= doubling[-1]
+        assert bounded and bounded == _queue_blocks(sum(bounded))
+
+
+def test_pruned_scan_evaluates_few_upper_sides_on_enumerate_frames(monkeypatch):
+    seen = _count_uppers(monkeypatch)
+    for (d, phi), most in zip(enumerate_instances(), (32, 65, 32, 32)):
+        seen.clear()
+        rep = cg.delta_exact(phi, d, 4)
+        assert 0 < sum(seen) <= most
+        assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
+
+
+@st.composite
+def queued_families(draw):
+    """(values, bounds, margin) for the best-first queue: bounds are the
+    values plus a nonnegative slack, some +inf; coarse grids tie values
+    and bounds, and the family may span several blocks of _CHUNK rows."""
+    count = draw(st.integers(1, 3 * grip._CHUNK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(-3, 4, count) / 2.0
+        bound = values + rng.integers(0, 3, count) / 2.0
+    else:
+        values = rng.standard_normal(count)
+        bound = values + rng.exponential(draw(st.sampled_from([0.0, 0.01, 1.0])), count)
+    bound[rng.random(count) < draw(st.sampled_from([0.0, 0.02, 0.5, 1.0]))] = math.inf
+    return values, bound, draw(st.sampled_from([0.0, 1e-9, 0.25]))
+
+
+@given(queued_families())
+@settings(max_examples=80, deadline=None)
+def test_best_first_equals_evaluating_every_row(family):
+    values, bound, margin = family
+    calls = []
+
+    def evaluate(rows):
+        calls.append(rows)
+        return values[rows]
+
+    got = grip._best_first(bound, evaluate, margin)
+    reached = np.concatenate(calls)
+    assert len(np.unique(reached)) == len(reached) and max(map(len, calls)) <= grip._CHUNK
+    assert np.array_equal(got[reached], values[reached])
+    assert np.isin(np.flatnonzero(np.isinf(bound)), reached).all()
+    assert got.max() == values.max() and np.argmax(got) == np.argmax(values)
+    unreached = np.setdiff1d(np.arange(len(values)), reached)
+    assert (got[unreached] == -math.inf).all() and (values[unreached] < got.max()).all()
 
 
 @pytest.mark.parametrize(
