@@ -33,15 +33,20 @@ their value until no bound can reach the largest value found, so the
 maximum, its first witness and delta's eigen_range keep the bits of a
 per-row scan.
 
-delta's scans compute every lower side and queue the upper sides. The
-upper side is monotone: for Lambda in U, span P[:, Lambda] lies in span
-P[:, U], so by Courant-Fischer one Rayleigh maximum on a (k+2)-set U
-bounds all C(k+2, k) of its subsets. Once the full family spans more
-than one chunk, a cached greedy cover of the colex k-sets by (k+2)-sets
-bounds each support by the least bound of the supersets that hold it.
-Other scans bound no row, so every row is evaluated. rho bounds each
-pair by ||Q_i^T Q_j||_F >= sigma_max(Q_i^T Q_j) (Bjorck & Golub, Math.
-Comp. 1973), all from one Gram of the stacked bases.
+delta's scans queue both sides, the lower sides negated, since the
+smallest lower side is both eigen_range[0] and the largest lower delta
+term. Both sides are monotone under inclusion: for Lambda in U, span
+P[:, Lambda] lies in span P[:, U], so by Courant-Fischer one Rayleigh
+maximum on a (k+2)-set U bounds the upper sides of all C(k+2, k) of its
+subsets, and by Cauchy interlacing lambda_min(A_U^T A_U) bounds their
+lower sides. Both bounds come from the principal submatrices of A^T A
+and P on U. Once the full family spans more than one chunk, a cached
+greedy cover of the colex k-sets by (k+2)-sets bounds each support by
+the tightest bounds of the supersets that hold it. Other scans bound no
+row, so every row is evaluated. rho is exactly 1 when two disjoint
+chunk subspaces have dimensions summing past n = rank(P); otherwise it
+bounds each pair by ||Q_i^T Q_j||_F >= sigma_max(Q_i^T Q_j) (Bjorck &
+Golub, Math. Comp. 1973), all from one Gram of the stacked bases.
 """
 
 from __future__ import annotations
@@ -73,7 +78,12 @@ DEFAULT_MAX_PAIRS = 60000     # disjoint-pair budget for rho_exact
 
 _TRIVIAL_TOL = 1e-10   # relative sv cutoff for chunk-subspace bases
 _CHUNK = 256           # rows (supports or pairs) per stacked linalg call
-_PRUNE_FLOOR = 1e-6    # min sv ratio of a superset block whose bound may prune
+# min sv ratio of a superset block whose bounds may prune. The
+# principal-submatrix bounds lose accuracy as 1 / ratio^2 (up to about
+# 2 eps trace(A^T A) / ratio^2 measured), so at 1e-2 their error stays
+# near 1/200 of the margin; at 1e-6 a bound fell 6.7e4 margins below a
+# subset's upper side
+_PRUNE_FLOOR = 1e-2
 _PRUNE_MARGIN = 1e-9   # pruning slack: relative to trace(A^T A) for delta, absolute for rho
 
 
@@ -90,8 +100,8 @@ class GripReport:
     delta; ties go to the first support scanned, which is the
     colexicographically smallest one for an exhaustive scan and the first
     one drawn for a sampled Monte-Carlo scan. eigen_range is
-    (lower-side minimum, upper-side maximum) across evaluated supports,
-    i.e. delta = max(eigen_range[1] - 1, 1 - eigen_range[0]).
+    (lower-side minimum, upper-side maximum) over the whole scanned
+    family, i.e. delta = max(eigen_range[1] - 1, 1 - eigen_range[0]).
     """
 
     k: int
@@ -160,21 +170,16 @@ def _gather(cols: np.ndarray, supports: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(cols[:, supports].transpose(1, 0, 2))
 
 
-def _orth_stack(blocks: np.ndarray, tol: float = _TRIVIAL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def _orth_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of a stack of column blocks.
 
     Returns (u, rank): the basis of block s is u[s, :, :rank[s]], with
-    singular values below tol times the largest dropped (rank 0 when the
-    block is zero).
+    singular values below _TRIVIAL_TOL times the largest dropped (rank 0
+    when the block is zero).
     """
     u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
-    rank = np.sum(sv > tol * sv[:, :1], axis=1)
+    rank = np.sum(sv > _TRIVIAL_TOL * sv[:, :1], axis=1)
     return u, rank
-
-
-def _top_eig(basis: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """lambda_max of Q^T G Q for each orthonormal basis Q of a stack."""
-    return np.linalg.eigvalsh(_mT(basis) @ (gram @ basis))[:, -1]
 
 
 def _lower_sides(supports: np.ndarray, a_cols: np.ndarray) -> np.ndarray:
@@ -201,7 +206,8 @@ def _upper_sides(
     upper = lower.copy()
     for r in np.unique(rank[rank > 0]):
         sel = rank == r
-        upper[sel] = _top_eig(q[sel, :, :r], gram)
+        basis = q[sel, :, :r]
+        upper[sel] = np.linalg.eigvalsh(_mT(basis) @ (gram @ basis))[:, -1]
     return upper
 
 
@@ -285,27 +291,38 @@ def _superset_cover(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cover, members
 
 
-def _superset_bounds(
+def _principal_bounds(
     supersets: np.ndarray, gram: np.ndarray, proj: np.ndarray
-) -> np.ndarray:
-    """An upper-side bound for every k-subset of each row of a (G, k+2)
-    array: lambda_max of Q^T (A^T A) Q on span P[:, U], which contains
-    span P[:, Lambda] for every Lambda in U (Courant-Fischer).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower): bounds on both sides of every k-subset of each row
+    U of a (G, k+2) array, read from the principal submatrices G[U, U]
+    and P[U, U] of G = A^T A and P = D D^+ alone.
 
-    A row prunes only when every singular value of P[:, U] is above
-    _PRUNE_FLOOR times the largest. By interlacing each subset's block
-    then keeps a ratio above _PRUNE_FLOOR, far above _TRIVIAL_TOL, so the
-    rank rule keeps its whole span and both sides are computed on well
-    conditioned bases. Other rows bound at +inf and are always evaluated.
+    Upper: span P[:, U] contains span P[:, Lambda] for every Lambda in
+    U, so its Rayleigh maximum bounds theirs (Courant-Fischer). P is the
+    orthogonal projector onto range(D) and A P = A, so P G P = G and
+    that maximum is the top generalized eigenvalue of (G[U, U], P[U, U]),
+    taken by whitening with an eigh of P[U, U]. Lower: lambda_min(G[U, U])
+    is at most that of every principal submatrix G[Lambda, Lambda]
+    (Cauchy interlacing).
+
+    A row bounds only when lambda_min(P[U, U]) > _PRUNE_FLOOR^2 times
+    lambda_max(P[U, U]); these are the squared singular values of
+    P[:, U], so by interlacing each subset's block keeps a singular-value
+    ratio above _PRUNE_FLOOR, far above _TRIVIAL_TOL, the rank rule keeps
+    its whole span, and no rank-deficient support is bounded. Other rows
+    bound nothing: upper +inf and lower -inf.
     """
-    bounds = np.full(len(supersets), math.inf)
-    for start in range(0, len(supersets), _CHUNK):
-        q, rank = _orth_stack(
-            _gather(proj, supersets[start : start + _CHUNK]), _PRUNE_FLOOR
-        )
-        full = np.flatnonzero(rank == supersets.shape[1])
-        bounds[start + full] = _top_eig(q[full], gram)
-    return bounds
+    block = (supersets[:, :, None], supersets[:, None, :])
+    g = gram[block]
+    w, v = np.linalg.eigh(proj[block])
+    ok = w[:, 0] > _PRUNE_FLOOR**2 * w[:, -1]
+    white = v[ok] / np.sqrt(w[ok])[:, None, :]  # white^T P[U, U] white = I
+    upper = np.full(len(supersets), math.inf)
+    lower = np.full(len(supersets), -math.inf)
+    upper[ok] = np.linalg.eigvalsh(_mT(white) @ g[ok] @ white)[:, -1]
+    lower[ok] = np.linalg.eigvalsh(g[ok])[:, 0]
+    return upper, lower
 
 
 def _best_first(bound: np.ndarray, evaluate, margin: float) -> np.ndarray:
@@ -377,13 +394,17 @@ def _scan_supports(
     """delta over the rows of a (S, k) support array, or over the whole
     colex family when supports is None.
 
-    Every lower side is computed, _CHUNK rows per stacked call. Upper
-    sides go through the best-first queue (_best_first) with a margin of
-    _PRUNE_MARGIN times trace(A^T A), which no upper side exceeds. Over
-    the whole family, once it spans more than one chunk and a (k+2)-set
-    can be full rank (k + 2 <= n), each support is bounded by the least
-    bound of the cover's supersets that hold it; otherwise no row is
-    bounded and the queue evaluates every one.
+    Each side goes through the best-first queue (_best_first) once, with
+    a margin of _PRUNE_MARGIN times trace(A^T A), which no side exceeds:
+    the negated lower sides first, then the upper sides. Over the whole
+    family, once it spans more than one chunk and a (k+2)-set can be
+    full rank (k + 2 <= n), each support takes the tightest bound of
+    each kind among the cover's supersets that hold it
+    (_principal_bounds); otherwise no row is bounded and each queue
+    evaluates every row, _CHUNK at a time. A side not reached stays at
+    +inf (lower) or -inf (upper), so its delta term is -inf: a row whose
+    delta term attains delta has the smallest lower side or the largest
+    upper side, and that side is reached.
     """
     p = dictionary.p
     family = supports is None
@@ -394,16 +415,25 @@ def _scan_supports(
     gram = a_cols.T @ a_cols
     proj = dictionary.entries @ pinv
 
-    starts = range(0, len(supports), _CHUNK)
-    lower = np.concatenate([_lower_sides(supports[s : s + _CHUNK], a_cols) for s in starts])
-    bound = np.full(len(supports), math.inf)
+    # the queue takes the largest values first, so lower sides go in
+    # negated; unbounded rows keep +inf in both bound arrays
+    upper_bound = np.full(len(supports), math.inf)
+    lower_bound = np.full(len(supports), math.inf)
     if family and len(supports) > _CHUNK and k + 2 <= dictionary.n:
         supersets, members = _superset_cover(p, k)
-        np.minimum.at(bound, members, _superset_bounds(supersets, gram, proj)[:, None])
+        upper, lower = _principal_bounds(supersets, gram, proj)
+        np.minimum.at(upper_bound, members, upper[:, None])
+        np.minimum.at(lower_bound, members, -lower[:, None])
+    margin = _PRUNE_MARGIN * float(np.trace(gram))
+    # lower sides first: a rank-0 support is unbounded in both queues, so
+    # its lower side is evaluated before _upper_sides copies it
+    lower = -_best_first(
+        lower_bound, lambda rows: -_lower_sides(supports[rows], a_cols), margin
+    )
     upper = _best_first(
-        bound,
+        upper_bound,
         lambda rows: _upper_sides(supports[rows], gram, proj, lower[rows]),
-        _PRUNE_MARGIN * float(np.trace(gram)),
+        margin,
     )
     return _report(supports, lower, upper, p, k, method, trials)
 
@@ -436,20 +466,24 @@ def delta_exact(
 ) -> GripReport:
     """Exact delta_k over all C(p, k) supports.
 
-    Every support's lower side is evaluated. Upper sides go through one
-    best-first queue. Past one chunk of supports (and when k + 2 <= n) it
-    evaluates them only where they can matter, and otherwise everywhere:
-    each support is bounded by the least Rayleigh maximum among the
-    cover's (k+2)-sets that hold it, and supports are taken best-first by
-    that bound until the next bound, plus a margin of _PRUNE_MARGIN times
-    trace(A^T A), is below the largest upper side found. A skipped
-    support's upper side is strictly below that incumbent, so it reaches
-    neither delta nor eigen_range[1]; its delta term is its lower side's,
-    which is exact. So delta, the colex-first witness and eigen_range
-    equal those of evaluating every support. A bound prunes only when its
-    (k+2)-set's block of P = D D^+ has sigma_min / sigma_max above
-    _PRUNE_FLOOR; by interlacing its subsets are then full rank under the
-    rank rule, so rank-deficient supports are always evaluated.
+    Both sides go through one best-first queue each. Past one chunk of
+    supports (and when k + 2 <= n) they are evaluated only where they can
+    matter, and otherwise everywhere. Each support is bounded by the
+    cover's (k+2)-sets that hold it: its upper side by the least Rayleigh
+    maximum among them, its lower side by the greatest lambda_min among
+    them. Upper sides are taken best-first until the next bound, plus a
+    margin of _PRUNE_MARGIN times trace(A^T A), is below the largest
+    upper side found; lower sides until the next bound, minus that
+    margin, is above the smallest lower side found. A skipped side is
+    strictly beyond its incumbent, so it reaches neither delta nor
+    eigen_range, and the side that sets a support's delta term is
+    evaluated whenever that term attains delta. So delta, the
+    colex-first witness and eigen_range equal those of evaluating every
+    support. When m < k + 2 every lambda_min(A_U^T A_U) is about 0 and the
+    margin keeps every lower side. A bound prunes only when its (k+2)-set's
+    block of P = D D^+ has sigma_min / sigma_max above _PRUNE_FLOOR; by
+    interlacing its subsets are then full rank under the rank rule, so
+    rank-deficient supports are always evaluated on both sides.
 
     Raises BudgetExceededError when C(p, k) > max_supports rather than
     silently degrading to sampling; callers choose the fallback.
@@ -471,8 +505,8 @@ def delta_monte_carlo(
     drawn together by one `_random_subsets` call on default_rng(seed).
 
     Always <= the exact value since it scans a subset of the same support
-    family. Its rows go through the upper-side queue unbounded, so every
-    one is evaluated. When trials >= C(p, k) the scan switches to
+    family. Its rows go through both queues unbounded, so every lower and
+    upper side is evaluated. When trials >= C(p, k) the scan switches to
     delta_exact's full-family scan, pruning included, and the estimate
     equals the exact constant.
     """
@@ -488,6 +522,36 @@ def delta_monte_carlo(
     return _scan_supports(supports, phi_e, dictionary, k, "monte-carlo", trials)
 
 
+def _disjoint_blocks(supports: np.ndarray, rank: np.ndarray, p: int):
+    """The disjoint pairs i < j among the rows of a (S, k) support array
+    of range(p) whose bases both have rank > 0, _CHUNK // k rows i at a
+    time: yields (rows, free), where free[a, j] marks the pair
+    (rows[a], j). Overlaps come from a 0/1 membership product."""
+    s, k = supports.shape
+    member = np.zeros((s, p), dtype=np.float32)
+    np.put_along_axis(member, supports, 1.0, axis=1)
+    step = max(_CHUNK // k, 1)
+    for start in range(0, s, step):
+        rows = np.arange(start, min(start + step, s))
+        free = (member[rows] @ member.T == 0) & (np.arange(s) > rows[:, None])
+        yield rows, free & (rank[rows, None] > 0) & (rank > 0)  # a trivial subspace pairs with none
+
+
+def _meeting_pair(supports: np.ndarray, rank: np.ndarray, p: int, n: int) -> tuple[int, int] | None:
+    """The first disjoint pair (i, j), in _pair_bounds' order, whose
+    bases' ranks sum past n, or None when there is none. Both subspaces
+    lie in range(D), of dimension n, so such a pair meets and its cosine
+    is exactly 1; it is found from the membership mask and the ranks
+    alone."""
+    if 2 * int(rank.max()) <= n:
+        return None
+    for rows, free in _disjoint_blocks(supports, rank, p):
+        i, j = np.nonzero(free & (rank[rows, None] + rank > n))
+        if len(i):
+            return int(rows[i[0]]), int(j[0])
+    return None
+
+
 def _pair_bounds(
     supports: np.ndarray, bases: np.ndarray, rank: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -497,27 +561,19 @@ def _pair_bounds(
     ||Q_i^T Q_j||_F >= sigma_max (Bjorck & Golub, Math. Comp. 1973).
 
     bases is the (S, p, k) stack of the supports' bases and rank their
-    ranks. The mask and the bound come from the same rows of an S x S
-    block, _CHUNK // k supports at a time: overlaps from a 0/1 membership
-    product, and ||Q_i^T Q_j||_F^2 as the k^2 strided sums of the squared
-    Gram of the bases side by side, their columns past each rank zeroed.
-    The Gram is taken only against the supports disjoint from some row, so
-    it has at most _CHUNK rows and S * k columns, however many pairs
-    overlap."""
+    ranks. The bound comes block by block, with the mask of
+    _disjoint_blocks: ||Q_i^T Q_j||_F^2 as the k^2 strided sums of the
+    squared Gram of the bases side by side, their columns past each rank
+    zeroed. The Gram is taken only against the supports disjoint from
+    some row, so it has at most _CHUNK rows and S * k columns, however
+    many pairs overlap."""
     s, p, k = bases.shape
     flat = np.where(np.arange(k) < rank[:, None, None], bases, 0.0).transpose(1, 0, 2)
     flat = np.ascontiguousarray(flat)  # (p, S, k): column a of basis i is flat[:, i, a]
-    member = np.zeros((s, p), dtype=np.float32)
-    np.put_along_axis(member, supports, 1.0, axis=1)
     firsts, seconds, squares = [], [], []
-    step = max(_CHUNK // k, 1)
-    for start in range(0, s, step):
-        stop = min(start + step, s)
-        rows = np.arange(start, stop)
-        free = (member[start:stop] @ member.T == 0) & (np.arange(s) > rows[:, None])
-        free &= (rank[rows, None] > 0) & (rank > 0)  # a trivial subspace pairs with none
+    for rows, free in _disjoint_blocks(supports, rank, p):
         cols = np.flatnonzero(free.any(axis=0))
-        gram = flat[:, start:stop].reshape(p, -1).T @ flat[:, cols].reshape(p, -1)
+        gram = flat[:, rows].reshape(p, -1).T @ flat[:, cols].reshape(p, -1)
         gram *= gram
         frob = sum(gram[a::k, b::k] for a in range(k) for b in range(k))
         i, j = np.nonzero(free[:, cols])
@@ -561,10 +617,14 @@ def rho_exact(
     in [0, 1]. Requires 2k <= p so a disjoint pair exists. Ties report the
     colexicographically smallest pair: the first maximum over all pairs.
 
-    Pairs with a rank-0 basis (a trivial subspace) are skipped. Every
-    other pair is bounded by ||Q_i^T Q_j||_F >= sigma_max, all bounds
-    coming from one Gram of the stacked bases, and the pairs go through
-    delta's best-first queue (_best_first) with an absolute margin of
+    Two subspaces of range(D) whose dimensions sum past n = rank(P) meet,
+    so when some disjoint pair's ranks do, rho is 1.0 and the witness is
+    the first such pair, found with no Gram and no svd.
+
+    Otherwise pairs with a rank-0 basis (a trivial subspace) are skipped.
+    Every other pair is bounded by ||Q_i^T Q_j||_F >= sigma_max, all
+    bounds coming from one Gram of the stacked bases, and the pairs go
+    through delta's best-first queue (_best_first) with an absolute margin of
     _PRUNE_MARGIN, as no cosine exceeds 1. A pair not decomposed has its
     cosine below the largest one found, so it can neither attain nor tie
     rho: value and witness equal those of evaluating every pair, and an
@@ -580,18 +640,23 @@ def rho_exact(
     supports = _colex_supports(p, k)
     proj = dictionary.entries @ dictionary.pinv()
     bases, rank = _orth_stack(_gather(proj, supports))
-    first, second, bound = _pair_bounds(supports, bases, rank)
-    if not len(bound):
-        raise ValueError("no admissible disjoint pair (all chunk subspaces trivial)")
-    cos = _best_first(
-        bound, lambda rows: _cosines(bases, rank, first[rows], second[rows]), _PRUNE_MARGIN
-    )
-    t = int(np.argmax(cos))  # first attaining pair
+    if (meet := _meeting_pair(supports, rank, p, dictionary.n)) is not None:
+        rho, (i, j) = 1.0, meet
+    else:
+        first, second, bound = _pair_bounds(supports, bases, rank)
+        if not len(bound):
+            raise ValueError("no admissible disjoint pair (all chunk subspaces trivial)")
+        cos = _best_first(
+            bound, lambda rows: _cosines(bases, rank, first[rows], second[rows]), _PRUNE_MARGIN
+        )
+        t = int(np.argmax(cos))  # first attaining pair
+        rho = min(max(float(cos[t]), 0.0), 1.0)  # clip cosine roundoff
+        i, j = first[t], second[t]
     return RhoEstimate(
         k=k,
-        rho=min(max(float(cos[t]), 0.0), 1.0),  # clip cosine roundoff
+        rho=rho,
         method="exact",
-        witness=(SupportSet(supports[first[t]], p), SupportSet(supports[second[t]], p)),
+        witness=(SupportSet(supports[i], p), SupportSet(supports[j], p)),
     )
 
 

@@ -226,10 +226,18 @@ def loop_delta(phi_entries: np.ndarray, d: cg.Dictionary, supports):
 
 def loop_rho(d: cg.Dictionary, k: int):
     """Per-pair scan over disjoint colex pairs: (rho, witness pair), rank-0
-    subspaces skipped, the first attaining pair winning ties."""
+    subspaces skipped, the first attaining pair winning ties. Two
+    subspaces of range(D), of dimension n, whose ranks sum past n meet:
+    when some disjoint pair's do, rho is 1.0 and the first such pair is
+    the witness."""
     supports = colex_supports(d.p, k)
     proj = d.entries @ d.pinv()
     bases = [_loop_orth(proj[:, list(s)]) for s in supports]
+    for i, si in enumerate(supports):
+        for j in range(i + 1, len(supports)):
+            sj = supports[j]
+            if not set(si) & set(sj) and bases[i].shape[1] + bases[j].shape[1] > d.n:
+                return 1.0, (si, sj)
     best, witness = -1.0, None
     for i, si in enumerate(supports):
         if bases[i].shape[1] == 0:

@@ -495,6 +495,26 @@ def test_pruned_rho_decomposes_few_pairs(monkeypatch):
     assert seen == _queue_blocks(pairs)
 
 
+@pytest.mark.parametrize("p, n, k, meets", [(14, 9, 6, True), (12, 9, 5, True), (10, 6, 3, False)])
+def test_rho_is_one_when_disjoint_subspaces_must_meet(monkeypatch, p, n, k, meets):
+    # rank_i + rank_j > n = rank(P) forces two subspaces of range(D) to
+    # meet: rho is exactly 1, witnessed by the first such disjoint pair,
+    # with no pair Gram and no svd. At 2k = n the bounded scan still runs
+    d = cg.make_dictionary("tight-frame", p, n, 1)
+    seen = _count_cosines(monkeypatch)
+    if meets:
+        monkeypatch.setattr(grip, "_pair_bounds", None)  # calling it would fail
+    est = cg.rho_exact(d, k)
+    assert _estimate(est) == loop_rho(d, k)
+    if meets:
+        first = next(
+            (a, b) for a, b in itertools.combinations(colex_supports(p, k), 2) if not set(a) & set(b)
+        )
+        assert _estimate(est) == (1.0, first) and seen == []
+    else:
+        assert est.rho < 1.0 and 0 < sum(seen) < math.comb(p, k) * math.comb(p - k, k) // 2
+
+
 def test_rho_budget_refuses_before_enumerating():
     # C(40, 8) * C(32, 8) / 2 ~ 4.0e15 pairs; counting them one by one, or
     # building the 76.9M supports, would never finish
@@ -553,7 +573,8 @@ def test_superset_cover_follows_the_greedy_rule():
 def test_superset_bounds_refuse_ill_conditioned_blocks():
     # rows 0/1 repeat exactly, rows 2/3 differ by 1e-9, row 4 is zero: a
     # superset holding either pair or row 4 is below the conditioning
-    # floor, bounds at +inf and so never prunes
+    # floor, bounds neither side (+inf above, -inf below) and so never
+    # prunes
     entries = cg.make_dictionary("tight-frame", 12, 8, 2).entries.copy()
     entries[1] = entries[0]
     entries[3] = entries[2] + 1e-9 * entries[5]
@@ -563,23 +584,27 @@ def test_superset_bounds_refuse_ill_conditioned_blocks():
     a_cols = phi.entries @ d.pinv()
     proj = d.entries @ d.pinv()
     sets = np.array([[0, 1, 6, 7], [2, 3, 6, 7], [4, 6, 7, 8], [5, 6, 7, 8]])
-    bounds = grip._superset_bounds(sets, a_cols.T @ a_cols, proj)
-    assert np.isinf(bounds[:3]).all() and np.isfinite(bounds[3])
+    upper, lower = grip._principal_bounds(sets, a_cols.T @ a_cols, proj)
+    assert (upper[:3] == math.inf).all() and np.isfinite(upper[3])
+    assert (lower[:3] == -math.inf).all() and np.isfinite(lower[3])
     # a finite bound holds for every subset it covers
     subsets = np.array([list(s) for s in itertools.combinations(sets[3], 2)])
-    lower = grip._lower_sides(subsets, a_cols)
-    assert grip._upper_sides(subsets, a_cols.T @ a_cols, proj, lower).max() <= bounds[3]
+    lowers = grip._lower_sides(subsets, a_cols)
+    assert grip._upper_sides(subsets, a_cols.T @ a_cols, proj, lowers).max() <= upper[3]
+    assert lowers.min() >= lower[3]
 
 
-def _count_uppers(monkeypatch):
+def _count_sides(monkeypatch, name):
+    """The row counts of the calls of grip._lower_sides or
+    grip._upper_sides, in call order."""
     seen = []
-    upper_sides = grip._upper_sides
+    sides = getattr(grip, name)
 
     def counted(supports, *args):
         seen.append(len(supports))
-        return upper_sides(supports, *args)
+        return sides(supports, *args)
 
-    monkeypatch.setattr(grip, "_upper_sides", counted)
+    monkeypatch.setattr(grip, name, counted)
     return seen
 
 
@@ -599,7 +624,7 @@ def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
     supersets, members = grip._superset_cover(18, 4)
     sets = grip._colex_supports(18, 4)
     both = np.isin(sets, [0, 1]).sum(axis=1) == 2
-    seen = _count_uppers(monkeypatch)
+    seen = _count_sides(monkeypatch, "_upper_sides")
     for repeat_row, unbounded, most in ((False, 0, 32), (True, 236, 268)):
         entries = cg.make_dictionary("tight-frame", 18, 12, 4).entries.copy()
         if repeat_row:
@@ -611,7 +636,7 @@ def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
         assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
         a_cols = phi.entries @ d.pinv()
         bound = np.full(len(sets), math.inf)
-        bounds = grip._superset_bounds(supersets, a_cols.T @ a_cols, d.entries @ d.pinv())
+        bounds = grip._principal_bounds(supersets, a_cols.T @ a_cols, d.entries @ d.pinv())[0]
         np.minimum.at(bound, members, bounds[:, None])
         assert np.count_nonzero(np.isinf(bound)) == unbounded
         assert np.isinf(bound[both]).all() == repeat_row
@@ -622,12 +647,153 @@ def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
 
 
 def test_pruned_scan_evaluates_few_upper_sides_on_enumerate_frames(monkeypatch):
-    seen = _count_uppers(monkeypatch)
+    seen = _count_sides(monkeypatch, "_upper_sides")
     for (d, phi), most in zip(enumerate_instances(), (32, 65, 32, 32)):
         seen.clear()
         rep = cg.delta_exact(phi, d, 4)
         assert 0 < sum(seen) <= most
         assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
+
+
+def test_pruned_scan_evaluates_few_lower_sides_on_enumerate_frames(monkeypatch):
+    # lambda_min(A_U^T A_U) bounds the lower sides of U's subsets, so the
+    # negated lower sides go through the queue as the upper sides do
+    seen = _count_sides(monkeypatch, "_lower_sides")
+    for (d, phi), most in zip(enumerate_instances(), (96, 82, 134, 96)):
+        seen.clear()
+        rep = cg.delta_exact(phi, d, 4)
+        assert 0 < sum(seen) <= most
+        assert seen == _queue_blocks(sum(seen))  # bounded rows, in doubling blocks
+        assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
+
+
+def test_lower_bounds_keep_every_lower_side_below_k_plus_2_measurements(monkeypatch):
+    # m = 5 < k + 2: every A_U has a null direction, lambda_min(A_U^T A_U)
+    # is 0 up to roundoff, and the margin keeps every lower side in the
+    # queue, in doubling blocks, while the upper sides still prune
+    lowers = _count_sides(monkeypatch, "_lower_sides")
+    uppers = _count_sides(monkeypatch, "_upper_sides")
+    for d, _ in enumerate_instances():
+        phi = cg.make_sensing_matrix("gaussian", 5, 12, 3)
+        lowers.clear()
+        uppers.clear()
+        rep = cg.delta_exact(phi, d, 4)
+        assert lowers == _queue_blocks(math.comb(18, 4))
+        assert sum(uppers) < math.comb(18, 4)
+        assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
+
+
+def test_rank_zero_support_lower_side_precedes_its_upper_side(monkeypatch):
+    # k trailing zero rows of D make one support's projected block exactly
+    # zero: it lies in no well-conditioned superset, so it is unbounded in
+    # both queues, and its lower side is evaluated before _upper_sides
+    # copies it
+    k, zero = 4, [14, 15, 16, 17]
+    entries = cg.make_dictionary("tight-frame", 18, 12, 5).entries.copy()
+    entries[zero] = 0.0
+    d = cg.Dictionary(entries, "user-supplied")
+    phi = cg.make_sensing_matrix("gaussian", 8, 12, 6)
+    sets = grip._colex_supports(18, k)
+    target = int(np.flatnonzero((sets == zero).all(axis=1))[0])
+    assert grip._orth_stack(grip._gather(d.entries @ d.pinv(), sets[target : target + 1]))[1][0] == 0
+    order = []
+    lower_sides, upper_sides = grip._lower_sides, grip._upper_sides
+
+    def lowers(supports, *args):
+        order.append(("lower", supports.tolist()))
+        return lower_sides(supports, *args)
+
+    def uppers(supports, gram, proj, lower):
+        # the copy of a rank-0 support's lower side must read an evaluated one
+        assert np.isfinite(lower).all() or zero not in supports.tolist()
+        order.append(("upper", supports.tolist()))
+        return upper_sides(supports, gram, proj, lower)
+
+    monkeypatch.setattr(grip, "_lower_sides", lowers)
+    monkeypatch.setattr(grip, "_upper_sides", uppers)
+    rep = cg.delta_exact(phi, d, k)
+    holding = [side for side, rows in order if zero in rows]
+    assert holding == ["lower", "upper"]
+    assert sum(len(rows) for _, rows in order) < 2 * len(sets)
+    assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, k))
+
+
+@st.composite
+def bounded_frames(draw):
+    """(d, phi, k, refused) with the cover's bounds in play (k + 2 <= n).
+    The frame may repeat row 0 as row 1, put row 3 1e-9 from row 2, zero
+    row 4, and put row 7 a small step from row 6, near the conditioning
+    floor; Phi may be stretched along the chunk direction of rows 6 and 7,
+    which that step leaves worst conditioned. refused lists the row sets
+    whose supersets must bound nothing."""
+    k = draw(st.sampled_from([2, 3]))
+    p = draw(st.integers(9, 12))
+    n = draw(st.integers(k + 2, p - 3))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(["tight-frame", "gaussian-random"]))
+    entries = cg.make_dictionary(kind, p, n, seed).entries.copy()
+    rng = np.random.default_rng(seed)
+    refused = []
+    if draw(st.booleans()):
+        entries[1] = entries[0]
+        refused.append({0, 1})
+    if draw(st.booleans()):
+        entries[3] = entries[2] + 1e-9 * rng.standard_normal(n)
+        refused.append({2, 3})
+    if draw(st.booleans()):
+        entries[4] = 0.0
+        refused.append({4})
+    step = draw(st.sampled_from([0.0, 1e-6, 1e-5, 1e-3, 1e-2, 3e-2, 1e-1]))
+    if step:
+        entries[7] = entries[6] + step * rng.standard_normal(n)
+    d = cg.Dictionary(entries, "user-supplied")
+    phi = cg.make_sensing_matrix("gaussian", draw(st.integers(1, n - 1)), n, seed + 1).entries.copy()
+    if step and draw(st.booleans()):
+        x = d.pinv()[:, 6] - d.pinv()[:, 7]
+        phi[0] += 30.0 * x / np.linalg.norm(x)
+    return d, phi, k, refused
+
+
+def _principal_bounds_hold(d, phi, k, refused):
+    """Every finite bound of the cover's supersets holds within the
+    margin for every k-subset, and a superset holding one of the row
+    sets in `refused` bounds nothing."""
+    a_cols = phi @ d.pinv()
+    gram, proj = a_cols.T @ a_cols, d.entries @ d.pinv()
+    margin = grip._PRUNE_MARGIN * float(np.trace(gram))
+    supersets, members = grip._superset_cover(d.p, k)
+    upper, lower = grip._principal_bounds(supersets, gram, proj)
+    sets = grip._colex_supports(d.p, k)
+    lowers = grip._lower_sides(sets, a_cols)
+    uppers = grip._upper_sides(sets, gram, proj, lowers)
+    assert np.array_equal(upper == math.inf, lower == -math.inf)
+    for g, superset in enumerate(supersets):
+        if any(rows <= set(superset.tolist()) for rows in refused):
+            assert upper[g] == math.inf and lower[g] == -math.inf
+        if upper[g] < math.inf:
+            assert uppers[members[g]].max() <= upper[g] + margin
+            assert lowers[members[g]].min() >= lower[g] - margin
+
+
+@given(bounded_frames())
+@settings(max_examples=40, deadline=None)
+def test_principal_bounds_hold_for_every_subset(frame):
+    _principal_bounds_hold(*frame)
+
+
+def test_principal_bounds_refuse_blocks_too_ill_conditioned_for_the_margin():
+    # rows 6 and 7 3e-6 apart and Phi stretched along their chunk
+    # direction: the bounds of a superset holding both lose accuracy as
+    # the square of its conditioning, and at a singular-value floor of
+    # 1e-6 one fell 4e3 margins below a subset's upper side; the floor
+    # refuses them
+    entries = cg.make_dictionary("tight-frame", 10, 6, 30).entries.copy()
+    entries[7] = entries[6] + 3e-6 * np.random.default_rng(30).standard_normal(6)
+    d = cg.Dictionary(entries, "user-supplied")
+    phi = cg.make_sensing_matrix("gaussian", 4, 6, 31).entries.copy()
+    x = d.pinv()[:, 6] - d.pinv()[:, 7]
+    phi[0] += 30.0 * x / np.linalg.norm(x)
+    _principal_bounds_hold(d, phi, 3, [{6, 7}])
 
 
 @st.composite
@@ -685,21 +851,23 @@ def test_best_first_equals_evaluating_every_row(family):
 )
 def test_unbounded_scans_evaluate_every_upper_side(monkeypatch, kind, p, n, k, trials, zero_row):
     # no row of a one-chunk family, a sampled scan or a family with
-    # k + 2 > n has a superset bound, so the queue evaluates every upper
-    # side, _CHUNK rows per call: 45 rows in one call, 300 in 256 + 44
+    # k + 2 > n has a superset bound, so each queue evaluates every lower
+    # and upper side, _CHUNK rows per call: 45 rows in one call, 300 in
+    # 256 + 44
     entries = cg.make_dictionary(kind, p, n, 4).entries.copy()
     if zero_row:
         entries[6] = 0.0
     d = cg.Dictionary(entries, "user-supplied")
     phi = cg.make_sensing_matrix("gaussian", n - 3, n, 5)
-    seen = _count_uppers(monkeypatch)
+    seen = _count_sides(monkeypatch, "_upper_sides")
+    lowers = _count_sides(monkeypatch, "_lower_sides")
     if trials is None:
         rep = cg.delta_exact(phi, d, k)
         supports = colex_supports(p, k)
     else:
         rep = cg.delta_monte_carlo(phi, d, k, trials, seed=7)
         supports = sampled_supports(p, k, trials, 7)
-    assert seen == _unbounded_blocks(len(supports))
+    assert seen == lowers == _unbounded_blocks(len(supports))
     assert (len(supports) > grip._CHUNK) == (trials is not None or k + 2 > n)
     assert _report(rep) == loop_delta(phi.entries, d, supports)
 
