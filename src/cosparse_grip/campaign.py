@@ -4,9 +4,10 @@ A campaign is a JSON config naming one experiment plus its dimensions,
 operator kinds, constraint, trial count and seed. Per-trial seeds are the
 splitmix64 finalizer applied to (campaign seed, trial index), so trials
 are order-independent and the whole run is reproducible to the byte from
-(config, seed) alone. verify-c2 draws its trials a stream block of
-_STREAM trials at a time instead (see `run`); its rows still carry the
-per-trial seed, as the trial's identifier.
+(config, seed) alone. verify-c1 and verify-c2 draw their trials a stream
+block of _STREAM trials at a time instead (see `run`) and check each
+block through one stacked kernel per pool instance; their rows still
+carry the per-trial seed, as the trial's identifier.
 
 `write_outputs` is the one writer of the artifacts: results.csv
 (17-significant-digit floats, trailing `# summary:` comment block),
@@ -26,7 +27,8 @@ derive from it; a key is required exactly when its field has no default.
 
 What each experiment does lives in one private table, `_TABLE`: its
 trial function, its summary keys, whether its trials share a verify
-instance pool, and which cosparsity rules its configs must meet. Every
+instance pool, the kernel and widths of its stream draws, and which
+cosparsity rules its configs must meet. Every
 value check is made in `ExperimentConfig.__post_init__`, and so is every
 refusal the dimensions alone decide (exact constants over their
 `budget`, a dantzig LP over `MAX_LP_VARIABLES`); `from_json` only checks
@@ -63,7 +65,6 @@ from .model import (
     DICTIONARY_KINDS,
     Dictionary,
     SensingMatrix,
-    SupportSet,
     _random_subsets,
     _sensing_draw,
     load_dictionary_csv,
@@ -81,7 +82,7 @@ from .solvers import (
     solve_lp_certified,
     solve_synthesis_l1,
 )
-from .verify import _corollary2_stack, _dots, check_corollary1, check_theorem1
+from .verify import _corollary1_stack, _corollary2_stack, _dots, _gemvs, check_theorem1
 
 __all__ = [
     "EXPERIMENTS",
@@ -103,11 +104,11 @@ _RHO_MODES = ("exact", "printed")
 _DECAY = 0.5              # ratio of verify-t1's compressible signal profile
 
 _BLOCK = 256              # trials per call of an experiment that evaluates blocks
-_STREAM = 256             # verify-c2 trials per stream block: part of the draws' definition
+_STREAM = 256             # verify-c1/c2 trials per stream block: part of the draws' definition
 
 _MASK64 = (1 << 64) - 1
 _INSTANCE_TAG = 1 << 40   # keeps instance seed stream clear of trial indices
-_STREAM_TAG = 2 << 40     # keeps verify-c2 stream-block seeds clear of both
+_STREAM_TAG = 2 << 40     # keeps stream-block seeds clear of both
 
 
 class ConfigError(ValueError):
@@ -609,47 +610,44 @@ def _verify_row(index: int, seed: int, inst: _VerifyInstance, lhs, rhs, slack, h
     }
 
 
-def _verify_c1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
-    inst = pool[index % len(pool)]
-    d = inst.dictionary
-    rng = np.random.default_rng(seed)
-    picks = rng.choice(cfg.p, size=2 * cfg.k, replace=False)
-    sup_i = SupportSet(tuple(int(v) for v in picks[: cfg.k]), cfg.p)
-    sup_j = SupportSet(tuple(int(v) for v in picks[cfg.k :]), cfg.p)
-    pinv = d.pinv()
-    z_i = np.zeros(cfg.p)
-    z_i[list(sup_i.indices)] = rng.standard_normal(cfg.k)
-    z_j = np.zeros(cfg.p)
-    z_j[list(sup_j.indices)] = rng.standard_normal(cfg.k)
-    rep = check_corollary1(
-        inst.phi, d, cfg.k, (sup_i, pinv @ z_i), (sup_j, pinv @ z_j),
-        delta2k=inst.delta2k, rho=inst.rho,
-    )
-    return _verify_row(index, seed, inst, rep.lhs, rep.rhs, rep.slack, rep.hypothesis_ok)
-
-
-def _c2_stream_block(cfg: ExperimentConfig, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Raw draws of verify-c2 stream block b, the trials b * _STREAM to
-    (b + 1) * _STREAM - 1, one row each: a generator keyed by (campaign
-    seed, b) draws the (_STREAM, n) ziggurat normals, then the
-    (_STREAM, k) heads by `_random_subsets`."""
+def _stream_block(cfg: ExperimentConfig, b: int, width: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw draws of stream block b, the trials b * _STREAM to (b + 1) *
+    _STREAM - 1, one row each: a generator keyed by (campaign seed, b)
+    draws the (_STREAM, width) ziggurat normals, then the (_STREAM, size)
+    picks by `_random_subsets`."""
     rng = np.random.default_rng(trial_seed(cfg.seed, _STREAM_TAG + b))
-    v = rng.standard_normal((_STREAM, cfg.n))
-    return v, _random_subsets(rng, _STREAM, cfg.p, cfg.k)
+    v = rng.standard_normal((_STREAM, width))
+    return v, _random_subsets(rng, _STREAM, cfg.p, size)
 
 
-def _verify_c2_block(cfg: ExperimentConfig, pool, start: int, seeds: list[int]) -> list[dict]:
-    """Rows of the consecutive trials start, start + 1, ... (one per seed,
-    which the row carries as the trial's identifier). A trial's direction
-    h = v / ||v|| and head are its row of the stream blocks that cover the
-    trials, whatever the block size; the checks then run as one stacked
-    call per pool instance, whose rows have the bits of one check per
-    trial."""
-    last = (start + len(seeds) - 1) // _STREAM
-    drawn = [_c2_stream_block(cfg, b) for b in range(start // _STREAM, last + 1)]
-    offset = start % _STREAM
-    v, heads = (np.concatenate(parts)[offset : offset + len(seeds)] for parts in zip(*drawn))
+def _c1_checks(cfg: ExperimentConfig, inst: _VerifyInstance, v: np.ndarray, picks: np.ndarray) -> dict:
+    """Corollary 1 on the chunks D^+ z_i and D^+ z_j, z_i holding the
+    first k normals at the first k picks and z_j the rest."""
+    z = np.zeros((2, len(v), cfg.p))
+    np.put_along_axis(z[0], picks[:, : cfg.k], v[:, : cfg.k], axis=1)
+    np.put_along_axis(z[1], picks[:, cfg.k :], v[:, cfg.k :], axis=1)
+    pinv = inst.dictionary.pinv()
+    h_i, h_j = _gemvs(pinv, z[0]), _gemvs(pinv, z[1])
+    return _corollary1_stack(inst.phi, inst.dictionary, cfg.k, h_i, h_j, inst.delta2k, inst.rho)[1]
+
+
+def _c2_checks(cfg: ExperimentConfig, inst: _VerifyInstance, v: np.ndarray, heads: np.ndarray) -> dict:
+    """Corollary 2 on the directions v / ||v|| with their heads."""
     h = v / np.sqrt(_dots(v, v))[:, None]
+    return _corollary2_stack(inst.phi, inst.dictionary, cfg.k, h, heads, inst.delta2k, inst.rho)[1]
+
+
+def _verify_block(cfg: ExperimentConfig, pool, start: int, seeds: list[int]) -> list[dict]:
+    """Rows of the consecutive trials start, start + 1, ... (one per seed,
+    which the row carries as the trial's identifier). A trial's draws are
+    its row of the stream blocks that cover the trials, whatever the block
+    size; the experiment's kernel then runs as one stacked call per pool
+    instance, whose rows have the bits of one check per trial."""
+    checks, width, size = _TABLE[cfg.experiment].stream(cfg)
+    last = (start + len(seeds) - 1) // _STREAM
+    drawn = [_stream_block(cfg, b, width, size) for b in range(start // _STREAM, last + 1)]
+    offset = start % _STREAM
+    v, picks = (np.concatenate(parts)[offset : offset + len(seeds)] for parts in zip(*drawn))
     rows = [None] * len(seeds)
     for i, inst in enumerate(pool):
         # trial start + j checks against pool[(start + j) % len(pool)]
@@ -657,9 +655,7 @@ def _verify_c2_block(cfg: ExperimentConfig, pool, start: int, seeds: list[int]) 
         positions = range(len(seeds))[mine]
         if not positions:
             continue
-        _, cols = _corollary2_stack(
-            inst.phi, inst.dictionary, cfg.k, h[mine], heads[mine], inst.delta2k, inst.rho
-        )
+        cols = checks(cfg, inst, v[mine], picks[mine])
         for j, lhs, rhs, slack, ok in zip(
             positions, *(cols[key].tolist() for key in ("lhs", "rhs", "slack", "hypothesis_ok"))
         ):
@@ -667,8 +663,8 @@ def _verify_c2_block(cfg: ExperimentConfig, pool, start: int, seeds: list[int]) 
     return rows
 
 
-def _verify_c2_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
-    return _verify_c2_block(cfg, pool, index, [seed])[0]
+def _verify_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
+    return _verify_block(cfg, pool, index, [seed])[0]
 
 
 def _compressible_signal(dictionary: Dictionary, seed: int) -> np.ndarray:
@@ -779,9 +775,12 @@ class _Experiment:
     is the verify instance pool when `pooled`, else the loaded operator
     files. block(cfg, ctx, start, seeds), where given, runs the trials
     start, start + 1, ... at once (one per seed, up to _BLOCK of them) and
-    returns the rows `trial` would. Each row carries its trial's seed; a
-    verify-c2 trial draws from its stream block, not from that seed. The
-    rows of the experiments that solve carry `converged`, which the
+    returns the rows `trial` would. stream(cfg), where given, is the
+    per-instance kernel of an experiment whose trials are rows of stream
+    blocks (see `run`), then the normals and the picks per row. Each row
+    carries its trial's seed; a trial of a stream experiment draws from
+    its stream block, not from that seed, and is the block of one trial.
+    The rows of the experiments that solve carry `converged`, which the
     summary counts and the CLI's exit 4 reads.
     draws_signal: samples a k-analysis-sparse signal (needs k < p and,
     for a redundant operator, k >= p - n + 1). needs_pairs: uses disjoint
@@ -792,6 +791,7 @@ class _Experiment:
     trial: Callable[[ExperimentConfig, object, int, int], dict]
     summarize: Callable[[ExperimentConfig, list[dict]], dict]
     block: Callable[[ExperimentConfig, object, int, list[int]], list[dict]] | None = None
+    stream: Callable[[ExperimentConfig], tuple[Callable, int, int]] | None = None
     pooled: bool = False
     draws_signal: bool = False
     needs_pairs: bool = False
@@ -802,10 +802,13 @@ _TABLE = {
     "grip": _Experiment(_grip_trial, _spread_summary("delta")),
     "rho": _Experiment(_rho_trial, _spread_summary("rho"), needs_pairs=True),
     "solve": _Experiment(_solve_trial, _solve_summary, draws_signal=True),
-    "verify-c1": _Experiment(_verify_c1_trial, _verify_summary, pooled=True, needs_pairs=True),
+    "verify-c1": _Experiment(
+        _verify_trial, _verify_summary, block=_verify_block, pooled=True, needs_pairs=True,
+        stream=lambda cfg: (_c1_checks, 2 * cfg.k, 2 * cfg.k),
+    ),
     "verify-c2": _Experiment(
-        _verify_c2_trial, _verify_summary, block=_verify_c2_block, pooled=True,
-        needs_pairs=True, hypotheses=(_delta_below_one,),
+        _verify_trial, _verify_summary, block=_verify_block, pooled=True, needs_pairs=True,
+        hypotheses=(_delta_below_one,), stream=lambda cfg: (_c2_checks, cfg.n, cfg.k),
     ),
     "verify-t1": _Experiment(
         _verify_t1_trial, _t1_summary, pooled=True, needs_pairs=True,
@@ -839,14 +842,20 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     worker count and block size. A failure raises CampaignTrialError
     carrying the rows before it.
 
-    A verify-c2 trial i draws from stream block b = i // _STREAM (256
-    trials): default_rng(trial_seed(seed, _STREAM_TAG + b)) draws
-    standard_normal((256, n)), then random((256, p)). Row i % 256 of the
-    normals, scaled to unit norm, is the trial's direction h; the first k
-    entries of a stable argsort of its uniform row are its head. The row's
-    `seed` column, trial_seed(seed, i), names the trial. Any campaign with
-    the same config and seed and more than i trials has the same row i,
-    and `_verify_c2_trial` replays it alone.
+    A verify-c1 or verify-c2 trial i draws from stream block b =
+    i // _STREAM (256 trials): default_rng(trial_seed(seed, _STREAM_TAG +
+    b)) draws standard_normal((256, width)), then random((256, p)); the
+    picks of row r are the first `size` entries of a stable argsort of
+    its uniform row, and the trial takes row i % 256 of each.
+      * verify-c2 (width n, size k): the normal row scaled to unit norm is
+        the direction h, the picks are its head.
+      * verify-c1 (width 2k, size 2k): the first k picks are support i,
+        the last k support j; z_i holds the first k normals at their
+        picks' positions, z_j the last k, in pick order, and the chunks
+        are D^+ z_i and D^+ z_j.
+    The row's `seed` column, trial_seed(seed, i), names the trial. Any
+    campaign with the same config and seed and more than i trials has the
+    same row i, and `_verify_trial` replays it alone.
     """
     t0 = time.perf_counter()
     entry = _TABLE[config.experiment]

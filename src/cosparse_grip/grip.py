@@ -76,7 +76,7 @@ __all__ = [
 DEFAULT_MAX_SUPPORTS = 3060   # enumeration budget: C(18, 4), i.e. p <= 18 at k <= 4
 DEFAULT_MAX_PAIRS = 60000     # disjoint-pair budget for rho_exact
 
-_TRIVIAL_TOL = 1e-10   # relative sv cutoff for chunk-subspace bases
+_TRIVIAL_TOL = 1e-10   # sv cutoff for chunk-subspace bases, relative to max(1, largest sv)
 _CHUNK = 256           # rows (supports or pairs) per stacked linalg call
 # min sv ratio of a superset block whose bounds may prune. The
 # principal-submatrix bounds lose accuracy as 1 / ratio^2 (up to about
@@ -174,11 +174,13 @@ def _orth_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases of a stack of column blocks.
 
     Returns (u, rank): the basis of block s is u[s, :, :rank[s]], with
-    singular values below _TRIVIAL_TOL times the largest dropped (rank 0
-    when the block is zero).
+    singular values at or below _TRIVIAL_TOL times max(1, the largest)
+    dropped. The blocks are columns of P = DD^+, whose norm is 1, so the
+    cutoff does not shrink with a block: a zero row of D, whose column of
+    P is roundoff, gets rank 0, not a basis of its noise.
     """
     u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
-    rank = np.sum(sv > _TRIVIAL_TOL * sv[:, :1], axis=1)
+    rank = np.sum(sv > _TRIVIAL_TOL * np.fmax(sv[:, :1], 1.0), axis=1)
     return u, rank
 
 
@@ -307,16 +309,17 @@ def _principal_bounds(
     (Cauchy interlacing).
 
     A row bounds only when lambda_min(P[U, U]) > _PRUNE_FLOOR^2 times
-    lambda_max(P[U, U]); these are the squared singular values of
-    P[:, U], so by interlacing each subset's block keeps a singular-value
-    ratio above _PRUNE_FLOOR, far above _TRIVIAL_TOL, the rank rule keeps
-    its whole span, and no rank-deficient support is bounded. Other rows
-    bound nothing: upper +inf and lower -inf.
+    max(lambda_max(P[U, U]), _TRIVIAL_TOL); these are the squared
+    singular values of P[:, U], so by interlacing each subset's block
+    keeps singular values above 1e-7, far above the rank rule's cutoff
+    (_TRIVIAL_TOL, as P has norm 1), the rank rule keeps its whole span,
+    and no rank-deficient support is bounded. Other rows bound nothing:
+    upper +inf and lower -inf.
     """
     block = (supersets[:, :, None], supersets[:, None, :])
     g = gram[block]
     w, v = np.linalg.eigh(proj[block])
-    ok = w[:, 0] > _PRUNE_FLOOR**2 * w[:, -1]
+    ok = w[:, 0] > _PRUNE_FLOOR**2 * np.fmax(w[:, -1], _TRIVIAL_TOL)
     white = v[ok] / np.sqrt(w[ok])[:, None, :]  # white^T P[U, U] white = I
     upper = np.full(len(supersets), math.inf)
     lower = np.full(len(supersets), -math.inf)

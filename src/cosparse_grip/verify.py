@@ -28,12 +28,13 @@ The head-complement l1 tail in corollary 2 follows the derivation that
 yields it; the tighter head-only variant is falsified by random
 orthogonal instances, so it is not what gets checked.
 
-The arithmetic of corollary 2 and of theorem 1's inner term runs on
-stacks of directions, one row per check (_masked_term,
-_corollary2_stack): a verify-c2 campaign checks a block of trials in one
-call, and the public checkers are stacks of one. Every stacked product is
-a per-row gemv or dot and the l1 tail a left fold in column order, so
-each row has the bits of its own one-vector evaluation.
+The arithmetic of both corollaries and of theorem 1's inner term runs on
+stacks, one row per check (_corollary1_stack on chunk pairs;
+_masked_term and _corollary2_stack on directions): a verify-c1 or
+verify-c2 campaign checks a block of trials in one call, and the public
+checkers are stacks of one. Every stacked product is a per-row gemv or
+dot and the l1 tail a left fold in column order, so each row has the
+bits of its own one-vector evaluation.
 """
 
 from __future__ import annotations
@@ -122,31 +123,24 @@ def check_corollary1(
         raise ValueError(f"chunk supports overlap: {sup_i.indices} vs {sup_j.indices}")
     h_i = _vector("h_i", h_i, dictionary.n)
     h_j = _vector("h_j", h_j, dictionary.n)
-    f = _sensing_for(phi, dictionary)
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
-    d = dictionary.entries
-    lhs = abs(float((f @ h_i) @ (f @ h_j)))
-    norm_i = _norm(d @ h_i)
-    norm_j = _norm(d @ h_j)
-    rhs = (delta2k + rho) * norm_i * norm_j
-
-    hypothesis_ok = delta2k < 1.0
-    constants = bound_constants(delta2k, rho) if hypothesis_ok else None
+    constants, cols = _corollary1_stack(phi, dictionary, k, h_i[None, :], h_j[None, :], delta2k, rho)
+    row = {key: col[0].tolist() for key, col in cols.items()}
     witness = {
         "k": k,
         "support_i": list(sup_i.indices),
         "support_j": list(sup_j.indices),
         "delta2k": delta2k,
         "rho": rho,
-        "image_norm_i": norm_i,
-        "image_norm_j": norm_j,
+        "image_norm_i": row["image_norm_i"],
+        "image_norm_j": row["image_norm_j"],
     }
     return BoundReport(
         which="corollary1",
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        hypothesis_ok=hypothesis_ok,
+        lhs=row["lhs"],
+        rhs=row["rhs"],
+        slack=row["slack"],
+        hypothesis_ok=row["hypothesis_ok"],
         constants_used=constants,
         witness=witness,
     )
@@ -200,6 +194,39 @@ def _masked_term(
     vanished = mask_norm <= _ZERO_TOL * np.fmax(1.0, np.sqrt(_dots(u, u)))
     inner = np.divide(raw, mask_norm, out=np.zeros(n_rows), where=~vanished)
     return next_blocks, mask_norm, inner, vanished & (raw > _ZERO_TOL)
+
+
+def _corollary1_stack(
+    phi,
+    dictionary: Dictionary,
+    k: int,
+    h_i: np.ndarray,
+    h_j: np.ndarray,
+    delta2k: float | None,
+    rho: float | None,
+) -> tuple[BoundConstants | None, dict[str, np.ndarray]]:
+    """Corollary 1 on each row pair of two (N, n) stacks of chunks h_i,
+    h_j: the constants (None when delta_2k >= 1) and one column per
+    report field ("lhs", "rhs", "slack", "hypothesis_ok") and image norm
+    ("image_norm_i", "image_norm_j"). The chunks' supports are the
+    caller's to check; every row has the bits of its own check."""
+    f = _sensing_for(phi, dictionary)
+    delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
+    hypothesis_ok = delta2k < 1.0
+    constants = bound_constants(delta2k, rho) if hypothesis_ok else None
+    d = dictionary.entries
+    lhs = np.abs(_dots(_gemvs(f, h_i), _gemvs(f, h_j)))
+    u_i, u_j = _gemvs(d, h_i), _gemvs(d, h_j)
+    norm_i, norm_j = np.sqrt(_dots(u_i, u_i)), np.sqrt(_dots(u_j, u_j))
+    rhs = (delta2k + rho) * norm_i * norm_j
+    return constants, {
+        "lhs": lhs,
+        "rhs": rhs,
+        "slack": rhs - lhs,
+        "hypothesis_ok": np.full(len(lhs), hypothesis_ok),
+        "image_norm_i": norm_i,
+        "image_norm_j": norm_j,
+    }
 
 
 def _corollary2_stack(

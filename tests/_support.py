@@ -148,9 +148,8 @@ def _loop_orth(cols: np.ndarray) -> np.ndarray:
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0))
     u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((cols.shape[0], 0))
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    # columns of P = DD^+, whose norm is 1: the cutoff is 1e-10 absolute
+    rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
     return u[:, :rank]
 
 
@@ -253,8 +252,9 @@ def loop_rho(d: cg.Dictionary, k: int):
 
 
 # ---------------------------------------------------------------------------
-# per-direction reference check: the Corollary 2 arithmetic the stacked
-# verify kernel replaced, kept so tests can demand bit-for-bit agreement
+# per-direction reference checks: the Corollary 1 and 2 arithmetic the
+# stacked verify kernels replaced, kept so tests can demand bit-for-bit
+# agreement
 
 
 def _loop_next_block(u: np.ndarray, head, k: int) -> list[int]:
@@ -265,6 +265,14 @@ def _loop_next_block(u: np.ndarray, head, k: int) -> list[int]:
 
 def _loop_norm(v: np.ndarray) -> float:
     return math.sqrt(float(v @ v))
+
+
+def loop_corollary1(phi_entries: np.ndarray, d: cg.Dictionary, h_i, h_j, delta2k: float, rho: float):
+    """One chunk pair's Corollary 1 check, one vector at a time: (lhs,
+    rhs, slack, hypothesis_ok)."""
+    lhs = abs(float((phi_entries @ h_i) @ (phi_entries @ h_j)))
+    rhs = (delta2k + rho) * _loop_norm(d.entries @ h_i) * _loop_norm(d.entries @ h_j)
+    return lhs, rhs, rhs - lhs, delta2k < 1.0
 
 
 def loop_corollary2(phi_entries: np.ndarray, d: cg.Dictionary, k: int, h, head, delta2k: float, rho: float):

@@ -796,10 +796,20 @@ def test_verify_c2_rows_invariant_under_block_size(monkeypatch, block, workers):
     assert got.summary == want.summary
 
 
-@pytest.mark.parametrize("block, workers", [(7, 2), (100, 1), (100, 3)])
-def test_verify_c2_rows_invariant_across_stream_blocks(monkeypatch, block, workers):
+# Both corollary experiments draw their trials from the same stream
+# blocks, so the stream tests below run on both. Their names and the
+# unprefixed ids are the verify-c2 cases, so that those ids stay stable.
+STREAMED = ("verify-c2", "verify-c1")
+
+
+@pytest.mark.parametrize("experiment, block, workers", [
+    pytest.param(experiment, block, workers, id=f"{prefix}{block}-{workers}")
+    for experiment, prefix in zip(STREAMED, ("", "verify-c1-"))
+    for block, workers in [(7, 2), (100, 1), (100, 3)]
+])
+def test_verify_c2_rows_invariant_across_stream_blocks(monkeypatch, experiment, block, workers):
     # blocks that straddle the stream blocks' edges at 256 and 512
-    cfg = config_from(base_doc(trials=2 * cam._STREAM + 90, instances=2, seed=11))
+    cfg = config_from(base_doc(experiment=experiment, trials=2 * cam._STREAM + 90, instances=2, seed=11))
     assert cam._BLOCK % block and cam._STREAM % block
     want = run(cfg)
     monkeypatch.setattr(cam, "_BLOCK", block)
@@ -814,10 +824,12 @@ def row_reprs(rows) -> list[str]:
     return [json.dumps(row) for row in rows]
 
 
-def bernoulli_c2_config(instances: int, seed: int, trials: int) -> ExperimentConfig:
-    """A verify-c2 campaign on bernoulli 9x10 instances, whose unit-norm
-    columns keep delta_2 below 1 for most seeds."""
-    return config_from(base_doc(matrix_kind="bernoulli", instances=instances, seed=seed, trials=trials))
+def bernoulli_config(experiment: str, instances: int, seed: int, trials: int) -> ExperimentConfig:
+    """A verify-c1 or verify-c2 campaign on bernoulli 9x10 instances, whose
+    unit-norm columns keep delta_2 below 1 for most seeds."""
+    return config_from(base_doc(
+        experiment=experiment, matrix_kind="bernoulli", instances=instances, seed=seed, trials=trials
+    ))
 
 
 def admissible_pool(cfg: ExperimentConfig):
@@ -828,34 +840,36 @@ def admissible_pool(cfg: ExperimentConfig):
 
 
 @given(
+    st.sampled_from(STREAMED),
     st.integers(1, 3),
     st.integers(0, 2**32),
     st.integers(1, 2 * cam._STREAM + 40),
     st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_verify_c2_trial_replayed_alone_equals_its_row(instances, seed, trials, data):
-    cfg = bernoulli_c2_config(instances, seed, trials)
+def test_verify_c2_trial_replayed_alone_equals_its_row(experiment, instances, seed, trials, data):
+    cfg = bernoulli_config(experiment, instances, seed, trials)
     pool = admissible_pool(cfg)
     rows = run(cfg).rows
     edges = [i for b in (1, 2) for i in (b * cam._STREAM - 1, b * cam._STREAM) if i < trials]
     for i in edges + [trials - 1, data.draw(st.integers(0, trials - 1))]:
-        alone = cam._verify_c2_trial(cfg, pool, i, trial_seed(seed, i))
+        alone = cam._verify_trial(cfg, pool, i, trial_seed(seed, i))
         assert row_reprs([alone]) == row_reprs([rows[i]])
 
 
 @given(
+    st.sampled_from(STREAMED),
     st.integers(1, 3),
     st.integers(0, 2**32),
     st.integers(1, 2 * cam._STREAM + 40),
     st.integers(1, cam._STREAM + 40),
 )
 @settings(max_examples=30, deadline=None)
-def test_verify_c2_rows_are_prefix_stable(instances, seed, short, extra):
+def test_verify_c2_rows_are_prefix_stable(experiment, instances, seed, short, extra):
     long = short + extra
-    admissible_pool(bernoulli_c2_config(instances, seed, short))
-    prefix = run(bernoulli_c2_config(instances, seed, short)).rows
-    whole = run(bernoulli_c2_config(instances, seed, long)).rows
+    admissible_pool(bernoulli_config(experiment, instances, seed, short))
+    prefix = run(bernoulli_config(experiment, instances, seed, short)).rows
+    whole = run(bernoulli_config(experiment, instances, seed, long)).rows
     assert row_reprs(prefix) == row_reprs(whole[:short])
 
 
@@ -863,7 +877,7 @@ def test_verify_c2_stream_definition_is_pinned():
     # Stream block 1 of campaign seed 20 at (n, p, k) = (10, 10, 3): raw
     # RNG output, no arithmetic. A change here moves every verify-c2 CSV
     # and must be recorded as a re-baseline.
-    v, heads = cam._c2_stream_block(config_from(base_doc(k=3)), 1)
+    v, heads = cam._stream_block(config_from(base_doc(k=3)), 1, 10, 3)
     assert v.shape == (256, 10) and heads.shape == (256, 3)
     assert v[0, :3].tolist() == [-0.5745277070957034, -0.3048634837573174, 0.13740584399264344]
     assert hashlib.sha256(v.astype("<f8").tobytes()).hexdigest() == (
@@ -875,23 +889,60 @@ def test_verify_c2_stream_definition_is_pinned():
     )
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, workers):
-    cfg = config_from(base_doc(trials=2 * cam._BLOCK + 5))
+def test_verify_c1_stream_definition_is_pinned():
+    # Stream block 1 of campaign seed 20 at (p, k) = (10, 2): 2k normals
+    # and 2k picks a row, raw RNG output. A change here moves every
+    # verify-c1 CSV and must be recorded as a re-baseline.
+    cfg = config_from(base_doc(experiment="verify-c1", k=2, trials=cam._STREAM + 2))
+    v, picks = cam._stream_block(cfg, 1, 4, 4)
+    assert v.shape == (256, 4) and picks.shape == (256, 4)
+    normals = [0.9130254525233574, -0.33684726333703285, -2.4495091637892545, -1.6475796913522904]
+    assert v[1].tolist() == normals
+    assert hashlib.sha256(v.astype("<f8").tobytes()).hexdigest() == (
+        "19d3225afe779735fed3222e7edb7a0d637227692877759e6b5df4f1712ecfd0"
+    )
+    assert picks[:4].tolist() == [[2, 5, 0, 9], [3, 0, 5, 2], [7, 5, 3, 1], [3, 0, 7, 2]]
+    assert hashlib.sha256(picks.astype("<i8").tobytes()).hexdigest() == (
+        "dd7df45752659c46e510cc8d18c18cf495729455117c0249c0dc9b5c44f25e2d"
+    )
+    # trial 257 is row 1: picks 3, 0 are support i and 5, 2 support j, and
+    # each normal sits at its pick's position, in pick order (not sorted)
+    z_i, z_j = np.zeros(10), np.zeros(10)
+    z_i[[3, 0]] = normals[:2]
+    z_j[[5, 2]] = normals[2:]
+    inst = cam._verify_pool(cfg, cam._load_operators(cfg))[0]
+    pinv = inst.dictionary.pinv()
+    rep = cg.check_corollary1(
+        inst.phi, inst.dictionary, 2,
+        (cg.SupportSet((0, 3), 10), pinv @ z_i), (cg.SupportSet((2, 5), 10), pinv @ z_j),
+        delta2k=inst.delta2k, rho=inst.rho,
+    )
+    row = run(cfg).rows[257]
+    assert row_reprs([[rep.lhs, rep.rhs, rep.slack, rep.hypothesis_ok]]) == row_reprs(
+        [[row[key] for key in ("lhs", "rhs", "slack", "hypothesis_ok")]]
+    )
+
+
+@pytest.mark.parametrize("experiment, workers", [
+    pytest.param(experiment, workers, id=f"{prefix}{workers}")
+    for experiment, prefix in zip(STREAMED, ("", "verify-c1-"))
+    for workers in (1, 2)
+])
+def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, experiment, workers):
+    cfg = config_from(base_doc(experiment=experiment, trials=2 * cam._BLOCK + 5))
     clean = run(cfg)
     failing = cam._BLOCK + cam._BLOCK // 2  # the middle of the second block
     bad_seed = trial_seed(cfg.seed, failing)
-    v, _ = cam._c2_stream_block(cfg, failing // cam._STREAM)
-    bad = v[failing % cam._STREAM] / np.linalg.norm(v[failing % cam._STREAM])
-    check = cam._corollary2_stack
+    checks, width, size = cam._TABLE[experiment].stream(cfg)
+    bad = cam._stream_block(cfg, failing // cam._STREAM, width, size)[0][failing % cam._STREAM]
 
-    def failing_check(phi, dictionary, k, h, *rest):
-        # the failing trial's direction: parallel to its drawn normals
-        if np.any(h @ bad > 1 - 1e-12):
+    def failing_checks(cfg, inst, v, picks):
+        # the failing trial: its row of the stream block's normals
+        if np.any(np.all(v == bad, axis=1)):
             raise RuntimeError("synthetic fault")
-        return check(phi, dictionary, k, h, *rest)
+        return checks(cfg, inst, v, picks)
 
-    monkeypatch.setattr(cam, "_corollary2_stack", failing_check)
+    monkeypatch.setattr(cam, checks.__name__, failing_checks)
     with pytest.raises(
         CampaignTrialError, match=rf"^trial {failing} \(seed {bad_seed}\) failed: synthetic fault$"
     ) as exc_info:

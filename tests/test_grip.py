@@ -399,6 +399,27 @@ def test_zero_rank_bases_keep_degenerate_rule_and_rho_skip():
     assert list(zip(first.tolist(), second.tolist())) == list(itertools.combinations(range(4), 2))
 
 
+@pytest.mark.parametrize("zero", [4, 8])
+def test_an_interior_zero_row_gets_no_basis(zero):
+    # an interior zero row of D leaves a column of D^+ of roundoff, about
+    # 1e-17, where a last one leaves exact zeros. The cutoff is absolute
+    # (P = DD^+ has norm 1), so both get rank 0 and rho_1 = 0.6666; one
+    # relative to the block's own largest singular value would give the
+    # interior row a rank-1 basis of noise and rho_1 = 0.7180, ({4}, {8}).
+    entries = cg.make_dictionary("tight-frame", 9, 6, 3).entries.copy()
+    entries[4] = 0.0
+    order = [i for i in range(9) if i != 4]
+    order.insert(zero, 4)
+    d = cg.Dictionary(entries[order], "user-supplied")
+    proj = d.entries @ d.pinv()
+    assert np.abs(proj[:, zero]).max() < 1e-15
+    assert grip._orth_stack(grip._gather(proj, np.array([[zero]])))[1][0] == 0
+    est = cg.rho_exact(d, 1)
+    assert est.rho == pytest.approx(0.6666349327613159, abs=1e-12)
+    assert all(zero not in s.indices for s in est.witness)
+    assert _estimate(est) == loop_rho(d, 1)
+
+
 def test_disjoint_pair_count_closed_form():
     for p in range(2, 11):
         d = cg.make_dictionary("identity", p, p, None)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from cosparse_grip.model import _norm
-from cosparse_grip.verify import _corollary2_stack, _masked_term
-from _support import haar, loop_corollary2, matched_instance, random_chunk
+from cosparse_grip.verify import _corollary1_stack, _corollary2_stack, _masked_term
+from _support import haar, loop_corollary1, loop_corollary2, matched_instance, random_chunk
 
 
 def _num_tol(report):
@@ -249,6 +249,43 @@ def test_stacked_corollary2_equals_the_loop_bit_for_bit(kind, k, block, seed):
         assert _bits([rep.lhs, rep.rhs, rep.slack]) == _bits([lhs, rhs, slack])
         assert json.dumps([rep.witness["next_block"], rep.witness["degenerate"], rep.hypothesis_ok]) == json.dumps(
             [next_block, degenerate, ok]
+        )
+
+
+@given(
+    st.sampled_from(["identity", "tight-frame", "gaussian-random"]),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 5, 17]),
+    st.sampled_from([0.4, 1.0, 1.7]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_corollary1_equals_the_loop_bit_for_bit(kind, k, block, delta2k, seed):
+    # delta_2k >= 1 leaves the two sides defined and hypothesis_ok False
+    rng = np.random.default_rng(seed)
+    n = 6
+    p = n if kind == "identity" else 9
+    d = cg.make_dictionary(kind, p, n, seed)
+    phi = cg.make_sensing_matrix("gaussian", 4, n, seed)
+    picks = np.array([rng.permutation(p)[: 2 * k] for _ in range(block)])
+    supports = [[cg.SupportSet(tuple(row[s * k : (s + 1) * k]), p) for s in (0, 1)] for row in picks]
+    h = np.array([[random_chunk(d, sup, rng) for sup in pair] for pair in supports])
+    rho = float(rng.uniform(0.0, 1.0))
+
+    constants, cols = _corollary1_stack(phi, d, k, h[:, 0], h[:, 1], delta2k, rho)
+    assert constants == (cg.bound_constants(delta2k, rho) if delta2k < 1.0 else None)
+    for i in range(block):
+        lhs, rhs, slack, ok = loop_corollary1(phi.entries, d, h[i, 0], h[i, 1], delta2k, rho)
+        got = [cols[key][i] for key in ("lhs", "rhs", "slack")]
+        assert _bits(got) == _bits([lhs, rhs, slack])
+        assert cols["hypothesis_ok"][i].tolist() is ok
+        rep = cg.check_corollary1(
+            phi, d, k, (supports[i][0], h[i, 0]), (supports[i][1], h[i, 1]), delta2k=delta2k, rho=rho
+        )
+        assert _bits([rep.lhs, rep.rhs, rep.slack]) == _bits([lhs, rhs, slack])
+        assert rep.hypothesis_ok is ok
+        assert _bits([rep.witness["image_norm_i"], rep.witness["image_norm_j"]]) == _bits(
+            [cols["image_norm_i"][i], cols["image_norm_j"][i]]
         )
 
 
