@@ -4,9 +4,9 @@ A campaign is a JSON config naming one experiment plus its dimensions,
 operator kinds, constraint, trial count and seed. Per-trial seeds are the
 splitmix64 finalizer applied to (campaign seed, trial index), so trials
 are order-independent and the whole run is reproducible to the byte from
-(config, seed) alone. verify-c1 and verify-c2 draw their trials a stream
-block of _STREAM trials at a time instead (see `run`) and check each
-block through one stacked kernel per pool instance; their rows still
+(config, seed) alone. verify-c1 and verify-c2 draw their trials from
+stream blocks of _STREAM trials instead (see `run`), and each call checks
+one block through one stacked kernel per pool instance; their rows still
 carry the per-trial seed, as the trial's identifier.
 
 `write_outputs` is the one writer of the artifacts: results.csv
@@ -103,7 +103,6 @@ _RHO_MODES = ("exact", "printed")
 
 _DECAY = 0.5              # ratio of verify-t1's compressible signal profile
 
-_BLOCK = 256              # trials per call of an experiment that evaluates blocks
 _STREAM = 256             # verify-c1/c2 trials per stream block: part of the draws' definition
 
 _MASK64 = (1 << 64) - 1
@@ -638,16 +637,14 @@ def _c2_checks(cfg: ExperimentConfig, inst: _VerifyInstance, v: np.ndarray, head
 
 
 def _verify_block(cfg: ExperimentConfig, pool, start: int, seeds: list[int]) -> list[dict]:
-    """Rows of the consecutive trials start, start + 1, ... (one per seed,
-    which the row carries as the trial's identifier). A trial's draws are
-    its row of the stream blocks that cover the trials, whatever the block
-    size; the experiment's kernel then runs as one stacked call per pool
+    """Rows of the consecutive trials start, start + 1, ... within one
+    stream block (one seed each, the row's identifier), checked on their
+    rows of the block's draws by one stacked kernel call per pool
     instance, whose rows have the bits of one check per trial."""
     checks, width, size = _TABLE[cfg.experiment].stream(cfg)
-    last = (start + len(seeds) - 1) // _STREAM
-    drawn = [_stream_block(cfg, b, width, size) for b in range(start // _STREAM, last + 1)]
+    drawn = _stream_block(cfg, start // _STREAM, width, size)
     offset = start % _STREAM
-    v, picks = (np.concatenate(parts)[offset : offset + len(seeds)] for parts in zip(*drawn))
+    v, picks = (part[offset : offset + len(seeds)] for part in drawn)
     rows = [None] * len(seeds)
     for i, inst in enumerate(pool):
         # trial start + j checks against pool[(start + j) % len(pool)]
@@ -773,13 +770,11 @@ class _Experiment:
 
     trial(cfg, ctx, index, seed) runs one trial and returns its row; ctx
     is the verify instance pool when `pooled`, else the loaded operator
-    files. block(cfg, ctx, start, seeds), where given, runs the trials
-    start, start + 1, ... at once (one per seed, up to _BLOCK of them) and
-    returns the rows `trial` would. stream(cfg), where given, is the
-    per-instance kernel of an experiment whose trials are rows of stream
-    blocks (see `run`), then the normals and the picks per row. Each row
-    carries its trial's seed; a trial of a stream experiment draws from
-    its stream block, not from that seed, and is the block of one trial.
+    files. stream(cfg), where given, is the per-instance kernel of an
+    experiment whose trials are rows of stream blocks (see `run`), then
+    the normals and the picks per row; `run` checks one stream block per
+    call, and `trial` replays one trial alone. Each row carries its
+    trial's seed; a stream trial draws from its block, not that seed.
     The rows of the experiments that solve carry `converged`, which the
     summary counts and the CLI's exit 4 reads.
     draws_signal: samples a k-analysis-sparse signal (needs k < p and,
@@ -790,7 +785,6 @@ class _Experiment:
 
     trial: Callable[[ExperimentConfig, object, int, int], dict]
     summarize: Callable[[ExperimentConfig, list[dict]], dict]
-    block: Callable[[ExperimentConfig, object, int, list[int]], list[dict]] | None = None
     stream: Callable[[ExperimentConfig], tuple[Callable, int, int]] | None = None
     pooled: bool = False
     draws_signal: bool = False
@@ -803,11 +797,11 @@ _TABLE = {
     "rho": _Experiment(_rho_trial, _spread_summary("rho"), needs_pairs=True),
     "solve": _Experiment(_solve_trial, _solve_summary, draws_signal=True),
     "verify-c1": _Experiment(
-        _verify_trial, _verify_summary, block=_verify_block, pooled=True, needs_pairs=True,
+        _verify_trial, _verify_summary, pooled=True, needs_pairs=True,
         stream=lambda cfg: (_c1_checks, 2 * cfg.k, 2 * cfg.k),
     ),
     "verify-c2": _Experiment(
-        _verify_trial, _verify_summary, block=_verify_block, pooled=True, needs_pairs=True,
+        _verify_trial, _verify_summary, pooled=True, needs_pairs=True,
         hypotheses=(_delta_below_one,), stream=lambda cfg: (_c2_checks, cfg.n, cfg.k),
     ),
     "verify-t1": _Experiment(
@@ -832,15 +826,15 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     """Execute a campaign and aggregate its rows.
 
     The experiment's table entry supplies the trial function; verify-*
-    experiments first build and gate their instance pool. Trials run in
-    consecutive blocks: _BLOCK trials per call of an experiment that
-    evaluates blocks, else one. A block that raises is run again one trial
-    at a time to name the first that fails; if each passes alone, the
-    block's own error is the failure, named by its trial range. Serial
-    runs stay on the calling thread; with workers > 1 blocks run in a
-    thread pool. Rows are ordered by trial index, and are the same for any
-    worker count and block size. A failure raises CampaignTrialError
-    carrying the rows before it.
+    experiments first build and gate their instance pool. Each call
+    checks one stream block of a verify-c1 or verify-c2 campaign, through
+    `_verify_block`, and runs one trial of any other experiment. A stream
+    block that raises is run again one trial at a time to name the first
+    that fails; if each passes alone, the block's own error is the
+    failure, named by its trial range. Serial runs stay on the calling
+    thread; with workers > 1 calls run in a thread pool. Rows are ordered
+    by trial index, and are the same for any worker count. A failure
+    raises CampaignTrialError carrying the rows before it.
 
     A verify-c1 or verify-c2 trial i draws from stream block b =
     i // _STREAM (256 trials): default_rng(trial_seed(seed, _STREAM_TAG +
@@ -863,14 +857,14 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     ctx = _verify_pool(config, ops) if entry.pooled else ops
     total = config.trials * len(_m_cells(config))
     seeds = _trial_seeds(config.seed, total)
-    step = 1 if entry.block is None else _BLOCK
+    step = 1 if entry.stream is None else _STREAM
 
     def guarded(start: int) -> tuple[list[dict], tuple[str, Exception] | None]:
-        """The block's rows from trial start, and (message, error) if it fails."""
+        """The call's rows from trial start, and (message, error) if it fails."""
         stop = min(start + step, total)
-        if entry.block is not None:
+        if entry.stream is not None:
             try:
-                return entry.block(config, ctx, start, seeds[start:stop]), None
+                return _verify_block(config, ctx, start, seeds[start:stop]), None
             except Exception as err:
                 block_err = err  # run again trial by trial below, to name the one that fails
         done: list[dict] = []
@@ -879,7 +873,7 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
                 done.append(entry.trial(config, ctx, i, seeds[i]))
             except Exception as err:
                 return done, (f"trial {i} (seed {seeds[i]}) failed: {err}", err)
-        if entry.block is not None:  # the block failed, and each of its trials passed alone
+        if entry.stream is not None:  # the block failed, and each of its trials passed alone
             return [], (f"trials {start} to {stop - 1} failed as a block: {block_err}", block_err)
         return done, None
 

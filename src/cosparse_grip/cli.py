@@ -23,8 +23,9 @@ the row of least slack (the first one on ties). On exit 3 the index and
 seed of the first violating row follow the finding; on exit 4 those of
 the first unconverged row. Any of these trials can then be replayed:
 every campaign with the same config and seed and more than i trials has
-the same row i. The seed names the trial; a verify-c2 trial draws from
-its stream block of 256 trials (see campaign.run), not from that seed.
+the same row i. The seed names the trial; a verify-c1 or verify-c2
+trial draws from its stream block of 256 trials (see campaign.run), not
+from that seed.
 A crashed trial, or a block failing only as a block, flushes the rows
 before it and exits 1. Outputs go to --out (else output_path, else the
 working directory): results.csv, results.jsonl and config_echo.json.

@@ -314,12 +314,15 @@ def _principal_bounds(
     keeps singular values above 1e-7, far above the rank rule's cutoff
     (_TRIVIAL_TOL, as P has norm 1), the rank rule keeps its whole span,
     and no rank-deficient support is bounded. Other rows bound nothing:
-    upper +inf and lower -inf.
+    upper +inf and lower -inf. So does every row when max|P^2 - P| >
+    _PRUNE_MARGIN / 10, as P G P = G then holds only to about that times
+    ||G||, beyond what the margin covers.
     """
     block = (supersets[:, :, None], supersets[:, None, :])
     g = gram[block]
     w, v = np.linalg.eigh(proj[block])
     ok = w[:, 0] > _PRUNE_FLOOR**2 * np.fmax(w[:, -1], _TRIVIAL_TOL)
+    ok &= np.abs(proj @ proj - proj).max() <= _PRUNE_MARGIN / 10
     white = v[ok] / np.sqrt(w[ok])[:, None, :]  # white^T P[U, U] white = I
     upper = np.full(len(supersets), math.inf)
     lower = np.full(len(supersets), -math.inf)

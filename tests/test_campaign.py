@@ -730,18 +730,29 @@ def test_summary_means_are_left_folds(experiment, column, key):
 # determinism, parallelism, failure handling
 
 
-def test_rows_invariant_under_worker_count():
-    cfg = config_from(base_doc(experiment="verify-c1", trials=8))
+# Both corollary experiments draw their trials from the same stream
+# blocks, so the stream tests below run on both. Their names and the
+# unprefixed ids are the verify-c2 cases, so that those ids stay stable;
+# the worker-count cases are named by their experiment.
+STREAMED = ("verify-c2", "verify-c1")
+
+
+@pytest.mark.parametrize("experiment", STREAMED)
+def test_rows_invariant_under_worker_count(experiment):
+    # three stream blocks, the last partial, so the pool runs two at once;
+    # a two-instance pool interleaves its instances across their edges
+    cfg = config_from(base_doc(experiment=experiment, trials=2 * cam._STREAM + 90, instances=2, seed=11))
     serial = run(cfg, workers=1)
-    threaded = run(cfg, workers=4)
-    assert serial.rows == threaded.rows
-    assert serial.summary == threaded.summary
+    threaded = run(cfg, workers=3)
+    assert row_reprs(threaded.rows) == row_reprs(serial.rows)
+    assert threaded.summary == serial.summary
 
 
 def sabotage(monkeypatch, experiment, failing_index):
-    """Make the experiment's table entry raise at one trial index, in its
-    block function too where it has one."""
+    """Make the experiment's table entry raise at one trial index, and
+    `_verify_block` too where the experiment is checked in stream blocks."""
     entry = cam._TABLE[experiment]
+    verify_block = cam._verify_block
 
     def sabotaged(cfg, ctx, index, seed):
         if index == failing_index:
@@ -751,10 +762,11 @@ def sabotage(monkeypatch, experiment, failing_index):
     def sabotaged_block(cfg, ctx, start, seeds):
         if start <= failing_index < start + len(seeds):
             raise RuntimeError("synthetic fault")
-        return entry.block(cfg, ctx, start, seeds)
+        return verify_block(cfg, ctx, start, seeds)
 
-    block = None if entry.block is None else sabotaged_block
-    monkeypatch.setitem(cam._TABLE, experiment, dataclasses.replace(entry, trial=sabotaged, block=block))
+    monkeypatch.setitem(cam._TABLE, experiment, dataclasses.replace(entry, trial=sabotaged))
+    if entry.stream is not None:
+        monkeypatch.setattr(cam, "_verify_block", sabotaged_block)
 
 
 def test_failed_trial_carries_completed_prefix(monkeypatch):
@@ -783,39 +795,6 @@ def test_failed_trial_stops_the_campaign_at_any_worker_count(monkeypatch, failin
     assert [r["trial"] for r in partial.rows] == list(range(failing))
     assert partial.rows == clean.rows[:failing]
     assert partial.summary == cam._summarize(cfg, list(clean.rows[:failing]))
-
-
-@pytest.mark.parametrize("block, workers", [(1, 1), (7, 1), (7, 3), (100, 1), (1000, 1)])
-def test_verify_c2_rows_invariant_under_block_size(monkeypatch, block, workers):
-    # a two-instance pool interleaves its instances within every block
-    cfg = config_from(base_doc(trials=40, instances=2, seed=11))
-    want = run(cfg)
-    monkeypatch.setattr(cam, "_BLOCK", block)
-    got = run(cfg, workers=workers)
-    assert json.dumps(got.rows) == json.dumps(want.rows)  # float reprs: bit for bit
-    assert got.summary == want.summary
-
-
-# Both corollary experiments draw their trials from the same stream
-# blocks, so the stream tests below run on both. Their names and the
-# unprefixed ids are the verify-c2 cases, so that those ids stay stable.
-STREAMED = ("verify-c2", "verify-c1")
-
-
-@pytest.mark.parametrize("experiment, block, workers", [
-    pytest.param(experiment, block, workers, id=f"{prefix}{block}-{workers}")
-    for experiment, prefix in zip(STREAMED, ("", "verify-c1-"))
-    for block, workers in [(7, 2), (100, 1), (100, 3)]
-])
-def test_verify_c2_rows_invariant_across_stream_blocks(monkeypatch, experiment, block, workers):
-    # blocks that straddle the stream blocks' edges at 256 and 512
-    cfg = config_from(base_doc(experiment=experiment, trials=2 * cam._STREAM + 90, instances=2, seed=11))
-    assert cam._BLOCK % block and cam._STREAM % block
-    want = run(cfg)
-    monkeypatch.setattr(cam, "_BLOCK", block)
-    got = run(cfg, workers=workers)
-    assert row_reprs(got.rows) == row_reprs(want.rows)
-    assert got.summary == want.summary
 
 
 def row_reprs(rows) -> list[str]:
@@ -929,9 +908,9 @@ def test_verify_c1_stream_definition_is_pinned():
     for workers in (1, 2)
 ])
 def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, experiment, workers):
-    cfg = config_from(base_doc(experiment=experiment, trials=2 * cam._BLOCK + 5))
+    cfg = config_from(base_doc(experiment=experiment, trials=2 * cam._STREAM + 5))
     clean = run(cfg)
-    failing = cam._BLOCK + cam._BLOCK // 2  # the middle of the second block
+    failing = cam._STREAM + cam._STREAM // 2  # the middle of the second block
     bad_seed = trial_seed(cfg.seed, failing)
     checks, width, size = cam._TABLE[experiment].stream(cfg)
     bad = cam._stream_block(cfg, failing // cam._STREAM, width, size)[0][failing % cam._STREAM]
@@ -955,24 +934,24 @@ def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, experimen
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_block_that_fails_only_as_a_block_is_a_failure(monkeypatch, workers):
     # the second block raises as a block, and each of its trials passes alone
-    cfg = config_from(base_doc(trials=2 * cam._BLOCK + 5))
+    cfg = config_from(base_doc(trials=2 * cam._STREAM + 5))
     clean = run(cfg)
-    entry = cam._TABLE["verify-c2"]
+    verify_block = cam._verify_block
 
     def broken_block(cfg, ctx, start, seeds):
-        if start >= cam._BLOCK and len(seeds) > 1:
+        if start >= cam._STREAM and len(seeds) > 1:
             raise RuntimeError("block fault")
-        return entry.block(cfg, ctx, start, seeds)
+        return verify_block(cfg, ctx, start, seeds)
 
-    monkeypatch.setitem(cam._TABLE, "verify-c2", dataclasses.replace(entry, block=broken_block))
+    monkeypatch.setattr(cam, "_verify_block", broken_block)
     with pytest.raises(
-        CampaignTrialError, match=rf"^trials {cam._BLOCK} to {2 * cam._BLOCK - 1} failed as a block: block fault$"
+        CampaignTrialError, match=rf"^trials {cam._STREAM} to {2 * cam._STREAM - 1} failed as a block: block fault$"
     ) as exc_info:
         run(cfg, workers=workers)
     assert str(exc_info.value.__cause__) == "block fault"
     partial = exc_info.value.partial
-    assert partial.rows == clean.rows[: cam._BLOCK]
-    assert partial.summary == cam._summarize(cfg, list(clean.rows[: cam._BLOCK]))
+    assert partial.rows == clean.rows[: cam._STREAM]
+    assert partial.summary == cam._summarize(cfg, list(clean.rows[: cam._STREAM]))
 
 
 def test_lp_budget_refused_as_config_error():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
@@ -796,7 +796,23 @@ def _principal_bounds_hold(d, phi, k, refused):
             assert lowers[members[g]].min() >= lower[g] - margin
 
 
+def _far_from_projector_frame():
+    """A bounded_frames draw whose P = D D^+ is 8.5e-9 from idempotent,
+    with trace(A^T A) = 1.2e15: P G P = G then misses by more than the
+    margin, and two supersets' bounds fell 3.4 margins below a subset's
+    upper side before such frames bounded nothing."""
+    entries = cg.make_dictionary("gaussian-random", 11, 8, 194).entries.copy()
+    rng = np.random.default_rng(194)
+    entries[1] = entries[0]
+    entries[3] = entries[2] + 1e-9 * rng.standard_normal(8)
+    entries[4] = 0.0
+    entries[7] = entries[6] + 1e-6 * rng.standard_normal(8)
+    phi = cg.make_sensing_matrix("gaussian", 1, 8, 195).entries.copy()
+    return cg.Dictionary(entries, "user-supplied"), phi, 2, [{0, 1}, {2, 3}, {4}]
+
+
 @given(bounded_frames())
+@example(_far_from_projector_frame())
 @settings(max_examples=40, deadline=None)
 def test_principal_bounds_hold_for_every_subset(frame):
     _principal_bounds_hold(*frame)
