@@ -24,6 +24,13 @@ long as the basis has rows switches entering to Bland's rule (smallest
 eligible index; Bland, Math. Oper. Res. 1977) until a pivot makes a
 positive step, which keeps termination finite. The leaving row is always
 the smallest basis index among the ratio-test ties.
+
+Phase 2 can also start from a caller's feasible basis (_solve_from):
+solvers builds one in closed form for its equality LPs, and skips phase
+1 there. A basis whose B^-1 b is not >= 0 within _FEAS_TOL is refused,
+and the two-phase path above handles it and every other LP. Both entries
+end in the one phase-2 function, _phase2: the same pivot loop and the
+same final solves for x and the multipliers.
 """
 
 from __future__ import annotations
@@ -58,12 +65,14 @@ class LpUnboundedError(RuntimeError):
 class LpSolution:
     """An optimal basic solution. multipliers are c_B B^-1 on the final
     basis, one per row of the caller's a (a dual solution of
-    max b^T pi s.t. a^T pi <= c), 0 on rows dropped as dependent."""
+    max b^T pi s.t. a^T pi <= c), 0 on rows dropped as dependent.
+    basis holds the final basic columns of a: B = a[kept rows][:, basis]."""
 
     x: np.ndarray
     objective: float
     pivots: int
     multipliers: np.ndarray
+    basis: np.ndarray
 
 
 def _pivot_to_optimum(
@@ -96,24 +105,25 @@ def _pivot_to_optimum(
     positive entry, which reads as a false LpUnboundedError."""
     degenerate = 0
     binv = None  # None: invert a[:, basis] afresh before pricing
+    cb = c[basis]  # c_B, carried beside the basis
     while True:
         if binv is None:
             binv, updates = np.linalg.inv(a[:, basis]), 0
-        y = c[basis] @ binv
+        y = cb @ binv
         reduced = c - y @ a
         reduced[basis] = 0.0
-        eligible = np.flatnonzero(reduced < -_COST_TOL * np.abs(y).max(initial=1.0))
-        if eligible.size == 0:
+        eligible = reduced < -_COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
+        if degenerate < basis.size:
+            enter = np.where(eligible, reduced, np.inf).argmin()
+        else:
+            enter = eligible.argmax()  # the first eligible index
+        if not eligible[enter]:
             if updates:
                 binv = None
                 continue
             return pivots
-        if degenerate < basis.size:
-            enter = eligible[np.argmin(reduced[eligible])]
-        else:
-            enter = eligible[0]
         col = binv @ a[:, enter]
-        rows = np.flatnonzero(col > _PIVOT_TOL * np.abs(col).max(initial=1.0))
+        rows = (col > _PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
         if rows.size == 0:
             if updates:
                 binv = None
@@ -122,8 +132,9 @@ def _pivot_to_optimum(
         ratios = np.maximum(binv @ b, 0.0)[rows] / col[rows]
         step = ratios.min()
         ties = rows[ratios <= step + 1e-12]  # ties leave by smallest index
-        r = ties[np.argmin(basis[ties])]
+        r = ties[basis[ties].argmin()]
         basis[r] = enter
+        cb[r] = c[enter]
         degenerate = degenerate + 1 if step <= 1e-12 else 0
         pivots += 1
         if pivots > _MAX_PIVOTS:
@@ -132,9 +143,16 @@ def _pivot_to_optimum(
         if updates >= _REFACTOR_EVERY:
             binv = None
         else:
-            prow = binv[r] / col[r]
-            binv -= np.outer(col, prow)
-            binv[r] = prow
+            _update_inverse(binv, col, r)
+
+
+def _update_inverse(binv: np.ndarray, col: np.ndarray, r: int) -> None:
+    """The product-form step of B^-1 in place, for entering column
+    col = B^-1 a_enter and leaving row r: row r becomes B^-1[r] / col[r]
+    and every other row i loses col[i] times that row."""
+    prow = binv[r] / col[r]
+    binv -= col[:, None] * prow
+    binv[r] = prow
 
 
 def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
@@ -189,13 +207,38 @@ def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution
 
     # phase 2 on the kept rows; the artificials left in the basis hold the
     # dropped rows, so the rest of the basis is square on the kept rows
-    basis = basis[basis < n]
+    return _phase2(c, a, b, basis[basis < n], pivots, keep, neg)
+
+
+def _solve_from(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> LpSolution | None:
+    """min c x s.t. a x = b, x >= 0 by phase 2 alone, from a caller's
+    basis: one column of a per row, nonsingular. None when that basis
+    is not a feasible start, some entry of B^-1 b being below
+    -_FEAS_TOL max(1, ||B^-1 b||_inf); the caller then takes
+    solve_standard_lp."""
+    basis = np.array(basis)
+    xb = np.linalg.solve(a[:, basis], b)
+    if xb.min(initial=0.0) < -_FEAS_TOL * max(1.0, float(np.abs(xb).max(initial=0.0))):
+        return None
+    m = b.size
+    return _phase2(c, a, b, basis, 0, np.ones(m, dtype=bool), np.zeros(m, dtype=bool))
+
+
+def _phase2(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
+    pivots: int, keep: np.ndarray, neg: np.ndarray,
+) -> LpSolution:
+    """Phase 2 from a feasible basis of the kept rows of a, then the
+    final solves. neg marks the rows whose signs were flipped to make
+    b >= 0; their multipliers are flipped back."""
     a, b = a[keep], b[keep]
     pivots = _pivot_to_optimum(c, a, b, basis, pivots)
 
-    x = np.zeros(n)
+    x = np.zeros(c.size)
     x[basis] = np.maximum(np.linalg.solve(a[:, basis], b), 0.0)
-    multipliers = np.zeros(m)
+    multipliers = np.zeros(keep.size)
     multipliers[keep] = np.linalg.solve(a[:, basis].T, c[basis])
     multipliers[neg] *= -1.0  # undo the b < 0 row flips
-    return LpSolution(x=x, objective=float(c @ x), pivots=pivots, multipliers=multipliers)
+    return LpSolution(
+        x=x, objective=float(c @ x), pivots=pivots, multipliers=multipliers, basis=basis
+    )

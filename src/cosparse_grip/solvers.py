@@ -28,7 +28,7 @@ ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
-exact vertex.
+exact vertex; an equality LP starts at a vertex built in closed form.
 
 Every result carries a checked certificate, and one builder, _result,
 sets its fields on both paths: _kkt measures primal infeasibility, dual
@@ -55,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Dictionary, _check_matrix, _integer, _norm, _sensing_for, _to_json, _vector, sensing_entries
-from .simplex import LpInfeasibleError, solve_standard_lp
+from .simplex import LpInfeasibleError, _solve_from, solve_standard_lp
 
 __all__ = [
     "CONSTRAINT_KINDS",
@@ -75,6 +75,7 @@ MAX_LP_VARIABLES = 400  # hard budget for the LP route
 _TOL = 1e-9        # PDHG residual stop, relative to max(1e-12, ||y||)
 _FEAS_TOL = 1e-7   # primal (relative to max(1, ||y||)) and dual infeasibility
 _CERT_TOL = 1e-6   # relative duality gap
+_RANK_TOL = 1e-9   # elimination pivot, relative to max |Phi|, below which Phi has rank < m
 
 
 class InfeasibleConstraintError(ValueError):
@@ -621,29 +622,70 @@ def _build_lp(
     return c, a, rhs
 
 
+def _equality_basis(d_block: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """A basic feasible start of the equality LP of _build_lp, or None
+    when Phi has numerical rank < m.
+
+    Elimination with column pivoting picks m independent columns J of
+    Phi (row i takes the column of its largest remaining entry; a pivot
+    at or below _RANK_TOL max |Phi| means rank < m), and z_J solves
+    Phi_J z_J = y with z zero off J. Analysis row i makes s+_i basic
+    when (D z)_i >= 0 and s-_i otherwise; j in J makes z+_j basic when
+    z_j >= 0 and z-_j otherwise. B = [[+-I, +-D_J], [0, +-Phi_J]] is then
+    nonsingular with Phi_J, and B^-1 b is |D z| and |z_J|: a vertex.
+    """
+    p, n = d_block.shape
+    m = phi.shape[0]
+    if m > n:
+        return None
+    u = phi.copy()
+    tol = _RANK_TOL * float(np.abs(phi).max(initial=0.0))
+    cols = []
+    for i in range(m):
+        row = np.abs(u[i])
+        row[cols] = 0.0  # eliminated below earlier pivots, up to roundoff
+        j = int(row.argmax())
+        if row[j] <= tol:
+            return None
+        cols.append(j)
+        u[i + 1 :] -= (u[i + 1 :, j] / u[i, j])[:, None] * u[i]
+    z = np.linalg.solve(phi[:, cols], y)
+    dz = d_block[:, cols] @ z
+    slacks = np.arange(2 * n, 2 * n + p) + p * (dz < 0.0)
+    signals = np.array(cols) + n * (z < 0.0)
+    return np.concatenate([slacks, signals])
+
+
 def solve_lp_certified(
     phi,
     dictionary: Dictionary,
     constraint: ConstraintSpec,
 ) -> RecoveryResult:
-    """Exact analysis-l1 minimizer via the two-phase simplex.
+    """Exact analysis-l1 minimizer via the simplex.
 
     Only the polyhedral kinds (equality, dantzig) are expressible;
-    iterations reports pivot count. The returned point is an optimal
-    vertex z = z+ - z-; the dual pair is read off the simplex multipliers
-    pi of its basis, v = -pi[:p] from the analysis rows and w from the
-    measurement rows (w = -pi[p:] for equality, pi[p+n:] - pi[p:p+n] for
-    dantzig), and checked against the same fixed tolerances as the
-    first-order path.
+    iterations reports pivot count. An equality LP starts phase 2 at the
+    closed-form vertex of _equality_basis and skips phase 1; when Phi has
+    numerical rank < m, or the simplex refuses that start as infeasible,
+    it takes the two-phase path, as every dantzig LP does (Phi^T Phi has
+    rank m < n, so no such vertex is known in closed form). The returned
+    point is an optimal vertex z = z+ - z-; the dual pair is read off the
+    simplex multipliers pi of its basis, v = -pi[:p] from the analysis
+    rows and w from the measurement rows (w = -pi[p:] for equality,
+    pi[p+n:] - pi[p:p+n] for dantzig), and checked against the same fixed
+    tolerances as the first-order path.
     """
     phi_e = _sensing_for(phi, dictionary)
     _vector("y", constraint.y, phi_e.shape[0])
     d_block = dictionary.entries
     c, a, b = _build_lp(d_block, phi_e, constraint)
-    try:
-        sol = solve_standard_lp(c, a, b)
-    except LpInfeasibleError as err:
-        raise InfeasibleConstraintError(str(err)) from err
+    start = _equality_basis(d_block, phi_e, constraint.y) if constraint.kind == "equality" else None
+    sol = None if start is None else _solve_from(c, a, b, start)
+    if sol is None:
+        try:
+            sol = solve_standard_lp(c, a, b)
+        except LpInfeasibleError as err:
+            raise InfeasibleConstraintError(str(err)) from err
     p, n = d_block.shape
     z = sol.x[:n] - sol.x[n : 2 * n]
     pi = sol.multipliers

@@ -7,6 +7,7 @@ package instead of echoing it.
 
 import json
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -74,6 +75,47 @@ def solve_recovery_family(campaign_seeds) -> int:
             )
             total += res.iterations
     return total
+
+
+def _exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """The solution of a nonsingular square system in exact rationals:
+    elimination taking the first nonzero pivot down each column, then
+    back substitution."""
+    size = len(rhs)
+    aug = [row + [r] for row, r in zip(rows, rhs)]
+    for k in range(size):
+        piv = next(i for i in range(k, size) if aug[i][k] != 0)
+        aug[k], aug[piv] = aug[piv], aug[k]
+        head = aug[k]
+        for i in range(k + 1, size):
+            if aug[i][k] != 0:
+                f = aug[i][k] / head[k]
+                aug[i] = [u - f * v for u, v in zip(aug[i], head)]
+    out = [Fraction(0)] * size
+    for k in reversed(range(size)):
+        acc = aug[k][size] - sum(aug[k][j] * out[j] for j in range(k + 1, size) if aug[k][j])
+        out[k] = acc / aug[k][k]
+    return out
+
+
+def rational_basis_audit(c, a, b, basis) -> tuple[list[Fraction], list[Fraction]]:
+    """(B^-1 b, c - c_B B^-1 a) of a final simplex basis, in exact
+    rationals: every float of the LP is read as the binary fraction it
+    is, and nothing is rounded (Applegate, Cook, Dash & Espinoza, Oper.
+    Res. Lett. 2007). The basis must hold one column per row of a. The
+    basis is primal feasible when every entry of the first list is >= 0
+    and optimal when every entry of the second is."""
+    fa = [[Fraction(float(v)) for v in row] for row in a]
+    cols = [int(j) for j in basis]
+    assert len(cols) == len(fa)
+    x_b = _exact_solve([[row[j] for j in cols] for row in fa], [Fraction(float(v)) for v in b])
+    cost = [Fraction(float(v)) for v in c]
+    pi = _exact_solve([[row[j] for row in fa] for j in cols], [cost[j] for j in cols])
+    reduced = [
+        cost[j] - sum(pi[i] * fa[i][j] for i in range(len(fa)) if fa[i][j])
+        for j in range(len(cost))
+    ]
+    return x_b, reduced
 
 
 def classical_delta(phi_entries: np.ndarray, k: int) -> float:

@@ -1,16 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
+from _support import rational_basis_audit
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
-from cosparse_grip import simplex
+from cosparse_grip import simplex, solvers
 from cosparse_grip.simplex import (
     LpInfeasibleError,
     LpUnboundedError,
     solve_standard_lp,
 )
-from cosparse_grip.solvers import _build_lp
+from cosparse_grip.solvers import _build_lp, _equality_basis
 
 
 def test_hand_worked_lp():
@@ -99,11 +102,24 @@ def assert_optimal_answer(d, phi, x, constraint):
     return res
 
 
+def two_phase(mp):
+    """Send equality LPs through solve_standard_lp's two phases, as
+    solve_lp_certified does when the closed-form start is refused."""
+    mp.setattr(solvers, "_equality_basis", lambda *args: None)
+
+
 @pytest.mark.parametrize("family_seed, j", _DRIFT_CASES)
 def test_formerly_drifting_lps_are_solved(family_seed, j):
-    res = assert_optimal_answer(*family_instance(family_seed, j))
+    instance = family_instance(family_seed, j)
+    res = assert_optimal_answer(*instance)
     assert res.certified
     assert abs(res.certification_gap) <= 1e-9
+    if instance[3].kind == "equality":
+        with pytest.MonkeyPatch.context() as mp:
+            two_phase(mp)
+            res = assert_optimal_answer(*instance)
+        assert res.certified
+        assert abs(res.certification_gap) <= 1e-9
 
 
 def test_pricing_tolerance_scales_with_multipliers():
@@ -178,22 +194,26 @@ def test_beale_cycling_example_terminates():
     (150, 110, 6.12441549886439),
 ], ids=["125x300", "175x400"])
 def test_equality_lp_at_the_variable_budget(p, k, optimum):
-    # optimum is the HiGHS optimum of the same LP
+    # optimum is the HiGHS optimum of the same LP, solved from the
+    # closed-form start and in two phases
     d = cg.make_dictionary("tight-frame", p, 50, 1)
     phi = cg.make_sensing_matrix("gaussian", 25, 50, 2)
     x = cg.sample_cosparse_signal(d, k, 3)
-    inverses = []
     inv = np.linalg.inv
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np.linalg, "inv", lambda m: inverses.append(m.shape) or inv(m))
-        res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
-    assert res.certified
-    assert res.objective == pytest.approx(optimum, abs=1e-8)
-    assert res.iterations <= 5000
-    # B^-1 is carried between pivots by rank-one updates: about one fresh
-    # inverse per _REFACTOR_EVERY pivots, not one per pivot (371 and 601
-    # pivots)
-    assert len(inverses) <= 40
+    for start in (True, False):
+        inverses = []
+        with pytest.MonkeyPatch.context() as mp:
+            if not start:
+                two_phase(mp)
+            mp.setattr(np.linalg, "inv", lambda m: inverses.append(m.shape) or inv(m))
+            res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
+        assert res.certified
+        assert res.objective == pytest.approx(optimum, abs=1e-8)
+        assert res.iterations <= 5000
+        # B^-1 is carried between pivots by rank-one updates: about one
+        # fresh inverse per _REFACTOR_EVERY pivots, not one per pivot (196
+        # and 320 pivots from the start, 371 and 601 in two phases)
+        assert len(inverses) <= 40
 
 
 def test_crash_takes_unit_columns_that_carry_a_cost(monkeypatch):
@@ -376,7 +396,7 @@ def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
     # the last change to B^-1 before _pivot_to_optimum returns optimal or
     # raises LpUnboundedError is a fresh inverse, never a rank-one update
     events = []
-    inv, outer, pivot = np.linalg.inv, np.outer, simplex._pivot_to_optimum
+    inv, update, pivot = np.linalg.inv, simplex._update_inverse, simplex._pivot_to_optimum
 
     def logged(*args):
         try:
@@ -385,7 +405,7 @@ def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
             events.append("verdict")
 
     monkeypatch.setattr(np.linalg, "inv", lambda m: events.append("inv") or inv(m))
-    monkeypatch.setattr(np, "outer", lambda u, v: events.append("update") or outer(u, v))
+    monkeypatch.setattr(simplex, "_update_inverse", lambda *args: events.append("update") or update(*args))
     monkeypatch.setattr(simplex, "_pivot_to_optimum", logged)
     for j in range(10):
         d, phi, _, con = family_instance(11, j)
@@ -400,3 +420,124 @@ def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
     assert "update" in events
     for i in (i for i, e in enumerate(events) if e == "verdict"):
         assert next(e for e in reversed(events[:i]) if e != "verdict") == "inv"
+
+
+# ---------------------------------------------------------------------------
+# the bits of the LP route, pinned: sha256 per family seed of x,
+# multipliers and pivots from solve_standard_lp on every LP of the family,
+# and of x_hat, iterations, dual_residual and certification_gap of each
+# dantzig solve_lp_certified. Taken before the pivot loop dropped its
+# redundant numpy calls (flatnonzero, np.argmin, np.outer, c[basis] per
+# pivot); a moved digest is a change of numerics to record.
+_LP_DIGESTS = {
+    1: ("554de844559e5ee47a125e68b49903635a1ff7852eaac351b3300de24ffe5fb6",
+        "ec7f2f2db5cd46846b2e00aa71e88e1d8b3d5765d7ed30bbc72b7f09eb3ea852"),
+    2: ("66fd732fe50177c6233c960869f7fbd538abc43fa7cc8eee677b155f9e5fb889",
+        "3389c34ad15055bfbecc1eef985705ffbcf5626d902df96d5bb4891332ef9c10"),
+    3: ("d472399e676b91dae6d8b5a766ad35d8eb3ef2e8a158eb036e79347f7c83c094",
+        "4f7c360f5bf5e500fbc22d4f81bb8103604d7e2433f73f3d875bfa41473d5187"),
+}
+
+
+@pytest.mark.parametrize("family_seed", sorted(_LP_DIGESTS))
+def test_lp_route_bits_are_pinned(family_seed):
+    lp, dantzig = hashlib.sha256(), hashlib.sha256()
+    for j in range(100):
+        d, phi, _, con = family_instance(family_seed, j)
+        sol = solve_standard_lp(*_build_lp(d.entries, phi.entries, con))
+        lp.update(sol.x.astype("<f8").tobytes() + sol.multipliers.astype("<f8").tobytes())
+        lp.update(np.array([sol.pivots], "<i8").tobytes())
+        if con.kind == "dantzig":
+            res = cg.solve_lp_certified(phi, d, con)
+            dantzig.update(res.x_hat.astype("<f8").tobytes())
+            dantzig.update(np.array([res.iterations], "<i8").tobytes())
+            dantzig.update(np.array([res.dual_residual, res.certification_gap], "<f8").tobytes())
+    assert (lp.hexdigest(), dantzig.hexdigest()) == _LP_DIGESTS[family_seed]
+
+
+# ---------------------------------------------------------------------------
+# the closed-form start of equality LPs: phase 2 alone from a vertex
+
+
+def _count_pivot_runs(mp) -> list:
+    calls = []
+    pivot = simplex._pivot_to_optimum
+    mp.setattr(simplex, "_pivot_to_optimum", lambda *args: calls.append(1) or pivot(*args))
+    return calls
+
+
+def test_equality_lps_skip_phase_one(monkeypatch):
+    calls = _count_pivot_runs(monkeypatch)
+    for family_seed in (1, 2, 3):
+        for j in range(0, 100, 2):
+            d, phi, _, con = family_instance(family_seed, j)
+            calls.clear()
+            res = cg.solve_lp_certified(phi, d, con)
+            assert len(calls) == 1, (family_seed, j)
+            assert res.certified, (family_seed, j)
+
+
+def test_start_steps_past_a_singular_leading_block(monkeypatch):
+    # +-1 entries with column 1 = column 0: the leading 6x6 block is
+    # singular, Phi has rank 6, and elimination takes a later column
+    d = cg.make_dictionary("tight-frame", 14, 10, 5)
+    entries = cg.make_sensing_matrix("bernoulli", 6, 10, 6).entries.copy()
+    entries[:, 1] = entries[:, 0]
+    assert np.linalg.matrix_rank(entries[:, :6]) < 6 == np.linalg.matrix_rank(entries)
+    phi = cg.SensingMatrix(entries, "user-supplied")
+    x = cg.sample_cosparse_signal(d, 5, 7)
+    con = cg.ConstraintSpec("equality", entries @ x)
+    start = _equality_basis(d.entries, entries, con.y)
+    picked = start[14:] % 10
+    assert 1 not in picked and picked.max() >= 6
+    calls = _count_pivot_runs(monkeypatch)
+    res = assert_optimal_answer(d, phi, x, con)
+    assert len(calls) == 1
+    assert res.certified
+
+
+def test_rank_deficient_measurements_take_two_phases(monkeypatch):
+    # a repeated measurement row, y in the range of Phi: no m independent
+    # columns, so phase 1 runs and drops the dependent row
+    d = cg.make_dictionary("tight-frame", 14, 10, 5)
+    entries = cg.make_sensing_matrix("gaussian", 6, 10, 6).entries.copy()
+    entries[5] = entries[2]
+    phi = cg.SensingMatrix(entries, "user-supplied")
+    x = cg.sample_cosparse_signal(d, 5, 7)
+    con = cg.ConstraintSpec("equality", entries @ x)
+    assert _equality_basis(d.entries, entries, con.y) is None
+    calls = _count_pivot_runs(monkeypatch)
+    res = assert_optimal_answer(d, phi, x, con)
+    assert len(calls) == 2
+    assert res.certified
+
+
+def test_an_infeasible_start_is_refused():
+    # z+_j and z-_j swapped for one j with z_j far from 0: B^-1 b holds
+    # -|z_j|, so phase 2 cannot start there
+    d, phi, _, con = family_instance(11, 0)
+    c, a, b = _build_lp(d.entries, phi.entries, con)
+    start = _equality_basis(d.entries, phi.entries, con.y)
+    assert simplex._solve_from(c, a, b, start) is not None
+    xb = np.linalg.solve(a[:, start], b)
+    r = 14 + int(np.argmax(xb[14:]))
+    start[r] = (start[r] + 10) % 20
+    assert simplex._solve_from(c, a, b, start) is None
+
+
+@pytest.mark.parametrize("family_seed, j, start", [
+    (11, 0, True),    # equality, phase 2 from the closed-form start
+    (11, 1, False),   # dantzig, two phases
+    (11, 48, False),  # a drift case, equality in two phases
+])
+def test_final_basis_is_optimal_in_exact_arithmetic(family_seed, j, start):
+    # no tolerance: a negative entry is a finding, not roundoff to allow
+    d, phi, _, con = family_instance(family_seed, j)
+    c, a, b = _build_lp(d.entries, phi.entries, con)
+    if start:
+        sol = simplex._solve_from(c, a, b, _equality_basis(d.entries, phi.entries, con.y))
+    else:
+        sol = solve_standard_lp(c, a, b)
+    x_b, reduced = rational_basis_audit(c, a, b, sol.basis)
+    assert min(x_b) >= 0
+    assert min(reduced) >= 0

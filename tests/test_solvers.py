@@ -357,6 +357,7 @@ def test_first_order_path_never_calls_the_simplex(reference_instance, monkeypatc
         raise AssertionError("the simplex ran")
 
     monkeypatch.setattr(solvers, "solve_standard_lp", no_simplex)
+    monkeypatch.setattr(solvers, "_solve_from", no_simplex)
     for spec in (cg.ConstraintSpec("equality", y), cg.ConstraintSpec("l2-ball", y, epsilon=0.1)):
         assert cg.solve_analysis_l1(phi, d, spec).certified
         assert cg.solve_synthesis_l1(phi, d, spec).certified
@@ -377,17 +378,18 @@ def test_wrong_answer_is_not_certified(reference_instance, kind):
 
 def test_lp_answer_off_the_constraint_set_is_not_converged(reference_instance, monkeypatch):
     # x[0] is z+_0, so the returned point moves by e_0 and misses the
-    # equality set by ||Phi e_0||
+    # equality set by ||Phi e_0||; an equality LP is solved from its
+    # closed-form start, by simplex._solve_from
     phi, d, x, y = reference_instance
-    solve = solvers.solve_standard_lp
+    solve = solvers._solve_from
 
-    def moved(c, a, b):
-        sol = solve(c, a, b)
+    def moved(c, a, b, basis):
+        sol = solve(c, a, b, basis)
         z = sol.x.copy()
         z[0] += 1.0
         return dataclasses.replace(sol, x=z)
 
-    monkeypatch.setattr(solvers, "solve_standard_lp", moved)
+    monkeypatch.setattr(solvers, "_solve_from", moved)
     res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", y))
     assert not res.converged
     assert not res.certified
