@@ -9,16 +9,15 @@ stream blocks of _STREAM trials instead (see `run`), and each call checks
 one block through one stacked kernel per pool instance; their rows still
 carry the per-trial seed, as the trial's identifier.
 
-`write_outputs` is the one writer of the artifacts: results.csv
-(17-significant-digit floats, trailing `# summary:` comment block),
-results.jsonl (one row object per line, floats as `repr` writes them)
-and config_echo.json (the parsed config with defaults materialized). It
-reads and types the rows' columns once per chunk of _CHUNK rows and
-formats both row files from them. Every experiment's rows share one key
-order, and each column holds one type among bool, int, float and ASCII
-str; a result that breaks this raises ValueError naming the key.
-wall_time is recorded on the result but never written, so re-runs stay
-byte-identical.
+`write_outputs` is the one writer of the artifacts: results.csv (a
+trailing `# summary:` comment block) and results.jsonl (one row object
+per line), floats in both as `repr` writes them, and config_echo.json
+(the parsed config with defaults materialized). It reads and types the
+rows' columns once per chunk of _CHUNK rows and formats both row files
+from them. Every experiment's rows share one key order, and each column
+holds one type among bool, int, float and ASCII str; a result that
+breaks this raises ValueError naming the key. wall_time is recorded on
+the result but never written, so re-runs stay byte-identical.
 
 The config document is declared once: the fields of `ExperimentConfig`,
 with `_NESTED` grouping some under the `dims`, `constraint` and `budget`
@@ -937,24 +936,24 @@ def _typed_columns(chunk: tuple[dict, ...], kinds: dict) -> list[tuple[type, lis
     return columns
 
 
-def _float_text(fmt: Callable[[float], str], col: list[float]) -> list[str]:
-    """fmt of each value. When most values repeat, each distinct value is
+def _float_text(col: list[float]) -> list[str]:
+    """repr of each value. When most values repeat, each distinct value is
     formatted once; a memo over mostly distinct values costs more than it
     saves. 0.0 and -0.0 are equal dict keys with different text, so a
     column holding a zero is formatted value by value."""
     memo = dict.fromkeys(col)
     if 0.0 in memo or 2 * len(memo) > len(col):
-        return list(map(fmt, col))
-    return list(map({v: fmt(v) for v in memo}.__getitem__, col))
+        return list(map(float.__repr__, col))
+    return list(map({v: float.__repr__(v) for v in memo}.__getitem__, col))
 
 
 def _column_text(kind: type, col: list) -> tuple[list[str], list[str]]:
     """The CSV text and the JSON text of each value of a column of one type."""
     if kind is float:
-        text = _float_text(float.__repr__, col)
-        if not all(map(math.isfinite, col)):
-            text = [_JSON_NONFINITE.get(t, t) for t in text]
-        return _float_text("{:.17g}".format, col), text
+        text = _float_text(col)
+        if all(map(math.isfinite, col)):
+            return text, text
+        return text, [_JSON_NONFINITE.get(t, t) for t in text]
     if kind is str:
         return col, list(map(json.dumps, col))
     text = list(map(_BOOL_TEXT.__getitem__ if kind is bool else int.__repr__, col))
@@ -966,7 +965,7 @@ def _summary_text(key, val) -> str:
     if type(val) is int:
         return int.__repr__(val)
     if type(val) is float:
-        return format(val, ".17g")
+        return float.__repr__(val)
     raise ValueError(f"summary {key!r} is {type(val).__name__}, not int or float")
 
 
@@ -977,11 +976,13 @@ def write_outputs(result: CampaignResult, out_dir) -> dict:
     in the same order; each column holds one exact type among bool, int,
     float and ASCII str; each summary value is an int or a float. A result
     that breaks it raises ValueError naming the key. results.csv is a
-    header, one line per row with floats at 17 significant digits, and a
-    `# summary:` comment block; results.jsonl is one object per row, keys
-    in header order, as `json.dumps` writes it. Rows are taken _CHUNK at a
-    time: a chunk's columns are read and typed once, formatted for both
-    files and written, so a refused chunk leaves the earlier ones written.
+    header, one line per row, and a `# summary:` comment block;
+    results.jsonl is one object per row, keys in header order, as
+    `json.dumps` writes it. A float has one text, its repr, in every
+    file; JSON alone spells the non-finite ones as NaN and Infinity. Rows
+    are taken _CHUNK at a time: a chunk's columns are read and typed
+    once, formatted for both files and written, so a refused chunk leaves
+    the earlier ones written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -7,9 +7,10 @@ contributes the larger of two one-sided extremes over the chunk subspace
 W_Lambda = { D^+ z : supp(z) in Lambda }:
 
   * upper: max ||Phi x||^2 / ||D x||^2 over x in W_Lambda, minus 1. With
-    A = Phi D^+ and Q rho_exact's orthonormal basis of P[:, Lambda],
-    P = D D^+, x = D^+ Q c has ||D x|| = ||c|| and ||Phi x|| = ||A Q c||:
-    a Rayleigh quotient, the largest eigenvalue of Q^T A^T A Q;
+    A = Phi D^+, P = U U^T the projector onto range(D) (D = U S V^T) and
+    Q rho_exact's orthonormal basis of P[:, Lambda], x = D^+ Q c has
+    ||D x|| = ||c|| and ||Phi x|| = ||A Q c||: a Rayleigh quotient, the
+    largest eigenvalue of Q^T A^T A Q;
   * lower: 1 minus min ||Phi D^+ z||^2 / ||z||^2 over supp(z) in Lambda
     (smallest eigenvalue of a k x k Gram matrix).
 
@@ -175,9 +176,9 @@ def _orth_stack(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (u, rank): the basis of block s is u[s, :, :rank[s]], with
     singular values at or below _TRIVIAL_TOL times max(1, the largest)
-    dropped. The blocks are columns of P = DD^+, whose norm is 1, so the
-    cutoff does not shrink with a block: a zero row of D, whose column of
-    P is roundoff, gets rank 0, not a basis of its noise.
+    dropped. The blocks are columns of P = U U^T, whose norm is 1, so
+    the cutoff does not shrink with a block: a zero row of D, whose
+    column of P is roundoff, gets rank 0, not a basis of its noise.
     """
     u, sv, _ = np.linalg.svd(blocks, full_matrices=False)
     rank = np.sum(sv > _TRIVIAL_TOL * np.fmax(sv[:, :1], 1.0), axis=1)
@@ -298,15 +299,15 @@ def _principal_bounds(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower): bounds on both sides of every k-subset of each row
     U of a (G, k+2) array, read from the principal submatrices G[U, U]
-    and P[U, U] of G = A^T A and P = D D^+ alone.
+    and P[U, U] of G = A^T A and the projector P = U U^T alone.
 
     Upper: span P[:, U] contains span P[:, Lambda] for every Lambda in
     U, so its Rayleigh maximum bounds theirs (Courant-Fischer). P is the
-    orthogonal projector onto range(D) and A P = A, so P G P = G and
-    that maximum is the top generalized eigenvalue of (G[U, U], P[U, U]),
-    taken by whitening with an eigh of P[U, U]. Lower: lambda_min(G[U, U])
-    is at most that of every principal submatrix G[Lambda, Lambda]
-    (Cauchy interlacing).
+    orthogonal projector onto range(D), idempotent to roundoff, and
+    A P = A, so P G P = G and that maximum is the top generalized
+    eigenvalue of (G[U, U], P[U, U]), taken by whitening with an eigh of
+    P[U, U]. Lower: lambda_min(G[U, U]) is at most that of every
+    principal submatrix G[Lambda, Lambda] (Cauchy interlacing).
 
     A row bounds only when lambda_min(P[U, U]) > _PRUNE_FLOOR^2 times
     max(lambda_max(P[U, U]), _TRIVIAL_TOL); these are the squared
@@ -314,15 +315,12 @@ def _principal_bounds(
     keeps singular values above 1e-7, far above the rank rule's cutoff
     (_TRIVIAL_TOL, as P has norm 1), the rank rule keeps its whole span,
     and no rank-deficient support is bounded. Other rows bound nothing:
-    upper +inf and lower -inf. So does every row when max|P^2 - P| >
-    _PRUNE_MARGIN / 10, as P G P = G then holds only to about that times
-    ||G||, beyond what the margin covers.
+    upper +inf and lower -inf.
     """
     block = (supersets[:, :, None], supersets[:, None, :])
     g = gram[block]
     w, v = np.linalg.eigh(proj[block])
     ok = w[:, 0] > _PRUNE_FLOOR**2 * np.fmax(w[:, -1], _TRIVIAL_TOL)
-    ok &= np.abs(proj @ proj - proj).max() <= _PRUNE_MARGIN / 10
     white = v[ok] / np.sqrt(w[ok])[:, None, :]  # white^T P[U, U] white = I
     upper = np.full(len(supersets), math.inf)
     lower = np.full(len(supersets), -math.inf)
@@ -416,10 +414,9 @@ def _scan_supports(
     family = supports is None
     if family:
         supports = _colex_supports(p, k)
-    pinv = dictionary.pinv()
-    a_cols = phi_e @ pinv
+    a_cols = phi_e @ dictionary.pinv()
     gram = a_cols.T @ a_cols
-    proj = dictionary.entries @ pinv
+    proj = dictionary.projector()
 
     # the queue takes the largest values first, so lower sides go in
     # negated; unbounded rows keep +inf in both bound arrays
@@ -487,7 +484,7 @@ def delta_exact(
     colex-first witness and eigen_range equal those of evaluating every
     support. When m < k + 2 every lambda_min(A_U^T A_U) is about 0 and the
     margin keeps every lower side. A bound prunes only when its (k+2)-set's
-    block of P = D D^+ has sigma_min / sigma_max above _PRUNE_FLOOR; by
+    block of P = U U^T has sigma_min / sigma_max above _PRUNE_FLOOR; by
     interlacing its subsets are then full rank under the rank rule, so
     rank-deficient supports are always evaluated on both sides.
 
@@ -617,11 +614,12 @@ def rho_exact(
     size-k supports.
 
     For each support, the subspace is the span of the corresponding columns
-    of P = D D^+ (the image of the chunk map inside range(D)); rho is the
-    largest singular value of Q_i^T Q_j over all disjoint pairs, i.e. the
-    cosine of the smallest principal angle. Zero for orthogonal D; always
-    in [0, 1]. Requires 2k <= p so a disjoint pair exists. Ties report the
-    colexicographically smallest pair: the first maximum over all pairs.
+    of the projector P = U U^T onto range(D) (the image of the chunk map
+    inside range(D)); rho is the largest singular value of Q_i^T Q_j over
+    all disjoint pairs, i.e. the cosine of the smallest principal angle.
+    Zero for orthogonal D; always in [0, 1]. Requires 2k <= p so a
+    disjoint pair exists. Ties report the colexicographically smallest
+    pair: the first maximum over all pairs.
 
     Two subspaces of range(D) whose dimensions sum past n = rank(P) meet,
     so when some disjoint pair's ranks do, rho is 1.0 and the witness is
@@ -644,8 +642,7 @@ def rho_exact(
     _refuse_pairs(p, k, _integer("max_pairs", max_pairs))
 
     supports = _colex_supports(p, k)
-    proj = dictionary.entries @ dictionary.pinv()
-    bases, rank = _orth_stack(_gather(proj, supports))
+    bases, rank = _orth_stack(_gather(dictionary.projector(), supports))
     if (meet := _meeting_pair(supports, rank, p, dictionary.n)) is not None:
         rho, (i, j) = 1.0, meet
     else:

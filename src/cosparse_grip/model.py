@@ -165,6 +165,9 @@ class Dictionary:
       * orthogonal       p == n and D^T D == I to 1e-10 per entry
       * tight-frame      D^T D == I to 1e-10 per entry
       * finite-difference / gaussian-random / user-supplied: rank check only
+
+    One thin SVD D = U S V^T, taken on construction, gives the rank check,
+    pinv() and projector().
     """
 
     entries: np.ndarray
@@ -178,7 +181,7 @@ class Dictionary:
             raise ValueError(f"analysis operator needs p >= n, got {p} x {n}")
         if self.kind not in DICTIONARY_KINDS:
             raise ValueError(f"unknown dictionary kind {self.kind!r}")
-        sv = np.linalg.svd(entries, compute_uv=False)
+        u, sv, vt = np.linalg.svd(entries, full_matrices=False)
         if sv[-1] <= RANK_TOL * sv[0]:
             raise DictionaryRankError(
                 f"rank-deficient dictionary: sigma_min/sigma_max = "
@@ -196,6 +199,10 @@ class Dictionary:
             if np.max(np.abs(entries.T @ entries - np.eye(n))) > 1e-10:
                 raise ValueError("kind 'tight-frame' requires D^T D == I")
         object.__setattr__(self, "entries", entries)
+        # full column rank keeps every singular value, so D^+ has numpy pinv's bits
+        for name, product in (("_pinv", vt.T @ ((1 / sv)[:, None] * u.T)), ("_projector", u @ u.T)):
+            product.setflags(write=False)
+            object.__setattr__(self, name, product)
 
     @property
     def p(self) -> int:
@@ -206,22 +213,17 @@ class Dictionary:
         return self.entries.shape[1]
 
     def pinv(self) -> np.ndarray:
-        """Moore-Penrose pseudoinverse, n x p, read-only.
+        """D^+ = V S^-1 U^T, n x p, read-only: numpy pinv's expression and bits."""
+        return self._pinv
 
-        Computed on the first call and returned as the same array on every
-        later one: the entries are frozen, so it is what a fresh
-        np.linalg.pinv would return. Two threads may race to fill it; both
-        compute the same bits, so it does not matter which one is kept."""
-        cached = self.__dict__.get("_pinv")
-        if cached is None:
-            cached = np.linalg.pinv(self.entries)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_pinv", cached)
-        return cached
+    def projector(self) -> np.ndarray:
+        """Orthogonal projector U U^T onto range(D), p x p, read-only:
+        symmetric and idempotent to roundoff however ill-conditioned D is."""
+        return self._projector
 
     def __reduce__(self):
         # copies and unpickled instances go through __init__ again: their
-        # entries stay read-only, so their own cached pinv cannot go stale
+        # entries stay read-only, so their own D^+ and projector cannot go stale
         return (type(self), (self.entries, self.kind))
 
 

@@ -146,6 +146,18 @@ def brute_rho(d_entries: np.ndarray, k: int) -> float:
     return min(worst, 1.0)
 
 
+def assert_svd_factors(d):
+    """pinv() has the bits of np.linalg.pinv; projector() is symmetric and
+    idempotent within a few eps and fixes range(D)."""
+    eps = np.finfo(np.float64).eps
+    assert np.array_equal(d.pinv(), np.linalg.pinv(d.entries))
+    proj = d.projector()
+    assert proj.shape == (d.p, d.p)
+    assert np.abs(proj - proj.T).max() <= 4 * eps
+    assert np.abs(proj @ proj - proj).max() <= 32 * eps
+    assert np.allclose(proj @ d.entries, d.entries, rtol=0.0, atol=1e-12 * np.abs(d.entries).max())
+
+
 def random_chunk(d: cg.Dictionary, support: cg.SupportSet, rng) -> np.ndarray:
     """D^+ applied to a random vector masked on the support."""
     z = np.zeros(d.p)
@@ -190,7 +202,8 @@ def _loop_orth(cols: np.ndarray) -> np.ndarray:
     if cols.size == 0:
         return np.zeros((cols.shape[0], 0))
     u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    # columns of P = DD^+, whose norm is 1: the cutoff is 1e-10 absolute
+    # columns of the projector P = UU^T, whose norm is 1: the cutoff is
+    # 1e-10 absolute
     rank = int(np.sum(sv > 1e-10 * max(sv[0], 1.0)))
     return u[:, :rank]
 
@@ -249,10 +262,9 @@ def sampled_supports(p: int, k: int, trials: int, seed) -> list[tuple[int, ...]]
 def loop_delta(phi_entries: np.ndarray, d: cg.Dictionary, supports):
     """Per-support scan: (delta, worst support, eigen_range), the first
     attaining support winning ties."""
-    pinv = d.pinv()
-    a_cols = phi_entries @ pinv
+    a_cols = phi_entries @ d.pinv()
     gram = a_cols.T @ a_cols
-    proj = d.entries @ pinv
+    proj = d.projector()
     best, witness = -np.inf, None
     lo_min, hi_max = np.inf, -np.inf
     for sup in supports:
@@ -272,7 +284,7 @@ def loop_rho(d: cg.Dictionary, k: int):
     when some disjoint pair's do, rho is 1.0 and the first such pair is
     the witness."""
     supports = colex_supports(d.p, k)
-    proj = d.entries @ d.pinv()
+    proj = d.projector()
     bases = [_loop_orth(proj[:, list(s)]) for s in supports]
     for i, si in enumerate(supports):
         for j in range(i + 1, len(supports)):
@@ -347,7 +359,7 @@ def _cell_text(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return repr(v)
     if v is None:
         return ""
     return str(v)

@@ -997,10 +997,10 @@ def test_emit_csv_exact_bytes(tmp_path):
     paths = write_outputs(result, tmp_path)
     assert paths["csv"].read_text(encoding="utf-8") == (
         "trial,seed,x,flag,note\n"
-        "0,5,0.10000000000000001,true,ok\n"
+        "0,5,0.1,true,ok\n"
         "# summary:\n"
         "# trials=1\n"
-        "# x_mean=0.10000000000000001\n"
+        "# x_mean=0.1\n"
     )
     assert paths["jsonl"].read_text(encoding="utf-8") == '{"trial": 0, "seed": 5, "x": 0.1, "flag": true, "note": "ok"}\n'
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from _support import (
+    assert_svd_factors,
     brute_delta,
     brute_rho,
     classical_delta,
@@ -364,7 +365,7 @@ def test_rank_deficient_bases_equal_reference_loops(defect):
         entries[7] = entries[2]
     d = cg.Dictionary(entries, "user-supplied")
     phi = cg.make_sensing_matrix("gaussian", 4, 6, 5)
-    proj = d.entries @ d.pinv()
+    proj = d.projector()
     for k in (2, 3):
         supports = colex_supports(d.p, k)
         assert _min_rank(d.pinv(), supports) < k
@@ -383,7 +384,7 @@ def test_zero_rank_bases_keep_degenerate_rule_and_rho_skip():
     sup = grip._colex_supports(d.p, 1)
     a_cols = phi.entries @ pinv
     lower = grip._lower_sides(sup, a_cols)
-    upper = grip._upper_sides(sup, a_cols.T @ a_cols, d.entries @ pinv, lower)
+    upper = grip._upper_sides(sup, a_cols.T @ a_cols, d.projector(), lower)
     assert upper[4] == lower[4] == 0.0
     for k in (1, 2):
         supports = colex_supports(d.p, k)
@@ -394,7 +395,7 @@ def test_zero_rank_bases_keep_degenerate_rule_and_rho_skip():
     assert all(s.indices != (4,) for s in est.witness)
     # the pair scan leaves out every pair with a rank-0 side
     sets = grip._colex_supports(d.p, 1)
-    bases, rank = grip._orth_stack(grip._gather(d.entries @ pinv, sets))
+    bases, rank = grip._orth_stack(grip._gather(d.projector(), sets))
     first, second, _ = grip._pair_bounds(sets, bases, rank)
     assert list(zip(first.tolist(), second.tolist())) == list(itertools.combinations(range(4), 2))
 
@@ -403,7 +404,7 @@ def test_zero_rank_bases_keep_degenerate_rule_and_rho_skip():
 def test_an_interior_zero_row_gets_no_basis(zero):
     # an interior zero row of D leaves a column of D^+ of roundoff, about
     # 1e-17, where a last one leaves exact zeros. The cutoff is absolute
-    # (P = DD^+ has norm 1), so both get rank 0 and rho_1 = 0.6666; one
+    # (P = UU^T has norm 1), so both get rank 0 and rho_1 = 0.6666; one
     # relative to the block's own largest singular value would give the
     # interior row a rank-1 basis of noise and rho_1 = 0.7180, ({4}, {8}).
     entries = cg.make_dictionary("tight-frame", 9, 6, 3).entries.copy()
@@ -411,7 +412,7 @@ def test_an_interior_zero_row_gets_no_basis(zero):
     order = [i for i in range(9) if i != 4]
     order.insert(zero, 4)
     d = cg.Dictionary(entries[order], "user-supplied")
-    proj = d.entries @ d.pinv()
+    proj = d.projector()
     assert np.abs(proj[:, zero]).max() < 1e-15
     assert grip._orth_stack(grip._gather(proj, np.array([[zero]])))[1][0] == 0
     est = cg.rho_exact(d, 1)
@@ -481,7 +482,7 @@ def test_pruned_rho_with_tied_bounds_and_rank_deficient_bases():
     entries[17] = 0.0
     d = cg.Dictionary(entries, "user-supplied")
     supports = grip._colex_supports(18, 2)
-    bases, rank = grip._orth_stack(grip._gather(d.entries @ d.pinv(), supports))
+    bases, rank = grip._orth_stack(grip._gather(d.projector(), supports))
     first, second, bound = grip._pair_bounds(supports, bases, rank)
     deficient = np.flatnonzero(np.minimum(rank[first], rank[second]) < 2)
     assert deficient.min() < grip._CHUNK and deficient.max() > len(first) - grip._CHUNK
@@ -603,7 +604,7 @@ def test_superset_bounds_refuse_ill_conditioned_blocks():
     d = cg.Dictionary(entries, "user-supplied")
     phi = cg.make_sensing_matrix("gaussian", 5, 8, 3)
     a_cols = phi.entries @ d.pinv()
-    proj = d.entries @ d.pinv()
+    proj = d.projector()
     sets = np.array([[0, 1, 6, 7], [2, 3, 6, 7], [4, 6, 7, 8], [5, 6, 7, 8]])
     upper, lower = grip._principal_bounds(sets, a_cols.T @ a_cols, proj)
     assert (upper[:3] == math.inf).all() and np.isfinite(upper[3])
@@ -657,7 +658,7 @@ def test_pruning_skips_most_upper_sides_on_a_tight_frame(monkeypatch):
         assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
         a_cols = phi.entries @ d.pinv()
         bound = np.full(len(sets), math.inf)
-        bounds = grip._principal_bounds(supersets, a_cols.T @ a_cols, d.entries @ d.pinv())[0]
+        bounds = grip._principal_bounds(supersets, a_cols.T @ a_cols, d.projector())[0]
         np.minimum.at(bound, members, bounds[:, None])
         assert np.count_nonzero(np.isinf(bound)) == unbounded
         assert np.isinf(bound[both]).all() == repeat_row
@@ -716,7 +717,7 @@ def test_rank_zero_support_lower_side_precedes_its_upper_side(monkeypatch):
     phi = cg.make_sensing_matrix("gaussian", 8, 12, 6)
     sets = grip._colex_supports(18, k)
     target = int(np.flatnonzero((sets == zero).all(axis=1))[0])
-    assert grip._orth_stack(grip._gather(d.entries @ d.pinv(), sets[target : target + 1]))[1][0] == 0
+    assert grip._orth_stack(grip._gather(d.projector(), sets[target : target + 1]))[1][0] == 0
     order = []
     lower_sides, upper_sides = grip._lower_sides, grip._upper_sides
 
@@ -746,7 +747,10 @@ def bounded_frames(draw):
     row 4, and put row 7 a small step from row 6, near the conditioning
     floor; Phi may be stretched along the chunk direction of rows 6 and 7,
     which that step leaves worst conditioned. refused lists the row sets
-    whose supersets must bound nothing."""
+    whose supersets must bound nothing: a repeated row and a zero row
+    give P = U U^T a repeated or a roundoff column. Rows 2 and 3 are not
+    among them: the 1e-9 step can leave D so ill-conditioned that P's
+    columns 2 and 3 are far apart (_ill_conditioned_pair_frame)."""
     k = draw(st.sampled_from([2, 3]))
     p = draw(st.integers(9, 12))
     n = draw(st.integers(k + 2, p - 3))
@@ -760,7 +764,6 @@ def bounded_frames(draw):
         refused.append({0, 1})
     if draw(st.booleans()):
         entries[3] = entries[2] + 1e-9 * rng.standard_normal(n)
-        refused.append({2, 3})
     if draw(st.booleans()):
         entries[4] = 0.0
         refused.append({4})
@@ -777,10 +780,12 @@ def bounded_frames(draw):
 
 def _principal_bounds_hold(d, phi, k, refused):
     """Every finite bound of the cover's supersets holds within the
-    margin for every k-subset, and a superset holding one of the row
-    sets in `refused` bounds nothing."""
+    margin for every k-subset; a bounded superset U has sigma_min(P[:, U])
+    above _PRUNE_FLOOR times sigma_max(P[:, U]), by an svd of its own;
+    and a superset holding one of the row sets in `refused` bounds
+    nothing."""
     a_cols = phi @ d.pinv()
-    gram, proj = a_cols.T @ a_cols, d.entries @ d.pinv()
+    gram, proj = a_cols.T @ a_cols, d.projector()
     margin = grip._PRUNE_MARGIN * float(np.trace(gram))
     supersets, members = grip._superset_cover(d.p, k)
     upper, lower = grip._principal_bounds(supersets, gram, proj)
@@ -792,15 +797,17 @@ def _principal_bounds_hold(d, phi, k, refused):
         if any(rows <= set(superset.tolist()) for rows in refused):
             assert upper[g] == math.inf and lower[g] == -math.inf
         if upper[g] < math.inf:
+            sv = np.linalg.svd(proj[:, superset], compute_uv=False)
+            assert sv[-1] > grip._PRUNE_FLOOR * sv[0]
             assert uppers[members[g]].max() <= upper[g] + margin
             assert lowers[members[g]].min() >= lower[g] - margin
 
 
 def _far_from_projector_frame():
-    """A bounded_frames draw whose P = D D^+ is 8.5e-9 from idempotent,
-    with trace(A^T A) = 1.2e15: P G P = G then misses by more than the
-    margin, and two supersets' bounds fell 3.4 margins below a subset's
-    upper side before such frames bounded nothing."""
+    """A bounded_frames draw whose D D^+ is 8.5e-9 from idempotent, with
+    trace(A^T A) = 1.2e15: with P = D D^+, P G P = G missed by more than
+    the margin and two supersets' bounds fell 3.4 margins below a
+    subset's upper side. P = U U^T is 6.7e-16 from idempotent."""
     entries = cg.make_dictionary("gaussian-random", 11, 8, 194).entries.copy()
     rng = np.random.default_rng(194)
     entries[1] = entries[0]
@@ -811,11 +818,48 @@ def _far_from_projector_frame():
     return cg.Dictionary(entries, "user-supplied"), phi, 2, [{0, 1}, {2, 3}, {4}]
 
 
+def _ill_conditioned_pair_frame():
+    """A bounded_frames draw (9x6 tight frame, seed 6, rows 2 and 3 1e-9
+    apart, m = 1, Phi stretched) whose D has sigma ratio 2.3e-8, so P's
+    columns 2 and 3 have sigma ratio 0.058: superset [0 2 3 5 8] holds
+    both rows, is well conditioned, and is bounded correctly."""
+    entries = cg.make_dictionary("tight-frame", 9, 6, 6).entries.copy()
+    rng = np.random.default_rng(6)
+    entries[1] = entries[0]
+    entries[3] = entries[2] + 1e-9 * rng.standard_normal(6)
+    entries[4] = 0.0
+    entries[7] = entries[6] + 1e-6 * rng.standard_normal(6)
+    d = cg.Dictionary(entries, "user-supplied")
+    phi = cg.make_sensing_matrix("gaussian", 1, 6, 7).entries.copy()
+    x = d.pinv()[:, 6] - d.pinv()[:, 7]
+    phi[0] += 30.0 * x / np.linalg.norm(x)
+    return d, phi, 3, [{0, 1}, {4}]
+
+
 @given(bounded_frames())
 @example(_far_from_projector_frame())
+@example(_ill_conditioned_pair_frame())
 @settings(max_examples=40, deadline=None)
 def test_principal_bounds_hold_for_every_subset(frame):
     _principal_bounds_hold(*frame)
+
+
+def test_well_conditioned_superset_of_close_rows_bounds():
+    # the 1e-9 step leaves D ill-conditioned but not P[:, {2, 3}], so a
+    # superset holding rows 2 and 3 bounds, and its bounds hold
+    d, phi, k, _ = _ill_conditioned_pair_frame()
+    supersets, _ = grip._superset_cover(d.p, k)
+    a_cols = phi @ d.pinv()
+    upper, _ = grip._principal_bounds(supersets, a_cols.T @ a_cols, d.projector())
+    bounded = [s for s, u in zip(supersets.tolist(), upper) if u < math.inf and {2, 3} <= set(s)]
+    assert bounded == [[0, 2, 3, 5, 8]]
+
+
+@given(bounded_frames())
+@example(_ill_conditioned_pair_frame())
+@settings(max_examples=40, deadline=None)
+def test_svd_factors_on_bounded_frames(frame):
+    assert_svd_factors(frame[0])
 
 
 def test_principal_bounds_refuse_blocks_too_ill_conditioned_for_the_margin():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
+from _support import assert_svd_factors
 from cosparse_grip.model import sensing_entries
 
 
@@ -99,13 +100,27 @@ def test_dictionary_entries_read_only_and_pinv():
     with pytest.raises(ValueError):
         pinv[0, 0] = 1.0
     assert np.array_equal(pinv, np.linalg.pinv(d.entries))
-    # a copy is rebuilt, so its entries stay read-only under its own cache
+    proj = d.projector()
+    assert d.projector() is proj
+    with pytest.raises(ValueError):
+        proj[0, 0] = 1.0
+    # a copy is rebuilt, so its entries stay read-only under its own factors
     for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
         assert twin.kind == d.kind and np.array_equal(twin.entries, d.entries)
-        for array in (twin.entries, twin.pinv()):
+        for array in (twin.entries, twin.pinv(), twin.projector()):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
         assert np.array_equal(twin.pinv(), pinv)
+        assert np.array_equal(twin.projector(), proj)
+
+
+@pytest.mark.parametrize("kind", ["identity", "finite-difference", "gaussian-random", "tight-frame", "orthogonal"])
+def test_dictionary_svd_factors_on_every_kind(kind):
+    square = kind in ("identity", "finite-difference", "orthogonal")
+    for p in range(2, 19):
+        for n in (p,) if square else range(1, p + 1):
+            for seed in range(2):
+                assert_svd_factors(cg.make_dictionary(kind, p, n, seed))
 
 
 def test_sensing_matrix_shape_contract():
