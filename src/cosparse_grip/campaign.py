@@ -40,8 +40,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -126,7 +124,7 @@ def trial_seed(campaign_seed: int, index: int) -> int:
     """splitmix64 finalizer on campaign_seed advanced by index steps.
 
     Decorrelates per-trial RNG streams while keeping them a pure function
-    of (seed, index), hence parallelizable and order-independent.
+    of (seed, index), hence order-independent.
     """
     x = (campaign_seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -822,7 +820,7 @@ def _summarize(cfg: ExperimentConfig, rows: list[dict]) -> dict:
 
 
 def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
-    """Execute a campaign and aggregate its rows.
+    """Execute a campaign on the calling thread and aggregate its rows.
 
     The experiment's table entry supplies the trial function; verify-*
     experiments first build and gate their instance pool. Each call
@@ -830,10 +828,10 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     `_verify_block`, and runs one trial of any other experiment. A stream
     block that raises is run again one trial at a time to name the first
     that fails; if each passes alone, the block's own error is the
-    failure, named by its trial range. Serial runs stay on the calling
-    thread; with workers > 1 calls run in a thread pool. Rows are ordered
-    by trial index, and are the same for any worker count. A failure
-    raises CampaignTrialError carrying the rows before it.
+    failure, named by its trial range, and none of its rows is kept. Rows
+    are ordered by trial index. A failure raises CampaignTrialError
+    carrying the rows before it. workers must be 1; any other value is
+    refused before anything runs.
 
     A verify-c1 or verify-c2 trial i draws from stream block b =
     i // _STREAM (256 trials): default_rng(trial_seed(seed, _STREAM_TAG +
@@ -850,6 +848,8 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     campaign with the same config and seed and more than i trials has the
     same row i, and `_verify_trial` replays it alone.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     t0 = time.perf_counter()
     entry = _TABLE[config.experiment]
     ops = _load_operators(config)
@@ -857,38 +857,29 @@ def run(config: ExperimentConfig, workers: int = 1) -> CampaignResult:
     total = config.trials * len(_m_cells(config))
     seeds = _trial_seeds(config.seed, total)
     step = 1 if entry.stream is None else _STREAM
+    rows: list[dict] = []
 
-    def guarded(start: int) -> tuple[list[dict], tuple[str, Exception] | None]:
-        """The call's rows from trial start, and (message, error) if it fails."""
+    def result() -> CampaignResult:
+        return CampaignResult(config, tuple(rows), _summarize(config, rows), time.perf_counter() - t0)
+
+    for start in range(0, total, step):
         stop = min(start + step, total)
         if entry.stream is not None:
             try:
-                return _verify_block(config, ctx, start, seeds[start:stop]), None
+                rows.extend(_verify_block(config, ctx, start, seeds[start:stop]))
+                continue
             except Exception as err:
                 block_err = err  # run again trial by trial below, to name the one that fails
-        done: list[dict] = []
         for i in range(start, stop):
             try:
-                done.append(entry.trial(config, ctx, i, seeds[i]))
+                rows.append(entry.trial(config, ctx, i, seeds[i]))
             except Exception as err:
-                return done, (f"trial {i} (seed {seeds[i]}) failed: {err}", err)
+                raise CampaignTrialError(f"trial {i} (seed {seeds[i]}) failed: {err}", result()) from err
         if entry.stream is not None:  # the block failed, and each of its trials passed alone
-            return [], (f"trials {start} to {stop - 1} failed as a block: {block_err}", block_err)
-        return done, None
-
-    rows: list[dict] = []
-    failure = None
-    # a break closes map's iterator, which cancels the blocks not yet started
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as threads:
-        for done, failure in (threads.map if threads else map)(guarded, range(0, total, step)):
-            rows.extend(done)
-            if failure is not None:
-                break
-    result = CampaignResult(config, tuple(rows), _summarize(config, rows), time.perf_counter() - t0)
-    if failure is not None:
-        message, cause = failure
-        raise CampaignTrialError(message, result) from cause
-    return result
+            del rows[start:]
+            message = f"trials {start} to {stop - 1} failed as a block: {block_err}"
+            raise CampaignTrialError(message, result()) from block_err
+    return result()
 
 
 # ---------------------------------------------------------------------------

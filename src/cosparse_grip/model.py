@@ -155,7 +155,7 @@ def _sensing_for(phi, dictionary: Dictionary) -> np.ndarray:
     return entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dictionary:
     """Analysis operator: p x n, p >= n, full column rank.
 
@@ -227,7 +227,7 @@ class Dictionary:
         return (type(self), (self.entries, self.kind))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SensingMatrix:
     """Measurement operator: m x n with m < n (compressive regime)."""
 

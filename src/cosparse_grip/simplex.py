@@ -61,7 +61,7 @@ class LpUnboundedError(RuntimeError):
     """The objective is unbounded below on the feasible set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """An optimal basic solution. multipliers are c_B B^-1 on the final
     basis, one per row of the caller's a (a dual solution of

@@ -82,7 +82,7 @@ class InfeasibleConstraintError(ValueError):
     """The constraint set B(y) is empty (up to the feasibility tolerance)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSpec:
     """Measurement constraint B(y). epsilon is the l2-ball radius
     (required > 0 for l2-ball), lam the correlation cap (required >= 0
@@ -123,7 +123,7 @@ class SolverOptions:
         object.__setattr__(self, "max_iters", v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecoveryResult:
     """Outcome of one recovery solve.
 

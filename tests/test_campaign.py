@@ -727,25 +727,25 @@ def test_summary_means_are_left_folds(experiment, column, key):
 
 
 # ---------------------------------------------------------------------------
-# determinism, parallelism, failure handling
+# determinism, failure handling
 
 
 # Both corollary experiments draw their trials from the same stream
 # blocks, so the stream tests below run on both. Their names and the
-# unprefixed ids are the verify-c2 cases, so that those ids stay stable;
-# the worker-count cases are named by their experiment.
+# unprefixed ids are the verify-c2 cases, so that those ids stay stable.
 STREAMED = ("verify-c2", "verify-c1")
 
+# The failure tests pass workers=1, the one value `run` accepts, as the
+# benchmark harness does; the parameter keeps their ids stable.
+ONE_WORKER = pytest.mark.parametrize("workers", [1])
 
-@pytest.mark.parametrize("experiment", STREAMED)
-def test_rows_invariant_under_worker_count(experiment):
-    # three stream blocks, the last partial, so the pool runs two at once;
-    # a two-instance pool interleaves its instances across their edges
-    cfg = config_from(base_doc(experiment=experiment, trials=2 * cam._STREAM + 90, instances=2, seed=11))
-    serial = run(cfg, workers=1)
-    threaded = run(cfg, workers=3)
-    assert row_reprs(threaded.rows) == row_reprs(serial.rows)
-    assert threaded.summary == serial.summary
+
+def test_workers_other_than_one_refused_before_any_trial(monkeypatch):
+    monkeypatch.setattr(cam, "_load_operators", lambda cfg: pytest.fail("operators loaded"))
+    never = dataclasses.replace(cam._TABLE["grip"], trial=lambda *args: pytest.fail("trial ran"))
+    monkeypatch.setitem(cam._TABLE, "grip", never)
+    with pytest.raises(ValueError, match=r"^workers must be 1, got 2$"):
+        run(config_from(grip_doc(trials=4)), workers=2)
 
 
 def sabotage(monkeypatch, experiment, failing_index):
@@ -778,14 +778,12 @@ def test_failed_trial_carries_completed_prefix(monkeypatch):
     assert partial.summary["trials"] == 2
 
 
-@pytest.mark.parametrize("workers", [1, 3])
+@ONE_WORKER
 @pytest.mark.parametrize("failing", [0, 3, 6])
 def test_failed_trial_stops_the_campaign_at_any_worker_count(monkeypatch, failing, workers):
     cfg = config_from(grip_doc(trials=7))
     clean = run(cfg)
     sabotage(monkeypatch, "grip", failing)
-    if workers == 1:  # a serial run starts no thread pool
-        monkeypatch.setattr(cam, "ThreadPoolExecutor", lambda **kw: pytest.fail("thread pool started"))
     seed = trial_seed(cfg.seed, failing)
     with pytest.raises(
         CampaignTrialError, match=rf"^trial {failing} \(seed {seed}\) failed: synthetic fault$"
@@ -903,9 +901,7 @@ def test_verify_c1_stream_definition_is_pinned():
 
 
 @pytest.mark.parametrize("experiment, workers", [
-    pytest.param(experiment, workers, id=f"{prefix}{workers}")
-    for experiment, prefix in zip(STREAMED, ("", "verify-c1-"))
-    for workers in (1, 2)
+    pytest.param(experiment, 1, id=f"{prefix}1") for experiment, prefix in zip(STREAMED, ("", "verify-c1-"))
 ])
 def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, experiment, workers):
     cfg = config_from(base_doc(experiment=experiment, trials=2 * cam._STREAM + 5))
@@ -931,7 +927,7 @@ def test_verify_c2_failure_inside_a_block_names_its_trial(monkeypatch, experimen
     assert partial.summary == cam._summarize(cfg, list(clean.rows[:failing]))
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@ONE_WORKER
 def test_a_block_that_fails_only_as_a_block_is_a_failure(monkeypatch, workers):
     # the second block raises as a block, and each of its trials passes alone
     cfg = config_from(base_doc(trials=2 * cam._STREAM + 5))

@@ -10,8 +10,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# reports the site-packages modules that importing the package loads, and
-# which test oracles are loaded at all
+# reports the site-packages modules that importing the package loads, any
+# `concurrent` module it loads, and which test oracles are loaded at all
 PROBE = """
 import json, sys, sysconfig
 site = {sysconfig.get_paths()[key] for key in ("purelib", "platlib")}
@@ -23,6 +23,7 @@ print(json.dumps({
     "package": cosparse_grip.__file__,
     "third_party": sorted({name.partition(".")[0] for name, path in loaded.items()
                            if any(path.startswith(s) for s in site)}),
+    "concurrent": sorted(name for name in loaded if name.partition(".")[0] == "concurrent"),
     "oracles": sorted(m for m in ("scipy", "hypothesis", "pytest", "cvxpy") if m in sys.modules),
 }))
 """
@@ -38,6 +39,7 @@ def test_import_loads_no_third_party_module_but_numpy():
     report = json.loads(done.stdout)
     assert Path(report["package"]).resolve().is_relative_to(ROOT / "src")
     assert report["third_party"] == ["numpy"]
+    assert report["concurrent"] == []  # campaigns run on the calling thread
     assert report["oracles"] == []
 
 

@@ -114,6 +114,24 @@ def test_dictionary_entries_read_only_and_pinv():
         assert np.array_equal(twin.projector(), proj)
 
 
+# one of each frozen type that holds an array
+ARRAY_HOLDERS = {
+    "Dictionary": lambda: cg.make_dictionary("tight-frame", 7, 4, 0),
+    "SensingMatrix": lambda: cg.make_sensing_matrix("gaussian", 3, 4, 0),
+    "ConstraintSpec": lambda: cg.ConstraintSpec("equality", np.ones(3)),
+    "RecoveryResult": lambda: cg.RecoveryResult(np.zeros(4), 0.0, 0, 0.0, 0.0, True, True, 0.0),
+    "LpSolution": lambda: cg.LpSolution(np.zeros(2), 0.0, 0, np.zeros(1), np.zeros(1, dtype=int)),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity_and_hash(make):
+    x = make()
+    assert x == x
+    assert x != copy.copy(x)
+    assert hash(x) == hash(x)
+
+
 @pytest.mark.parametrize("kind", ["identity", "finite-difference", "gaussian-random", "tight-frame", "orthogonal"])
 def test_dictionary_svd_factors_on_every_kind(kind):
     square = kind in ("identity", "finite-difference", "orthogonal")
