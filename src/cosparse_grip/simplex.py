@@ -25,12 +25,18 @@ eligible index; Bland, Math. Oper. Res. 1977) until a pivot makes a
 positive step, which keeps termination finite. The leaving row is always
 the smallest basis index among the ratio-test ties.
 
-Phase 2 can also start from a caller's feasible basis (_solve_from):
-solvers builds one in closed form for its equality LPs, and skips phase
-1 there. A basis whose B^-1 b is not >= 0 within _FEAS_TOL is refused,
-and the two-phase path above handles it and every other LP. Both entries
-end in the one phase-2 function, _phase2: the same pivot loop and the
-same final solves for x and the multipliers.
+Phase 2 can also start from a caller's feasible point (_solve_from): a
+basis, plus superbasic columns, nonbasic at values > 0. _purify steps
+each superbasic column to 0 or into the basis by one ratio test, along
+the direction that does not raise the cost, so after one step per
+column the point is a vertex (Megiddo, ORSA J. Comput. 1991; Bixby &
+Saltzman, Oper. Res. Lett. 1994). solvers builds such starts in closed
+form, a vertex for its equality LPs and a point with m superbasic
+columns for its dantzig LPs, and skips phase 1 on both. A start whose
+basic values are not >= 0 within _FEAS_TOL, before or after the steps,
+is refused, and the two-phase path above handles it and every other
+LP. Both entries end in the one phase-2 function, _phase2: the same
+pivot loop and the same final solves for x and the multipliers.
 """
 
 from __future__ import annotations
@@ -210,18 +216,79 @@ def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution
     return _phase2(c, a, b, basis[basis < n], pivots, keep, neg)
 
 
-def _solve_from(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> LpSolution | None:
+def _solve_from(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
+    superbasic: np.ndarray = (), values: np.ndarray = (),
+) -> LpSolution | None:
     """min c x s.t. a x = b, x >= 0 by phase 2 alone, from a caller's
-    basis: one column of a per row, nonsingular. None when that basis
-    is not a feasible start, some entry of B^-1 b being below
-    -_FEAS_TOL max(1, ||B^-1 b||_inf); the caller then takes
+    start: basis holds one column of a per row, nonsingular, and the
+    nonbasic columns superbasic hold values >= 0 (none by default, when
+    the start is the vertex of basis). _purify first steps the start to
+    a vertex, one ratio test per superbasic column, and each step counts
+    as one pivot. None when the start is not feasible, some entry of
+    x_B = B^-1 (b - a_S values) being below -_FEAS_TOL max(1, ||x_B||_inf),
+    at the start or at the vertex reached; the caller then takes
     solve_standard_lp."""
     basis = np.array(basis)
+    if len(superbasic) and not _purify(c, a, b, basis, superbasic, values):
+        return None
     xb = np.linalg.solve(a[:, basis], b)
-    if xb.min(initial=0.0) < -_FEAS_TOL * max(1.0, float(np.abs(xb).max(initial=0.0))):
+    if _infeasible(xb):
         return None
     m = b.size
-    return _phase2(c, a, b, basis, 0, np.ones(m, dtype=bool), np.zeros(m, dtype=bool))
+    return _phase2(c, a, b, basis, len(superbasic), np.ones(m, dtype=bool), np.zeros(m, dtype=bool))
+
+
+def _infeasible(xb: np.ndarray) -> bool:
+    return xb.min(initial=0.0) < -_FEAS_TOL * max(1.0, float(np.abs(xb).max(initial=0.0)))
+
+
+def _purify(
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
+    superbasic: np.ndarray, values: np.ndarray,
+) -> bool:
+    """Step a feasible point with superbasic columns to a vertex, after
+    the crossover of Megiddo (ORSA J. Comput. 1991) and Bixby & Saltzman
+    (Oper. Res. Lett. 1994); basis is updated in place. False when the
+    start is infeasible or a step finds no bound.
+
+    Each superbasic x_j, in the given order, moves along the direction
+    that does not raise the cost: up when its reduced cost
+    c_j - c_B B^-1 a_j is below -_COST_TOL max(1, ||c_B B^-1||_inf),
+    down otherwise. x_B moves against col = B^-1 a_j, and the ratio test
+    stops the step at the first bound: x_j reaching 0 (down only), or a
+    basic variable, which leaves (ties to the smallest basis index, as
+    in _pivot_to_optimum) while x_j enters. B^-1 is inverted once and
+    carried by _update_inverse, inverted afresh every _REFACTOR_EVERY
+    updates."""
+    binv, updates = np.linalg.inv(a[:, basis]), 0
+    cb = c[basis]
+    rhs = b - a[:, superbasic] @ values  # B x_B = rhs: the superbasics still held
+    if _infeasible(binv @ rhs):
+        return False
+    for j, v in zip(superbasic, values):
+        col = binv @ a[:, j]
+        y = cb @ binv
+        up = c[j] - y @ a[:, j] < -_COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
+        move = col if up else -col  # x_B falls by theta move when x_j moves by theta
+        rows = (move > _PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
+        ratios = np.maximum(binv @ rhs, 0.0)[rows] / move[rows]
+        step = ratios.min(initial=np.inf)
+        rhs += a[:, j] * v  # x_j leaves the right side: it ends at 0 or basic
+        if not up and v <= step:
+            continue  # x_j reaches 0 first and stays nonbasic
+        if rows.size == 0:
+            return False
+        ties = rows[ratios <= step + 1e-12]
+        r = ties[basis[ties].argmin()]
+        basis[r] = j
+        cb[r] = c[j]
+        updates += 1
+        if updates >= _REFACTOR_EVERY:
+            binv, updates = np.linalg.inv(a[:, basis]), 0
+        else:
+            _update_inverse(binv, col, r)
+    return True
 
 
 def _phase2(

@@ -28,7 +28,9 @@ ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
-exact vertex; an equality LP starts at a vertex built in closed form.
+exact vertex. Both start phase 2 from a point built in closed form: an
+equality LP at a vertex, a dantzig LP at a feasible point that the
+simplex purifies to a vertex in m steps.
 
 Every result carries a checked certificate, and one builder, _result,
 sets its fields on both paths: _kkt measures primal infeasibility, dual
@@ -622,17 +624,19 @@ def _build_lp(
     return c, a, rhs
 
 
-def _equality_basis(d_block: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """A basic feasible start of the equality LP of _build_lp, or None
-    when Phi has numerical rank < m.
+def _closed_form_point(
+    d_block: np.ndarray, phi: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The closed-form point both LP starts share, as (analysis slack
+    columns, signal columns, |z_J|), or None when Phi has numerical
+    rank < m.
 
     Elimination with column pivoting picks m independent columns J of
     Phi (row i takes the column of its largest remaining entry; a pivot
     at or below _RANK_TOL max |Phi| means rank < m), and z_J solves
-    Phi_J z_J = y with z zero off J. Analysis row i makes s+_i basic
-    when (D z)_i >= 0 and s-_i otherwise; j in J makes z+_j basic when
-    z_j >= 0 and z-_j otherwise. B = [[+-I, +-D_J], [0, +-Phi_J]] is then
-    nonsingular with Phi_J, and B^-1 b is |D z| and |z_J|: a vertex.
+    Phi_J z_J = y with z zero off J. Analysis row i takes s+_i when
+    (D z)_i >= 0 and s-_i otherwise, at |(D z)_i|; j in J takes z+_j
+    when z_j >= 0 and z-_j otherwise, at |z_j|.
     """
     p, n = d_block.shape
     m = phi.shape[0]
@@ -653,7 +657,38 @@ def _equality_basis(d_block: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.n
     dz = d_block[:, cols] @ z
     slacks = np.arange(2 * n, 2 * n + p) + p * (dz < 0.0)
     signals = np.array(cols) + n * (z < 0.0)
-    return np.concatenate([slacks, signals])
+    return slacks, signals, np.abs(z)
+
+
+def _equality_basis(d_block: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """A basic feasible start of the equality LP of _build_lp, or None
+    when Phi has numerical rank < m: the slack and signal columns of
+    _closed_form_point. B = [[+-I, +-D_J], [0, +-Phi_J]] is nonsingular
+    with Phi_J, and B^-1 b is |D z| and |z_J|: a vertex.
+    """
+    point = _closed_form_point(d_block, phi, y)
+    return None if point is None else np.concatenate(point[:2])
+
+
+def _dantzig_start(
+    d_block: np.ndarray, phi: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """A feasible start of the dantzig LP of _build_lp, (basis,
+    superbasic columns, their values), or None when Phi has numerical
+    rank < m.
+
+    z is _closed_form_point's: Phi z = y, so Phi^T (Phi z - y) = 0 and
+    every correlation slack t+-_k equals lam. The basis is its analysis
+    slack columns plus all 2n correlation slacks, a signed identity, so
+    its inverse is exact; its signal columns are superbasic at |z_J|,
+    and simplex._solve_from steps them to a vertex.
+    """
+    point = _closed_form_point(d_block, phi, y)
+    if point is None:
+        return None
+    slacks, signals, values = point
+    p, n = d_block.shape
+    return np.concatenate([slacks, np.arange(2 * n + 2 * p, 4 * n + 2 * p)]), signals, values
 
 
 def solve_lp_certified(
@@ -664,11 +699,13 @@ def solve_lp_certified(
     """Exact analysis-l1 minimizer via the simplex.
 
     Only the polyhedral kinds (equality, dantzig) are expressible;
-    iterations reports pivot count. An equality LP starts phase 2 at the
-    closed-form vertex of _equality_basis and skips phase 1; when Phi has
-    numerical rank < m, or the simplex refuses that start as infeasible,
-    it takes the two-phase path, as every dantzig LP does (Phi^T Phi has
-    rank m < n, so no such vertex is known in closed form). The returned
+    iterations reports pivot count, a dantzig LP's m purification steps
+    included. Both kinds skip phase 1: an equality LP starts phase 2 at
+    the closed-form vertex of _equality_basis, a dantzig LP at the
+    closed-form point of _dantzig_start, which the simplex steps to a
+    vertex first. When Phi has numerical rank < m, or the simplex
+    refuses the start as infeasible, the LP takes the two-phase path.
+    The returned
     point is an optimal vertex z = z+ - z-; the dual pair is read off the
     simplex multipliers pi of its basis, v = -pi[:p] from the analysis
     rows and w from the measurement rows (w = -pi[p:] for equality,
@@ -679,8 +716,12 @@ def solve_lp_certified(
     _vector("y", constraint.y, phi_e.shape[0])
     d_block = dictionary.entries
     c, a, b = _build_lp(d_block, phi_e, constraint)
-    start = _equality_basis(d_block, phi_e, constraint.y) if constraint.kind == "equality" else None
-    sol = None if start is None else _solve_from(c, a, b, start)
+    if constraint.kind == "equality":
+        basis = _equality_basis(d_block, phi_e, constraint.y)
+        start = None if basis is None else (basis,)
+    else:
+        start = _dantzig_start(d_block, phi_e, constraint.y)
+    sol = None if start is None else _solve_from(c, a, b, *start)
     if sol is None:
         try:
             sol = solve_standard_lp(c, a, b)

@@ -13,7 +13,7 @@ from cosparse_grip.simplex import (
     LpUnboundedError,
     solve_standard_lp,
 )
-from cosparse_grip.solvers import _build_lp, _equality_basis
+from cosparse_grip.solvers import _build_lp, _dantzig_start, _equality_basis
 
 
 def test_hand_worked_lp():
@@ -428,14 +428,15 @@ def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
 # and of x_hat, iterations, dual_residual and certification_gap of each
 # dantzig solve_lp_certified. Taken before the pivot loop dropped its
 # redundant numpy calls (flatnonzero, np.argmin, np.outer, c[basis] per
-# pivot); a moved digest is a change of numerics to record.
+# pivot), the dantzig ones again when dantzig LPs began at the purified
+# closed-form start; a moved digest is a change of numerics to record.
 _LP_DIGESTS = {
     1: ("554de844559e5ee47a125e68b49903635a1ff7852eaac351b3300de24ffe5fb6",
-        "ec7f2f2db5cd46846b2e00aa71e88e1d8b3d5765d7ed30bbc72b7f09eb3ea852"),
+        "deb1a499c37227ee669528cef5754a1a82d1e0a155dc1ad171bf014ca4bf63c6"),
     2: ("66fd732fe50177c6233c960869f7fbd538abc43fa7cc8eee677b155f9e5fb889",
-        "3389c34ad15055bfbecc1eef985705ffbcf5626d902df96d5bb4891332ef9c10"),
+        "a825ccfed857919a79f8e2fb89e32585b71b3d9170e73dfa7134ac1f03487ed8"),
     3: ("d472399e676b91dae6d8b5a766ad35d8eb3ef2e8a158eb036e79347f7c83c094",
-        "4f7c360f5bf5e500fbc22d4f81bb8103604d7e2433f73f3d875bfa41473d5187"),
+        "456fa50fdf5c567a612c8a7a41abd8d03c800ea511726d1cdfa631f2220c63c3"),
 }
 
 
@@ -475,6 +476,86 @@ def test_equality_lps_skip_phase_one(monkeypatch):
             res = cg.solve_lp_certified(phi, d, con)
             assert len(calls) == 1, (family_seed, j)
             assert res.certified, (family_seed, j)
+
+
+def test_dantzig_lps_skip_phase_one(monkeypatch):
+    # the purified closed-form start: one _pivot_to_optimum run, phase 2
+    calls = _count_pivot_runs(monkeypatch)
+    for family_seed in (1, 2, 3):
+        for j in range(1, 100, 2):
+            d, phi, _, con = family_instance(family_seed, j)
+            calls.clear()
+            res = cg.solve_lp_certified(phi, d, con)
+            assert len(calls) == 1, (family_seed, j)
+            assert res.certified, (family_seed, j)
+
+
+def test_rank_deficient_dantzig_lp_takes_two_phases(monkeypatch):
+    # a repeated measurement row: no m independent columns, so the dantzig
+    # LP has no closed-form start and phase 1 runs
+    d = cg.make_dictionary("tight-frame", 14, 10, 5)
+    entries = cg.make_sensing_matrix("gaussian", 6, 10, 6).entries.copy()
+    entries[5] = entries[2]
+    phi = cg.SensingMatrix(entries, "user-supplied")
+    x = cg.sample_cosparse_signal(d, 5, 7)
+    con = cg.ConstraintSpec("dantzig", entries @ x, lam=0.1)
+    assert _dantzig_start(d.entries, entries, con.y) is None
+    calls = _count_pivot_runs(monkeypatch)
+    res = assert_optimal_answer(d, phi, x, con)
+    assert len(calls) == 2
+    assert res.certified
+
+
+def test_dantzig_start_at_lambda_zero_is_degenerate(monkeypatch):
+    # lam = 0 and Phi of full row rank: Phi^T Phi z = Phi^T y is Phi z = y,
+    # so the dantzig LP is the equality LP and every t+- starts at 0
+    d, phi, x, eq = family_instance(11, 0)
+    con = cg.ConstraintSpec("dantzig", eq.y, lam=0.0)
+    c, a, b = _build_lp(d.entries, phi.entries, con)
+    basis, superbasic, values = _dantzig_start(d.entries, phi.entries, con.y)
+    xb = np.linalg.solve(a[:, basis], b - a[:, superbasic] @ values)
+    assert np.abs(xb[14:]).max() <= 1e-12 * max(1.0, np.abs(xb).max())
+    calls = _count_pivot_runs(monkeypatch)
+    res = assert_optimal_answer(d, phi, x, con)
+    assert len(calls) == 1
+    assert res.certified
+    ref = cg.solve_lp_certified(phi, d, eq)
+    assert res.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def dantzig_lps(draw):
+    """A random dantzig LP of _build_lp: n 4-10, p n to n+6, m 2 to n-1,
+    a tight-frame or gaussian-random D, and lam 0, 1e-3, U(0.01, 1) or
+    past ||Phi^T y||_inf, where z = 0 is feasible and the optimum is 0."""
+    n = draw(st.integers(4, 10))
+    p = draw(st.integers(n, n + 6))
+    m = draw(st.integers(2, n - 1))
+    seed = draw(st.integers(0, 2**32 - 1))
+    kind = draw(st.sampled_from(["tight-frame", "gaussian-random"]))
+    d = cg.make_dictionary(kind, p, n, cg.trial_seed(seed, 0))
+    phi = cg.make_sensing_matrix("gaussian", m, n, cg.trial_seed(seed, 1)).entries
+    y = phi @ np.random.default_rng(seed).standard_normal(n)
+    lam = draw(st.sampled_from([0.0, 1e-3, None, "past"]))
+    if lam is None:
+        lam = draw(st.floats(0.01, 1.0))
+    elif lam == "past":
+        lam = 2.0 * float(np.abs(phi.T @ y).max()) + 1.0
+    return d.entries, phi, cg.ConstraintSpec("dantzig", y, lam=lam)
+
+
+@given(dantzig_lps())
+@settings(max_examples=100, deadline=None)
+def test_purified_start_matches_two_phases(lp):
+    d_block, phi, con = lp
+    c, a, b = _build_lp(d_block, phi, con)
+    sol = simplex._solve_from(c, a, b, *_dantzig_start(d_block, phi, con.y))
+    assert sol is not None
+    ref = solve_standard_lp(c, a, b)
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+    assert np.abs(a @ sol.x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+    if con.lam > np.abs(phi.T @ con.y).max():
+        assert sol.objective <= 1e-9
 
 
 def test_start_steps_past_a_singular_leading_block(monkeypatch):
@@ -527,6 +608,7 @@ def test_an_infeasible_start_is_refused():
 
 @pytest.mark.parametrize("family_seed, j, start", [
     (11, 0, True),    # equality, phase 2 from the closed-form start
+    (11, 1, True),    # dantzig, phase 2 from the purified start
     (11, 1, False),   # dantzig, two phases
     (11, 48, False),  # a drift case, equality in two phases
 ])
@@ -535,7 +617,11 @@ def test_final_basis_is_optimal_in_exact_arithmetic(family_seed, j, start):
     d, phi, _, con = family_instance(family_seed, j)
     c, a, b = _build_lp(d.entries, phi.entries, con)
     if start:
-        sol = simplex._solve_from(c, a, b, _equality_basis(d.entries, phi.entries, con.y))
+        if con.kind == "equality":
+            begin = (_equality_basis(d.entries, phi.entries, con.y),)
+        else:
+            begin = _dantzig_start(d.entries, phi.entries, con.y)
+        sol = simplex._solve_from(c, a, b, *begin)
     else:
         sol = solve_standard_lp(c, a, b)
     x_b, reduced = rational_basis_audit(c, a, b, sol.basis)
