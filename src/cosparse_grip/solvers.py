@@ -14,17 +14,21 @@ adaptively and rebalanced by a primal weight as in PDLP) on the stacked
 operator K = [B; A], for equality and l2-ball. The l1 dual block projects
 onto the unit box; the constraint dual block is the conjugate prox of the
 indicator of B(y). Each solve takes one SVD of A, which gives A^+ and a
-basis N of null(A), and forms B N^T once. On the equality set every
-restart check also tries a polish, after PDLP's feasibility polishing and
-crossover to a vertex (Megiddo 1991): the restart candidate names the
-dim null(A) entries of B z nearest zero, one small linear solve puts z
-on the feasible point z_p where they vanish, and z_p is certified with
+basis N of null(A), and forms B N^T once. On the equality set the
+iteration tries a polish, after PDLP's feasibility polishing and
+crossover to a vertex (Megiddo 1991), at every restart check, at the
+residual stop and at every eighth iteration whose face guess differs
+from the last one tried there (the active face is identified in finitely
+many iterations: Liang, Fadili & Peyre 2017). A point's face guess is
+the dim null(A) entries of B z nearest zero; one small linear solve puts
+z on the feasible point z_p where they vanish, and z_p is certified with
 the dual of its own zero set: sign(B z_p) off the zero set, and on it the
 PDHG dual moved by the least-norm step that makes the pair dual feasible
-(the cosupport certificate of Vaiter, Peyre, Dossal & Fadili 2013).
-z_p is returned as soon as that checked certificate passes. The l2 ball
-is not polished: its optimal face includes the curved boundary of the
-ball.
+(the cosupport certificate of Vaiter, Peyre, Dossal & Fadili 2013). A
+z_p whose signs oppose the PDHG dual is refused before that dual is
+built. z_p is returned as soon as its checked certificate passes. The l2
+ball is not polished: its optimal face includes the curved boundary of
+the ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
@@ -275,22 +279,27 @@ _MIN_MOVE = 1e-10  # primal or dual move below which the weight is kept
 # modulus exactly 1 on the zero set).
 _ZERO_TOL = 1e-9
 
+# The face guess of the equality polish is read every _PEEK_EVERY
+# iterations (a divisor of _RESTART_EVERY); a face point whose sign off
+# its zero set opposes a PDHG dual entry of modulus _OPPOSED or more is
+# refused before its dual and that dual's SVD are built.
+_PEEK_EVERY = 8
+_OPPOSED = 0.5
+
 
 def _face_point(
-    z0: np.ndarray, null: np.ndarray, dz0: np.ndarray, dn: np.ndarray, dz: np.ndarray
+    z0: np.ndarray, null: np.ndarray, dz0: np.ndarray, dn: np.ndarray, face: np.ndarray
 ) -> np.ndarray | None:
     """The point z0 + null^T c of the equality set on which d_block z
-    vanishes at the free = len(null) indices where |dz| is smallest
-    (stable order), from dz0 = d_block z0 and dn = d_block null^T.
+    vanishes at the free = len(null) indices face, from dz0 = d_block z0
+    and dn = d_block null^T.
 
     None when that free x free system is singular; free <= p, as
     p >= n on the analysis route and p = q on the synthesis route. With
     free == 0, z0 is the only feasible point.
     """
-    free = null.shape[0]
-    if free == 0:
+    if not len(face):
         return z0
-    face = np.argsort(np.abs(dz), kind="stable")[:free]
     try:
         c = np.linalg.solve(dn[face], -dz0[face])
     except np.linalg.LinAlgError:
@@ -338,18 +347,24 @@ def _pdhg(
     to the primal move since the previous restart, and the steps become
     tau = 1 / (L omega), sigma = omega / L.
 
-    Polish (equality only): at every restart check the candidate (z_c,
-    u_c), and at the residual stop the last iterate, names a face: the
-    dim null(phi) entries of its d_block image nearest 0. _face_point
-    gives the feasible point z_p on which they vanish, and _zero_set_dual
-    the l1 dual of z_p's own zero set, built from the pair's l1 dual;
-    a dual outside the unit box refuses z_p unchecked. The result of
-    z_p is returned as soon as it is certified with that dual, and
-    iterations counts up to that check. A failed attempt changes
-    nothing. The l2 ball's face has a curved part, so it is not polished.
+    Polish (equality only): a pair (z_c, u_c) names a face, its face
+    guess: the dim null(phi) entries of d_block z_c nearest 0. It is
+    tried on the candidate of every restart check, on the last iterate
+    at the residual stop, and every _PEEK_EVERY iterations on the
+    iterate, when its face guess differs from the last one such a peek
+    tried. _face_point gives the feasible point z_p on which the face
+    vanishes. z_p is refused unchecked when sign(d_block z_p) off its
+    zero set opposes an entry of u_c's l1 block of modulus _OPPOSED or
+    more, and else _zero_set_dual builds the l1 dual of z_p's own zero
+    set from that block; a dual outside the unit box refuses z_p
+    unchecked. The result of z_p is returned as soon as it is certified
+    with that dual, and iterations counts up to that check. A failed
+    attempt changes nothing. The l2 ball's face has a curved part, so it
+    is not polished.
     """
     p = d_block.shape[0]
     kind = constraint.kind
+    polish = kind == "equality"
     y = constraint.y
     eps = constraint.epsilon
 
@@ -366,12 +381,25 @@ def _pdhg(
     def result(z: np.ndarray, u: np.ndarray, converged: bool) -> RecoveryResult:
         return _first_order_result(d_block, phi, constraint, z, u[:p], fac, iters, converged)
 
-    def polished(z_c: np.ndarray, u_c: np.ndarray) -> RecoveryResult | None:
-        """The result of z_c's face point when it is certified, else None."""
-        z_p = _face_point(z0, fac.null, dz0, fac.dn, d_block @ z_c) if kind == "equality" else None
+    free = fac.null.shape[0]
+
+    def face_of(dz: np.ndarray) -> np.ndarray:
+        """The face guess of a point with d_block image dz: the free
+        entries nearest 0 (stable order), as a sorted index set."""
+        return np.sort(np.argsort(np.abs(dz), kind="stable")[:free])
+
+    def polished(z_c: np.ndarray, u_c: np.ndarray, face: np.ndarray) -> RecoveryResult | None:
+        """The result of the face point on face, dual from u_c, when it is
+        certified, else None."""
+        z_p = _face_point(z0, fac.null, dz0, fac.dn, face)
         if z_p is None:
             return None
-        v = _zero_set_dual(d_block @ z_p, u_c[:p], fac.dn)
+        dz_p = d_block @ z_p
+        v_c = u_c[:p]
+        off = np.abs(dz_p) > _ZERO_TOL * max(1.0, float(np.abs(dz_p).max()))
+        if (np.sign(dz_p[off]) * v_c[off]).min(initial=0.0) <= -_OPPOSED:
+            return None
+        v = _zero_set_dual(dz_p, v_c, fac.dn)
         if v is None:
             return None
         res = _first_order_result(d_block, phi, constraint, z_p, v, fac, iters, True)
@@ -395,14 +423,20 @@ def _pdhg(
     u_sum = np.zeros_like(u)
     n_avg = 0
     iters = 0
+    tried = None  # the last face guess a peek tried
+    v = np.empty_like(u)  # the dual step, then the primal residual, in place
+    vc = v[p:]
     while iters < opts.max_iters:
-        v = u + sigma * (2.0 * kz - kz_prev)
+        np.multiply(kz, 2.0, out=v)
+        np.subtract(v, kz_prev, out=v)
+        np.multiply(v, sigma, out=v)
+        np.add(u, v, out=v)
 
         u_new = np.empty_like(u)
-        np.clip(v[:p], -1.0, 1.0, out=u_new[:p])
-        vc = v[p:]
+        np.maximum(v[:p], -1.0, out=u_new[:p])
+        np.minimum(u_new[:p], 1.0, out=u_new[:p])
         if kind == "equality":
-            u_new[p:] = vc - sigma_y
+            np.subtract(vc, sigma_y, out=u_new[p:])
         else:
             # Moreau: subtract sigma times the projection of vc/sigma onto the ball
             w = vc / sigma
@@ -412,11 +446,14 @@ def _pdhg(
             u_new[p:] = vc - sigma * proj
 
         g = kt @ u_new
-        z_new = z - tau * g
+        r_d = math.sqrt(g @ g)
+        z_new = z - np.multiply(g, tau, out=g)
         kz_new = k_mat @ z_new
 
-        r_d = _norm(g)
-        r_p = _norm((v - u_new) / sigma - kz_new)
+        np.subtract(v, u_new, out=v)
+        np.divide(v, sigma, out=v)
+        np.subtract(v, kz_new, out=v)
+        r_p = math.sqrt(v @ v)
 
         u = u_new
         kz_prev = kz
@@ -427,7 +464,16 @@ def _pdhg(
         n_avg += 1
         iters += 1
         if max(r_p, r_d) <= stop:
-            return polished(z, u) or result(z, u, True)
+            return (polish and polished(z, u, face_of(kz[:p]))) or result(z, u, True)
+        if iters % _PEEK_EVERY:
+            continue
+        if polish:
+            face = face_of(kz[:p])
+            if not np.array_equal(face, tried):
+                tried = face
+                done = polished(z, u, face)
+                if done:
+                    return done
         if iters % _RESTART_EVERY:
             continue
 
@@ -436,7 +482,7 @@ def _pdhg(
         err_avg = kkt_error(z_avg, u_avg)
         err_cur = kkt_error(z, u)
         z_c, u_c, err_c = (z_avg, u_avg, err_avg) if err_avg < err_cur else (z, u, err_cur)
-        done = polished(z_c, u_c)
+        done = polish and polished(z_c, u_c, face_of(d_block @ z_c))
         if done:
             return done
         restart = (
