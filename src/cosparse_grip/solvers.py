@@ -13,22 +13,27 @@ tau sigma ||K||^2 <= 1, ||K|| the exact largest singular value, restarted
 adaptively and rebalanced by a primal weight as in PDLP) on the stacked
 operator K = [B; A], for equality and l2-ball. The l1 dual block projects
 onto the unit box; the constraint dual block is the conjugate prox of the
-indicator of B(y). Each solve takes one SVD of A, which gives A^+ and a
-basis N of null(A), and forms B N^T once. On the equality set the
-iteration tries a polish, after PDLP's feasibility polishing and
-crossover to a vertex (Megiddo 1991), at every restart check, at the
-residual stop and at every eighth iteration whose face guess differs
-from the last one tried there (the active face is identified in finitely
-many iterations: Liang, Fadili & Peyre 2017). A point's face guess is
-the dim null(A) entries of B z nearest zero; one small linear solve puts
-z on the feasible point z_p where they vanish, and z_p is certified with
-the dual of its own zero set: sign(B z_p) off the zero set, and on it the
-PDHG dual moved by the least-norm step that makes the pair dual feasible
-(the cosupport certificate of Vaiter, Peyre, Dossal & Fadili 2013). A
-z_p whose signs oppose the PDHG dual is refused before that dual is
-built. z_p is returned as soon as its checked certificate passes. The l2
-ball is not polished: its optimal face includes the curved boundary of
-the ball.
+indicator of B(y). Since sigma tau = 1/||K||^2 for every primal weight,
+the dual-space move sigma K (z_new - z) is -(K K^T/||K||^2) u_new, so the
+loop carries the scaled image h = sigma K z - [0; sigma y] in place of K z,
+and one product of [tau K^T; K K^T/||K||^2] with the new dual gives both
+the primal step and h's next move. Each solve takes one SVD of A, which
+gives A^+ and a basis N of null(A), and forms B N^T once. On the
+equality set the iteration tries a polish, after PDLP's feasibility
+polishing and crossover to a vertex (Megiddo 1991), at every restart
+check, at the residual stop and at every eighth iteration whose face
+guess differs from the last one tried there, skipping a check's
+candidate that such a try just refused (the active face is identified
+in finitely many iterations: Liang, Fadili & Peyre 2017). A point's
+face guess is the dim null(A) entries of B z nearest zero; one small
+linear solve puts z on the feasible point z_p where they vanish, and z_p
+is certified with the dual of its own zero set: sign(B z_p) off the zero
+set, and on it the PDHG dual moved by the least-norm step that makes the
+pair dual feasible (the cosupport certificate of Vaiter, Peyre, Dossal &
+Fadili 2013). A z_p whose signs oppose the PDHG dual is refused before
+that dual is built. z_p is returned as soon as its checked certificate
+passes. The l2 ball is not polished: its optimal face includes the
+curved boundary of the ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
@@ -341,38 +346,54 @@ def _pdhg(
     the l1 block of its dual u = (v, w) (a polished point: the dual of its
     zero set), unconverged if max_iters runs out.
 
-    It stops when both fixed-point gaps of the extrapolated scheme are
-    within _TOL * max(1e-12, ||y||). At each restart the primal weight
-    omega becomes the geometric mean of itself and the ratio of the dual
-    to the primal move since the previous restart, and the steps become
-    tau = 1 / (L omega), sigma = omega / L.
+    The step from (z, u) with K = [d_block; phi] and L = ||K|| is
+    Chambolle-Pock's with the primal point extrapolated,
+      u+ = P(u + sigma (2 K z - K z_prev) - [0; sigma y]),
+      z+ = z - tau K^T u+,
+    where P clips the l1 block to [-1, 1] and maps the constraint block
+    w to itself on the equality set and to w max(0, 1 - sigma epsilon /
+    ||w||) on the l2 ball (Moreau). It runs without K z: since
+    sigma tau = 1/L^2 for every primal weight, sigma K (z - z_prev) = -e
+    with e = (K K^T / L^2) u, so the loop keeps h = sigma K z -
+    [0; sigma y] and e, and u+ = P(w) with w = u + h - e. One product of
+    [tau K^T; K K^T / L^2] with u+ gives tau K^T u+ and the next e, and h
+    moves by -e. A restart sets e = 0.
+
+    It stops when both fixed-point gaps of the scheme, ||K^T u+|| and
+    ||w - u+ - h+|| / sigma, are within _TOL * max(1e-12, ||y||). At
+    each restart the primal weight omega becomes the geometric mean of
+    itself and the ratio of the dual to the primal move since the
+    previous restart, and the steps become tau = 1 / (L omega),
+    sigma = omega / L.
 
     Polish (equality only): a pair (z_c, u_c) names a face, its face
-    guess: the dim null(phi) entries of d_block z_c nearest 0. It is
-    tried on the candidate of every restart check, on the last iterate
-    at the residual stop, and every _PEEK_EVERY iterations on the
-    iterate, when its face guess differs from the last one such a peek
-    tried. _face_point gives the feasible point z_p on which the face
-    vanishes. z_p is refused unchecked when sign(d_block z_p) off its
-    zero set opposes an entry of u_c's l1 block of modulus _OPPOSED or
-    more, and else _zero_set_dual builds the l1 dual of z_p's own zero
-    set from that block; a dual outside the unit box refuses z_p
+    guess: the dim null(phi) entries of d_block z_c nearest 0 (read off
+    h on the iterate). It is tried on the candidate of every restart
+    check, on the last iterate at the residual stop, and every
+    _PEEK_EVERY iterations on the iterate, when its face guess differs
+    from the last one such a peek tried. A restart check skips its
+    candidate when that is the iterate on the face its own iteration's
+    peek just tried: the attempt depends only on the face and u_c, so it
+    would fail again. _face_point gives the feasible point z_p on which
+    the face vanishes. z_p is refused unchecked when sign(d_block z_p)
+    off its zero set opposes an entry of u_c's l1 block of modulus
+    _OPPOSED or more, and else _zero_set_dual builds the l1 dual of z_p's
+    own zero set from that block; a dual outside the unit box refuses z_p
     unchecked. The result of z_p is returned as soon as it is certified
     with that dual, and iterations counts up to that check. A failed
     attempt changes nothing. The l2 ball's face has a curved part, so it
     is not polished.
     """
     p = d_block.shape[0]
-    kind = constraint.kind
-    polish = kind == "equality"
+    polish = constraint.kind == "equality"
     y = constraint.y
     eps = constraint.epsilon
 
     k_mat = np.vstack([d_block, phi])
-    kt = np.ascontiguousarray(k_mat.T)
     lnorm = float(np.linalg.norm(k_mat, 2))  # largest singular value
     if lnorm == 0.0:
         raise ValueError("zero operator; nothing to solve")
+    n = k_mat.shape[1]
 
     def kkt_error(z: np.ndarray, u: np.ndarray) -> float:
         primal, dual, gap = _kkt(d_block, phi, constraint, z, u[:p], u[p:])
@@ -384,11 +405,12 @@ def _pdhg(
     free = fac.null.shape[0]
 
     def face_of(dz: np.ndarray) -> np.ndarray:
-        """The face guess of a point with d_block image dz: the free
-        entries nearest 0 (stable order), as a sorted index set."""
+        """The face guess of a point with d_block image dz (or a positive
+        multiple of it): the free entries nearest 0 (stable order), as a
+        sorted index set."""
         return np.sort(np.argsort(np.abs(dz), kind="stable")[:free])
 
-    def polished(z_c: np.ndarray, u_c: np.ndarray, face: np.ndarray) -> RecoveryResult | None:
+    def polished(u_c: np.ndarray, face: np.ndarray) -> RecoveryResult | None:
         """The result of the face point on face, dual from u_c, when it is
         certified, else None."""
         z_p = _face_point(z0, fac.null, dz0, fac.dn, face)
@@ -408,83 +430,95 @@ def _pdhg(
     omega = 1.0
     tau = 1.0 / lnorm
     sigma = 1.0 / lnorm
-    sigma_y = sigma * y
 
-    z = _feasible_start(phi, fac.pinv, constraint)
-    z0, dz0 = z, d_block @ z  # the polish's base point
-    u = np.zeros(k_mat.shape[0])
-    kz = k_mat @ z
-    kz_prev = kz
+    # [z; u] in one buffer, so the running sum is one add; step stacks
+    # tau K^T over K K^T / L^2, so that one matmul of u+ gives the primal
+    # step tau K^T u+ and e, which is sigma K (z - z+) for every primal
+    # weight, as sigma tau = 1/L^2
+    state = np.empty(n + k_mat.shape[0])
+    z, u = state[:n], state[n:]
+    step = np.empty((len(state), len(u)))
+    np.matmul(k_mat, k_mat.T, out=step[n:])
+    step[n:] /= lnorm * lnorm
+    ge = np.empty_like(state)
+    tg, e = ge[:n], ge[n:]
+    h = np.empty_like(u)  # sigma K z - [0; sigma y]
+    w = np.empty_like(u)  # the dual step's input, then the primal residual
+
+    def start_at(c: np.ndarray) -> None:
+        """Restart the recurrence at the pair c = [z; u] with the current
+        steps: no extrapolation, so e = 0."""
+        state[:] = c
+        np.multiply(k_mat.T, tau, out=step[:n])
+        np.matmul(k_mat, z, out=h)
+        np.multiply(h, sigma, out=h)
+        h[p:] -= sigma * y
+        e.fill(0.0)
+
+    z0 = _feasible_start(phi, fac.pinv, constraint)
+    dz0 = d_block @ z0  # the polish's base point
+    last = np.concatenate([z0, np.zeros_like(u)])  # the last restart point
+    start_at(last)
+    err_last = kkt_error(z, u)
     stop = _TOL * max(_norm(y), 1e-12)
 
-    z_last, u_last, err_last = z, u, kkt_error(z, u)  # the last restart point
     err_prev = math.inf  # candidate error at the previous check
-    z_sum = np.zeros_like(z)
-    u_sum = np.zeros_like(u)
+    total = np.zeros_like(state)
     n_avg = 0
     iters = 0
     tried = None  # the last face guess a peek tried
-    v = np.empty_like(u)  # the dual step, then the primal residual, in place
-    vc = v[p:]
+    hi = np.full_like(u, np.inf)  # clipping to [-hi, hi] boxes the l1 block alone
+    hi[:p] = 1.0
+    lo = -hi
+    wc, uc = w[p:], u[p:]
     while iters < opts.max_iters:
-        np.multiply(kz, 2.0, out=v)
-        np.subtract(v, kz_prev, out=v)
-        np.multiply(v, sigma, out=v)
-        np.add(u, v, out=v)
+        np.add(u, h, out=w)
+        w -= e
+        np.maximum(w, lo, out=u)
+        np.minimum(u, hi, out=u)
+        if not polish:
+            # Moreau: v - sigma proj(v / sigma) for v = w + sigma y and the
+            # ball of radius epsilon about y is w shrunk by sigma epsilon
+            nrm = math.sqrt(wc @ wc)
+            np.multiply(wc, 1.0 - sigma * eps / nrm if nrm > sigma * eps else 0.0, out=uc)
 
-        u_new = np.empty_like(u)
-        np.maximum(v[:p], -1.0, out=u_new[:p])
-        np.minimum(u_new[:p], 1.0, out=u_new[:p])
-        if kind == "equality":
-            np.subtract(vc, sigma_y, out=u_new[p:])
-        else:
-            # Moreau: subtract sigma times the projection of vc/sigma onto the ball
-            w = vc / sigma
-            dev = w - y
-            nrm = _norm(dev)
-            proj = y + dev * (eps / nrm) if nrm > eps else w
-            u_new[p:] = vc - sigma * proj
-
-        g = kt @ u_new
-        r_d = math.sqrt(g @ g)
-        z_new = z - np.multiply(g, tau, out=g)
-        kz_new = k_mat @ z_new
-
-        np.subtract(v, u_new, out=v)
-        np.divide(v, sigma, out=v)
-        np.subtract(v, kz_new, out=v)
-        r_p = math.sqrt(v @ v)
-
-        u = u_new
-        kz_prev = kz
-        kz = kz_new
-        z = z_new
-        z_sum += z
-        u_sum += u
+        np.matmul(step, u, out=ge)
+        r_d = math.sqrt(tg @ tg) / tau
+        z -= tg
+        h -= e
+        total += state
         n_avg += 1
         iters += 1
-        if max(r_p, r_d) <= stop:
-            return (polish and polished(z, u, face_of(kz[:p]))) or result(z, u, True)
+        if r_d <= stop:
+            w -= u
+            w -= h
+            if math.sqrt(w @ w) / sigma <= stop:  # the primal gap, needed only now
+                return (polish and polished(u, face_of(h[:p]))) or result(z.copy(), u.copy(), True)
         if iters % _PEEK_EVERY:
             continue
+        peeked = None  # the face guess this iteration's peek tried
         if polish:
-            face = face_of(kz[:p])
+            face = face_of(h[:p])
             if not np.array_equal(face, tried):
-                tried = face
-                done = polished(z, u, face)
+                tried = peeked = face
+                done = polished(u, face)
                 if done:
                     return done
         if iters % _RESTART_EVERY:
             continue
 
-        z_avg = z_sum / n_avg
-        u_avg = u_sum / n_avg
-        err_avg = kkt_error(z_avg, u_avg)
+        avg = total / n_avg
+        err_avg = kkt_error(avg[:n], avg[n:])
         err_cur = kkt_error(z, u)
-        z_c, u_c, err_c = (z_avg, u_avg, err_avg) if err_avg < err_cur else (z, u, err_cur)
-        done = polish and polished(z_c, u_c, face_of(d_block @ z_c))
-        if done:
-            return done
+        is_avg = err_avg < err_cur
+        c, err_c = (avg, err_avg) if is_avg else (state.copy(), err_cur)
+        if polish:
+            face = face_of(d_block @ c[:n])
+            # the iterate on the face its peek just refused fails again
+            if is_avg or not np.array_equal(face, peeked):
+                done = polished(c[n:], face)
+                if done:
+                    return done
         restart = (
             err_c <= _SUFFICIENT_DECAY * err_last
             or (err_c <= _NECESSARY_DECAY * err_last and err_c > err_prev)
@@ -493,22 +527,18 @@ def _pdhg(
         err_prev = err_c
         if not restart:
             continue
-        dz = _norm(z_c - z_last)
-        du = _norm(u_c - u_last)
+        dz = _norm(c[:n] - last[:n])
+        du = _norm(c[n:] - last[n:])
         if dz > _MIN_MOVE and du > _MIN_MOVE:
             omega = math.sqrt(omega * du / dz)  # halfway to du/dz in log scale
             tau = 1.0 / (lnorm * omega)
             sigma = omega / lnorm
-            sigma_y = sigma * y
-        z, u = z_c, u_c
-        kz = k_mat @ z
-        kz_prev = kz
-        z_last, u_last, err_last = z, u, err_c
+        start_at(c)
+        last, err_last = c, err_c
         err_prev = math.inf
-        z_sum = np.zeros_like(z)
-        u_sum = np.zeros_like(u)
+        total.fill(0.0)
         n_avg = 0
-    return result(z, u, False)
+    return result(z.copy(), u.copy(), False)
 
 
 def _repair(

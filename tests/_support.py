@@ -77,6 +77,78 @@ def solve_recovery_family(campaign_seeds) -> int:
     return total
 
 
+def reference_pdhg(d_block: np.ndarray, phi: np.ndarray, constraint, max_iters: int = 200000):
+    """The unpolished restarted primal-dual iteration of solvers._pdhg in
+    its textbook form, carrying K z and K z_prev: (last iterate z,
+    iterations). Each step extrapolates the dual input to
+    sigma (2 K z - K z_prev), takes the conjugate prox of the l1 and
+    constraint blocks, and moves z by -tau K^T u; the stop, the restart
+    checks and the primal weight are _pdhg's."""
+    from cosparse_grip import solvers
+
+    p = d_block.shape[0]
+    y, eps = constraint.y, constraint.epsilon
+    k_mat = np.vstack([d_block, phi])
+    lnorm = float(np.linalg.norm(k_mat, 2))
+
+    def kkt_error(z, u):
+        primal, dual, gap = solvers._kkt(d_block, phi, constraint, z, u[:p], u[p:])
+        return math.sqrt(primal * primal + dual * dual + gap * gap)
+
+    omega, tau, sigma = 1.0, 1.0 / lnorm, 1.0 / lnorm
+    z = solvers._feasible_start(phi, solvers._factor(d_block, phi).pinv, constraint)
+    u = np.zeros(k_mat.shape[0])
+    kz = kz_prev = k_mat @ z
+    stop = solvers._TOL * max(float(np.linalg.norm(y)), 1e-12)
+    z_last, u_last, err_last = z, u, kkt_error(z, u)
+    err_prev = math.inf
+    z_sum, u_sum, n_avg = np.zeros_like(z), np.zeros_like(u), 0
+    iters = 0
+    while iters < max_iters:
+        v = u + sigma * (2.0 * kz - kz_prev)
+        u_new = np.empty_like(u)
+        u_new[:p] = np.clip(v[:p], -1.0, 1.0)
+        if constraint.kind == "equality":
+            u_new[p:] = v[p:] - sigma * y
+        else:
+            dev = v[p:] / sigma - y
+            nrm = float(np.linalg.norm(dev))
+            proj = y + dev * (eps / nrm) if nrm > eps else v[p:] / sigma
+            u_new[p:] = v[p:] - sigma * proj
+        g = k_mat.T @ u_new
+        z_new = z - tau * g
+        kz_new = k_mat @ z_new
+        r_d = float(np.linalg.norm(g))
+        r_p = float(np.linalg.norm((v - u_new) / sigma - kz_new))
+        u, z, kz_prev, kz = u_new, z_new, kz, kz_new
+        z_sum, u_sum, n_avg = z_sum + z, u_sum + u, n_avg + 1
+        iters += 1
+        if max(r_p, r_d) <= stop:
+            break
+        if iters % solvers._RESTART_EVERY:
+            continue
+        z_avg, u_avg = z_sum / n_avg, u_sum / n_avg
+        err_avg, err_cur = kkt_error(z_avg, u_avg), kkt_error(z, u)
+        z_c, u_c, err_c = (z_avg, u_avg, err_avg) if err_avg < err_cur else (z, u, err_cur)
+        restart = (
+            err_c <= solvers._SUFFICIENT_DECAY * err_last
+            or (err_c <= solvers._NECESSARY_DECAY * err_last and err_c > err_prev)
+            or n_avg >= solvers._ARTIFICIAL_RESTART * iters
+        )
+        err_prev = err_c
+        if not restart:
+            continue
+        dz, du = float(np.linalg.norm(z_c - z_last)), float(np.linalg.norm(u_c - u_last))
+        if dz > solvers._MIN_MOVE and du > solvers._MIN_MOVE:
+            omega = math.sqrt(omega * du / dz)
+            tau, sigma = 1.0 / (lnorm * omega), omega / lnorm
+        z, u = z_c, u_c
+        kz = kz_prev = k_mat @ z
+        z_last, u_last, err_last, err_prev = z, u, err_c, math.inf
+        z_sum, u_sum, n_avg = np.zeros_like(z), np.zeros_like(u), 0
+    return z, iters
+
+
 def _exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     """The solution of a nonsingular square system in exact rationals:
     elimination taking the first nonzero pivot down each column, then

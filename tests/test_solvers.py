@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import cosparse_grip as cg
 from cosparse_grip import solvers
 from cosparse_grip.solvers import MAX_LP_VARIABLES
-from _support import campaign_trial, haar, matched_instance, solve_recovery_family
+from _support import campaign_trial, haar, matched_instance, reference_pdhg, solve_recovery_family
 
 
 @pytest.fixture(scope="module")
@@ -454,10 +454,13 @@ def test_recovery_result_serializes(reference_instance):
 # their equality constraint and under the l2 ball of radius 0.1. Taken
 # before the PDHG loop dropped its temporaries, which kept every bit; the
 # equality one again when the polish began to follow the face guess (it
-# was 8cdd5e99...). A moved digest is a change of numerics to record.
+# was 8cdd5e99...); both again when the loop began to carry the scaled
+# image h = sigma K z - [0; sigma y] in place of K z and K z_prev (they
+# were a654b72b... and d2523282...), which kept every iteration count of
+# _PDHG_ITERATIONS. A moved digest is a change of numerics to record.
 _PDHG_DIGESTS = {
-    "equality": "a654b72be17479ca74d4423ce7b48cc25b5e33e62be895d1facda5b61dd5fe9b",
-    "l2-ball": "d2523282732c7ca34b5f4696101709f4cd6410e91462784cf1d8c4c82eeb1e74",
+    "equality": "d39515d6cf243e187f256cb4935c3a4f640306a4c0323f05008abe8200c6643e",
+    "l2-ball": "07373b74a855581859ecc5fe688f3fee1dfc0b208cb24b00ce42c002b3a025c2",
 }
 
 
@@ -475,6 +478,53 @@ def test_pdhg_route_bits_are_pinned(kind):
             [res.objective, res.primal_residual, res.dual_residual, res.certification_gap], "<f8"
         ).tobytes())
     assert digest.hexdigest() == _PDHG_DIGESTS[kind]
+
+
+# the iterations of each trial in the two families above, apart from the
+# bits: a change of roundoff alone leaves every stop and restart where it is
+_PDHG_ITERATIONS = {
+    "equality": [
+        120, 152, 88, 32, 168, 40, 64, 120, 8, 88, 104, 24,
+        24, 152, 8, 32, 96, 8, 64, 112, 128, 320, 824, 56,
+    ],
+    "l2-ball": [
+        666, 415, 1451, 846, 601, 563, 703, 640, 626, 1476, 479, 635,
+        613, 705, 475, 592, 729, 1467, 836, 618, 409, 826, 1089, 585,
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PDHG_ITERATIONS))
+def test_pdhg_iteration_counts_are_pinned(kind):
+    iterations = []
+    for i in range(24):
+        phi, d, spec = campaign_trial(11, i)
+        if kind == "l2-ball":
+            spec = cg.ConstraintSpec(kind, spec.y, epsilon=0.1)
+        iterations.append(cg.solve_analysis_l1(phi, d, spec).iterations)
+    assert iterations == _PDHG_ITERATIONS[kind]
+
+
+@given(
+    st.sampled_from(["tight-frame", "gaussian-random"]),
+    st.sampled_from(["equality", "l2-ball"]),
+    st.integers(4, 7),
+    st.integers(0, 10_000),
+)
+@settings(max_examples=12, deadline=None)
+def test_pdhg_follows_the_reference_recurrence(dict_kind, kind, n, seed):
+    # unpolished, the loop is the restarted Chambolle-Pock iteration of
+    # reference_pdhg up to roundoff: the same stop, the same point
+    d = cg.make_dictionary(dict_kind, n + 3, n, seed)
+    phi = cg.make_sensing_matrix("gaussian", n - 2, n, seed + 1)
+    y = phi.entries @ cg.sample_cosparse_signal(d, 4, seed + 2)
+    spec = cg.ConstraintSpec(kind, y, epsilon=0.05 * np.linalg.norm(y) if kind == "l2-ball" else 0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_face_point", lambda *args: None)
+        res = cg.solve_analysis_l1(phi, d, spec)
+    z, iterations = reference_pdhg(d.entries, phi.entries, spec)
+    assert res.iterations == iterations
+    assert np.linalg.norm(res.x_hat - z) <= 1e-9 * max(1.0, np.linalg.norm(z))
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +593,11 @@ def test_polish_on_recovery_reference_family(monkeypatch):
     # Tried only at the restart checks and the residual stop, the polish
     # took 4,672 iterations and built 73 zero-set duals; tried also at
     # every peek whose face guess changed, it takes 2,832 and builds 133,
-    # against 288 (same iterations) without the sign refusal
+    # against 288 (same iterations) without the sign refusal; 129 once a
+    # restart check no longer repeats its peek's refused attempt
     duals = _record_zero_set_duals(monkeypatch)
     assert solve_recovery_family([11]) <= 2900
-    assert 0 < len(duals) <= 140
+    assert 0 < len(duals) <= 129
 
 
 def test_polish_on_three_recovery_families():
