@@ -214,18 +214,23 @@ def _upper_sides(
     return upper
 
 
+@lru_cache(maxsize=16)
 def _colex_supports(p: int, k: int) -> np.ndarray:
     """All size-k supports as a (C(p, k), k) index array in colexicographic
     order (last index varies slowest). Deterministic witness ordering
     depends on this.
 
     Colex order is lex order reversed once every index x becomes
-    p - 1 - x, so the rows come straight from `combinations`."""
+    p - 1 - x, so the rows come straight from `combinations`. The array
+    is read-only; it depends on (p, k) alone and is built once per
+    process."""
     count = math.comb(p, k)
     lex = np.fromiter(
         chain.from_iterable(combinations(range(p), k)), dtype=np.intp, count=count * k
     ).reshape(count, k)
-    return p - 1 - lex[::-1, ::-1]
+    sets = p - 1 - lex[::-1, ::-1]
+    sets.flags.writeable = False
+    return sets
 
 
 @lru_cache(maxsize=16)
@@ -294,6 +299,25 @@ def _superset_cover(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cover, members
 
 
+def _cholesky_stack(blocks: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors L, L L^T = block, of a (G, h, h) stack of
+    symmetric blocks, taken one column at a time over the whole stack.
+
+    Returns (low, ok): ok[g] holds when every pivot of block g is above
+    floor[g], and low[g] is its factor only then. Past a block's first
+    pivot at or below its floor the pivot is taken as 1, which keeps the
+    arithmetic finite for blocks that are not positive definite."""
+    count, h, _ = blocks.shape
+    rows = blocks.transpose(1, 2, 0)
+    cols = np.zeros((h, h, count))  # cols[j, i] holds L[i, j] of every block
+    ok = np.ones(count, dtype=bool)
+    for j in range(h):
+        rest = rows[j:, j] - (cols[:j, j:] * cols[:j, j, None]).sum(axis=0)
+        ok &= rest[0] > floor
+        cols[j, j:] = rest / np.sqrt(np.where(ok, rest[0], 1.0))
+    return cols.transpose(2, 1, 0), ok
+
+
 def _principal_bounds(
     supersets: np.ndarray, gram: np.ndarray, proj: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -305,26 +329,34 @@ def _principal_bounds(
     U, so its Rayleigh maximum bounds theirs (Courant-Fischer). P is the
     orthogonal projector onto range(D), idempotent to roundoff, and
     A P = A, so P G P = G and that maximum is the top generalized
-    eigenvalue of (G[U, U], P[U, U]), taken by whitening with an eigh of
-    P[U, U]. Lower: lambda_min(G[U, U]) is at most that of every
-    principal submatrix G[Lambda, Lambda] (Cauchy interlacing).
+    eigenvalue of (G[U, U], P[U, U]): lambda_max(L^-1 G[U, U] L^-T) for
+    the Cholesky factor P[U, U] = L L^T (_cholesky_stack, one stacked
+    pass for all rows). Lower: lambda_min(G[U, U]) is at most that of
+    every principal submatrix G[Lambda, Lambda] (Cauchy interlacing).
 
-    A row bounds only when lambda_min(P[U, U]) > _PRUNE_FLOOR^2 times
-    max(lambda_max(P[U, U]), _TRIVIAL_TOL); these are the squared
-    singular values of P[:, U], so by interlacing each subset's block
-    keeps singular values above 1e-7, far above the rank rule's cutoff
-    (_TRIVIAL_TOL, as P has norm 1), the rank rule keeps its whole span,
-    and no rank-deficient support is bounded. Other rows bound nothing:
-    upper +inf and lower -inf.
+    A row bounds only when every pivot of L is positive and
+    1 / ||L^-1||_F^2 > _PRUNE_FLOOR^2 times max(trace P[U, U],
+    _TRIVIAL_TOL). Since 1 / ||L^-1||_F^2 <= lambda_min(P[U, U]) and
+    trace >= lambda_max, the singular values of P[:, U], the square
+    roots of those eigenvalues, then have a ratio above _PRUNE_FLOOR. By
+    interlacing each subset's block keeps singular values above 1e-7,
+    far above the rank rule's cutoff (_TRIVIAL_TOL, as P has norm 1),
+    the rank rule keeps its whole span, and no rank-deficient support is
+    bounded. Other rows bound nothing: upper +inf and lower -inf.
     """
     block = (supersets[:, :, None], supersets[:, None, :])
-    g = gram[block]
-    w, v = np.linalg.eigh(proj[block])
-    ok = w[:, 0] > _PRUNE_FLOOR**2 * np.fmax(w[:, -1], _TRIVIAL_TOL)
-    white = v[ok] / np.sqrt(w[ok])[:, None, :]  # white^T P[U, U] white = I
+    g, pu = gram[block], proj[block]
+    # a pivot at or below the floor fails the rule: 1 / ||L^-1||_F^2 is
+    # at most the least pivot
+    floor = _PRUNE_FLOOR**2 * np.fmax(np.trace(pu, axis1=1, axis2=2), _TRIVIAL_TOL)
+    low, ok = _cholesky_stack(pu, floor)
+    white = np.linalg.inv(low[ok])  # white P[U, U] white^T = I
+    keep = 1.0 / (white * white).sum(axis=(1, 2)) > floor[ok]
+    ok[ok] = keep
+    white = white[keep]
     upper = np.full(len(supersets), math.inf)
     lower = np.full(len(supersets), -math.inf)
-    upper[ok] = np.linalg.eigvalsh(_mT(white) @ g[ok] @ white)[:, -1]
+    upper[ok] = np.linalg.eigvalsh(white @ g[ok] @ _mT(white))[:, -1]
     lower[ok] = np.linalg.eigvalsh(g[ok])[:, 0]
     return upper, lower
 
@@ -483,8 +515,11 @@ def delta_exact(
     evaluated whenever that term attains delta. So delta, the
     colex-first witness and eigen_range equal those of evaluating every
     support. When m < k + 2 every lambda_min(A_U^T A_U) is about 0 and the
-    margin keeps every lower side. A bound prunes only when its (k+2)-set's
-    block of P = U U^T has sigma_min / sigma_max above _PRUNE_FLOOR; by
+    margin keeps every lower side. The Rayleigh maximum is whitened by a
+    Cholesky factor P[U, U] = L L^T of the (k+2)-set's block of
+    P = U U^T, and a bound prunes only when every pivot of L is positive
+    and 1 / ||L^-1||_F^2 exceeds _PRUNE_FLOOR^2 times trace P[U, U]. That
+    puts sigma_min / sigma_max of P[:, U] above _PRUNE_FLOOR; by
     interlacing its subsets are then full rank under the rank rule, so
     rank-deficient supports are always evaluated on both sides.
 

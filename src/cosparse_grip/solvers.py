@@ -17,11 +17,14 @@ indicator of B(y). Since sigma tau = 1/||K||^2 for every primal weight,
 the dual-space move sigma K (z_new - z) is -(K K^T/||K||^2) u_new, so the
 loop carries the scaled image h = sigma K z - [0; sigma y] in place of K z,
 and one product of [tau K^T; K K^T/||K||^2] with the new dual gives both
-the primal step and h's next move. Each solve takes one SVD of A, which
-gives A^+ and a basis N of null(A), and forms B N^T once. On the
-equality set the iteration tries a polish, after PDLP's feasibility
-polishing and crossover to a vertex (Megiddo 1991), at every restart
-check, at the residual stop and at every eighth iteration whose face
+the primal step and h's next move. Each solve takes three SVDs: one
+of A, which gives A^+ and a basis N of null(A), with B N^T formed
+once; one of (B N^T)^T, whose pseudoinverse the dual repair uses; and
+one of K for ||K||. Each zero-set dual of a polish takes one more,
+unless its zero set is empty. On the equality set the iteration tries
+a polish, after PDLP's feasibility polishing and crossover to a vertex
+(Megiddo 1991), at every restart check, at the residual stop and at
+every eighth iteration whose face
 guess differs from the last one tried there, skipping a check's
 candidate that such a try just refused (the active face is identified
 in finitely many iterations: Liang, Fadili & Peyre 2017). A point's

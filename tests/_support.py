@@ -265,6 +265,26 @@ def brute_delta(phi_entries: np.ndarray, d_entries: np.ndarray, k: int) -> float
     return worst
 
 
+def eigh_principal_bounds(supersets: np.ndarray, gram: np.ndarray, proj: np.ndarray):
+    """(upper, lower) bounds of grip._principal_bounds whitened by an eigh
+    of each P[U, U] block: a row bounds only when lambda_min(P[U, U]) is
+    above _PRUNE_FLOOR^2 max(lambda_max(P[U, U]), _TRIVIAL_TOL), upper is
+    the top eigenvalue of the whitened G[U, U] and lower
+    lambda_min(G[U, U]); other rows get +inf and -inf."""
+    from cosparse_grip import grip
+
+    block = (supersets[:, :, None], supersets[:, None, :])
+    g = gram[block]
+    w, v = np.linalg.eigh(proj[block])
+    ok = w[:, 0] > grip._PRUNE_FLOOR**2 * np.fmax(w[:, -1], grip._TRIVIAL_TOL)
+    white = v[ok] / np.sqrt(w[ok])[:, None, :]  # white^T P[U, U] white = I
+    upper = np.full(len(supersets), math.inf)
+    lower = np.full(len(supersets), -math.inf)
+    upper[ok] = np.linalg.eigvalsh(np.swapaxes(white, 1, 2) @ g[ok] @ white)[:, -1]
+    lower[ok] = np.linalg.eigvalsh(g[ok])[:, 0]
+    return upper, lower
+
+
 # ---------------------------------------------------------------------------
 # per-support reference scans: the loops the batched grip scans replaced,
 # kept here so tests can demand bit-for-bit agreement with them
