@@ -30,13 +30,13 @@ basis, plus superbasic columns, nonbasic at values > 0. _purify steps
 each superbasic column to 0 or into the basis by one ratio test, along
 the direction that does not raise the cost, so after one step per
 column the point is a vertex (Megiddo, ORSA J. Comput. 1991; Bixby &
-Saltzman, Oper. Res. Lett. 1994). solvers builds such starts in closed
-form, a vertex for its equality LPs and a point with m superbasic
-columns for its dantzig LPs, and skips phase 1 on both. A start whose
-basic values are not >= 0 within _FEAS_TOL, before or after the steps,
-is refused, and the two-phase path above handles it and every other
-LP. Both entries end in the one phase-2 function, _phase2: the same
-pivot loop and the same final solves for x and the multipliers.
+Saltzman, Oper. Res. Lett. 1994). solvers._lp_start builds such starts
+in closed form, a vertex for its equality LPs and a point with m
+superbasic columns for its dantzig LPs, and skips phase 1 on both. A
+start whose basic values are not >= 0 within _FEAS_TOL, before or after
+the steps, is refused, and the two-phase path above handles it and
+every other LP. Both entries end in the one phase-2 function, _phase2:
+the same pivot loop and the same final solves for x and the multipliers.
 """
 
 from __future__ import annotations
@@ -218,14 +218,14 @@ def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution
 
 def _solve_from(
     c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
-    superbasic: np.ndarray = (), values: np.ndarray = (),
+    superbasic: np.ndarray, values: np.ndarray,
 ) -> LpSolution | None:
     """min c x s.t. a x = b, x >= 0 by phase 2 alone, from a caller's
     start: basis holds one column of a per row, nonsingular, and the
-    nonbasic columns superbasic hold values >= 0 (none by default, when
-    the start is the vertex of basis). _purify first steps the start to
-    a vertex, one ratio test per superbasic column, and each step counts
-    as one pivot. None when the start is not feasible, some entry of
+    nonbasic columns superbasic hold values >= 0 (none when the start is
+    the vertex of basis). _purify first steps the start to a vertex, one
+    ratio test per superbasic column, and each step counts as one pivot.
+    None when the start is not feasible, some entry of
     x_B = B^-1 (b - a_S values) being below -_FEAS_TOL max(1, ||x_B||_inf),
     at the start or at the vertex reached; the caller then takes
     solve_standard_lp."""

@@ -23,26 +23,25 @@ once; one of (B N^T)^T, whose pseudoinverse the dual repair uses; and
 one of K for ||K||. Each zero-set dual of a polish takes one more,
 unless its zero set is empty. On the equality set the iteration tries
 a polish, after PDLP's feasibility polishing and crossover to a vertex
-(Megiddo 1991), at every restart check, at the residual stop and at
-every eighth iteration whose face
-guess differs from the last one tried there, skipping a check's
-candidate that such a try just refused (the active face is identified
-in finitely many iterations: Liang, Fadili & Peyre 2017). A point's
-face guess is the dim null(A) entries of B z nearest zero; one small
-linear solve puts z on the feasible point z_p where they vanish, and z_p
-is certified with the dual of its own zero set: sign(B z_p) off the zero
-set, and on it the PDHG dual moved by the least-norm step that makes the
-pair dual feasible (the cosupport certificate of Vaiter, Peyre, Dossal &
-Fadili 2013). A z_p whose signs oppose the PDHG dual is refused before
-that dual is built. z_p is returned as soon as its checked certificate
-passes. The l2 ball is not polished: its optimal face includes the
-curved boundary of the ball.
+(Megiddo 1991), on the iterate at every eighth iteration whose face
+guess differs from the last one tried there, on the average at every
+restart check whose candidate it is, and at the residual stop (the
+active face is identified in finitely many iterations: Liang, Fadili &
+Peyre 2017). A point's face guess is the dim null(A) entries of B z
+nearest zero; one small linear solve puts z on the feasible point z_p
+where they vanish, and z_p is certified with the dual of its own zero
+set: sign(B z_p) off the zero set, and on it the PDHG dual moved by the
+least-norm step that makes the pair dual feasible (the cosupport
+certificate of Vaiter, Peyre, Dossal & Fadili 2013). A z_p whose signs
+oppose the PDHG dual is refused before that dual is built. z_p is
+returned as soon as its checked certificate passes. The l2 ball is not
+polished: its optimal face includes the curved boundary of the ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
-exact vertex. Both start phase 2 from a point built in closed form: an
-equality LP at a vertex, a dantzig LP at a feasible point that the
-simplex purifies to a vertex in m steps.
+exact vertex. Both start phase 2 from the point _lp_start builds in
+closed form: an equality LP at a vertex, a dantzig LP at a feasible
+point that the simplex purifies to a vertex in m steps.
 
 Every result carries a checked certificate, and one builder, _result,
 sets its fields on both paths: _kkt measures primal infeasibility, dual
@@ -51,13 +50,13 @@ infeasibility and the duality gap of a primal point z and a dual pair
   max -b^T w - s(w)  s.t.  B^T v + A^T w = 0,  ||v||_inf <= 1,
 the KKT error of PDLP, which also drives the restarts. The LP path reads
 (v, w) off the simplex multipliers of its optimal basis. On the
-first-order path, matvecs with A^+ repair the dual (PDHG's, or the
-polish's zero-set dual) into exact dual feasibility and move its point
-onto B(y) before the check, and _pdhg returns that checked result, once
-per point. The tolerances are fixed module constants, the same on both
-paths: _FEAS_TOL for primal and dual infeasibility, _CERT_TOL for the
-relative duality gap, and _TOL for the PDHG stopping residual.
-SolverOptions sets only the iteration budget.
+first-order path, _first_order_result repairs the dual (PDHG's, or the
+polish's zero-set dual) into exact dual feasibility by matvecs with
+A^+, moves its point onto B(y) and checks them, and _pdhg returns that
+checked result, once per point. The tolerances are fixed module
+constants, the same on both paths: _FEAS_TOL for primal and dual
+infeasibility, _CERT_TOL for the relative duality gap, and _TOL for the
+PDHG stopping residual. SolverOptions sets only the iteration budget.
 """
 
 from __future__ import annotations
@@ -173,7 +172,7 @@ class _Factors(NamedTuple):
 
     pinv: np.ndarray       # sensing^+
     null: np.ndarray       # rows spanning null(sensing)
-    dn: np.ndarray         # d_block null^T, whose transpose is _repair's leak
+    dn: np.ndarray         # d_block null^T, whose transpose is _first_order_result's leak
     leak_pinv: np.ndarray  # (dn^T)^+
 
 
@@ -371,21 +370,19 @@ def _pdhg(
 
     Polish (equality only): a pair (z_c, u_c) names a face, its face
     guess: the dim null(phi) entries of d_block z_c nearest 0 (read off
-    h on the iterate). It is tried on the candidate of every restart
-    check, on the last iterate at the residual stop, and every
-    _PEEK_EVERY iterations on the iterate, when its face guess differs
-    from the last one such a peek tried. A restart check skips its
-    candidate when that is the iterate on the face its own iteration's
-    peek just tried: the attempt depends only on the face and u_c, so it
-    would fail again. _face_point gives the feasible point z_p on which
-    the face vanishes. z_p is refused unchecked when sign(d_block z_p)
-    off its zero set opposes an entry of u_c's l1 block of modulus
-    _OPPOSED or more, and else _zero_set_dual builds the l1 dual of z_p's
-    own zero set from that block; a dual outside the unit box refuses z_p
-    unchecked. The result of z_p is returned as soon as it is certified
-    with that dual, and iterations counts up to that check. A failed
-    attempt changes nothing. The l2 ball's face has a curved part, so it
-    is not polished.
+    h on the iterate). It is tried every _PEEK_EVERY iterations on the
+    iterate, when its face guess differs from the last one such a peek
+    tried; at a restart check on the candidate only when that is the
+    average, since the iterate's face is its own iteration's peek's; and
+    on the last iterate at the residual stop. _face_point gives the
+    feasible point z_p on which the face vanishes. z_p is refused
+    unchecked when sign(d_block z_p) off its zero set opposes an entry of
+    u_c's l1 block of modulus _OPPOSED or more, and else _zero_set_dual
+    builds the l1 dual of z_p's own zero set from that block; a dual
+    outside the unit box refuses z_p unchecked. The result of z_p is
+    returned as soon as it is certified with that dual, and iterations
+    counts up to that check. A failed attempt changes nothing. The l2
+    ball's face has a curved part, so it is not polished.
     """
     p = d_block.shape[0]
     polish = constraint.kind == "equality"
@@ -499,11 +496,10 @@ def _pdhg(
                 return (polish and polished(u, face_of(h[:p]))) or result(z.copy(), u.copy(), True)
         if iters % _PEEK_EVERY:
             continue
-        peeked = None  # the face guess this iteration's peek tried
         if polish:
             face = face_of(h[:p])
             if not np.array_equal(face, tried):
-                tried = peeked = face
+                tried = face
                 done = polished(u, face)
                 if done:
                     return done
@@ -515,13 +511,10 @@ def _pdhg(
         err_cur = kkt_error(z, u)
         is_avg = err_avg < err_cur
         c, err_c = (avg, err_avg) if is_avg else (state.copy(), err_cur)
-        if polish:
-            face = face_of(d_block @ c[:n])
-            # the iterate on the face its peek just refused fails again
-            if is_avg or not np.array_equal(face, peeked):
-                done = polished(c[n:], face)
-                if done:
-                    return done
+        if polish and is_avg:  # the iterate's face is the peek's
+            done = polished(avg[n:], face_of(d_block @ avg[:n]))
+            if done:
+                return done
         restart = (
             err_c <= _SUFFICIENT_DECAY * err_last
             or (err_c <= _NECESSARY_DECAY * err_last and err_c > err_prev)
@@ -544,16 +537,16 @@ def _pdhg(
     return result(z.copy(), u.copy(), False)
 
 
-def _repair(
+def _first_order_result(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
-    z: np.ndarray, v: np.ndarray, fac: _Factors,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(z', v', w) for _result from a first-order point z and l1 dual v, by
+    z: np.ndarray, v: np.ndarray, fac: _Factors, iterations: int, converged: bool,
+) -> RecoveryResult:
+    """_result for a first-order point z and l1 dual v, repaired by
     matvecs with the solve's factors: v is clipped to the unit box, loses
     the least-norm part that leaves d_block^T v outside range(sensing^T)
     (its leak dn^T v) and is rescaled into the box; w = -(sensing^+)^T
-    d_block^T v solves sensing^T w = -d_block^T v by least squares; z' is
-    z moved onto B(y) along sensing^+."""
+    d_block^T v solves sensing^T w = -d_block^T v by least squares; the
+    gap is measured at z moved onto B(y) along sensing^+."""
     v = np.clip(v, -1.0, 1.0)
     v = v - fac.leak_pinv @ (fac.dn.T @ v)
     v = v / max(1.0, float(np.abs(v).max()))
@@ -563,16 +556,7 @@ def _repair(
     if constraint.kind == "l2-ball":
         nrm = _norm(r)
         r = r * (1.0 - constraint.epsilon / nrm) if nrm > constraint.epsilon else np.zeros_like(r)
-    return z - fac.pinv @ r, v, w
-
-
-def _first_order_result(
-    d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
-    z: np.ndarray, v: np.ndarray, fac: _Factors, iterations: int, converged: bool,
-) -> RecoveryResult:
-    """_result for a first-order point z and l1 dual v, after _repair."""
-    z_fit, v, w = _repair(d_block, sensing, constraint, z, v, fac)
-    return _result(d_block, sensing, constraint, z, z_fit, v, w, iterations, converged)
+    return _result(d_block, sensing, constraint, z, z - fac.pinv @ r, v, w, iterations, converged)
 
 
 def _solve_first_order(
@@ -703,12 +687,12 @@ def _build_lp(
     return c, a, rhs
 
 
-def _closed_form_point(
-    d_block: np.ndarray, phi: np.ndarray, y: np.ndarray
+def _lp_start(
+    d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The closed-form point both LP starts share, as (analysis slack
-    columns, signal columns, |z_J|), or None when Phi has numerical
-    rank < m.
+    """A feasible start of the LP of _build_lp in closed form, as
+    simplex._solve_from's (basis, superbasic columns, their values), or
+    None when Phi has numerical rank < m.
 
     Elimination with column pivoting picks m independent columns J of
     Phi (row i takes the column of its largest remaining entry; a pivot
@@ -716,6 +700,15 @@ def _closed_form_point(
     Phi_J z_J = y with z zero off J. Analysis row i takes s+_i when
     (D z)_i >= 0 and s-_i otherwise, at |(D z)_i|; j in J takes z+_j
     when z_j >= 0 and z-_j otherwise, at |z_j|.
+
+    Equality: the basis is the slack and signal columns, with no
+    superbasic ones. B = [[+-I, +-D_J], [0, +-Phi_J]] is nonsingular with
+    Phi_J, and B^-1 b is |D z| and |z_J|: a vertex. Dantzig: Phi z = y,
+    so Phi^T (Phi z - y) = 0 and every correlation slack t+-_k equals
+    lam. The basis is the analysis slack columns plus all 2n correlation
+    slacks, a signed identity, so its inverse is exact; the signal
+    columns are superbasic at |z_J|, and simplex._solve_from steps them
+    to a vertex.
     """
     p, n = d_block.shape
     m = phi.shape[0]
@@ -732,42 +725,12 @@ def _closed_form_point(
             return None
         cols.append(j)
         u[i + 1 :] -= (u[i + 1 :, j] / u[i, j])[:, None] * u[i]
-    z = np.linalg.solve(phi[:, cols], y)
-    dz = d_block[:, cols] @ z
-    slacks = np.arange(2 * n, 2 * n + p) + p * (dz < 0.0)
+    z = np.linalg.solve(phi[:, cols], constraint.y)
+    slacks = np.arange(2 * n, 2 * n + p) + p * (d_block[:, cols] @ z < 0.0)
     signals = np.array(cols) + n * (z < 0.0)
-    return slacks, signals, np.abs(z)
-
-
-def _equality_basis(d_block: np.ndarray, phi: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """A basic feasible start of the equality LP of _build_lp, or None
-    when Phi has numerical rank < m: the slack and signal columns of
-    _closed_form_point. B = [[+-I, +-D_J], [0, +-Phi_J]] is nonsingular
-    with Phi_J, and B^-1 b is |D z| and |z_J|: a vertex.
-    """
-    point = _closed_form_point(d_block, phi, y)
-    return None if point is None else np.concatenate(point[:2])
-
-
-def _dantzig_start(
-    d_block: np.ndarray, phi: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """A feasible start of the dantzig LP of _build_lp, (basis,
-    superbasic columns, their values), or None when Phi has numerical
-    rank < m.
-
-    z is _closed_form_point's: Phi z = y, so Phi^T (Phi z - y) = 0 and
-    every correlation slack t+-_k equals lam. The basis is its analysis
-    slack columns plus all 2n correlation slacks, a signed identity, so
-    its inverse is exact; its signal columns are superbasic at |z_J|,
-    and simplex._solve_from steps them to a vertex.
-    """
-    point = _closed_form_point(d_block, phi, y)
-    if point is None:
-        return None
-    slacks, signals, values = point
-    p, n = d_block.shape
-    return np.concatenate([slacks, np.arange(2 * n + 2 * p, 4 * n + 2 * p)]), signals, values
+    if constraint.kind == "equality":
+        return np.concatenate([slacks, signals]), signals[:0], z[:0]
+    return np.concatenate([slacks, np.arange(2 * n + 2 * p, 4 * n + 2 * p)]), signals, np.abs(z)
 
 
 def solve_lp_certified(
@@ -779,27 +742,22 @@ def solve_lp_certified(
 
     Only the polyhedral kinds (equality, dantzig) are expressible;
     iterations reports pivot count, a dantzig LP's m purification steps
-    included. Both kinds skip phase 1: an equality LP starts phase 2 at
-    the closed-form vertex of _equality_basis, a dantzig LP at the
-    closed-form point of _dantzig_start, which the simplex steps to a
-    vertex first. When Phi has numerical rank < m, or the simplex
-    refuses the start as infeasible, the LP takes the two-phase path.
-    The returned
-    point is an optimal vertex z = z+ - z-; the dual pair is read off the
-    simplex multipliers pi of its basis, v = -pi[:p] from the analysis
-    rows and w from the measurement rows (w = -pi[p:] for equality,
-    pi[p+n:] - pi[p:p+n] for dantzig), and checked against the same fixed
-    tolerances as the first-order path.
+    included. Both kinds skip phase 1: phase 2 starts at the closed-form
+    point of _lp_start, a vertex on equality and, on dantzig, a point
+    that the simplex steps to a vertex first. When Phi has numerical
+    rank < m, or the simplex refuses the start as infeasible, the LP
+    takes the two-phase path. The returned point is an optimal vertex
+    z = z+ - z-; the dual pair is read off the simplex multipliers pi of
+    its basis, v = -pi[:p] from the analysis rows and w from the
+    measurement rows (w = -pi[p:] for equality, pi[p+n:] - pi[p:p+n] for
+    dantzig), and checked against the same fixed tolerances as the
+    first-order path.
     """
     phi_e = _sensing_for(phi, dictionary)
     _vector("y", constraint.y, phi_e.shape[0])
     d_block = dictionary.entries
     c, a, b = _build_lp(d_block, phi_e, constraint)
-    if constraint.kind == "equality":
-        basis = _equality_basis(d_block, phi_e, constraint.y)
-        start = None if basis is None else (basis,)
-    else:
-        start = _dantzig_start(d_block, phi_e, constraint.y)
+    start = _lp_start(d_block, phi_e, constraint)
     sol = None if start is None else _solve_from(c, a, b, *start)
     if sol is None:
         try:

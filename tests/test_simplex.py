@@ -13,7 +13,7 @@ from cosparse_grip.simplex import (
     LpUnboundedError,
     solve_standard_lp,
 )
-from cosparse_grip.solvers import _build_lp, _dantzig_start, _equality_basis
+from cosparse_grip.solvers import _build_lp, _lp_start
 
 
 def test_hand_worked_lp():
@@ -105,7 +105,12 @@ def assert_optimal_answer(d, phi, x, constraint):
 def two_phase(mp):
     """Send equality LPs through solve_standard_lp's two phases, as
     solve_lp_certified does when the closed-form start is refused."""
-    mp.setattr(solvers, "_equality_basis", lambda *args: None)
+    start = solvers._lp_start
+
+    def dantzig_only(d_block, phi, con):
+        return None if con.kind == "equality" else start(d_block, phi, con)
+
+    mp.setattr(solvers, "_lp_start", dantzig_only)
 
 
 @pytest.mark.parametrize("family_seed, j", _DRIFT_CASES)
@@ -499,7 +504,7 @@ def test_rank_deficient_dantzig_lp_takes_two_phases(monkeypatch):
     phi = cg.SensingMatrix(entries, "user-supplied")
     x = cg.sample_cosparse_signal(d, 5, 7)
     con = cg.ConstraintSpec("dantzig", entries @ x, lam=0.1)
-    assert _dantzig_start(d.entries, entries, con.y) is None
+    assert _lp_start(d.entries, entries, con) is None
     calls = _count_pivot_runs(monkeypatch)
     res = assert_optimal_answer(d, phi, x, con)
     assert len(calls) == 2
@@ -512,7 +517,7 @@ def test_dantzig_start_at_lambda_zero_is_degenerate(monkeypatch):
     d, phi, x, eq = family_instance(11, 0)
     con = cg.ConstraintSpec("dantzig", eq.y, lam=0.0)
     c, a, b = _build_lp(d.entries, phi.entries, con)
-    basis, superbasic, values = _dantzig_start(d.entries, phi.entries, con.y)
+    basis, superbasic, values = _lp_start(d.entries, phi.entries, con)
     xb = np.linalg.solve(a[:, basis], b - a[:, superbasic] @ values)
     assert np.abs(xb[14:]).max() <= 1e-12 * max(1.0, np.abs(xb).max())
     calls = _count_pivot_runs(monkeypatch)
@@ -546,15 +551,27 @@ def dantzig_lps(draw):
 
 @given(dantzig_lps())
 @settings(max_examples=100, deadline=None)
-def test_purified_start_matches_two_phases(lp):
-    d_block, phi, con = lp
-    c, a, b = _build_lp(d_block, phi, con)
-    sol = simplex._solve_from(c, a, b, *_dantzig_start(d_block, phi, con.y))
-    assert sol is not None
-    ref = solve_standard_lp(c, a, b)
-    assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
-    assert np.abs(a @ sol.x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
-    if con.lam > np.abs(phi.T @ con.y).max():
+def test_closed_form_start_matches_two_phases(lp):
+    # both LP kinds on each draw's operators, the equality one with the
+    # same y = Phi (a draw): one phase-2 run from _lp_start's point, at the
+    # two-phase optimum; the equality start is a vertex already
+    d_block, phi, dantzig = lp
+    for con in (cg.ConstraintSpec("equality", dantzig.y), dantzig):
+        c, a, b = _build_lp(d_block, phi, con)
+        start = _lp_start(d_block, phi, con)
+        assert start is not None
+        if con.kind == "equality":
+            xb = np.linalg.solve(a[:, start[0]], b)
+            assert xb.min() >= -1e-12 * max(1.0, np.abs(xb).max())
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_pivot_runs(mp)
+            sol = simplex._solve_from(c, a, b, *start)
+        assert sol is not None
+        assert len(calls) == 1
+        ref = solve_standard_lp(c, a, b)
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+        assert np.abs(a @ sol.x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+    if dantzig.lam > np.abs(phi.T @ dantzig.y).max():
         assert sol.objective <= 1e-9
 
 
@@ -568,8 +585,8 @@ def test_start_steps_past_a_singular_leading_block(monkeypatch):
     phi = cg.SensingMatrix(entries, "user-supplied")
     x = cg.sample_cosparse_signal(d, 5, 7)
     con = cg.ConstraintSpec("equality", entries @ x)
-    start = _equality_basis(d.entries, entries, con.y)
-    picked = start[14:] % 10
+    basis, _, _ = _lp_start(d.entries, entries, con)
+    picked = basis[14:] % 10
     assert 1 not in picked and picked.max() >= 6
     calls = _count_pivot_runs(monkeypatch)
     res = assert_optimal_answer(d, phi, x, con)
@@ -586,7 +603,7 @@ def test_rank_deficient_measurements_take_two_phases(monkeypatch):
     phi = cg.SensingMatrix(entries, "user-supplied")
     x = cg.sample_cosparse_signal(d, 5, 7)
     con = cg.ConstraintSpec("equality", entries @ x)
-    assert _equality_basis(d.entries, entries, con.y) is None
+    assert _lp_start(d.entries, entries, con) is None
     calls = _count_pivot_runs(monkeypatch)
     res = assert_optimal_answer(d, phi, x, con)
     assert len(calls) == 2
@@ -598,12 +615,12 @@ def test_an_infeasible_start_is_refused():
     # -|z_j|, so phase 2 cannot start there
     d, phi, _, con = family_instance(11, 0)
     c, a, b = _build_lp(d.entries, phi.entries, con)
-    start = _equality_basis(d.entries, phi.entries, con.y)
-    assert simplex._solve_from(c, a, b, start) is not None
+    start, _, _ = _lp_start(d.entries, phi.entries, con)
+    assert simplex._solve_from(c, a, b, start, (), ()) is not None
     xb = np.linalg.solve(a[:, start], b)
     r = 14 + int(np.argmax(xb[14:]))
     start[r] = (start[r] + 10) % 20
-    assert simplex._solve_from(c, a, b, start) is None
+    assert simplex._solve_from(c, a, b, start, (), ()) is None
 
 
 @pytest.mark.parametrize("family_seed, j, start", [
@@ -617,11 +634,7 @@ def test_final_basis_is_optimal_in_exact_arithmetic(family_seed, j, start):
     d, phi, _, con = family_instance(family_seed, j)
     c, a, b = _build_lp(d.entries, phi.entries, con)
     if start:
-        if con.kind == "equality":
-            begin = (_equality_basis(d.entries, phi.entries, con.y),)
-        else:
-            begin = _dantzig_start(d.entries, phi.entries, con.y)
-        sol = simplex._solve_from(c, a, b, *begin)
+        sol = simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con))
     else:
         sol = solve_standard_lp(c, a, b)
     x_b, reduced = rational_basis_audit(c, a, b, sol.basis)
