@@ -41,13 +41,16 @@ P[:, Lambda] lies in span P[:, U], so by Courant-Fischer one Rayleigh
 maximum on a (k+2)-set U bounds the upper sides of all C(k+2, k) of its
 subsets, and by Cauchy interlacing lambda_min(A_U^T A_U) bounds their
 lower sides. Both bounds come from the principal submatrices of A^T A
-and P on U. Once the full family spans more than one chunk, a cached
-greedy cover of the colex k-sets by (k+2)-sets bounds each support by
-the tightest bounds of the supersets that hold it. Other scans bound no
-row, so every row is evaluated. rho is exactly 1 when two disjoint
-chunk subspaces have dimensions summing past n = rank(P); otherwise it
-bounds each pair by ||Q_i^T Q_j||_F >= sigma_max(Q_i^T Q_j) (Bjorck &
-Golub, Math. Comp. 1973), all from one Gram of the stacked bases.
+and P on U; P[U, U] = L L^T whitens the upper one by L^-1, which one
+stacked Cholesky pass builds by forward substitution. Once the full
+family spans more than one chunk, a cached greedy cover of the colex
+k-sets by (k+2)-sets bounds each support by the tightest bounds of the
+supersets that hold it, read through one cached grouping of the cover
+by support. Other scans bound no row, so every row is evaluated. rho
+is exactly 1 when two disjoint chunk subspaces have dimensions summing
+past n = rank(P); otherwise it bounds each pair by
+||Q_i^T Q_j||_F >= sigma_max(Q_i^T Q_j) (Bjorck & Golub, Math. Comp.
+1973), all from one Gram of the stacked bases.
 """
 
 from __future__ import annotations
@@ -299,23 +302,56 @@ def _superset_cover(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cover, members
 
 
-def _cholesky_stack(blocks: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factors L, L L^T = block, of a (G, h, h) stack of
-    symmetric blocks, taken one column at a time over the whole stack.
+@lru_cache(maxsize=16)
+def _cover_gather(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cover's supersets grouped by the k-sets they hold: (src, starts).
 
-    Returns (low, ok): ok[g] holds when every pivot of block g is above
-    floor[g], and low[g] is its factor only then. Past a block's first
-    pivot at or below its floor the pivot is taken as 1, which keeps the
-    arithmetic finite for blocks that are not positive definite."""
+    Group r of the index array `src`, from starts[r] up to the next
+    start, lists the rows of _superset_cover(p, k)'s `members` that hold
+    the k-set of colex rank r, so np.minimum.reduceat(values[src],
+    starts) takes each k-set's least value over the supersets that hold
+    it. The cover holds every k-set, so no group is empty. Both arrays
+    are read-only; they depend on (p, k) alone and are built once per
+    process."""
+    members = _superset_cover(p, k)[1]
+    ranks = members.ravel()
+    order = np.argsort(ranks, kind="stable")
+    src = order // members.shape[1]
+    starts = np.searchsorted(ranks[order], np.arange(math.comb(p, k)))
+    src.flags.writeable = False
+    starts.flags.writeable = False
+    return src, starts
+
+
+def _cholesky_stack(
+    blocks: np.ndarray, floor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower Cholesky factors L, L L^T = block, of a (G, h, h) stack of
+    symmetric blocks, and their inverses, taken one column at a time over
+    the whole stack.
+
+    Returns (low, white, ok): ok[g] holds when every pivot of block g is
+    above floor[g], and low[g] is its factor and white[g] = low[g]^-1
+    only then, so white[g] block white[g]^T = I. Column j of L gives row
+    j of L^-1 in the same pass, by forward substitution from the rows
+    above it. Past a block's first pivot at or below its floor the pivot
+    is taken as 1, and so is the divisor of the substitution, which keeps
+    the arithmetic finite and free of warnings for blocks that are not
+    positive definite."""
     count, h, _ = blocks.shape
     rows = blocks.transpose(1, 2, 0)
     cols = np.zeros((h, h, count))  # cols[j, i] holds L[i, j] of every block
+    white = np.zeros((h, h, count))  # white[i, j] holds L^-1[i, j] of every block
     ok = np.ones(count, dtype=bool)
     for j in range(h):
         rest = rows[j:, j] - (cols[:j, j:] * cols[:j, j, None]).sum(axis=0)
         ok &= rest[0] > floor
         cols[j, j:] = rest / np.sqrt(np.where(ok, rest[0], 1.0))
-    return cols.transpose(2, 1, 0), ok
+        # row j of L L^-1 = I: L[j, :j] L^-1[:j, :j] + L[j, j] L^-1[j, :j] = 0
+        pivot = np.where(ok, cols[j, j], 1.0)
+        white[j, :j] = -np.einsum("kb,kjb->jb", cols[:j, j], white[:j, :j]) / pivot
+        white[j, j] = 1.0 / pivot
+    return cols.transpose(2, 1, 0), white.transpose(2, 0, 1), ok
 
 
 def _principal_bounds(
@@ -330,9 +366,10 @@ def _principal_bounds(
     orthogonal projector onto range(D), idempotent to roundoff, and
     A P = A, so P G P = G and that maximum is the top generalized
     eigenvalue of (G[U, U], P[U, U]): lambda_max(L^-1 G[U, U] L^-T) for
-    the Cholesky factor P[U, U] = L L^T (_cholesky_stack, one stacked
-    pass for all rows). Lower: lambda_min(G[U, U]) is at most that of
-    every principal submatrix G[Lambda, Lambda] (Cauchy interlacing).
+    the Cholesky factor P[U, U] = L L^T. One stacked pass over all rows
+    (_cholesky_stack) gives L^-1 by forward substitution, with no LAPACK
+    inverse. Lower: lambda_min(G[U, U]) is at most that of every
+    principal submatrix G[Lambda, Lambda] (Cauchy interlacing).
 
     A row bounds only when every pivot of L is positive and
     1 / ||L^-1||_F^2 > _PRUNE_FLOOR^2 times max(trace P[U, U],
@@ -349,8 +386,8 @@ def _principal_bounds(
     # a pivot at or below the floor fails the rule: 1 / ||L^-1||_F^2 is
     # at most the least pivot
     floor = _PRUNE_FLOOR**2 * np.fmax(np.trace(pu, axis1=1, axis2=2), _TRIVIAL_TOL)
-    low, ok = _cholesky_stack(pu, floor)
-    white = np.linalg.inv(low[ok])  # white P[U, U] white^T = I
+    _, white, ok = _cholesky_stack(pu, floor)
+    white = white[ok]  # white P[U, U] white^T = I
     keep = 1.0 / (white * white).sum(axis=(1, 2)) > floor[ok]
     ok[ok] = keep
     white = white[keep]
@@ -452,13 +489,14 @@ def _scan_supports(
 
     # the queue takes the largest values first, so lower sides go in
     # negated; unbounded rows keep +inf in both bound arrays
-    upper_bound = np.full(len(supports), math.inf)
-    lower_bound = np.full(len(supports), math.inf)
     if family and len(supports) > _CHUNK and k + 2 <= dictionary.n:
-        supersets, members = _superset_cover(p, k)
-        upper, lower = _principal_bounds(supersets, gram, proj)
-        np.minimum.at(upper_bound, members, upper[:, None])
-        np.minimum.at(lower_bound, members, -lower[:, None])
+        upper, lower = _principal_bounds(_superset_cover(p, k)[0], gram, proj)
+        src, starts = _cover_gather(p, k)
+        upper_bound = np.minimum.reduceat(upper[src], starts)
+        lower_bound = np.minimum.reduceat(-lower[src], starts)
+    else:
+        upper_bound = np.full(len(supports), math.inf)
+        lower_bound = np.full(len(supports), math.inf)
     margin = _PRUNE_MARGIN * float(np.trace(gram))
     # lower sides first: a rank-0 support is unbounded in both queues, so
     # its lower side is evaluated before _upper_sides copies it
@@ -515,9 +553,10 @@ def delta_exact(
     evaluated whenever that term attains delta. So delta, the
     colex-first witness and eigen_range equal those of evaluating every
     support. When m < k + 2 every lambda_min(A_U^T A_U) is about 0 and the
-    margin keeps every lower side. The Rayleigh maximum is whitened by a
-    Cholesky factor P[U, U] = L L^T of the (k+2)-set's block of
-    P = U U^T, and a bound prunes only when every pivot of L is positive
+    margin keeps every lower side. The Rayleigh maximum is whitened by
+    L^-1 for the Cholesky factor P[U, U] = L L^T of the (k+2)-set's block
+    of P = U U^T, built by forward substitution in the stacked pass that
+    factors it. A bound prunes only when every pivot of L is positive
     and 1 / ||L^-1||_F^2 exceeds _PRUNE_FLOOR^2 times trace P[U, U]. That
     puts sigma_min / sigma_max of P[:, U] above _PRUNE_FLOOR; by
     interlacing its subsets are then full rank under the rank rule, so

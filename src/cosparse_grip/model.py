@@ -371,9 +371,9 @@ def sample_cosparse_signal(
     p, n = dictionary.p, dictionary.n
     d = dictionary.entries
     for _ in range(64):
-        lam = np.sort(rng.choice(p, size=k, replace=False))
-        rest = np.setdiff1d(np.arange(p), lam)
-        sub = d[rest, :]
+        outside = np.ones(p, dtype=bool)
+        outside[rng.choice(p, size=k, replace=False)] = False
+        sub = d[np.flatnonzero(outside), :]
         # orthonormal basis of the null space via full SVD
         _, sv, vt = np.linalg.svd(sub, full_matrices=True)
         tol = RANK_TOL * (sv[0] if sv.size else 1.0)
