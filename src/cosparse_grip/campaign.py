@@ -60,8 +60,10 @@ from .grip import (
 )
 from .model import (
     DICTIONARY_KINDS,
+    SENSING_KINDS,
     Dictionary,
     SensingMatrix,
+    _SQUARE_KINDS,
     _random_subsets,
     _sensing_draw,
     load_dictionary_csv,
@@ -95,7 +97,7 @@ __all__ = [
 
 SUCCESS_TOL = 1e-5        # ||x_hat - x||_2 below this counts as exact recovery
 _CONFIG_KINDS = tuple(k for k in DICTIONARY_KINDS if k != "user-supplied")
-_MATRIX_KINDS = ("gaussian", "bernoulli")
+_MATRIX_KINDS = tuple(k for k in SENSING_KINDS if k != "user-supplied")
 _RHO_MODES = ("exact", "printed")
 
 _DECAY = 0.5              # ratio of verify-t1's compressible signal profile
@@ -235,26 +237,20 @@ class ExperimentConfig:
             raise ConfigError(f"dictionary needs p >= n, got p={self.p}, n={self.n}")
         if self.experiment != "phase" and self.m >= self.n:
             raise ConfigError(f"sensing matrix needs m < n, got m={self.m}, n={self.n}")
-        if self.dictionary_path is not None:
-            if self.dictionary_kind != "user-supplied":
-                raise ConfigError("dictionary_path requires dictionary_kind \"user-supplied\"")
-        elif self.dictionary_kind not in _CONFIG_KINDS:
-            raise ConfigError(
-                f"dictionary_kind must be one of {_CONFIG_KINDS} "
-                "(\"user-supplied\" needs a dictionary_path)"
-            )
-        if self.dictionary_kind in ("identity", "orthogonal", "finite-difference") and self.p != self.n:
+        if self.experiment == "phase" and self.matrix_path is not None:
+            raise ConfigError("phase sweeps m itself; matrix_path is not allowed")
+        # an operator file makes its kind "user-supplied"; without one the kind is drawn
+        for role, drawable in (("dictionary", _CONFIG_KINDS), ("matrix", _MATRIX_KINDS)):
+            kind = getattr(self, f"{role}_kind")
+            if getattr(self, f"{role}_path") is not None:
+                if kind != "user-supplied":
+                    raise ConfigError(f"{role}_path requires {role}_kind \"user-supplied\"")
+            elif kind not in drawable:
+                raise ConfigError(
+                    f"{role}_kind must be one of {drawable} (\"user-supplied\" needs a {role}_path)"
+                )
+        if self.dictionary_kind in _SQUARE_KINDS and self.p != self.n:
             raise ConfigError(f"{self.dictionary_kind} dictionary requires p == n")
-        if self.matrix_path is not None:
-            if self.experiment == "phase":
-                raise ConfigError("phase sweeps m itself; matrix_path is not allowed")
-            if self.matrix_kind != "user-supplied":
-                raise ConfigError("matrix_path requires matrix_kind \"user-supplied\"")
-        elif self.matrix_kind not in _MATRIX_KINDS:
-            raise ConfigError(
-                f"matrix_kind must be one of {_MATRIX_KINDS} "
-                "(\"user-supplied\" needs a matrix_path)"
-            )
         if (self.dictionary_path or self.matrix_path) and self.instances != 1:
             raise ConfigError("operator files fix the instance; instances must be 1")
         if self.constraint_kind not in CONSTRAINT_KINDS:
@@ -379,28 +375,23 @@ _Ops = tuple[Dictionary | None, SensingMatrix | None]
 def _load_operators(cfg: ExperimentConfig) -> _Ops:
     """Load config-referenced operator files once per campaign; shapes
     must agree with the declared dims."""
-    d = phi = None
-    if cfg.dictionary_path is not None:
-        try:
-            d = load_dictionary_csv(cfg.dictionary_path)
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"dictionary_path {cfg.dictionary_path!r}: {err}") from err
-        if d.entries.shape != (cfg.p, cfg.n):
-            raise ConfigError(
-                f"dictionary_path has shape {d.entries.shape}, "
-                f"config dims say (p, n) = ({cfg.p}, {cfg.n})"
-            )
-    if cfg.matrix_path is not None:
-        try:
-            phi = load_sensing_csv(cfg.matrix_path)
-        except (OSError, ValueError) as err:
-            raise ConfigError(f"matrix_path {cfg.matrix_path!r}: {err}") from err
-        if phi.entries.shape != (cfg.m, cfg.n):
-            raise ConfigError(
-                f"matrix_path has shape {phi.entries.shape}, "
-                f"config dims say (m, n) = ({cfg.m}, {cfg.n})"
-            )
-    return d, phi
+    ops = []
+    for name, load, dims in (("dictionary_path", load_dictionary_csv, ("p", "n")),
+                             ("matrix_path", load_sensing_csv, ("m", "n"))):
+        path = getattr(cfg, name)
+        op = None
+        if path is not None:
+            try:
+                op = load(path)
+            except (OSError, ValueError) as err:
+                raise ConfigError(f"{name} {path!r}: {err}") from err
+            shape = tuple(getattr(cfg, dim) for dim in dims)
+            if op.entries.shape != shape:
+                raise ConfigError(
+                    f"{name} has shape {op.entries.shape}, config dims say ({', '.join(dims)}) = {shape}"
+                )
+        ops.append(op)
+    return tuple(ops)
 
 
 def _make_dictionary(cfg: ExperimentConfig, seed: int, ops: _Ops) -> Dictionary:
@@ -624,7 +615,7 @@ def _c1_checks(cfg: ExperimentConfig, inst: _VerifyInstance, v: np.ndarray, pick
     np.put_along_axis(z[1], picks[:, cfg.k :], v[:, cfg.k :], axis=1)
     pinv = inst.dictionary.pinv()
     h_i, h_j = _gemvs(pinv, z[0]), _gemvs(pinv, z[1])
-    return _corollary1_stack(inst.phi, inst.dictionary, cfg.k, h_i, h_j, inst.delta2k, inst.rho)[1]
+    return _corollary1_stack(inst.phi, inst.dictionary, h_i, h_j, inst.delta2k, inst.rho)[1]
 
 
 def _c2_checks(cfg: ExperimentConfig, inst: _VerifyInstance, v: np.ndarray, heads: np.ndarray) -> dict:

@@ -11,8 +11,9 @@ command, an output directory (--out or output_path) with a file at it or
 at one of its ancestors, a rho campaign or an instance pool whose exact
 constants exceed their budget, and a dantzig campaign whose LP exceeds
 the LP route's variable budget: these are refused when the config is
-read, before any instance is drawn; and an instance pool whose
-hypotheses fail); 3 bound-violation
+read, before any instance is drawn; an operator file that cannot be
+read, is malformed, or disagrees with its header or with the config's
+dims; and an instance pool whose hypotheses fail); 3 bound-violation
 finding (some verified inequality whose hypothesis held came out below
 -1e-8 max(|lhs|, |rhs|, 1)); 4 solver non-convergence.
 When both 3 and 4 apply, 4 wins: an unconverged solve makes the recorded

@@ -52,6 +52,7 @@ DICTIONARY_KINDS = (
     "user-supplied",
 )
 SENSING_KINDS = ("gaussian", "bernoulli", "user-supplied")
+_SQUARE_KINDS = ("identity", "orthogonal", "finite-difference")  # drawn and configured with p == n only
 
 _RANDOM_DICT_RETRIES = 3  # fresh-seed redraws before giving up on rank
 
@@ -187,17 +188,15 @@ class Dictionary:
                 f"rank-deficient dictionary: sigma_min/sigma_max = "
                 f"{sv[-1] / sv[0]:.3e} <= {RANK_TOL:g}"
             )
-        if self.kind == "identity":
-            if p != n or not np.array_equal(entries, np.eye(n)):
-                raise ValueError("kind 'identity' requires D == I")
-        elif self.kind == "orthogonal":
-            if p != n:
-                raise ValueError("kind 'orthogonal' requires p == n")
+        # array_equal refuses a p x n identity unless p == n; a non-square
+        # finite-difference operator is taken, since only the rank is checked
+        if self.kind == "identity" and not np.array_equal(entries, np.eye(n)):
+            raise ValueError("kind 'identity' requires D == I")
+        if self.kind == "orthogonal" and p != n:
+            raise ValueError("kind 'orthogonal' requires p == n")
+        if self.kind in ("orthogonal", "tight-frame"):
             if np.max(np.abs(entries.T @ entries - np.eye(n))) > 1e-10:
-                raise ValueError("kind 'orthogonal' requires D^T D == I")
-        elif self.kind == "tight-frame":
-            if np.max(np.abs(entries.T @ entries - np.eye(n))) > 1e-10:
-                raise ValueError("kind 'tight-frame' requires D^T D == I")
+                raise ValueError(f"kind {self.kind!r} requires D^T D == I")
         object.__setattr__(self, "entries", entries)
         # full column rank keeps every singular value, so D^+ has numpy pinv's bits
         for name, product in (("_pinv", vt.T @ ((1 / sv)[:, None] * u.T)), ("_projector", u @ u.T)):
@@ -271,24 +270,23 @@ def make_dictionary(kind: str, p: int, n: int, seed: int | None = None) -> Dicti
     check fails (it essentially never does at these dimensions), then raise
     DictionaryRankError.
 
-    identity and finite-difference require p == n and ignore seed. The
-    finite-difference operator is the circulant-free forward difference with
-    a final averaging row appended so the operator stays square and
+    The square kinds (identity, orthogonal, finite-difference) need p == n,
+    checked before any draw; identity and finite-difference ignore seed.
+    The finite-difference operator is the circulant-free forward difference
+    with a final averaging row appended so the operator stays square and
     invertible (rows: x_{i+1} - x_i for i < n-1, then mean(x) * sqrt(n)).
     """
     if kind not in DICTIONARY_KINDS:
         raise ValueError(f"unknown dictionary kind {kind!r}")
     if p < n or n < 1:
         raise ValueError(f"need p >= n >= 1, got p={p}, n={n}")
+    if kind in _SQUARE_KINDS and p != n:
+        raise ValueError(f"{kind} dictionary requires p == n")
 
     if kind == "identity":
-        if p != n:
-            raise ValueError("identity dictionary requires p == n")
         return Dictionary(np.eye(n), "identity")
 
     if kind == "finite-difference":
-        if p != n:
-            raise ValueError("finite-difference dictionary requires p == n")
         d = np.zeros((n, n))
         for i in range(n - 1):
             d[i, i] = -1.0
@@ -309,8 +307,6 @@ def make_dictionary(kind: str, p: int, n: int, seed: int | None = None) -> Dicti
             u, _, _ = np.linalg.svd(g, full_matrices=False)
             entries = u  # left singular columns: D^T D = I by construction
         else:  # orthogonal
-            if p != n:
-                raise ValueError("orthogonal dictionary requires p == n")
             entries = _haar_orthogonal(n, rng)
         try:
             return Dictionary(entries, kind)
@@ -465,12 +461,11 @@ def _load_matrix_csv(path) -> tuple[np.ndarray, str]:
             for line in fh
             if line.strip()
         ]
-    entries = np.asarray(rows, dtype=np.float64)
-    if entries.shape != (r, c):
-        raise ValueError(
-            f"header promises {r} x {c}, file holds {entries.shape[0]} x {entries.shape[1]}"
-        )
-    return entries, kind
+    widths = sorted({len(row) for row in rows})  # [c] unless the file is empty or ragged
+    if len(rows) != r or widths != [c]:
+        held = "/".join(map(str, widths)) or "0"
+        raise ValueError(f"header promises {r} x {c}, file holds {len(rows)} x {held}")
+    return np.asarray(rows, dtype=np.float64), kind
 
 
 def load_dictionary_csv(path) -> Dictionary:

@@ -314,20 +314,21 @@ def _face_point(
     return z0 + null.T @ c
 
 
-def _zero_set_dual(dz: np.ndarray, v: np.ndarray, dn: np.ndarray) -> np.ndarray | None:
+def _zero_set_dual(dz: np.ndarray, off: np.ndarray, v: np.ndarray, dn: np.ndarray) -> np.ndarray | None:
     """The l1 dual that certifies a feasible point z with dz = d_block z,
     from the PDHG dual v (Vaiter, Peyre, Dossal & Fadili 2013).
 
-    Off the zero set L = {|dz| <= _ZERO_TOL max(1, ||dz||_inf)} it is
-    sign(dz); on L it is clip(v, -1, 1) moved by the least-norm step onto
+    off masks the complement of the zero set L = {|dz| <= _ZERO_TOL
+    max(1, ||dz||_inf)}. Off L the dual is sign(dz); on L it is
+    clip(v, -1, 1) moved by the least-norm step onto
     dn[L]^T v_L = -dn[~L]^T sign(dz)[~L], so that null d_block^T v = 0
     (dn = d_block null^T). None when that step leaves the unit box by
     more than _ZERO_TOL. An empty L needs no step.
     """
-    zero = np.abs(dz) <= _ZERO_TOL * max(1.0, float(np.abs(dz).max()))
     out = np.sign(dz)
-    if not zero.any():
+    if off.all():
         return out
+    zero = ~off
     out[zero] = 0.0
     v_l = np.clip(v[zero], -1.0, 1.0)
     a = dn[zero].T
@@ -421,7 +422,7 @@ def _pdhg(
         off = np.abs(dz_p) > _ZERO_TOL * max(1.0, float(np.abs(dz_p).max()))
         if (np.sign(dz_p[off]) * v_c[off]).min(initial=0.0) <= -_OPPOSED:
             return None
-        v = _zero_set_dual(dz_p, v_c, fac.dn)
+        v = _zero_set_dual(dz_p, off, v_c, fac.dn)
         if v is None:
             return None
         res = _first_order_result(d_block, phi, constraint, z_p, v, fac, iters, True)

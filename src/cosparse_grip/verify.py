@@ -124,7 +124,7 @@ def check_corollary1(
     h_i = _vector("h_i", h_i, dictionary.n)
     h_j = _vector("h_j", h_j, dictionary.n)
     delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
-    constants, cols = _corollary1_stack(phi, dictionary, k, h_i[None, :], h_j[None, :], delta2k, rho)
+    constants, cols = _corollary1_stack(phi, dictionary, h_i[None, :], h_j[None, :], delta2k, rho)
     row = {key: col[0].tolist() for key, col in cols.items()}
     witness = {
         "k": k,
@@ -199,19 +199,18 @@ def _masked_term(
 def _corollary1_stack(
     phi,
     dictionary: Dictionary,
-    k: int,
     h_i: np.ndarray,
     h_j: np.ndarray,
-    delta2k: float | None,
-    rho: float | None,
+    delta2k: float,
+    rho: float,
 ) -> tuple[BoundConstants | None, dict[str, np.ndarray]]:
     """Corollary 1 on each row pair of two (N, n) stacks of chunks h_i,
-    h_j: the constants (None when delta_2k >= 1) and one column per
-    report field ("lhs", "rhs", "slack", "hypothesis_ok") and image norm
-    ("image_norm_i", "image_norm_j"). The chunks' supports are the
-    caller's to check; every row has the bits of its own check."""
+    h_j at resolved constants delta2k and rho: the constants (None when
+    delta_2k >= 1) and one column per report field ("lhs", "rhs",
+    "slack", "hypothesis_ok") and image norm ("image_norm_i",
+    "image_norm_j"). The chunks' supports are the caller's to check;
+    every row has the bits of its own check."""
     f = _sensing_for(phi, dictionary)
-    delta2k, rho = _resolve_constants(phi, dictionary, k, delta2k, rho)
     hypothesis_ok = delta2k < 1.0
     constants = bound_constants(delta2k, rho) if hypothesis_ok else None
     d = dictionary.entries

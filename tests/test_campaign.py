@@ -124,7 +124,13 @@ def test_config_rejects_malformed_documents():
     case("unknown experiment", lambda d: d.update(experiment="fft"), "unknown experiment")
     case("m >= n", lambda d: d["dims"].update(m=10), "m < n")
     case("p < n", lambda d: d["dims"].update(p=9), "p >= n")
-    case("identity needs square", lambda d: d["dims"].update(p=12), "p == n")
+    # the text make_dictionary refuses with (test_model.py), for each square kind
+    for kind in ("identity", "orthogonal", "finite-difference"):
+        case(
+            f"{kind} needs square",
+            lambda d, kind=kind: d.update(dictionary_kind=kind, dims=dict(d["dims"], p=12)),
+            f"^{kind} dictionary requires p == n$",
+        )
     case("unknown dict kind", lambda d: d.update(dictionary_kind="wavelet"), "dictionary_kind")
     case(
         "user-supplied without path",

@@ -285,6 +285,18 @@ def test_cli_usage_errors(tmp_path):
     assert exc_info.value.code == 2
 
 
+def test_cli_header_only_operator_file_exits_2(tmp_path, capsys):
+    phi_path = tmp_path / "phi.csv"
+    phi_path.write_text("# rows=6 cols=10 kind=user-supplied\n", encoding="ascii")
+    doc = base_doc(experiment="solve", dims={"m": 6, "n": 10, "p": 10}, k=2, trials=1,
+                   matrix_kind="user-supplied", matrix_path=str(phi_path))
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix_path") and "header promises 6 x 10, file holds 0 x 0" in err
+    assert "Traceback" not in err and not out_dir.exists()
+
+
 def test_cli_matched_files_end_to_end(tmp_path, capsys):
     d_path, phi_path = write_matched_instance(tmp_path)
     doc = base_doc(

@@ -67,18 +67,28 @@ def test_support_set_operations():
 def test_identity_dictionary_requires_identity_entries():
     d = cg.Dictionary(np.eye(4), "identity")
     assert d.p == 4 and d.n == 4
-    with pytest.raises(ValueError):
-        cg.Dictionary(2 * np.eye(4), "identity")
+    # a non-square identity is refused by the same entry check
+    for entries in (2 * np.eye(4), np.eye(5, 4)):
+        with pytest.raises(ValueError, match=r"^kind 'identity' requires D == I$"):
+            cg.Dictionary(entries, "identity")
 
 
 def test_orthogonal_kind_checks_gram():
     q = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 5)))[0]
     cg.Dictionary(q, "orthogonal")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^kind 'orthogonal' requires D\^T D == I$"):
         cg.Dictionary(1.01 * q, "orthogonal")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^kind 'orthogonal' requires p == n$"):
         # orthogonal must be square
         cg.Dictionary(np.vstack([q, q[:1]]), "orthogonal")
+    # a tight frame takes the same Gram check, without the square rule
+    frame = np.linalg.qr(np.random.default_rng(1).standard_normal((7, 5)))[0]
+    cg.Dictionary(frame, "tight-frame")
+    with pytest.raises(ValueError, match=r"^kind 'tight-frame' requires D\^T D == I$"):
+        cg.Dictionary(1.01 * frame, "tight-frame")
+    # only the rank of a finite-difference operator is checked: p > n is taken
+    rows = np.vstack([np.eye(5)[1:] - np.eye(5)[:-1], np.ones((2, 5))])
+    assert cg.Dictionary(rows, "finite-difference").p == 6
 
 
 def test_rank_deficiency_rejected():
@@ -201,8 +211,9 @@ def test_make_dictionary_determinism_and_kinds():
         c = cg.make_dictionary(kind, p, n, 6)
         assert np.array_equal(a.entries, b.entries)
         assert not np.array_equal(a.entries, c.entries)
-    with pytest.raises(ValueError):
-        cg.make_dictionary("orthogonal", 7, 6, 0)
+    for kind in ("identity", "orthogonal", "finite-difference"):
+        with pytest.raises(ValueError, match=rf"^{kind} dictionary requires p == n$"):
+            cg.make_dictionary(kind, 7, 6, 0)
     with pytest.raises(ValueError):
         cg.make_dictionary("user-supplied", 6, 6, 0)
     with pytest.raises(ValueError):
@@ -314,6 +325,18 @@ def test_sensing_csv_round_trip(tmp_path):
     loaded = cg.load_sensing_csv(path)
     assert loaded.kind == "bernoulli"
     assert np.array_equal(loaded.entries, phi.entries)
+
+
+@pytest.mark.parametrize("rows, held", [
+    ([], "0 x 0"),  # header only: was an IndexError
+    (["1,2,3,4", "5,6,7,8"], "2 x 4"),
+    (["1,2,3,4", "5,6,7", "8,9,10,11"], "3 x 3/4"),  # was numpy's "inhomogeneous shape"
+], ids=["header-only", "short", "ragged"])
+def test_matrix_csv_rows_must_match_the_header(tmp_path, rows, held):
+    path = tmp_path / "phi.csv"
+    path.write_text("\n".join(["# rows=3 cols=4 kind=user-supplied", *rows]) + "\n", encoding="ascii")
+    with pytest.raises(ValueError, match=rf"^header promises 3 x 4, file holds {held}$"):
+        cg.load_sensing_csv(path)
 
 
 @given(st.integers(0, 2**32 - 1))

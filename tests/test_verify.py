@@ -272,7 +272,7 @@ def test_stacked_corollary1_equals_the_loop_bit_for_bit(kind, k, block, delta2k,
     h = np.array([[random_chunk(d, sup, rng) for sup in pair] for pair in supports])
     rho = float(rng.uniform(0.0, 1.0))
 
-    constants, cols = _corollary1_stack(phi, d, k, h[:, 0], h[:, 1], delta2k, rho)
+    constants, cols = _corollary1_stack(phi, d, h[:, 0], h[:, 1], delta2k, rho)
     assert constants == (cg.bound_constants(delta2k, rho) if delta2k < 1.0 else None)
     for i in range(block):
         lhs, rhs, slack, ok = loop_corollary1(phi.entries, d, h[i, 0], h[i, 1], delta2k, rho)
