@@ -62,14 +62,12 @@ from .model import (
     DICTIONARY_KINDS,
     SENSING_KINDS,
     Dictionary,
-    SensingMatrix,
     _SQUARE_KINDS,
     _random_subsets,
     _sensing_draw,
     load_dictionary_csv,
     load_sensing_csv,
     make_dictionary,
-    make_sensing_matrix,
     sample_cosparse_signal,
 )
 from .solvers import (
@@ -369,12 +367,12 @@ class CampaignResult:
 # per-experiment machinery
 
 
-_Ops = tuple[Dictionary | None, SensingMatrix | None]
+_Ops = tuple[Dictionary | None, np.ndarray | None]
 
 
 def _load_operators(cfg: ExperimentConfig) -> _Ops:
-    """Load config-referenced operator files once per campaign; shapes
-    must agree with the declared dims."""
+    """Load and validate config-referenced operator files once per campaign,
+    keeping Phi's entries alone; shapes must agree with the declared dims."""
     ops = []
     for name, load, dims in (("dictionary_path", load_dictionary_csv, ("p", "n")),
                              ("matrix_path", load_sensing_csv, ("m", "n"))):
@@ -391,7 +389,8 @@ def _load_operators(cfg: ExperimentConfig) -> _Ops:
                     f"{name} has shape {op.entries.shape}, config dims say ({', '.join(dims)}) = {shape}"
                 )
         ops.append(op)
-    return tuple(ops)
+    d, phi = ops
+    return d, None if phi is None else phi.entries
 
 
 def _make_dictionary(cfg: ExperimentConfig, seed: int, ops: _Ops) -> Dictionary:
@@ -400,18 +399,21 @@ def _make_dictionary(cfg: ExperimentConfig, seed: int, ops: _Ops) -> Dictionary:
     return make_dictionary(cfg.dictionary_kind, cfg.p, cfg.n, trial_seed(seed, 0))
 
 
-def _make_operators(cfg: ExperimentConfig, seed: int, ops: _Ops) -> tuple[Dictionary, SensingMatrix]:
-    d = _make_dictionary(cfg, seed, ops)
-    phi = ops[1] if ops[1] is not None else make_sensing_matrix(
-        cfg.matrix_kind, cfg.m, cfg.n, trial_seed(seed, 1))
+def _make_operators(cfg: ExperimentConfig, seed: int, ops: _Ops, m: int | None = None) -> tuple[Dictionary, np.ndarray]:
+    """The loaded files, else the trial's draws of D and m x n Phi (m
+    defaults to cfg.m). Phi's entries are read-only: a pool shares them."""
+    d, phi = _make_dictionary(cfg, seed, ops), ops[1]
+    if phi is None:
+        phi = _sensing_draw(cfg.matrix_kind, cfg.m if m is None else m, cfg.n, trial_seed(seed, 1))
+        phi.setflags(write=False)
     return d, phi
 
 
-def _constraint_for(cfg: ExperimentConfig, phi_entries: np.ndarray, x: np.ndarray, seed: int) -> ConstraintSpec:
+def _constraint_for(cfg: ExperimentConfig, phi: np.ndarray, x: np.ndarray, seed: int) -> ConstraintSpec:
     """Build B(y) so that the ground truth x is feasible: exact data for
     equality/dantzig, half-radius perturbed data for the ball, its noise
     drawn from the trial's stream trial_seed(seed, 3)."""
-    y = phi_entries @ x
+    y = phi @ x
     if cfg.constraint_kind == "equality":
         return ConstraintSpec("equality", y)
     if cfg.constraint_kind == "l2-ball":
@@ -423,7 +425,7 @@ def _constraint_for(cfg: ExperimentConfig, phi_entries: np.ndarray, x: np.ndarra
     return ConstraintSpec("dantzig", y, lam=cfg.lam)
 
 
-def _solve_for(cfg: ExperimentConfig, phi, dictionary: Dictionary, constraint: ConstraintSpec):
+def _solve_for(cfg: ExperimentConfig, phi: np.ndarray, dictionary: Dictionary, constraint: ConstraintSpec):
     if constraint.kind == "dantzig":
         return solve_lp_certified(phi, dictionary, constraint)
     return solve_analysis_l1(phi, dictionary, constraint, SolverOptions(max_iters=cfg.max_iters))
@@ -454,7 +456,7 @@ def _rho_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
 def _solve_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     d, phi = _make_operators(cfg, seed, ops)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
-    constraint = _constraint_for(cfg, phi.entries, x, seed)
+    constraint = _constraint_for(cfg, phi, x, seed)
     res = _solve_for(cfg, phi, d, constraint)
     err = float(np.linalg.norm(res.x_hat - x))
     row = {
@@ -481,12 +483,9 @@ def _m_cells(cfg: ExperimentConfig) -> tuple[int, ...]:
 
 def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     m = _m_cells(cfg)[index // cfg.trials]
-    d = _make_dictionary(cfg, seed, ops)
-    # m = n is a legitimate endpoint of the sweep; SensingMatrix would
-    # reject it, so the sweep passes raw entries throughout
-    phi_entries = _sensing_draw(cfg.matrix_kind, m, cfg.n, trial_seed(seed, 1))
+    d, phi = _make_operators(cfg, seed, ops, m)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
-    res = _solve_for(cfg, phi_entries, d, _constraint_for(cfg, phi_entries, x, seed))
+    res = _solve_for(cfg, phi, d, _constraint_for(cfg, phi, x, seed))
     err = float(np.linalg.norm(res.x_hat - x))
     row = {
         "trial": index,
@@ -504,7 +503,7 @@ def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dic
 def _p1p2_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     d, phi = _make_operators(cfg, seed, ops)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
-    constraint = _constraint_for(cfg, phi.entries, x, seed)
+    constraint = _constraint_for(cfg, phi, x, seed)
     opts = SolverOptions(max_iters=cfg.max_iters)
     res_analysis = solve_analysis_l1(phi, d, constraint, opts)
     res_synthesis = solve_synthesis_l1(phi, d, constraint, opts)
@@ -522,10 +521,10 @@ def _p1p2_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict
     return row
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _VerifyInstance:
     dictionary: Dictionary
-    phi: SensingMatrix
+    phi: np.ndarray
     delta2k: float
     rho: float
 
@@ -670,7 +669,7 @@ def _compressible_signal(dictionary: Dictionary, seed: int) -> np.ndarray:
 def _verify_t1_trial(cfg: ExperimentConfig, pool, index: int, seed: int) -> dict:
     inst = pool[index % len(pool)]
     x = _compressible_signal(inst.dictionary, trial_seed(seed, 2))
-    constraint = _constraint_for(cfg, inst.phi.entries, x, seed)
+    constraint = _constraint_for(cfg, inst.phi, x, seed)
     res = _solve_for(cfg, inst.phi, inst.dictionary, constraint)
     rep = check_theorem1(
         inst.phi, inst.dictionary, cfg.k, x, res.x_hat,

@@ -139,11 +139,9 @@ class BoundConstants:
 
     alpha = sqrt(2) (delta2k + rho) / (1 - delta2k), beta = 1 / (1 - delta2k).
     admissible means alpha < 1; c0 = 4 alpha / (1 - alpha) + 2 and
-    c1 = 2 beta / (1 - alpha) are +inf when not admissible. c0_printed and
-    c1_printed are the rho = 0 closed forms written directly in delta2k
-    (equal to c0/c1 at rho = 0, also +inf past delta2k = sqrt(2) - 1). All
-    four are evaluated in extended precision before the cast to float64;
-    in plain float64 the two c0 forms drift apart by a few 1e-12.
+    c1 = 2 beta / (1 - alpha) are +inf when not admissible. At rho = 0
+    they are the printed closed forms, with e = 1 - (1 + sqrt(2)) delta2k,
+    c0 = 2 (1 + (sqrt(2) - 1) delta2k) / e and c1 = 2 / e.
     """
 
     delta2k: float
@@ -153,8 +151,6 @@ class BoundConstants:
     admissible: bool
     c0: float
     c1: float
-    c0_printed: float
-    c1_printed: float
 
     def to_json(self) -> str:
         return _to_json(self)
@@ -750,9 +746,9 @@ def bound_constants(delta2k: float, rho: float = 0.0) -> BoundConstants:
     """Recovery-bound constants at a given (delta2k, rho).
 
     Requires 0 <= delta2k < 1 and 0 <= rho <= 1 (the bounds are
-    hypotheses, not outputs). Evaluation runs in numpy longdouble: the
-    proof-form and printed-form expressions for c0 agree exactly there
-    after the cast, while float64 evaluation splits them by up to ~3e-12.
+    hypotheses, not outputs). Evaluation runs in numpy longdouble, so at
+    rho = 0 c0 and c1 match their printed forms (see BoundConstants) to
+    1e-12 after the cast; float64 evaluation misses that by about 3e-12.
     """
     _constants_in_range(delta2k, rho)
     if not delta2k < 1.0:
@@ -774,14 +770,6 @@ def bound_constants(delta2k: float, rho: float = 0.0) -> BoundConstants:
         c0 = np.longdouble(np.inf)
         c1 = np.longdouble(np.inf)
 
-    denom = one - (one + sqrt2) * d
-    if denom > 0:
-        c0_printed = two * (one - (one - sqrt2) * d) / denom
-        c1_printed = two / denom
-    else:
-        c0_printed = np.longdouble(np.inf)
-        c1_printed = np.longdouble(np.inf)
-
     return BoundConstants(
         delta2k=float(delta2k),
         rho=float(rho),
@@ -790,6 +778,4 @@ def bound_constants(delta2k: float, rho: float = 0.0) -> BoundConstants:
         admissible=admissible,
         c0=float(c0),
         c1=float(c1),
-        c0_printed=float(c0_printed),
-        c1_printed=float(c1_printed),
     )

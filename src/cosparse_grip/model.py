@@ -138,9 +138,8 @@ def _check_matrix(entries: np.ndarray, what: str) -> None:
 def sensing_entries(phi) -> np.ndarray:
     """Entries of a SensingMatrix, or a raw 2-d array passed through.
 
-    The raw path exists for degenerate shapes (m >= n, e.g. the square
-    endpoint of an undersampling sweep) that the SensingMatrix type
-    rejects by design."""
+    The campaign layer passes raw entries throughout, which also admit
+    the shapes SensingMatrix rejects (m >= n, as at a phase sweep's end)."""
     if isinstance(phi, SensingMatrix):
         return phi.entries
     a = np.asarray(phi, dtype=np.float64)
@@ -333,8 +332,8 @@ def make_sensing_matrix(kind: str, m: int, n: int, seed: int | None = None) -> S
 
 
 def _sensing_draw(kind: str, m: int, n: int, seed: int | None) -> np.ndarray:
-    """Entries of a seeded gaussian or bernoulli draw. No m < n check: the
-    phase sweep of the campaign layer needs its m = n endpoint."""
+    """Entries of a seeded gaussian or bernoulli draw, the campaign's one Phi
+    draw. No m < n check: the config checks m; a phase sweep ends at m = n."""
     rng = np.random.default_rng(seed)
     if kind == "gaussian":
         return rng.standard_normal((m, n)) / math.sqrt(m)
@@ -451,7 +450,12 @@ def _load_matrix_csv(path) -> tuple[np.ndarray, str]:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise ValueError(f"missing header comment in {path}")
-        fields = dict(tok.split("=", 1) for tok in header[2:].split())
+        fields = {}
+        for tok in header[2:].split():
+            key, eq, value = tok.partition("=")
+            if not eq or key in ("rows", "cols") and not value.isdecimal():
+                raise ValueError(f"bad header token {tok!r} in {path}: need rows=<int> cols=<int> kind=<kind>")
+            fields[key] = value
         try:
             r, c, kind = int(fields["rows"]), int(fields["cols"]), fields["kind"]
         except KeyError as err:
@@ -469,10 +473,14 @@ def _load_matrix_csv(path) -> tuple[np.ndarray, str]:
 
 
 def load_dictionary_csv(path) -> Dictionary:
+    """The Dictionary in a save_matrix_csv file. Its header's kind selects
+    Dictionary's check: a tight-frame file must hold D with D^T D = I."""
     entries, kind = _load_matrix_csv(path)
     return Dictionary(entries, kind)
 
 
 def load_sensing_csv(path) -> SensingMatrix:
+    """The SensingMatrix in a save_matrix_csv file, m < n. Its header's
+    kind need only be one of SENSING_KINDS; it selects no check."""
     entries, kind = _load_matrix_csv(path)
     return SensingMatrix(entries, kind)

@@ -184,6 +184,16 @@ def test_config_rejects_malformed_documents():
         "phase .* equality",
     )
     case("bad rho_mode", lambda d: d.update(rho_mode="auto"), "rho_mode")
+    case(
+        "unknown constraint kind",
+        lambda d: d.update(constraint={"kind": "huber"}),
+        "^unknown constraint kind 'huber'$",
+    )
+    case(
+        "signal sampling needs k < p",
+        lambda d: d.update(experiment="solve", dictionary_kind="orthogonal", k=10),
+        r"^signal sampling needs k < p, got k=10, p=10$",
+    )
     case("k zero", lambda d: d.update(k=0), "positive")
     case("k over p", lambda d: d.update(k=11), "k <= p")
     case("pair order over p", lambda d: d.update(k=6), "2k <= p")
@@ -667,6 +677,23 @@ def test_verify_t1_printed_mode_zeroes_rho(tmp_path):
     )
     result = run(config_from(doc))
     assert result.rows[0]["rho"] == 0.0
+
+
+def test_every_phi_the_campaign_holds_is_read_only(tmp_path):
+    # a verify pool shares one Phi across its trials, drawn or loaded
+    d_path, phi_path = write_matched_instance(tmp_path)
+    loaded = config_from(base_doc(
+        experiment="verify-t1", k=2, seed=5,
+        dictionary_kind="user-supplied", dictionary_path=d_path,
+        matrix_kind="user-supplied", matrix_path=phi_path,
+    ))
+    for cfg in (config_from(base_doc()), loaded):
+        inst = cam._verify_pool(cfg, cam._load_operators(cfg))[0]
+        assert inst.phi.shape == (9, 10) and not inst.phi.flags.writeable
+    # the phase sweep's square endpoint goes through the same draw
+    phase = config_from(base_doc(experiment="phase", dictionary_kind="orthogonal", k=2))
+    _, phi = cam._make_operators(phase, 7, (None, None), 10)
+    assert phi.shape == (10, 10) and not phi.flags.writeable
 
 
 EXPECTED_SUMMARY_KEYS = {

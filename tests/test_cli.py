@@ -297,6 +297,18 @@ def test_cli_header_only_operator_file_exits_2(tmp_path, capsys):
     assert "Traceback" not in err and not out_dir.exists()
 
 
+def test_cli_operator_header_token_without_equals_exits_2(tmp_path, capsys):
+    phi_path = tmp_path / "phi.csv"
+    phi_path.write_text("# rows=2 cols=3 user-supplied\n1,2,3\n4,5,6\n", encoding="ascii")
+    doc = base_doc(experiment="solve", dims={"m": 2, "n": 3, "p": 3}, k=2, trials=1,
+                   matrix_kind="user-supplied", matrix_path=str(phi_path))
+    out_dir = tmp_path / "out"
+    assert cli.main(["solve", "--config", write_config(tmp_path, doc), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: matrix_path") and "bad header token 'user-supplied'" in err
+    assert "Traceback" not in err and not out_dir.exists()
+
+
 def test_cli_matched_files_end_to_end(tmp_path, capsys):
     d_path, phi_path = write_matched_instance(tmp_path)
     doc = base_doc(

@@ -1143,10 +1143,14 @@ def test_bound_constants_frozen_reference_point():
 
 
 def test_bound_constants_two_forms_agree_at_zero_rho():
+    # the printed rho = 0 closed forms, evaluated in longdouble as the oracle
+    root2 = np.longdouble(2.0) ** np.longdouble(0.5)
     for delta in np.linspace(0.0, 0.41, 42):
         c = cg.bound_constants(float(delta), 0.0)
-        assert abs(c.c0 - c.c0_printed) <= 1e-12
-        assert abs(c.c1 - c.c1_printed) <= 1e-12
+        d = np.longdouble(delta)
+        denom = 1.0 - (1.0 + root2) * d
+        assert abs(c.c0 - float(2.0 * (1.0 - (1.0 - root2) * d) / denom)) <= 1e-12
+        assert abs(c.c1 - float(2.0 / denom)) <= 1e-12
 
 
 def test_bound_constants_admissibility_boundary():

@@ -339,6 +339,23 @@ def test_matrix_csv_rows_must_match_the_header(tmp_path, rows, held):
         cg.load_sensing_csv(path)
 
 
+@pytest.mark.parametrize("header, message", [
+    ("rows=3 cols=4 kind=user-supplied", "missing header comment in {path}"),
+    ("# rows=3 kind=user-supplied", "header missing field 'cols' in {path}"),
+    # both were Python's own text: dict()'s sequence error and int()'s
+    ("# rows=3 cols=4 user-supplied", "bad header token 'user-supplied' in {path}: {need}"),
+    ("# rows=three cols=4 kind=user-supplied", "bad header token 'rows=three' in {path}: {need}"),
+    ("# rows=3 cols=-4 kind=user-supplied", "bad header token 'cols=-4' in {path}: {need}"),
+], ids=["no-comment", "no-cols", "token-without-equals", "word-rows", "negative-cols"])
+def test_matrix_csv_header_is_refused_naming_the_fault(tmp_path, header, message):
+    path = tmp_path / "phi.csv"
+    path.write_text("\n".join([header, "1,2,3,4", "5,6,7,8", "9,10,11,12"]) + "\n", encoding="ascii")
+    text = message.format(path=path, need="need rows=<int> cols=<int> kind=<kind>")
+    with pytest.raises(ValueError) as info:
+        cg.load_sensing_csv(path)
+    assert str(info.value) == text
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_csv_round_trip_random_matrices(tmp_path_factory, seed):

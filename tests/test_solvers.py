@@ -303,6 +303,12 @@ def test_lp_equality_certificate(reference_instance):
     assert np.linalg.norm(phi.entries @ res.x_hat - y) <= 1e-8
 
 
+def test_lp_route_refuses_the_l2_ball(reference_instance):
+    phi, d, x, y = reference_instance
+    with pytest.raises(ValueError, match="^LP route supports equality and dantzig only$"):
+        cg.solve_lp_certified(phi, d, cg.ConstraintSpec("l2-ball", y, epsilon=0.1))
+
+
 def test_lp_dantzig_matches_frozen_oracle(reference_instance):
     phi, d, x, y = reference_instance
     res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("dantzig", y, lam=0.05))

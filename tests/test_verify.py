@@ -199,6 +199,13 @@ def test_corollary2_rejects_degenerate_inputs(frame_instance):
         cg.check_corollary2(phi, d, 1, np.ones(d.n), head)
 
 
+def test_corollary2_refuses_a_head_over_another_p(frame_instance):
+    phi, d = frame_instance
+    head = cg.SupportSet((0, 1), p=d.p + 1)
+    with pytest.raises(ValueError, match="^head support indexes the wrong number of rows$"):
+        cg.check_corollary2(phi, d, 2, np.ones(d.n), head)
+
+
 @pytest.mark.parametrize("k", [0, -1, 15])
 def test_corollary2_refuses_k_outside_one_to_p(frame_instance, k):
     # k = 0 used to end in ZeroDivisionError, and k > p in a report
