@@ -37,20 +37,23 @@ per-row scan.
 delta's scans queue both sides, the lower sides negated, since the
 smallest lower side is both eigen_range[0] and the largest lower delta
 term. Both sides are monotone under inclusion: for Lambda in U, span
-P[:, Lambda] lies in span P[:, U], so by Courant-Fischer one Rayleigh
+P[:, Lambda] lies in span P[:, U], so by Courant-Fischer the Rayleigh
 maximum on a (k+2)-set U bounds the upper sides of all C(k+2, k) of its
 subsets, and by Cauchy interlacing lambda_min(A_U^T A_U) bounds their
-lower sides. Both bounds come from the principal submatrices of A^T A
-and P on U; P[U, U] = L L^T whitens the upper one by L^-1, which one
-stacked Cholesky pass builds by forward substitution. Once the full
-family spans more than one chunk, a cached greedy cover of the colex
-k-sets by (k+2)-sets bounds each support by the tightest bounds of the
-supersets that hold it, read through one cached grouping of the cover
-by support. Other scans bound no row, so every row is evaluated. rho
-is exactly 1 when two disjoint chunk subspaces have dimensions summing
-past n = rank(P); otherwise it bounds each pair by
-||Q_i^T Q_j||_F >= sigma_max(Q_i^T Q_j) (Bjorck & Golub, Math. Comp.
-1973), all from one Gram of the stacked bases.
+lower sides. Neither eigenvalue is computed: each is bounded from the
+principal submatrices of A^T A and P on U by the trace bound of
+Wolkowicz & Styan (Linear Algebra Appl. 1980) on a matrix power. The
+upper one is taken on the fourth power of the block whitened by L^-1,
+for P[U, U] = L L^T, and the lower one on the square of A_U^T A_U's
+inverse; stacked Cholesky passes build both inverse factors by forward
+substitution. Once the full family spans more than one chunk, a cached
+greedy cover of the colex k-sets by (k+2)-sets bounds each support by
+the tightest bounds of the supersets that hold it, read through one
+cached grouping of the cover by support. Other scans bound no row, so
+every row is evaluated. rho is exactly 1 when two disjoint chunk
+subspaces have dimensions summing past n = rank(P); otherwise it bounds
+each pair by ||Q_i^T Q_j||_F >= sigma_max(Q_i^T Q_j) (Bjorck & Golub,
+Math. Comp. 1973), all from one Gram of the stacked bases.
 """
 
 from __future__ import annotations
@@ -350,22 +353,62 @@ def _cholesky_stack(
     return cols.transpose(2, 1, 0), white.transpose(2, 0, 1), ok
 
 
+def _top_bound(stack: np.ndarray, squarings: int) -> np.ndarray:
+    """An upper bound on lambda_max of each block of a (G, h, h) stack of
+    symmetric PSD blocks, from traces alone.
+
+    With M = block^(2^squarings), by `squarings` stacked squarings of the
+    block scaled by its trace, mu = tr M / h and
+    s^2 = ||M||_F^2 / h - mu^2 = ||M - mu I||_F^2 / h, every eigenvalue
+    of M is at most mu + s sqrt(h - 1) (Wolkowicz & Styan, "Bounds for
+    eigenvalues using traces", Linear Algebra Appl. 1980), and its
+    2^squarings-th root bounds lambda_max. It is exact when the block's
+    other h - 1 eigenvalues are equal, so powers that shrink them
+    sharpen it, and it is at most h^(1/2^(squarings+1)) lambda_max. The
+    scaling puts every eigenvalue in [0, 1], so the powers stay finite
+    whatever the block's scale."""
+    count, h, _ = stack.shape
+    scale = np.trace(stack, axis1=1, axis2=2)
+    scale[scale <= 0.0] = 1.0  # a zero block bounds 0
+    power = stack / scale[:, None, None]
+    for _ in range(squarings):
+        power = power @ power
+    diagonal = power.reshape(count, h * h)[:, :: h + 1]  # a view: power is C-contiguous
+    mu = diagonal.sum(axis=1) / h
+    # centred first, since ||M||_F^2 / h - mu^2 cancels to sqrt(eps)
+    # accuracy when the eigenvalues nearly tie
+    diagonal -= mu[:, None]
+    spread = np.sqrt(np.einsum("gij,gij->g", power, power) / h)
+    return scale * (mu + spread * math.sqrt(h - 1)) ** (0.5**squarings)
+
+
 def _principal_bounds(
     supersets: np.ndarray, gram: np.ndarray, proj: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower): bounds on both sides of every k-subset of each row
     U of a (G, k+2) array, read from the principal submatrices G[U, U]
-    and P[U, U] of G = A^T A and the projector P = U U^T alone.
+    and P[U, U] of G = A^T A and the projector P = U U^T alone, with no
+    eigendecomposition.
 
     Upper: span P[:, U] contains span P[:, Lambda] for every Lambda in
     U, so its Rayleigh maximum bounds theirs (Courant-Fischer). P is the
     orthogonal projector onto range(D), idempotent to roundoff, and
     A P = A, so P G P = G and that maximum is the top generalized
-    eigenvalue of (G[U, U], P[U, U]): lambda_max(L^-1 G[U, U] L^-T) for
-    the Cholesky factor P[U, U] = L L^T. One stacked pass over all rows
-    (_cholesky_stack) gives L^-1 by forward substitution, with no LAPACK
-    inverse. Lower: lambda_min(G[U, U]) is at most that of every
-    principal submatrix G[Lambda, Lambda] (Cauchy interlacing).
+    eigenvalue of (G[U, U], P[U, U]): lambda_max(W) for the PSD block
+    W = L^-1 G[U, U] L^-T and the Cholesky factor P[U, U] = L L^T. One
+    stacked pass over all rows (_cholesky_stack) gives L^-1 by forward
+    substitution, with no LAPACK inverse, and _top_bound bounds
+    lambda_max(W) by the trace bound on W^4. Lower: lambda_min(G[U, U])
+    is at most that of every principal submatrix G[Lambda, Lambda]
+    (Cauchy interlacing), and it is 1 / lambda_max(G[U, U]^-1), bounded
+    below by 1 / the trace bound on G[U, U]^-2, where a second stacked
+    pass factors G[U, U] = L_G L_G^T and G[U, U]^-1 = L_G^-T L_G^-1. A
+    block with a pivot at or below 0 is singular to roundoff; its lower
+    bound is 0, as G is PSD. Each bound lies beyond the eigenvalue it
+    stands for, upper above and lower below, so the queue may evaluate
+    a side that the eigenvalue would let it skip, and skips none that
+    can reach its incumbent. The powers shrink every eigenvalue but the
+    top one, which keeps the bounds close to the eigenvalues.
 
     A row bounds only when every pivot of L is positive and
     1 / ||L^-1||_F^2 > _PRUNE_FLOOR^2 times max(trace P[U, U],
@@ -389,8 +432,9 @@ def _principal_bounds(
     white = white[keep]
     upper = np.full(len(supersets), math.inf)
     lower = np.full(len(supersets), -math.inf)
-    upper[ok] = np.linalg.eigvalsh(white @ g[ok] @ _mT(white))[:, -1]
-    lower[ok] = np.linalg.eigvalsh(g[ok])[:, 0]
+    upper[ok] = _top_bound(white @ g[ok] @ _mT(white), 2)
+    _, white_g, pd = _cholesky_stack(g[ok], np.zeros(len(white)))
+    lower[ok] = np.where(pd, 1.0 / _top_bound(_mT(white_g) @ white_g, 1), 0.0)
     return upper, lower
 
 
@@ -538,20 +582,24 @@ def delta_exact(
     Both sides go through one best-first queue each. Past one chunk of
     supports (and when k + 2 <= n) they are evaluated only where they can
     matter, and otherwise everywhere. Each support is bounded by the
-    cover's (k+2)-sets that hold it: its upper side by the least Rayleigh
-    maximum among them, its lower side by the greatest lambda_min among
-    them. Upper sides are taken best-first until the next bound, plus a
-    margin of _PRUNE_MARGIN times trace(A^T A), is below the largest
-    upper side found; lower sides until the next bound, minus that
-    margin, is above the smallest lower side found. A skipped side is
-    strictly beyond its incumbent, so it reaches neither delta nor
-    eigen_range, and the side that sets a support's delta term is
-    evaluated whenever that term attains delta. So delta, the
-    colex-first witness and eigen_range equal those of evaluating every
-    support. When m < k + 2 every lambda_min(A_U^T A_U) is about 0 and the
-    margin keeps every lower side. The Rayleigh maximum is whitened by
-    L^-1 for the Cholesky factor P[U, U] = L L^T of the (k+2)-set's block
-    of P = U U^T, built by forward substitution in the stacked pass that
+    cover's (k+2)-sets that hold it: its upper side by the least bound
+    on their Rayleigh maxima, its lower side by the greatest bound on
+    their lambda_min(A_U^T A_U). Both are trace bounds on matrix powers
+    (Wolkowicz & Styan, Linear Algebra Appl. 1980; see
+    _principal_bounds), taken with no eigendecomposition and never
+    tighter than the eigenvalues they bound. Upper sides are taken
+    best-first until the next bound, plus a margin of _PRUNE_MARGIN
+    times trace(A^T A), is below the largest upper side found; lower
+    sides until the next bound, minus that margin, is above the smallest
+    lower side found. A skipped side is strictly beyond its incumbent,
+    so it reaches neither delta nor eigen_range, and the side that sets
+    a support's delta term is evaluated whenever that term attains
+    delta. So delta, the colex-first witness and eigen_range equal those
+    of evaluating every support. When m < k + 2 every
+    lambda_min(A_U^T A_U), and so its bound, is about 0 and the margin
+    keeps every lower side. The Rayleigh maximum is whitened by L^-1 for
+    the Cholesky factor P[U, U] = L L^T of the (k+2)-set's block of
+    P = U U^T, built by forward substitution in the stacked pass that
     factors it. A bound prunes only when every pivot of L is positive
     and 1 / ||L^-1||_F^2 exceeds _PRUNE_FLOOR^2 times trace P[U, U]. That
     puts sigma_min / sigma_max of P[:, U] above _PRUNE_FLOOR; by

@@ -885,12 +885,13 @@ def test_principal_bounds_hold_for_every_subset(frame):
 @settings(max_examples=40, deadline=None)
 def test_principal_bounds_agree_with_eigh_whitened_bounds(frame):
     # the Cholesky rule is a sufficient form of the eigh rule, so its
-    # bounded rows are among the oracle's; there the lower bound keeps
-    # its bits and the upper bound agrees to roundoff. Whitening's
-    # relative roundoff grows with the condition number of P[U, U], up
-    # to 1 / _PRUNE_FLOOR^2 = 1e4 on a bounded row: the two forms agreed
-    # within 7e-15 on unperturbed tight and gaussian-random frames, and
-    # within 1.1e-12 over 3,000 draws of these frames near the floor
+    # bounded rows are among the oracle's, and the same rows bound both
+    # sides. There the trace bounds lie beyond the oracle's eigenvalues,
+    # by no more than sqrt(h) above, up to roundoff. Whitening's relative
+    # roundoff grows with the condition number of P[U, U], up to
+    # 1 / _PRUNE_FLOOR^2 = 1e4 on a bounded row: the two whitened forms
+    # agreed within 1.1e-12 over 3,000 draws of these frames near the
+    # floor. The lower bound's roundoff is relative to G[U, U]'s scale
     d, phi, k, _ = frame
     a_cols = phi @ d.pinv()
     gram, proj = a_cols.T @ a_cols, d.projector()
@@ -900,8 +901,11 @@ def test_principal_bounds_agree_with_eigh_whitened_bounds(frame):
     bounded = upper < math.inf
     assert np.array_equal(bounded, lower > -math.inf)
     assert (want_upper[bounded] < math.inf).all()
-    assert np.array_equal(lower[bounded], want_lower[bounded])
-    assert (np.abs(upper[bounded] - want_upper[bounded]) <= 1e-11 * np.abs(want_upper[bounded])).all()
+    up, want_up = upper[bounded], want_upper[bounded]
+    assert (want_up <= up + 1e-11 * np.abs(want_up)).all()
+    assert (up <= math.sqrt(k + 2) * want_up + 1e-11 * np.abs(want_up)).all()
+    scale = np.trace(gram[supersets[:, :, None], supersets[:, None, :]], axis1=1, axis2=2)
+    assert (lower[bounded] <= want_lower[bounded] + 1e-12 * scale[bounded]).all()
 
 
 @given(bounded_frames())
@@ -939,6 +943,101 @@ def test_enumerate_delta_scan_runs_no_eigh_or_inv(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", forbidden("inv"))
     rep = cg.delta_exact(phi, d, 4)
     assert _report(rep) == loop_delta(phi.entries, d, colex_supports(18, 4))
+
+
+def test_principal_bounds_run_no_eigvalsh(monkeypatch):
+    # both superset bounds are trace bounds on powers of the blocks: the
+    # enumerate cover's 324 blocks take no eigenvalue call
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvalsh ran")
+
+    d, phi = enumerate_instances()[0]
+    a_cols = phi.entries @ d.pinv()
+    supersets = grip._superset_cover(18, 4)[0]
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    upper, lower = grip._principal_bounds(supersets, a_cols.T @ a_cols, d.projector())
+    assert len(supersets) == 324 and np.isfinite(upper).all() and np.isfinite(lower).all()
+
+
+@st.composite
+def psd_stacks(draw):
+    """(G, h, h) stacks of symmetric PSD blocks, h = 2-8, rotated by a
+    Haar matrix from spectra spanning 1e-12-1e12. A block may have exact
+    zeros (all of them included), a repeated top eigenvalue, or rank 1."""
+    h = draw(st.integers(2, 8))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        spectrum = 10.0 ** np.array(draw(st.lists(st.floats(-12, 12), min_size=h, max_size=h)))
+        shape = draw(st.sampled_from(["full", "zeros", "repeated", "rank-1"]))
+        if shape == "zeros":
+            spectrum[: draw(st.integers(1, h))] = 0.0
+        elif shape == "repeated":
+            spectrum[:2] = spectrum.max()
+        elif shape == "rank-1":
+            spectrum[1:] = 0.0
+        q = haar(h, draw(st.integers(0, 2**16)))
+        block = (q * spectrum) @ q.T
+        blocks.append((block + block.T) / 2.0)
+    return np.array(blocks)
+
+
+@given(psd_stacks(), st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_top_bound_brackets_lambda_max(stack, squarings):
+    # Wolkowicz & Styan's trace bound on the 2^j-th power, rooted: at
+    # least lambda_max, and at most h^(1/2^(j+1)) lambda_max (the
+    # Frobenius norm of the power), up to roundoff
+    h = stack.shape[-1]
+    top = np.linalg.eigvalsh(stack)[:, -1]
+    bound = grip._top_bound(stack, squarings)
+    assert (top <= bound + 1e-12 * top).all()
+    assert (bound <= h ** (0.5 ** (squarings + 1)) * top * (1.0 + 1e-12)).all()
+
+
+def _diagonal_lower_bounds(stack):
+    """_principal_bounds' lower bounds of the blocks of a (G, h, h) stack,
+    placed on the diagonal of G and read with P = I, so that each block
+    is whitened by the identity."""
+    count, h, _ = stack.shape
+    gram = np.zeros((count * h, count * h))
+    for g, block in enumerate(stack):
+        gram[g * h : (g + 1) * h, g * h : (g + 1) * h] = block
+    supersets = np.arange(count * h).reshape(count, h)
+    return grip._principal_bounds(supersets, gram, np.eye(count * h))[1]
+
+
+@given(psd_stacks())
+@settings(max_examples=80, deadline=None)
+def test_lower_bound_holds_on_positive_definite_blocks(stack):
+    # 1 / the trace bound on G[U, U]^-2, square-rooted, where every pivot
+    # of G[U, U] is positive; exactly 0 where one is not
+    lower = _diagonal_lower_bounds(stack)
+    spectrum = np.linalg.eigvalsh(stack)
+    pd = grip._cholesky_stack(stack, np.zeros(len(stack)))[2]
+    assert (lower[~pd] == 0.0).all() and (lower[pd] > 0.0).all()
+    assert (lower[pd] <= spectrum[pd, 0] + 1e-12 * spectrum[pd, -1]).all()
+
+
+def test_lower_bound_is_zero_where_a_pivot_fails():
+    # a zero diagonal entry and an all-ones block (second pivot 1 - 1 = 0)
+    # fail a pivot exactly; a diagonal block with lambda_min 1e-12 does not
+    stack = np.array([np.diag([4.0, 0.0, 1.0]), np.ones((3, 3)), np.diag([1e12, 1e-12, 1.0])])
+    lower = _diagonal_lower_bounds(stack)
+    assert lower[:2].tolist() == [0.0, 0.0]
+    assert 1e-12 / 3**0.25 <= lower[2] <= 1e-12 * (1.0 + 1e-12)
+
+
+def test_pruned_scan_past_the_default_budget_equals_reference_loop(monkeypatch):
+    # C(24, 4) = 10,626 supports, 1,086 cover blocks: the trace bounds
+    # prune as the eigenvalues did, and the report keeps the loop's bits
+    d = cg.make_dictionary("tight-frame", 24, 14, 3)
+    phi = cg.make_sensing_matrix("gaussian", 9, 14, 4)
+    lowers = _count_sides(monkeypatch, "_lower_sides")
+    uppers = _count_sides(monkeypatch, "_upper_sides")
+    rep = cg.delta_exact(phi, d, 4, max_supports=10626)
+    assert len(grip._superset_cover(24, 4)[0]) == 1086
+    assert 0 < sum(lowers) <= 313 and 0 < sum(uppers) <= 32
+    assert _report(rep) == loop_delta(phi.entries, d, colex_supports(24, 4))
 
 
 def test_well_conditioned_superset_of_close_rows_bounds():
