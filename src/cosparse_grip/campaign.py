@@ -453,12 +453,18 @@ def _rho_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     return {"trial": index, "seed": seed, "rho": est.rho}
 
 
-def _solve_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
-    d, phi = _make_operators(cfg, seed, ops)
+def _recover(cfg: ExperimentConfig, ops: _Ops, seed: int, m: int | None = None):
+    """One recovery step: the trial's operators (Phi with m rows, cfg.m
+    by default), its signal x and constraint, the solve, and err_l2 =
+    ||x_hat - x||."""
+    d, phi = _make_operators(cfg, seed, ops, m)
     x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
-    constraint = _constraint_for(cfg, phi, x, seed)
-    res = _solve_for(cfg, phi, d, constraint)
-    err = float(np.linalg.norm(res.x_hat - x))
+    res = _solve_for(cfg, phi, d, _constraint_for(cfg, phi, x, seed))
+    return res, float(np.linalg.norm(res.x_hat - x))
+
+
+def _solve_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
+    res, err = _recover(cfg, ops, seed)
     row = {
         "trial": index,
         "seed": seed,
@@ -483,10 +489,7 @@ def _m_cells(cfg: ExperimentConfig) -> tuple[int, ...]:
 
 def _phase_trial(cfg: ExperimentConfig, ops: _Ops, index: int, seed: int) -> dict:
     m = _m_cells(cfg)[index // cfg.trials]
-    d, phi = _make_operators(cfg, seed, ops, m)
-    x = sample_cosparse_signal(d, cfg.k, trial_seed(seed, 2))
-    res = _solve_for(cfg, phi, d, _constraint_for(cfg, phi, x, seed))
-    err = float(np.linalg.norm(res.x_hat - x))
+    res, err = _recover(cfg, ops, seed, m)
     row = {
         "trial": index,
         "seed": seed,

@@ -91,7 +91,7 @@ _CHUNK = 256           # rows (supports or pairs) per stacked linalg call
 # near 1/200 of the margin; at 1e-6 a bound fell 6.7e4 margins below a
 # subset's upper side
 _PRUNE_FLOOR = 1e-2
-_PRUNE_MARGIN = 1e-9   # pruning slack: relative to trace(A^T A) for delta, absolute for rho
+_PRUNE_MARGIN = 1e-9   # pruning slack: relative to max(1, trace(A^T A)) for delta, absolute for rho
 
 
 class BudgetExceededError(RuntimeError):
@@ -322,21 +322,18 @@ def _cover_gather(p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return src, starts
 
 
-def _cholesky_stack(
-    blocks: np.ndarray, floor: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower Cholesky factors L, L L^T = block, of a (G, h, h) stack of
-    symmetric blocks, and their inverses, taken one column at a time over
+def _cholesky_stack(blocks: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of the lower Cholesky factors L, L L^T = block, of a
+    (G, h, h) stack of symmetric blocks, taken one column at a time over
     the whole stack.
 
-    Returns (low, white, ok): ok[g] holds when every pivot of block g is
-    above floor[g], and low[g] is its factor and white[g] = low[g]^-1
-    only then, so white[g] block white[g]^T = I. Column j of L gives row
-    j of L^-1 in the same pass, by forward substitution from the rows
-    above it. Past a block's first pivot at or below its floor the pivot
-    is taken as 1, and so is the divisor of the substitution, which keeps
-    the arithmetic finite and free of warnings for blocks that are not
-    positive definite."""
+    Returns (white, ok): ok[g] holds when every pivot of block g is above
+    floor[g], and white[g] = L^-1 of block g only then, so white[g]
+    block white[g]^T = I. Column j of L gives row j of L^-1 in the same
+    pass, by forward substitution from the rows above it. Past a block's
+    first pivot at or below its floor the pivot is taken as 1, and so is
+    the divisor of the substitution, which keeps the arithmetic finite
+    and free of warnings for blocks that are not positive definite."""
     count, h, _ = blocks.shape
     rows = blocks.transpose(1, 2, 0)
     cols = np.zeros((h, h, count))  # cols[j, i] holds L[i, j] of every block
@@ -350,7 +347,7 @@ def _cholesky_stack(
         pivot = np.where(ok, cols[j, j], 1.0)
         white[j, :j] = -np.einsum("kb,kjb->jb", cols[:j, j], white[:j, :j]) / pivot
         white[j, j] = 1.0 / pivot
-    return cols.transpose(2, 1, 0), white.transpose(2, 0, 1), ok
+    return white.transpose(2, 0, 1), ok
 
 
 def _top_bound(stack: np.ndarray, squarings: int) -> np.ndarray:
@@ -425,7 +422,7 @@ def _principal_bounds(
     # a pivot at or below the floor fails the rule: 1 / ||L^-1||_F^2 is
     # at most the least pivot
     floor = _PRUNE_FLOOR**2 * np.fmax(np.trace(pu, axis1=1, axis2=2), _TRIVIAL_TOL)
-    _, white, ok = _cholesky_stack(pu, floor)
+    white, ok = _cholesky_stack(pu, floor)
     white = white[ok]  # white P[U, U] white^T = I
     keep = 1.0 / (white * white).sum(axis=(1, 2)) > floor[ok]
     ok[ok] = keep
@@ -433,7 +430,7 @@ def _principal_bounds(
     upper = np.full(len(supersets), math.inf)
     lower = np.full(len(supersets), -math.inf)
     upper[ok] = _top_bound(white @ g[ok] @ _mT(white), 2)
-    _, white_g, pd = _cholesky_stack(g[ok], np.zeros(len(white)))
+    white_g, pd = _cholesky_stack(g[ok], np.zeros(len(white)))
     lower[ok] = np.where(pd, 1.0 / _top_bound(_mT(white_g) @ white_g, 1), 0.0)
     return upper, lower
 
@@ -508,8 +505,12 @@ def _scan_supports(
     colex family when supports is None.
 
     Each side goes through the best-first queue (_best_first) once, with
-    a margin of _PRUNE_MARGIN times trace(A^T A), which no side exceeds:
-    the negated lower sides first, then the upper sides. Over the whole
+    a margin of _PRUNE_MARGIN times max(1, trace(A^T A)): the negated
+    lower sides first, then the upper sides. No side exceeds the trace,
+    so the margin covers the bounds' roundoff; and it is at least
+    _PRUNE_MARGIN, so a skipped side's delta term, 1 - lower or
+    upper - 1, is beyond its incumbent's by more than their rounding,
+    and terms that tie only once rounded are all evaluated. Over the whole
     family, once it spans more than one chunk and a (k+2)-set can be
     full rank (k + 2 <= n), each support takes the tightest bound of
     each kind among the cover's supersets that hold it
@@ -537,7 +538,7 @@ def _scan_supports(
     else:
         upper_bound = np.full(len(supports), math.inf)
         lower_bound = np.full(len(supports), math.inf)
-    margin = _PRUNE_MARGIN * float(np.trace(gram))
+    margin = _PRUNE_MARGIN * max(1.0, float(np.trace(gram)))
     # lower sides first: a rank-0 support is unbounded in both queues, so
     # its lower side is evaluated before _upper_sides copies it
     lower = -_best_first(
@@ -589,13 +590,15 @@ def delta_exact(
     _principal_bounds), taken with no eigendecomposition and never
     tighter than the eigenvalues they bound. Upper sides are taken
     best-first until the next bound, plus a margin of _PRUNE_MARGIN
-    times trace(A^T A), is below the largest upper side found; lower
-    sides until the next bound, minus that margin, is above the smallest
-    lower side found. A skipped side is strictly beyond its incumbent,
-    so it reaches neither delta nor eigen_range, and the side that sets
-    a support's delta term is evaluated whenever that term attains
-    delta. So delta, the colex-first witness and eigen_range equal those
-    of evaluating every support. When m < k + 2 every
+    times max(1, trace(A^T A)), is below the largest upper side found;
+    lower sides until the next bound, minus that margin, is above the
+    smallest lower side found. A skipped side is beyond its incumbent by
+    more than the margin, and its delta term beyond the incumbent's by
+    more than their rounding, even where every 1 - lambda rounds to 1
+    (a tiny Phi). So it reaches neither delta nor eigen_range, and the
+    side that sets a support's delta term is evaluated whenever that
+    term attains delta, rounded. So delta, the colex-first witness and
+    eigen_range equal those of evaluating every support. When m < k + 2 every
     lambda_min(A_U^T A_U), and so its bound, is about 0 and the margin
     keeps every lower side. The Rayleigh maximum is whitened by L^-1 for
     the Cholesky factor P[U, U] = L L^T of the (k+2)-set's block of

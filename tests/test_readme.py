@@ -23,6 +23,7 @@ CAMPAIGN_CONFIG = re.search(r"^```json\n(.*?)^```", README, re.M | re.S).group(1
 CAMPAIGN_DIGESTS = {
     "results.csv": "60bf1a1930c2c6b27a185a8dcae369127d320919b57bbc549a57248d148a15b8",
     "results.jsonl": "d643425c2dd7a51013d15b6aac44fd58928b9a5a557e47ce18eaddac4591a1c4",
+    "config_echo.json": "79ccf94e7c4d3fbfce788dd8ba0a4df1f0fc0ddf36e88b808d288440111f1c82",
 }
 
 
