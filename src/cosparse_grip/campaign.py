@@ -17,7 +17,10 @@ rows' columns once per chunk of _CHUNK rows and formats both row files
 from them. Every experiment's rows share one key order, and each column
 holds one type among bool, int, float and ASCII str; a result that
 breaks this raises ValueError naming the key. wall_time is recorded on
-the result but never written, so re-runs stay byte-identical.
+the result but never written, so re-runs stay byte-identical. Each file
+is replaced, not rewritten in place: whatever is at its name is removed
+and the file created anew, so a symlink or hard link there is replaced,
+not written through, and the output directory must be writable.
 
 The config document is declared once: the fields of `ExperimentConfig`,
 with `_NESTED` grouping some under the `dims`, `constraint` and `budget`
@@ -40,7 +43,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable
@@ -63,6 +66,7 @@ from .model import (
     SENSING_KINDS,
     Dictionary,
     _SQUARE_KINDS,
+    _new_text_file,
     _random_subsets,
     _sensing_draw,
     load_dictionary_csv,
@@ -339,8 +343,10 @@ class ExperimentConfig:
         return cls.from_json(text)
 
     def to_json_dict(self) -> dict:
-        """The config as a document with every default materialized."""
-        values = asdict(self)
+        """The config as a document with every default materialized. Every
+        field holds a scalar or a tuple, so the fields are read as they
+        are, with no deep copy."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.m_grid is not None:
             values["m_grid"] = list(self.m_grid)
         nested = {key: {k: values.pop(name) for k, name in sub.items()} for key, sub in _NESTED.items()}
@@ -967,6 +973,10 @@ def write_outputs(result: CampaignResult, out_dir) -> dict:
     are taken _CHUNK at a time: a chunk's columns are read and typed
     once, formatted for both files and written, so a refused chunk leaves
     the earlier ones written.
+
+    Each file is replaced, not rewritten in place: whatever is at its
+    name is removed and the file created anew, so a symlink or hard link
+    there is replaced, not written through, and out_dir must be writable.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -985,8 +995,8 @@ def write_outputs(result: CampaignResult, out_dir) -> dict:
     summary = "".join(f"# {key}={_summary_text(key, val)}\n" for key, val in result.summary.items())
     template = "{" + ", ".join(json.dumps(c).replace("%", "%%") + ": %s" for c in cols) + "}"
     with (
-        open(paths["csv"], "w", encoding="ascii", newline="\n") as csv_fh,
-        open(paths["jsonl"], "w", encoding="ascii", newline="\n") as jsonl_fh,
+        _new_text_file(paths["csv"]) as csv_fh,
+        _new_text_file(paths["jsonl"]) as jsonl_fh,
     ):
         if rows:
             csv_fh.write(",".join(cols) + "\n")
@@ -999,6 +1009,6 @@ def write_outputs(result: CampaignResult, out_dir) -> dict:
             csv_fh.write("\n".join(map(",".join, zip(*csv_cols))) + "\n")
             jsonl_fh.write("\n".join(map(template.__mod__, zip(*jsonl_cols))) + "\n")
         csv_fh.write("# summary:\n" + summary)
-    with open(paths["config"], "w", encoding="ascii", newline="\n") as fh:
+    with _new_text_file(paths["config"]) as fh:
         fh.write(json.dumps(result.config.to_json_dict(), indent=2, sort_keys=True) + "\n")
     return paths

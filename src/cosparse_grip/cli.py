@@ -13,7 +13,8 @@ constants exceed their budget, and a dantzig campaign whose LP exceeds
 the LP route's variable budget: these are refused when the config is
 read, before any instance is drawn; an operator file that cannot be
 read, is malformed, or disagrees with its header or with the config's
-dims; and an instance pool whose hypotheses fail); 3 bound-violation
+dims; an instance pool whose hypotheses fail; and outputs that cannot
+be written, once the campaign has run); 3 bound-violation
 finding (some verified inequality whose hypothesis held came out below
 -1e-8 max(|lhs|, |rhs|, 1)); 4 solver non-convergence.
 When both 3 and 4 apply, 4 wins: an unconverged solve makes the recorded
@@ -29,7 +30,11 @@ trial draws from its stream block of 256 trials (see campaign.run), not
 from that seed.
 A crashed trial, or a block failing only as a block, flushes the rows
 before it and exits 1. Outputs go to --out (else output_path, else the
-working directory): results.csv, results.jsonl and config_echo.json.
+working directory): results.csv, results.jsonl and config_echo.json,
+each replaced, not rewritten in place (see campaign.write_outputs). When
+they cannot be written, an `error: cannot write outputs to <dir>:
+<err>` line is printed, after the crashed trial's error when there was
+one, and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -83,6 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
+    crash = None
     try:
         result = run(config)
     except ConfigError as err:
@@ -91,11 +97,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except CampaignTrialError as err:
-        write_outputs(err.partial, out_dir)
-        print(f"error: {err}; partial results written to {out_dir}", file=sys.stderr)
-        return 1
+        crash, result = err, err.partial
 
-    paths = write_outputs(result, out_dir)
+    try:
+        paths = write_outputs(result, out_dir)
+    except OSError as err:
+        if crash is not None:
+            print(f"error: {crash}; outputs not written", file=sys.stderr)
+        print(f"error: cannot write outputs to {out_dir}: {err}", file=sys.stderr)
+        return 2
+    if crash is not None:
+        print(f"error: {crash}; partial results written to {out_dir}", file=sys.stderr)
+        return 1
     print(f"{config.experiment}: {len(result.rows)} rows -> {paths['csv']}")
     for key, val in result.summary.items():
         print(f"  {key} = {val}")

@@ -18,6 +18,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -431,17 +432,41 @@ def _jsonable(v):
     return v
 
 
+def _new_text_file(path):
+    """A new file at path, open for writing ASCII text with line-feed
+    line ends. Whatever is at path is removed first, never truncated in
+    place: a symlink or hard link there is replaced, not written through,
+    and the directory must be writable.
+
+    Replacing is faster only for a file rewritten before its old data
+    reached the disk, as when a loop rewrites one directory within the
+    kernel's writeback delay (30 s by default on Linux). On ext4, whose
+    default auto_da_alloc starts writing a truncated-and-rewritten file
+    out at close, a 300-byte file then took about 95 us to rewrite in
+    place and 17 us to replace: the replaced file's dirty pages are
+    dropped unwritten. The new data's writeback is left to the kernel's
+    flusher: deferred, not removed, and without the early flush that
+    auto_da_alloc gives a rewritten file against a crash, like any new
+    file. A new file, or one whose old data is already on disk, costs the
+    same either way (about 17 and 80 us), and with an fsync, replacing
+    costs more (170 against 130 us)."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "x", encoding="ascii", newline="\n")
+
+
 def save_matrix_csv(path, obj: Dictionary | SensingMatrix) -> None:
     """Write a Dictionary or SensingMatrix as CSV with a header comment
     `# rows=<r> cols=<c> kind=<kind>` and 17-significant-digit entries
-    (lossless float64 round trip)."""
+    (lossless float64 round trip). The file is created anew, not rewritten
+    in place: a symlink or hard link at path is replaced, not written
+    through, and its directory must be writable."""
     entries = obj.entries
     r, c = entries.shape
     lines = [f"# rows={r} cols={c} kind={obj.kind}"]
     for row in entries:
         lines.append(",".join(f"{v:.17g}" for v in row))
     text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _new_text_file(path) as fh:
         fh.write(text)
 
 

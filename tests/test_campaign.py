@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -1211,3 +1212,31 @@ def test_a_refused_chunk_leaves_the_earlier_chunks_written(tmp_path):
         write_outputs(result, tmp_path)
     assert (tmp_path / "results.csv").read_text(encoding="utf-8") == "x,t\n" + "1,a\n" * cam._CHUNK
     assert (tmp_path / "results.jsonl").read_text(encoding="utf-8") == '{"x": 1, "t": "a"}\n' * cam._CHUNK
+
+
+def test_write_outputs_replaces_the_files_it_finds(tmp_path):
+    # the old files are longer than the new ones and results.csv is a
+    # symlink to a file outside the directory; a hard link kept to each old
+    # entry holds its inode, so a new file cannot reuse the number
+    result = run(config_from(base_doc(trials=2)))
+    fresh = write_outputs(result, tmp_path / "fresh")
+    out, keep, outside = tmp_path / "out", tmp_path / "keep", tmp_path / "outside.csv"
+    out.mkdir()
+    keep.mkdir()
+    old = "old line\n" * 1000
+    outside.write_text(old, encoding="ascii")
+    (out / "results.csv").symlink_to(outside)
+    (out / "results.jsonl").write_text(old, encoding="ascii")
+    (out / "config_echo.json").write_text(old, encoding="ascii")
+    inodes = {}
+    for path in fresh.values():
+        assert len(old) > path.stat().st_size
+        os.link(out / path.name, keep / path.name, follow_symlinks=False)
+        inodes[path.name] = (out / path.name).lstat().st_ino
+    paths = write_outputs(result, out)
+    for key, path in paths.items():
+        assert path.read_bytes() == fresh[key].read_bytes()
+        assert not path.is_symlink() and path.lstat().st_ino != inodes[path.name]
+        assert (keep / path.name).read_text(encoding="ascii") == old
+    assert (keep / "results.csv").is_symlink()
+    assert outside.read_text(encoding="ascii") == old

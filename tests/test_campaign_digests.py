@@ -5,9 +5,11 @@ A campaign file is named <experiment>.<name>.json, and the operator
 files some of them load by relative path are written by
 tests/campaigns/operators.py. CI runs the same files, and the README
 campaign, in new processes under two string hash seeds and compares
-the bytes of each pair. Like the README digests (test_readme.py), the
-pins fix the writers' bytes and the campaigns' numbers, so a moved
-digest is either a fault or a change of numerics to record, old -> new.
+the bytes of each pair. Here each campaign runs twice into one
+directory, and the pins are checked on the replaced files. Like the
+README digests (test_readme.py), the pins fix the writers' bytes and
+the campaigns' numbers, so a moved digest is either a fault or a change
+of numerics to record, old -> new.
 """
 
 import hashlib
@@ -183,6 +185,8 @@ def test_campaign_writes_pinned_bytes(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_operators(tmp_path)
     experiment = name.split(".")[0]
-    assert cli.main([experiment, "--config", str(CAMPAIGN_DIR / f"{name}.json"), "--out", "out"]) == 0
+    # the second run replaces the first run's files in the same directory
+    for _ in range(2):
+        assert cli.main([experiment, "--config", str(CAMPAIGN_DIR / f"{name}.json"), "--out", "out"]) == 0
     digests = tuple(hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest() for file in FILES)
     assert digests == CAMPAIGNS[name]

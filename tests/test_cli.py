@@ -205,6 +205,26 @@ def test_cli_crashed_trial_exits_1_with_partial_flush(tmp_path, capsys, monkeypa
     assert (out_dir / "results.csv").read_text(encoding="utf-8").startswith("# summary:")
 
 
+@pytest.mark.parametrize("crashed", [False, True], ids=["success", "partial"])
+def test_cli_unwritable_outputs_exit_2(tmp_path, capsys, monkeypatch, crashed):
+    # a directory at results.csv cannot be replaced by a file, on the
+    # success path and on the partial-results path alike
+    if crashed:
+        sabotage(monkeypatch, "verify-c2", 3)
+    out_dir = tmp_path / "out"
+    (out_dir / "results.csv").mkdir(parents=True)
+    assert cli.main(["verify-c2", "--config", write_config(tmp_path, base_doc()), "--out", str(out_dir)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    if crashed:
+        # the crashed trial is still named, ahead of the write error
+        crash = lines.pop(0)
+        assert crash.startswith("error: ") and crash.endswith("; outputs not written")
+        assert "trial" in crash and "seed" in crash
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write outputs to {out_dir}: ")
+    assert "results.csv" in lines[0]
+    assert (out_dir / "results.csv").is_dir()
+
+
 def test_cli_lp_over_budget_exits_2(tmp_path, capsys):
     # 2n + 2p + 2n = 408 variables in every trial's dantzig LP
     doc = base_doc(experiment="solve", dims={"m": 30, "n": 60, "p": 84}, k=25,

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -316,6 +317,30 @@ def test_matrix_csv_round_trip(tmp_path):
     loaded = cg.load_dictionary_csv(path)
     assert loaded.kind == "gaussian-random"
     assert np.array_equal(loaded.entries, d.entries)  # 17 digits: lossless
+
+
+@pytest.mark.parametrize("link", ["symlink", "hard link"])
+def test_save_matrix_csv_replaces_the_file_it_finds(tmp_path, link):
+    # the old file is longer than the new one; a hard link kept to the old
+    # entry holds its inode, so the new file cannot reuse the number
+    phi = cg.make_sensing_matrix("gaussian", 3, 4, 0)
+    fresh = tmp_path / "fresh.csv"
+    cg.save_matrix_csv(fresh, phi)
+    path, kept, outside = tmp_path / "phi.csv", tmp_path / "kept.csv", tmp_path / "outside.csv"
+    old = "old line\n" * 1000
+    outside.write_text(old, encoding="ascii")
+    if link == "symlink":
+        path.symlink_to(outside)
+    else:
+        os.link(outside, path)
+    assert len(old) > fresh.stat().st_size
+    os.link(path, kept, follow_symlinks=False)
+    inode = path.lstat().st_ino
+    cg.save_matrix_csv(path, phi)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert not path.is_symlink() and path.lstat().st_ino != inode
+    assert kept.read_text(encoding="ascii") == old
+    assert outside.read_text(encoding="ascii") == old
 
 
 def test_sensing_csv_round_trip(tmp_path):
