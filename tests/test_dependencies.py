@@ -2,11 +2,15 @@
 what it imports."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import cosparse_grip as cg
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,7 +49,8 @@ def test_import_loads_no_third_party_module_but_numpy():
 
 def _unused_imports(source: str) -> list[str]:
     """Names bound by a module's top-level imports that its code never
-    reads and its __all__ does not re-export."""
+    reads and its __all__ does not re-export. A star import binds no name
+    of its own: it re-exports its module's __all__."""
     tree = ast.parse(source)
     bound = {}
     for node in tree.body:
@@ -53,14 +58,15 @@ def _unused_imports(source: str) -> list[str]:
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+                if alias.name != "*":
+                    bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            exported = set(ast.literal_eval(node.value))
+            exported = {n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant)}
     return sorted(f"{name} (line {line})" for name, line in bound.items()
                   if name not in used and name not in exported)
 
@@ -68,11 +74,48 @@ def _unused_imports(source: str) -> list[str]:
 def test_unused_import_guard_sees_a_leftover():
     assert _unused_imports("import json\nimport math\n\nx = math.pi\n") == ["json (line 1)"]
     assert _unused_imports("from .a import f\n__all__ = ['f']\n") == []
+    assert _unused_imports("from . import a\nfrom .a import *\n__all__ = [*a.__all__]\n") == []
+    assert _unused_imports("from . import a, b\nfrom .a import *\n__all__ = [*a.__all__]\n") == ["b (line 1)"]
 
 
 def test_modules_use_every_import():
     for path in sorted((ROOT / "src" / "cosparse_grip").glob("*.py")):
         assert _unused_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def _star_imports(source: str) -> list[str]:
+    """The modules a module star-imports, as written (`.x` for relative)."""
+    return [
+        "." * node.level + (node.module or "")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)
+    ]
+
+
+def test_star_imports_only_republish_layers_in_the_package_init():
+    # a star import hides which names a module binds, so only __init__.py
+    # may use one, to republish a layer's __all__
+    for path in sorted((ROOT / "src" / "cosparse_grip").glob("*.py")):
+        stars = _star_imports(path.read_text(encoding="utf-8"))
+        if path.name == "__init__.py":
+            assert stars and all(s.startswith(".") and s.count(".") == 1 for s in stars), stars
+        else:
+            assert stars == [], path.name
+
+
+def test_package_exports_each_layer_all_once():
+    layers = [importlib.import_module(f"cosparse_grip.{name}")
+              for name in ("model", "simplex", "grip", "solvers", "verify", "campaign")]
+    assert cg.__all__ == ["__version__"] + [name for layer in layers for name in layer.__all__]
+    assert len(set(cg.__all__)) == len(cg.__all__)  # no star import shadows another
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(cg, name) is getattr(layer, name), name
+            # the name is public where it is defined, not re-exported from
+            # another layer
+            obj = getattr(layer, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == layer.__name__, name
 
 
 def _package_imports(source: str) -> set[str]:

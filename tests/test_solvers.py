@@ -63,16 +63,6 @@ def test_equality_objective_matches_frozen_vertex(reference_instance):
     assert np.linalg.norm(phi.entries @ res.x_hat - y) <= 1e-7 * np.linalg.norm(y)
 
 
-def test_equality_objective_matches_live_convex_solver(reference_instance):
-    cp = pytest.importorskip("cvxpy")
-    phi, d, x, y = reference_instance
-    z = cp.Variable(10)
-    prob = cp.Problem(cp.Minimize(cp.norm1(d.entries @ z)), [phi.entries @ z == y])
-    prob.solve(solver=cp.CLARABEL)
-    res = cg.solve_analysis_l1(phi, d, cg.ConstraintSpec("equality", y))
-    assert res.objective == pytest.approx(prob.value, abs=5e-8)
-
-
 def test_ball_objective_matches_frozen_oracle(reference_instance):
     phi, d, x, y = reference_instance
     res = cg.solve_analysis_l1(phi, d, cg.ConstraintSpec("l2-ball", y, epsilon=0.1))
@@ -139,6 +129,32 @@ def test_equality_scaling_equivariance(reference_instance):
     res2 = cg.solve_analysis_l1(phi, d, cg.ConstraintSpec("equality", 3.0 * y))
     assert res2.objective == pytest.approx(3.0 * res1.objective, rel=1e-6)
     assert np.linalg.norm(res2.x_hat - 3.0 * res1.x_hat) <= 1e-5
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="solvers._pdhg stops when the scale-free dual residual falls below "
+    "_TOL * ||y|| and starts its primal weight at 1 whatever ||y|| is (ROADMAP item 2)",
+)
+def test_first_order_route_is_scale_invariant():
+    # min ||Dz||_1 s.t. z in B(y) is positively homogeneous: scaling y and
+    # epsilon by s scales the optimum by s. On the seed-11 recovery family
+    # the route fails 51 of these 72 solves: equality at 1e9 returns 4
+    # uncertified answers (up to 31 % above s times the unit optimum),
+    # equality at 1e12 23 and the l2 ball at 1e12 all 24, each after one
+    # iteration (up to 43 % and 81 % above)
+    failed = []
+    for i in range(24):
+        phi, d, spec = campaign_trial(11, i)
+        for kind, epsilon, scales in (("equality", 0.0, (1e9, 1e12)), ("l2-ball", 0.1, (1e12,))):
+            unit = cg.solve_analysis_l1(phi, d, cg.ConstraintSpec(kind, spec.y, epsilon=epsilon))
+            assert unit.certified, (kind, i)
+            for s in scales:
+                res = cg.solve_analysis_l1(phi, d, cg.ConstraintSpec(kind, s * spec.y, epsilon=s * epsilon))
+                if not (res.certified and abs(res.objective - s * unit.objective) <= 1e-6 * s * unit.objective):
+                    failed.append((kind, s, i))
+    assert failed == []
 
 
 def test_infeasible_equality_raises():
@@ -317,27 +333,33 @@ def test_lp_dantzig_matches_frozen_oracle(reference_instance):
     assert np.abs(g).max() <= 0.05 + 1e-8
 
 
-def test_lp_dantzig_matches_live_scipy(reference_instance):
+@pytest.mark.parametrize("kind", ["equality", "dantzig"])
+def test_lp_matches_live_scipy(reference_instance, kind):
+    # HiGHS on the split LP min 1^T t s.t. -t <= D(z+ - z-) <= t, z+, z-,
+    # t >= 0, with Phi(z+ - z-) = y or |Phi^T(Phi(z+ - z-) - y)| <= lam
     scipy_opt = pytest.importorskip("scipy.optimize")
     phi, d, x, y = reference_instance
     n, p, lam = 10, 14, 0.05
-    g = phi.entries.T @ phi.entries
-    b = phi.entries.T @ y
     c = np.concatenate([np.zeros(2 * n), np.ones(p)])
-    a_ub = np.block(
-        [
-            [d.entries, -d.entries, -np.eye(p)],
-            [-d.entries, d.entries, -np.eye(p)],
-            [g, -g, np.zeros((n, p))],
-            [-g, g, np.zeros((n, p))],
-        ]
-    )
-    b_ub = np.concatenate([np.zeros(2 * p), b + lam, lam - b])
+    a_ub = np.block([[d.entries, -d.entries, -np.eye(p)], [-d.entries, d.entries, -np.eye(p)]])
+    b_ub = np.zeros(2 * p)
+    if kind == "equality":
+        spec = cg.ConstraintSpec("equality", y)
+        a_eq, b_eq = np.hstack([phi.entries, -phi.entries, np.zeros((6, p))]), y
+    else:
+        spec = cg.ConstraintSpec("dantzig", y, lam=lam)
+        g = phi.entries.T @ phi.entries
+        b = phi.entries.T @ y
+        a_ub = np.vstack([a_ub, np.block([[g, -g, np.zeros((n, p))], [-g, g, np.zeros((n, p))]])])
+        b_ub = np.concatenate([b_ub, b + lam, lam - b])
+        a_eq = b_eq = None
     ref = scipy_opt.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, bounds=[(0, None)] * (2 * n + p), method="highs"
+        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * (2 * n + p), method="highs"
     )
-    res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("dantzig", y, lam=lam))
-    assert res.objective == pytest.approx(ref.fun, abs=1e-8)
+    assert ref.status == 0, ref.message
+    assert cg.solve_lp_certified(phi, d, spec).objective == pytest.approx(ref.fun, abs=1e-8)
+    if kind == "equality":
+        assert cg.solve_analysis_l1(phi, d, spec).objective == pytest.approx(ref.fun, abs=5e-8)
 
 
 def test_dantzig_large_cap_returns_zero(reference_instance):
