@@ -82,7 +82,8 @@ class LpSolution:
 
 
 def _pivot_to_optimum(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray, pivots: int
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray, pivots: int,
+    binv: np.ndarray | None = None,
 ) -> int:
     """Pivot basis (updated in place) until no reduced cost is below
     -_COST_TOL max(1, ||c_B B^-1||_inf). Returns the updated pivot count.
@@ -97,8 +98,9 @@ def _pivot_to_optimum(
     lowers the objective, so no basis met before it recurs after it, and
     there are finitely many bases.
 
-    B^-1 is inverted from a[:, basis] on entry and carried between
-    pivots: with col = B^-1 a_enter and r the leaving row, row r becomes
+    B^-1 is inverted from a[:, basis] on entry, unless the caller passes
+    that fresh inverse as binv, and carried between pivots: with
+    col = B^-1 a_enter and r the leaving row, row r becomes
     B^-1[r] / col[r] and every other row i loses col[i] times that row.
     After _REFACTOR_EVERY such updates it is inverted afresh. A terminal
     decision is taken only on a fresh inverse: when pricing finds no
@@ -110,7 +112,7 @@ def _pivot_to_optimum(
     reduced cost of pure roundoff enter, and its column then has no
     positive entry, which reads as a false LpUnboundedError."""
     degenerate = 0
-    binv = None  # None: invert a[:, basis] afresh before pricing
+    updates = 0  # rank-one updates of binv; None: invert a[:, basis] afresh before pricing
     cb = c[basis]  # c_B, carried beside the basis
     while True:
         if binv is None:
@@ -232,11 +234,11 @@ def _solve_from(
     basis = np.array(basis)
     if len(superbasic) and not _purify(c, a, b, basis, superbasic, values):
         return None
-    xb = np.linalg.solve(a[:, basis], b)
-    if _infeasible(xb):
+    binv = np.linalg.inv(a[:, basis])
+    if _infeasible(binv @ b):
         return None
     m = b.size
-    return _phase2(c, a, b, basis, len(superbasic), np.ones(m, dtype=bool), np.zeros(m, dtype=bool))
+    return _phase2(c, a, b, basis, len(superbasic), np.ones(m, dtype=bool), np.zeros(m, dtype=bool), binv)
 
 
 def _infeasible(xb: np.ndarray) -> bool:
@@ -293,13 +295,14 @@ def _purify(
 
 def _phase2(
     c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
-    pivots: int, keep: np.ndarray, neg: np.ndarray,
+    pivots: int, keep: np.ndarray, neg: np.ndarray, binv: np.ndarray | None = None,
 ) -> LpSolution:
     """Phase 2 from a feasible basis of the kept rows of a, then the
     final solves. neg marks the rows whose signs were flipped to make
-    b >= 0; their multipliers are flipped back."""
+    b >= 0; their multipliers are flipped back. binv, when given, is the
+    fresh inverse of that basis, and phase 2 starts from it."""
     a, b = a[keep], b[keep]
-    pivots = _pivot_to_optimum(c, a, b, basis, pivots)
+    pivots = _pivot_to_optimum(c, a, b, basis, pivots, binv)
 
     x = np.zeros(c.size)
     x[basis] = np.maximum(np.linalg.solve(a[:, basis], b), 0.0)

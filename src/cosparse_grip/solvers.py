@@ -20,8 +20,9 @@ and one product of [tau K^T; K K^T/||K||^2] with the new dual gives both
 the primal step and h's next move. Each solve takes three SVDs: one
 of A, which gives A^+ and a basis N of null(A), with B N^T formed
 once; one of (B N^T)^T, whose pseudoinverse the dual repair uses; and
-one of K for ||K||. Each zero-set dual of a polish takes one more,
-unless its zero set is empty. On the equality set the iteration tries
+one of K for ||K||. A zero-set dual of a polish takes one more, unless
+its zero set is empty, or has exactly dim null(A) entries and one
+linear solve gives it. On the equality set the iteration tries
 a polish, after PDLP's feasibility polishing and crossover to a vertex
 (Megiddo 1991), on the iterate at every eighth iteration whose face
 guess differs from the last one tried there, on the average at every
@@ -29,9 +30,10 @@ restart check whose candidate it is, and at the residual stop (the
 active face is identified in finitely many iterations: Liang, Fadili &
 Peyre 2017). A point's face guess is the dim null(A) entries of B z
 nearest zero; one small linear solve puts z on the feasible point z_p
-where they vanish, and z_p is certified with the dual of its own zero
-set: sign(B z_p) off the zero set, and on it the PDHG dual moved by the
-least-norm step that makes the pair dual feasible (the cosupport
+where they vanish and gives B z_p, and z_p is certified with the dual
+of its own zero set: sign(B z_p) off the zero set, and on it the dual
+that makes the pair dual feasible, the one solution of a square system
+or else the PDHG dual moved by the least-norm step (the cosupport
 certificate of Vaiter, Peyre, Dossal & Fadili 2013). A z_p whose signs
 oppose the PDHG dual is refused before that dual is built. z_p is
 returned as soon as its checked certificate passes. The l2 ball is not
@@ -203,9 +205,9 @@ def _feasible_start(phi: np.ndarray, pinv: np.ndarray, constraint: ConstraintSpe
 def _constraint_violation(phi: np.ndarray, z: np.ndarray, constraint: ConstraintSpec) -> float:
     r = phi @ z - constraint.y
     if constraint.kind == "equality":
-        return float(np.linalg.norm(r))
+        return _norm(r)
     if constraint.kind == "l2-ball":
-        return max(0.0, float(np.linalg.norm(r)) - constraint.epsilon)
+        return max(0.0, _norm(r) - constraint.epsilon)
     return max(0.0, float(np.max(np.abs(phi.T @ r))) - constraint.lam)
 
 
@@ -289,29 +291,30 @@ _ZERO_TOL = 1e-9
 # The face guess of the equality polish is read every _PEEK_EVERY
 # iterations (a divisor of _RESTART_EVERY); a face point whose sign off
 # its zero set opposes a PDHG dual entry of modulus _OPPOSED or more is
-# refused before its dual and that dual's SVD are built.
+# refused before its dual is built.
 _PEEK_EVERY = 8
 _OPPOSED = 0.5
 
 
 def _face_point(
     z0: np.ndarray, null: np.ndarray, dz0: np.ndarray, dn: np.ndarray, face: np.ndarray
-) -> np.ndarray | None:
-    """The point z0 + null^T c of the equality set on which d_block z
-    vanishes at the free = len(null) indices face, from dz0 = d_block z0
-    and dn = d_block null^T.
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The point z_p = z0 + null^T c of the equality set on which
+    d_block z vanishes at the free = len(null) indices face, and its
+    image d_block z_p = dz0 + dn c, from dz0 = d_block z0 and
+    dn = d_block null^T, both from the same c.
 
     None when that free x free system is singular; free <= p, as
     p >= n on the analysis route and p = q on the synthesis route. With
     free == 0, z0 is the only feasible point.
     """
     if not len(face):
-        return z0
+        return z0, dz0
     try:
         c = np.linalg.solve(dn[face], -dz0[face])
     except np.linalg.LinAlgError:
         return None
-    return z0 + null.T @ c
+    return z0 + null.T @ c, dz0 + dn @ c
 
 
 def _zero_set_dual(dz: np.ndarray, off: np.ndarray, v: np.ndarray, dn: np.ndarray) -> np.ndarray | None:
@@ -319,20 +322,31 @@ def _zero_set_dual(dz: np.ndarray, off: np.ndarray, v: np.ndarray, dn: np.ndarra
     from the PDHG dual v (Vaiter, Peyre, Dossal & Fadili 2013).
 
     off masks the complement of the zero set L = {|dz| <= _ZERO_TOL
-    max(1, ||dz||_inf)}. Off L the dual is sign(dz); on L it is
-    clip(v, -1, 1) moved by the least-norm step onto
-    dn[L]^T v_L = -dn[~L]^T sign(dz)[~L], so that null d_block^T v = 0
-    (dn = d_block null^T). None when that step leaves the unit box by
-    more than _ZERO_TOL. An empty L needs no step.
+    max(1, ||dz||_inf)}. Off L the dual is sign(dz); on L it is the
+    v_L with dn[L]^T v_L = -dn[~L]^T sign(dz)[~L], so that
+    null d_block^T v = 0 (dn = d_block null^T). When L has exactly
+    dim null = dn.shape[1] entries, that square system has one
+    solution, and one linear solve gives it; on any other L, or when
+    the square block is singular, v_L is clip(v, -1, 1) moved by the
+    least-norm step onto the system, from an SVD. None when v_L leaves
+    the unit box by more than _ZERO_TOL. An empty L needs no step.
     """
     out = np.sign(dz)
     if off.all():
         return out
     zero = ~off
     out[zero] = 0.0
-    v_l = np.clip(v[zero], -1.0, 1.0)
     a = dn[zero].T
-    v_l -= _pinv_null(a)[0] @ (a @ v_l + dn.T @ out)
+    rhs = dn.T @ out
+    v_l = None
+    if a.shape[0] == a.shape[1]:
+        try:
+            v_l = np.linalg.solve(a, -rhs)
+        except np.linalg.LinAlgError:
+            pass
+    if v_l is None:
+        v_l = np.clip(v[zero], -1.0, 1.0)
+        v_l -= _pinv_null(a)[0] @ (a @ v_l + rhs)
     if np.abs(v_l).max() > 1.0 + _ZERO_TOL:
         return None
     out[zero] = v_l
@@ -376,13 +390,15 @@ def _pdhg(
     tried; at a restart check on the candidate only when that is the
     average, since the iterate's face is its own iteration's peek's; and
     on the last iterate at the residual stop. _face_point gives the
-    feasible point z_p on which the face vanishes. z_p is refused
-    unchecked when sign(d_block z_p) off its zero set opposes an entry of
-    u_c's l1 block of modulus _OPPOSED or more, and else _zero_set_dual
-    builds the l1 dual of z_p's own zero set from that block; a dual
-    outside the unit box refuses z_p unchecked. The result of z_p is
-    returned as soon as it is certified with that dual, and iterations
-    counts up to that check. A failed attempt changes nothing. The l2
+    feasible point z_p on which the face vanishes, and its image
+    d_block z_p from the same solve. z_p is refused unchecked when
+    sign(d_block z_p) off its zero set opposes an entry of u_c's l1
+    block of modulus _OPPOSED or more, and else _zero_set_dual builds
+    the l1 dual of z_p's own zero set: by one linear solve when that set
+    has dim null(phi) entries, else from that block by a least-norm
+    step; a dual outside the unit box refuses z_p unchecked. The result
+    of z_p is returned as soon as it is certified with that dual, and
+    iterations counts up to that check. A failed attempt changes nothing. The l2
     ball's face has a curved part, so it is not polished.
     """
     p = d_block.shape[0]
@@ -414,10 +430,10 @@ def _pdhg(
     def polished(u_c: np.ndarray, face: np.ndarray) -> RecoveryResult | None:
         """The result of the face point on face, dual from u_c, when it is
         certified, else None."""
-        z_p = _face_point(z0, fac.null, dz0, fac.dn, face)
-        if z_p is None:
+        point = _face_point(z0, fac.null, dz0, fac.dn, face)
+        if point is None:
             return None
-        dz_p = d_block @ z_p
+        z_p, dz_p = point
         v_c = u_c[:p]
         off = np.abs(dz_p) > _ZERO_TOL * max(1.0, float(np.abs(dz_p).max()))
         if (np.sign(dz_p[off]) * v_c[off]).min(initial=0.0) <= -_OPPOSED:
@@ -499,7 +515,7 @@ def _pdhg(
             continue
         if polish:
             face = face_of(h[:p])
-            if not np.array_equal(face, tried):
+            if tried is None or (face != tried).any():
                 tried = face
                 done = polished(u, face)
                 if done:

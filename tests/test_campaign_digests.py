@@ -107,10 +107,12 @@ CAMPAIGNS = {
         "8a9e2f42dafc12784d425afb037d44421e4a936f30d53a8784ace072bf5e7dae",
     ),
     # the recovery benchmark's family (seed 11, ungauged), whose PDHG
-    # solves end at the polish
+    # solves end at the polish; retaken when square zero sets began to
+    # take their dual by one linear solve, which moved dual_residual alone
+    # (they were 858dd7a1... and 1224cf78...)
     "solve.equality": (
-        "858dd7a16e798bc8f70416fddd4ec134c03d596ed1ce7a7ed2bcb43e57f45120",
-        "1224cf78d76d6a587216b617d7a43f648a8c95883060b47b94a8878f97da29d9",
+        "a14ff501c5d7e28cee9df5c4abe739adae82c6d5ee419eedc50a8219cb753d51",
+        "174b9aebe212153f6fa257fa13d44a2f1ebc64a6f8ca5408dba079e9876fd3c5",
         "a907a5d512135dc40550d284fcac61ff94c22bc50fb8fce213eb921a01f2c83c",
     ),
     # PDHG solves that project onto the l2 ball and are never polished

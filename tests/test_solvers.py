@@ -485,9 +485,12 @@ def test_recovery_result_serializes(reference_instance):
 # was 8cdd5e99...); both again when the loop began to carry the scaled
 # image h = sigma K z - [0; sigma y] in place of K z and K z_prev (they
 # were a654b72b... and d2523282...), which kept every iteration count of
-# _PDHG_ITERATIONS. A moved digest is a change of numerics to record.
+# _PDHG_ITERATIONS; the equality one again when square zero sets began to
+# take their dual by one linear solve, which moved only dual_residual and
+# certification_gap (it was d39515d6...). A moved digest is a change of
+# numerics to record.
 _PDHG_DIGESTS = {
-    "equality": "d39515d6cf243e187f256cb4935c3a4f640306a4c0323f05008abe8200c6643e",
+    "equality": "83365941a3aea132df904eee19a1743699bba13d02e9f514e7604aa8363dcc06",
     "l2-ball": "07373b74a855581859ecc5fe688f3fee1dfc0b208cb24b00ce42c002b3a025c2",
 }
 
@@ -595,11 +598,12 @@ def test_polished_point_is_never_returned_uncertified(index, scale):
     proposals = []
 
     def perturbed(*args):
-        z = face_point(*args)
-        if z is None:
+        point = face_point(*args)
+        if point is None:
             return None
+        z, dz = point
         proposals.append(z + scale * off)
-        return proposals[-1]
+        return proposals[-1], dz
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_face_point", lambda *args: None)
@@ -623,10 +627,114 @@ def test_polish_on_recovery_reference_family(monkeypatch):
     # every peek whose face guess changed, it takes 2,832 and builds 133,
     # against 288 (same iterations) without the sign refusal; 129 once a
     # restart check no longer repeats its peek's refused attempt, and 127
-    # (measured, same iterations) once a check polishes only the average
+    # (measured, same iterations) once a check polishes only the average.
+    # The polish's work is pinned: 277 face points, 127 zero-set duals, of
+    # which the 81 on a zero set of dim null(Phi) rows take one linear
+    # solve and the other 46 an SVD, and 24 certified polishes, one per
+    # solve
+    attempts = _count_polish_attempts(monkeypatch)
     duals = _record_zero_set_duals(monkeypatch)
-    assert solve_recovery_family([11]) <= 2900
-    assert 0 < len(duals) <= 127
+    svds, polishes = [], []
+    pinv_null, first_order_result = solvers._pinv_null, solvers._first_order_result
+
+    def counting_svd(a):
+        svds.append(a.shape)
+        return pinv_null(a)
+
+    def counting_polish(d_block, sensing, constraint, z, v, *args):
+        res = first_order_result(d_block, sensing, constraint, z, v, *args)
+        polishes.append(res.certified and bool(duals) and v is duals[-1][1])
+        return res
+
+    monkeypatch.setattr(solvers, "_pinv_null", counting_svd)
+    monkeypatch.setattr(solvers, "_first_order_result", counting_polish)
+    assert solve_recovery_family([11]) == 2832
+    assert len(attempts) == 277
+    assert len(duals) == 127
+    assert len(svds) == 2 * 24 + 46  # _factor's two per solve, then the duals'
+    assert sum(polishes) == 24
+
+
+def _planted_zero_set_dual(seed: int, free: int, off_rows: int):
+    """(dz, off, dn, v_star) with a zero set L of free rows, on which
+    v_star in [-0.9, 0.9] solves dn[L]^T v_L = -dn[~L]^T sign(dz)[~L]:
+    the last row off L is set to make it hold."""
+    rng = np.random.default_rng(seed)
+    p = free + off_rows
+    dn = rng.standard_normal((p, free))
+    off = np.ones(p, dtype=bool)
+    off[rng.choice(p, free, replace=False)] = False
+    sign = np.where(off, rng.choice([-1.0, 1.0], p), 0.0)
+    v_star = rng.uniform(-0.9, 0.9, free)
+    j = np.flatnonzero(off)[-1]
+    dn[j] = 0.0
+    dn[j] = sign[j] * -(dn[~off].T @ v_star + dn.T @ sign)
+    return sign * rng.uniform(0.5, 2.0, p), off, dn, v_star
+
+
+def _least_norm_block(dz: np.ndarray, off: np.ndarray, v: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    # the SVD least-norm step of _zero_set_dual, written out
+    a = dn[~off].T
+    v_l = np.clip(v[~off], -1.0, 1.0)
+    v_l -= solvers._pinv_null(a)[0] @ (a @ v_l + dn.T @ np.where(off, np.sign(dz), 0.0))
+    return v_l
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 6))
+@settings(max_examples=40, deadline=None)
+def test_zero_set_dual_solves_square_zero_sets(seed, free, off_rows):
+    # a zero set of exactly dim null(Phi) rows has one dual, which one
+    # linear solve gives whatever the PDHG dual is; the SVD least-norm
+    # step reaches the same block up to the square block's conditioning
+    dz, off, dn, v_star = _planted_zero_set_dual(seed, free, off_rows)
+    v = np.random.default_rng(seed + 1).uniform(-1.5, 1.5, len(dz))
+    got = solvers._zero_set_dual(dz, off, v, dn)
+    assert got is not None
+    assert np.array_equal(got[off], np.sign(dz[off]))
+    assert np.array_equal(got, solvers._zero_set_dual(dz, off, -v, dn))
+    tol = 256 * np.finfo(np.float64).eps * np.linalg.cond(dn[~off])
+    assert np.abs(got[~off] - _least_norm_block(dz, off, v, dn)).max() <= tol
+    assert np.abs(got[~off] - v_star).max() <= tol
+
+
+def test_zero_set_dual_falls_back_on_a_singular_square_block():
+    # a zero row of dn on the zero set makes the square block exactly
+    # singular: the dual takes the SVD least-norm step, bit for bit, and
+    # is not refused, since a dual in the box exists
+    dz, off, dn, v_star = _planted_zero_set_dual(5, 3, 4)
+    j = np.flatnonzero(off)[-1]
+    dn[np.flatnonzero(~off)[0]] = 0.0
+    dn[j] = 0.0  # replanted, so that v_star still solves the system
+    dn[j] = np.sign(dz[j]) * -(dn[~off].T @ v_star + dn.T @ np.where(off, np.sign(dz), 0.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(dn[~off].T, v_star)
+    v = np.zeros(len(dz))
+    v[~off] = v_star + 0.05
+    got = solvers._zero_set_dual(dz, off, v, dn)
+    assert got is not None
+    assert np.array_equal(got[~off], _least_norm_block(dz, off, v, dn))
+    assert np.array_equal(got[off], np.sign(dz[off]))
+
+
+@pytest.mark.parametrize("index", [0, 11, 22])
+def test_face_point_image_is_its_points_image(index):
+    # the image dz0 + dn c that _face_point returns is d_block z_p up to
+    # roundoff, and vanishes on the face, for faces of every size the
+    # guess can name
+    phi, d, spec = campaign_trial(11, index)
+    fac = solvers._factor(d.entries, phi.entries)
+    z0 = fac.pinv @ spec.y
+    dz0 = d.entries @ z0
+    d_norm = np.linalg.norm(d.entries, 2)
+    rng = np.random.default_rng(index)
+    for _ in range(20):
+        face = np.sort(rng.choice(d.p, len(fac.null), replace=False))
+        z_p, dz_p = solvers._face_point(z0, fac.null, dz0, fac.dn, face)
+        scale = np.abs(dz0).max() + d_norm * (np.linalg.norm(z_p) + np.linalg.norm(z0))
+        tol = 64 * np.finfo(np.float64).eps * scale
+        assert np.abs(dz_p - d.entries @ z_p).max() <= tol
+        assert np.abs(dz_p[face]).max() <= tol
+        assert np.linalg.norm(phi.entries @ z_p - spec.y) <= tol
 
 
 def test_polish_on_three_recovery_families():
