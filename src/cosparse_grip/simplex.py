@@ -32,11 +32,14 @@ the direction that does not raise the cost, so after one step per
 column the point is a vertex (Megiddo, ORSA J. Comput. 1991; Bixby &
 Saltzman, Oper. Res. Lett. 1994). solvers._lp_start builds such starts
 in closed form, a vertex for its equality LPs and a point with m
-superbasic columns for its dantzig LPs, and skips phase 1 on both. A
-start whose basic values are not >= 0 within _FEAS_TOL, before or after
-the steps, is refused, and the two-phase path above handles it and
-every other LP. Both entries end in the one phase-2 function, _phase2:
-the same pivot loop and the same final solves for x and the multipliers.
+superbasic columns for its dantzig LPs, and skips phase 1 on both. The
+dantzig start's basis is a signed identity, which is its own inverse, so
+_purify takes B^-1 as B itself and inverts nothing. A start whose basic
+values are not >= 0 within _FEAS_TOL, before or after the steps, is
+refused, and the two-phase path above handles it and every other LP.
+Both entries end in the one phase-2 function, _phase2: the same pivot
+loop, then one solve call, on the stack [B, B^T], for x and the
+multipliers c_B B^-1.
 """
 
 from __future__ import annotations
@@ -88,9 +91,11 @@ def _pivot_to_optimum(
     """Pivot basis (updated in place) until no reduced cost is below
     -_COST_TOL max(1, ||c_B B^-1||_inf). Returns the updated pivot count.
 
-    The most negative reduced cost enters, ties to the smallest index.
-    After as many consecutive degenerate pivots (minimum ratio <= 1e-12)
-    as the basis has rows, the smallest eligible index enters instead,
+    The most negative reduced cost enters, ties to the smallest index:
+    the first minimum of the reduced costs is tested against the
+    threshold, and when it is not below it no column is. After as many
+    consecutive degenerate pivots (minimum ratio <= 1e-12) as the basis
+    has rows, the smallest eligible index enters instead,
     until a pivot makes a positive step. This terminates: with the
     smallest-index leaving rule already in force, Bland's rule cannot
     cycle from any starting basis, so each Bland run ends or makes a
@@ -120,12 +125,15 @@ def _pivot_to_optimum(
         y = cb @ binv
         reduced = c - y @ a
         reduced[basis] = 0.0
-        eligible = reduced < -_COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
+        bar = -_COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
         if degenerate < basis.size:
-            enter = np.where(eligible, reduced, np.inf).argmin()
+            enter = reduced.argmin()  # the first minimum: eligible when any entry is
+            ok = reduced[enter] < bar
         else:
+            eligible = reduced < bar
             enter = eligible.argmax()  # the first eligible index
-        if not eligible[enter]:
+            ok = eligible[enter]
+        if not ok:
             if updates:
                 binv = None
                 continue
@@ -137,8 +145,8 @@ def _pivot_to_optimum(
                 binv = None
                 continue
             raise LpUnboundedError("objective unbounded along entering column")
-        ratios = np.maximum(binv @ b, 0.0)[rows] / col[rows]
-        step = ratios.min()
+        ratios = np.maximum((binv @ b)[rows], 0.0) / col[rows]
+        step = np.minimum.reduce(ratios)
         ties = rows[ratios <= step + 1e-12]  # ties leave by smallest index
         r = ties[basis[ties].argmin()]
         basis[r] = enter
@@ -242,7 +250,9 @@ def _solve_from(
 
 
 def _infeasible(xb: np.ndarray) -> bool:
-    return xb.min(initial=0.0) < -_FEAS_TOL * max(1.0, float(np.abs(xb).max(initial=0.0)))
+    return np.minimum.reduce(xb, initial=0.0) < -_FEAS_TOL * max(
+        1.0, float(np.maximum.reduce(np.abs(xb), initial=0.0))
+    )
 
 
 def _purify(
@@ -260,23 +270,27 @@ def _purify(
     down otherwise. x_B moves against col = B^-1 a_j, and the ratio test
     stops the step at the first bound: x_j reaching 0 (down only), or a
     basic variable, which leaves (ties to the smallest basis index, as
-    in _pivot_to_optimum) while x_j enters. B^-1 is inverted once and
-    carried by _update_inverse, inverted afresh every _REFACTOR_EVERY
-    updates."""
-    binv, updates = np.linalg.inv(a[:, basis]), 0
+    in _pivot_to_optimum) while x_j enters. B^-1 is taken once on entry,
+    as B itself when B is a signed identity (its own inverse, exactly)
+    and inverted otherwise, and carried by _update_inverse, inverted
+    afresh every _REFACTOR_EVERY updates."""
+    binv, updates = a[:, basis], 0
+    if np.count_nonzero(binv) != basis.size or (np.abs(binv.diagonal()) != 1.0).any():
+        binv = np.linalg.inv(binv)
     cb = c[basis]
     rhs = b - a[:, superbasic] @ values  # B x_B = rhs: the superbasics still held
     if _infeasible(binv @ rhs):
         return False
     for j, v in zip(superbasic, values):
-        col = binv @ a[:, j]
+        aj = a[:, j]
+        col = binv @ aj
         y = cb @ binv
-        up = c[j] - y @ a[:, j] < -_COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
+        up = c[j] - y @ aj < -_COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
         move = col if up else -col  # x_B falls by theta move when x_j moves by theta
         rows = (move > _PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
-        ratios = np.maximum(binv @ rhs, 0.0)[rows] / move[rows]
-        step = ratios.min(initial=np.inf)
-        rhs += a[:, j] * v  # x_j leaves the right side: it ends at 0 or basic
+        ratios = np.maximum((binv @ rhs)[rows], 0.0) / move[rows]
+        step = np.minimum.reduce(ratios, initial=np.inf)
+        rhs += aj * v  # x_j leaves the right side: it ends at 0 or basic
         if not up and v <= step:
             continue  # x_j reaches 0 first and stays nonbasic
         if rows.size == 0:
@@ -300,14 +314,21 @@ def _phase2(
     """Phase 2 from a feasible basis of the kept rows of a, then the
     final solves. neg marks the rows whose signs were flipped to make
     b >= 0; their multipliers are flipped back. binv, when given, is the
-    fresh inverse of that basis, and phase 2 starts from it."""
-    a, b = a[keep], b[keep]
+    fresh inverse of that basis, and phase 2 starts from it.
+
+    One solve call gives x_B = B^-1 b and the multipliers c_B B^-1: numpy
+    factors each matrix of the stack [B, B^T] by its own LAPACK gesv, as
+    two separate calls would."""
+    if not keep.all():
+        a, b = a[keep], b[keep]
     pivots = _pivot_to_optimum(c, a, b, basis, pivots, binv)
 
+    bm = a[:, basis]
+    xb, pi = np.linalg.solve(np.stack([bm, bm.T]), np.stack([b, c[basis]])[..., None])[..., 0]
     x = np.zeros(c.size)
-    x[basis] = np.maximum(np.linalg.solve(a[:, basis], b), 0.0)
+    x[basis] = np.maximum(xb, 0.0)
     multipliers = np.zeros(keep.size)
-    multipliers[keep] = np.linalg.solve(a[:, basis].T, c[basis])
+    multipliers[keep] = pi
     multipliers[neg] *= -1.0  # undo the b < 0 row flips
     return LpSolution(
         x=x, objective=float(c @ x), pivots=pivots, multipliers=multipliers, basis=basis

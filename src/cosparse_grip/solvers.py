@@ -154,6 +154,15 @@ class RecoveryResult:
     answer) and, on both paths, x_hat misses B(y) by at most
     1e-7 max(1, ||y||). When a polish ended a first-order solve
     (equality only), iterations counts up to the check that accepted it.
+
+    Both routes solve a y with ||y|| outside [2^-4, 2^4) as the problem
+    scaled by the power of two 2^e that puts ||y|| in [1/2, 1) (y,
+    epsilon and lam alike; the scaling is exact), and scale x_hat,
+    objective and primal_residual back. There the primal tolerances
+    above are 1e-7 ||y|| to within a factor of 2, relative to ||y||
+    rather than absolute; dual_residual and certification_gap are
+    scale-free. y = 0 is solved unscaled, and a y whose squared norm
+    overflows is out of scope.
     """
 
     x_hat: np.ndarray
@@ -198,8 +207,34 @@ def _feasible_start(phi: np.ndarray, pinv: np.ndarray, constraint: ConstraintSpe
     z0 = pinv @ constraint.y
     miss = _constraint_violation(phi, z0, constraint)
     if miss > _FEAS_TOL * max(1.0, _norm(constraint.y)):
-        raise InfeasibleConstraintError(f"B(y) misses range(Phi) by {miss:.3e}")
+        # relative to ||y|| (> 0 here, as y = 0 is in B(y)), so the same at every scale
+        raise InfeasibleConstraintError(f"B(y) misses range(Phi) by {miss / _norm(constraint.y):.3e} ||y||")
     return z0
+
+
+def _to_band(constraint: ConstraintSpec) -> tuple[ConstraintSpec, int]:
+    """(constraint scaled by 2^e, e): e = 0 when ||y|| lies in
+    [2^-4, 2^4) or y = 0, else the exponent that puts ||y|| in [1/2, 1)
+    (RecoveryResult). Scaling by a power of two is exact."""
+    e = -math.frexp(_norm(constraint.y))[1]
+    if -4 <= e <= 3:
+        return constraint, 0
+    return ConstraintSpec(
+        constraint.kind, np.ldexp(constraint.y, e),
+        math.ldexp(constraint.epsilon, e), math.ldexp(constraint.lam, e),
+    ), e
+
+
+def _from_band(res: RecoveryResult, e: int) -> RecoveryResult:
+    """The result of a solve scaled by _to_band's 2^e, scaled back."""
+    if not e:
+        return res
+    x_hat = np.ldexp(res.x_hat, -e)
+    x_hat.setflags(write=False)
+    return replace(
+        res, x_hat=x_hat, objective=math.ldexp(res.objective, -e),
+        primal_residual=math.ldexp(res.primal_residual, -e),
+    )
 
 
 def _constraint_violation(phi: np.ndarray, z: np.ndarray, constraint: ConstraintSpec) -> float:
@@ -214,9 +249,10 @@ def _constraint_violation(phi: np.ndarray, z: np.ndarray, constraint: Constraint
 def _kkt(
     d_block: np.ndarray, sensing: np.ndarray, constraint: ConstraintSpec,
     z: np.ndarray, v: np.ndarray, w: np.ndarray,
-) -> tuple[float, float, float]:
-    """(primal infeasibility, dual infeasibility, duality gap) of z and
-    the dual pair (v, w) for min ||d_block z||_1 over z in B(y).
+) -> tuple[float, float, float, float]:
+    """(primal infeasibility, dual infeasibility, duality gap, primal
+    value ||d_block z||_1) of z and the dual pair (v, w) for
+    min ||d_block z||_1 over z in B(y).
 
     The dual is max -b^T w - s(w) s.t. d_block^T v + A^T w = 0,
     ||v||_inf <= 1, with (A, b, s) = (Phi, y, 0) for equality,
@@ -235,8 +271,8 @@ def _kkt(
         s = constraint.epsilon * _norm(w) if kind == "l2-ball" else 0.0
     primal = _constraint_violation(sensing, z, constraint)
     dual = math.hypot(_norm(d_block.T @ v + a.T @ w), max(0.0, float(np.abs(v).max()) - 1.0))
-    gap = float(np.abs(d_block @ z).sum()) + float(b @ w) + s
-    return primal, dual, gap
+    l1 = float(np.abs(d_block @ z).sum())
+    return primal, dual, l1 + float(b @ w) + s, l1
 
 
 def _result(
@@ -250,16 +286,20 @@ def _result(
     infeasibility and relative gap of (v, w) are measured at z_gap (z
     itself on the LP path, its move onto B(y) on the first-order path).
     A z off B(y) by more than _FEAS_TOL max(1, ||y||) is neither
-    converged nor certified.
+    converged nor certified. When z_gap is z, _kkt's primal
+    infeasibility and primal value are z's own.
     """
-    viol = _constraint_violation(sensing, z, constraint)
-    _, dual, gap = _kkt(d_block, sensing, constraint, z_gap, v, w)
-    rel_gap = gap / max(1.0, float(np.abs(d_block @ z_gap).sum()))
+    primal, dual, gap, l1 = _kkt(d_block, sensing, constraint, z_gap, v, w)
+    if z_gap is z:
+        viol, objective = primal, l1
+    else:
+        viol, objective = _constraint_violation(sensing, z, constraint), float(np.abs(d_block @ z).sum())
+    rel_gap = gap / max(1.0, l1)
     feasible = viol <= _FEAS_TOL * max(1.0, _norm(constraint.y))
     z.setflags(write=False)
     return RecoveryResult(
         x_hat=z,
-        objective=float(np.sum(np.abs(d_block @ z))),
+        objective=objective,
         iterations=iterations,
         primal_residual=viol,
         dual_residual=dual,
@@ -413,7 +453,7 @@ def _pdhg(
     n = k_mat.shape[1]
 
     def kkt_error(z: np.ndarray, u: np.ndarray) -> float:
-        primal, dual, gap = _kkt(d_block, phi, constraint, z, u[:p], u[p:])
+        primal, dual, gap, _ = _kkt(d_block, phi, constraint, z, u[:p], u[p:])
         return math.sqrt(primal * primal + dual * dual + gap * gap)
 
     def result(z: np.ndarray, u: np.ndarray, converged: bool) -> RecoveryResult:
@@ -581,8 +621,9 @@ def _solve_first_order(
 ) -> RecoveryResult:
     """min ||d_block z||_1 over sensing z in B(y), shared by both routes.
 
-    Checks the input, factors once (_factor: one SVD of sensing gives
-    sensing^+ and the null basis) and returns _pdhg's certified result.
+    Checks the input, scales it into the band of _to_band, factors once
+    (_factor: one SVD of sensing gives sensing^+ and the null basis) and
+    returns _pdhg's certified result, scaled back.
     """
     if constraint.kind == "dantzig":
         raise ValueError(
@@ -590,7 +631,8 @@ def _solve_first_order(
             "use the LP route for dantzig"
         )
     _vector("y", constraint.y, sensing.shape[0])
-    return _pdhg(d_block, sensing, constraint, opts, _factor(d_block, sensing))
+    constraint, e = _to_band(constraint)
+    return _from_band(_pdhg(d_block, sensing, constraint, opts, _factor(d_block, sensing)), e)
 
 
 def solve_analysis_l1(
@@ -768,10 +810,12 @@ def solve_lp_certified(
     its basis, v = -pi[:p] from the analysis rows and w from the
     measurement rows (w = -pi[p:] for equality, pi[p+n:] - pi[p:p+n] for
     dantzig), and checked against the same fixed tolerances as the
-    first-order path.
+    first-order path. A y outside the band of _to_band is solved scaled
+    into it, and the result scaled back.
     """
     phi_e = _sensing_for(phi, dictionary)
     _vector("y", constraint.y, phi_e.shape[0])
+    constraint, e = _to_band(constraint)
     d_block = dictionary.entries
     c, a, b = _build_lp(d_block, phi_e, constraint)
     start = _lp_start(d_block, phi_e, constraint)
@@ -789,4 +833,4 @@ def solve_lp_certified(
         w = -pi[p:]
     else:
         w = pi[p + n :] - pi[p : p + n]
-    return _result(d_block, phi_e, constraint, z, z, v, w, sol.pivots, True)
+    return _from_band(_result(d_block, phi_e, constraint, z, z, v, w, sol.pivots, True), e)

@@ -92,7 +92,7 @@ def reference_pdhg(d_block: np.ndarray, phi: np.ndarray, constraint, max_iters: 
     lnorm = float(np.linalg.norm(k_mat, 2))
 
     def kkt_error(z, u):
-        primal, dual, gap = solvers._kkt(d_block, phi, constraint, z, u[:p], u[p:])
+        primal, dual, gap, _ = solvers._kkt(d_block, phi, constraint, z, u[:p], u[p:])
         return math.sqrt(primal * primal + dual * dual + gap * gap)
 
     omega, tau, sigma = 1.0, 1.0 / lnorm, 1.0 / lnorm
@@ -188,6 +188,97 @@ def rational_basis_audit(c, a, b, basis) -> tuple[list[Fraction], list[Fraction]
         for j in range(len(cost))
     ]
     return x_b, reduced
+
+
+# ---------------------------------------------------------------------------
+# reference simplex loops: the pivot loop and the purification as they were
+# before their numpy calls were trimmed, kept so tests can demand the same
+# pivots and bit-for-bit the same answers from the fast paths
+
+
+def reference_pivot_to_optimum(c, a, b, basis, pivots, binv=None):
+    """simplex._pivot_to_optimum with the masked argmin for pricing, the
+    eligible mask built in both modes, and np.maximum over every row
+    before the ratio test's rows are taken."""
+    from cosparse_grip import simplex
+
+    degenerate = 0
+    updates = 0
+    cb = c[basis]
+    while True:
+        if binv is None:
+            binv, updates = np.linalg.inv(a[:, basis]), 0
+        y = cb @ binv
+        reduced = c - y @ a
+        reduced[basis] = 0.0
+        eligible = reduced < -simplex._COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
+        if degenerate < basis.size:
+            enter = np.where(eligible, reduced, np.inf).argmin()
+        else:
+            enter = eligible.argmax()
+        if not eligible[enter]:
+            if updates:
+                binv = None
+                continue
+            return pivots
+        col = binv @ a[:, enter]
+        rows = (col > simplex._PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
+        if rows.size == 0:
+            if updates:
+                binv = None
+                continue
+            raise simplex.LpUnboundedError("objective unbounded along entering column")
+        ratios = np.maximum(binv @ b, 0.0)[rows] / col[rows]
+        step = ratios.min()
+        ties = rows[ratios <= step + 1e-12]
+        r = ties[basis[ties].argmin()]
+        basis[r] = enter
+        cb[r] = c[enter]
+        degenerate = degenerate + 1 if step <= 1e-12 else 0
+        pivots += 1
+        if pivots > simplex._MAX_PIVOTS:
+            raise RuntimeError(f"simplex exceeded {simplex._MAX_PIVOTS} pivots")
+        updates += 1
+        if updates >= simplex._REFACTOR_EVERY:
+            binv = None
+        else:
+            simplex._update_inverse(binv, col, r)
+
+
+def reference_purify(c, a, b, basis, superbasic, values):
+    """simplex._purify with B^-1 from np.linalg.inv on entry, whatever B
+    is, and np.maximum over every row before the ratio test's rows are
+    taken."""
+    from cosparse_grip import simplex
+
+    binv, updates = np.linalg.inv(a[:, basis]), 0
+    cb = c[basis]
+    rhs = b - a[:, superbasic] @ values
+    if simplex._infeasible(binv @ rhs):
+        return False
+    for j, v in zip(superbasic, values):
+        col = binv @ a[:, j]
+        y = cb @ binv
+        up = c[j] - y @ a[:, j] < -simplex._COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
+        move = col if up else -col
+        rows = (move > simplex._PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
+        ratios = np.maximum(binv @ rhs, 0.0)[rows] / move[rows]
+        step = ratios.min(initial=np.inf)
+        rhs += a[:, j] * v
+        if not up and v <= step:
+            continue
+        if rows.size == 0:
+            return False
+        ties = rows[ratios <= step + 1e-12]
+        r = ties[basis[ties].argmin()]
+        basis[r] = j
+        cb[r] = c[j]
+        updates += 1
+        if updates >= simplex._REFACTOR_EVERY:
+            binv, updates = np.linalg.inv(a[:, basis]), 0
+        else:
+            simplex._update_inverse(binv, col, r)
+    return True
 
 
 def classical_delta(phi_entries: np.ndarray, k: int) -> float:

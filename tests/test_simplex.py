@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from _support import rational_basis_audit
+from _support import rational_basis_audit, reference_pivot_to_optimum, reference_purify
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -428,13 +428,114 @@ def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the fast paths against their references: the pivot loop and the
+# purification before their numpy calls were trimmed (tests/_support), and
+# the two final solves that one stacked solve replaced
+
+
+def _reference_loops(mp):
+    mp.setattr(simplex, "_pivot_to_optimum", reference_pivot_to_optimum)
+    mp.setattr(simplex, "_purify", reference_purify)
+
+
+def _solution_bytes(sol):
+    if isinstance(sol, type):
+        return sol
+    return sol.basis.tobytes(), sol.pivots, sol.x.tobytes(), sol.multipliers.tobytes()
+
+
+@given(crash_lps())
+@settings(max_examples=200, deadline=None)
+def test_pivot_loop_matches_reference(lp):
+    # the first minimum of the reduced costs is the masked argmin's entry,
+    # integer ties included: the same pivots, verdict and bits
+    c, a, b, _ = lp
+    with pytest.MonkeyPatch.context() as mp:
+        _reference_loops(mp)
+        ref = _solve_or_raise(c, a, b)
+    assert _solution_bytes(_solve_or_raise(c, a, b)) == _solution_bytes(ref)
+
+
+def test_fast_paths_match_reference_on_certification_families(monkeypatch):
+    lps = [family_instance(fs, j) for fs in (1, 2, 3) for j in range(100)]
+
+    def answers():
+        out = []
+        for d, phi, _, con in lps:
+            res = cg.solve_lp_certified(phi, d, con)
+            out.append((
+                res.x_hat.tobytes(), res.iterations, res.objective, res.primal_residual,
+                res.dual_residual, res.certification_gap, res.certified,
+                _solution_bytes(solve_standard_lp(*_build_lp(d.entries, phi.entries, con))),
+            ))
+        return out
+
+    _reference_loops(monkeypatch)
+    ref = answers()
+    monkeypatch.undo()
+    assert answers() == ref
+
+
+def test_dantzig_start_is_its_own_inverse():
+    # every dantzig start of the families is a signed identity S, whose
+    # inverse is S; purified from S itself and from LAPACK's inverse (equal
+    # but for the signs of zeros), the start reaches the same basis
+    for family_seed in (1, 2, 3):
+        for j in range(1, 100, 2):
+            d, phi, _, con = family_instance(family_seed, j)
+            c, a, b = _build_lp(d.entries, phi.entries, con)
+            basis, superbasic, values = _lp_start(d.entries, phi.entries, con)
+            start = a[:, basis]
+            assert np.array_equal(np.abs(start), np.eye(basis.size)), (family_seed, j)
+            assert np.array_equal(np.linalg.inv(start), start)
+            fast, ref = basis.copy(), basis.copy()
+            assert simplex._purify(c, a, b, fast, superbasic, values)
+            assert reference_purify(c, a, b, ref, superbasic, values)
+            assert np.array_equal(fast, ref), (family_seed, j)
+
+
+def test_final_solve_matches_two_solves():
+    # one stacked solve gives x_B and c_B B^-1 with the bits of a solve of
+    # B and a solve of B^T, on the families' final bases
+    for family_seed in (1, 2, 3):
+        for j in range(100):
+            d, phi, _, con = family_instance(family_seed, j)
+            c, a, b = _build_lp(d.entries, phi.entries, con)
+            sol = simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con))
+            final = a[:, sol.basis]
+            xb = np.maximum(np.linalg.solve(final, b), 0.0)
+            assert sol.x[sol.basis].tobytes() == xb.tobytes(), (family_seed, j)
+            pi = np.linalg.solve(final.T, c[sol.basis])
+            assert sol.multipliers.tobytes() == pi.tobytes(), (family_seed, j)
+
+
+def test_lp_route_linear_algebra_calls(monkeypatch):
+    # over the seed-11 family's 100 LPs (no two-phase fallback): one inv
+    # per LP for phase 2's entry, and one solve for _lp_start's z_J and
+    # one for the final x and multipliers. Before the dantzig start was
+    # taken as its own inverse and the final solves stacked, the counts
+    # were 250 inv (one more per dantzig LP, for _purify) and 300 solve
+    # (x and the multipliers apart)
+    calls = []
+    for name in ("inv", "solve"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _f=fn, _n=name: calls.append(_n) or _f(*args))
+    for j in range(100):
+        d, phi, _, con = family_instance(11, j)
+        assert cg.solve_lp_certified(phi, d, con).certified
+    assert (calls.count("inv"), calls.count("solve")) == (200, 200)
+
+
+# ---------------------------------------------------------------------------
 # the bits of the LP route, pinned: sha256 per family seed of x,
 # multipliers and pivots from solve_standard_lp on every LP of the family,
 # and of x_hat, iterations, dual_residual and certification_gap of each
 # dantzig solve_lp_certified. Taken before the pivot loop dropped its
 # redundant numpy calls (flatnonzero, np.argmin, np.outer, c[basis] per
 # pivot), the dantzig ones again when dantzig LPs began at the purified
-# closed-form start; a moved digest is a change of numerics to record.
+# closed-form start; they held unchanged through the later trims (argmin
+# pricing, the dantzig start as its own inverse, one stacked final
+# solve). A moved digest is a change of numerics to record.
 _LP_DIGESTS = {
     1: ("554de844559e5ee47a125e68b49903635a1ff7852eaac351b3300de24ffe5fb6",
         "deb1a499c37227ee669528cef5754a1a82d1e0a155dc1ad171bf014ca4bf63c6"),

@@ -131,19 +131,14 @@ def test_equality_scaling_equivariance(reference_instance):
     assert np.linalg.norm(res2.x_hat - 3.0 * res1.x_hat) <= 1e-5
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="solvers._pdhg stops when the scale-free dual residual falls below "
-    "_TOL * ||y|| and starts its primal weight at 1 whatever ||y|| is (ROADMAP item 2)",
-)
 def test_first_order_route_is_scale_invariant():
     # min ||Dz||_1 s.t. z in B(y) is positively homogeneous: scaling y and
-    # epsilon by s scales the optimum by s. On the seed-11 recovery family
-    # the route fails 51 of these 72 solves: equality at 1e9 returns 4
-    # uncertified answers (up to 31 % above s times the unit optimum),
-    # equality at 1e12 23 and the l2 ball at 1e12 all 24, each after one
-    # iteration (up to 43 % and 81 % above)
+    # epsilon by s scales the optimum by s. Unscaled, on the seed-11
+    # recovery family the route failed 51 of these 72 solves: equality at
+    # 1e9 returned 4 uncertified answers (up to 31 % above s times the
+    # unit optimum), equality at 1e12 23 and the l2 ball at 1e12 all 24,
+    # each after one iteration (up to 43 % and 81 % above); solved in the
+    # band of solvers._to_band, none fails
     failed = []
     for i in range(24):
         phi, d, spec = campaign_trial(11, i)
@@ -157,11 +152,48 @@ def test_first_order_route_is_scale_invariant():
     assert failed == []
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e-12])
+def test_small_scale_solves_are_certified_and_right(s):
+    # below unit scale the tolerances were absolute: unscaled, on the
+    # seed-11 family at 1e-12 every LP equality and LP dantzig answer
+    # (24 and 24) came back certified but wrong, LP equality off by up to
+    # a factor 22, and first-order equality and the l2 ball failed 21 and
+    # 24 of 24 at both scales (certified and wrong, or at max_iters);
+    # max_iters = 20000 bounds the time of such a failure
+    opts = cg.SolverOptions(max_iters=20000)
+    routes = (
+        ("first-order", "equality", 0.0, 0.0),
+        ("first-order", "l2-ball", 0.1, 0.0),
+        ("lp", "equality", 0.0, 0.0),
+        ("lp", "dantzig", 0.0, 0.1),
+    )
+    failed = []
+    for i in range(24):
+        phi, d, spec = campaign_trial(11, i)
+        for route, kind, epsilon, lam in routes:
+            def solve(scale):
+                con = cg.ConstraintSpec(kind, scale * spec.y, epsilon=scale * epsilon, lam=scale * lam)
+                if route == "lp":
+                    return cg.solve_lp_certified(phi, d, con)
+                return cg.solve_analysis_l1(phi, d, con, opts)
+
+            unit, res = solve(1.0), solve(s)
+            assert unit.certified, (route, kind, i)
+            ok = res.certified and res.converged
+            if not (ok and abs(res.objective - s * unit.objective) <= 1e-6 * s * unit.objective):
+                failed.append((route, kind, i))
+            elif route == "lp":
+                # exact power-of-two scaling: the LP runs the unit solve's pivots
+                assert res.iterations == unit.iterations, (kind, i)
+    assert failed == []
+
+
 def test_infeasible_equality_raises():
     phi_raw = np.array([[1.0, 0.0], [1.0, 0.0]])  # rank 1, square
     d = cg.Dictionary(np.eye(2), "identity")
-    with pytest.raises(cg.InfeasibleConstraintError):
-        cg.solve_analysis_l1(phi_raw, d, cg.ConstraintSpec("equality", np.array([0.0, 1.0])))
+    for s in (1.0, 1e-12):  # the miss is reported relative to ||y||, the same at both scales
+        with pytest.raises(cg.InfeasibleConstraintError, match=r"by 7\.071e-01 \|\|y\|\|"):
+            cg.solve_analysis_l1(phi_raw, d, cg.ConstraintSpec("equality", s * np.array([0.0, 1.0])))
     with pytest.raises(cg.InfeasibleConstraintError):
         cg.solve_analysis_l1(
             phi_raw, d, cg.ConstraintSpec("l2-ball", np.array([0.0, 1.0]), epsilon=1e-3)
