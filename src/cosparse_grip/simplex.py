@@ -1,45 +1,38 @@
-"""Dense two-phase simplex: slack crash basis, largest-coefficient pricing
-with a Bland fallback.
+"""Dense simplex from a caller's feasible point: largest-coefficient
+pricing with a Bland fallback.
 
-Solves min c x subject to A x = b, x >= 0 to optimality. Sized for the
-certification LPs this package builds (a few hundred variables); nothing
-here is sparse. Between pivots the simplex keeps the basis index array
-and the basis inverse B^-1. Each pivot applies the product-form
-rank-one step to B^-1 in O(m^2), and every _REFACTOR_EVERY updates it is
-inverted afresh from the original (sign-flipped) rows (Dantzig &
-Orchard-Hays, Math. Tables Aids Comput. 1954; refactorization as in
-Bixby, Oper. Res. 2002). Every terminal decision, optimal or unbounded, is taken on a
-fresh inverse: when an updated B^-1 finds no entering column or no
-positive pivot entry, it is inverted afresh and the pivot is priced
-again, so roundoff carried through the updates cannot decide the
-outcome. Tolerances are relative: to the multipliers for entering, to
-the entering column for the pivot.
-
-Phase 1 starts from a crash basis (Bixby, Oper. Res. 2002): each row
-takes its first column that is exactly e_i, zero-cost ones first; phase
-1 ignores costs, so one with a cost is a feasible start too. Only rows
-without one get an artificial; with none, phase 1 is skipped.
-The most negative reduced cost enters. A run of degenerate pivots as
-long as the basis has rows switches entering to Bland's rule (smallest
-eligible index; Bland, Math. Oper. Res. 1977) until a pivot makes a
-positive step, which keeps termination finite. The leaving row is always
-the smallest basis index among the ratio-test ties.
-
-Phase 2 can also start from a caller's feasible point (_solve_from): a
-basis, plus superbasic columns, nonbasic at values > 0. _purify steps
-each superbasic column to 0 or into the basis by one ratio test, along
-the direction that does not raise the cost, so after one step per
+Solves min c x subject to A x = b, x >= 0 to optimality, from a start
+the caller builds (_solve_from): a basis, plus superbasic columns,
+nonbasic at values > 0. Sized for the certification LPs this package
+builds (a few hundred variables); nothing here is sparse. _purify first
+steps each superbasic column to 0 or into the basis by one ratio test,
+along the direction that does not raise the cost, so after one step per
 column the point is a vertex (Megiddo, ORSA J. Comput. 1991; Bixby &
 Saltzman, Oper. Res. Lett. 1994). solvers._lp_start builds such starts
-in closed form, a vertex for its equality LPs and a point with m
-superbasic columns for its dantzig LPs, and skips phase 1 on both. The
-dantzig start's basis is a signed identity, which is its own inverse, so
-_purify takes B^-1 as B itself and inverts nothing. A start whose basic
-values are not >= 0 within _FEAS_TOL, before or after the steps, is
-refused, and the two-phase path above handles it and every other LP.
-Both entries end in the one phase-2 function, _phase2: the same pivot
-loop, then one solve call, on the stack [B, B^T], for x and the
-multipliers c_B B^-1.
+in closed form for every sensing matrix, a vertex for its equality LPs
+and a point with rank(Phi) superbasic columns for its dantzig LPs, so
+no LP takes a phase 1. The dantzig start's basis is a signed identity,
+which is its own inverse, so _purify takes B^-1 as B itself and inverts
+nothing. A start whose basic values are not >= 0 within _FEAS_TOL,
+before or after the steps, is refused with ValueError.
+
+Phase 2 then pivots to an optimal basis. Between pivots the simplex
+keeps the basis index array and the basis inverse B^-1. Each pivot
+applies the product-form rank-one step to B^-1 in O(m^2), and every
+_REFACTOR_EVERY updates it is inverted afresh from the rows of A (Dantzig
+& Orchard-Hays, Math. Tables Aids Comput. 1954; refactorization as in
+Bixby, Oper. Res. 2002). Every terminal decision, optimal or unbounded,
+is taken on a fresh inverse: when an updated B^-1 finds no entering
+column or no positive pivot entry, it is inverted afresh and the pivot
+is priced again, so roundoff carried through the updates cannot decide
+the outcome. Tolerances are relative: to the multipliers for entering,
+to the entering column for the pivot. The most negative reduced cost
+enters. A run of degenerate pivots as long as the basis has rows
+switches entering to Bland's rule (smallest eligible index; Bland, Math.
+Oper. Res. 1977) until a pivot makes a positive step, which keeps
+termination finite. The leaving row is always the smallest basis index
+among the ratio-test ties. One solve call, on the stack [B, B^T], then
+gives x and the multipliers c_B B^-1.
 """
 
 from __future__ import annotations
@@ -48,22 +41,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "LpInfeasibleError",
-    "LpUnboundedError",
-    "LpSolution",
-    "solve_standard_lp",
-]
+__all__ = ["LpUnboundedError"]
 
 _COST_TOL = 1e-9    # reduced cost must beat this times max(1, multiplier max)
 _PIVOT_TOL = 1e-9   # pivot entry must exceed this times max(1, column max)
-_FEAS_TOL = 1e-8    # phase-1 objective above this means infeasible
+_FEAS_TOL = 1e-8    # basic value below -this max(1, ||x_B||_inf): an infeasible start
 _MAX_PIVOTS = 200000
 _REFACTOR_EVERY = 32  # rank-one updates of B^-1 between fresh inverses
-
-
-class LpInfeasibleError(RuntimeError):
-    """The constraint system has no nonnegative solution."""
 
 
 class LpUnboundedError(RuntimeError):
@@ -73,9 +57,9 @@ class LpUnboundedError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class LpSolution:
     """An optimal basic solution. multipliers are c_B B^-1 on the final
-    basis, one per row of the caller's a (a dual solution of
-    max b^T pi s.t. a^T pi <= c), 0 on rows dropped as dependent.
-    basis holds the final basic columns of a: B = a[kept rows][:, basis]."""
+    basis, one per row of a (a dual solution of max b^T pi s.t.
+    a^T pi <= c). basis holds the final basic columns of a:
+    B = a[:, basis]."""
 
     x: np.ndarray
     objective: float
@@ -171,82 +155,36 @@ def _update_inverse(binv: np.ndarray, col: np.ndarray, r: int) -> None:
     binv[r] = prow
 
 
-def solve_standard_lp(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
-    """min c x s.t. a x = b, x >= 0, by two-phase simplex.
-
-    Raises LpInfeasibleError / LpUnboundedError; returns an optimal basic
-    solution otherwise. Rows found dependent in phase 1 are dropped.
-    """
-    c = np.asarray(c, dtype=np.float64).ravel()
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64).ravel().copy()
-    m, n = a.shape
-    if c.shape != (n,) or b.shape != (m,):
-        raise ValueError("inconsistent LP dimensions")
-
-    a = a.copy()
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # crash: each row takes its first column that is exactly e_i, zero-cost first
-    basis = np.full(m, -1)
-    unit = np.flatnonzero((np.count_nonzero(a, axis=0) == 1) & (a.sum(axis=0) == 1.0))
-    unit = unit[np.argsort(c[unit] != 0, kind="stable")]
-    row_of, j = np.nonzero(a[:, unit])  # row-major: by row, then column
-    rows, first = np.unique(row_of, return_index=True)
-    basis[rows] = unit[j[first]]
-    art = np.flatnonzero(basis < 0)  # artificial n + j stands for row art[j]
-
-    keep = np.ones(m, dtype=bool)
-    pivots = 0
-    if art.size:
-        # phase 1: [A I_art] from the crash basis, cost = sum of artificials
-        a1 = np.hstack([a, np.eye(m)[:, art]])
-        c1 = np.concatenate([np.zeros(n), np.ones(art.size)])
-        basis[art] = n + np.arange(art.size)
-        pivots = _pivot_to_optimum(c1, a1, b, basis, 0)
-        infeas = float(c1[basis] @ np.linalg.solve(a1[:, basis], b))
-        if infeas > _FEAS_TOL * max(1.0, float(b.sum())):
-            raise LpInfeasibleError(f"phase-1 objective {infeas:.3e} is nonzero")
-
-        # drive remaining artificials out of the basis or drop their rows
-        for i in np.flatnonzero(basis >= n):
-            row = np.linalg.inv(a1[:, basis])[i] @ a
-            row[basis[basis < n]] = 0.0
-            cols = np.flatnonzero(np.abs(row) > _PIVOT_TOL * np.abs(row).max(initial=1.0))
-            if cols.size:
-                basis[i] = cols[0]
-                pivots += 1
-            else:
-                keep[art[basis[i] - n]] = False  # its row depends on the kept ones
-
-    # phase 2 on the kept rows; the artificials left in the basis hold the
-    # dropped rows, so the rest of the basis is square on the kept rows
-    return _phase2(c, a, b, basis[basis < n], pivots, keep, neg)
-
-
 def _solve_from(
     c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
     superbasic: np.ndarray, values: np.ndarray,
-) -> LpSolution | None:
-    """min c x s.t. a x = b, x >= 0 by phase 2 alone, from a caller's
-    start: basis holds one column of a per row, nonsingular, and the
-    nonbasic columns superbasic hold values >= 0 (none when the start is
-    the vertex of basis). _purify first steps the start to a vertex, one
+) -> LpSolution:
+    """min c x s.t. a x = b, x >= 0 from a caller's feasible start:
+    basis holds one column of a per row, nonsingular, and the nonbasic
+    columns superbasic hold values >= 0 (none when the start is the
+    vertex of basis). _purify first steps the start to a vertex, one
     ratio test per superbasic column, and each step counts as one pivot.
-    None when the start is not feasible, some entry of
-    x_B = B^-1 (b - a_S values) being below -_FEAS_TOL max(1, ||x_B||_inf),
-    at the start or at the vertex reached; the caller then takes
-    solve_standard_lp."""
+    Phase 2 then pivots from that vertex's fresh inverse to an optimal
+    basis, and one solve call gives x_B = B^-1 b and the multipliers
+    c_B B^-1: numpy factors each matrix of the stack [B, B^T] by its own
+    LAPACK gesv, as two separate calls would.
+
+    Raises ValueError when the start is refused: some entry of
+    x_B = B^-1 (b - a_S values) is below -_FEAS_TOL max(1, ||x_B||_inf)
+    at the start or at the vertex reached, or a step of _purify finds no
+    bound. Raises LpUnboundedError when phase 2 finds the objective
+    unbounded below."""
     basis = np.array(basis)
-    if len(superbasic) and not _purify(c, a, b, basis, superbasic, values):
-        return None
+    purified = not len(superbasic) or _purify(c, a, b, basis, superbasic, values)
     binv = np.linalg.inv(a[:, basis])
-    if _infeasible(binv @ b):
-        return None
-    m = b.size
-    return _phase2(c, a, b, basis, len(superbasic), np.ones(m, dtype=bool), np.zeros(m, dtype=bool), binv)
+    if not purified or _infeasible(binv @ b):
+        raise ValueError("the simplex start is not feasible")
+    pivots = _pivot_to_optimum(c, a, b, basis, len(superbasic), binv)
+    bm = a[:, basis]
+    xb, pi = np.linalg.solve(np.stack([bm, bm.T]), np.stack([b, c[basis]])[..., None])[..., 0]
+    x = np.zeros(c.size)
+    x[basis] = np.maximum(xb, 0.0)
+    return LpSolution(x=x, objective=float(c @ x), pivots=pivots, multipliers=pi, basis=basis)
 
 
 def _infeasible(xb: np.ndarray) -> bool:
@@ -305,31 +243,3 @@ def _purify(
         else:
             _update_inverse(binv, col, r)
     return True
-
-
-def _phase2(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
-    pivots: int, keep: np.ndarray, neg: np.ndarray, binv: np.ndarray | None = None,
-) -> LpSolution:
-    """Phase 2 from a feasible basis of the kept rows of a, then the
-    final solves. neg marks the rows whose signs were flipped to make
-    b >= 0; their multipliers are flipped back. binv, when given, is the
-    fresh inverse of that basis, and phase 2 starts from it.
-
-    One solve call gives x_B = B^-1 b and the multipliers c_B B^-1: numpy
-    factors each matrix of the stack [B, B^T] by its own LAPACK gesv, as
-    two separate calls would."""
-    if not keep.all():
-        a, b = a[keep], b[keep]
-    pivots = _pivot_to_optimum(c, a, b, basis, pivots, binv)
-
-    bm = a[:, basis]
-    xb, pi = np.linalg.solve(np.stack([bm, bm.T]), np.stack([b, c[basis]])[..., None])[..., 0]
-    x = np.zeros(c.size)
-    x[basis] = np.maximum(xb, 0.0)
-    multipliers = np.zeros(keep.size)
-    multipliers[keep] = pi
-    multipliers[neg] *= -1.0  # undo the b < 0 row flips
-    return LpSolution(
-        x=x, objective=float(c @ x), pivots=pivots, multipliers=multipliers, basis=basis
-    )

@@ -41,9 +41,10 @@ polished: its optimal face includes the curved boundary of the ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
-exact vertex. Both start phase 2 from the point _lp_start builds in
-closed form: an equality LP at a vertex, a dantzig LP at a feasible
-point that the simplex purifies to a vertex in m steps.
+exact vertex. Every LP, at any rank and shape of Phi, starts phase 2
+from the point _lp_start builds in closed form: an equality LP on
+rank(Phi) independent rows at a vertex, a dantzig LP at a feasible point
+that the simplex purifies to a vertex in rank(Phi) steps.
 
 Every result carries a checked certificate, and one builder, _result,
 sets its fields on both paths: _kkt measures primal infeasibility, dual
@@ -70,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import Dictionary, _check_matrix, _integer, _norm, _sensing_for, _to_json, _vector, sensing_entries
-from .simplex import LpInfeasibleError, _solve_from, solve_standard_lp
+from .simplex import _solve_from
 
 __all__ = [
     "CONSTRAINT_KINDS",
@@ -90,7 +91,7 @@ MAX_LP_VARIABLES = 400  # hard budget for the LP route
 _TOL = 1e-9        # PDHG residual stop, relative to max(1e-12, ||y||)
 _FEAS_TOL = 1e-7   # primal (relative to max(1, ||y||)) and dual infeasibility
 _CERT_TOL = 1e-6   # relative duality gap
-_RANK_TOL = 1e-9   # elimination pivot, relative to max |Phi|, below which Phi has rank < m
+_RANK_TOL = 1e-9   # elimination pivot, relative to max |Phi|, at or below which a row is dependent
 
 
 class InfeasibleConstraintError(ValueError):
@@ -205,11 +206,17 @@ def _feasible_start(phi: np.ndarray, pinv: np.ndarray, constraint: ConstraintSpe
     """The least-squares point Phi^+ y; doubles as the feasibility
     pre-check, since no point of range(Phi) is nearer to y."""
     z0 = pinv @ constraint.y
-    miss = _constraint_violation(phi, z0, constraint)
+    _refuse_miss(phi, z0, constraint)
+    return z0
+
+
+def _refuse_miss(phi: np.ndarray, z: np.ndarray, constraint: ConstraintSpec) -> None:
+    """Raise InfeasibleConstraintError when z, a point of range(Phi)
+    nearest to y, misses B(y) by more than _FEAS_TOL max(1, ||y||)."""
+    miss = _constraint_violation(phi, z, constraint)
     if miss > _FEAS_TOL * max(1.0, _norm(constraint.y)):
         # relative to ||y|| (> 0 here, as y = 0 is in B(y)), so the same at every scale
         raise InfeasibleConstraintError(f"B(y) misses range(Phi) by {miss / _norm(constraint.y):.3e} ||y||")
-    return z0
 
 
 def _to_band(constraint: ConstraintSpec) -> tuple[ConstraintSpec, int]:
@@ -748,48 +755,62 @@ def _build_lp(
 
 def _lp_start(
     d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """A feasible start of the LP of _build_lp in closed form, as
-    simplex._solve_from's (basis, superbasic columns, their values), or
-    None when Phi has numerical rank < m.
+) -> tuple[np.ndarray | slice, ConstraintSpec, np.ndarray, np.ndarray, np.ndarray]:
+    """The LP of _build_lp and a feasible start of it in closed form: the
+    rows of Phi the LP keeps, its constraint on them, and
+    simplex._solve_from's (basis, superbasic columns, their values).
 
-    Elimination with column pivoting picks m independent columns J of
-    Phi (row i takes the column of its largest remaining entry; a pivot
-    at or below _RANK_TOL max |Phi| means rank < m), and z_J solves
-    Phi_J z_J = y with z zero off J. Analysis row i takes s+_i when
-    (D z)_i >= 0 and s-_i otherwise, at |(D z)_i|; j in J takes z+_j
-    when z_j >= 0 and z-_j otherwise, at |z_j|.
+    Elimination with column pivoting picks r = rank Phi independent rows
+    R and columns J of Phi, at any (m, n): row i takes the column of its
+    largest remaining entry, and a row whose remaining entries are all
+    at or below _RANK_TOL max |Phi| is skipped as dependent. z is zero
+    off J; z_J solves Phi_J z_J = y when r = m and is the least-squares
+    solution on Phi[:, J] otherwise, so Phi^T (Phi z - y) = 0 either way.
+    Analysis row i takes s+_i when (D z)_i >= 0 and s-_i otherwise, at
+    |(D z)_i|; j in J takes z+_j when z_j >= 0 and z-_j otherwise, at
+    |z_j|.
 
-    Equality: the basis is the slack and signal columns, with no
-    superbasic ones. B = [[+-I, +-D_J], [0, +-Phi_J]] is nonsingular with
-    Phi_J, and B^-1 b is |D z| and |z_J|: a vertex. Dantzig: Phi z = y,
-    so Phi^T (Phi z - y) = 0 and every correlation slack t+-_k equals
-    lam. The basis is the analysis slack columns plus all 2n correlation
-    slacks, a signed identity, so its inverse is exact; the signal
-    columns are superbasic at |z_J|, and simplex._solve_from steps them
-    to a vertex.
+    Equality: with r = m the LP keeps every row, as slice(None), and the
+    caller's constraint. With r < m a y off range(Phi) is refused by
+    _refuse_miss, and the LP keeps the rows R, with y_R replaced by
+    (Phi z)_R, the rows R of y's projection onto range(Phi): its answer
+    misses y by no more than z does. The basis is the slack and signal
+    columns, with no superbasic ones. B = [[+-I, +-D_J], [0, +-Phi_RJ]] is
+    nonsingular with Phi_RJ, and B^-1 b is |D z| and |z_J|: a vertex.
+    Dantzig: every row and the constraint are kept, and every correlation
+    slack t+-_k equals lam. The basis is the analysis slack columns plus
+    all 2n correlation slacks, a signed identity, so its inverse is
+    exact; the signal columns are superbasic at |z_J|, and
+    simplex._solve_from steps them to a vertex.
     """
     p, n = d_block.shape
     m = phi.shape[0]
-    if m > n:
-        return None
     u = phi.copy()
     tol = _RANK_TOL * float(np.abs(phi).max(initial=0.0))
-    cols = []
+    rows, cols = [], []
     for i in range(m):
         row = np.abs(u[i])
         row[cols] = 0.0  # eliminated below earlier pivots, up to roundoff
         j = int(row.argmax())
         if row[j] <= tol:
-            return None
+            continue  # dependent on the rows above
+        rows.append(i)
         cols.append(j)
         u[i + 1 :] -= (u[i + 1 :, j] / u[i, j])[:, None] * u[i]
-    z = np.linalg.solve(phi[:, cols], constraint.y)
+    kept, lp = slice(None), constraint
+    if len(rows) == m:
+        z = np.linalg.solve(phi[:, cols], constraint.y)
+    else:
+        z = np.linalg.lstsq(phi[:, cols], constraint.y)[0]
+        if constraint.kind == "equality":
+            _refuse_miss(phi[:, cols], z, constraint)  # range(Phi_J) is range(Phi)
+            kept = np.array(rows, dtype=int)
+            lp = ConstraintSpec("equality", phi[kept][:, cols] @ z)
     slacks = np.arange(2 * n, 2 * n + p) + p * (d_block[:, cols] @ z < 0.0)
-    signals = np.array(cols) + n * (z < 0.0)
+    signals = np.array(cols, dtype=int) + n * (z < 0.0)
     if constraint.kind == "equality":
-        return np.concatenate([slacks, signals]), signals[:0], z[:0]
-    return np.concatenate([slacks, np.arange(2 * n + 2 * p, 4 * n + 2 * p)]), signals, np.abs(z)
+        return kept, lp, np.concatenate([slacks, signals]), signals[:0], z[:0]
+    return kept, lp, np.concatenate([slacks, np.arange(2 * n + 2 * p, 4 * n + 2 * p)]), signals, np.abs(z)
 
 
 def solve_lp_certified(
@@ -800,15 +821,16 @@ def solve_lp_certified(
     """Exact analysis-l1 minimizer via the simplex.
 
     Only the polyhedral kinds (equality, dantzig) are expressible;
-    iterations reports pivot count, a dantzig LP's m purification steps
-    included. Both kinds skip phase 1: phase 2 starts at the closed-form
-    point of _lp_start, a vertex on equality and, on dantzig, a point
-    that the simplex steps to a vertex first. When Phi has numerical
-    rank < m, or the simplex refuses the start as infeasible, the LP
-    takes the two-phase path. The returned point is an optimal vertex
-    z = z+ - z-; the dual pair is read off the simplex multipliers pi of
-    its basis, v = -pi[:p] from the analysis rows and w from the
-    measurement rows (w = -pi[p:] for equality, pi[p+n:] - pi[p:p+n] for
+    iterations reports pivot count, a dantzig LP's purification steps
+    included. Every LP, whatever the rank and shape of Phi, starts phase
+    2 at the closed-form point of _lp_start: a vertex on equality and,
+    on dantzig, a point that the simplex steps to a vertex first. An
+    equality y off range(Phi) raises InfeasibleConstraintError, its miss
+    given relative to ||y||, as on the first-order route. The returned
+    point is an optimal vertex z = z+ - z-; the dual pair is read off the
+    simplex multipliers pi of its basis, v = -pi[:p] from the analysis
+    rows and w from the measurement rows (w = -pi[p:] for equality, 0 on
+    the rows the LP drops as dependent; pi[p+n:] - pi[p:p+n] for
     dantzig), and checked against the same fixed tolerances as the
     first-order path. A y outside the band of _to_band is solved scaled
     into it, and the result scaled back.
@@ -817,20 +839,16 @@ def solve_lp_certified(
     _vector("y", constraint.y, phi_e.shape[0])
     constraint, e = _to_band(constraint)
     d_block = dictionary.entries
-    c, a, b = _build_lp(d_block, phi_e, constraint)
-    start = _lp_start(d_block, phi_e, constraint)
-    sol = None if start is None else _solve_from(c, a, b, *start)
-    if sol is None:
-        try:
-            sol = solve_standard_lp(c, a, b)
-        except LpInfeasibleError as err:
-            raise InfeasibleConstraintError(str(err)) from err
+    kept, lp, *start = _lp_start(d_block, phi_e, constraint)
+    c, a, b = _build_lp(d_block, phi_e[kept], lp)
+    sol = _solve_from(c, a, b, *start)
     p, n = d_block.shape
     z = sol.x[:n] - sol.x[n : 2 * n]
     pi = sol.multipliers
     v = -pi[:p]
     if constraint.kind == "equality":
-        w = -pi[p:]
+        w = np.zeros(phi_e.shape[0])
+        w[kept] = -pi[p:]
     else:
         w = pi[p + n :] - pi[p : p + n]
     return _from_band(_result(d_block, phi_e, constraint, z, z, v, w, sol.pivots, True), e)

@@ -356,6 +356,15 @@ def brute_delta(phi_entries: np.ndarray, d_entries: np.ndarray, k: int) -> float
     return worst
 
 
+def highs_lp(c, a, b):
+    """HiGHS's answer (scipy.optimize.linprog) to min c x s.t. a x = b,
+    x >= 0, the independent reference of the simplex tests: status 0
+    optimal (optimum fun), 2 infeasible, 3 unbounded."""
+    import scipy.optimize
+
+    return scipy.optimize.linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * len(c), method="highs")
+
+
 def eigh_principal_bounds(supersets: np.ndarray, gram: np.ndarray, proj: np.ndarray):
     """(upper, lower) bounds of grip._principal_bounds whitened by an eigh
     of each P[U, U] block: a row bounds only when lambda_min(P[U, U]) is

@@ -135,11 +135,11 @@ CAMPAIGNS = {
         "b2c4c483bdfde783770528eac0b111142e43bbae4d312e0acf8d8125762068d1",
         "74c18846d975725a501f2359052cfb55b5994d4d49ed9df589fbd0400a096b1d",
     ),
-    # the Phi in repeated-phi.csv has row 5 = row 2, so no closed-form
-    # start exists and every dantzig trial takes both phases
+    # the Phi in repeated-phi.csv has row 5 = row 2, so its rank is 5 < m
+    # and every dantzig trial starts from _lp_start's least-squares point
     "solve.repeated-phi": (
-        "d719e68d7d578c8420f4e58854bbe51ff80131635cb74c060445341d0bde325b",
-        "f0b7168dd07c80fa106d81370b553e4978c2c53f419f6c04bd4469f4b5d93101",
+        "6b46582dee366564798edd5cdee7d2d7576ddb0130f4ac61f6d1af3e9dabb27b",
+        "97f4249fce01a5725f3f0534afafec68a839bd52983440d85846f0c0e6e06b28",
         "bc721c41596f6696e262ee68c99f3f7c7ba9ea7dc36462287ef43ed7ce0382db",
     ),
     # each trial solved by both routes, so the synthesis route's PDHG

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import cosparse_grip as cg
 from _support import assert_svd_factors
+from cosparse_grip import simplex
 from cosparse_grip.model import sensing_entries
 
 
@@ -131,7 +132,7 @@ ARRAY_HOLDERS = {
     "SensingMatrix": lambda: cg.make_sensing_matrix("gaussian", 3, 4, 0),
     "ConstraintSpec": lambda: cg.ConstraintSpec("equality", np.ones(3)),
     "RecoveryResult": lambda: cg.RecoveryResult(np.zeros(4), 0.0, 0, 0.0, 0.0, True, True, 0.0),
-    "LpSolution": lambda: cg.LpSolution(np.zeros(2), 0.0, 0, np.zeros(1), np.zeros(1, dtype=int)),
+    "LpSolution": lambda: simplex.LpSolution(np.zeros(2), 0.0, 0, np.zeros(1), np.zeros(1, dtype=int)),
 }
 
 

@@ -2,18 +2,27 @@ import hashlib
 
 import numpy as np
 import pytest
-from _support import rational_basis_audit, reference_pivot_to_optimum, reference_purify
-from hypothesis import example, given, settings
+from _support import highs_lp, rational_basis_audit, reference_pivot_to_optimum, reference_purify
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
-from cosparse_grip import simplex, solvers
-from cosparse_grip.simplex import (
-    LpInfeasibleError,
-    LpUnboundedError,
-    solve_standard_lp,
-)
+from cosparse_grip import simplex
+from cosparse_grip.simplex import LpUnboundedError
 from cosparse_grip.solvers import _build_lp, _lp_start
+
+
+def solve_from_basis(c, a, b, basis):
+    """_solve_from from the vertex of basis, with no superbasic columns."""
+    return simplex._solve_from(c, a, b, np.array(basis, dtype=int), (), ())
+
+
+def interior_start(a, x0):
+    """A start of the LP with b = a x0, x0 > 0: the first m columns of a
+    (nonsingular for gaussian a) as the basis, the rest superbasic at x0,
+    so x_B = x0[:m] > 0."""
+    m = a.shape[0]
+    return np.arange(m), np.arange(m, a.shape[1]), x0[m:]
 
 
 def test_hand_worked_lp():
@@ -21,7 +30,7 @@ def test_hand_worked_lp():
     c = np.array([-1.0, -2.0, 0.0, 0.0])
     a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
     b = np.array([4.0, 2.0])
-    sol = solve_standard_lp(c, a, b)
+    sol = solve_from_basis(c, a, b, [2, 3])  # the slacks
     assert sol.objective == pytest.approx(-8.0, abs=1e-12)
     assert np.allclose(sol.x[:2], [0.0, 4.0], atol=1e-12)
     assert sol.pivots >= 1
@@ -33,7 +42,7 @@ def test_solution_invariants():
     x0 = np.abs(rng.standard_normal(7))
     b = a @ x0  # feasible by construction
     c = np.abs(rng.standard_normal(7)) + 0.1  # positive costs: bounded
-    sol = solve_standard_lp(c, a, b)
+    sol = simplex._solve_from(c, a, b, *interior_start(a, x0))
     assert np.linalg.norm(a @ sol.x - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
     assert sol.x.min() >= -1e-12
     assert sol.objective == pytest.approx(float(c @ sol.x), abs=1e-12)
@@ -67,20 +76,19 @@ def family_instance(family_seed: int, j: int):
 
 
 def test_matches_scipy_on_random_instances():
-    scipy_opt = pytest.importorskip("scipy.optimize")
     lps = []
     for seed in range(8):
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((4, 9))
-        b = a @ np.abs(rng.standard_normal(9))
+        x0 = np.abs(rng.standard_normal(9))
         c = np.abs(rng.standard_normal(9)) + 0.05
-        lps.append((c, a, b))
+        lps.append((c, a, a @ x0, interior_start(a, x0)))
     for j in (48, 55):
         d, phi, _, constraint = family_instance(11, j)
-        lps.append(_build_lp(d.entries, phi.entries, constraint))
-    for c, a, b in lps:
-        ours = solve_standard_lp(c, a, b)
-        ref = scipy_opt.linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * len(c), method="highs")
+        lps.append((*_build_lp(d.entries, phi.entries, constraint), _lp_start(d.entries, phi.entries, constraint)[2:]))
+    for c, a, b, start in lps:
+        ours = simplex._solve_from(c, a, b, *start)
+        ref = highs_lp(c, a, b)
         assert ref.status == 0
         assert ours.objective == pytest.approx(ref.fun, abs=1e-8)
 
@@ -102,72 +110,31 @@ def assert_optimal_answer(d, phi, x, constraint):
     return res
 
 
-def two_phase(mp):
-    """Send equality LPs through solve_standard_lp's two phases, as
-    solve_lp_certified does when the closed-form start is refused."""
-    start = solvers._lp_start
-
-    def dantzig_only(d_block, phi, con):
-        return None if con.kind == "equality" else start(d_block, phi, con)
-
-    mp.setattr(solvers, "_lp_start", dantzig_only)
-
-
 @pytest.mark.parametrize("family_seed, j", _DRIFT_CASES)
 def test_formerly_drifting_lps_are_solved(family_seed, j):
-    instance = family_instance(family_seed, j)
-    res = assert_optimal_answer(*instance)
+    res = assert_optimal_answer(*family_instance(family_seed, j))
     assert res.certified
     assert abs(res.certification_gap) <= 1e-9
-    if instance[3].kind == "equality":
-        with pytest.MonkeyPatch.context() as mp:
-            two_phase(mp)
-            res = assert_optimal_answer(*instance)
-        assert res.certified
-        assert abs(res.certification_gap) <= 1e-9
 
 
 def test_pricing_tolerance_scales_with_multipliers():
-    # a 40x20 tight frame: phase 1 meets a basis whose multipliers reach
-    # 1.4e6, where an absolute entering threshold of 1e-9 lets a reduced
-    # cost of -2.1e-9, pure roundoff, enter; its column has no positive
-    # entry, and this bounded LP was reported unbounded
+    # a 40x20 tight frame: solved in two phases, this LP met a basis whose
+    # multipliers reached 1.4e6, where an absolute entering threshold of
+    # 1e-9 let a reduced cost of -2.1e-9, pure roundoff, enter; its column
+    # had no positive entry, and this bounded LP was reported unbounded.
+    # From the closed-form start its multipliers stay below 700
     d = cg.make_dictionary("tight-frame", 40, 20, 63)
     phi = cg.make_sensing_matrix("gaussian", 10, 20, 1063)
     x = cg.sample_cosparse_signal(d, 25, 2063)
     assert_optimal_answer(d, phi, x, cg.ConstraintSpec("dantzig", phi.entries @ x, lam=0.1))
 
 
-def test_infeasible_detected():
-    with pytest.raises(LpInfeasibleError):
-        solve_standard_lp(np.array([1.0]), np.array([[1.0]]), np.array([-1.0]))
-    # inconsistent pair of rows
-    with pytest.raises(LpInfeasibleError):
-        solve_standard_lp(
-            np.array([1.0, 1.0]),
-            np.array([[1.0, 1.0], [1.0, 1.0]]),
-            np.array([1.0, 2.0]),
-        )
-
-
 def test_unbounded_detected():
     # x1 free to grow: only x2 is pinned
     with pytest.raises(LpUnboundedError):
-        solve_standard_lp(
-            np.array([-1.0, 0.0]),
-            np.array([[0.0, 1.0]]),
-            np.array([1.0]),
-        )
+        solve_from_basis(np.array([-1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]), [1])
     with pytest.raises(LpUnboundedError):
-        solve_standard_lp(np.array([-1.0, 2.0]), np.zeros((0, 2)), np.zeros(0))
-
-
-def test_redundant_rows_are_dropped():
-    a = np.array([[1.0, 1.0], [2.0, 2.0]])  # second row dependent
-    b = np.array([2.0, 4.0])
-    sol = solve_standard_lp(np.array([1.0, 2.0]), a, b)
-    assert sol.objective == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(sol.x, [2.0, 0.0], atol=1e-12)
+        solve_from_basis(np.array([-1.0, 2.0]), np.zeros((0, 2)), np.zeros(0), [])
 
 
 def test_beale_cycling_example_terminates():
@@ -183,57 +150,34 @@ def test_beale_cycling_example_terminates():
         ]
     )
     b = np.array([0.0, 0.0, 1.0])
-    sol = solve_standard_lp(c, a, b)
+    sol = solve_from_basis(c, a, b, [4, 5, 6])  # the slacks
     assert sol.objective == pytest.approx(-0.05, abs=1e-12)
 
 
 @pytest.mark.parametrize("p, k, optimum", [
     # a 125x300 equality LP (100x50 tight frame, m=25, k=60), 225x400 and
     # at MAX_LP_VARIABLES in the form with two slack rows per coordinate,
-    # on which smallest-index pricing from an all-artificial basis stalled
-    # for 107,211 pivots
+    # on which smallest-index pricing once stalled for 107,211 pivots
     (100, 60, 5.004983055861394),
-    # 175x400 (150x50 tight frame, m=25, k=110) at MAX_LP_VARIABLES; with
-    # only zero-cost unit columns in the crash, every analysis row starts
-    # on an artificial and this took 42,796 pivots
+    # 175x400 (150x50 tight frame, m=25, k=110) at MAX_LP_VARIABLES, which
+    # once took 42,796 pivots
     (150, 110, 6.12441549886439),
 ], ids=["125x300", "175x400"])
-def test_equality_lp_at_the_variable_budget(p, k, optimum):
-    # optimum is the HiGHS optimum of the same LP, solved from the
-    # closed-form start and in two phases
+def test_equality_lp_at_the_variable_budget(p, k, optimum, monkeypatch):
+    # optimum is the HiGHS optimum of the same LP
     d = cg.make_dictionary("tight-frame", p, 50, 1)
     phi = cg.make_sensing_matrix("gaussian", 25, 50, 2)
     x = cg.sample_cosparse_signal(d, k, 3)
-    inv = np.linalg.inv
-    for start in (True, False):
-        inverses = []
-        with pytest.MonkeyPatch.context() as mp:
-            if not start:
-                two_phase(mp)
-            mp.setattr(np.linalg, "inv", lambda m: inverses.append(m.shape) or inv(m))
-            res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
-        assert res.certified
-        assert res.objective == pytest.approx(optimum, abs=1e-8)
-        assert res.iterations <= 5000
-        # B^-1 is carried between pivots by rank-one updates: about one
-        # fresh inverse per _REFACTOR_EVERY pivots, not one per pivot (196
-        # and 320 pivots from the start, 371 and 601 in two phases)
-        assert len(inverses) <= 40
-
-
-def test_crash_takes_unit_columns_that_carry_a_cost(monkeypatch):
-    # every row's only unit column costs 1, as s- does on an analysis row:
-    # the crash takes them all, so phase 1 is skipped and _pivot_to_optimum
-    # runs once, for phase 2
-    calls = []
-    pivot = simplex._pivot_to_optimum
-    monkeypatch.setattr(simplex, "_pivot_to_optimum", lambda *args: calls.append(1) or pivot(*args))
-    c = np.array([0.0, 0.0, 1.0, 1.0])
-    a = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
-    sol = solve_standard_lp(c, a, np.array([4.0, 2.0]))
-    assert len(calls) == 1
-    assert sol.objective == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(sol.x, [3.0, 1.0, 0.0, 0.0], atol=1e-12)
+    inv, inverses = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m.shape) or inv(m))
+    res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", phi.entries @ x))
+    assert res.certified
+    assert res.objective == pytest.approx(optimum, abs=1e-8)
+    assert res.iterations <= 5000
+    # B^-1 is carried between pivots by rank-one updates: about one fresh
+    # inverse per _REFACTOR_EVERY pivots, not one per pivot (196 and 320
+    # pivots)
+    assert len(inverses) <= 40
 
 
 def test_lp_has_one_row_per_analysis_coordinate():
@@ -246,13 +190,16 @@ def test_lp_has_one_row_per_analysis_coordinate():
 
 
 @st.composite
-def crash_lps(draw):
-    """A small feasible-or-not LP with integer data built to exercise the
-    crash and the drive-out: unit columns with zero and nonzero cost
-    shuffled among dense ones, zero and negative right-hand sides (a
-    negative one flips its row, so a +1 slack there becomes -1), and
-    optionally a multiple of one row inserted anywhere. Returns
-    (c, a, b, dependent pair of row indices or None)."""
+def start_lps(draw):
+    """A small LP with integer data and a known feasible start: one
+    signed unit column sigma_i e_i per row and dense integer columns
+    (integer data keeps exact ties in pricing and in the ratio test),
+    shuffled together. b = a_S v + sigma * u for integers u >= 0 (0 makes
+    a degenerate row) and, when no cost is negative, optionally some
+    dense columns S superbasic at integer values v > 0, so _purify runs on
+    generic data; with costs >= 0 the LP is bounded and each of _purify's
+    steps meets a bound. Signed costs may make the LP unbounded. The
+    start is the unit basis, at x_B = u. Returns (c, a, b, start)."""
     m = draw(st.integers(1, 4))
     ints = st.integers(-3, 3)
     signed = draw(st.booleans())  # else every cost is >= 0
@@ -260,76 +207,52 @@ def crash_lps(draw):
     for _ in range(draw(st.integers(1, 4))):
         columns.append(np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float))
         costs.append(draw(st.integers(-2 if signed else 0, 3)))
+    held = [] if signed else [k for k in range(len(columns)) if draw(st.booleans())]
+    values = np.array([draw(st.integers(1, 2)) for _ in held], dtype=float)
+    b = sum((v * columns[k] for k, v in zip(held, values)), np.zeros(m))
     for i in range(m):
-        for _ in range(draw(st.integers(0, 2))):
-            col = np.zeros(m)
-            col[i] = draw(st.sampled_from([1.0, -1.0]))
-            columns.append(col)
-            costs.append(draw(st.sampled_from([0, 0, 1, 2, -1 if signed else 0])))
-    order = draw(st.permutations(range(len(columns))))
+        col = np.zeros(m)
+        col[i] = draw(st.sampled_from([1.0, -1.0]))
+        b += col * draw(st.integers(0, 2))
+        columns.append(col)
+        costs.append(draw(st.sampled_from([0, 0, 1, 2, -1 if signed else 0])))
+    order = np.array(draw(st.permutations(range(len(columns)))))
+    at = np.argsort(order)  # at[k] is the position of column k in a
     a = np.column_stack([columns[k] for k in order])
     c = np.array([costs[k] for k in order], dtype=float)
-    pair = None
-    if draw(st.booleans()):
-        i = draw(st.integers(0, m - 1))
-        r = draw(st.integers(0, m))
-        a = np.insert(a, r, draw(st.sampled_from([1.0, 2.0, -1.0])) * a[i], axis=0)
-        pair = (i + (r <= i), r)
-    x0 = np.array(draw(st.lists(st.integers(0, 2), min_size=a.shape[1], max_size=a.shape[1])))
-    b = a @ x0
-    if draw(st.integers(0, 4)) == 0:  # sometimes off the cone of a: infeasible
-        b[draw(st.integers(0, b.size - 1))] += draw(st.sampled_from([1.0, -1.0]))
-    return c, a, b, pair
+    return c, a, b, (at[len(columns) - m :], at[held], values)
 
 
-@given(crash_lps())
+@given(start_lps())
 @settings(max_examples=200, deadline=None)
-def test_crash_and_drive_out_match_highs(lp):
-    scipy_opt = pytest.importorskip("scipy.optimize")
-    c, a, b, pair = lp
-    ref = scipy_opt.linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * c.size, method="highs")
-    if ref.status == 2:
-        with pytest.raises(LpInfeasibleError):
-            solve_standard_lp(c, a, b)
-        return
+def test_start_matches_highs(lp):
+    c, a, b, start = lp
+    ref = highs_lp(c, a, b)
     if ref.status == 3:
         with pytest.raises(LpUnboundedError):
-            solve_standard_lp(c, a, b)
+            simplex._solve_from(c, a, b, *start)
         return
     assert ref.status == 0
-    sol = solve_standard_lp(c, a, b)
+    sol = simplex._solve_from(c, a, b, *start)
     assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
     assert sol.x.min() >= 0.0
     assert np.abs(a @ sol.x - b).max(initial=0.0) <= 1e-9
     pi = sol.multipliers
     assert (a.T @ pi <= c + 1e-9).all()
     assert float(b @ pi) == pytest.approx(sol.objective, abs=1e-9)
-    if pair is not None and np.linalg.matrix_rank(a) == a.shape[0] - 1:
-        # exactly one row is dropped, and it is one of the pair
-        assert pi[pair[0]] == 0.0 or pi[pair[1]] == 0.0
-    # zero-cost slacks on every (sign-flipped) row and costs >= 0: the
-    # crash basis is optimal as it stands
-    flipped = a * np.where(b < 0, -1.0, 1.0)[:, None]
-    unit = (c == 0) & (np.count_nonzero(flipped, axis=0) == 1) & (flipped.sum(axis=0) == 1.0)
-    if (c >= 0).all() and np.count_nonzero(flipped[:, unit], axis=1).all():
+    # zero-cost unit columns in the basis, no superbasic column and costs
+    # >= 0: the start is optimal as it stands
+    basis, superbasic, _ = start
+    if (c >= 0).all() and not c[basis].any() and not superbasic.size:
         assert sol.pivots == 0
 
 
 def test_zero_rhs_solves_trivially():
-    sol = solve_standard_lp(
-        np.array([1.0, 1.0]), np.array([[1.0, -1.0]]), np.array([0.0])
-    )
+    sol = solve_from_basis(np.array([1.0, 1.0]), np.array([[1.0, -1.0]]), np.array([0.0]), [0])
     assert sol.objective == pytest.approx(0.0, abs=1e-12)
     # no rows at all: the empty basis is optimal for nonnegative costs
-    sol = solve_standard_lp(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0))
+    sol = solve_from_basis(np.array([1.0, 2.0]), np.zeros((0, 2)), np.zeros(0), [])
     assert sol.objective == 0.0 and sol.pivots == 0
-
-
-def test_input_validation():
-    with pytest.raises(ValueError):
-        solve_standard_lp(np.array([1.0]), np.array([[1.0, 2.0]]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        solve_standard_lp(np.array([1.0, 2.0]), np.array([[1.0, 2.0]]), np.array([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -337,36 +260,25 @@ def test_input_validation():
 # every pivot, the reference the default interval must reproduce
 
 
-def _solve_or_raise(c, a, b):
+def _solve_or_raise(c, a, b, start):
     try:
-        return solve_standard_lp(c, a, b)
-    except (LpInfeasibleError, LpUnboundedError) as err:
+        return simplex._solve_from(c, a, b, *start)
+    except LpUnboundedError as err:
         return type(err)
 
 
-@given(crash_lps())
-@example(  # exact tie: fresh inverses price -0.9999999999999998 vs -1.0
-    lp=(
-        np.zeros(5),
-        np.array(
-            [[0.0, 0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0],
-             [0.0, 1.0, 1.0, 0.0, -2.0], [0.0, 2.0, -1.0, 1.0, -3.0]]
-        ),
-        np.array([2.0, 0.0, -2.0, -3.0]),
-        None,
-    )
-)
+@given(start_lps())
 @settings(max_examples=200, deadline=None)
 def test_updated_inverse_matches_fresh_inverses(lp):
-    # the same verdict and optimum; the bits match unless two reduced
+    # the same verdict and optimum; the bits may differ where two reduced
     # costs or ratios tie exactly, as integer data can make them, and
-    # roundoff in one inverse or the other breaks the tie (2 of 3000
-    # examples), so the bits are pinned on the certification family below
-    c, a, b, _ = lp
+    # roundoff in one inverse or the other breaks the tie, so the bits are
+    # pinned on the certification family below
+    c, a, b, start = lp
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_REFACTOR_EVERY", 1)
-        ref = _solve_or_raise(c, a, b)
-    got = _solve_or_raise(c, a, b)
+        ref = _solve_or_raise(c, a, b, start)
+    got = _solve_or_raise(c, a, b, start)
     if isinstance(ref, type):
         assert got is ref
         return
@@ -415,12 +327,14 @@ def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
     for j in range(10):
         d, phi, _, con = family_instance(11, j)
         cg.solve_lp_certified(phi, d, con)
-    # x2 = x4 grows without bound, found after x1 enters at a positive step
+    # from the unit basis, x2 = x4 grows without bound, found after x1
+    # enters at a positive step
     with pytest.raises(LpUnboundedError):
-        solve_standard_lp(
+        solve_from_basis(
             np.array([-1.0, -1.0, 0.0, 0.0]),
             np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]),
             np.array([1.0, 0.0]),
+            [2, 3],
         )
     assert "update" in events
     for i in (i for i, e in enumerate(events) if e == "verdict"):
@@ -444,16 +358,17 @@ def _solution_bytes(sol):
     return sol.basis.tobytes(), sol.pivots, sol.x.tobytes(), sol.multipliers.tobytes()
 
 
-@given(crash_lps())
+@given(start_lps())
 @settings(max_examples=200, deadline=None)
 def test_pivot_loop_matches_reference(lp):
     # the first minimum of the reduced costs is the masked argmin's entry,
-    # integer ties included: the same pivots, verdict and bits
-    c, a, b, _ = lp
+    # integer ties included: the same purification steps, pivots, verdict
+    # and bits
+    c, a, b, start = lp
     with pytest.MonkeyPatch.context() as mp:
         _reference_loops(mp)
-        ref = _solve_or_raise(c, a, b)
-    assert _solution_bytes(_solve_or_raise(c, a, b)) == _solution_bytes(ref)
+        ref = _solve_or_raise(c, a, b, start)
+    assert _solution_bytes(_solve_or_raise(c, a, b, start)) == _solution_bytes(ref)
 
 
 def test_fast_paths_match_reference_on_certification_families(monkeypatch):
@@ -463,10 +378,11 @@ def test_fast_paths_match_reference_on_certification_families(monkeypatch):
         out = []
         for d, phi, _, con in lps:
             res = cg.solve_lp_certified(phi, d, con)
+            c, a, b = _build_lp(d.entries, phi.entries, con)
             out.append((
                 res.x_hat.tobytes(), res.iterations, res.objective, res.primal_residual,
                 res.dual_residual, res.certification_gap, res.certified,
-                _solution_bytes(solve_standard_lp(*_build_lp(d.entries, phi.entries, con))),
+                _solution_bytes(simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con)[2:])),
             ))
         return out
 
@@ -484,7 +400,7 @@ def test_dantzig_start_is_its_own_inverse():
         for j in range(1, 100, 2):
             d, phi, _, con = family_instance(family_seed, j)
             c, a, b = _build_lp(d.entries, phi.entries, con)
-            basis, superbasic, values = _lp_start(d.entries, phi.entries, con)
+            _, _, basis, superbasic, values = _lp_start(d.entries, phi.entries, con)
             start = a[:, basis]
             assert np.array_equal(np.abs(start), np.eye(basis.size)), (family_seed, j)
             assert np.array_equal(np.linalg.inv(start), start)
@@ -501,7 +417,7 @@ def test_final_solve_matches_two_solves():
         for j in range(100):
             d, phi, _, con = family_instance(family_seed, j)
             c, a, b = _build_lp(d.entries, phi.entries, con)
-            sol = simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con))
+            sol = simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con)[2:])
             final = a[:, sol.basis]
             xb = np.maximum(np.linalg.solve(final, b), 0.0)
             assert sol.x[sol.basis].tobytes() == xb.tobytes(), (family_seed, j)
@@ -510,7 +426,7 @@ def test_final_solve_matches_two_solves():
 
 
 def test_lp_route_linear_algebra_calls(monkeypatch):
-    # over the seed-11 family's 100 LPs (no two-phase fallback): one inv
+    # over the seed-11 family's 100 LPs: one inv
     # per LP for phase 2's entry, and one solve for _lp_start's z_J and
     # one for the final x and multipliers. Before the dantzig start was
     # taken as its own inverse and the final solves stacked, the counts
@@ -528,20 +444,22 @@ def test_lp_route_linear_algebra_calls(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the bits of the LP route, pinned: sha256 per family seed of x,
-# multipliers and pivots from solve_standard_lp on every LP of the family,
-# and of x_hat, iterations, dual_residual and certification_gap of each
-# dantzig solve_lp_certified. Taken before the pivot loop dropped its
-# redundant numpy calls (flatnonzero, np.argmin, np.outer, c[basis] per
-# pivot), the dantzig ones again when dantzig LPs began at the purified
-# closed-form start; they held unchanged through the later trims (argmin
-# pricing, the dantzig start as its own inverse, one stacked final
-# solve). A moved digest is a change of numerics to record.
+# multipliers and pivots from _solve_from at _lp_start's point on every LP
+# of the family, and of x_hat, iterations, dual_residual and
+# certification_gap of each dantzig solve_lp_certified. The dantzig ones
+# were taken before the pivot loop dropped its redundant numpy calls
+# (flatnonzero, np.argmin, np.outer, c[basis] per pivot), again when
+# dantzig LPs began at the purified closed-form start, and held through
+# the later trims (argmin pricing, the dantzig start as its own inverse,
+# one stacked final solve). The first ones were taken when the two-phase
+# path was deleted, at its parent commit, and held there and after. A
+# moved digest is a change of numerics to record.
 _LP_DIGESTS = {
-    1: ("554de844559e5ee47a125e68b49903635a1ff7852eaac351b3300de24ffe5fb6",
+    1: ("b9f2dc8e625fe7dbc5e9c28c90087561b19966aea754901264050e5f5be62428",
         "deb1a499c37227ee669528cef5754a1a82d1e0a155dc1ad171bf014ca4bf63c6"),
-    2: ("66fd732fe50177c6233c960869f7fbd538abc43fa7cc8eee677b155f9e5fb889",
+    2: ("73d04b3a1e2855e291f1778195f482b820284bc9e978dffea4b670f2579d3a84",
         "a825ccfed857919a79f8e2fb89e32585b71b3d9170e73dfa7134ac1f03487ed8"),
-    3: ("d472399e676b91dae6d8b5a766ad35d8eb3ef2e8a158eb036e79347f7c83c094",
+    3: ("bdeb6a9429dab140a2e44455d841016056dea12c05ab784d0d51856039b6d95d",
         "456fa50fdf5c567a612c8a7a41abd8d03c800ea511726d1cdfa631f2220c63c3"),
 }
 
@@ -551,7 +469,9 @@ def test_lp_route_bits_are_pinned(family_seed):
     lp, dantzig = hashlib.sha256(), hashlib.sha256()
     for j in range(100):
         d, phi, _, con = family_instance(family_seed, j)
-        sol = solve_standard_lp(*_build_lp(d.entries, phi.entries, con))
+        kept, lp_con, *start = _lp_start(d.entries, phi.entries, con)
+        assert kept == slice(None) and lp_con is con  # Phi has full row rank
+        sol = simplex._solve_from(*_build_lp(d.entries, phi.entries, con), *start)
         lp.update(sol.x.astype("<f8").tobytes() + sol.multipliers.astype("<f8").tobytes())
         lp.update(np.array([sol.pivots], "<i8").tobytes())
         if con.kind == "dantzig":
@@ -563,7 +483,8 @@ def test_lp_route_bits_are_pinned(family_seed):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form start of equality LPs: phase 2 alone from a vertex
+# the closed-form start of every LP: phase 2 alone, from a vertex or after
+# purification, at any rank and shape of Phi
 
 
 def _count_pivot_runs(mp) -> list:
@@ -596,20 +517,43 @@ def test_dantzig_lps_skip_phase_one(monkeypatch):
             assert res.certified, (family_seed, j)
 
 
-def test_rank_deficient_dantzig_lp_takes_two_phases(monkeypatch):
-    # a repeated measurement row: no m independent columns, so the dantzig
-    # LP has no closed-form start and phase 1 runs
+def _repeated_row_instance():
+    """A 6x10 gaussian Phi whose row 5 repeats row 2 (rank 5), a 14x10
+    tight frame and a 5-cosparse signal."""
     d = cg.make_dictionary("tight-frame", 14, 10, 5)
     entries = cg.make_sensing_matrix("gaussian", 6, 10, 6).entries.copy()
     entries[5] = entries[2]
-    phi = cg.SensingMatrix(entries, "user-supplied")
-    x = cg.sample_cosparse_signal(d, 5, 7)
-    con = cg.ConstraintSpec("dantzig", entries @ x, lam=0.1)
-    assert _lp_start(d.entries, entries, con) is None
+    return d, cg.SensingMatrix(entries, "user-supplied"), cg.sample_cosparse_signal(d, 5, 7)
+
+
+def test_rank_deficient_dantzig_lp_takes_one_run(monkeypatch):
+    # z_J is the least-squares point, so Phi^T (Phi z - y) = 0 and the
+    # dantzig LP keeps every row and starts at the signed identity
+    d, phi, x = _repeated_row_instance()
+    con = cg.ConstraintSpec("dantzig", phi.entries @ x, lam=0.1)
+    kept, lp, _, superbasic, _ = _lp_start(d.entries, phi.entries, con)
+    assert kept == slice(None) and lp is con and superbasic.size == 5
     calls = _count_pivot_runs(monkeypatch)
     res = assert_optimal_answer(d, phi, x, con)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert res.certified
+
+
+def test_rank_deficient_measurements_take_one_run(monkeypatch):
+    # y in the range of Phi: elimination skips row 5, and the LP keeps
+    # rows 0-4, at the answer of Phi's first five rows alone
+    d, phi, x = _repeated_row_instance()
+    con = cg.ConstraintSpec("equality", phi.entries @ x)
+    kept, lp, _, _, _ = _lp_start(d.entries, phi.entries, con)
+    assert kept.tolist() == [0, 1, 2, 3, 4]
+    assert np.allclose(lp.y, con.y[:5], rtol=0.0, atol=1e-14)
+    calls = _count_pivot_runs(monkeypatch)
+    res = assert_optimal_answer(d, phi, x, con)
+    assert len(calls) == 1
+    assert res.certified
+    five = cg.solve_lp_certified(phi.entries[:5], d, cg.ConstraintSpec("equality", con.y[:5]))
+    assert res.iterations == five.iterations
+    assert np.allclose(res.x_hat, five.x_hat, rtol=0.0, atol=1e-12)
 
 
 def test_dantzig_start_at_lambda_zero_is_degenerate(monkeypatch):
@@ -618,7 +562,7 @@ def test_dantzig_start_at_lambda_zero_is_degenerate(monkeypatch):
     d, phi, x, eq = family_instance(11, 0)
     con = cg.ConstraintSpec("dantzig", eq.y, lam=0.0)
     c, a, b = _build_lp(d.entries, phi.entries, con)
-    basis, superbasic, values = _lp_start(d.entries, phi.entries, con)
+    _, _, basis, superbasic, values = _lp_start(d.entries, phi.entries, con)
     xb = np.linalg.solve(a[:, basis], b - a[:, superbasic] @ values)
     assert np.abs(xb[14:]).max() <= 1e-12 * max(1.0, np.abs(xb).max())
     calls = _count_pivot_runs(monkeypatch)
@@ -630,50 +574,71 @@ def test_dantzig_start_at_lambda_zero_is_degenerate(monkeypatch):
 
 
 @st.composite
-def dantzig_lps(draw):
-    """A random dantzig LP of _build_lp: n 4-10, p n to n+6, m 2 to n-1,
-    a tight-frame or gaussian-random D, and lam 0, 1e-3, U(0.01, 1) or
-    past ||Phi^T y||_inf, where z = 0 is feasible and the optimum is 0."""
+def l1_lps(draw):
+    """The operators and a dantzig constraint of a random LP of _build_lp:
+    n 4-10, p n to n+6, a tight-frame or gaussian-random D, and Phi of
+    one of three shapes: gaussian with m 2 to n-1 rows; rank r < m
+    (m 2 to n), each row a gaussian combination of r gaussian rows; or
+    gaussian with m n+1 to n+3 rows. y = Phi (a draw), and lam is 0,
+    1e-3, U(0.01, 1) or past ||Phi^T y||_inf, where z = 0 is feasible and
+    the optimum is 0."""
     n = draw(st.integers(4, 10))
     p = draw(st.integers(n, n + 6))
-    m = draw(st.integers(2, n - 1))
     seed = draw(st.integers(0, 2**32 - 1))
     kind = draw(st.sampled_from(["tight-frame", "gaussian-random"]))
     d = cg.make_dictionary(kind, p, n, cg.trial_seed(seed, 0))
-    phi = cg.make_sensing_matrix("gaussian", m, n, cg.trial_seed(seed, 1)).entries
-    y = phi @ np.random.default_rng(seed).standard_normal(n)
+    rng = np.random.default_rng(cg.trial_seed(seed, 1))
+    shape = draw(st.sampled_from(["wide", "dependent", "tall"]))
+    if shape == "wide":
+        phi = rng.standard_normal((draw(st.integers(2, n - 1)), n))
+    elif shape == "dependent":
+        m = draw(st.integers(2, n))
+        r = draw(st.integers(1, m - 1))
+        phi = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+    else:
+        phi = rng.standard_normal((draw(st.integers(n + 1, n + 3)), n))
+    y = phi @ rng.standard_normal(n)
     lam = draw(st.sampled_from([0.0, 1e-3, None, "past"]))
     if lam is None:
         lam = draw(st.floats(0.01, 1.0))
     elif lam == "past":
         lam = 2.0 * float(np.abs(phi.T @ y).max()) + 1.0
-    return d.entries, phi, cg.ConstraintSpec("dantzig", y, lam=lam)
+    return d, phi, cg.ConstraintSpec("dantzig", y, lam=lam)
 
 
-@given(dantzig_lps())
-@settings(max_examples=100, deadline=None)
-def test_closed_form_start_matches_two_phases(lp):
+@given(l1_lps())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_start_matches_highs(lp):
     # both LP kinds on each draw's operators, the equality one with the
-    # same y = Phi (a draw): one phase-2 run from _lp_start's point, at the
-    # two-phase optimum; the equality start is a vertex already
-    d_block, phi, dantzig = lp
+    # same y: one phase-2 run from _lp_start's point, certified, at HiGHS's
+    # optimum of the LP on all m rows. The equality LP keeps rank(Phi) rows
+    # and its start is a vertex already; a y off range(Phi) is refused
+    d, phi, dantzig = lp
+    m, rank = phi.shape[0], np.linalg.matrix_rank(phi)
     for con in (cg.ConstraintSpec("equality", dantzig.y), dantzig):
-        c, a, b = _build_lp(d_block, phi, con)
-        start = _lp_start(d_block, phi, con)
-        assert start is not None
+        kept, lp, basis, _, _ = _lp_start(d.entries, phi, con)
         if con.kind == "equality":
-            xb = np.linalg.solve(a[:, start[0]], b)
+            assert np.arange(m)[kept].size == rank
+            c, a, b = _build_lp(d.entries, phi[kept], lp)
+            xb = np.linalg.solve(a[:, basis], b)
             assert xb.min() >= -1e-12 * max(1.0, np.abs(xb).max())
+        else:
+            assert kept == slice(None) and lp is con
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_pivot_runs(mp)
-            sol = simplex._solve_from(c, a, b, *start)
-        assert sol is not None
+            res = cg.solve_lp_certified(phi, d, con)
         assert len(calls) == 1
-        ref = solve_standard_lp(c, a, b)
-        assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
-        assert np.abs(a @ sol.x - b).max() <= 1e-9 * max(1.0, np.abs(b).max())
+        assert res.certified
+        ref = highs_lp(*_build_lp(d.entries, phi, con))
+        assert ref.status == 0
+        assert res.objective == pytest.approx(ref.fun, abs=1e-8)
     if dantzig.lam > np.abs(phi.T @ dantzig.y).max():
-        assert sol.objective <= 1e-9
+        assert res.objective <= 1e-9
+    if rank < m:
+        off = np.linalg.svd(phi)[0][:, -1]  # orthogonal to range(Phi)
+        y = dantzig.y + 1e-3 * max(1.0, float(np.linalg.norm(dantzig.y))) * off
+        with pytest.raises(cg.InfeasibleConstraintError, match="misses range"):
+            cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", y))
 
 
 def test_start_steps_past_a_singular_leading_block(monkeypatch):
@@ -686,7 +651,7 @@ def test_start_steps_past_a_singular_leading_block(monkeypatch):
     phi = cg.SensingMatrix(entries, "user-supplied")
     x = cg.sample_cosparse_signal(d, 5, 7)
     con = cg.ConstraintSpec("equality", entries @ x)
-    basis, _, _ = _lp_start(d.entries, entries, con)
+    _, _, basis, _, _ = _lp_start(d.entries, entries, con)
     picked = basis[14:] % 10
     assert 1 not in picked and picked.max() >= 6
     calls = _count_pivot_runs(monkeypatch)
@@ -695,49 +660,30 @@ def test_start_steps_past_a_singular_leading_block(monkeypatch):
     assert res.certified
 
 
-def test_rank_deficient_measurements_take_two_phases(monkeypatch):
-    # a repeated measurement row, y in the range of Phi: no m independent
-    # columns, so phase 1 runs and drops the dependent row
-    d = cg.make_dictionary("tight-frame", 14, 10, 5)
-    entries = cg.make_sensing_matrix("gaussian", 6, 10, 6).entries.copy()
-    entries[5] = entries[2]
-    phi = cg.SensingMatrix(entries, "user-supplied")
-    x = cg.sample_cosparse_signal(d, 5, 7)
-    con = cg.ConstraintSpec("equality", entries @ x)
-    assert _lp_start(d.entries, entries, con) is None
-    calls = _count_pivot_runs(monkeypatch)
-    res = assert_optimal_answer(d, phi, x, con)
-    assert len(calls) == 2
-    assert res.certified
-
-
 def test_an_infeasible_start_is_refused():
     # z+_j and z-_j swapped for one j with z_j far from 0: B^-1 b holds
     # -|z_j|, so phase 2 cannot start there
     d, phi, _, con = family_instance(11, 0)
     c, a, b = _build_lp(d.entries, phi.entries, con)
-    start, _, _ = _lp_start(d.entries, phi.entries, con)
-    assert simplex._solve_from(c, a, b, start, (), ()) is not None
+    _, _, start, _, _ = _lp_start(d.entries, phi.entries, con)
+    simplex._solve_from(c, a, b, start, (), ())
     xb = np.linalg.solve(a[:, start], b)
     r = 14 + int(np.argmax(xb[14:]))
     start[r] = (start[r] + 10) % 20
-    assert simplex._solve_from(c, a, b, start, (), ()) is None
+    with pytest.raises(ValueError, match="start is not feasible"):
+        simplex._solve_from(c, a, b, start, (), ())
 
 
-@pytest.mark.parametrize("family_seed, j, start", [
-    (11, 0, True),    # equality, phase 2 from the closed-form start
-    (11, 1, True),    # dantzig, phase 2 from the purified start
-    (11, 1, False),   # dantzig, two phases
-    (11, 48, False),  # a drift case, equality in two phases
+@pytest.mark.parametrize("family_seed, j", [
+    (11, 0),   # equality, phase 2 from the closed-form start
+    (11, 1),   # dantzig, phase 2 from the purified start
+    (11, 48),  # a drift case, equality
 ])
-def test_final_basis_is_optimal_in_exact_arithmetic(family_seed, j, start):
+def test_final_basis_is_optimal_in_exact_arithmetic(family_seed, j):
     # no tolerance: a negative entry is a finding, not roundoff to allow
     d, phi, _, con = family_instance(family_seed, j)
     c, a, b = _build_lp(d.entries, phi.entries, con)
-    if start:
-        sol = simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con))
-    else:
-        sol = solve_standard_lp(c, a, b)
+    sol = simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con)[2:])
     x_b, reduced = rational_basis_audit(c, a, b, sol.basis)
     assert min(x_b) >= 0
     assert min(reduced) >= 0

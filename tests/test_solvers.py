@@ -191,9 +191,13 @@ def test_small_scale_solves_are_certified_and_right(s):
 def test_infeasible_equality_raises():
     phi_raw = np.array([[1.0, 0.0], [1.0, 0.0]])  # rank 1, square
     d = cg.Dictionary(np.eye(2), "identity")
-    for s in (1.0, 1e-12):  # the miss is reported relative to ||y||, the same at both scales
-        with pytest.raises(cg.InfeasibleConstraintError, match=r"by 7\.071e-01 \|\|y\|\|"):
-            cg.solve_analysis_l1(phi_raw, d, cg.ConstraintSpec("equality", s * np.array([0.0, 1.0])))
+    # the miss is reported relative to ||y||, the same at every scale and
+    # on both routes
+    for s in (1.0, 1e-12, 1e12):
+        spec = cg.ConstraintSpec("equality", s * np.array([0.0, 1.0]))
+        for solve in (cg.solve_analysis_l1, cg.solve_lp_certified):
+            with pytest.raises(cg.InfeasibleConstraintError, match=r"by 7\.071e-01 \|\|y\|\|"):
+                solve(phi_raw, d, spec)
     with pytest.raises(cg.InfeasibleConstraintError):
         cg.solve_analysis_l1(
             phi_raw, d, cg.ConstraintSpec("l2-ball", np.array([0.0, 1.0]), epsilon=1e-3)
@@ -417,7 +421,6 @@ def test_first_order_path_never_calls_the_simplex(reference_instance, monkeypatc
     def no_simplex(*args):
         raise AssertionError("the simplex ran")
 
-    monkeypatch.setattr(solvers, "solve_standard_lp", no_simplex)
     monkeypatch.setattr(solvers, "_solve_from", no_simplex)
     for spec in (cg.ConstraintSpec("equality", y), cg.ConstraintSpec("l2-ball", y, epsilon=0.1)):
         assert cg.solve_analysis_l1(phi, d, spec).certified
