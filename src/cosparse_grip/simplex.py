@@ -14,7 +14,8 @@ and a point with rank(Phi) superbasic columns for its dantzig LPs, so
 no LP takes a phase 1. The dantzig start's basis is a signed identity,
 which is its own inverse, so _purify takes B^-1 as B itself and inverts
 nothing. A start whose basic values are not >= 0 within _FEAS_TOL,
-before or after the steps, is refused with ValueError.
+before or after the steps, is refused with ValueError; an upward step
+that no basic variable bounds raises LpUnboundedError.
 
 Phase 2 then pivots to an optimal basis. Between pivots the simplex
 keeps the basis index array and the basis inverse B^-1. Each pivot
@@ -171,8 +172,8 @@ def _solve_from(
 
     Raises ValueError when the start is refused: some entry of
     x_B = B^-1 (b - a_S values) is below -_FEAS_TOL max(1, ||x_B||_inf)
-    at the start or at the vertex reached, or a step of _purify finds no
-    bound. Raises LpUnboundedError when phase 2 finds the objective
+    at the start or at the vertex reached. Raises LpUnboundedError when
+    a step of _purify finds no bound, or phase 2 finds the objective
     unbounded below."""
     basis = np.array(basis)
     purified = not len(superbasic) or _purify(c, a, b, basis, superbasic, values)
@@ -200,7 +201,8 @@ def _purify(
     """Step a feasible point with superbasic columns to a vertex, after
     the crossover of Megiddo (ORSA J. Comput. 1991) and Bixby & Saltzman
     (Oper. Res. Lett. 1994); basis is updated in place. False when the
-    start is infeasible or a step finds no bound.
+    start is infeasible; LpUnboundedError when an upward step finds no
+    bound, as the cost then falls without limit along that column.
 
     Each superbasic x_j, in the given order, moves along the direction
     that does not raise the cost: up when its reduced cost
@@ -231,8 +233,8 @@ def _purify(
         rhs += aj * v  # x_j leaves the right side: it ends at 0 or basic
         if not up and v <= step:
             continue  # x_j reaches 0 first and stays nonbasic
-        if rows.size == 0:
-            return False
+        if rows.size == 0:  # up, and no basic variable bounds the step
+            raise LpUnboundedError("objective unbounded along a superbasic column")
         ties = rows[ratios <= step + 1e-12]
         r = ties[basis[ties].argmin()]
         basis[r] = j

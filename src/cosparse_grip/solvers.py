@@ -10,18 +10,25 @@ solve_analysis_l1 with (B, A) = (D, Phi), solve_synthesis_l1 with
 (I, Phi S), mapping the coefficients back to x = S alpha. One first-order
 path serves both: a primal-dual iteration (Chambolle-Pock with steps
 tau sigma ||K||^2 <= 1, ||K|| the exact largest singular value, restarted
-adaptively and rebalanced by a primal weight as in PDLP) on the stacked
-operator K = [B; A], for equality and l2-ball. The l1 dual block projects
-onto the unit box; the constraint dual block is the conjugate prox of the
-indicator of B(y). Since sigma tau = 1/||K||^2 for every primal weight,
-the dual-space move sigma K (z_new - z) is -(K K^T/||K||^2) u_new, so the
-loop carries the scaled image h = sigma K z - [0; sigma y] in place of K z,
-and one product of [tau K^T; K K^T/||K||^2] with the new dual gives both
-the primal step and h's next move. Each solve takes three SVDs: one
-of A, which gives A^+ and a basis N of null(A), with B N^T formed
-once; one of (B N^T)^T, whose pseudoinverse the dual repair uses; and
-one of K for ||K||. A zero-set dual of a polish takes one more, unless
-its zero set is empty, or has exactly dim null(A) entries and one
+adaptively and rebalanced by a primal weight as in PDLP), for equality
+and l2-ball. On the equality set it runs in null(A) coordinates,
+z = A^+ y + N^T c for a basis N of null(A), so every iterate is
+feasible: the problem is the unconstrained min ||B A^+ y + K c||_1 with
+K = B N^T and the l1 dual block alone (with dim null(A) = 0, A^+ y is
+the only feasible point, and no iteration runs). On the l2 ball it runs
+on z with the stacked operator K = [B; A]: the l1 dual block projects
+onto the unit box, and the constraint dual block is the conjugate prox
+of the indicator of B(y). Since sigma tau = 1/||K||^2 for every primal
+weight, the dual-space move sigma K (x_new - x) is
+-(K K^T/||K||^2) u_new, so the loop carries the scaled image
+h = sigma (K x + o) in place of K x (o = B A^+ y on equality, [0; -y]
+on the l2 ball), and one product of [tau K^T; K K^T/||K||^2] with the
+new dual gives both the primal step and h's next move. An equality solve
+takes two SVDs: one of A, which gives A^+ and N, with B N^T formed once;
+and one of (B N^T)^T, whose pseudoinverse the dual repair uses and
+whose largest singular value is ||K||. An l2-ball solve takes a third,
+of its stacked K, for ||K||. A zero-set dual of a polish takes one more,
+unless its zero set is empty, or has exactly dim null(A) entries and one
 linear solve gives it. On the equality set the iteration tries
 a polish, after PDLP's feasibility polishing and crossover to a vertex
 (Megiddo 1991), on the iterate at every eighth iteration whose face
@@ -51,7 +58,8 @@ sets its fields on both paths: _kkt measures primal infeasibility, dual
 infeasibility and the duality gap of a primal point z and a dual pair
 (v, w) of
   max -b^T w - s(w)  s.t.  B^T v + A^T w = 0,  ||v||_inf <= 1,
-the KKT error of PDLP, which also drives the restarts. The LP path reads
+the KKT error of PDLP, which also drives the l2 ball's restarts (the
+equality iteration's restarts take its reduced problem's). The LP path reads
 (v, w) off the simplex multipliers of its optimal basis. On the
 first-order path, _first_order_result repairs the dual (PDHG's, or the
 polish's zero-set dual) into exact dual feasibility by matvecs with
@@ -186,20 +194,23 @@ class _Factors(NamedTuple):
     null: np.ndarray       # rows spanning null(sensing)
     dn: np.ndarray         # d_block null^T, whose transpose is _first_order_result's leak
     leak_pinv: np.ndarray  # (dn^T)^+
+    dn_norm: float         # ||dn||_2, the equality iteration's ||K||
 
 
-def _pinv_null(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a^+, rows spanning null(a)) from one SVD of a; its rank counts the
-    singular values above sv[0] max(shape) eps (none when a has no rows)."""
+def _pinv_null(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(a^+, rows spanning null(a), ||a||_2) from one SVD of a; its rank
+    counts the singular values above sv[0] max(shape) eps (none when a
+    has no rows, and then ||a||_2 = 0)."""
     u, sv, vt = np.linalg.svd(a)
     r = int(np.sum(sv > sv[:1] * max(a.shape) * np.finfo(np.float64).eps))
-    return (vt[:r].T / sv[:r]) @ u[:, :r].T, vt[r:]
+    return (vt[:r].T / sv[:r]) @ u[:, :r].T, vt[r:], float(sv.max(initial=0.0))
 
 
 def _factor(d_block: np.ndarray, sensing: np.ndarray) -> _Factors:
-    pinv, null = _pinv_null(sensing)
+    pinv, null, _ = _pinv_null(sensing)
     dn = d_block @ null.T
-    return _Factors(pinv, null, dn, _pinv_null(dn.T)[0])
+    leak_pinv, _, dn_norm = _pinv_null(dn.T)
+    return _Factors(pinv, null, dn, leak_pinv, dn_norm)
 
 
 def _feasible_start(phi: np.ndarray, pinv: np.ndarray, constraint: ConstraintSpec) -> np.ndarray:
@@ -405,68 +416,73 @@ def _pdhg(
 ) -> RecoveryResult:
     """Restarted primal-dual iteration for min ||d_block z||_1 s.t.
     z in B(y), B(y) the equality set or the l2 ball, from the
-    least-squares point; fac is _factor(d_block, phi). Returns the
-    checked result (_first_order_result) of the point it ends at, with
-    the l1 block of its dual u = (v, w) (a polished point: the dual of its
-    zero set), unconverged if max_iters runs out.
+    least-squares point z0 = phi^+ y; fac is _factor(d_block, phi).
+    Returns the checked result (_first_order_result) of the point it
+    ends at, with the l1 block of its dual u (a polished point: the dual
+    of its zero set), unconverged if max_iters runs out.
 
-    The step from (z, u) with K = [d_block; phi] and L = ||K|| is
-    Chambolle-Pock's with the primal point extrapolated,
-      u+ = P(u + sigma (2 K z - K z_prev) - [0; sigma y]),
-      z+ = z - tau K^T u+,
-    where P clips the l1 block to [-1, 1] and maps the constraint block
-    w to itself on the equality set and to w max(0, 1 - sigma epsilon /
-    ||w||) on the l2 ball (Moreau). It runs without K z: since
-    sigma tau = 1/L^2 for every primal weight, sigma K (z - z_prev) = -e
-    with e = (K K^T / L^2) u, so the loop keeps h = sigma K z -
-    [0; sigma y] and e, and u+ = P(w) with w = u + h - e. One product of
-    [tau K^T; K K^T / L^2] with u+ gives tau K^T u+ and the next e, and h
-    moves by -e. A restart sets e = 0.
+    The iteration runs on a primal x, an operator K and an offset o:
+      * equality: x = c in null(phi) coordinates, z = z0 + null^T c, so
+        every iterate is feasible; K = d_block null^T (fac.dn) and
+        o = d_block z0, the unconstrained problem min ||K c + o||_1, whose
+        dual u is the l1 block alone. L = ||K|| comes from _factor's SVD.
+        With dim null(phi) = 0, z0 is the only feasible point: no
+        iteration runs, and the result is the polish of the empty face.
+      * l2 ball: x = z, K = [d_block; phi] and o = [0; -y], with an l1
+        and a constraint dual block; L = ||K|| from one more SVD.
+
+    The step from (x, u) is Chambolle-Pock's with the primal point
+    extrapolated,
+      u+ = P(u + sigma (2 K x - K x_prev) + sigma o),
+      x+ = x - tau K^T u+,
+    where P clips the l1 block to [-1, 1] and maps the l2 ball's
+    constraint block w to w max(0, 1 - sigma epsilon / ||w||) (Moreau).
+    It runs without K x: since sigma tau = 1/L^2 for every primal weight,
+    sigma K (x - x_prev) = -e with e = (K K^T / L^2) u, so the loop keeps
+    h = sigma (K x + o) and e, and u+ = P(w) with w = u + h - e. One
+    product of [tau K^T; K K^T / L^2] with u+ gives tau K^T u+ and the
+    next e, and h moves by -e. A restart sets e = 0.
 
     It stops when both fixed-point gaps of the scheme, ||K^T u+|| and
-    ||w - u+ - h+|| / sigma, are within _TOL * max(1e-12, ||y||). At
+    ||w - u+ - h+|| / sigma, are within _TOL * max(1e-12, ||y||). Every
+    _RESTART_EVERY iterations the KKT errors of the iterate and of the
+    average are compared: _kkt's on the l2 ball, and on equality the
+    reduced problem's, with no primal infeasibility, dual infeasibility
+    hypot(||K^T u||, (||u||_inf - 1)+) and gap ||K x + o||_1 - o^T u. At
     each restart the primal weight omega becomes the geometric mean of
     itself and the ratio of the dual to the primal move since the
     previous restart, and the steps become tau = 1 / (L omega),
     sigma = omega / L.
 
-    Polish (equality only): a pair (z_c, u_c) names a face, its face
-    guess: the dim null(phi) entries of d_block z_c nearest 0 (read off
-    h on the iterate). It is tried every _PEEK_EVERY iterations on the
-    iterate, when its face guess differs from the last one such a peek
-    tried; at a restart check on the candidate only when that is the
+    Polish (equality only): a pair (x_c, u_c) names a face, its face
+    guess: the dim null(phi) entries of d_block z_c = K x_c + o nearest 0
+    (read off h on the iterate). It is tried every _PEEK_EVERY iterations
+    on the iterate, when its face guess differs from the last one such a
+    peek tried; at a restart check on the candidate only when that is the
     average, since the iterate's face is its own iteration's peek's; and
     on the last iterate at the residual stop. _face_point gives the
     feasible point z_p on which the face vanishes, and its image
     d_block z_p from the same solve. z_p is refused unchecked when
-    sign(d_block z_p) off its zero set opposes an entry of u_c's l1
-    block of modulus _OPPOSED or more, and else _zero_set_dual builds
-    the l1 dual of z_p's own zero set: by one linear solve when that set
-    has dim null(phi) entries, else from that block by a least-norm
-    step; a dual outside the unit box refuses z_p unchecked. The result
-    of z_p is returned as soon as it is certified with that dual, and
-    iterations counts up to that check. A failed attempt changes nothing. The l2
-    ball's face has a curved part, so it is not polished.
+    sign(d_block z_p) off its zero set opposes an entry of u_c of modulus
+    _OPPOSED or more, and else _zero_set_dual builds the l1 dual of z_p's
+    own zero set: by one linear solve when that set has dim null(phi)
+    entries, else from u_c by a least-norm step; a dual outside the unit
+    box refuses z_p unchecked. The result of z_p is returned as soon as
+    it is certified with that dual, and iterations counts up to that
+    check. A failed attempt changes nothing. The l2 ball's face has a
+    curved part, so it is not polished.
     """
     p = d_block.shape[0]
     polish = constraint.kind == "equality"
-    y = constraint.y
     eps = constraint.epsilon
-
-    k_mat = np.vstack([d_block, phi])
-    lnorm = float(np.linalg.norm(k_mat, 2))  # largest singular value
-    if lnorm == 0.0:
-        raise ValueError("zero operator; nothing to solve")
-    n = k_mat.shape[1]
-
-    def kkt_error(z: np.ndarray, u: np.ndarray) -> float:
-        primal, dual, gap, _ = _kkt(d_block, phi, constraint, z, u[:p], u[p:])
-        return math.sqrt(primal * primal + dual * dual + gap * gap)
-
-    def result(z: np.ndarray, u: np.ndarray, converged: bool) -> RecoveryResult:
-        return _first_order_result(d_block, phi, constraint, z, u[:p], fac, iters, converged)
-
     free = fac.null.shape[0]
+    z0 = _feasible_start(phi, fac.pinv, constraint)
+    dz0 = d_block @ z0  # the polish's base point
+    iters = 0
+
+    def result(x: np.ndarray, u: np.ndarray, converged: bool) -> RecoveryResult:
+        z = z0 + fac.null.T @ x if polish else x.copy()
+        return _first_order_result(d_block, phi, constraint, z, u[:p], fac, iters, converged)
 
     def face_of(dz: np.ndarray) -> np.ndarray:
         """The face guess of a point with d_block image dz (or a positive
@@ -491,45 +507,62 @@ def _pdhg(
         res = _first_order_result(d_block, phi, constraint, z_p, v, fac, iters, True)
         return res if res.certified else None
 
+    if polish:
+        if not free:  # z0 is the only feasible point
+            u0 = np.zeros(p)
+            return polished(u0, face_of(dz0)) or result(np.zeros(0), u0, True)
+        k_mat, lnorm, offset, x0 = fac.dn, fac.dn_norm, dz0, np.zeros(free)
+    else:
+        k_mat = np.vstack([d_block, phi])
+        lnorm = float(np.linalg.norm(k_mat, 2))  # largest singular value
+        offset, x0 = np.concatenate([np.zeros(p), -constraint.y]), z0
+
+    def kkt_error(x: np.ndarray, u: np.ndarray) -> float:
+        if polish:  # the reduced problem's: every iterate is feasible
+            primal = 0.0
+            dual = math.hypot(_norm(k_mat.T @ u), max(0.0, float(np.abs(u).max()) - 1.0))
+            gap = float(np.abs(offset + k_mat @ x).sum()) - float(offset @ u)
+        else:
+            primal, dual, gap, _ = _kkt(d_block, phi, constraint, x, u[:p], u[p:])
+        return math.sqrt(primal * primal + dual * dual + gap * gap)
+
     omega = 1.0
     tau = 1.0 / lnorm
     sigma = 1.0 / lnorm
 
-    # [z; u] in one buffer, so the running sum is one add; step stacks
+    # [x; u] in one buffer, so the running sum is one add; step stacks
     # tau K^T over K K^T / L^2, so that one matmul of u+ gives the primal
-    # step tau K^T u+ and e, which is sigma K (z - z+) for every primal
+    # step tau K^T u+ and e, which is sigma K (x - x+) for every primal
     # weight, as sigma tau = 1/L^2
-    state = np.empty(n + k_mat.shape[0])
-    z, u = state[:n], state[n:]
+    nx = len(x0)
+    state = np.empty(nx + k_mat.shape[0])
+    x, u = state[:nx], state[nx:]
     step = np.empty((len(state), len(u)))
-    np.matmul(k_mat, k_mat.T, out=step[n:])
-    step[n:] /= lnorm * lnorm
+    np.matmul(k_mat, k_mat.T, out=step[nx:])
+    step[nx:] /= lnorm * lnorm
     ge = np.empty_like(state)
-    tg, e = ge[:n], ge[n:]
-    h = np.empty_like(u)  # sigma K z - [0; sigma y]
+    tg, e = ge[:nx], ge[nx:]
+    h = np.empty_like(u)  # sigma (K x + offset)
     w = np.empty_like(u)  # the dual step's input, then the primal residual
 
     def start_at(c: np.ndarray) -> None:
-        """Restart the recurrence at the pair c = [z; u] with the current
+        """Restart the recurrence at the pair c = [x; u] with the current
         steps: no extrapolation, so e = 0."""
         state[:] = c
-        np.multiply(k_mat.T, tau, out=step[:n])
-        np.matmul(k_mat, z, out=h)
+        np.multiply(k_mat.T, tau, out=step[:nx])
+        np.matmul(k_mat, x, out=h)
         np.multiply(h, sigma, out=h)
-        h[p:] -= sigma * y
+        np.add(h, sigma * offset, out=h)
         e.fill(0.0)
 
-    z0 = _feasible_start(phi, fac.pinv, constraint)
-    dz0 = d_block @ z0  # the polish's base point
-    last = np.concatenate([z0, np.zeros_like(u)])  # the last restart point
+    last = np.concatenate([x0, np.zeros_like(u)])  # the last restart point
     start_at(last)
-    err_last = kkt_error(z, u)
-    stop = _TOL * max(_norm(y), 1e-12)
+    err_last = kkt_error(x, u)
+    stop = _TOL * max(_norm(constraint.y), 1e-12)
 
     err_prev = math.inf  # candidate error at the previous check
     total = np.zeros_like(state)
     n_avg = 0
-    iters = 0
     tried = None  # the last face guess a peek tried
     hi = np.full_like(u, np.inf)  # clipping to [-hi, hi] boxes the l1 block alone
     hi[:p] = 1.0
@@ -548,7 +581,7 @@ def _pdhg(
 
         np.matmul(step, u, out=ge)
         r_d = math.sqrt(tg @ tg) / tau
-        z -= tg
+        x -= tg
         h -= e
         total += state
         n_avg += 1
@@ -557,11 +590,11 @@ def _pdhg(
             w -= u
             w -= h
             if math.sqrt(w @ w) / sigma <= stop:  # the primal gap, needed only now
-                return (polish and polished(u, face_of(h[:p]))) or result(z.copy(), u.copy(), True)
+                return (polish and polished(u, face_of(h))) or result(x, u, True)
         if iters % _PEEK_EVERY:
             continue
         if polish:
-            face = face_of(h[:p])
+            face = face_of(h)
             if tried is None or (face != tried).any():
                 tried = face
                 done = polished(u, face)
@@ -571,12 +604,12 @@ def _pdhg(
             continue
 
         avg = total / n_avg
-        err_avg = kkt_error(avg[:n], avg[n:])
-        err_cur = kkt_error(z, u)
+        err_avg = kkt_error(avg[:nx], avg[nx:])
+        err_cur = kkt_error(x, u)
         is_avg = err_avg < err_cur
         c, err_c = (avg, err_avg) if is_avg else (state.copy(), err_cur)
         if polish and is_avg:  # the iterate's face is the peek's
-            done = polished(avg[n:], face_of(d_block @ avg[:n]))
+            done = polished(avg[nx:], face_of(dz0 + k_mat @ avg[:nx]))
             if done:
                 return done
         restart = (
@@ -587,10 +620,10 @@ def _pdhg(
         err_prev = err_c
         if not restart:
             continue
-        dz = _norm(c[:n] - last[:n])
-        du = _norm(c[n:] - last[n:])
-        if dz > _MIN_MOVE and du > _MIN_MOVE:
-            omega = math.sqrt(omega * du / dz)  # halfway to du/dz in log scale
+        dx = _norm(c[:nx] - last[:nx])
+        du = _norm(c[nx:] - last[nx:])
+        if dx > _MIN_MOVE and du > _MIN_MOVE:
+            omega = math.sqrt(omega * du / dx)  # halfway to du/dx in log scale
             tau = 1.0 / (lnorm * omega)
             sigma = omega / lnorm
         start_at(c)
@@ -598,7 +631,7 @@ def _pdhg(
         err_prev = math.inf
         total.fill(0.0)
         n_avg = 0
-    return result(z.copy(), u.copy(), False)
+    return result(x, u, False)
 
 
 def _first_order_result(
@@ -829,10 +862,14 @@ def solve_lp_certified(
     given relative to ||y||, as on the first-order route. The returned
     point is an optimal vertex z = z+ - z-; the dual pair is read off the
     simplex multipliers pi of its basis, v = -pi[:p] from the analysis
-    rows and w from the measurement rows (w = -pi[p:] for equality, 0 on
-    the rows the LP drops as dependent; pi[p+n:] - pi[p:p+n] for
-    dantzig), and checked against the same fixed tolerances as the
-    first-order path. A y outside the band of _to_band is solved scaled
+    rows and w from the measurement rows (w = -pi[p:] for equality;
+    pi[p+n:] - pi[p:p+n] for dantzig), and checked against the same fixed
+    tolerances as the first-order path. When the equality LP drops rows
+    of Phi as dependent, w is -pi[p:] on the rows kept and 0 on the
+    others, projected onto range(Phi) as (Phi^+)^T Phi^T w: Phi^T w and
+    so dual feasibility are unchanged, and it is the least-norm w of the
+    first-order path, on which the gap does not pick up the part of y
+    off range(Phi). A y outside the band of _to_band is solved scaled
     into it, and the result scaled back.
     """
     phi_e = _sensing_for(phi, dictionary)
@@ -849,6 +886,8 @@ def solve_lp_certified(
     if constraint.kind == "equality":
         w = np.zeros(phi_e.shape[0])
         w[kept] = -pi[p:]
+        if lp is not constraint:  # rows dropped: w onto range(Phi), Phi^T w kept
+            w = _pinv_null(phi_e)[0].T @ (phi_e.T @ w)
     else:
         w = pi[p + n :] - pi[p : p + n]
     return _from_band(_result(d_block, phi_e, constraint, z, z, v, w, sol.pivots, True), e)

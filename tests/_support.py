@@ -79,57 +79,76 @@ def solve_recovery_family(campaign_seeds) -> int:
 
 def reference_pdhg(d_block: np.ndarray, phi: np.ndarray, constraint, max_iters: int = 200000):
     """The unpolished restarted primal-dual iteration of solvers._pdhg in
-    its textbook form, carrying K z and K z_prev: (last iterate z,
-    iterations). Each step extrapolates the dual input to
-    sigma (2 K z - K z_prev), takes the conjugate prox of the l1 and
-    constraint blocks, and moves z by -tau K^T u; the stop, the restart
-    checks and the primal weight are _pdhg's."""
+    its textbook form, carrying K x and K x_prev: (last iterate z,
+    iterations). On the equality set the primal is c in null(Phi)
+    coordinates, z = z0 + N^T c with z0 = Phi^+ y and N a basis of
+    null(Phi), and the problem is min ||K c + D z0||_1 with K = D N^T and
+    the l1 dual alone; on the l2 ball the primal is z, with K = [D; Phi]
+    and an l1 and a constraint dual block. Each step extrapolates the
+    dual input to sigma (2 K x - K x_prev), takes the conjugate prox of
+    the blocks (on equality, of ||. + D z0||_1: the clip of the input
+    plus sigma D z0), and moves x by -tau K^T u; the stop, the restart
+    checks and the primal weight are _pdhg's, with the reduced problem's
+    KKT error on equality. Like the solvers, it solves a y outside
+    solvers._to_band's band scaled into it, and scales z back."""
     from cosparse_grip import solvers
 
+    constraint, e = solvers._to_band(constraint)
     p = d_block.shape[0]
     y, eps = constraint.y, constraint.epsilon
-    k_mat = np.vstack([d_block, phi])
+    fac = solvers._factor(d_block, phi)
+    z0 = solvers._feasible_start(phi, fac.pinv, constraint)
+    equality = constraint.kind == "equality"
+    if equality:
+        k_mat, dz0 = fac.dn, d_block @ z0
+        x = np.zeros(k_mat.shape[1])
+    else:
+        k_mat, x = np.vstack([d_block, phi]), z0
     lnorm = float(np.linalg.norm(k_mat, 2))
 
-    def kkt_error(z, u):
-        primal, dual, gap, _ = solvers._kkt(d_block, phi, constraint, z, u[:p], u[p:])
+    def kkt_error(x, u):
+        if equality:
+            dual = math.hypot(float(np.linalg.norm(k_mat.T @ u)), max(0.0, float(np.abs(u).max()) - 1.0))
+            gap = float(np.abs(k_mat @ x + dz0).sum()) - float(dz0 @ u)
+            return math.hypot(dual, gap)
+        primal, dual, gap, _ = solvers._kkt(d_block, phi, constraint, x, u[:p], u[p:])
         return math.sqrt(primal * primal + dual * dual + gap * gap)
 
     omega, tau, sigma = 1.0, 1.0 / lnorm, 1.0 / lnorm
-    z = solvers._feasible_start(phi, solvers._factor(d_block, phi).pinv, constraint)
     u = np.zeros(k_mat.shape[0])
-    kz = kz_prev = k_mat @ z
+    kx = kx_prev = k_mat @ x
     stop = solvers._TOL * max(float(np.linalg.norm(y)), 1e-12)
-    z_last, u_last, err_last = z, u, kkt_error(z, u)
+    x_last, u_last, err_last = x, u, kkt_error(x, u)
     err_prev = math.inf
-    z_sum, u_sum, n_avg = np.zeros_like(z), np.zeros_like(u), 0
+    x_sum, u_sum, n_avg = np.zeros_like(x), np.zeros_like(u), 0
     iters = 0
     while iters < max_iters:
-        v = u + sigma * (2.0 * kz - kz_prev)
-        u_new = np.empty_like(u)
-        u_new[:p] = np.clip(v[:p], -1.0, 1.0)
-        if constraint.kind == "equality":
-            u_new[p:] = v[p:] - sigma * y
+        v = u + sigma * (2.0 * kx - kx_prev)
+        if equality:
+            u_new = np.clip(v + sigma * dz0, -1.0, 1.0)
         else:
+            u_new = np.empty_like(u)
+            u_new[:p] = np.clip(v[:p], -1.0, 1.0)
             dev = v[p:] / sigma - y
             nrm = float(np.linalg.norm(dev))
             proj = y + dev * (eps / nrm) if nrm > eps else v[p:] / sigma
             u_new[p:] = v[p:] - sigma * proj
         g = k_mat.T @ u_new
-        z_new = z - tau * g
-        kz_new = k_mat @ z_new
+        x_new = x - tau * g
+        kx_new = k_mat @ x_new
         r_d = float(np.linalg.norm(g))
-        r_p = float(np.linalg.norm((v - u_new) / sigma - kz_new))
-        u, z, kz_prev, kz = u_new, z_new, kz, kz_new
-        z_sum, u_sum, n_avg = z_sum + z, u_sum + u, n_avg + 1
+        # on equality (v + sigma D z0 - u_new) / sigma - (K x_new + D z0)
+        r_p = float(np.linalg.norm((v - u_new) / sigma - kx_new))
+        u, x, kx_prev, kx = u_new, x_new, kx, kx_new
+        x_sum, u_sum, n_avg = x_sum + x, u_sum + u, n_avg + 1
         iters += 1
         if max(r_p, r_d) <= stop:
             break
         if iters % solvers._RESTART_EVERY:
             continue
-        z_avg, u_avg = z_sum / n_avg, u_sum / n_avg
-        err_avg, err_cur = kkt_error(z_avg, u_avg), kkt_error(z, u)
-        z_c, u_c, err_c = (z_avg, u_avg, err_avg) if err_avg < err_cur else (z, u, err_cur)
+        x_avg, u_avg = x_sum / n_avg, u_sum / n_avg
+        err_avg, err_cur = kkt_error(x_avg, u_avg), kkt_error(x, u)
+        x_c, u_c, err_c = (x_avg, u_avg, err_avg) if err_avg < err_cur else (x, u, err_cur)
         restart = (
             err_c <= solvers._SUFFICIENT_DECAY * err_last
             or (err_c <= solvers._NECESSARY_DECAY * err_last and err_c > err_prev)
@@ -138,15 +157,15 @@ def reference_pdhg(d_block: np.ndarray, phi: np.ndarray, constraint, max_iters: 
         err_prev = err_c
         if not restart:
             continue
-        dz, du = float(np.linalg.norm(z_c - z_last)), float(np.linalg.norm(u_c - u_last))
-        if dz > solvers._MIN_MOVE and du > solvers._MIN_MOVE:
-            omega = math.sqrt(omega * du / dz)
+        dx, du = float(np.linalg.norm(x_c - x_last)), float(np.linalg.norm(u_c - u_last))
+        if dx > solvers._MIN_MOVE and du > solvers._MIN_MOVE:
+            omega = math.sqrt(omega * du / dx)
             tau, sigma = 1.0 / (lnorm * omega), omega / lnorm
-        z, u = z_c, u_c
-        kz = kz_prev = k_mat @ z
-        z_last, u_last, err_last, err_prev = z, u, err_c, math.inf
-        z_sum, u_sum, n_avg = np.zeros_like(z), np.zeros_like(u), 0
-    return z, iters
+        x, u = x_c, u_c
+        kx = kx_prev = k_mat @ x
+        x_last, u_last, err_last, err_prev = x, u, err_c, math.inf
+        x_sum, u_sum, n_avg = np.zeros_like(x), np.zeros_like(u), 0
+    return np.ldexp(z0 + fac.null.T @ x if equality else x, -e), iters
 
 
 def _exact_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -268,7 +287,7 @@ def reference_purify(c, a, b, basis, superbasic, values):
         if not up and v <= step:
             continue
         if rows.size == 0:
-            return False
+            raise simplex.LpUnboundedError("objective unbounded along a superbasic column")
         ties = rows[ratios <= step + 1e-12]
         r = ties[basis[ties].argmin()]
         basis[r] = j

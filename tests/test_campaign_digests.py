@@ -109,10 +109,13 @@ CAMPAIGNS = {
     # the recovery benchmark's family (seed 11, ungauged), whose PDHG
     # solves end at the polish; retaken when square zero sets began to
     # take their dual by one linear solve, which moved dual_residual alone
-    # (they were 858dd7a1... and 1224cf78...)
+    # (they were 858dd7a1... and 1224cf78...), and when the equality
+    # iteration moved into null(Phi) coordinates: iterations 2,832 ->
+    # 1,000, objectives within 4.7e-13 relative, err_l2 within 5.3e-13
+    # (they were a14ff501... and 174b9aeb...)
     "solve.equality": (
-        "a14ff501c5d7e28cee9df5c4abe739adae82c6d5ee419eedc50a8219cb753d51",
-        "174b9aebe212153f6fa257fa13d44a2f1ebc64a6f8ca5408dba079e9876fd3c5",
+        "080439126ef727cefe67f0c62a9055bc3f7a2ddc74ff0982be3a3d52115ee948",
+        "e2bb3c335d69746fac2e117614e4a603b407cecba1eb0f340fef4a6f6f05d55b",
         "a907a5d512135dc40550d284fcac61ff94c22bc50fb8fce213eb921a01f2c83c",
     ),
     # PDHG solves that project onto the l2 ball and are never polished
@@ -143,36 +146,55 @@ CAMPAIGNS = {
         "bc721c41596f6696e262ee68c99f3f7c7ba9ea7dc36462287ef43ed7ce0382db",
     ),
     # each trial solved by both routes, so the synthesis route's PDHG
-    # runs too
+    # runs too; retaken when the equality iteration moved into null(Phi)
+    # coordinates: iterations 1,064 -> 352 (p1) and 880 -> 408 (p2),
+    # objectives within 2e-15 relative (they were fbf73d0e... and
+    # 30421c35...)
     "p1p2.p1p2": (
-        "fbf73d0e5696a1a7a52838dd3f932bd556075ff0b4d22584c0cab388d7f73858",
-        "30421c3502a5e2b99bc43205bd12e18ed154928b92f6c4dba3f78526b825052b",
+        "ad513126254ffad79db5ce78817ff9a3ffc43add1932f867e83a48120027b097",
+        "dcb7ea58d5fa080a2cdd22d5275955dadf6cf54363f3ef851bf3a23bc1805e82",
         "526eb6715854f4df5caac7a6e958c552a7c3d8f2f8c2724abc43ed4c41b2c2fa",
     ),
     # m_grid ends at m = n = 10, where null(Phi) is trivial and the face
-    # point is Phi^+ y itself
+    # point is Phi^+ y itself; retaken when the equality iteration moved
+    # into null(Phi) coordinates: iterations 800 -> 408, objectives within
+    # 1e-14 relative, err_l2 within 2.3e-14 (they were f9a2ea25... and
+    # 93084adf...)
     "phase.phase": (
-        "f9a2ea253bdc87467a6bb3ef60de39d9c0fd18b316dcd066e4c1b28041584fd3",
-        "93084adfaab8669b954127076268f8b7f2a22b9fac4d64133274b00dcde3cce0",
+        "6f1192799fd4202134ac5fad5d61246fe629aa7189173f4a87c7b88badef7b30",
+        "7fa7bc2dab09f42eb75a9792b830ff30209f19a4e0024fa6741b1a8f974dd876",
         "36f306e45d6eb9b82d5b8e9e5ffa9a3afc8099a9258a0271be625448d7ee3ffc",
     ),
-    # the default m sweep over a finite-difference D with a bernoulli Phi
+    # the default m sweep over a finite-difference D with a bernoulli Phi;
+    # retaken when the equality iteration moved into null(Phi)
+    # coordinates: iterations 1,581 -> 1,207, and 8 solves (was 1) end
+    # unpolished at the residual stop, up to 1.7e-9 relative above the LP
+    # objective (on the one traced, the face guess names two nearly
+    # dependent rows of a degenerate vertex); err_l2 moved by up to 6.7e-2
+    # on a non-unique
+    # minimizer; every success flag held (they were 243d5bfb... and
+    # bde4cf60...)
     "phase.fd": (
-        "243d5bfbaee89608cf7a0977d62a4efe5ba6f5bbfaf447f65eeff2f1c3d6d729",
-        "bde4cf603251818473148fc598640c80dd56da80a94613e0a886504e25456c7c",
+        "cab86d81d42067164ad3981f4adf3e8a4a16efb75360b310b5ca9a4e3d64f685",
+        "e45639794afa842f7659350763c76fbe59d8ef455dba0de4a81635409386a10d",
         "a447840ea415e291958507f80453bb3feb5f97f3f386085d54525f05ebbde256",
     ),
     # solves and checks Theorem 1 on a loaded matched instance, D and Phi
-    # (t1-d.csv, t1-phi.csv)
+    # (t1-d.csv, t1-phi.csv); retaken, with t1-printed, when the equality
+    # iteration moved into null(Phi) coordinates: 5 of its 20 l1
+    # minimizers are not unique, and the solve now returns another point
+    # of the optimal face at the same objective, which moves the error
+    # lhs by up to 0.128; every hypothesis_ok held (they were 0a2f26e9...
+    # and 696f4cf9...; 4bd929e9... and 2a981de9... for t1-printed)
     "verify-t1.t1": (
-        "0a2f26e964d5e5f05f2acbe39d2a4542922406d4c7e1145713d669f9199aad79",
-        "696f4cf9951dfe4f1e5eb8c77b438329e6720f98f20b0f2b31a4b0f01e81014a",
+        "e746aaa551138675ee5060e47a5b91d2e393d1f410f252c645f5eb8d9db1577b",
+        "46ae8712e8d781057db9870b912880e6ddb7102d80685acd9e226496f4984b5c",
         "1ecd22050f7d5e2b1150687808cd59395a1d602e296121780fea290127c8191b",
     ),
     # t1 with rho zeroed, at the printed constants
     "verify-t1.t1-printed": (
-        "4bd929e90b8bc96bc56e44f46ab44c39fc027f8c1b583675f1436c82d331dd97",
-        "2a981de98c376dafcaea17b2c11ad7e2b24ef8d6aaa15e40a5442b3d5bcde37a",
+        "bf6560dccc5c12d94ea871345712efd81b0a3569f1b1b4a5c8085b8a7d26d211",
+        "49fd642cf2dd52fde5c9731a2e2f75e9facafc9d513b73d27ffa5748211b6026",
         "b6611ae2c6a7b27e8c690bf4b558594cf701c7057a21dca328e75955aac344e8",
     ),
 }

@@ -122,19 +122,49 @@ def test_pricing_tolerance_scales_with_multipliers():
     # multipliers reached 1.4e6, where an absolute entering threshold of
     # 1e-9 let a reduced cost of -2.1e-9, pure roundoff, enter; its column
     # had no positive entry, and this bounded LP was reported unbounded.
-    # From the closed-form start its multipliers stay below 700
+    # From the closed-form start its multipliers stay at 671 or below, so
+    # it no longer meets that case; the LP below does
     d = cg.make_dictionary("tight-frame", 40, 20, 63)
     phi = cg.make_sensing_matrix("gaussian", 10, 20, 1063)
     x = cg.sample_cosparse_signal(d, 25, 2063)
     assert_optimal_answer(d, phi, x, cg.ConstraintSpec("dantzig", phi.entries @ x, lam=0.1))
 
 
+def test_roundoff_reduced_cost_does_not_enter():
+    # an optimal start basis B with multipliers c_B B^-1 near 1e8, and one
+    # nonbasic column a_j = B w with w < 0 and c_j = c_B w: its reduced
+    # cost is 0 in exact arithmetic and -3.0e-8 as computed, which an
+    # absolute entering threshold of 1e-9 would let enter; B^-1 a_j has no
+    # positive entry, so that pivot would report this bounded LP unbounded
+    rng = np.random.default_rng(0)
+    bm = rng.standard_normal((3, 3))
+    cb = 1e8 * rng.standard_normal(3)
+    w = -rng.uniform(0.5, 2.0, 3)
+    a = np.column_stack([bm, bm @ w])
+    c = np.append(cb, cb @ w)
+    x_b = rng.uniform(1.0, 2.0, 3)
+    b = bm @ x_b
+    binv = np.linalg.inv(bm)
+    y = cb @ binv
+    assert np.abs(y).min() >= 1e6
+    assert c[3] - y @ a[:, 3] < -1e-9
+    assert (binv @ a[:, 3]).max() < 0.0
+    sol = solve_from_basis(c, a, b, [0, 1, 2])
+    assert sol.pivots == 0 and sol.basis.tolist() == [0, 1, 2]
+    assert np.allclose(sol.x[:3], x_b, rtol=1e-12) and sol.x[3] == 0.0
+
+
 def test_unbounded_detected():
     # x1 free to grow: only x2 is pinned
+    c, a, b = np.array([-1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0])
     with pytest.raises(LpUnboundedError):
-        solve_from_basis(np.array([-1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([1.0]), [1])
+        solve_from_basis(c, a, b, [1])
     with pytest.raises(LpUnboundedError):
         solve_from_basis(np.array([-1.0, 2.0]), np.zeros((0, 2)), np.zeros(0), [])
+    # from x = (1, 1) with x1 superbasic, x1's upward step meets no bound:
+    # the purification reports the LP unbounded, not the start infeasible
+    with pytest.raises(LpUnboundedError):
+        simplex._solve_from(c, a, b, np.array([1]), np.array([0]), np.array([1.0]))
 
 
 def test_beale_cycling_example_terminates():
@@ -195,11 +225,12 @@ def start_lps(draw):
     signed unit column sigma_i e_i per row and dense integer columns
     (integer data keeps exact ties in pricing and in the ratio test),
     shuffled together. b = a_S v + sigma * u for integers u >= 0 (0 makes
-    a degenerate row) and, when no cost is negative, optionally some
-    dense columns S superbasic at integer values v > 0, so _purify runs on
-    generic data; with costs >= 0 the LP is bounded and each of _purify's
-    steps meets a bound. Signed costs may make the LP unbounded. The
-    start is the unit basis, at x_B = u. Returns (c, a, b, start)."""
+    a degenerate row), with optionally some dense columns S superbasic at
+    integer values v > 0, so _purify runs on generic data. With costs
+    >= 0 the LP is bounded and each of _purify's steps meets a bound;
+    signed costs may make the LP unbounded, in phase 2 or along a
+    superbasic column's step. The start is the unit basis, at x_B = u.
+    Returns (c, a, b, start)."""
     m = draw(st.integers(1, 4))
     ints = st.integers(-3, 3)
     signed = draw(st.booleans())  # else every cost is >= 0
@@ -207,7 +238,7 @@ def start_lps(draw):
     for _ in range(draw(st.integers(1, 4))):
         columns.append(np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float))
         costs.append(draw(st.integers(-2 if signed else 0, 3)))
-    held = [] if signed else [k for k in range(len(columns)) if draw(st.booleans())]
+    held = [k for k in range(len(columns)) if draw(st.booleans())]
     values = np.array([draw(st.integers(1, 2)) for _ in held], dtype=float)
     b = sum((v * columns[k] for k, v in zip(held, values)), np.zeros(m))
     for i in range(m):

@@ -355,6 +355,25 @@ def test_lp_equality_certificate(reference_instance):
     assert np.linalg.norm(phi.entries @ res.x_hat - y) <= 1e-8
 
 
+def test_lp_dual_on_dependent_rows_is_certified():
+    # Phi of rank 5 with 6 rows, and y moved off range(Phi) by 1e-8 to
+    # 9e-8 ||y||, which both routes accept: the LP keeps 5 rows, and its w
+    # is taken onto range(Phi), as the first-order route's is. With w = 0
+    # on the dropped row, the gap picked up (y - P y)^T w, and 11 of these
+    # 100 draws came back uncertified
+    for s in range(100):
+        rng = np.random.default_rng(s)
+        d = cg.make_dictionary("tight-frame", 14, 10, s)
+        phi = rng.standard_normal((6, 5)) @ rng.standard_normal((5, 10))
+        y = phi @ cg.sample_cosparse_signal(d, 5, s + 1)
+        y = y + rng.uniform(1e-8, 9e-8) * np.linalg.norm(y) * np.linalg.svd(phi)[0][:, -1]
+        spec = cg.ConstraintSpec("equality", y)
+        res = cg.solve_lp_certified(phi, d, spec)
+        first_order = cg.solve_analysis_l1(phi, d, spec)
+        assert res.certified and first_order.certified, s
+        assert abs(res.objective - first_order.objective) <= 1e-9 * max(1.0, res.objective), s
+
+
 def test_lp_route_refuses_the_l2_ball(reference_instance):
     phi, d, x, y = reference_instance
     with pytest.raises(ValueError, match="^LP route supports equality and dantzig only$"):
@@ -522,10 +541,13 @@ def test_recovery_result_serializes(reference_instance):
 # were a654b72b... and d2523282...), which kept every iteration count of
 # _PDHG_ITERATIONS; the equality one again when square zero sets began to
 # take their dual by one linear solve, which moved only dual_residual and
-# certification_gap (it was d39515d6...). A moved digest is a change of
-# numerics to record.
+# certification_gap (it was d39515d6...); the equality one again when its
+# iteration moved into null(Phi) coordinates, which cut the family's
+# iterations 2,832 -> 1,000 and kept every objective within 4.7e-13
+# relative (it was 83365941...). A moved digest is a change of numerics
+# to record.
 _PDHG_DIGESTS = {
-    "equality": "83365941a3aea132df904eee19a1743699bba13d02e9f514e7604aa8363dcc06",
+    "equality": "fe5959822b0d275463e98af363f4c7802109262d219cd91930d0bcf177187b85",
     "l2-ball": "07373b74a855581859ecc5fe688f3fee1dfc0b208cb24b00ce42c002b3a025c2",
 }
 
@@ -550,8 +572,8 @@ def test_pdhg_route_bits_are_pinned(kind):
 # bits: a change of roundoff alone leaves every stop and restart where it is
 _PDHG_ITERATIONS = {
     "equality": [
-        120, 152, 88, 32, 168, 40, 64, 120, 8, 88, 104, 24,
-        24, 152, 8, 32, 96, 8, 64, 112, 128, 320, 824, 56,
+        48, 64, 16, 8, 24, 8, 160, 64, 8, 8, 40, 16,
+        8, 40, 8, 8, 32, 8, 8, 32, 136, 56, 184, 16,
     ],
     "l2-ball": [
         666, 415, 1451, 846, 601, 563, 703, 640, 626, 1476, 479, 635,
@@ -591,6 +613,36 @@ def test_pdhg_follows_the_reference_recurrence(dict_kind, kind, n, seed):
     z, iterations = reference_pdhg(d.entries, phi.entries, spec)
     assert res.iterations == iterations
     assert np.linalg.norm(res.x_hat - z) <= 1e-9 * max(1.0, np.linalg.norm(z))
+
+
+@given(
+    st.sampled_from(["tight-frame", "gaussian-random", "finite-difference", "orthogonal"]),
+    st.integers(4, 8),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_equality_solves_are_certified_at_the_lp_optimum(dict_kind, n, data):
+    # the equality iteration runs in null(Phi) coordinates, for Phi with m
+    # 1 to n rows (dim null(Phi) = 0 at m = n, where no iteration runs)
+    # and with a repeated row (dim null(Phi) = n - m, not n - m - 1); a
+    # k-cosparse signal with k > p - n, so that D's other rows leave it a
+    # null space. Every solve is certified, converged and at the LP's
+    # objective
+    p = n if dict_kind in ("finite-difference", "orthogonal") else data.draw(st.integers(n, n + 5))
+    m = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(max(1, p - n + 1), p - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    d = cg.make_dictionary(dict_kind, p, n, cg.trial_seed(seed, 0))
+    x = cg.sample_cosparse_signal(d, k, cg.trial_seed(seed, 1))
+    rng = np.random.default_rng(cg.trial_seed(seed, 2))
+    phi = rng.standard_normal((m, n)) / math.sqrt(m)
+    if data.draw(st.booleans()):
+        phi = np.vstack([phi, phi[rng.integers(m)]])
+    spec = cg.ConstraintSpec("equality", phi @ x)
+    res = cg.solve_analysis_l1(phi, d, spec)
+    lp = cg.solve_lp_certified(phi, d, spec)
+    assert res.certified and res.converged
+    assert abs(res.objective - lp.objective) <= 1e-9 * max(1.0, lp.objective)
 
 
 # ---------------------------------------------------------------------------
@@ -655,18 +707,15 @@ def test_polished_point_is_never_returned_uncertified(index, scale):
 
 
 def test_polish_on_recovery_reference_family(monkeypatch):
-    # the 24 trials of the seed-11 solve campaign; without the polish they
-    # take 33,289 iterations and stop up to 3.6e-9 above the LP objective.
-    # Tried only at the restart checks and the residual stop, the polish
-    # took 4,672 iterations and built 73 zero-set duals; tried also at
-    # every peek whose face guess changed, it takes 2,832 and builds 133,
-    # against 288 (same iterations) without the sign refusal; 129 once a
-    # restart check no longer repeats its peek's refused attempt, and 127
-    # (measured, same iterations) once a check polishes only the average.
-    # The polish's work is pinned: 277 face points, 127 zero-set duals, of
-    # which the 81 on a zero set of dim null(Phi) rows take one linear
-    # solve and the other 46 an SVD, and 24 certified polishes, one per
-    # solve
+    # the 24 trials of the seed-11 solve campaign. On the stacked operator
+    # [D; Phi] they took 33,289 iterations without the polish, 3,776 with
+    # the polish tried only at the restart checks and 2,832 with the peeks
+    # too, which built 277 face points and 127 zero-set duals (46 by an
+    # SVD). In null(Phi) coordinates they take 10,010 without the polish,
+    # 2,096 with it at the checks alone, and 1,000 with the peeks. The
+    # polish's work is pinned: 87 face points, 55 zero-set duals, of which
+    # the 39 on a zero set of dim null(Phi) rows take one linear solve and
+    # the other 16 an SVD, and 24 certified polishes, one per solve
     attempts = _count_polish_attempts(monkeypatch)
     duals = _record_zero_set_duals(monkeypatch)
     svds, polishes = [], []
@@ -683,10 +732,10 @@ def test_polish_on_recovery_reference_family(monkeypatch):
 
     monkeypatch.setattr(solvers, "_pinv_null", counting_svd)
     monkeypatch.setattr(solvers, "_first_order_result", counting_polish)
-    assert solve_recovery_family([11]) == 2832
-    assert len(attempts) == 277
-    assert len(duals) == 127
-    assert len(svds) == 2 * 24 + 46  # _factor's two per solve, then the duals'
+    assert solve_recovery_family([11]) == 1000
+    assert len(attempts) == 87
+    assert len(duals) == 55
+    assert len(svds) == 2 * 24 + 16  # _factor's two per solve, then the duals'
     assert sum(polishes) == 24
 
 
@@ -773,10 +822,11 @@ def test_face_point_image_is_its_points_image(index):
 
 
 def test_polish_on_three_recovery_families():
-    # 72 solves: 51,776 iterations with the repaired PDHG dual, 13,376 with
-    # the zero-set dual at the restart checks, 7,944 with the peeks; each
+    # 72 solves: on the stacked operator [D; Phi], 51,776 iterations with
+    # the repaired PDHG dual, 13,376 with the zero-set dual at the restart
+    # checks, 7,944 with the peeks; 2,776 in null(Phi) coordinates. Each
     # is certified and within 1e-12 of the LP
-    assert solve_recovery_family([11, 12, 13]) <= 8500
+    assert solve_recovery_family([11, 12, 13]) <= 3000
 
 
 def test_a_refused_polish_changes_nothing(monkeypatch):
@@ -790,18 +840,18 @@ def test_a_refused_polish_changes_nothing(monkeypatch):
         res = cg.solve_analysis_l1(phi, d, spec)
         assert res.certified and res.converged, i
         total += res.iterations
-    assert total == 33289
+    assert total == 10010
 
 
 @pytest.mark.parametrize("n, k, s, iterations", [
-    pytest.param(6, 3, 22, 61, id="6-3-22"),
-    pytest.param(6, 5, 37, 63, id="6-5-37"),
+    pytest.param(6, 2, 1, 37, id="6-2-1"),
+    pytest.param(6, 3, 0, 60, id="6-3-0"),
 ])
 def test_polish_at_the_residual_stop(n, k, s, iterations, monkeypatch):
     # matched-operator instances that the first peek (iteration 8)
     # polishes; with the peeks moved onto the restart checks, they meet
     # the residual stop before the first check and are polished there.
-    # Unpolished, they stop 2.3e-10 and 2.7e-10 above the LP objective
+    # Unpolished, each stops 9.0e-10 above the LP objective
     d, phi = matched_instance(n, n - 1, s)
     spec = cg.ConstraintSpec("equality", phi.entries @ cg.sample_cosparse_signal(d, k, 600 + s))
     assert cg.solve_analysis_l1(phi, d, spec).iterations == solvers._PEEK_EVERY
@@ -843,13 +893,14 @@ def _repeated_row_sensing():
 
 
 @pytest.mark.parametrize("route, sensing, iterations", [
-    # the check that accepts the polish: the first peek, on the iterate
-    pytest.param("analysis", _square_sensing, 8, id="analysis-_square_sensing"),
-    # the first restart check, on the average
-    pytest.param("analysis", _repeated_row_sensing, 64, id="analysis-_repeated_row_sensing"),
-    # the second restart check, on the average
+    # the check that accepts the polish: none, as z0 is the only feasible
+    # point and the empty face is polished before any iteration
+    pytest.param("analysis", _square_sensing, 0, id="analysis-_square_sensing"),
+    # the 11th peek, on the iterate
+    pytest.param("analysis", _repeated_row_sensing, 88, id="analysis-_repeated_row_sensing"),
+    # the 12th peek, on the iterate
     pytest.param(
-        "synthesis", lambda: cg.make_sensing_matrix("gaussian", 6, 10, 42).entries, 128,
+        "synthesis", lambda: cg.make_sensing_matrix("gaussian", 6, 10, 42).entries, 96,
         id="synthesis-<lambda>",
     ),
 ])
@@ -873,18 +924,27 @@ def test_polish_edge_cases(route, sensing, iterations):
 @pytest.mark.parametrize("kind", ["equality", "l2-ball"])
 @pytest.mark.parametrize("route", [cg.solve_analysis_l1, cg.solve_synthesis_l1])
 def test_each_solve_factors_once_and_certifies_once(reference_instance, monkeypatch, route, kind):
-    # one SVD gives Phi^+, so no least-squares solve runs; a proposed face
+    # one SVD gives Phi^+, so no least-squares solve runs, and on the
+    # equality set ||K|| = ||D N^T|| comes from _factor's SVD of (D N^T)^T,
+    # so only the l2 ball takes a third SVD for ||K||; a proposed face
     # point whose zero-set dual leaves the unit box is refused before
     # _first_order_result, every other one is repaired once, and one more
     # repair runs only when no polish ends the solve (always on the l2
     # ball, never on this equality set)
     phi, d, x, y = reference_instance
-    proposals, duals, repairs = [], [], []
+    proposals, duals, repairs, spectral = [], [], [], []
     face_point, zero_set_dual = solvers._face_point, solvers._zero_set_dual
     repair = solvers._first_order_result
 
     def no_lstsq(*args, **kwargs):
         raise AssertionError("np.linalg.lstsq ran")
+
+    norm = np.linalg.norm
+
+    def spectral_norm(a, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(a) == 2:
+            spectral.append(a.shape)
+        return norm(a, ord, *args, **kwargs)
 
     def proposing(*args):
         z = face_point(*args)
@@ -903,6 +963,7 @@ def test_each_solve_factors_once_and_certifies_once(reference_instance, monkeypa
         return repair(*args)
 
     monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    monkeypatch.setattr(np.linalg, "norm", spectral_norm)
     monkeypatch.setattr(solvers, "_face_point", proposing)
     monkeypatch.setattr(solvers, "_zero_set_dual", dualizing)
     monkeypatch.setattr(solvers, "_first_order_result", counting)
@@ -911,8 +972,10 @@ def test_each_solve_factors_once_and_certifies_once(reference_instance, monkeypa
     if kind == "equality":
         assert 0 < len(repairs) <= len(proposals)
         assert len(repairs) == len(duals)
+        assert not spectral
     else:
         assert not proposals and len(repairs) == 1
+        assert len(spectral) == 1
 
 
 @pytest.mark.parametrize("phi", [np.eye(1), _square_sensing()], ids=["identity", "square"])
