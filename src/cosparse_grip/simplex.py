@@ -1,39 +1,34 @@
-"""Dense simplex from a caller's feasible point: largest-coefficient
-pricing with a Bland fallback.
+"""Dense simplex from a caller's vertex: largest-coefficient pricing with
+a Bland fallback.
 
-Solves min c x subject to A x = b, x >= 0 to optimality, from a start
-the caller builds (_solve_from): a basis, plus superbasic columns,
-nonbasic at values > 0. Sized for the certification LPs this package
-builds (a few hundred variables); nothing here is sparse. _purify first
-steps each superbasic column to 0 or into the basis by one ratio test,
-along the direction that does not raise the cost, so after one step per
-column the point is a vertex (Megiddo, ORSA J. Comput. 1991; Bixby &
-Saltzman, Oper. Res. Lett. 1994). solvers._lp_start builds such starts
-in closed form for every sensing matrix, a vertex for its equality LPs
-and a point with rank(Phi) superbasic columns for its dantzig LPs, so
-no LP takes a phase 1. The dantzig start's basis is a signed identity,
-which is its own inverse, so _purify takes B^-1 as B itself and inverts
-nothing. A start whose basic values are not >= 0 within _FEAS_TOL,
-before or after the steps, is refused with ValueError; an upward step
-that no basic variable bounds raises LpUnboundedError.
+Solves min c x subject to A x = b, x >= 0 to optimality, from a basis
+the caller builds (_solve_from) whose basic solution is feasible: a
+vertex. Sized for the certification LPs this package builds (a few
+hundred variables); nothing here is sparse. solvers._build_lp starts
+every LP at its slack basis around Phi^+ y, a signed identity, which is
+its own inverse, so _solve_from takes B^-1 as B itself and inverts
+nothing; any other basis is inverted once. A start whose basic values
+are not >= 0 within _FEAS_TOL is refused with ValueError.
 
 Phase 2 then pivots to an optimal basis. Between pivots the simplex
 keeps the basis index array and the basis inverse B^-1. Each pivot
 applies the product-form rank-one step to B^-1 in O(m^2), and every
 _REFACTOR_EVERY updates it is inverted afresh from the rows of A (Dantzig
 & Orchard-Hays, Math. Tables Aids Comput. 1954; refactorization as in
-Bixby, Oper. Res. 2002). Every terminal decision, optimal or unbounded,
-is taken on a fresh inverse: when an updated B^-1 finds no entering
-column or no positive pivot entry, it is inverted afresh and the pivot
-is priced again, so roundoff carried through the updates cannot decide
-the outcome. Tolerances are relative: to the multipliers for entering,
-to the entering column for the pivot. The most negative reduced cost
-enters. A run of degenerate pivots as long as the basis has rows
-switches entering to Bland's rule (smallest eligible index; Bland, Math.
-Oper. Res. 1977) until a pivot makes a positive step, which keeps
-termination finite. The leaving row is always the smallest basis index
-among the ratio-test ties. One solve call, on the stack [B, B^T], then
-gives x and the multipliers c_B B^-1.
+Bixby, Oper. Res. 2002). Every terminal decision is taken on a fresh
+factorization, so roundoff carried through the updates cannot decide
+the outcome. One solve call on the stack [B, B^T] gives x_B and the
+multipliers c_B B^-1 of a basis that prices optimal; when that was on
+an updated B^-1, the basis is priced again with those multipliers, and
+an eligible column there resumes the pivots from a fresh inverse. When
+an updated B^-1 finds no positive pivot entry, it is inverted afresh
+and the pivot is priced again. Tolerances are relative: to the
+multipliers for entering, to the entering column for the pivot. The
+most negative reduced cost enters. A run of degenerate pivots as long
+as the basis has rows switches entering to Bland's rule (smallest
+eligible index; Bland, Math. Oper. Res. 1977) until a pivot makes a
+positive step, which keeps termination finite. The leaving row is
+always the smallest basis index among the ratio-test ties.
 """
 
 from __future__ import annotations
@@ -70,11 +65,11 @@ class LpSolution:
 
 
 def _pivot_to_optimum(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray, pivots: int,
-    binv: np.ndarray | None = None,
-) -> int:
+    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray, binv: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
     """Pivot basis (updated in place) until no reduced cost is below
-    -_COST_TOL max(1, ||c_B B^-1||_inf). Returns the updated pivot count.
+    -_COST_TOL max(1, ||c_B B^-1||_inf). Returns the pivot count, x_B and
+    the multipliers c_B B^-1 of the final basis.
 
     The most negative reduced cost enters, ties to the smallest index:
     the first minimum of the reduced costs is tested against the
@@ -88,20 +83,23 @@ def _pivot_to_optimum(
     lowers the objective, so no basis met before it recurs after it, and
     there are finitely many bases.
 
-    B^-1 is inverted from a[:, basis] on entry, unless the caller passes
-    that fresh inverse as binv, and carried between pivots: with
-    col = B^-1 a_enter and r the leaving row, row r becomes
+    binv is the starting B^-1, exact or fresh, and is carried between
+    pivots: with col = B^-1 a_enter and r the leaving row, row r becomes
     B^-1[r] / col[r] and every other row i loses col[i] times that row.
     After _REFACTOR_EVERY such updates it is inverted afresh. A terminal
-    decision is taken only on a fresh inverse: when pricing finds no
-    eligible column, or the entering column no positive entry, on an
+    decision is taken only on a fresh factorization. When pricing finds
+    no eligible column, one solve of the stack [B, B^T] gives x_B and
+    the multipliers; if that pricing ran on an updated B^-1, the basis
+    is priced again with the solve's multipliers and the same threshold,
+    and an eligible column there resumes the pivots from a fresh
+    inverse. When the entering column has no positive entry on an
     updated B^-1, the basis is inverted afresh and priced again.
 
     The roundoff in a reduced cost grows with the simplex multipliers
     c_B B^-1; with an absolute threshold, a near-singular basis lets a
     reduced cost of pure roundoff enter, and its column then has no
     positive entry, which reads as a false LpUnboundedError."""
-    degenerate = 0
+    pivots = degenerate = 0
     updates = 0  # rank-one updates of binv; None: invert a[:, basis] afresh before pricing
     cb = c[basis]  # c_B, carried beside the basis
     while True:
@@ -119,10 +117,15 @@ def _pivot_to_optimum(
             enter = eligible.argmax()  # the first eligible index
             ok = eligible[enter]
         if not ok:
+            bm = a[:, basis]
+            xb, y = np.linalg.solve(np.stack([bm, bm.T]), np.stack([b, cb])[..., None])[..., 0]
             if updates:
-                binv = None
-                continue
-            return pivots
+                reduced = c - y @ a
+                reduced[basis] = 0.0
+                if np.minimum.reduce(reduced) < -_COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0):
+                    binv = None
+                    continue
+            return pivots, xb, y
         col = binv @ a[:, enter]
         rows = (col > _PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
         if rows.size == 0:
@@ -156,92 +159,26 @@ def _update_inverse(binv: np.ndarray, col: np.ndarray, r: int) -> None:
     binv[r] = prow
 
 
-def _solve_from(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
-    superbasic: np.ndarray, values: np.ndarray,
-) -> LpSolution:
-    """min c x s.t. a x = b, x >= 0 from a caller's feasible start:
-    basis holds one column of a per row, nonsingular, and the nonbasic
-    columns superbasic hold values >= 0 (none when the start is the
-    vertex of basis). _purify first steps the start to a vertex, one
-    ratio test per superbasic column, and each step counts as one pivot.
-    Phase 2 then pivots from that vertex's fresh inverse to an optimal
-    basis, and one solve call gives x_B = B^-1 b and the multipliers
-    c_B B^-1: numpy factors each matrix of the stack [B, B^T] by its own
-    LAPACK gesv, as two separate calls would.
+def _solve_from(c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray) -> LpSolution:
+    """min c x s.t. a x = b, x >= 0 from a caller's vertex: basis holds
+    one column of a per row, nonsingular, with x_B = B^-1 b >= 0. B^-1 is
+    B itself when B is a signed identity (its own inverse, exactly) and
+    inverted otherwise; phase 2 then pivots from it to an optimal basis
+    (_pivot_to_optimum), whose final stacked solve gives x_B and the
+    multipliers: numpy factors each matrix of the stack [B, B^T] by its
+    own LAPACK gesv, as two separate calls would.
 
-    Raises ValueError when the start is refused: some entry of
-    x_B = B^-1 (b - a_S values) is below -_FEAS_TOL max(1, ||x_B||_inf)
-    at the start or at the vertex reached. Raises LpUnboundedError when
-    a step of _purify finds no bound, or phase 2 finds the objective
-    unbounded below."""
+    Raises ValueError when the start is refused: some entry of x_B is
+    below -_FEAS_TOL max(1, ||x_B||_inf). Raises LpUnboundedError when
+    phase 2 finds the objective unbounded below."""
     basis = np.array(basis)
-    purified = not len(superbasic) or _purify(c, a, b, basis, superbasic, values)
-    binv = np.linalg.inv(a[:, basis])
-    if not purified or _infeasible(binv @ b):
+    binv = a[:, basis]
+    if np.count_nonzero(binv) != basis.size or (np.abs(binv.diagonal()) != 1.0).any():
+        binv = np.linalg.inv(binv)
+    xb = binv @ b
+    if np.minimum.reduce(xb, initial=0.0) < -_FEAS_TOL * np.maximum.reduce(np.abs(xb), initial=1.0):
         raise ValueError("the simplex start is not feasible")
-    pivots = _pivot_to_optimum(c, a, b, basis, len(superbasic), binv)
-    bm = a[:, basis]
-    xb, pi = np.linalg.solve(np.stack([bm, bm.T]), np.stack([b, c[basis]])[..., None])[..., 0]
+    pivots, xb, pi = _pivot_to_optimum(c, a, b, basis, binv)
     x = np.zeros(c.size)
     x[basis] = np.maximum(xb, 0.0)
     return LpSolution(x=x, objective=float(c @ x), pivots=pivots, multipliers=pi, basis=basis)
-
-
-def _infeasible(xb: np.ndarray) -> bool:
-    return np.minimum.reduce(xb, initial=0.0) < -_FEAS_TOL * max(
-        1.0, float(np.maximum.reduce(np.abs(xb), initial=0.0))
-    )
-
-
-def _purify(
-    c: np.ndarray, a: np.ndarray, b: np.ndarray, basis: np.ndarray,
-    superbasic: np.ndarray, values: np.ndarray,
-) -> bool:
-    """Step a feasible point with superbasic columns to a vertex, after
-    the crossover of Megiddo (ORSA J. Comput. 1991) and Bixby & Saltzman
-    (Oper. Res. Lett. 1994); basis is updated in place. False when the
-    start is infeasible; LpUnboundedError when an upward step finds no
-    bound, as the cost then falls without limit along that column.
-
-    Each superbasic x_j, in the given order, moves along the direction
-    that does not raise the cost: up when its reduced cost
-    c_j - c_B B^-1 a_j is below -_COST_TOL max(1, ||c_B B^-1||_inf),
-    down otherwise. x_B moves against col = B^-1 a_j, and the ratio test
-    stops the step at the first bound: x_j reaching 0 (down only), or a
-    basic variable, which leaves (ties to the smallest basis index, as
-    in _pivot_to_optimum) while x_j enters. B^-1 is taken once on entry,
-    as B itself when B is a signed identity (its own inverse, exactly)
-    and inverted otherwise, and carried by _update_inverse, inverted
-    afresh every _REFACTOR_EVERY updates."""
-    binv, updates = a[:, basis], 0
-    if np.count_nonzero(binv) != basis.size or (np.abs(binv.diagonal()) != 1.0).any():
-        binv = np.linalg.inv(binv)
-    cb = c[basis]
-    rhs = b - a[:, superbasic] @ values  # B x_B = rhs: the superbasics still held
-    if _infeasible(binv @ rhs):
-        return False
-    for j, v in zip(superbasic, values):
-        aj = a[:, j]
-        col = binv @ aj
-        y = cb @ binv
-        up = c[j] - y @ aj < -_COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
-        move = col if up else -col  # x_B falls by theta move when x_j moves by theta
-        rows = (move > _PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
-        ratios = np.maximum((binv @ rhs)[rows], 0.0) / move[rows]
-        step = np.minimum.reduce(ratios, initial=np.inf)
-        rhs += aj * v  # x_j leaves the right side: it ends at 0 or basic
-        if not up and v <= step:
-            continue  # x_j reaches 0 first and stays nonbasic
-        if rows.size == 0:  # up, and no basic variable bounds the step
-            raise LpUnboundedError("objective unbounded along a superbasic column")
-        ties = rows[ratios <= step + 1e-12]
-        r = ties[basis[ties].argmin()]
-        basis[r] = j
-        cb[r] = c[j]
-        updates += 1
-        if updates >= _REFACTOR_EVERY:
-            binv, updates = np.linalg.inv(a[:, basis]), 0
-        else:
-            _update_inverse(binv, col, r)
-    return True

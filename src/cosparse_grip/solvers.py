@@ -48,10 +48,13 @@ polished: its optimal face includes the curved boundary of the ball.
 
 solve_lp_certified reformulates the polyhedral cases (equality, dantzig)
 as a standard-form LP and solves with the in-package simplex, giving an
-exact vertex. Every LP, at any rank and shape of Phi, starts phase 2
-from the point _lp_start builds in closed form: an equality LP on
-rank(Phi) independent rows at a vertex, a dantzig LP at a feasible point
-that the simplex purifies to a vertex in rank(Phi) steps.
+exact vertex. Every LP, at any rank and shape of Phi, is centred at
+z0 = Phi^+ y from the same SVD and rank rule as the first-order route
+(_pinv_null), and starts phase 2 at its slack basis, a signed identity
+at a vertex, so no LP inverts its start basis. The equality LP works in
+null(Phi) coordinates, z = z0 + N^T c, as the equality iteration does,
+so it has no measurement rows; the dantzig LP keeps its correlation
+rows, centred at z0, where Phi^T (Phi z0 - y) = 0.
 
 Every result carries a checked certificate, and one builder, _result,
 sets its fields on both paths: _kkt measures primal infeasibility, dual
@@ -60,7 +63,8 @@ infeasibility and the duality gap of a primal point z and a dual pair
   max -b^T w - s(w)  s.t.  B^T v + A^T w = 0,  ||v||_inf <= 1,
 the KKT error of PDLP, which also drives the l2 ball's restarts (the
 equality iteration's restarts take its reduced problem's). The LP path reads
-(v, w) off the simplex multipliers of its optimal basis. On the
+(v, w) off the simplex multipliers of its optimal basis, on equality with
+the first-order path's least-norm w = -(A^+)^T B^T v. On the
 first-order path, _first_order_result repairs the dual (PDHG's, or the
 polish's zero-set dual) into exact dual feasibility by matvecs with
 A^+, moves its point onto B(y) and checks them, and _pdhg returns that
@@ -99,7 +103,6 @@ MAX_LP_VARIABLES = 400  # hard budget for the LP route
 _TOL = 1e-9        # PDHG residual stop, relative to max(1e-12, ||y||)
 _FEAS_TOL = 1e-7   # primal (relative to max(1, ||y||)) and dual infeasibility
 _CERT_TOL = 1e-6   # relative duality gap
-_RANK_TOL = 1e-9   # elimination pivot, relative to max |Phi|, at or below which a row is dependent
 
 
 class InfeasibleConstraintError(ValueError):
@@ -161,8 +164,10 @@ class RecoveryResult:
     dual infeasibility. converged means the solver finished (the PDHG
     residual stop or a certified polish within max_iters; every simplex
     answer) and, on both paths, x_hat misses B(y) by at most
-    1e-7 max(1, ||y||). When a polish ended a first-order solve
-    (equality only), iterations counts up to the check that accepted it.
+    1e-7 max(1, ||y||). iterations counts PDHG iterations on the
+    first-order path and simplex pivots on the LP path. When a polish
+    ended a first-order solve (equality only), iterations counts up to
+    the check that accepted it.
 
     Both routes solve a y with ||y|| outside [2^-4, 2^4) as the problem
     scaled by the power of two 2^e that puts ||y|| in [1/2, 1) (y,
@@ -724,9 +729,11 @@ def solve_synthesis_l1(
 
 
 def _refuse_lp(n: int, p: int, kind: str) -> int:
-    """The budget guard of the LP route: its variable count in closed
-    form, [z+ (n), z- (n), s+ (p), s- (p)] plus, for dantzig, 2n
-    correlation slacks. Returns the count when within MAX_LP_VARIABLES."""
+    """The budget guard of the LP route, in closed form and checked
+    before any factorization: [d+ (n), d- (n), s+ (p), s- (p)] plus, for
+    dantzig, 2n correlation slacks. On equality the LP's d+- blocks have
+    dim null(Phi) <= n columns each, so the count is an upper bound.
+    Returns the count when within MAX_LP_VARIABLES."""
     nvar = 2 * n + 2 * p + (2 * n if kind == "dantzig" else 0)
     if nvar > MAX_LP_VARIABLES:
         raise ValueError(
@@ -735,45 +742,67 @@ def _refuse_lp(n: int, p: int, kind: str) -> int:
     return nvar
 
 
-def _build_lp(
-    d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Standard-form LP for min ||d_block z||_1 over the polyhedral sets.
+class _Lp(NamedTuple):
+    """A certification LP of _build_lp, centred at z0 = Phi^+ y."""
 
-    Variables: [z+ (n), z- (n), s+ (p), s- (p), slacks], the split form of
-    basis pursuit: one row d_block (z+ - z-) - s+ + s- = 0 per analysis
-    coordinate, cost 1 on s+ and s-. The equality measurement rows follow
-    without slacks; the dantzig correlation rows follow with one slack
-    each, 2n in all.
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    basis: np.ndarray  # the slack basis: a signed identity, at a vertex
+    z0: np.ndarray     # Phi^+ y
+    lift: np.ndarray   # z = z0 + lift (d+ - d-)
+    pinv: np.ndarray   # Phi^+
+
+
+def _build_lp(d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec) -> _Lp:
+    """Standard-form LP for min ||d_block z||_1 over the polyhedral sets,
+    centred at z0 = Phi^+ y, and its slack basis.
+
+    _refuse_lp's count is checked first. One SVD of Phi (_pinv_null, the
+    first-order route's rank rule) then gives Phi^+ and rows N spanning
+    null(Phi), and _feasible_start gives z0, refusing an equality y off
+    range(Phi). Variables: [d+ (f), d- (f), s+ (p), s- (p), slacks], the
+    split form of basis pursuit in the move z - z0 = lift (d+ - d-): one
+    row K (d+ - d-) - s+ + s- = -d_block z0 per analysis coordinate, with
+    K = d_block lift, and cost 1 on s+ and s-.
+      * equality: lift = N^T and f = dim null(Phi), so every z is in the
+        equality set and the LP has no measurement rows: p x (2f + 2p).
+      * dantzig: lift = I and f = n. The 2n correlation rows
+        +-Phi^T Phi (d+ - d-) + t+- = lam -+ Phi^T (Phi z0 - y) follow,
+        one slack t+- each: (p + 2n) x (4n + 2p). The matrix is the
+        uncentred LP's, and its right side is shifted by -a[:, :n] z0.
+    The basis takes s+_i when (d_block z0)_i >= 0 and s-_i otherwise, at
+    |(d_block z0)_i|, and on dantzig every t+-, at lam up to roundoff, as
+    Phi^T (Phi z0 - y) = 0: a signed identity, and a vertex.
     """
     p, n = d_block.shape
     kind = constraint.kind
-    if kind == "equality":
-        rows = p + phi.shape[0]
-    elif kind == "dantzig":
-        gram = phi.T @ phi
-        b = phi.T @ constraint.y
-        rows = p + 2 * n
-    else:
+    if kind not in ("equality", "dantzig"):
         raise ValueError("LP route supports equality and dantzig only")
-    nvar = _refuse_lp(n, p, kind)
+    _refuse_lp(n, p, kind)
+    pinv, null, _ = _pinv_null(phi)
+    z0 = _feasible_start(phi, pinv, constraint)
+    lift = null.T if kind == "equality" else np.eye(n)
+    f = lift.shape[1]
+    rows, nvar = (p, 2 * f + 2 * p) if kind == "equality" else (p + 2 * n, 4 * n + 2 * p)
 
     a = np.zeros((rows, nvar))
     rhs = np.zeros(rows)
     c = np.zeros(nvar)
-    c[2 * n : 2 * n + 2 * p] = 1.0  # minimize sum (s+ + s-) = ||d_block z||_1
+    c[2 * f : 2 * f + 2 * p] = 1.0  # minimize sum (s+ + s-) = ||d_block z||_1
 
-    # d_block z = s+ - s-, one row per analysis coordinate
-    a[:p, :n] = d_block
-    a[:p, n : 2 * n] = -d_block
-    a[:p, 2 * n : 2 * n + p] = -np.eye(p)
-    a[:p, 2 * n + p : 2 * n + 2 * p] = np.eye(p)
+    # d_block (z0 + lift (d+ - d-)) = s+ - s-, one row per analysis coordinate
+    k = d_block @ lift
+    a[:p, :f] = k
+    a[:p, f : 2 * f] = -k
+    a[:p, 2 * f : 2 * f + p] = -np.eye(p)
+    a[:p, 2 * f + p : 2 * f + 2 * p] = np.eye(p)
+    rhs[:p] = -(d_block @ z0)
+    basis = np.arange(2 * f, 2 * f + p) + p * (rhs[:p] > 0.0)
 
-    if kind == "equality":
-        a[p:, :n] = phi
-        a[p:, n : 2 * n] = -phi
-        rhs[p:] = constraint.y
-    else:
+    if kind == "dantzig":
+        gram = phi.T @ phi
+        b = phi.T @ constraint.y
         lam = constraint.lam
         a[p : p + n, :n] = gram
         a[p : p + n, n : 2 * n] = -gram
@@ -783,67 +812,9 @@ def _build_lp(
         a[p + n :, n : 2 * n] = gram
         a[p + n :, 2 * n + 2 * p + n :] = np.eye(n)
         rhs[p + n :] = lam - b
-    return c, a, rhs
-
-
-def _lp_start(
-    d_block: np.ndarray, phi: np.ndarray, constraint: ConstraintSpec
-) -> tuple[np.ndarray | slice, ConstraintSpec, np.ndarray, np.ndarray, np.ndarray]:
-    """The LP of _build_lp and a feasible start of it in closed form: the
-    rows of Phi the LP keeps, its constraint on them, and
-    simplex._solve_from's (basis, superbasic columns, their values).
-
-    Elimination with column pivoting picks r = rank Phi independent rows
-    R and columns J of Phi, at any (m, n): row i takes the column of its
-    largest remaining entry, and a row whose remaining entries are all
-    at or below _RANK_TOL max |Phi| is skipped as dependent. z is zero
-    off J; z_J solves Phi_J z_J = y when r = m and is the least-squares
-    solution on Phi[:, J] otherwise, so Phi^T (Phi z - y) = 0 either way.
-    Analysis row i takes s+_i when (D z)_i >= 0 and s-_i otherwise, at
-    |(D z)_i|; j in J takes z+_j when z_j >= 0 and z-_j otherwise, at
-    |z_j|.
-
-    Equality: with r = m the LP keeps every row, as slice(None), and the
-    caller's constraint. With r < m a y off range(Phi) is refused by
-    _refuse_miss, and the LP keeps the rows R, with y_R replaced by
-    (Phi z)_R, the rows R of y's projection onto range(Phi): its answer
-    misses y by no more than z does. The basis is the slack and signal
-    columns, with no superbasic ones. B = [[+-I, +-D_J], [0, +-Phi_RJ]] is
-    nonsingular with Phi_RJ, and B^-1 b is |D z| and |z_J|: a vertex.
-    Dantzig: every row and the constraint are kept, and every correlation
-    slack t+-_k equals lam. The basis is the analysis slack columns plus
-    all 2n correlation slacks, a signed identity, so its inverse is
-    exact; the signal columns are superbasic at |z_J|, and
-    simplex._solve_from steps them to a vertex.
-    """
-    p, n = d_block.shape
-    m = phi.shape[0]
-    u = phi.copy()
-    tol = _RANK_TOL * float(np.abs(phi).max(initial=0.0))
-    rows, cols = [], []
-    for i in range(m):
-        row = np.abs(u[i])
-        row[cols] = 0.0  # eliminated below earlier pivots, up to roundoff
-        j = int(row.argmax())
-        if row[j] <= tol:
-            continue  # dependent on the rows above
-        rows.append(i)
-        cols.append(j)
-        u[i + 1 :] -= (u[i + 1 :, j] / u[i, j])[:, None] * u[i]
-    kept, lp = slice(None), constraint
-    if len(rows) == m:
-        z = np.linalg.solve(phi[:, cols], constraint.y)
-    else:
-        z = np.linalg.lstsq(phi[:, cols], constraint.y)[0]
-        if constraint.kind == "equality":
-            _refuse_miss(phi[:, cols], z, constraint)  # range(Phi_J) is range(Phi)
-            kept = np.array(rows, dtype=int)
-            lp = ConstraintSpec("equality", phi[kept][:, cols] @ z)
-    slacks = np.arange(2 * n, 2 * n + p) + p * (d_block[:, cols] @ z < 0.0)
-    signals = np.array(cols, dtype=int) + n * (z < 0.0)
-    if constraint.kind == "equality":
-        return kept, lp, np.concatenate([slacks, signals]), signals[:0], z[:0]
-    return kept, lp, np.concatenate([slacks, np.arange(2 * n + 2 * p, 4 * n + 2 * p)]), signals, np.abs(z)
+        rhs[p:] -= a[p:, :n] @ z0
+        basis = np.concatenate([basis, np.arange(2 * n + 2 * p, 4 * n + 2 * p)])
+    return _Lp(c, a, rhs, basis, z0, lift, pinv)
 
 
 def solve_lp_certified(
@@ -854,40 +825,33 @@ def solve_lp_certified(
     """Exact analysis-l1 minimizer via the simplex.
 
     Only the polyhedral kinds (equality, dantzig) are expressible;
-    iterations reports pivot count, a dantzig LP's purification steps
-    included. Every LP, whatever the rank and shape of Phi, starts phase
-    2 at the closed-form point of _lp_start: a vertex on equality and,
-    on dantzig, a point that the simplex steps to a vertex first. An
-    equality y off range(Phi) raises InfeasibleConstraintError, its miss
-    given relative to ||y||, as on the first-order route. The returned
-    point is an optimal vertex z = z+ - z-; the dual pair is read off the
-    simplex multipliers pi of its basis, v = -pi[:p] from the analysis
-    rows and w from the measurement rows (w = -pi[p:] for equality;
-    pi[p+n:] - pi[p:p+n] for dantzig), and checked against the same fixed
-    tolerances as the first-order path. When the equality LP drops rows
-    of Phi as dependent, w is -pi[p:] on the rows kept and 0 on the
-    others, projected onto range(Phi) as (Phi^+)^T Phi^T w: Phi^T w and
-    so dual feasibility are unchanged, and it is the least-norm w of the
-    first-order path, on which the gap does not pick up the part of y
-    off range(Phi). A y outside the band of _to_band is solved scaled
-    into it, and the result scaled back.
+    iterations reports the pivot count. Every LP, whatever the rank and
+    shape of Phi, is centred at z0 = Phi^+ y and starts phase 2 at its
+    slack basis (_build_lp), a signed identity at a vertex. An equality
+    y off range(Phi) raises InfeasibleConstraintError, its miss given
+    relative to ||y||, as on the first-order route. The returned point
+    is an optimal vertex z = z0 + lift (d+ - d-); the dual pair is read
+    off the simplex multipliers pi of its basis, v = -pi[:p] from the
+    analysis rows, and checked against the same fixed tolerances as the
+    first-order path. On equality w = -(Phi^+)^T d_block^T v, the
+    first-order path's least-norm w: optimality puts d_block^T v in
+    range(Phi^T), so Phi^T w = -d_block^T v. On dantzig
+    w = pi[p+n:] - pi[p:p+n] from the correlation rows. A y outside the
+    band of _to_band is solved scaled into it, and the result scaled
+    back.
     """
     phi_e = _sensing_for(phi, dictionary)
     _vector("y", constraint.y, phi_e.shape[0])
     constraint, e = _to_band(constraint)
     d_block = dictionary.entries
-    kept, lp, *start = _lp_start(d_block, phi_e, constraint)
-    c, a, b = _build_lp(d_block, phi_e[kept], lp)
-    sol = _solve_from(c, a, b, *start)
-    p, n = d_block.shape
-    z = sol.x[:n] - sol.x[n : 2 * n]
+    lp = _build_lp(d_block, phi_e, constraint)
+    sol = _solve_from(lp.c, lp.a, lp.b, lp.basis)
+    p, f = d_block.shape[0], lp.lift.shape[1]
+    z = lp.z0 + lp.lift @ (sol.x[:f] - sol.x[f : 2 * f])
     pi = sol.multipliers
     v = -pi[:p]
     if constraint.kind == "equality":
-        w = np.zeros(phi_e.shape[0])
-        w[kept] = -pi[p:]
-        if lp is not constraint:  # rows dropped: w onto range(Phi), Phi^T w kept
-            w = _pinv_null(phi_e)[0].T @ (phi_e.T @ w)
+        w = -lp.pinv.T @ (d_block.T @ v)
     else:
-        w = pi[p + n :] - pi[p : p + n]
+        w = pi[p + f :] - pi[p : p + f]
     return _from_band(_result(d_block, phi_e, constraint, z, z, v, w, sol.pivots, True), e)

@@ -210,18 +210,18 @@ def rational_basis_audit(c, a, b, basis) -> tuple[list[Fraction], list[Fraction]
 
 
 # ---------------------------------------------------------------------------
-# reference simplex loops: the pivot loop and the purification as they were
-# before their numpy calls were trimmed, kept so tests can demand the same
-# pivots and bit-for-bit the same answers from the fast paths
+# the reference pivot loop: as it was before its numpy calls were trimmed,
+# kept so tests can demand the same pivots and bit-for-bit the same
+# answers from the fast path
 
 
-def reference_pivot_to_optimum(c, a, b, basis, pivots, binv=None):
+def reference_pivot_to_optimum(c, a, b, basis, binv):
     """simplex._pivot_to_optimum with the masked argmin for pricing, the
     eligible mask built in both modes, and np.maximum over every row
     before the ratio test's rows are taken."""
     from cosparse_grip import simplex
 
-    degenerate = 0
+    pivots = degenerate = 0
     updates = 0
     cb = c[basis]
     while True:
@@ -236,10 +236,15 @@ def reference_pivot_to_optimum(c, a, b, basis, pivots, binv=None):
         else:
             enter = eligible.argmax()
         if not eligible[enter]:
+            bm = a[:, basis]
+            xb, y = np.linalg.solve(np.stack([bm, bm.T]), np.stack([b, cb])[..., None])[..., 0]
             if updates:
-                binv = None
-                continue
-            return pivots
+                reduced = c - y @ a
+                reduced[basis] = 0.0
+                if (reduced < -simplex._COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)).any():
+                    binv = None
+                    continue
+            return pivots, xb, y
         col = binv @ a[:, enter]
         rows = (col > simplex._PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
         if rows.size == 0:
@@ -262,42 +267,6 @@ def reference_pivot_to_optimum(c, a, b, basis, pivots, binv=None):
             binv = None
         else:
             simplex._update_inverse(binv, col, r)
-
-
-def reference_purify(c, a, b, basis, superbasic, values):
-    """simplex._purify with B^-1 from np.linalg.inv on entry, whatever B
-    is, and np.maximum over every row before the ratio test's rows are
-    taken."""
-    from cosparse_grip import simplex
-
-    binv, updates = np.linalg.inv(a[:, basis]), 0
-    cb = c[basis]
-    rhs = b - a[:, superbasic] @ values
-    if simplex._infeasible(binv @ rhs):
-        return False
-    for j, v in zip(superbasic, values):
-        col = binv @ a[:, j]
-        y = cb @ binv
-        up = c[j] - y @ a[:, j] < -simplex._COST_TOL * np.maximum.reduce(np.abs(y), initial=1.0)
-        move = col if up else -col
-        rows = (move > simplex._PIVOT_TOL * np.maximum.reduce(np.abs(col), initial=1.0)).nonzero()[0]
-        ratios = np.maximum(binv @ rhs, 0.0)[rows] / move[rows]
-        step = ratios.min(initial=np.inf)
-        rhs += a[:, j] * v
-        if not up and v <= step:
-            continue
-        if rows.size == 0:
-            raise simplex.LpUnboundedError("objective unbounded along a superbasic column")
-        ties = rows[ratios <= step + 1e-12]
-        r = ties[basis[ties].argmin()]
-        basis[r] = j
-        cb[r] = c[j]
-        updates += 1
-        if updates >= simplex._REFACTOR_EVERY:
-            binv, updates = np.linalg.inv(a[:, basis]), 0
-        else:
-            simplex._update_inverse(binv, col, r)
-    return True
 
 
 def classical_delta(phi_entries: np.ndarray, k: int) -> float:
@@ -382,6 +351,29 @@ def highs_lp(c, a, b):
     import scipy.optimize
 
     return scipy.optimize.linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * len(c), method="highs")
+
+
+def highs_l1(d_block: np.ndarray, phi: np.ndarray, constraint):
+    """HiGHS's answer to min ||d_block z||_1 over the equality or dantzig
+    set, posed apart from the package's LP: z free, d_block z = s+ - s-
+    with s+- >= 0, and every row of Phi, as equality rows Phi z = y or as
+    the 2n inequalities |Phi^T (Phi z - y)| <= lam."""
+    import scipy.optimize
+
+    p, n = d_block.shape
+    c = np.concatenate([np.zeros(n), np.ones(2 * p)])
+    a_eq = np.hstack([d_block, -np.eye(p), np.eye(p)])
+    b_eq = np.zeros(p)
+    a_ub = b_ub = None
+    if constraint.kind == "equality":
+        a_eq = np.vstack([a_eq, np.hstack([phi, np.zeros((phi.shape[0], 2 * p))])])
+        b_eq = np.concatenate([b_eq, constraint.y])
+    else:
+        gram, corr = phi.T @ phi, phi.T @ constraint.y
+        a_ub = np.hstack([np.vstack([gram, -gram]), np.zeros((2 * n, 2 * p))])
+        b_ub = np.concatenate([constraint.lam + corr, constraint.lam - corr])
+    bounds = [(None, None)] * n + [(0, None)] * (2 * p)
+    return scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
 
 
 def eigh_principal_bounds(supersets: np.ndarray, gram: np.ndarray, proj: np.ndarray):

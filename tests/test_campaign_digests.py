@@ -124,25 +124,37 @@ CAMPAIGNS = {
         "7f2d92e5147c92e882ae606f631cd16efa6d85f748ab1d90eecf20235e7e7464",
         "1c5d2e0be0148438e6146a9214bb4ac13478f2c2e59773b8cd721514cc9ec1f3",
     ),
-    # every trial goes through the simplex, phase 2 alone from
-    # _lp_start's point, purified to a vertex
+    # every trial goes through the simplex, phase 2 alone from the slack
+    # basis around Phi^+ y; retaken when the LPs began there (they started
+    # at an elimination's point, purified to a vertex): pivots 488 -> 353,
+    # objectives within 6.7e-16 relative, err_l2 within 8.9e-16, every
+    # flag held (they were 4d1bb1e4... and a52e5cdf...)
     "solve.dantzig": (
-        "4d1bb1e41b5e34ccf6b6b0adc0a22a5b603e212420226b0bc3d60020c16ed5e7",
-        "a52e5cdf113396ae55a2ee40854dfccd925c2264a83a6ba491e59152e891c4e8",
+        "29d1a4d639d6af9afd3cdba0ba93faf8c77385bdfa7bdf19e3302cecfce0f225",
+        "fdbbbfc6e75069d8bb95cbcb88a08b580c706d4763a266d1857351c0f121adeb",
         "066062cf95d00aa868aae44f79e72a7596f52ebdb8c0e8042d7b4663e3c3af43",
     ),
     # dantzig at lambda = 0, where every correlation slack t+- starts at
-    # 0, so purification runs from a fully degenerate point
+    # 0, so phase 2 runs from a fully degenerate vertex; retaken when the
+    # LPs began at the slack basis around Phi^+ y: pivots rose 578 -> 704
+    # (per trial 16-49 -> 19-84) from that fully degenerate start, where
+    # the purified start had fewer; objectives within
+    # 7.8e-14 relative, err_l2 within 2.9e-13, every flag held, and the
+    # err_max summary moved in its 17th digit (they were 26635beb... and
+    # b2c4c483...)
     "solve.dantzig-zero": (
-        "26635beb03e12a9e1f9db9f7e4f18a9c1eef35b42b9c1021ec53c6d3b17ae166",
-        "b2c4c483bdfde783770528eac0b111142e43bbae4d312e0acf8d8125762068d1",
+        "ef909c15e2e5e82a1d84aff6436f815313685837f66c8ac01dfa8452ec1532b2",
+        "efee087f80b675c70f5d285dbef1870acc694c9e49d4f28de4444c1e7123502a",
         "74c18846d975725a501f2359052cfb55b5994d4d49ed9df589fbd0400a096b1d",
     ),
     # the Phi in repeated-phi.csv has row 5 = row 2, so its rank is 5 < m
-    # and every dantzig trial starts from _lp_start's least-squares point
+    # and every dantzig trial starts at the least-squares point Phi^+ y;
+    # retaken when the LPs began at the slack basis around it: pivots
+    # 464 -> 389, objectives within 8.6e-16 relative, err_l2 within
+    # 9.2e-16, every flag held (they were 6b46582d... and 97f4249f...)
     "solve.repeated-phi": (
-        "6b46582dee366564798edd5cdee7d2d7576ddb0130f4ac61f6d1af3e9dabb27b",
-        "97f4249fce01a5725f3f0534afafec68a839bd52983440d85846f0c0e6e06b28",
+        "d5a090485e0f52c342845810d1408c10bdc7211914de55464239e01b1e63cbf6",
+        "b185a493f90d63ffc7f1023c09932b3230a8b077d4ca4642d7a6d648a8a728b6",
         "bc721c41596f6696e262ee68c99f3f7c7ba9ea7dc36462287ef43ed7ce0382db",
     ),
     # each trial solved by both routes, so the synthesis route's PDHG

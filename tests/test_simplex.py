@@ -2,27 +2,33 @@ import hashlib
 
 import numpy as np
 import pytest
-from _support import highs_lp, rational_basis_audit, reference_pivot_to_optimum, reference_purify
+from _support import highs_l1, highs_lp, rational_basis_audit, reference_pivot_to_optimum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosparse_grip as cg
-from cosparse_grip import simplex
+from cosparse_grip import simplex, solvers
 from cosparse_grip.simplex import LpUnboundedError
-from cosparse_grip.solvers import _build_lp, _lp_start
+from cosparse_grip.solvers import _build_lp, _refuse_lp
 
 
 def solve_from_basis(c, a, b, basis):
-    """_solve_from from the vertex of basis, with no superbasic columns."""
-    return simplex._solve_from(c, a, b, np.array(basis, dtype=int), (), ())
+    """_solve_from from the vertex of basis."""
+    return simplex._solve_from(c, a, b, np.array(basis, dtype=int))
 
 
-def interior_start(a, x0):
-    """A start of the LP with b = a x0, x0 > 0: the first m columns of a
-    (nonsingular for gaussian a) as the basis, the rest superbasic at x0,
-    so x_B = x0[:m] > 0."""
-    m = a.shape[0]
-    return np.arange(m), np.arange(m, a.shape[1]), x0[m:]
+def with_slacks(c, a, b):
+    """The LP min c x + 1^T s s.t. a x + diag(sigma) s = b, x, s >= 0,
+    with sigma = sign(b) (+1 at 0), and its slack basis: a signed
+    identity at the vertex s = |b|. Returns (c, a, b, basis)."""
+    m, cols = a.shape
+    sigma = np.where(b < 0.0, -1.0, 1.0)
+    return np.append(c, np.ones(m)), np.hstack([a, np.diag(sigma)]), b, np.arange(cols, cols + m)
+
+
+def lp_of(d, phi, con):
+    """(c, a, b, basis) of the certification LP and its slack basis."""
+    return _build_lp(d.entries, getattr(phi, "entries", phi), con)[:4]
 
 
 def test_hand_worked_lp():
@@ -42,11 +48,12 @@ def test_solution_invariants():
     x0 = np.abs(rng.standard_normal(7))
     b = a @ x0  # feasible by construction
     c = np.abs(rng.standard_normal(7)) + 0.1  # positive costs: bounded
-    sol = simplex._solve_from(c, a, b, *interior_start(a, x0))
+    c, a, b, basis = with_slacks(c, a, b)  # (x0, 0) is feasible
+    sol = simplex._solve_from(c, a, b, basis)
     assert np.linalg.norm(a @ sol.x - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
     assert sol.x.min() >= -1e-12
     assert sol.objective == pytest.approx(float(c @ sol.x), abs=1e-12)
-    assert sol.objective <= float(c @ x0) + 1e-9
+    assert sol.objective <= float(c[:7] @ x0) + 1e-9
 
 
 # (family seed, instance) pairs of the certification family below on which
@@ -82,12 +89,12 @@ def test_matches_scipy_on_random_instances():
         a = rng.standard_normal((4, 9))
         x0 = np.abs(rng.standard_normal(9))
         c = np.abs(rng.standard_normal(9)) + 0.05
-        lps.append((c, a, a @ x0, interior_start(a, x0)))
+        lps.append(with_slacks(c, a, a @ x0))
     for j in (48, 55):
         d, phi, _, constraint = family_instance(11, j)
-        lps.append((*_build_lp(d.entries, phi.entries, constraint), _lp_start(d.entries, phi.entries, constraint)[2:]))
-    for c, a, b, start in lps:
-        ours = simplex._solve_from(c, a, b, *start)
+        lps.append(lp_of(d, phi, constraint))
+    for c, a, b, basis in lps:
+        ours = simplex._solve_from(c, a, b, basis)
         ref = highs_lp(c, a, b)
         assert ref.status == 0
         assert ours.objective == pytest.approx(ref.fun, abs=1e-8)
@@ -161,10 +168,6 @@ def test_unbounded_detected():
         solve_from_basis(c, a, b, [1])
     with pytest.raises(LpUnboundedError):
         solve_from_basis(np.array([-1.0, 2.0]), np.zeros((0, 2)), np.zeros(0), [])
-    # from x = (1, 1) with x1 superbasic, x1's upward step meets no bound:
-    # the purification reports the LP unbounded, not the start infeasible
-    with pytest.raises(LpUnboundedError):
-        simplex._solve_from(c, a, b, np.array([1]), np.array([0]), np.array([1.0]))
 
 
 def test_beale_cycling_example_terminates():
@@ -185,9 +188,11 @@ def test_beale_cycling_example_terminates():
 
 
 @pytest.mark.parametrize("p, k, optimum", [
-    # a 125x300 equality LP (100x50 tight frame, m=25, k=60), 225x400 and
-    # at MAX_LP_VARIABLES in the form with two slack rows per coordinate,
-    # on which smallest-index pricing once stalled for 107,211 pivots
+    # the ids give each LP's shape in the form with measurement rows,
+    # (p + m) x (2n + 2p); centred in null(Phi) it is p x (2(n - m) + 2p).
+    # 125x300 (100x50 tight frame, m=25, k=60), 225x400 and at
+    # MAX_LP_VARIABLES in the form with two slack rows per coordinate, on
+    # which smallest-index pricing once stalled for 107,211 pivots
     (100, 60, 5.004983055861394),
     # 175x400 (150x50 tight frame, m=25, k=110) at MAX_LP_VARIABLES, which
     # once took 42,796 pivots
@@ -205,32 +210,29 @@ def test_equality_lp_at_the_variable_budget(p, k, optimum, monkeypatch):
     assert res.objective == pytest.approx(optimum, abs=1e-8)
     assert res.iterations <= 5000
     # B^-1 is carried between pivots by rank-one updates: about one fresh
-    # inverse per _REFACTOR_EVERY pivots, not one per pivot (196 and 320
-    # pivots)
+    # inverse per _REFACTOR_EVERY pivots, not one per pivot
     assert len(inverses) <= 40
 
 
 def test_lp_has_one_row_per_analysis_coordinate():
-    # equality: (p + m) x (2n + 2p); dantzig: (p + 2n) x (4n + 2p)
-    for j, shape in ((0, (14 + 6, 2 * 10 + 2 * 14)), (1, (14 + 2 * 10, 4 * 10 + 2 * 14))):
+    # equality: p x (2 dim null(Phi) + 2p), with no measurement rows (it was
+    # (p + m) x (2n + 2p)); dantzig: (p + 2n) x (4n + 2p)
+    for j, shape in ((0, (14, 2 * 4 + 2 * 14)), (1, (14 + 2 * 10, 4 * 10 + 2 * 14))):
         d, phi, _, con = family_instance(11, j)
-        c, a, b = _build_lp(d.entries, phi.entries, con)
+        c, a, b, _ = lp_of(d, phi, con)
         assert a.shape == shape and c.shape == (shape[1],) and b.shape == (shape[0],)
         assert c.sum() == 2 * 14
 
 
 @st.composite
 def start_lps(draw):
-    """A small LP with integer data and a known feasible start: one
-    signed unit column sigma_i e_i per row and dense integer columns
-    (integer data keeps exact ties in pricing and in the ratio test),
-    shuffled together. b = a_S v + sigma * u for integers u >= 0 (0 makes
-    a degenerate row), with optionally some dense columns S superbasic at
-    integer values v > 0, so _purify runs on generic data. With costs
-    >= 0 the LP is bounded and each of _purify's steps meets a bound;
-    signed costs may make the LP unbounded, in phase 2 or along a
-    superbasic column's step. The start is the unit basis, at x_B = u.
-    Returns (c, a, b, start)."""
+    """A small LP with integer data and a known vertex: one signed unit
+    column sigma_i e_i per row and dense integer columns (integer data
+    keeps exact ties in pricing and in the ratio test), shuffled
+    together. b = sigma * u for integers u >= 0 (0 makes a degenerate
+    row). With costs >= 0 the LP is bounded; signed costs may make it
+    unbounded. The start is the unit basis, a signed identity at
+    x_B = u. Returns (c, a, b, basis)."""
     m = draw(st.integers(1, 4))
     ints = st.integers(-3, 3)
     signed = draw(st.booleans())  # else every cost is >= 0
@@ -238,9 +240,7 @@ def start_lps(draw):
     for _ in range(draw(st.integers(1, 4))):
         columns.append(np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float))
         costs.append(draw(st.integers(-2 if signed else 0, 3)))
-    held = [k for k in range(len(columns)) if draw(st.booleans())]
-    values = np.array([draw(st.integers(1, 2)) for _ in held], dtype=float)
-    b = sum((v * columns[k] for k, v in zip(held, values)), np.zeros(m))
+    b = np.zeros(m)
     for i in range(m):
         col = np.zeros(m)
         col[i] = draw(st.sampled_from([1.0, -1.0]))
@@ -251,30 +251,29 @@ def start_lps(draw):
     at = np.argsort(order)  # at[k] is the position of column k in a
     a = np.column_stack([columns[k] for k in order])
     c = np.array([costs[k] for k in order], dtype=float)
-    return c, a, b, (at[len(columns) - m :], at[held], values)
+    return c, a, b, at[len(columns) - m :]
 
 
 @given(start_lps())
 @settings(max_examples=200, deadline=None)
 def test_start_matches_highs(lp):
-    c, a, b, start = lp
+    c, a, b, basis = lp
     ref = highs_lp(c, a, b)
     if ref.status == 3:
         with pytest.raises(LpUnboundedError):
-            simplex._solve_from(c, a, b, *start)
+            simplex._solve_from(c, a, b, basis)
         return
     assert ref.status == 0
-    sol = simplex._solve_from(c, a, b, *start)
+    sol = simplex._solve_from(c, a, b, basis)
     assert sol.objective == pytest.approx(ref.fun, abs=1e-8)
     assert sol.x.min() >= 0.0
     assert np.abs(a @ sol.x - b).max(initial=0.0) <= 1e-9
     pi = sol.multipliers
     assert (a.T @ pi <= c + 1e-9).all()
     assert float(b @ pi) == pytest.approx(sol.objective, abs=1e-9)
-    # zero-cost unit columns in the basis, no superbasic column and costs
-    # >= 0: the start is optimal as it stands
-    basis, superbasic, _ = start
-    if (c >= 0).all() and not c[basis].any() and not superbasic.size:
+    # zero-cost unit columns in the basis and costs >= 0: the start is
+    # optimal as it stands
+    if (c >= 0).all() and not c[basis].any():
         assert sol.pivots == 0
 
 
@@ -291,9 +290,9 @@ def test_zero_rhs_solves_trivially():
 # every pivot, the reference the default interval must reproduce
 
 
-def _solve_or_raise(c, a, b, start):
+def _solve_or_raise(c, a, b, basis):
     try:
-        return simplex._solve_from(c, a, b, *start)
+        return simplex._solve_from(c, a, b, basis)
     except LpUnboundedError as err:
         return type(err)
 
@@ -305,11 +304,11 @@ def test_updated_inverse_matches_fresh_inverses(lp):
     # costs or ratios tie exactly, as integer data can make them, and
     # roundoff in one inverse or the other breaks the tie, so the bits are
     # pinned on the certification family below
-    c, a, b, start = lp
+    c, a, b, basis = lp
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_REFACTOR_EVERY", 1)
-        ref = _solve_or_raise(c, a, b, start)
-    got = _solve_or_raise(c, a, b, start)
+        ref = _solve_or_raise(c, a, b, basis)
+    got = _solve_or_raise(c, a, b, basis)
     if isinstance(ref, type):
         assert got is ref
         return
@@ -330,9 +329,9 @@ def test_updated_inverse_matches_fresh_inverses_on_certification_family(monkeypa
 
 
 def test_drift_cases_solve_with_updates_alone(monkeypatch):
-    # with the periodic refactor pushed out of reach, B^-1 is inverted
-    # afresh only on entry and before each verdict, and carried by
-    # updates everywhere else
+    # with the periodic refactor pushed out of reach, B^-1 is carried by
+    # updates from the start's signed identity, and inverted afresh only
+    # when the final solve's pricing or an unbounded verdict asks for it
     monkeypatch.setattr(simplex, "_REFACTOR_EVERY", 10**9)
     for family_seed, j in _DRIFT_CASES:
         res = assert_optimal_answer(*family_instance(family_seed, j))
@@ -341,18 +340,25 @@ def test_drift_cases_solve_with_updates_alone(monkeypatch):
 
 
 def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
-    # the last change to B^-1 before _pivot_to_optimum returns optimal or
-    # raises LpUnboundedError is a fresh inverse, never a rank-one update
+    # the last factorization before _pivot_to_optimum returns optimal is
+    # its final stacked solve, and before it raises LpUnboundedError a
+    # fresh inverse, never a rank-one update. The final solve's own
+    # pricing resumed no pivots on these LPs
     events = []
-    inv, update, pivot = np.linalg.inv, simplex._update_inverse, simplex._pivot_to_optimum
+    inv, solve, update = np.linalg.inv, np.linalg.solve, simplex._update_inverse
+    pivot = simplex._pivot_to_optimum
 
     def logged(*args):
         try:
-            return pivot(*args)
-        finally:
-            events.append("verdict")
+            out = pivot(*args)
+        except LpUnboundedError:
+            events.append("unbounded")
+            raise
+        events.append("optimal")
+        return out
 
     monkeypatch.setattr(np.linalg, "inv", lambda m: events.append("inv") or inv(m))
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: events.append("solve") or solve(*args))
     monkeypatch.setattr(simplex, "_update_inverse", lambda *args: events.append("update") or update(*args))
     monkeypatch.setattr(simplex, "_pivot_to_optimum", logged)
     for j in range(10):
@@ -367,20 +373,38 @@ def test_every_verdict_is_taken_on_a_fresh_inverse(monkeypatch):
             np.array([1.0, 0.0]),
             [2, 3],
         )
-    assert "update" in events
-    for i in (i for i, e in enumerate(events) if e == "verdict"):
-        assert next(e for e in reversed(events[:i]) if e != "verdict") == "inv"
+    assert "update" in events and events.count("optimal") == 10 and events.count("unbounded") == 1
+    for i, e in enumerate(events):
+        if e in ("optimal", "unbounded"):
+            assert events[i - 1] == ("solve" if e == "optimal" else "inv")
+    assert (events.count("solve"), events.count("inv")) == (10, 1)  # one final solve per LP
+
+
+def test_final_pricing_resumes_pivots(monkeypatch):
+    # an updated B^-1 that prices optimal while the final solve's
+    # multipliers find an eligible column: the pivots resume from a fresh
+    # inverse and end at the optimum. The update is made wrong on purpose:
+    # it zeroes B^-1, so pricing after a pivot sees multipliers 0 and,
+    # with the nonbasic costs >= 0, no eligible column. min -2 x0 + x1
+    # s.t. x0 + s0 = 1, x0 - x1 + s1 = 0: x0 enters at a degenerate step
+    # (objective 0), the final solve's multipliers (0, -2) let x1 enter,
+    # and the optimum is x0 = x1 = 1, at -1
+    c = np.array([-2.0, 1.0, 0.0, 0.0])
+    a = np.array([[1.0, 0.0, 1.0, 0.0], [1.0, -1.0, 0.0, 1.0]])
+    b = np.array([1.0, 0.0])
+    monkeypatch.setattr(simplex, "_update_inverse", lambda binv, col, r: binv.fill(0.0))
+    inv, inverses = np.linalg.inv, []
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(1) or inv(m))
+    sol = solve_from_basis(c, a, b, [2, 3])  # a signed identity: no inverse to start
+    assert len(inverses) == 1 and sol.pivots == 2
+    assert sol.objective == pytest.approx(-1.0, abs=1e-12)
+    assert highs_lp(c, a, b).fun == pytest.approx(-1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# the fast paths against their references: the pivot loop and the
-# purification before their numpy calls were trimmed (tests/_support), and
-# the two final solves that one stacked solve replaced
-
-
-def _reference_loops(mp):
-    mp.setattr(simplex, "_pivot_to_optimum", reference_pivot_to_optimum)
-    mp.setattr(simplex, "_purify", reference_purify)
+# the fast path against its reference: the pivot loop before its numpy
+# calls were trimmed (tests/_support), and the two final solves that one
+# stacked solve replaced
 
 
 def _solution_bytes(sol):
@@ -393,13 +417,12 @@ def _solution_bytes(sol):
 @settings(max_examples=200, deadline=None)
 def test_pivot_loop_matches_reference(lp):
     # the first minimum of the reduced costs is the masked argmin's entry,
-    # integer ties included: the same purification steps, pivots, verdict
-    # and bits
-    c, a, b, start = lp
+    # integer ties included: the same pivots, verdict and bits
+    c, a, b, basis = lp
     with pytest.MonkeyPatch.context() as mp:
-        _reference_loops(mp)
-        ref = _solve_or_raise(c, a, b, start)
-    assert _solution_bytes(_solve_or_raise(c, a, b, start)) == _solution_bytes(ref)
+        mp.setattr(simplex, "_pivot_to_optimum", reference_pivot_to_optimum)
+        ref = _solve_or_raise(c, a, b, basis)
+    assert _solution_bytes(_solve_or_raise(c, a, b, basis)) == _solution_bytes(ref)
 
 
 def test_fast_paths_match_reference_on_certification_families(monkeypatch):
@@ -409,36 +432,17 @@ def test_fast_paths_match_reference_on_certification_families(monkeypatch):
         out = []
         for d, phi, _, con in lps:
             res = cg.solve_lp_certified(phi, d, con)
-            c, a, b = _build_lp(d.entries, phi.entries, con)
             out.append((
                 res.x_hat.tobytes(), res.iterations, res.objective, res.primal_residual,
                 res.dual_residual, res.certification_gap, res.certified,
-                _solution_bytes(simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con)[2:])),
+                _solution_bytes(simplex._solve_from(*lp_of(d, phi, con))),
             ))
         return out
 
-    _reference_loops(monkeypatch)
+    monkeypatch.setattr(simplex, "_pivot_to_optimum", reference_pivot_to_optimum)
     ref = answers()
     monkeypatch.undo()
     assert answers() == ref
-
-
-def test_dantzig_start_is_its_own_inverse():
-    # every dantzig start of the families is a signed identity S, whose
-    # inverse is S; purified from S itself and from LAPACK's inverse (equal
-    # but for the signs of zeros), the start reaches the same basis
-    for family_seed in (1, 2, 3):
-        for j in range(1, 100, 2):
-            d, phi, _, con = family_instance(family_seed, j)
-            c, a, b = _build_lp(d.entries, phi.entries, con)
-            _, _, basis, superbasic, values = _lp_start(d.entries, phi.entries, con)
-            start = a[:, basis]
-            assert np.array_equal(np.abs(start), np.eye(basis.size)), (family_seed, j)
-            assert np.array_equal(np.linalg.inv(start), start)
-            fast, ref = basis.copy(), basis.copy()
-            assert simplex._purify(c, a, b, fast, superbasic, values)
-            assert reference_purify(c, a, b, ref, superbasic, values)
-            assert np.array_equal(fast, ref), (family_seed, j)
 
 
 def test_final_solve_matches_two_solves():
@@ -447,8 +451,8 @@ def test_final_solve_matches_two_solves():
     for family_seed in (1, 2, 3):
         for j in range(100):
             d, phi, _, con = family_instance(family_seed, j)
-            c, a, b = _build_lp(d.entries, phi.entries, con)
-            sol = simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con)[2:])
+            c, a, b, basis = lp_of(d, phi, con)
+            sol = simplex._solve_from(c, a, b, basis)
             final = a[:, sol.basis]
             xb = np.maximum(np.linalg.solve(final, b), 0.0)
             assert sol.x[sol.basis].tobytes() == xb.tobytes(), (family_seed, j)
@@ -457,41 +461,55 @@ def test_final_solve_matches_two_solves():
 
 
 def test_lp_route_linear_algebra_calls(monkeypatch):
-    # over the seed-11 family's 100 LPs: one inv
-    # per LP for phase 2's entry, and one solve for _lp_start's z_J and
-    # one for the final x and multipliers. Before the dantzig start was
-    # taken as its own inverse and the final solves stacked, the counts
-    # were 250 inv (one more per dantzig LP, for _purify) and 300 solve
-    # (x and the multipliers apart)
+    # over the seed-11 family's 100 LPs: one SVD of Phi per LP
+    # (_pinv_null) for Phi^+ y and the null basis, no inverse, as every
+    # start is a signed identity and no verdict needed a fresh inverse,
+    # and one solve per LP, the final one. At the start by elimination
+    # the counts (inv, solve, _pinv_null) were (200, 200, 0): an inverse
+    # for phase 2's entry and one for the verdict, a solve for the start's
+    # z_J and the final one
     calls = []
     for name in ("inv", "solve"):
         fn = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *args, _f=fn, _n=name: calls.append(_n) or _f(*args))
+    pinv_null = solvers._pinv_null
+    monkeypatch.setattr(solvers, "_pinv_null", lambda a: calls.append("_pinv_null") or pinv_null(a))
     for j in range(100):
         d, phi, _, con = family_instance(11, j)
         assert cg.solve_lp_certified(phi, d, con).certified
-    assert (calls.count("inv"), calls.count("solve")) == (200, 200)
+    assert tuple(calls.count(name) for name in ("inv", "solve", "_pinv_null")) == (0, 100, 100)
+
+
+def test_lp_route_pivot_totals():
+    # the seed-11 family's pivots per kind, from the slack basis around
+    # Phi^+ y; from the start by elimination they were 514 (equality) and
+    # 1,129 (dantzig, 300 of them purification steps)
+    pivots = {"equality": 0, "dantzig": 0}
+    for j in range(100):
+        d, phi, _, con = family_instance(11, j)
+        pivots[con.kind] += cg.solve_lp_certified(phi, d, con).iterations
+    assert pivots == {"equality": 372, "dantzig": 954}
 
 
 # ---------------------------------------------------------------------------
 # the bits of the LP route, pinned: sha256 per family seed of x,
-# multipliers and pivots from _solve_from at _lp_start's point on every LP
+# multipliers and pivots from _solve_from at the slack basis of every LP
 # of the family, and of x_hat, iterations, dual_residual and
-# certification_gap of each dantzig solve_lp_certified. The dantzig ones
-# were taken before the pivot loop dropped its redundant numpy calls
-# (flatnonzero, np.argmin, np.outer, c[basis] per pivot), again when
-# dantzig LPs began at the purified closed-form start, and held through
-# the later trims (argmin pricing, the dantzig start as its own inverse,
-# one stacked final solve). The first ones were taken when the two-phase
-# path was deleted, at its parent commit, and held there and after. A
-# moved digest is a change of numerics to record.
+# certification_gap of each dantzig solve_lp_certified. Retaken when every
+# LP began at its slack basis around Phi^+ y, equality LPs in null(Phi)
+# coordinates: objectives within 1.7e-14 relative and x_hat within 8.6e-15
+# of the old route's over all 300 LPs, pivots 1,761 -> 1,126 on equality
+# and 3,282 -> 2,948 on dantzig (they
+# were b9f2dc8e... and deb1a499... for seed 1, 73d04b3a... and a825ccfe...
+# for seed 2, bdeb6a94... and 456fa50f... for seed 3). A moved digest is a
+# change of numerics to record.
 _LP_DIGESTS = {
-    1: ("b9f2dc8e625fe7dbc5e9c28c90087561b19966aea754901264050e5f5be62428",
-        "deb1a499c37227ee669528cef5754a1a82d1e0a155dc1ad171bf014ca4bf63c6"),
-    2: ("73d04b3a1e2855e291f1778195f482b820284bc9e978dffea4b670f2579d3a84",
-        "a825ccfed857919a79f8e2fb89e32585b71b3d9170e73dfa7134ac1f03487ed8"),
-    3: ("bdeb6a9429dab140a2e44455d841016056dea12c05ab784d0d51856039b6d95d",
-        "456fa50fdf5c567a612c8a7a41abd8d03c800ea511726d1cdfa631f2220c63c3"),
+    1: ("beb9d7ca2d9016ef91d15bdec34e641703e9394bfef63cf8563715652922f280",
+        "98c3333835296cae905692eb0f5423f9449174cf3238e3d1238bfd57da1b6474"),
+    2: ("03773eb9401adecb2495259fec766c2a860058629896378d2c6431152d4dbcbc",
+        "5c85c67c298803b66e4066a267e0887c5ac1bbaaff201e9918fba8b4d5d6f9a9"),
+    3: ("cde7ba9b8b58d977d65f4051b4f9508243525636e3a7c3601c9a47e43aa64dcd",
+        "b706d31e339bf7c1c69062993074ac1e8eba19d4cd62169880817b8db158ec9c"),
 }
 
 
@@ -500,9 +518,7 @@ def test_lp_route_bits_are_pinned(family_seed):
     lp, dantzig = hashlib.sha256(), hashlib.sha256()
     for j in range(100):
         d, phi, _, con = family_instance(family_seed, j)
-        kept, lp_con, *start = _lp_start(d.entries, phi.entries, con)
-        assert kept == slice(None) and lp_con is con  # Phi has full row rank
-        sol = simplex._solve_from(*_build_lp(d.entries, phi.entries, con), *start)
+        sol = simplex._solve_from(*lp_of(d, phi, con))
         lp.update(sol.x.astype("<f8").tobytes() + sol.multipliers.astype("<f8").tobytes())
         lp.update(np.array([sol.pivots], "<i8").tobytes())
         if con.kind == "dantzig":
@@ -514,8 +530,8 @@ def test_lp_route_bits_are_pinned(family_seed):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form start of every LP: phase 2 alone, from a vertex or after
-# purification, at any rank and shape of Phi
+# the slack basis around Phi^+ y: phase 2 alone, from a signed identity at
+# a vertex, at any rank and shape of Phi
 
 
 def _count_pivot_runs(mp) -> list:
@@ -523,6 +539,15 @@ def _count_pivot_runs(mp) -> list:
     pivot = simplex._pivot_to_optimum
     mp.setattr(simplex, "_pivot_to_optimum", lambda *args: calls.append(1) or pivot(*args))
     return calls
+
+
+def _assert_slack_vertex(a, b, basis):
+    """a[:, basis] is a signed identity, and its basic values are >= 0 up
+    to roundoff."""
+    start = a[:, basis]
+    assert np.array_equal(np.abs(start), np.eye(basis.size))
+    xb = start.diagonal() * b
+    assert xb.min(initial=0.0) >= -1e-12 * max(1.0, np.abs(xb).max(initial=0.0))
 
 
 def test_equality_lps_skip_phase_one(monkeypatch):
@@ -537,7 +562,8 @@ def test_equality_lps_skip_phase_one(monkeypatch):
 
 
 def test_dantzig_lps_skip_phase_one(monkeypatch):
-    # the purified closed-form start: one _pivot_to_optimum run, phase 2
+    # the slack basis: one _pivot_to_optimum run, phase 2, and no
+    # purification steps
     calls = _count_pivot_runs(monkeypatch)
     for family_seed in (1, 2, 3):
         for j in range(1, 100, 2):
@@ -558,12 +584,15 @@ def _repeated_row_instance():
 
 
 def test_rank_deficient_dantzig_lp_takes_one_run(monkeypatch):
-    # z_J is the least-squares point, so Phi^T (Phi z - y) = 0 and the
-    # dantzig LP keeps every row and starts at the signed identity
+    # z0 = Phi^+ y is a least-squares point, so Phi^T (Phi z0 - y) = 0:
+    # the dantzig LP keeps every row and starts at its signed identity,
+    # with every t+- at lam
     d, phi, x = _repeated_row_instance()
     con = cg.ConstraintSpec("dantzig", phi.entries @ x, lam=0.1)
-    kept, lp, _, superbasic, _ = _lp_start(d.entries, phi.entries, con)
-    assert kept == slice(None) and lp is con and superbasic.size == 5
+    c, a, b, basis = lp_of(d, phi, con)
+    assert a.shape == (14 + 2 * 10, 4 * 10 + 2 * 14)
+    _assert_slack_vertex(a, b, basis)
+    assert np.allclose(b[14:], 0.1, rtol=0.0, atol=1e-12)
     calls = _count_pivot_runs(monkeypatch)
     res = assert_optimal_answer(d, phi, x, con)
     assert len(calls) == 1
@@ -571,31 +600,31 @@ def test_rank_deficient_dantzig_lp_takes_one_run(monkeypatch):
 
 
 def test_rank_deficient_measurements_take_one_run(monkeypatch):
-    # y in the range of Phi: elimination skips row 5, and the LP keeps
-    # rows 0-4, at the answer of Phi's first five rows alone
+    # y in the range of Phi: the equality LP works in null(Phi), of
+    # dimension 10 - 5, whatever rows of Phi repeat, and has the optimum
+    # of Phi's first five rows alone
     d, phi, x = _repeated_row_instance()
     con = cg.ConstraintSpec("equality", phi.entries @ x)
-    kept, lp, _, _, _ = _lp_start(d.entries, phi.entries, con)
-    assert kept.tolist() == [0, 1, 2, 3, 4]
-    assert np.allclose(lp.y, con.y[:5], rtol=0.0, atol=1e-14)
+    c, a, b, basis = lp_of(d, phi, con)
+    assert a.shape == (14, 2 * 5 + 2 * 14)
+    _assert_slack_vertex(a, b, basis)
     calls = _count_pivot_runs(monkeypatch)
     res = assert_optimal_answer(d, phi, x, con)
     assert len(calls) == 1
     assert res.certified
     five = cg.solve_lp_certified(phi.entries[:5], d, cg.ConstraintSpec("equality", con.y[:5]))
-    assert res.iterations == five.iterations
-    assert np.allclose(res.x_hat, five.x_hat, rtol=0.0, atol=1e-12)
+    assert res.objective == pytest.approx(five.objective, rel=1e-12)
 
 
 def test_dantzig_start_at_lambda_zero_is_degenerate(monkeypatch):
     # lam = 0 and Phi of full row rank: Phi^T Phi z = Phi^T y is Phi z = y,
-    # so the dantzig LP is the equality LP and every t+- starts at 0
+    # so the dantzig LP has the equality LP's optimum, and every t+-
+    # starts at 0 up to roundoff
     d, phi, x, eq = family_instance(11, 0)
     con = cg.ConstraintSpec("dantzig", eq.y, lam=0.0)
-    c, a, b = _build_lp(d.entries, phi.entries, con)
-    _, _, basis, superbasic, values = _lp_start(d.entries, phi.entries, con)
-    xb = np.linalg.solve(a[:, basis], b - a[:, superbasic] @ values)
-    assert np.abs(xb[14:]).max() <= 1e-12 * max(1.0, np.abs(xb).max())
+    c, a, b, basis = lp_of(d, phi, con)
+    _assert_slack_vertex(a, b, basis)
+    assert np.abs(b[14:]).max() <= 1e-12 * max(1.0, np.abs(b).max())
     calls = _count_pivot_runs(monkeypatch)
     res = assert_optimal_answer(d, phi, x, con)
     assert len(calls) == 1
@@ -606,8 +635,8 @@ def test_dantzig_start_at_lambda_zero_is_degenerate(monkeypatch):
 
 @st.composite
 def l1_lps(draw):
-    """The operators and a dantzig constraint of a random LP of _build_lp:
-    n 4-10, p n to n+6, a tight-frame or gaussian-random D, and Phi of
+    """The operators and a dantzig constraint of a random certification
+    LP: n 4-10, p n to n+6, a tight-frame or gaussian-random D, and Phi of
     one of three shapes: gaussian with m 2 to n-1 rows; rank r < m
     (m 2 to n), each row a gaussian combination of r gaussian rows; or
     gaussian with m n+1 to n+3 rows. y = Phi (a draw), and lam is 0,
@@ -641,26 +670,20 @@ def l1_lps(draw):
 @settings(max_examples=150, deadline=None)
 def test_closed_form_start_matches_highs(lp):
     # both LP kinds on each draw's operators, the equality one with the
-    # same y: one phase-2 run from _lp_start's point, certified, at HiGHS's
-    # optimum of the LP on all m rows. The equality LP keeps rank(Phi) rows
-    # and its start is a vertex already; a y off range(Phi) is refused
+    # same y: the slack basis around Phi^+ y is a signed identity at a
+    # vertex, one _pivot_to_optimum run from it ends certified, at the
+    # optimum HiGHS finds for the l1 program posed apart, on z and every
+    # row of Phi. A y off range(Phi) is refused
     d, phi, dantzig = lp
     m, rank = phi.shape[0], np.linalg.matrix_rank(phi)
     for con in (cg.ConstraintSpec("equality", dantzig.y), dantzig):
-        kept, lp, basis, _, _ = _lp_start(d.entries, phi, con)
-        if con.kind == "equality":
-            assert np.arange(m)[kept].size == rank
-            c, a, b = _build_lp(d.entries, phi[kept], lp)
-            xb = np.linalg.solve(a[:, basis], b)
-            assert xb.min() >= -1e-12 * max(1.0, np.abs(xb).max())
-        else:
-            assert kept == slice(None) and lp is con
+        _assert_slack_vertex(*lp_of(d, phi, con)[1:])
         with pytest.MonkeyPatch.context() as mp:
             calls = _count_pivot_runs(mp)
             res = cg.solve_lp_certified(phi, d, con)
         assert len(calls) == 1
         assert res.certified
-        ref = highs_lp(*_build_lp(d.entries, phi, con))
+        ref = highs_l1(d.entries, phi, con)
         assert ref.status == 0
         assert res.objective == pytest.approx(ref.fun, abs=1e-8)
     if dantzig.lam > np.abs(phi.T @ dantzig.y).max():
@@ -672,9 +695,22 @@ def test_closed_form_start_matches_highs(lp):
             cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", y))
 
 
+@given(l1_lps())
+@settings(max_examples=50, deadline=None)
+def test_lp_budget_guard_bounds_the_columns(lp):
+    # _refuse_lp counts in closed form, before any factorization; the LP
+    # _build_lp then builds never has more columns, on equality (whose
+    # d+- blocks have dim null(Phi) <= n columns each) or on dantzig
+    d, phi, dantzig = lp
+    for con in (cg.ConstraintSpec("equality", dantzig.y), dantzig):
+        assert _refuse_lp(d.n, d.p, con.kind) >= lp_of(d, phi, con)[1].shape[1]
+
+
 def test_start_steps_past_a_singular_leading_block(monkeypatch):
     # +-1 entries with column 1 = column 0: the leading 6x6 block is
-    # singular, Phi has rank 6, and elimination takes a later column
+    # singular and Phi has rank 6. Kept as a regression instance of the
+    # slack start: Phi^+ y needs no nonsingular block, and null(Phi) has
+    # dimension 4
     d = cg.make_dictionary("tight-frame", 14, 10, 5)
     entries = cg.make_sensing_matrix("bernoulli", 6, 10, 6).entries.copy()
     entries[:, 1] = entries[:, 0]
@@ -682,9 +718,9 @@ def test_start_steps_past_a_singular_leading_block(monkeypatch):
     phi = cg.SensingMatrix(entries, "user-supplied")
     x = cg.sample_cosparse_signal(d, 5, 7)
     con = cg.ConstraintSpec("equality", entries @ x)
-    _, _, basis, _, _ = _lp_start(d.entries, entries, con)
-    picked = basis[14:] % 10
-    assert 1 not in picked and picked.max() >= 6
+    c, a, b, basis = lp_of(d, phi, con)
+    assert a.shape == (14, 2 * 4 + 2 * 14)
+    _assert_slack_vertex(a, b, basis)
     calls = _count_pivot_runs(monkeypatch)
     res = assert_optimal_answer(d, phi, x, con)
     assert len(calls) == 1
@@ -692,29 +728,27 @@ def test_start_steps_past_a_singular_leading_block(monkeypatch):
 
 
 def test_an_infeasible_start_is_refused():
-    # z+_j and z-_j swapped for one j with z_j far from 0: B^-1 b holds
-    # -|z_j|, so phase 2 cannot start there
+    # s+_i and s-_i swapped for the row i with |(D z0)_i| largest: B^-1 b
+    # holds -|(D z0)_i|, so phase 2 cannot start there
     d, phi, _, con = family_instance(11, 0)
-    c, a, b = _build_lp(d.entries, phi.entries, con)
-    _, _, start, _, _ = _lp_start(d.entries, phi.entries, con)
-    simplex._solve_from(c, a, b, start, (), ())
-    xb = np.linalg.solve(a[:, start], b)
-    r = 14 + int(np.argmax(xb[14:]))
-    start[r] = (start[r] + 10) % 20
+    c, a, b, start = lp_of(d, phi, con)
+    simplex._solve_from(c, a, b, start)
+    r = int(np.argmax(np.abs(b)))
+    start[r] += 14 if start[r] < 2 * 4 + 14 else -14
     with pytest.raises(ValueError, match="start is not feasible"):
-        simplex._solve_from(c, a, b, start, (), ())
+        simplex._solve_from(c, a, b, start)
 
 
 @pytest.mark.parametrize("family_seed, j", [
-    (11, 0),   # equality, phase 2 from the closed-form start
-    (11, 1),   # dantzig, phase 2 from the purified start
+    (11, 0),   # equality, phase 2 from the slack basis
+    (11, 1),   # dantzig, phase 2 from the slack basis
     (11, 48),  # a drift case, equality
 ])
 def test_final_basis_is_optimal_in_exact_arithmetic(family_seed, j):
     # no tolerance: a negative entry is a finding, not roundoff to allow
     d, phi, _, con = family_instance(family_seed, j)
-    c, a, b = _build_lp(d.entries, phi.entries, con)
-    sol = simplex._solve_from(c, a, b, *_lp_start(d.entries, phi.entries, con)[2:])
+    c, a, b, basis = lp_of(d, phi, con)
+    sol = simplex._solve_from(c, a, b, basis)
     x_b, reduced = rational_basis_audit(c, a, b, sol.basis)
     assert min(x_b) >= 0
     assert min(reduced) >= 0

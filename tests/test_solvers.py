@@ -460,19 +460,19 @@ def test_wrong_answer_is_not_certified(reference_instance, kind):
 
 
 def test_lp_answer_off_the_constraint_set_is_not_converged(reference_instance, monkeypatch):
-    # x[0] is z+_0, so the returned point moves by e_0 and misses the
-    # equality set by ||Phi e_0||; an equality LP is solved from its
-    # closed-form start, by simplex._solve_from
+    # the LP's centre z0 = Phi^+ y moved by e_0: the returned point
+    # z0 + e_0 + N^T c moves by e_0 with it and misses the equality set by
+    # ||Phi e_0||. Moving a d+ entry of the LP's answer would not do, as
+    # it moves z inside null(Phi), which stays feasible
     phi, d, x, y = reference_instance
-    solve = solvers._solve_from
+    start = solvers._feasible_start
 
-    def moved(c, a, b, *start):
-        sol = solve(c, a, b, *start)
-        z = sol.x.copy()
-        z[0] += 1.0
-        return dataclasses.replace(sol, x=z)
+    def moved(phi_e, pinv, constraint):
+        z0 = start(phi_e, pinv, constraint).copy()
+        z0[0] += 1.0
+        return z0
 
-    monkeypatch.setattr(solvers, "_solve_from", moved)
+    monkeypatch.setattr(solvers, "_feasible_start", moved)
     res = cg.solve_lp_certified(phi, d, cg.ConstraintSpec("equality", y))
     assert not res.converged
     assert not res.certified
@@ -715,7 +715,9 @@ def test_polish_on_recovery_reference_family(monkeypatch):
     # 2,096 with it at the checks alone, and 1,000 with the peeks. The
     # polish's work is pinned: 87 face points, 55 zero-set duals, of which
     # the 39 on a zero set of dim null(Phi) rows take one linear solve and
-    # the other 16 an SVD, and 24 certified polishes, one per solve
+    # the other 16 an SVD, and 24 certified polishes, one per solve. The
+    # reference LP of each trial takes one SVD more, of Phi, for its
+    # centre Phi^+ y and its null(Phi) coordinates
     attempts = _count_polish_attempts(monkeypatch)
     duals = _record_zero_set_duals(monkeypatch)
     svds, polishes = [], []
@@ -735,7 +737,7 @@ def test_polish_on_recovery_reference_family(monkeypatch):
     assert solve_recovery_family([11]) == 1000
     assert len(attempts) == 87
     assert len(duals) == 55
-    assert len(svds) == 2 * 24 + 16  # _factor's two per solve, then the duals'
+    assert len(svds) == 2 * 24 + 16 + 24  # _factor's two per solve, the duals', the LPs'
     assert sum(polishes) == 24
 
 
